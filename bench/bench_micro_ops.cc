@@ -4,10 +4,17 @@
 // stable per-operation timings.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <string>
+
 #include "bench_common.h"
 #include "core/distribute.h"
 #include "core/dp_split.h"
 #include "core/merge_split.h"
+#include "storage/page_codec.h"
+#include "storage/shared_buffer_pool.h"
+#include "util/check.h"
 
 namespace stindex {
 namespace bench {
@@ -160,6 +167,51 @@ void BM_RStarRangeQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RStarRangeQuery);
+
+// The page checksum kernel: one full-page CRC, as every seal, open-time
+// verify and buffer-pool miss runs it.
+void BM_Crc32Page(benchmark::State& state) {
+  std::vector<uint8_t> page(kPageSize);
+  for (size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(page.data(), page.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kPageSize));
+}
+BENCHMARK(BM_Crc32Page);
+
+// The cold miss path over a packed snapshot: pin and unpin through a
+// 1-frame SharedBufferPool, cycling through the node slots so every pin
+// evicts the previous frame and views (checksums, parses) the next
+// mapped page.
+void BM_PprSnapshotMiss(benchmark::State& state) {
+  static PprTree* tree = [] {
+    const std::vector<Trajectory> objects = MakeRandomDataset(2000);
+    PprTree* t = BuildPprTree(SplitWithLaGreedy(objects, 150)).release();
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "bench_micro_ops_miss.stsnap")
+            .string();
+    const Status status = t->PackSnapshot(path);
+    STINDEX_CHECK_MSG(status.ok(), status.ToString().c_str());
+    std::remove(path.c_str());  // the open snapshot keeps its pages
+    return t;
+  }();
+  const std::unique_ptr<SharedBufferPool> pool = tree->NewSharedQueryPool(1);
+  const size_t slots = tree->backend()->SlotCount();
+  PageId id = 0;
+  bool missed = false;
+  for (auto _ : state) {
+    const Result<const Page*> page = pool->Pin(id, &missed);
+    benchmark::DoNotOptimize(page.value());
+    pool->Unpin(id);
+    id = static_cast<PageId>((id + 1) % slots);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PprSnapshotMiss);
 
 }  // namespace
 }  // namespace bench

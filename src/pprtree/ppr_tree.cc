@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <span>
+#include <type_traits>
 #include <unordered_set>
 
 #include "core/query_profile.h"
@@ -20,11 +23,14 @@
 namespace stindex {
 
 // An index or data record inside a node. Alive entries have an open
-// deletion time (kTimeInfinity).
+// deletion time (kTimeInfinity). The struct is also the on-page entry
+// layout (NodeCodec), so it carries its padding as an explicit zeroed
+// field: page bytes stay deterministic.
 struct PprTree::Entry {
   Rect2D rect;
   TimeInterval lifetime;
   PageId child = kInvalidPage;  // directory entries
+  uint32_t reserved = 0;
   PprDataId data = 0;           // leaf entries
 
   bool IsAlive() const { return lifetime.end == kTimeInfinity; }
@@ -45,9 +51,19 @@ struct PprTree::RootEra {
   PageId root = kInvalidPage;
 };
 
+// A node either owns its entries (built in memory, or decoded) or views
+// them in place on a borrowed page (NodeCodec::View). Views are read-only:
+// the const accessor serves both, mutable access CHECKs ownership.
 class PprTree::Node : public Page {
  public:
   Node(int level, Time created) : level_(level), created_(created) {}
+
+  Node(int level, Time created, Time closed, std::span<const Entry> view)
+      : level_(level),
+        created_(created),
+        closed_(closed),
+        view_(view),
+        borrowed_(true) {}
 
   int level() const { return level_; }
   bool IsLeaf() const { return level_ == 0; }
@@ -57,18 +73,23 @@ class PprTree::Node : public Page {
   Time closed() const { return closed_; }
   void Close(Time t) { closed_ = t; }
 
-  std::vector<Entry>& entries() { return entries_; }
-  const std::vector<Entry>& entries() const { return entries_; }
+  std::vector<Entry>& entries() {
+    STINDEX_CHECK_MSG(!borrowed_, "mutable access to a borrowed PPR-tree node");
+    return entries_;
+  }
+  std::span<const Entry> entries() const {
+    return borrowed_ ? view_ : std::span<const Entry>(entries_);
+  }
 
   size_t AliveCount() const {
     size_t count = 0;
-    for (const Entry& entry : entries_) count += entry.IsAlive() ? 1 : 0;
+    for (const Entry& entry : entries()) count += entry.IsAlive() ? 1 : 0;
     return count;
   }
 
   Rect2D AliveMbr() const {
     Rect2D mbr = Rect2D::Empty();
-    for (const Entry& entry : entries_) {
+    for (const Entry& entry : entries()) {
       if (entry.IsAlive()) mbr.ExpandToInclude(entry.rect);
     }
     return mbr;
@@ -79,69 +100,117 @@ class PprTree::Node : public Page {
   Time created_;
   Time closed_ = kTimeInfinity;
   std::vector<Entry> entries_;
+  std::span<const Entry> view_;
+  bool borrowed_ = false;
 };
 
-// Serializes nodes to sealed pages. Payload layout (little-endian):
-//   int32   level
-//   Time    created, closed
-//   uint64  entry count (encode CHECKs the fanout bound; Load tolerates
-//           max_entries + 1 for transient states, the codec matches)
-//   entries: Rect2D (32 bytes), TimeInterval (16 bytes), PageId, PprDataId
+// Serializes nodes to sealed pages whose payload is the in-memory layout
+// (little-endian): a Header, then `count` Entry structs from page offset
+// kNodeEntryOffset. Encode CHECKs the fanout bound; parsing tolerates
+// max_entries + 1 for transient states, as Load does.
 class PprTree::NodeCodec : public PageCodec {
  public:
-  explicit NodeCodec(size_t max_entries) : max_entries_(max_entries) {}
+  explicit NodeCodec(size_t max_entries) : max_entries_(max_entries) {
+    STINDEX_CHECK_MSG(max_entries_ + 1 <= kNodePageCapacity,
+                      "PPR-tree fanout does not fit a node page");
+  }
 
   void Encode(const Page& page, uint8_t* out) const override {
     const Node& node = static_cast<const Node&>(page);
-    STINDEX_CHECK_MSG(node.entries().size() <= max_entries_ + 1,
+    const std::span<const Entry> entries = node.entries();
+    STINDEX_CHECK_MSG(entries.size() <= max_entries_ + 1,
                       "PPR-tree node exceeds the configured fanout");
-    PageWriter writer = PayloadWriter(out);
-    writer.Write(static_cast<int32_t>(node.level()));
-    writer.Write(node.created());
-    writer.Write(node.closed());
-    writer.Write(static_cast<uint64_t>(node.entries().size()));
-    for (const Entry& entry : node.entries()) {
-      writer.Write(entry.rect);
-      writer.Write(entry.lifetime);
-      writer.Write(entry.child);
-      writer.Write(entry.data);
+    std::memset(out, 0, kPageSize);
+    const Header header{static_cast<int32_t>(node.level()),
+                        static_cast<uint32_t>(entries.size()), node.created(),
+                        node.closed()};
+    std::memcpy(out + kPageEnvelopeBytes, &header, sizeof(header));
+    if (!entries.empty()) {
+      std::memcpy(out + kNodeEntryOffset, entries.data(), entries.size_bytes());
     }
     SealPage(out, PageKind::kPprNode);
   }
 
   Result<std::unique_ptr<Page>> Decode(const uint8_t* page,
                                        PageId id) const override {
-    Result<PageReader> payload = OpenPagePayload(page, PageKind::kPprNode, id);
-    if (!payload.ok()) return payload.status();
-    PageReader reader = payload.value();
-    int32_t level = 0;
-    Time created = 0;
-    Time closed = 0;
-    uint64_t count = 0;
-    if (!reader.Read(&level) || !reader.Read(&created) ||
-        !reader.Read(&closed) || !reader.Read(&count)) {
-      return Status::InvalidArgument("page " + std::to_string(id) +
-                                     ": short PPR-tree node header");
-    }
-    if (level < 0 || count > max_entries_ + 1) {
-      return Status::InvalidArgument(
-          "page " + std::to_string(id) + ": implausible PPR-tree node (level " +
-          std::to_string(level) + ", " + std::to_string(count) + " entries)");
-    }
-    auto node = std::make_unique<Node>(static_cast<int>(level), created);
-    if (closed != kTimeInfinity) node->Close(closed);
-    node->entries().resize(static_cast<size_t>(count));
-    for (Entry& entry : node->entries()) {
-      if (!reader.Read(&entry.rect) || !reader.Read(&entry.lifetime) ||
-          !reader.Read(&entry.child) || !reader.Read(&entry.data)) {
-        return Status::InvalidArgument("page " + std::to_string(id) +
-                                       ": truncated PPR-tree node entries");
-      }
+    Result<Parsed> parsed = Parse(page, id);
+    if (!parsed.ok()) return parsed.status();
+    const Header& header = parsed.value().header;
+    auto node = std::make_unique<Node>(header.level, header.created);
+    if (header.closed != kTimeInfinity) node->Close(header.closed);
+    // Byte copy: a decoded buffer need not be aligned for Entry.
+    const std::span<const Entry> entries = parsed.value().entries;
+    node->entries().resize(entries.size());
+    if (!entries.empty()) {
+      std::memcpy(node->entries().data(), entries.data(), entries.size_bytes());
     }
     return std::unique_ptr<Page>(std::move(node));
   }
 
+  Result<std::unique_ptr<Page>> View(const uint8_t* page,
+                                     PageId id) const override {
+    STINDEX_CHECK_MSG(reinterpret_cast<uintptr_t>(page) % alignof(Entry) == 0,
+                      "PPR-tree node view over a misaligned page");
+    Result<Parsed> parsed = Parse(page, id);
+    if (!parsed.ok()) return parsed.status();
+    const Header& header = parsed.value().header;
+    return std::unique_ptr<Page>(std::make_unique<Node>(
+        header.level, header.created, header.closed, parsed.value().entries));
+  }
+
  private:
+  struct Header {
+    int32_t level;
+    uint32_t count;
+    Time created;
+    Time closed;
+  };
+  static_assert(sizeof(Header) == 24 && offsetof(Header, count) == 4 &&
+                offsetof(Header, created) == 8 &&
+                offsetof(Header, closed) == 16);
+  static_assert(std::has_unique_object_representations_v<Header>);
+  static_assert(kPageEnvelopeBytes + sizeof(Header) <= kNodeEntryOffset &&
+                kNodeEntryOffset % alignof(Entry) == 0);
+  // Entry is the on-page layout. Rect2D holds doubles, for which
+  // has_unique_object_representations is false by definition, so
+  // "no padding" is asserted as the sum of the member sizes instead.
+  static_assert(sizeof(Entry) == kNodeEntryBytes &&
+                offsetof(Entry, rect) == 0 &&
+                offsetof(Entry, lifetime) == 32 &&
+                offsetof(Entry, child) == 48 &&
+                offsetof(Entry, reserved) == 52 && offsetof(Entry, data) == 56);
+  static_assert(sizeof(Rect2D) + sizeof(TimeInterval) + sizeof(PageId) +
+                    sizeof(uint32_t) + sizeof(PprDataId) ==
+                sizeof(Entry));
+  static_assert(std::is_trivially_copyable_v<Entry> &&
+                std::has_unique_object_representations_v<TimeInterval>);
+
+  struct Parsed {
+    Header header{};
+    std::span<const Entry> entries;
+  };
+
+  // The one validator behind Decode and View: the envelope (checksum,
+  // kind, version), then a plausible header. The entry span points into
+  // `page`.
+  Result<Parsed> Parse(const uint8_t* page, PageId id) const {
+    Result<PageReader> payload = OpenPagePayload(page, PageKind::kPprNode, id);
+    if (!payload.ok()) return payload.status();
+    Parsed parsed;
+    std::memcpy(&parsed.header, page + kPageEnvelopeBytes, sizeof(Header));
+    const Header& header = parsed.header;
+    if (header.level < 0 || header.count > max_entries_ + 1 ||
+        header.count * sizeof(Entry) > kPageSize - kNodeEntryOffset) {
+      return Status::InvalidArgument(
+          "page " + std::to_string(id) + ": implausible PPR-tree node (level " +
+          std::to_string(header.level) + ", " + std::to_string(header.count) +
+          " entries)");
+    }
+    parsed.entries = std::span<const Entry>(
+        reinterpret_cast<const Entry*>(page + kNodeEntryOffset), header.count);
+    return parsed;
+  }
+
   size_t max_entries_;
 };
 
@@ -214,7 +283,7 @@ Status PprTree::PersistAllNodes() {
     const Node* node = GetNode(id);
     auto clone = std::make_unique<Node>(node->level(), node->created());
     if (node->closed() != kTimeInfinity) clone->Close(node->closed());
-    clone->entries() = node->entries();
+    clone->entries().assign(node->entries().begin(), node->entries().end());
     Status status = writer.Put(id, std::move(clone));
     if (!status.ok()) return status;
   }
@@ -1248,7 +1317,7 @@ Status PprTree::PersistNodesForCheckpoint(
     const Node* node = GetNode(id);
     auto clone = std::make_unique<Node>(node->level(), node->created());
     if (node->closed() != kTimeInfinity) clone->Close(node->closed());
-    clone->entries() = node->entries();
+    clone->entries().assign(node->entries().begin(), node->entries().end());
     Status status = writer.Put(slots[id], std::move(clone));
     if (!status.ok()) {
       writer.DiscardAll();  // the shadow slots are garbage; do not flush

@@ -137,6 +137,14 @@ class PprTree {
   // Nullptr until AttachBackend/PackSnapshot succeeds.
   const PageBackend* backend() const { return backend_.get(); }
 
+  // Node page layout (docs/storage.md): a 24-byte header {int32 level,
+  // uint32 count, Time created, Time closed} after the envelope, then
+  // 64-byte entries from this page offset on. Pool frames over a mapped
+  // snapshot read them in place.
+  static constexpr size_t kNodeEntryOffset = 32;
+  static constexpr size_t kNodePageCapacity =
+      NodePageCapacity(kNodeEntryOffset);
+
   // COUNT(*) of a snapshot query, without materializing ids — the
   // aggregation a monitoring dashboard runs per tick.
   size_t SnapshotCount(const Rect2D& area, Time t) const;

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <limits>
 #include <queue>
+#include <span>
+#include <type_traits>
 
 #include "core/query_profile.h"
 #include "storage/shared_buffer_pool.h"
@@ -15,87 +19,148 @@
 namespace stindex {
 
 // A node occupies one page. `level` 0 means leaf; internal entries point
-// at children one level below.
+// at children one level below. A node either owns its entries or views
+// them in place on a borrowed page (NodeCodec::View); views are
+// read-only, so mutable access CHECKs ownership.
 class RStarTree::Node : public Page {
  public:
+  // Also the on-page entry layout (NodeCodec): the padding is an explicit
+  // zeroed field, so page bytes stay deterministic.
   struct Entry {
     Box3D box;
     PageId child = kInvalidPage;  // internal nodes
+    uint32_t reserved = 0;
     DataId data = 0;              // leaves
   };
 
   explicit Node(int level) : level_(level) {}
 
+  Node(int level, std::span<const Entry> view)
+      : level_(level), view_(view), borrowed_(true) {}
+
   int level() const { return level_; }
   bool IsLeaf() const { return level_ == 0; }
 
-  std::vector<Entry>& entries() { return entries_; }
-  const std::vector<Entry>& entries() const { return entries_; }
+  std::vector<Entry>& entries() {
+    STINDEX_CHECK_MSG(!borrowed_, "mutable access to a borrowed R*-tree node");
+    return entries_;
+  }
+  std::span<const Entry> entries() const {
+    return borrowed_ ? view_ : std::span<const Entry>(entries_);
+  }
 
   Box3D Mbr() const {
     Box3D mbr = Box3D::Empty();
-    for (const Entry& entry : entries_) mbr.ExpandToInclude(entry.box);
+    for (const Entry& entry : entries()) mbr.ExpandToInclude(entry.box);
     return mbr;
   }
 
  private:
   int level_;
   std::vector<Entry> entries_;
+  std::span<const Entry> view_;
+  bool borrowed_ = false;
 };
 
-// Serializes nodes to sealed pages. Payload layout (little-endian):
-//   int32   level
-//   uint64  entry count (encode CHECKs the configured fanout bound)
-//   entries: Box3D (48 bytes), PageId, DataId
+// Serializes nodes to sealed pages whose payload is the in-memory layout
+// (little-endian): a Header, then `count` Node::Entry structs from page
+// offset kNodeEntryOffset. Encode and parsing both hold the configured
+// fanout bound.
 class RStarTree::NodeCodec : public PageCodec {
  public:
-  explicit NodeCodec(size_t max_entries) : max_entries_(max_entries) {}
+  explicit NodeCodec(size_t max_entries) : max_entries_(max_entries) {
+    STINDEX_CHECK_MSG(max_entries_ + 1 <= kNodePageCapacity,
+                      "R*-tree fanout does not fit a node page");
+  }
 
   void Encode(const Page& page, uint8_t* out) const override {
     const Node& node = static_cast<const Node&>(page);
-    STINDEX_CHECK_MSG(node.entries().size() <= max_entries_,
+    const std::span<const Entry> entries = node.entries();
+    STINDEX_CHECK_MSG(entries.size() <= max_entries_,
                       "R*-tree node exceeds the configured fanout");
-    PageWriter writer = PayloadWriter(out);
-    writer.Write(static_cast<int32_t>(node.level()));
-    writer.Write(static_cast<uint64_t>(node.entries().size()));
-    for (const Node::Entry& entry : node.entries()) {
-      writer.Write(entry.box);
-      writer.Write(entry.child);
-      writer.Write(entry.data);
+    std::memset(out, 0, kPageSize);
+    const Header header{static_cast<int32_t>(node.level()),
+                        static_cast<uint32_t>(entries.size())};
+    std::memcpy(out + kPageEnvelopeBytes, &header, sizeof(header));
+    if (!entries.empty()) {
+      std::memcpy(out + kNodeEntryOffset, entries.data(), entries.size_bytes());
     }
     SealPage(out, PageKind::kRStarNode);
   }
 
   Result<std::unique_ptr<Page>> Decode(const uint8_t* page,
                                        PageId id) const override {
-    Result<PageReader> payload =
-        OpenPagePayload(page, PageKind::kRStarNode, id);
-    if (!payload.ok()) return payload.status();
-    PageReader reader = payload.value();
-    int32_t level = 0;
-    uint64_t count = 0;
-    if (!reader.Read(&level) || !reader.Read(&count)) {
-      return Status::InvalidArgument("page " + std::to_string(id) +
-                                     ": short R*-tree node header");
-    }
-    if (level < 0 || count > max_entries_) {
-      return Status::InvalidArgument(
-          "page " + std::to_string(id) + ": implausible R*-tree node (level " +
-          std::to_string(level) + ", " + std::to_string(count) + " entries)");
-    }
-    auto node = std::make_unique<Node>(static_cast<int>(level));
-    node->entries().resize(static_cast<size_t>(count));
-    for (Node::Entry& entry : node->entries()) {
-      if (!reader.Read(&entry.box) || !reader.Read(&entry.child) ||
-          !reader.Read(&entry.data)) {
-        return Status::InvalidArgument("page " + std::to_string(id) +
-                                       ": truncated R*-tree node entries");
-      }
+    Result<Parsed> parsed = Parse(page, id);
+    if (!parsed.ok()) return parsed.status();
+    auto node = std::make_unique<Node>(parsed.value().header.level);
+    // Byte copy: a decoded buffer need not be aligned for Entry.
+    const std::span<const Entry> entries = parsed.value().entries;
+    node->entries().resize(entries.size());
+    if (!entries.empty()) {
+      std::memcpy(node->entries().data(), entries.data(), entries.size_bytes());
     }
     return std::unique_ptr<Page>(std::move(node));
   }
 
+  Result<std::unique_ptr<Page>> View(const uint8_t* page,
+                                     PageId id) const override {
+    STINDEX_CHECK_MSG(reinterpret_cast<uintptr_t>(page) % alignof(Entry) == 0,
+                      "R*-tree node view over a misaligned page");
+    Result<Parsed> parsed = Parse(page, id);
+    if (!parsed.ok()) return parsed.status();
+    return std::unique_ptr<Page>(std::make_unique<Node>(
+        parsed.value().header.level, parsed.value().entries));
+  }
+
  private:
+  using Entry = Node::Entry;
+
+  struct Header {
+    int32_t level;
+    uint32_t count;
+  };
+  static_assert(sizeof(Header) == 8 && offsetof(Header, count) == 4);
+  static_assert(std::has_unique_object_representations_v<Header>);
+  static_assert(kPageEnvelopeBytes + sizeof(Header) <= kNodeEntryOffset &&
+                kNodeEntryOffset % alignof(Entry) == 0);
+  // Entry is the on-page layout. Box3D holds doubles, for which
+  // has_unique_object_representations is false by definition, so
+  // "no padding" is asserted as the sum of the member sizes instead.
+  static_assert(sizeof(Entry) == kNodeEntryBytes &&
+                offsetof(Entry, box) == 0 && offsetof(Entry, child) == 48 &&
+                offsetof(Entry, reserved) == 52 && offsetof(Entry, data) == 56);
+  static_assert(sizeof(Box3D) + sizeof(PageId) + sizeof(uint32_t) +
+                    sizeof(DataId) ==
+                sizeof(Entry));
+  static_assert(std::is_trivially_copyable_v<Entry>);
+
+  struct Parsed {
+    Header header{};
+    std::span<const Entry> entries;
+  };
+
+  // The one validator behind Decode and View: the envelope (checksum,
+  // kind, version), then a plausible header. The entry span points into
+  // `page`.
+  Result<Parsed> Parse(const uint8_t* page, PageId id) const {
+    Result<PageReader> payload =
+        OpenPagePayload(page, PageKind::kRStarNode, id);
+    if (!payload.ok()) return payload.status();
+    Parsed parsed;
+    std::memcpy(&parsed.header, page + kPageEnvelopeBytes, sizeof(Header));
+    const Header& header = parsed.header;
+    if (header.level < 0 || header.count > max_entries_ ||
+        header.count * sizeof(Entry) > kPageSize - kNodeEntryOffset) {
+      return Status::InvalidArgument(
+          "page " + std::to_string(id) + ": implausible R*-tree node (level " +
+          std::to_string(header.level) + ", " + std::to_string(header.count) +
+          " entries)");
+    }
+    parsed.entries = std::span<const Entry>(
+        reinterpret_cast<const Entry*>(page + kNodeEntryOffset), header.count);
+    return parsed;
+  }
+
   size_t max_entries_;
 };
 
@@ -154,7 +219,7 @@ Status RStarTree::PersistAllNodes() {
     if (!store_.IsLive(id)) continue;
     const Node* node = GetNode(id);
     auto clone = std::make_unique<Node>(node->level());
-    clone->entries() = node->entries();
+    clone->entries().assign(node->entries().begin(), node->entries().end());
     Status status = writer.Put(id, std::move(clone));
     if (!status.ok()) return status;
   }
@@ -900,7 +965,7 @@ bool RStarTree::Delete(const Box3D& box, DataId data) {
         }
         continue;
       }
-      const std::vector<Node::Entry>& entries = node->entries();
+      const std::span<const Node::Entry> entries = node->entries();
       for (size_t i = 0; i < entries.size(); ++i) {
         if (!entries[i].box.Contains(box)) continue;
         Frame next = frame;

@@ -144,6 +144,13 @@ class RStarTree {
   // Nullptr until AttachBackend/PackSnapshot succeeds.
   const PageBackend* backend() const { return backend_.get(); }
 
+  // Node page layout (docs/storage.md): an 8-byte header {int32 level,
+  // uint32 count} after the envelope, then 64-byte entries from this page
+  // offset on. Pool frames over a mapped snapshot read them in place.
+  static constexpr size_t kNodeEntryOffset = 16;
+  static constexpr size_t kNodePageCapacity =
+      NodePageCapacity(kNodeEntryOffset);
+
   // Number of leaf entries stored.
   size_t Size() const { return size_; }
 

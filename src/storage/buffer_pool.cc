@@ -140,9 +140,10 @@ BufferPool::Frame BufferPool::LoadFrame(PageId id) {
     frame.page = store_->Get(id);
     return frame;
   }
-  // Zero-copy path: an immutable backend (the mmap snapshot) lends its
-  // pages, so decode straight from the mapping instead of bouncing the
-  // bytes through a stack buffer.
+  // Zero-decode path: an immutable backend (the mmap snapshot) lends its
+  // pages, so the frame views the mapping in place instead of holding a
+  // decoded copy. The view still re-checks the page envelope: a
+  // MAP_SHARED mapping shows later writes to the file.
   const uint8_t* borrowed = backend_->BorrowPage(id);
   uint8_t buffer[kPageSize];
   if (borrowed == nullptr) {
@@ -153,8 +154,9 @@ BufferPool::Frame BufferPool::LoadFrame(PageId id) {
       STINDEX_CHECK_MSG(false, msg.c_str());
     }
   }
-  Result<std::unique_ptr<Page>> decoded =
-      codec_->Decode(borrowed != nullptr ? borrowed : buffer, id);
+  Result<std::unique_ptr<Page>> decoded = borrowed != nullptr
+                                              ? codec_->View(borrowed, id)
+                                              : codec_->Decode(buffer, id);
   if (!decoded.ok()) {
     const std::string msg = "BufferPool: decode of page " +
                             std::to_string(id) +

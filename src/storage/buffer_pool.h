@@ -100,8 +100,10 @@ inline PageRef PageCache::MakeRef(PageId id, const Page* page) {
 //  * Store mode (the historical simulated disk): fronts a PageStore of
 //    live node objects; a miss touches the store, nothing is serialized.
 //  * Backend mode: fronts a PageBackend through a PageCodec. A miss is an
-//    actual backend read + decode; Put() inserts dirty frames that are
-//    encoded and written back when evicted, flushed, or at destruction.
+//    actual backend read + decode — or, when the backend lends the page
+//    (BorrowPage), a PageCodec::View over it in place; Put() inserts dirty
+//    frames that are encoded and written back when evicted, flushed, or
+//    at destruction.
 //
 // Eviction takes the least-recently-used *unpinned* frame; pinned frames
 // (live PageRefs) are skipped. Both modes share one LRU/pin
@@ -130,8 +132,9 @@ class BufferPool : public PageCache {
              std::string metric_scope = std::string());
 
   // Backend mode. `backend` and `codec` are borrowed and must outlive the
-  // pool. Destruction flushes dirty frames (a flush failure there is a
-  // checked error — destructors cannot report Status).
+  // pool (frames over borrowed pages point into the backend's storage).
+  // Destruction flushes dirty frames (a flush failure there is a checked
+  // error — destructors cannot report Status).
   BufferPool(PageBackend* backend, const PageCodec* codec, size_t capacity,
              std::string metric_scope = std::string());
 
@@ -195,7 +198,7 @@ class BufferPool : public PageCache {
  private:
   struct Frame {
     const Page* page = nullptr;      // what Fetch returns
-    std::unique_ptr<Page> owned;     // backend mode: decoded node
+    std::unique_ptr<Page> owned;     // backend mode: decoded node or view
     uint32_t pins = 0;
     bool dirty = false;
     std::list<PageId>::iterator lru;  // position in lru_
@@ -205,7 +208,8 @@ class BufferPool : public PageCache {
   // victim is reported; all-frames-pinned is a checked error.
   Status EvictIfFull();
   Status WriteBack(PageId id, Frame& frame);
-  // Loads the page on a miss (store read or backend read + decode).
+  // Loads the page on a miss (store read, backend read + decode, or a
+  // view over a borrowed page).
   Frame LoadFrame(PageId id);
   Frame* FindResident(PageId id);
   Frame& InsertFrame(PageId id, Frame frame);

@@ -58,9 +58,13 @@ class PageBackend {
 
   // Zero-copy read: a pointer to page `id`'s page_size() bytes, valid for
   // the backend's lifetime, or nullptr if this backend cannot lend stable
-  // storage (the default). Borrowed pages are verified at open time, so
-  // callers may decode straight from the span without re-reading. Only
-  // immutable backends (the mmap snapshot) return non-null.
+  // storage (the default). The buffer pools View borrowed pages in place
+  // (PageCodec::View), so their frames must die before the backend. The
+  // bytes may still change underneath: the mmap snapshot maps its file
+  // MAP_SHARED, so a later write to the file shows through even though
+  // every page was verified at open. Readers therefore re-check the page
+  // envelope on every miss. Only immutable backends (the mmap snapshot)
+  // return non-null.
   virtual const uint8_t* BorrowPage(PageId id) const {
     (void)id;
     return nullptr;

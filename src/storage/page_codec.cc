@@ -6,17 +6,28 @@
 namespace stindex {
 namespace {
 
-// Table-driven CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+// tables[0] is the classic byte-at-a-time table; tables[k][b] is the CRC
+// contribution of byte b followed by k zero bytes, so eight table lookups
+// fold eight input bytes per step.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < tables.size(); ++k) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
 }
 
 uint16_t LoadU16(const uint8_t* p) {
@@ -44,10 +55,18 @@ void StoreU32(uint8_t* p, uint32_t v) {
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t size) {
-  static const std::array<uint32_t, 256> kTable = BuildCrcTable();
+  static const CrcTables kTables = BuildCrcTables();
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    c = kTable[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = LoadU32(data) ^ c;
+    const uint32_t hi = LoadU32(data + 4);
+    c = kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^
+        kTables[5][(lo >> 16) & 0xffu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xffu] ^ kTables[2][(hi >> 8) & 0xffu] ^
+        kTables[1][(hi >> 16) & 0xffu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    c = kTables[0][(c ^ *data) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

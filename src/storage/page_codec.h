@@ -12,7 +12,7 @@
 
 namespace stindex {
 
-// On-disk page size. An index node (50 entries of 56 bytes plus a small
+// On-disk page size. An index node (51 entries of 64 bytes plus a small
 // header) fits comfortably; serializers CHECK it.
 inline constexpr size_t kPageSize = 4096;
 
@@ -37,7 +37,20 @@ enum class PageKind : uint16_t {
 // The payload starts at kPageEnvelopeBytes.
 inline constexpr size_t kPageEnvelopeBytes = 8;
 inline constexpr size_t kPagePayloadBytes = kPageSize - kPageEnvelopeBytes;
-inline constexpr uint16_t kPageCodecVersion = 1;
+// Version 2: node pages hold 64-byte entries readable in place (below);
+// version 1 packed them as 60-byte records.
+inline constexpr uint16_t kPageCodecVersion = 2;
+
+// Node pages are laid out for in-place reads: a fixed header after the
+// envelope, then `count` entries of kNodeEntryBytes each, starting at an
+// 8-byte-aligned page offset and bit-identical to the tree's in-memory
+// entry struct. A codec can then View a borrowed page without decoding.
+inline constexpr size_t kNodeEntryBytes = 64;
+
+// Entries that fit a node page whose entries start at `entry_offset`.
+constexpr size_t NodePageCapacity(size_t entry_offset) {
+  return (kPageSize - entry_offset) / kNodeEntryBytes;
+}
 
 // CRC-32 (IEEE 802.3 polynomial, reflected) over `size` bytes.
 uint32_t Crc32(const uint8_t* data, size_t size);
@@ -62,6 +75,16 @@ class PageCodec {
   // condition: the error names the offending page id.
   virtual Result<std::unique_ptr<Page>> Decode(const uint8_t* page,
                                                PageId id) const = 0;
+
+  // Like Decode, but the returned Page may read `page` in place instead
+  // of copying it, so it is valid only while those bytes are: callers
+  // pass PageBackend::BorrowPage storage, which lives as long as its
+  // backend. Validates exactly what Decode validates (envelope included).
+  // The default decodes.
+  virtual Result<std::unique_ptr<Page>> View(const uint8_t* page,
+                                             PageId id) const {
+    return Decode(page, id);
+  }
 };
 
 // Bounds-checked sequential writer over a fixed-size buffer. Overflowing

@@ -154,8 +154,10 @@ Result<const Page*> SharedBufferPool::Pin(PageId id, bool* missed) {
   if (store_ != nullptr) {
     frame.page = store_->Get(id);
   } else {
-    // Zero-copy path: an immutable backend (the mmap snapshot) lends its
-    // pages — decode straight from the mapping, no bounce buffer.
+    // Zero-decode path: an immutable backend (the mmap snapshot) lends its
+    // pages — the frame views the mapping in place, no decoded copy. The
+    // view still re-checks the envelope: a MAP_SHARED mapping shows later
+    // writes to the file.
     const uint8_t* borrowed = backend_->BorrowPage(id);
     uint8_t buffer[kPageSize];
     if (borrowed == nullptr) {
@@ -167,8 +169,9 @@ Result<const Page*> SharedBufferPool::Pin(PageId id, bool* missed) {
         STINDEX_CHECK_MSG(false, msg.c_str());
       }
     }
-    Result<std::unique_ptr<Page>> decoded =
-        codec_->Decode(borrowed != nullptr ? borrowed : buffer, id);
+    Result<std::unique_ptr<Page>> decoded = borrowed != nullptr
+                                                ? codec_->View(borrowed, id)
+                                                : codec_->Decode(buffer, id);
     if (!decoded.ok()) {
       const std::string msg = "SharedBufferPool: decode of page " +
                               std::to_string(id) +

@@ -63,8 +63,10 @@ class SharedBufferPool {
                    const SharedBufferPoolOptions& options);
 
   // Backend mode: fronts a PageBackend through a PageCodec; a miss is an
-  // actual backend read + decode. `backend` and `codec` are borrowed and
-  // must outlive the pool.
+  // actual backend read + decode, or a PageCodec::View in place when the
+  // backend lends the page (BorrowPage). `backend` and `codec` are
+  // borrowed and must outlive the pool: frames over borrowed pages point
+  // into the backend's storage.
   SharedBufferPool(PageBackend* backend, const PageCodec* codec,
                    const SharedBufferPoolOptions& options);
 
@@ -132,7 +134,8 @@ class SharedBufferPool {
  private:
   struct Frame {
     const Page* page = nullptr;
-    std::unique_ptr<Page> owned;  // backend mode: decoded node
+    // Backend mode: a decoded node, or a view over a borrowed page.
+    std::unique_ptr<Page> owned;
     uint32_t pins = 0;
     bool dirty = false;
     std::list<PageId>::iterator lru;

@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "pprtree/ppr_tree.h"
+#include "rstar/rstar_tree.h"
 #include "storage/file_backend.h"
 #include "storage/page_codec.h"
 
@@ -70,10 +73,18 @@ TEST(PageCodecDeathTest, OverflowAborts) {
 }
 
 TEST(PageCodecTest, NodeFitsInPage) {
-  // The serialized PPR node layout: 4 (level) + 8 + 8 (times) + 8 (count)
-  // + 50 entries x (32 rect + 16 lifetime + 4 child + 8 data).
-  const size_t node_bytes = 4 + 8 + 8 + 8 + 50 * (32 + 16 + 4 + 8);
-  EXPECT_LE(node_bytes, kPageSize);
+  // Both node layouts hold the default fanout plus the one transient
+  // overflow entry, with 8-byte-aligned entries that end inside the page.
+  const size_t ppr_fanout = PprConfig().max_entries + 1;
+  const size_t rstar_fanout = RStarConfig().max_entries + 1;
+  EXPECT_GE(PprTree::kNodePageCapacity, ppr_fanout);
+  EXPECT_GE(RStarTree::kNodePageCapacity, rstar_fanout);
+  EXPECT_EQ(PprTree::kNodeEntryOffset % 8, 0u);
+  EXPECT_EQ(RStarTree::kNodeEntryOffset % 8, 0u);
+  EXPECT_LE(PprTree::kNodeEntryOffset + ppr_fanout * kNodeEntryBytes,
+            kPageSize);
+  EXPECT_LE(RStarTree::kNodeEntryOffset + rstar_fanout * kNodeEntryBytes,
+            kPageSize);
 }
 
 // --- Page envelope (checksum / kind / version) ---
@@ -125,17 +136,21 @@ TEST(PageEnvelopeTest, WrongKindRejected) {
   EXPECT_TRUE(Contains(payload.status().message(), "kind mismatch"));
 }
 
-TEST(PageEnvelopeTest, VersionSkewRejected) {
-  std::array<uint8_t, kPageSize> page = SealedTestPage(1);
-  // Stamp a future codec version and re-seal so only the version check
-  // (not the checksum) can reject the page.
-  page[6] = 99;
-  page[7] = 0;
-  const uint32_t crc = Crc32(page.data() + 4, kPageSize - 4);
+// Stamps codec `version` into a page's envelope and re-seals its checksum,
+// so only the version check (not the checksum) can reject the page.
+void StampVersion(uint8_t* page, uint16_t version) {
+  page[6] = static_cast<uint8_t>(version);
+  page[7] = static_cast<uint8_t>(version >> 8);
+  const uint32_t crc = Crc32(page + 4, kPageSize - 4);
   page[0] = static_cast<uint8_t>(crc);
   page[1] = static_cast<uint8_t>(crc >> 8);
   page[2] = static_cast<uint8_t>(crc >> 16);
   page[3] = static_cast<uint8_t>(crc >> 24);
+}
+
+TEST(PageEnvelopeTest, VersionSkewRejected) {
+  std::array<uint8_t, kPageSize> page = SealedTestPage(1);
+  StampVersion(page.data(), 99);  // a future codec version
   const Result<PageReader> payload =
       OpenPagePayload(page.data(), PageKind::kTest, /*id=*/5);
   ASSERT_FALSE(payload.ok());
@@ -144,10 +159,85 @@ TEST(PageEnvelopeTest, VersionSkewRejected) {
   EXPECT_TRUE(Contains(payload.status().message(), "unsupported codec version"));
 }
 
+TEST(PageEnvelopeTest, VersionOnePprNodeRejected) {
+  // A PPR node page in the version-1 layout: a 28-byte header (level,
+  // created, closed, uint64 count) and 60-byte packed entries. Version 2
+  // reads entries as 64-byte structs from page offset 32, so the page
+  // must be refused by version, never mis-decoded.
+  std::array<uint8_t, kPageSize> page{};
+  PageWriter writer = PayloadWriter(page.data());
+  writer.Write<int32_t>(0);
+  writer.Write<Time>(5);
+  writer.Write<Time>(kTimeInfinity);
+  writer.Write<uint64_t>(2);
+  for (uint64_t data = 0; data < 2; ++data) {
+    writer.Write(Rect2D(0.1, 0.1, 0.2, 0.2));
+    writer.Write(TimeInterval(5, kTimeInfinity));
+    writer.Write<PageId>(kInvalidPage);
+    writer.Write<PprDataId>(data);
+  }
+  SealPage(page.data(), PageKind::kPprNode);
+  StampVersion(page.data(), 1);
+
+  PprTree tree;
+  const Status status = tree.InstallCheckpointNode(0, page.data());
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Contains(status.message(), "page 0")) << status.ToString();
+  EXPECT_TRUE(Contains(status.message(), "unsupported codec version 1"))
+      << status.ToString();
+  EXPECT_EQ(tree.NodeCount(), 0u);
+}
+
+// Byte-at-a-time CRC-32 (the textbook table loop), the reference the
+// sliced kernel must match bit for bit.
+class BytewiseCrc32 {
+ public:
+  BytewiseCrc32() {
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      table_[i] = c;
+    }
+  }
+
+  // Running state: Finish(Update(Start(), bytes)) is the CRC of `bytes`.
+  static uint32_t Start() { return 0xFFFFFFFFu; }
+  uint32_t Update(uint32_t state, uint8_t byte) const {
+    return table_[(state ^ byte) & 0xffu] ^ (state >> 8);
+  }
+  static uint32_t Finish(uint32_t state) { return state ^ 0xFFFFFFFFu; }
+
+ private:
+  std::array<uint32_t, 256> table_{};
+};
+
 TEST(PageEnvelopeTest, Crc32MatchesKnownVector) {
   // The standard check value for CRC-32/IEEE over "123456789".
   const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(Crc32(data, sizeof(data)), 0xCBF43926u);
+
+  // Every length 0..kPageSize, from every start offset mod 8, against the
+  // bytewise reference over pseudo-random bytes.
+  constexpr size_t kMaxOffset = 8;
+  std::vector<uint8_t> bytes(kPageSize + kMaxOffset);
+  uint64_t seed = 0x9e3779b97f4a7c15ull;
+  for (uint8_t& byte : bytes) {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    byte = static_cast<uint8_t>(seed >> 56);
+  }
+  const BytewiseCrc32 reference;
+  for (size_t offset = 0; offset < kMaxOffset; ++offset) {
+    const uint8_t* start = bytes.data() + offset;
+    uint32_t state = BytewiseCrc32::Start();
+    for (size_t length = 0; length <= kPageSize; ++length) {
+      ASSERT_EQ(Crc32(start, length), BytewiseCrc32::Finish(state))
+          << "offset " << offset << ", length " << length;
+      if (length < kPageSize) state = reference.Update(state, start[length]);
+    }
+  }
 }
 
 // --- FilePageBackend open-time validation ---

@@ -11,6 +11,7 @@
 // to the snapshot path.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -637,6 +638,96 @@ TEST_F(SnapshotCorruptionTest, CorruptionDetectedOnPreadFallbackToo) {
   EXPECT_NE(backend.status().ToString().find("checksum mismatch on page 0"),
             std::string::npos)
       << backend.status().ToString();
+}
+
+// Writes `bytes` at `offset` of the file through its own descriptor, as
+// another process would, while a snapshot may hold the file mapped.
+void PwriteFile(const std::string& path, off_t offset, const void* bytes,
+                size_t count) {
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::pwrite(fd, bytes, count, offset), static_cast<ssize_t>(count));
+  ASSERT_EQ(::close(fd), 0);
+}
+
+off_t SlotOffset(PageId slot) {
+  return static_cast<off_t>((1 + slot) * kPageSize);
+}
+
+// Open-time verification does not make the serving path blind: the file
+// is mapped MAP_SHARED, so a write after PackSnapshot opened it shows
+// through the mapping. The next miss on that page views it in place and
+// must still fail the envelope check, naming the page, in both pools.
+TEST_F(SnapshotCorruptionTest, WriteAfterOpenDiesOnNextMiss) {
+  const std::string path = SnapPath("corrupt_after_open");
+  const std::unique_ptr<PprTree> tree = BuildPprTree(MakeRecords());
+  ASSERT_TRUE(tree->PackSnapshot(path).ok());
+  ASSERT_TRUE(static_cast<const MmapSnapshotBackend*>(tree->backend())
+                  ->file()
+                  .mapped());
+  ASSERT_GT(tree->backend()->SlotCount(), 2u);
+  const std::unique_ptr<SharedBufferPool> pool = tree->NewSharedQueryPool(1);
+  const std::unique_ptr<BufferPool> buffer = tree->NewQueryBuffer(1);
+  bool missed = false;
+  ASSERT_TRUE(pool->Pin(2, &missed).ok());  // served before the write
+  pool->Unpin(2);
+  ASSERT_TRUE(pool->Pin(0, &missed).ok());  // evicts page 2 (one frame)
+  pool->Unpin(0);
+
+  // Flip one payload byte of node slot 2.
+  uint8_t byte = 0;
+  std::memcpy(&byte, tree->backend()->BorrowPage(2) + kPageEnvelopeBytes + 17,
+              1);
+  byte ^= 0x01;
+  PwriteFile(path, SlotOffset(2) + kPageEnvelopeBytes + 17, &byte, 1);
+
+  EXPECT_DEATH(static_cast<void>(pool->Pin(2, &missed)),
+               "page 2: checksum mismatch");
+  EXPECT_DEATH(static_cast<void>(buffer->Fetch(2)),
+               "page 2: checksum mismatch");
+}
+
+// A page with a valid checksum but an implausible header (entry count
+// past the fanout bound, or a negative level) is rejected by the view
+// path exactly as Decode rejects it.
+TEST_F(SnapshotCorruptionTest, ImplausibleHeaderRejectedByViewAsByDecode) {
+  const std::string path = SnapPath("corrupt_implausible");
+  const std::unique_ptr<PprTree> tree = BuildPprTree(MakeRecords());
+  ASSERT_TRUE(tree->PackSnapshot(path).ok());
+  ASSERT_GT(tree->backend()->SlotCount(), 3u);
+  const std::unique_ptr<SharedBufferPool> pool = tree->NewSharedQueryPool(1);
+
+  // Header: int32 level at payload offset 0, uint32 count at offset 4.
+  struct Corruption {
+    PageId slot;
+    size_t field_offset;
+    int32_t value;
+  };
+  const Corruption corruptions[] = {
+      {2, 4, static_cast<int32_t>(PprConfig().max_entries + 2)},  // count
+      {3, 0, -1},                                                  // level
+  };
+  for (const Corruption& corruption : corruptions) {
+    SCOPED_TRACE("slot " + std::to_string(corruption.slot));
+    alignas(8) uint8_t page[kPageSize];
+    std::memcpy(page, tree->backend()->BorrowPage(corruption.slot), kPageSize);
+    std::memcpy(page + kPageEnvelopeBytes + corruption.field_offset,
+                &corruption.value, sizeof(corruption.value));
+    SealPage(page, PageKind::kPprNode);
+    PwriteFile(path, SlotOffset(corruption.slot), page, kPageSize);
+
+    // Decode (the checkpoint-restore path) on a fresh tree, as page 0.
+    PprTree fresh;
+    const Status decoded = fresh.InstallCheckpointNode(0, page);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_NE(decoded.message().find("page 0: implausible PPR-tree node"),
+              std::string::npos)
+        << decoded.ToString();
+    bool missed = false;
+    EXPECT_DEATH(static_cast<void>(pool->Pin(corruption.slot, &missed)),
+                 "page " + std::to_string(corruption.slot) +
+                     ": implausible PPR-tree node");
+  }
 }
 
 TEST_F(SnapshotCorruptionTest, ReadBeyondNodeCountIsOutOfRange) {
