@@ -119,8 +119,8 @@ double AverageIoParallel(const std::vector<STQuery>& queries, int num_threads,
   std::vector<QueryProfile> profile_shards(profiling ? chunks : 0);
   std::unique_ptr<SharedBufferPool> pool = make_pool();
   // The Sessions' simulated LRU runs the paper protocol at the pool's
-  // full capacity, so the miss counts match a serial private pool of the
-  // same size while the frames stay shared across workers.
+  // full capacity, so the miss counts match the paper's private LRU of
+  // the same size while the frames stay shared across workers.
   const size_t protocol_pages = pool->capacity();
   span.Arg("buffer_pages", static_cast<int64_t>(protocol_pages));
   Report().SetParam("effective_buffer_pages",

@@ -722,7 +722,6 @@ void RunSoak(const BenchArgs& args, ServerFlags flags) {
         json->Key("capacity").Uint(shard.capacity);
         json->Key("cached").Uint(shard.cached);
         json->Key("pinned").Uint(shard.pinned);
-        json->Key("dirty").Uint(shard.dirty);
         json->EndObject();
       }
       json->EndArray();

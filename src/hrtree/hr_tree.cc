@@ -47,7 +47,9 @@ HrTree::HrTree(HrConfig config) : config_(config) {
   STINDEX_CHECK(config_.min_entries >= 1);
   STINDEX_CHECK(config_.min_entries <= config_.max_entries / 2);
   store_.SetMetricScope("hr");
-  buffer_ = std::make_unique<BufferPool>(&store_, config_.buffer_pages, "hr");
+  pool_ = NewSharedQueryPool();
+  session_ = std::make_unique<SharedBufferPool::Session>(pool_.get(),
+                                                         config_.buffer_pages);
 }
 
 HrTree::~HrTree() = default;
@@ -56,20 +58,19 @@ HrTree::Node* HrTree::GetNode(PageId id) const {
   return static_cast<Node*>(store_.Get(id));
 }
 
-const HrTree::Node* HrTree::FetchNode(BufferPool* buffer, PageId id) {
-  return static_cast<const Node*>(buffer->Fetch(id));
-}
-
-std::unique_ptr<BufferPool> HrTree::NewQueryBuffer(size_t pages) const {
-  return std::make_unique<BufferPool>(
-      &store_, pages == 0 ? config_.buffer_pages : pages, "hr");
+std::unique_ptr<SharedBufferPool> HrTree::NewSharedQueryPool(
+    size_t pages) const {
+  SharedBufferPoolOptions options;
+  options.capacity = pages == 0 ? config_.buffer_pages : pages;
+  options.metric_scope = "hr";
+  return std::make_unique<SharedBufferPool>(&store_, options);
 }
 
 size_t HrTree::NumVersions() const { return roots_.size(); }
 
 void HrTree::ResetQueryState() const {
-  buffer_->ResetCache();
-  buffer_->ResetStats();
+  session_->ResetCache();
+  session_->ResetStats();
 }
 
 PageId HrTree::RootAt(Time t) const {
@@ -369,15 +370,15 @@ void HrTree::Delete(HrDataId data, Time t) {
 
 void HrTree::SnapshotQuery(const Rect2D& area, Time t,
                            std::vector<HrDataId>* results) const {
-  SnapshotQuery(area, t, buffer_.get(), results);
+  SnapshotQuery(area, t, session_.get(), results);
 }
 
 void HrTree::IntervalQuery(const Rect2D& area, const TimeInterval& range,
                            std::vector<HrDataId>* results) const {
-  IntervalQuery(area, range, buffer_.get(), results);
+  IntervalQuery(area, range, session_.get(), results);
 }
 
-void HrTree::SnapshotQuery(const Rect2D& area, Time t, BufferPool* buffer,
+void HrTree::SnapshotQuery(const Rect2D& area, Time t, PageCache* buffer,
                            std::vector<HrDataId>* results) const {
   results->clear();
   const PageId root = RootAt(t);
@@ -386,7 +387,8 @@ void HrTree::SnapshotQuery(const Rect2D& area, Time t, BufferPool* buffer,
   while (!stack.empty()) {
     const PageId id = stack.back();
     stack.pop_back();
-    const Node* node = FetchNode(buffer, id);
+    const PageRef ref = buffer->FetchPinned(id);
+    const Node* node = static_cast<const Node*>(ref.get());
     for (const Node::Entry& entry : node->entries()) {
       if (!entry.rect.Intersects(area)) continue;
       if (node->IsLeaf()) {
@@ -399,7 +401,7 @@ void HrTree::SnapshotQuery(const Rect2D& area, Time t, BufferPool* buffer,
 }
 
 void HrTree::IntervalQuery(const Rect2D& area, const TimeInterval& range,
-                           BufferPool* buffer,
+                           PageCache* buffer,
                            std::vector<HrDataId>* results) const {
   results->clear();
   if (!range.IsValid()) return;
@@ -419,14 +421,15 @@ void HrTree::IntervalQuery(const Rect2D& area, const TimeInterval& range,
 // Helper outside the public header: search one version root, appending
 // unseen hits.
 void HrTree::SnapshotQueryNoClear(PageId root, const Rect2D& area,
-                                  BufferPool* buffer,
+                                  PageCache* buffer,
                                   std::unordered_set<HrDataId>* seen,
                                   std::vector<HrDataId>* results) const {
   std::vector<PageId> stack = {root};
   while (!stack.empty()) {
     const PageId id = stack.back();
     stack.pop_back();
-    const Node* node = FetchNode(buffer, id);
+    const PageRef ref = buffer->FetchPinned(id);
+    const Node* node = static_cast<const Node*>(ref.get());
     for (const Node::Entry& entry : node->entries()) {
       if (!entry.rect.Intersects(area)) continue;
       if (node->IsLeaf()) {

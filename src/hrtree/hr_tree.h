@@ -12,6 +12,7 @@
 #include "geometry/rect.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
+#include "storage/shared_buffer_pool.h"
 
 namespace stindex {
 
@@ -69,22 +70,29 @@ class HrTree {
   void IntervalQuery(const Rect2D& area, const TimeInterval& range,
                      std::vector<HrDataId>* results) const;
 
-  // Variants reading through a caller-owned buffer (one per thread).
-  void SnapshotQuery(const Rect2D& area, Time t, BufferPool* buffer,
+  // Variants reading through a caller-owned page cache (one per thread):
+  // a per-worker Session of one SharedBufferPool (NewSharedQueryPool).
+  void SnapshotQuery(const Rect2D& area, Time t, PageCache* buffer,
                      std::vector<HrDataId>* results) const;
   void IntervalQuery(const Rect2D& area, const TimeInterval& range,
-                     BufferPool* buffer,
+                     PageCache* buffer,
                      std::vector<HrDataId>* results) const;
 
-  // A fresh LRU buffer over this tree's pages (0 = configured default).
-  std::unique_ptr<BufferPool> NewQueryBuffer(size_t pages = 0) const;
+  // A sharded thread-safe pool over this tree's pages whose `pages`
+  // frames (0 = the configured default) are shared by every worker;
+  // workers query through per-worker SharedBufferPool::Sessions.
+  std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
 
   size_t Size() const { return size_; }
   size_t AliveCount() const { return alive_entry_.size(); }
   size_t PageCount() const { return store_.PageCount(); }
   size_t NumVersions() const;
 
-  const IoStats& stats() const { return buffer_->stats(); }
+  // I/O statistics of the tree's own query session (the query overloads
+  // without a PageCache): misses under the paper's LRU of
+  // config.buffer_pages pages. ResetQueryState() restarts that LRU and
+  // zeroes the counters.
+  const IoStats& stats() const { return session_->stats(); }
   void ResetQueryState() const;
 
   // Structural checks on every version tree (sampled): uniform leaf
@@ -96,7 +104,6 @@ class HrTree {
   struct Version;
 
   Node* GetNode(PageId id) const;
-  static const Node* FetchNode(BufferPool* buffer, PageId id);
 
   // Returns the root owning instant t (kInvalidPage when empty).
   PageId RootAt(Time t) const;
@@ -115,7 +122,7 @@ class HrTree {
 
   // Searches one version root, appending hits not in `seen`.
   void SnapshotQueryNoClear(PageId root, const Rect2D& area,
-                            BufferPool* buffer,
+                            PageCache* buffer,
                             std::unordered_set<HrDataId>* seen,
                             std::vector<HrDataId>* results) const;
 
@@ -125,7 +132,9 @@ class HrTree {
 
   HrConfig config_;
   mutable PageStore store_;
-  std::unique_ptr<BufferPool> buffer_;
+  // session_ after pool_ so it dies first.
+  std::unique_ptr<SharedBufferPool> pool_;
+  std::unique_ptr<SharedBufferPool::Session> session_;
   // Version list: root of the tree valid from `start` until the next
   // version's start.
   std::vector<Version> roots_;

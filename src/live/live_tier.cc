@@ -423,8 +423,8 @@ Status LiveTier::CheckpointLocked() {
   const uint64_t wal_start_seq = writer_->next_seq();
 
   // 2. Shadow-write every historical-tree node — of every layer, oldest
-  //    frozen first then the active tree — into fresh slots through the
-  //    write-back BufferPool. The previous checkpoint's pages stay
+  //    frozen first then the active tree — into fresh slots, one encoded
+  //    page write per node. The previous checkpoint's pages stay
   //    untouched — a crash anywhere before step 5 leaves it intact.
   //    Frozen packed layers keep their nodes in memory with contiguous
   //    ids, so they persist through the same path the active tree does.

@@ -73,11 +73,11 @@ struct LiveObservation {
 // recovery from the durable prefix.
 //
 // Checkpoints bound the journal: Checkpoint() (or the automatic
-// checkpoint_every_pages trigger) persists the historical tree's pages
-// through a write-back BufferPool plus the pipeline/index state into the
-// journal backend, syncs, commits a checkpoint header, and then frees
-// every journal page before the checkpoint — the file's page count
-// stays bounded across arbitrarily long streams.
+// checkpoint_every_pages trigger) writes the historical tree's encoded
+// pages plus the pipeline/index state into the journal backend, syncs,
+// commits a checkpoint header, and then frees every journal page before
+// the checkpoint — the file's page count stays bounded across
+// arbitrarily long streams.
 //
 // Thread safety: updates and Commit/Finish/Checkpoint are serialized
 // internally and may run concurrently with any number of queries

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -220,7 +221,7 @@ PprTree::PprTree(PprConfig config) : config_(config) {
   STINDEX_CHECK(config_.p_svu > config_.p_version);
   STINDEX_CHECK(config_.p_svo > config_.p_svu && config_.p_svo <= 1.0);
   store_.SetMetricScope("ppr");
-  buffer_ = std::make_unique<BufferPool>(&store_, config_.buffer_pages, "ppr");
+  OpenQueryPool();
   // The strong-version window must leave room to insert into a fresh node.
   STINDEX_CHECK(StrongMax() < config_.max_entries);
   STINDEX_CHECK(WeakMin() >= 1);
@@ -251,21 +252,11 @@ PprTree::Node* PprTree::GetNode(PageId id) const {
   return static_cast<Node*>(store_.Get(id));
 }
 
-std::unique_ptr<BufferPool> PprTree::NewQueryBuffer(size_t pages) const {
-  const size_t capacity = pages == 0 ? config_.buffer_pages : pages;
-  if (backend_ != nullptr) {
-    return std::make_unique<BufferPool>(backend_.get(), codec_.get(), capacity,
-                                        "ppr");
-  }
-  return std::make_unique<BufferPool>(&store_, capacity, "ppr");
-}
-
 std::unique_ptr<SharedBufferPool> PprTree::NewSharedQueryPool(
     size_t pages) const {
   SharedBufferPoolOptions options;
   options.capacity = pages == 0 ? config_.buffer_pages : pages;
-  options.pin_overflow = true;
-  options.metric_scope = "ppr.shared";
+  options.metric_scope = "ppr";
   if (backend_ != nullptr) {
     return std::make_unique<SharedBufferPool>(backend_.get(), codec_.get(),
                                               options);
@@ -273,21 +264,11 @@ std::unique_ptr<SharedBufferPool> PprTree::NewSharedQueryPool(
   return std::make_unique<SharedBufferPool>(&store_, options);
 }
 
-Status PprTree::PersistAllNodes() {
-  // A write-back pool sized like the query buffer: with more nodes than
-  // frames, dirty evictions stream pages to the backend while the tail is
-  // flushed explicitly — the real write path, not a bulk memcpy.
-  BufferPool writer(backend_.get(), codec_.get(), config_.buffer_pages, "ppr");
-  for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
-    if (!store_.IsLive(id)) continue;
-    const Node* node = GetNode(id);
-    auto clone = std::make_unique<Node>(node->level(), node->created());
-    if (node->closed() != kTimeInfinity) clone->Close(node->closed());
-    clone->entries().assign(node->entries().begin(), node->entries().end());
-    Status status = writer.Put(id, std::move(clone));
-    if (!status.ok()) return status;
-  }
-  return writer.FlushAll();
+void PprTree::OpenQueryPool() {
+  session_.reset();
+  pool_ = NewSharedQueryPool();
+  session_ = std::make_unique<SharedBufferPool::Session>(pool_.get(),
+                                                         config_.buffer_pages);
 }
 
 Status PprTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
@@ -295,17 +276,14 @@ Status PprTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
   STINDEX_CHECK(backend != nullptr);
   TraceSpan span("ppr", "attach_backend");
   span.Arg("pages", static_cast<int64_t>(store_.PageCount()));
+  std::vector<PageId> slots(store_.AllocatedCount());
+  std::iota(slots.begin(), slots.end(), PageId{0});
+  Status status = PersistNodesForCheckpoint(backend.get(), slots);
+  if (status.ok()) status = backend->Sync();
+  if (!status.ok()) return status;
   backend_ = std::move(backend);
   codec_ = std::make_unique<NodeCodec>(config_.max_entries);
-  Status status = PersistAllNodes();
-  if (status.ok()) status = backend_->Sync();
-  if (!status.ok()) {
-    codec_.reset();
-    backend_.reset();
-    return status;
-  }
-  buffer_ = std::make_unique<BufferPool>(backend_.get(), codec_.get(),
-                                         config_.buffer_pages, "ppr");
+  OpenQueryPool();
   return Status::OK();
 }
 
@@ -367,8 +345,7 @@ Status PprTree::PackSnapshot(const std::string& path,
   if (!backend.ok()) return backend.status();
   backend_ = std::move(backend).value();
   codec_ = std::make_unique<NodeCodec>(config_.max_entries);
-  buffer_ = std::make_unique<BufferPool>(backend_.get(), codec_.get(),
-                                         config_.buffer_pages, "ppr");
+  OpenQueryPool();
   return Status::OK();
 }
 
@@ -388,8 +365,8 @@ void PprTree::StartNewEra(PageId root, Time t) {
 }
 
 void PprTree::ResetQueryState() const {
-  buffer_->ResetCache();
-  buffer_->ResetStats();
+  session_->ResetCache();
+  session_->ResetStats();
 }
 
 PageId PprTree::MakeNode(int level, std::vector<Entry> entries, Time now) {
@@ -829,12 +806,12 @@ void PprTree::KeySplit(std::vector<Entry>* entries, std::vector<Entry>* left,
 
 void PprTree::SnapshotQuery(const Rect2D& area, Time t,
                             std::vector<PprDataId>* results) const {
-  SnapshotQuery(area, t, buffer_.get(), results);
+  SnapshotQuery(area, t, session_.get(), results);
 }
 
 void PprTree::IntervalQuery(const Rect2D& area, const TimeInterval& range,
                             std::vector<PprDataId>* results) const {
-  IntervalQuery(area, range, buffer_.get(), results);
+  IntervalQuery(area, range, session_.get(), results);
 }
 
 void PprTree::SnapshotQuery(const Rect2D& area, Time t, PageCache* buffer,
@@ -966,7 +943,7 @@ std::vector<PprTree::AliveNodeSummary> PprTree::CollectAliveSummaries(
 }
 
 size_t PprTree::SnapshotCount(const Rect2D& area, Time t) const {
-  return SnapshotCount(area, t, buffer_.get());
+  return SnapshotCount(area, t, session_.get());
 }
 
 size_t PprTree::SnapshotCount(const Rect2D& area, Time t,
@@ -1308,25 +1285,18 @@ Status PprTree::PersistNodesForCheckpoint(
   // read-only backend, and ids stay contiguous 0..NodeCount()-1.
   STINDEX_CHECK(slots.size() == store_.AllocatedCount());
   const NodeCodec codec(config_.max_entries);
-  // Write-back pool sized like the query buffer: dirty evictions stream
-  // pages out while the tail is flushed explicitly — the same real write
-  // path AttachBackend persists through.
-  BufferPool writer(backend, &codec, config_.buffer_pages);
+  uint8_t page[kPageSize];
   for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
     if (!store_.IsLive(id)) continue;
-    const Node* node = GetNode(id);
-    auto clone = std::make_unique<Node>(node->level(), node->created());
-    if (node->closed() != kTimeInfinity) clone->Close(node->closed());
-    clone->entries().assign(node->entries().begin(), node->entries().end());
-    Status status = writer.Put(slots[id], std::move(clone));
+    codec.Encode(*GetNode(id), page);
+    Status status = backend->Write(slots[id], page);
     if (!status.ok()) {
-      writer.DiscardAll();  // the shadow slots are garbage; do not flush
-      return status;
+      return Status(status.code(),
+                    "write of page " + std::to_string(slots[id]) +
+                        " failed: " + status.message());
     }
   }
-  Status status = writer.FlushAll();
-  if (!status.ok()) writer.DiscardAll();
-  return status;
+  return Status::OK();
 }
 
 Status PprTree::InstallCheckpointNode(PageId id, const uint8_t* page) {

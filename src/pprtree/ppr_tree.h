@@ -13,6 +13,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_backend.h"
 #include "storage/page_store.h"
+#include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
 #include "util/bytes.h"
 #include "util/status.h"
@@ -20,7 +21,6 @@
 namespace stindex {
 
 struct QueryProfile;
-class SharedBufferPool;
 
 // Payload of a PPR-tree data record (a segment-record index in the
 // experiments).
@@ -88,8 +88,8 @@ class PprTree {
 
   // Query variants reading through a caller-owned page cache. Queries
   // never mutate the structure, so concurrent threads may query with one
-  // PageCache each: a private BufferPool (see NewQueryBuffer) or a
-  // per-worker Session of one SharedBufferPool (see NewSharedQueryPool).
+  // PageCache each: a per-worker Session of one SharedBufferPool (see
+  // NewSharedQueryPool).
   // When `profile` is non-null, per-level node visits, buffer hit/miss
   // deltas, leaf entries scanned and candidate counts are accumulated
   // into it (see core/query_profile.h); nullptr skips all profiling
@@ -101,26 +101,22 @@ class PprTree {
                      PageCache* buffer, std::vector<PprDataId>* results,
                      QueryProfile* profile = nullptr) const;
 
-  // A fresh LRU buffer over this tree's pages (`pages` = 0 uses the
-  // configured default). After AttachBackend the buffer reads (and
-  // decodes) real pages from the backend; before, it fronts the
-  // in-memory store.
-  std::unique_ptr<BufferPool> NewQueryBuffer(size_t pages = 0) const;
-
   // A sharded thread-safe pool over this tree's pages whose `pages`
-  // frames (0 = the configured default) are shared by every worker —
-  // total capacity, unlike one NewQueryBuffer per worker. Workers query
-  // through per-worker SharedBufferPool::Sessions. Pin overflow is
-  // enabled: queries hold one transient pin each, and a hashed pile-up
-  // on one shard must not fail a query.
+  // frames (0 = the configured default) are shared by every worker.
+  // Workers query through per-worker SharedBufferPool::Sessions; a
+  // protocol-mode Session (protocol_pages = the paper's buffer size)
+  // reports the paper's per-query misses. After AttachBackend/PackSnapshot
+  // the pool reads (and decodes or views) real pages from the backend;
+  // before, it fronts the in-memory store.
   std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
 
-  // Serializes every node into `backend` through a pinning write-back
-  // buffer pool (dirty evictions perform real page writes), then serves
-  // all subsequent queries from the backend: buffer misses become actual
-  // backend reads. The tree is frozen afterwards — Insert/Delete become
-  // checked errors. Page ids are preserved, so query I/O counts are
-  // identical to the in-memory tree's.
+  // Encodes every node and writes it to `backend` (ascending page id, one
+  // write per node), then serves all subsequent queries from the backend:
+  // pool misses become actual backend reads. The tree is frozen
+  // afterwards — Insert/Delete become checked errors. Page ids are
+  // preserved, so query I/O counts are identical to the in-memory
+  // tree's. On a write or sync failure the backend is dropped and the
+  // tree keeps serving from the store.
   Status AttachBackend(std::unique_ptr<PageBackend> backend);
 
   // Packs the structure into a read-only snapshot file at `path` and
@@ -167,8 +163,11 @@ class PprTree {
   // Number of eras in the root journal.
   size_t NumRoots() const;
 
-  // Query I/O statistics; misses are "disk accesses".
-  const IoStats& stats() const { return buffer_->stats(); }
+  // I/O statistics of the tree's own query session (the query overloads
+  // without a PageCache); misses are "disk accesses" under the paper's
+  // LRU of config.buffer_pages pages. ResetQueryState() restarts that
+  // LRU and zeroes the counters, as before each measured query.
+  const IoStats& stats() const { return session_->stats(); }
   void ResetQueryState() const;
 
   // Validates structural invariants at sampled time instants (alive-entry
@@ -206,10 +205,10 @@ class PprTree {
   // Restores it into a freshly constructed tree of the same config.
   Status DecodeCheckpointMeta(ByteSource* in);
 
-  // Writes node i to backend slot `slots[i]` (slots.size() must be
-  // NodeCount()) through a write-back BufferPool — dirty evictions
-  // perform real page writes, the same path AttachBackend persists
-  // through. Does not sync.
+  // Encodes node i and writes it to backend slot `slots[i]` (slots.size()
+  // must be NodeCount()), in ascending node id — the same write path
+  // AttachBackend persists through. The first failed write is returned,
+  // naming the slot. Does not sync.
   Status PersistNodesForCheckpoint(PageBackend* backend,
                                    const std::vector<PageId>& slots) const;
 
@@ -227,8 +226,9 @@ class PprTree {
 
   Node* GetNode(PageId id) const;
 
-  // Writes every live node to backend_ via a write-back pool.
-  Status PersistAllNodes();
+  // (Re)opens the tree's own query pool and protocol session over the
+  // current store or backend.
+  void OpenQueryPool();
 
   size_t WeakMin() const;    // D
   size_t StrongMax() const;  // p_svo * B
@@ -278,11 +278,12 @@ class PprTree {
 
   PprConfig config_;
   mutable PageStore store_;
-  // Declared before buffer_ so every pool dies before the backend and
-  // codec it borrows.
+  // Declared before pool_ so the pool dies before the backend and codec
+  // it borrows; session_ after pool_ so it dies first.
   std::unique_ptr<PageBackend> backend_;
   std::unique_ptr<PageCodec> codec_;
-  std::unique_ptr<BufferPool> buffer_;
+  std::unique_ptr<SharedBufferPool> pool_;
+  std::unique_ptr<SharedBufferPool::Session> session_;
   std::vector<RootEra> roots_;
   size_t size_ = 0;
   Time current_time_ = 0;

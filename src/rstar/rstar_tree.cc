@@ -171,37 +171,24 @@ RStarTree::RStarTree(RStarConfig config) : config_(config) {
   STINDEX_CHECK(config_.reinsert_count >= 1);
   STINDEX_CHECK(config_.reinsert_count < config_.max_entries);
   store_.SetMetricScope("rstar");
-  buffer_ = std::make_unique<BufferPool>(&store_, config_.buffer_pages, "rstar");
+  OpenQueryPool();
 }
 
 RStarTree::~RStarTree() {
   if (root_ != kInvalidPage) {
     MetricRegistry::Global().GetGauge("rstar.height")->SetMax(Height());
   }
-  // The default buffer publishes its lifetime I/O; it must die before the
-  // store it reads from.
-  buffer_.reset();
 }
 
 RStarTree::Node* RStarTree::GetNode(PageId id) const {
   return static_cast<Node*>(store_.Get(id));
 }
 
-std::unique_ptr<BufferPool> RStarTree::NewQueryBuffer(size_t pages) const {
-  const size_t capacity = pages == 0 ? config_.buffer_pages : pages;
-  if (backend_ != nullptr) {
-    return std::make_unique<BufferPool>(backend_.get(), codec_.get(), capacity,
-                                        "rstar");
-  }
-  return std::make_unique<BufferPool>(&store_, capacity, "rstar");
-}
-
 std::unique_ptr<SharedBufferPool> RStarTree::NewSharedQueryPool(
     size_t pages) const {
   SharedBufferPoolOptions options;
   options.capacity = pages == 0 ? config_.buffer_pages : pages;
-  options.pin_overflow = true;
-  options.metric_scope = "rstar.shared";
+  options.metric_scope = "rstar";
   if (backend_ != nullptr) {
     return std::make_unique<SharedBufferPool>(backend_.get(), codec_.get(),
                                               options);
@@ -209,21 +196,27 @@ std::unique_ptr<SharedBufferPool> RStarTree::NewSharedQueryPool(
   return std::make_unique<SharedBufferPool>(&store_, options);
 }
 
-Status RStarTree::PersistAllNodes() {
-  // A write-back pool sized like the query buffer: with more nodes than
-  // frames, dirty evictions stream pages to the backend while the tail is
-  // flushed explicitly — the real write path, not a bulk memcpy.
-  BufferPool writer(backend_.get(), codec_.get(), config_.buffer_pages,
-                    "rstar");
+void RStarTree::OpenQueryPool() {
+  session_.reset();
+  pool_ = NewSharedQueryPool();
+  session_ = std::make_unique<SharedBufferPool::Session>(pool_.get(),
+                                                         config_.buffer_pages);
+}
+
+Status RStarTree::PersistAllNodes(PageBackend* backend) const {
+  const NodeCodec codec(config_.max_entries);
+  uint8_t page[kPageSize];
   for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
     if (!store_.IsLive(id)) continue;
-    const Node* node = GetNode(id);
-    auto clone = std::make_unique<Node>(node->level());
-    clone->entries().assign(node->entries().begin(), node->entries().end());
-    Status status = writer.Put(id, std::move(clone));
-    if (!status.ok()) return status;
+    codec.Encode(*GetNode(id), page);
+    Status status = backend->Write(id, page);
+    if (!status.ok()) {
+      return Status(status.code(),
+                    "write of page " + std::to_string(id) +
+                        " failed: " + status.message());
+    }
   }
-  return writer.FlushAll();
+  return Status::OK();
 }
 
 Status RStarTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
@@ -231,17 +224,12 @@ Status RStarTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
   STINDEX_CHECK(backend != nullptr);
   TraceSpan span("rstar", "attach_backend");
   span.Arg("pages", static_cast<int64_t>(store_.PageCount()));
+  Status status = PersistAllNodes(backend.get());
+  if (status.ok()) status = backend->Sync();
+  if (!status.ok()) return status;
   backend_ = std::move(backend);
   codec_ = std::make_unique<NodeCodec>(config_.max_entries);
-  Status status = PersistAllNodes();
-  if (status.ok()) status = backend_->Sync();
-  if (!status.ok()) {
-    codec_.reset();
-    backend_.reset();
-    return status;
-  }
-  buffer_ = std::make_unique<BufferPool>(backend_.get(), codec_.get(),
-                                         config_.buffer_pages, "rstar");
+  OpenQueryPool();
   return Status::OK();
 }
 
@@ -295,8 +283,7 @@ Status RStarTree::PackSnapshot(const std::string& path,
   if (!backend.ok()) return backend.status();
   backend_ = std::move(backend).value();
   codec_ = std::make_unique<NodeCodec>(config_.max_entries);
-  buffer_ = std::make_unique<BufferPool>(backend_.get(), codec_.get(),
-                                         config_.buffer_pages, "rstar");
+  OpenQueryPool();
   return Status::OK();
 }
 
@@ -306,8 +293,8 @@ size_t RStarTree::Height() const {
 }
 
 void RStarTree::ResetQueryState() const {
-  buffer_->ResetCache();
-  buffer_->ResetStats();
+  session_->ResetCache();
+  session_->ResetStats();
 }
 
 namespace {
@@ -1091,7 +1078,7 @@ void RStarTree::NearestNeighbors(const double point[3], size_t k,
       results->push_back(top.data);
       continue;
     }
-    const PageRef ref = buffer_->FetchPinned(top.node);
+    const PageRef ref = session_->FetchPinned(top.node);
     const Node* node = static_cast<const Node*>(ref.get());
     for (const Node::Entry& entry : node->entries()) {
       const double distance = MinDistance2(point, entry.box);
@@ -1106,7 +1093,7 @@ void RStarTree::NearestNeighbors(const double point[3], size_t k,
 
 void RStarTree::Search(const Box3D& query,
                        std::vector<DataId>* results) const {
-  Search(query, buffer_.get(), results);
+  Search(query, session_.get(), results);
 }
 
 void RStarTree::Search(const Box3D& query, PageCache* buffer,

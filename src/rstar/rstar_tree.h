@@ -9,13 +9,13 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_backend.h"
 #include "storage/page_store.h"
+#include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
 #include "util/status.h"
 
 namespace stindex {
 
 struct QueryProfile;
-class SharedBufferPool;
 
 // Opaque payload attached to a leaf entry (a segment-record index in the
 // experiments; callers de-duplicate by object after lookup).
@@ -101,8 +101,8 @@ class RStarTree {
   void Search(const Box3D& query, std::vector<DataId>* results) const;
 
   // Same, through a caller-owned page cache (one per querying thread): a
-  // private BufferPool (NewQueryBuffer) or a per-worker Session of one
-  // SharedBufferPool (NewSharedQueryPool). When `profile` is non-null,
+  // per-worker Session of one SharedBufferPool (NewSharedQueryPool).
+  // When `profile` is non-null,
   // per-level node visits, buffer hit/miss deltas, leaf entries scanned
   // and candidate counts are accumulated into it (see
   // core/query_profile.h); nullptr skips all profiling work.
@@ -110,24 +110,21 @@ class RStarTree {
               std::vector<DataId>* results,
               QueryProfile* profile = nullptr) const;
 
-  // A fresh LRU buffer over this tree's pages (0 = configured default).
-  // After AttachBackend the buffer reads (and decodes) real pages from
-  // the backend; before, it fronts the in-memory store.
-  std::unique_ptr<BufferPool> NewQueryBuffer(size_t pages = 0) const;
-
   // A sharded thread-safe pool over this tree's pages whose `pages`
-  // frames (0 = the configured default) are shared by every worker —
-  // total capacity, unlike one NewQueryBuffer per worker. Workers query
-  // through per-worker SharedBufferPool::Sessions; pin overflow is
-  // enabled (queries hold one transient pin each).
+  // frames (0 = the configured default) are shared by every worker.
+  // Workers query through per-worker SharedBufferPool::Sessions; a
+  // protocol-mode Session reports the paper's per-query misses. After
+  // AttachBackend/PackSnapshot the pool reads (and decodes or views)
+  // real pages from the backend; before, it fronts the in-memory store.
   std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
 
-  // Serializes every node into `backend` through a pinning write-back
-  // buffer pool (dirty evictions perform real page writes), then serves
-  // all subsequent queries from the backend: buffer misses become actual
-  // backend reads. The tree is frozen afterwards — Insert/Delete become
-  // checked errors. Page ids are preserved, so query I/O counts are
-  // identical to the in-memory tree's.
+  // Encodes every live node and writes it to `backend` (ascending page
+  // id, one write per node), then serves all subsequent queries from the
+  // backend: pool misses become actual backend reads. The tree is frozen
+  // afterwards — Insert/Delete become checked errors. Page ids are
+  // preserved, so query I/O counts are identical to the in-memory
+  // tree's. On a write or sync failure the backend is dropped and the
+  // tree keeps serving from the store.
   Status AttachBackend(std::unique_ptr<PageBackend> backend);
 
   // Packs the live nodes into a read-only snapshot file at `path` and
@@ -160,8 +157,11 @@ class RStarTree {
   // Tree height (1 = root is a leaf); 0 when empty.
   size_t Height() const;
 
-  // Query I/O statistics; misses are "disk accesses".
-  const IoStats& stats() const { return buffer_->stats(); }
+  // I/O statistics of the tree's own query session (the query overloads
+  // without a PageCache); misses are "disk accesses" under the paper's
+  // LRU of config.buffer_pages pages. ResetQueryState() restarts that
+  // LRU and zeroes the counters, as before each measured query.
+  const IoStats& stats() const { return session_->stats(); }
   void ResetQueryState() const;
 
   // Validates structural invariants (entry counts, MBR containment,
@@ -183,8 +183,14 @@ class RStarTree {
 
   Node* GetNode(PageId id) const;
 
-  // Writes every live node to backend_ via a write-back pool.
-  Status PersistAllNodes();
+  // Encodes every live node and writes it to the same page id of
+  // `backend`, in ascending id. The error of a failed write names the
+  // page.
+  Status PersistAllNodes(PageBackend* backend) const;
+
+  // (Re)opens the tree's own query pool and protocol session over the
+  // current store or backend.
+  void OpenQueryPool();
 
   // Descends from the root to a node at `target_level`, recording the
   // path (page ids and the entry index taken in each parent).
@@ -213,11 +219,12 @@ class RStarTree {
 
   RStarConfig config_;
   mutable PageStore store_;
-  // Declared before buffer_ so every pool dies before the backend and
-  // codec it borrows.
+  // Declared before pool_ so the pool dies before the backend and codec
+  // it borrows; session_ after pool_ so it dies first.
   std::unique_ptr<PageBackend> backend_;
   std::unique_ptr<PageCodec> codec_;
-  std::unique_ptr<BufferPool> buffer_;
+  std::unique_ptr<SharedBufferPool> pool_;
+  std::unique_ptr<SharedBufferPool::Session> session_;
   PageId root_ = kInvalidPage;
   size_t size_ = 0;
   // Levels on which forced reinsertion already ran during the current

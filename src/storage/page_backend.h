@@ -13,14 +13,16 @@
 namespace stindex {
 
 // A raw store of fixed-size pages addressed by PageId. Backends know
-// nothing about node layouts — they move kPageSize byte blobs. The
-// BufferPool sits in front of one, encoding/decoding nodes through a
-// PageCodec and turning cache misses into actual backend reads.
+// nothing about node layouts — they move kPageSize byte blobs. Indexes
+// encode their nodes through a PageCodec and write them directly; a
+// read-only SharedBufferPool sits in front for queries, decoding (or
+// viewing) pages through the codec and turning cache misses into actual
+// backend reads.
 //
 // Concurrency: concurrent Read calls are safe (the parallel query drivers
-// run one BufferPool per worker over a shared backend); Write/Free/Sync
-// require external exclusion and in this codebase happen only while an
-// index is being persisted, before any reader exists.
+// share one SharedBufferPool, whose shards read the backend in parallel);
+// Write/Free/Sync require external exclusion and in this codebase happen
+// only while an index is being persisted, before any reader exists.
 class PageBackend {
  public:
   virtual ~PageBackend() = default;

@@ -24,8 +24,8 @@ class Page {
 
 // A simulated disk: an append-mostly collection of pages addressed by
 // PageId. The store itself performs no I/O accounting — query-time page
-// accesses go through a BufferPool, which models the cache the paper uses
-// (10-page LRU) and counts misses as disk accesses.
+// accesses go through a SharedBufferPool::Session, which models the cache
+// the paper uses (10-page LRU) and counts misses as disk accesses.
 class PageStore {
  public:
   PageStore() = default;

@@ -32,7 +32,8 @@ SharedBufferPool::SharedBufferPool(const PageStore* store,
   InitShards(options);
 }
 
-SharedBufferPool::SharedBufferPool(PageBackend* backend, const PageCodec* codec,
+SharedBufferPool::SharedBufferPool(const PageBackend* backend,
+                                   const PageCodec* codec,
                                    const SharedBufferPoolOptions& options)
     : backend_(backend), codec_(codec) {
   STINDEX_CHECK(backend != nullptr);
@@ -40,27 +41,15 @@ SharedBufferPool::SharedBufferPool(PageBackend* backend, const PageCodec* codec,
   InitShards(options);
 }
 
-SharedBufferPool::~SharedBufferPool() {
-  const Status status = FlushAll();
-  STINDEX_CHECK_MSG(status.ok(), status.ToString().c_str());
-  PublishStats();
-}
+SharedBufferPool::~SharedBufferPool() { PublishStats(); }
 
 void SharedBufferPool::InitShards(const SharedBufferPoolOptions& options) {
   STINDEX_CHECK_MSG(options.capacity > 0,
                     "SharedBufferPool: capacity must be > 0");
   capacity_ = options.capacity;
-  pin_overflow_ = options.pin_overflow;
   metric_scope_ = options.metric_scope;
-  size_t shards = options.shards;
-  if (shards == 0) {
-    shards = 1;
-    while (shards * 2 <= std::min<size_t>(16, capacity_)) shards *= 2;
-  }
-  STINDEX_CHECK_MSG((shards & (shards - 1)) == 0 && shards > 0,
-                    "SharedBufferPool: shard count must be a power of two");
-  STINDEX_CHECK_MSG(shards <= capacity_,
-                    "SharedBufferPool: more shards than page frames");
+  size_t shards = 1;
+  while (shards * 2 <= std::min<size_t>(16, capacity_)) shards *= 2;
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -75,21 +64,8 @@ size_t SharedBufferPool::ShardOf(PageId id) const {
   return static_cast<size_t>(MixPageId(id) & (shards_.size() - 1));
 }
 
-Status SharedBufferPool::WriteBack(PageId id, Frame& frame, Shard& shard) {
-  uint8_t buffer[kPageSize];
-  codec_->Encode(*frame.page, buffer);
-  Status status = backend_->Write(id, buffer);
-  if (!status.ok()) {
-    return Status(status.code(), "write-back of page " + std::to_string(id) +
-                                     " failed: " + status.message());
-  }
-  frame.dirty = false;
-  --shard.dirty;
-  return Status::OK();
-}
-
-Status SharedBufferPool::MakeRoom(Shard& shard) {
-  while (shard.frames.size() >= shard.capacity) {
+void SharedBufferPool::EvictDownTo(Shard& shard, size_t limit) {
+  while (shard.frames.size() >= limit) {
     PageId victim = kInvalidPage;
     for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
       if (shard.frames.at(*it).pins == 0) {
@@ -97,28 +73,49 @@ Status SharedBufferPool::MakeRoom(Shard& shard) {
         break;
       }
     }
-    if (victim == kInvalidPage) {
-      // Every frame in this shard is pinned right now.
-      if (pin_overflow_) return Status::OK();
-      return Status::FailedPrecondition(
-          "SharedBufferPool: every frame in the shard is pinned, cannot "
-          "evict (shard capacity " +
-          std::to_string(shard.capacity) + ", " +
-          std::to_string(shard.pinned) + " pinned)");
-    }
-    Frame& frame = shard.frames.at(victim);
-    TraceSpan span("storage", "shared_evict");
-    span.Arg("page", static_cast<int64_t>(victim))
-        .Arg("dirty", static_cast<int64_t>(frame.dirty ? 1 : 0));
-    if (frame.dirty) {
-      Status status = WriteBack(victim, frame, shard);
-      if (!status.ok()) return status;
-    }
-    shard.lru.erase(frame.lru);
+    // Every frame in this shard is pinned right now: grow transiently.
+    if (victim == kInvalidPage) return;
+    TraceSpan span("storage", "evict");
+    span.Arg("page", static_cast<int64_t>(victim));
+    shard.lru.erase(shard.frames.at(victim).lru);
     shard.frames.erase(victim);
     ++shard.evictions;
   }
-  return Status::OK();
+}
+
+SharedBufferPool::Frame SharedBufferPool::LoadFrame(PageId id) const {
+  Frame frame;
+  if (store_ != nullptr) {
+    frame.page = store_->Get(id);
+    return frame;
+  }
+  // Zero-decode path: an immutable backend (the mmap snapshot) lends its
+  // pages — the frame views the mapping in place, no decoded copy. The
+  // view still re-checks the envelope: a MAP_SHARED mapping shows later
+  // writes to the file.
+  const uint8_t* borrowed = backend_->BorrowPage(id);
+  uint8_t buffer[kPageSize];
+  if (borrowed == nullptr) {
+    Status status = backend_->Read(id, buffer);
+    if (!status.ok()) {
+      const std::string msg = "SharedBufferPool: read of page " +
+                              std::to_string(id) +
+                              " failed: " + status.ToString();
+      STINDEX_CHECK_MSG(false, msg.c_str());
+    }
+  }
+  Result<std::unique_ptr<Page>> decoded = borrowed != nullptr
+                                              ? codec_->View(borrowed, id)
+                                              : codec_->Decode(buffer, id);
+  if (!decoded.ok()) {
+    const std::string msg = "SharedBufferPool: decode of page " +
+                            std::to_string(id) +
+                            " failed: " + decoded.status().ToString();
+    STINDEX_CHECK_MSG(false, msg.c_str());
+  }
+  frame.owned = std::move(decoded).value();
+  frame.page = frame.owned.get();
+  return frame;
 }
 
 Result<const Page*> SharedBufferPool::Pin(PageId id, bool* missed) {
@@ -146,41 +143,10 @@ Result<const Page*> SharedBufferPool::Pin(PageId id, bool* missed) {
     return frame.page;
   }
   ++shard.stats.misses;
-  TraceSpan span("storage", "shared_miss");
+  TraceSpan span("storage", "fetch_miss");
   span.Arg("page", static_cast<int64_t>(id));
-  Status room = MakeRoom(shard);
-  if (!room.ok()) return room;
-  Frame frame;
-  if (store_ != nullptr) {
-    frame.page = store_->Get(id);
-  } else {
-    // Zero-decode path: an immutable backend (the mmap snapshot) lends its
-    // pages — the frame views the mapping in place, no decoded copy. The
-    // view still re-checks the envelope: a MAP_SHARED mapping shows later
-    // writes to the file.
-    const uint8_t* borrowed = backend_->BorrowPage(id);
-    uint8_t buffer[kPageSize];
-    if (borrowed == nullptr) {
-      Status status = backend_->Read(id, buffer);
-      if (!status.ok()) {
-        const std::string msg = "SharedBufferPool: read of page " +
-                                std::to_string(id) +
-                                " failed: " + status.ToString();
-        STINDEX_CHECK_MSG(false, msg.c_str());
-      }
-    }
-    Result<std::unique_ptr<Page>> decoded = borrowed != nullptr
-                                                ? codec_->View(borrowed, id)
-                                                : codec_->Decode(buffer, id);
-    if (!decoded.ok()) {
-      const std::string msg = "SharedBufferPool: decode of page " +
-                              std::to_string(id) +
-                              " failed: " + decoded.status().ToString();
-      STINDEX_CHECK_MSG(false, msg.c_str());
-    }
-    frame.owned = std::move(decoded).value();
-    frame.page = frame.owned.get();
-  }
+  EvictDownTo(shard, shard.capacity);
+  Frame frame = LoadFrame(id);
   frame.pins = 1;
   ++shard.pinned;
   auto [inserted, ok] = shard.frames.emplace(id, std::move(frame));
@@ -198,88 +164,8 @@ void SharedBufferPool::Unpin(PageId id) {
   STINDEX_CHECK_MSG(it != shard.frames.end(), "Unpin of a non-resident page");
   STINDEX_CHECK_MSG(it->second.pins > 0, "Unpin of an unpinned page");
   if (--it->second.pins == 0) --shard.pinned;
-  TrimOverflowLocked(shard);
-}
-
-void SharedBufferPool::TrimOverflowLocked(Shard& shard) {
-  while (shard.frames.size() > shard.capacity) {
-    PageId victim = kInvalidPage;
-    for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-      const Frame& frame = shard.frames.at(*it);
-      if (frame.pins == 0 && !frame.dirty) {
-        victim = *it;
-        break;
-      }
-    }
-    if (victim == kInvalidPage) return;
-    Frame& frame = shard.frames.at(victim);
-    shard.lru.erase(frame.lru);
-    shard.frames.erase(victim);
-    ++shard.evictions;
-  }
-}
-
-Status SharedBufferPool::Put(PageId id, std::unique_ptr<Page> page) {
-  STINDEX_CHECK_MSG(backend_ != nullptr,
-                    "SharedBufferPool::Put requires backend mode");
-  STINDEX_CHECK(page != nullptr);
-  STINDEX_CHECK(id != kInvalidPage);
-  Shard& shard = *shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.frames.find(id);
-  if (it != shard.frames.end()) {
-    Frame& frame = it->second;
-    if (frame.pins > 0) {
-      // A pinner may be reading the current decoded page; replacing it
-      // under them would dangle their pointer.
-      return Status::FailedPrecondition("SharedBufferPool::Put of page " +
-                                        std::to_string(id) +
-                                        " while it is pinned");
-    }
-    frame.owned = std::move(page);
-    frame.page = frame.owned.get();
-    if (!frame.dirty) {
-      frame.dirty = true;
-      ++shard.dirty;
-    }
-    shard.lru.splice(shard.lru.begin(), shard.lru, frame.lru);
-    frame.lru = shard.lru.begin();
-    return Status::OK();
-  }
-  Status room = MakeRoom(shard);
-  if (!room.ok()) return room;
-  Frame frame;
-  frame.owned = std::move(page);
-  frame.page = frame.owned.get();
-  frame.dirty = true;
-  ++shard.dirty;
-  auto [inserted, ok] = shard.frames.emplace(id, std::move(frame));
-  STINDEX_CHECK(ok);
-  shard.lru.push_front(id);
-  inserted->second.lru = shard.lru.begin();
-  return Status::OK();
-}
-
-Status SharedBufferPool::FlushAll() {
-  if (backend_ == nullptr) return Status::OK();
-  for (const std::unique_ptr<Shard>& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.dirty == 0) continue;
-    TraceSpan span("storage", "shared_flush");
-    span.Arg("dirty", static_cast<int64_t>(shard.dirty));
-    std::vector<PageId> dirty;
-    dirty.reserve(shard.dirty);
-    for (const auto& [id, frame] : shard.frames) {
-      if (frame.dirty) dirty.push_back(id);
-    }
-    std::sort(dirty.begin(), dirty.end());
-    for (const PageId id : dirty) {
-      Status status = WriteBack(id, shard.frames.at(id), shard);
-      if (!status.ok()) return status;
-    }
-  }
-  return Status::OK();
+  // Trim transient overflow straight back to the slice.
+  EvictDownTo(shard, shard.capacity + 1);
 }
 
 IoStats SharedBufferPool::AggregateStats() const {
@@ -319,15 +205,6 @@ size_t SharedBufferPool::PinnedPages() const {
   return total;
 }
 
-size_t SharedBufferPool::DirtyPages() const {
-  size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->dirty;
-  }
-  return total;
-}
-
 std::vector<SharedBufferPool::ShardOccupancy>
 SharedBufferPool::ShardOccupancies() const {
   std::vector<ShardOccupancy> out;
@@ -338,7 +215,6 @@ SharedBufferPool::ShardOccupancies() const {
     occupancy.capacity = shard->capacity;
     occupancy.cached = shard->frames.size();
     occupancy.pinned = shard->pinned;
-    occupancy.dirty = shard->dirty;
     out.push_back(occupancy);
   }
   return out;
@@ -377,43 +253,31 @@ PageRef SharedBufferPool::Session::FetchPinned(PageId id) {
   ++lifetime_stats_.accesses;
   bool protocol_miss = false;
   if (protocol_pages_ > 0) {
-    auto it = resident_.find(id);
-    if (it != resident_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      it->second = lru_.begin();
+    // Most-recent last, so the scan meets recently used ids first.
+    auto it = std::find(lru_.rbegin(), lru_.rend(), id);
+    if (it != lru_.rend()) {
+      std::rotate(it.base() - 1, it.base(), lru_.end());
     } else {
       protocol_miss = true;
-      // Evict before inserting, like BufferPool: the cache never holds
-      // more than protocol_pages ids, and the victim is the exact LRU
-      // tail (queries pin one page at a time, so the private pools this
-      // accounting reproduces never skipped a pinned victim).
-      if (lru_.size() >= protocol_pages_) {
-        resident_.erase(lru_.back());
-        lru_.pop_back();
-      }
-      lru_.push_front(id);
-      resident_[id] = lru_.begin();
+      // Evict before inserting: the simulated cache never holds more
+      // than protocol_pages ids, and the victim is the exact LRU front.
+      if (lru_.size() >= protocol_pages_) lru_.erase(lru_.begin());
+      lru_.push_back(id);
     }
   }
   bool pool_miss = false;
-  Result<const Page*> page = pool_->Pin(id, &pool_miss);
-  if (!page.ok()) {
-    // The query path has no Status channel; undersizing the pool so far
-    // that a shard cannot hold the concurrent pins is a setup error.
-    STINDEX_CHECK_MSG(false, page.status().ToString().c_str());
-  }
+  const Page* page = pool_->Pin(id, &pool_miss).value();
   if (protocol_pages_ > 0 ? protocol_miss : pool_miss) {
     ++stats_.misses;
     ++lifetime_stats_.misses;
   }
-  return MakeRef(id, page.value());
+  return MakeRef(id, page);
 }
 
 void SharedBufferPool::Session::Unpin(PageId id) { pool_->Unpin(id); }
 
 void SharedBufferPool::Session::ResetCache() {
   lru_.clear();
-  resident_.clear();
 }
 
 }  // namespace stindex

@@ -20,40 +20,34 @@ namespace stindex {
 struct SharedBufferPoolOptions {
   // Total page frames across all shards (> 0). This is what
   // --buffer-pages means: the whole process shares this many frames,
-  // regardless of how many threads query through the pool.
+  // regardless of how many threads query through the pool. The shard
+  // count is the largest power of two <= min(16, capacity).
   size_t capacity = 64;
-  // Number of shards (a power of two); 0 picks the largest power of two
-  // <= min(16, capacity).
-  size_t shards = 0;
-  // When false, a Pin/Put that needs a frame in a shard whose frames are
-  // all pinned fails with FailedPrecondition (strictly bounded memory).
-  // When true the shard grows past its slice transiently — at most one
-  // extra frame per concurrent pin — and trims back to capacity as soon
-  // as unpinned victims exist. Query drivers enable this: page ids hash
-  // to shards, so short pin pile-ups on one shard are expected and must
-  // not fail a query.
-  bool pin_overflow = false;
   // When non-empty, lifetime totals are published to the MetricRegistry
   // counters bufferpool.<scope>.{accesses,misses,evictions} by
   // PublishStats() and on destruction.
   std::string metric_scope;
 };
 
-// A thread-safe sharded LRU page cache shared by every query worker.
+// The one page cache: a thread-safe sharded read-only LRU shared by every
+// query worker. Capacity is split across shards (shard = hash of the
+// PageId); each shard has its own mutex, LRU list and frame table.
+// Eviction takes the least-recently-used unpinned frame of the shard, so
+// `capacity` bounds the whole process no matter how many threads query.
 //
-// The per-worker private BufferPools this replaces made total resident
-// capacity scale with the thread count — a measurement bug for the
-// paper's buffer-miss metric. Here the capacity is split across shards
-// (shard = hash of the PageId), each shard has its own mutex, LRU list
-// and frame table, and eviction skips pinned frames exactly like
-// BufferPool, so `capacity` bounds the whole process no matter how many
-// threads pin concurrently.
+// A Pin that needs a frame in a shard whose frames are all pinned grows
+// that shard past its slice transiently — at most one extra frame per
+// concurrent pin — and the overage is trimmed as soon as unpinned victims
+// exist. Page ids hash to shards, so short pin pile-ups on one shard are
+// expected and must not fail a query.
 //
 // Workers do not fetch through the pool directly: each opens a Session
-// (one per worker, single-threaded like BufferPool), which implements
-// the PageCache interface for the tree query paths and keeps the
-// deterministic per-worker accounting the paper's measurement protocol
-// needs. Pin/Unpin/Put/FlushAll are safe to call from any thread.
+// (one per worker, single-threaded), which implements the PageCache
+// interface for the tree query paths and keeps the deterministic
+// per-worker accounting the paper's measurement protocol needs.
+// Pin/Unpin are safe to call from any thread. Writing pages is not the
+// pool's business: indexes encode nodes and write them to the backend
+// directly.
 class SharedBufferPool {
  public:
   class Session;
@@ -67,11 +61,10 @@ class SharedBufferPool {
   // backend lends the page (BorrowPage). `backend` and `codec` are
   // borrowed and must outlive the pool: frames over borrowed pages point
   // into the backend's storage.
-  SharedBufferPool(PageBackend* backend, const PageCodec* codec,
+  SharedBufferPool(const PageBackend* backend, const PageCodec* codec,
                    const SharedBufferPoolOptions& options);
 
-  // Flushes dirty frames (a failure is a checked error — destructors
-  // cannot report Status) and publishes the remaining stats.
+  // Publishes the remaining stats.
   ~SharedBufferPool();
 
   SharedBufferPool(const SharedBufferPool&) = delete;
@@ -79,26 +72,15 @@ class SharedBufferPool {
 
   // Pins `id`, loading it on a miss (a real backend read in backend
   // mode); `*missed` reports whether this call loaded the page. The
-  // returned page stays resident until the matching Unpin. Fails with
-  // FailedPrecondition iff the target shard is full of pinned frames and
-  // pin_overflow is off; pinning a freed/undecodable page is a checked
-  // error, as in BufferPool. Prefer a Session over calling this
-  // directly.
+  // returned page stays resident until the matching Unpin. Pinning a
+  // freed, out-of-range, unreadable or undecodable page is a checked
+  // error naming the page — an index handing out such an id is
+  // structurally corrupt. Prefer a Session over calling this directly.
   Result<const Page*> Pin(PageId id, bool* missed);
 
   // Drops one pin taken by Pin. Unpinning a page that is not resident or
   // not pinned is a checked error.
   void Unpin(PageId id);
-
-  // Backend mode only: inserts `page` as a dirty frame for `id`,
-  // evicting (with write-back) if needed. Replacing a currently pinned
-  // frame fails with FailedPrecondition — a pinner may be reading it.
-  Status Put(PageId id, std::unique_ptr<Page> page);
-
-  // Encodes and writes every dirty frame, shard by shard in index order
-  // and ascending page id within each shard, leaving them cached and
-  // clean. No-op in store mode.
-  Status FlushAll();
 
   // Publishes the lifetime-total deltas accumulated since the last
   // publish to the bufferpool.<scope>.* counters (no-op without a metric
@@ -117,17 +99,15 @@ class SharedBufferPool {
   size_t shard_count() const { return shards_.size(); }
   size_t CachedPages() const;
   size_t PinnedPages() const;
-  size_t DirtyPages() const;
   bool backend_mode() const { return backend_ != nullptr; }
 
   // Point-in-time occupancy of one shard (telemetry: the /statusz pool
-  // section). Pinned/dirty count frames, all <= cached <= capacity
-  // (cached may transiently exceed capacity under pin_overflow).
+  // section). pinned <= cached; cached may transiently exceed capacity
+  // while every frame of the shard is pinned.
   struct ShardOccupancy {
     size_t capacity = 0;
     size_t cached = 0;
     size_t pinned = 0;
-    size_t dirty = 0;
   };
   std::vector<ShardOccupancy> ShardOccupancies() const;
 
@@ -137,7 +117,6 @@ class SharedBufferPool {
     // Backend mode: a decoded node, or a view over a borrowed page.
     std::unique_ptr<Page> owned;
     uint32_t pins = 0;
-    bool dirty = false;
     std::list<PageId>::iterator lru;
   };
 
@@ -148,29 +127,24 @@ class SharedBufferPool {
     IoStats stats;        // lifetime, guarded by mutex
     uint64_t evictions = 0;
     size_t pinned = 0;  // frames with pins > 0
-    size_t dirty = 0;
     std::list<PageId> lru;  // MRU at front
     std::unordered_map<PageId, Frame> frames;
   };
 
   void InitShards(const SharedBufferPoolOptions& options);
   size_t ShardOf(PageId id) const;
-  // Evicts until the shard is under its slice or no unpinned victim
-  // remains (then: OK under pin_overflow, FailedPrecondition otherwise).
-  // Caller holds the shard mutex.
-  Status MakeRoom(Shard& shard);
-  Status WriteBack(PageId id, Frame& frame, Shard& shard);
-  // Drops clean unpinned frames until the shard is back under its slice
-  // after transient pin_overflow growth. Dirty overage is left for the
-  // next MakeRoom/FlushAll — Unpin has no way to report a write-back
-  // failure. Caller holds the shard mutex.
-  void TrimOverflowLocked(Shard& shard);
+  // Evicts least-recently-used unpinned frames until the shard holds
+  // fewer than `limit` frames or no unpinned victim remains. Caller holds
+  // the shard mutex.
+  void EvictDownTo(Shard& shard, size_t limit);
+  // Loads the page on a miss: a store lookup, a view over a borrowed
+  // page, or a backend read + decode.
+  Frame LoadFrame(PageId id) const;
 
   const PageStore* store_ = nullptr;
-  PageBackend* backend_ = nullptr;
+  const PageBackend* backend_ = nullptr;
   const PageCodec* codec_ = nullptr;
   size_t capacity_ = 0;
-  bool pin_overflow_ = false;
   std::string metric_scope_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
@@ -186,12 +160,13 @@ class SharedBufferPool {
 //
 //  * Protocol mode (protocol_pages > 0): simulates the paper's private
 //    LRU of `protocol_pages` frames over this session's own access
-//    stream (ids only, nothing stored). Per-query miss counts are then
-//    identical to a private BufferPool of that capacity — at any thread
-//    count and regardless of what other sessions do — while the real
-//    reads underneath are deduplicated pool-wide. ResetCache() restarts
-//    the simulated LRU before each measured query, per the paper's
-//    protocol.
+//    stream (ids only, nothing stored): an access misses iff its page is
+//    not among the last `protocol_pages` distinct pages this session
+//    accessed since ResetCache(). Per-query miss counts are therefore
+//    identical at any thread count and regardless of what other sessions
+//    do, while the real reads underneath are deduplicated pool-wide.
+//    ResetCache() restarts the simulated LRU before each measured query,
+//    per the paper's protocol.
 //
 //  * Pass-through mode (protocol_pages == 0): every access reports the
 //    shared pool's real hit/miss outcome — what a warm server run
@@ -219,9 +194,9 @@ class SharedBufferPool::Session : public PageCache {
  private:
   SharedBufferPool* pool_;
   size_t protocol_pages_;
-  // The simulated LRU: ids only, MRU at front.
-  std::list<PageId> lru_;
-  std::unordered_map<PageId, std::list<PageId>::iterator> resident_;
+  // The simulated LRU: ids only, least recent first. A linear scan beats
+  // hashing at the paper's 10 pages; the cost grows with protocol_pages.
+  std::vector<PageId> lru_;
   IoStats stats_;
   IoStats lifetime_stats_;
 };

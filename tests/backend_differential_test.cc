@@ -2,9 +2,10 @@
 // indexed three ways — the legacy in-memory PageStore, a persisted
 // MemoryPageBackend, and a persisted FilePageBackend — must answer every
 // query byte-identically and with identical per-query buffer-miss counts
-// (the paper's "disk accesses" metric), at every thread count. This pins
-// the tentpole property that moving the experiments onto real files
-// changes nothing about the reported numbers.
+// (the paper's "disk accesses" metric), at every thread count. The
+// baseline is scored by an LRU oracle from the recorded page-access
+// sequence, not by any pool. This pins the property that moving the
+// experiments onto real files changes nothing about the reported numbers.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,8 +18,10 @@
 #include "datagen/query_gen.h"
 #include "datagen/random_dataset.h"
 #include "live/live_tier.h"
+#include "lru_oracle.h"
 #include "pprtree/ppr_tree.h"
 #include "rstar/rstar_tree.h"
+#include "storage/fault_backend.h"
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/shared_buffer_pool.h"
@@ -29,17 +32,6 @@ namespace stindex {
 namespace {
 
 constexpr Time kTimeDomain = 1000;
-
-// What one query produced: the answer ids in traversal order plus the
-// buffer misses it cost. Equality means "indistinguishable runs".
-struct QueryOutcome {
-  std::vector<uint64_t> results;
-  uint64_t misses = 0;
-
-  bool operator==(const QueryOutcome& other) const {
-    return results == other.results && misses == other.misses;
-  }
-};
 
 std::vector<SegmentRecord> MakeRecords() {
   RandomDatasetConfig config;
@@ -75,124 +67,55 @@ std::unique_ptr<PageBackend> MakeFileBackend(const std::string& name) {
   return std::move(backend).value();
 }
 
-// Runs the query set against `tree` with `num_threads` workers, one
-// private query buffer per chunk, cache reset before every query (the
-// paper protocol and the bench drivers' shape).
-template <typename RunQuery>
-std::vector<QueryOutcome> RunAll(const std::vector<STQuery>& queries,
-                                 int num_threads,
-                                 const RunQuery& run_query) {
-  std::vector<QueryOutcome> outcomes(queries.size());
-  ParallelFor(num_threads, queries.size(),
-              [&](size_t /*chunk*/, size_t begin, size_t end) {
-                for (size_t q = begin; q < end; ++q) {
-                  outcomes[q] = run_query(queries[q]);
-                }
-              });
-  return outcomes;
-}
-
 std::vector<QueryOutcome> RunPpr(const PprTree& tree,
                                  const std::vector<STQuery>& queries,
-                                 int num_threads) {
-  return RunAll(queries, num_threads, [&tree](const STQuery& query) {
-    // A fresh 10-page buffer per query keeps chunks independent, so the
-    // outcome vector cannot depend on the partition.
-    std::unique_ptr<BufferPool> buffer = tree.NewQueryBuffer();
-    std::vector<PprDataId> results;
-    if (query.IsSnapshot()) {
-      tree.SnapshotQuery(query.area, query.range.start, buffer.get(),
-                         &results);
-    } else {
-      tree.IntervalQuery(query.area, query.range, buffer.get(), &results);
-    }
-    QueryOutcome outcome;
-    outcome.results.assign(results.begin(), results.end());
-    outcome.misses = buffer->stats().misses;
-    return outcome;
-  });
+                                 int num_threads, size_t pool_pages = 0) {
+  const std::unique_ptr<SharedBufferPool> pool =
+      tree.NewSharedQueryPool(pool_pages);
+  return RunSessions(pool.get(), queries, num_threads, PprQuery(tree));
 }
 
 std::vector<QueryOutcome> RunRStar(const RStarTree& tree,
                                    const std::vector<STQuery>& queries,
-                                   int num_threads) {
-  return RunAll(queries, num_threads, [&tree](const STQuery& query) {
-    std::unique_ptr<BufferPool> buffer = tree.NewQueryBuffer();
-    std::vector<DataId> results;
-    tree.Search(QueryToBox(query, 0, kTimeDomain), buffer.get(), &results);
-    QueryOutcome outcome;
-    outcome.results.assign(results.begin(), results.end());
-    outcome.misses = buffer->stats().misses;
-    return outcome;
-  });
+                                   int num_threads, size_t pool_pages = 0) {
+  const std::unique_ptr<SharedBufferPool> pool =
+      tree.NewSharedQueryPool(pool_pages);
+  return RunSessions(pool.get(), queries, num_threads,
+                     RStarQuery(tree, kTimeDomain));
 }
 
-// Same protocol through ONE shared pool for the whole run: per-chunk
-// Sessions simulate the private 10-page LRU (reset per query) while the
-// real frames are shared, so the outcomes must stay byte-identical to
-// the private-pool baseline at every thread count.
-template <typename RunQuery>
-std::vector<QueryOutcome> RunShared(const std::vector<STQuery>& queries,
-                                    int num_threads, SharedBufferPool* pool,
-                                    const RunQuery& run_query) {
-  std::vector<QueryOutcome> outcomes(queries.size());
-  const size_t protocol_pages = pool->capacity();
-  ParallelFor(num_threads, queries.size(),
-              [&](size_t /*chunk*/, size_t begin, size_t end) {
-                SharedBufferPool::Session session(pool, protocol_pages);
-                for (size_t q = begin; q < end; ++q) {
-                  session.ResetCache();
-                  session.ResetStats();
-                  outcomes[q] = run_query(queries[q], &session);
-                  outcomes[q].misses = session.stats().misses;
-                }
-              });
-  return outcomes;
-}
-
-std::vector<QueryOutcome> RunPprShared(const PprTree& tree,
-                                       const std::vector<STQuery>& queries,
-                                       int num_threads) {
+std::vector<QueryOutcome> PprBaseline(const PprTree& tree,
+                                      const std::vector<STQuery>& queries) {
   const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
-  return RunShared(queries, num_threads, pool.get(),
-                   [&tree](const STQuery& query, PageCache* buffer) {
-                     std::vector<PprDataId> results;
-                     if (query.IsSnapshot()) {
-                       tree.SnapshotQuery(query.area, query.range.start,
-                                          buffer, &results);
-                     } else {
-                       tree.IntervalQuery(query.area, query.range, buffer,
-                                          &results);
-                     }
-                     QueryOutcome outcome;
-                     outcome.results.assign(results.begin(), results.end());
-                     return outcome;
-                   });
+  return OracleBaseline(pool.get(), queries, PprQuery(tree));
 }
 
-std::vector<QueryOutcome> RunRStarShared(const RStarTree& tree,
-                                         const std::vector<STQuery>& queries,
-                                         int num_threads) {
+std::vector<QueryOutcome> RStarBaseline(const RStarTree& tree,
+                                        const std::vector<STQuery>& queries) {
   const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
-  return RunShared(queries, num_threads, pool.get(),
-                   [&tree](const STQuery& query, PageCache* buffer) {
-                     std::vector<DataId> results;
-                     tree.Search(QueryToBox(query, 0, kTimeDomain), buffer,
-                                 &results);
-                     QueryOutcome outcome;
-                     outcome.results.assign(results.begin(), results.end());
-                     return outcome;
-                   });
+  return OracleBaseline(pool.get(), queries, RStarQuery(tree, kTimeDomain));
 }
 
 uint64_t FileReads() {
   return MetricRegistry::Global().GetCounter("backend.file.reads")->Value();
 }
 
-uint64_t TotalMisses(const std::vector<QueryOutcome>& outcomes) {
-  uint64_t total = 0;
-  for (const QueryOutcome& outcome : outcomes) total += outcome.misses;
-  return total;
+// Runs `tree`'s queries through one fresh default-size pool and checks
+// that every real pool miss was one read of the file backend, and that
+// shared residency kept the reads at or below the protocol misses.
+template <typename Tree>
+std::vector<QueryOutcome> RunCountingFileReads(
+    const Tree& tree, const std::vector<STQuery>& queries, int num_threads,
+    const QueryFn& run_query) {
+  const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
+  const uint64_t reads_before = FileReads();
+  std::vector<QueryOutcome> outcomes =
+      RunSessions(pool.get(), queries, num_threads, run_query);
+  const uint64_t reads = FileReads() - reads_before;
+  EXPECT_GT(reads, 0u) << "threads=" << num_threads;
+  EXPECT_EQ(reads, pool->AggregateStats().misses) << "threads=" << num_threads;
+  EXPECT_LE(reads, TotalMisses(outcomes)) << "threads=" << num_threads;
+  return outcomes;
 }
 
 TEST(BackendDifferentialTest, PprTreeIdenticalAcrossBackendsAndThreads) {
@@ -206,49 +129,51 @@ TEST(BackendDifferentialTest, PprTreeIdenticalAcrossBackendsAndThreads) {
   const std::unique_ptr<PprTree> file_tree = BuildPprTree(records);
   ASSERT_TRUE(file_tree->AttachBackend(MakeFileBackend("diff_ppr")).ok());
 
-  const std::vector<QueryOutcome> baseline = RunPpr(*store_tree, queries, 1);
+  const std::vector<QueryOutcome> baseline = PprBaseline(*store_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
-  const uint64_t reads_before = FileReads();
-  for (const int threads : {1, 2, 7}) {
+  for (const int threads : {1, 2, 7, 16}) {
     EXPECT_EQ(RunPpr(*store_tree, queries, threads), baseline)
         << "store backend, threads=" << threads;
     EXPECT_EQ(RunPpr(*memory_tree, queries, threads), baseline)
         << "memory backend, threads=" << threads;
-    EXPECT_EQ(RunPpr(*file_tree, queries, threads), baseline)
+    EXPECT_EQ(RunCountingFileReads(*file_tree, queries, threads,
+                                   PprQuery(*file_tree)),
+              baseline)
         << "file backend, threads=" << threads;
   }
-  // The file runs really hit the disk: every miss was a pread.
-  EXPECT_EQ(FileReads() - reads_before, 3 * TotalMisses(baseline));
 }
 
-TEST(BackendDifferentialTest, PprSharedPoolMatchesPrivateBaseline) {
-  // The tentpole invariant: answers AND aggregate protocol miss counts
-  // through one shared pool are byte-identical to the per-worker
-  // private-pool baseline at every thread count, while the real reads
-  // underneath are deduplicated pool-wide.
+TEST(BackendDifferentialTest, PprProtocolMissesIndependentOfPoolSize) {
+  // Protocol accounting simulates the paper's private LRU per session, so
+  // answers AND per-query misses cannot depend on how many real frames
+  // the shared pool has — from one frame (all pins overflow) to the
+  // whole tree — while the real reads underneath only deduplicate.
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
 
   const std::unique_ptr<PprTree> store_tree = BuildPprTree(records);
   const std::unique_ptr<PprTree> file_tree = BuildPprTree(records);
   ASSERT_TRUE(
-      file_tree->AttachBackend(MakeFileBackend("diff_ppr_shared")).ok());
+      file_tree->AttachBackend(MakeFileBackend("diff_ppr_sizes")).ok());
 
-  const std::vector<QueryOutcome> baseline = RunPpr(*store_tree, queries, 1);
+  const std::vector<QueryOutcome> baseline = PprBaseline(*store_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
-  for (const int threads : {1, 2, 7, 16}) {
-    EXPECT_EQ(RunPprShared(*store_tree, queries, threads), baseline)
-        << "store backend, threads=" << threads;
-    const uint64_t reads_before = FileReads();
-    EXPECT_EQ(RunPprShared(*file_tree, queries, threads), baseline)
-        << "file backend, threads=" << threads;
-    // Shared residency: the run really read the file, but never more
-    // than the protocol misses (shared frames only deduplicate).
-    const uint64_t reads = FileReads() - reads_before;
-    EXPECT_GT(reads, 0u) << "threads=" << threads;
-    EXPECT_LE(reads, TotalMisses(baseline)) << "threads=" << threads;
+  for (const size_t pool_pages : {size_t{1}, size_t{3}, size_t{4096}}) {
+    for (const int threads : {1, 7}) {
+      EXPECT_EQ(RunPpr(*store_tree, queries, threads, pool_pages), baseline)
+          << "store backend, pool_pages=" << pool_pages
+          << ", threads=" << threads;
+      const uint64_t reads_before = FileReads();
+      EXPECT_EQ(RunPpr(*file_tree, queries, threads, pool_pages), baseline)
+          << "file backend, pool_pages=" << pool_pages
+          << ", threads=" << threads;
+      if (pool_pages == 4096) {
+        // The pool holds the whole tree: each page is read at most once.
+        EXPECT_LE(FileReads() - reads_before, file_tree->PageCount());
+      }
+    }
   }
 }
 
@@ -271,22 +196,71 @@ TEST(BackendDifferentialTest, RStarTreeIdenticalAcrossBackendsAndThreads) {
   const std::unique_ptr<RStarTree> file_tree = build();
   ASSERT_TRUE(file_tree->AttachBackend(MakeFileBackend("diff_rstar")).ok());
 
-  const std::vector<QueryOutcome> baseline = RunRStar(*store_tree, queries, 1);
+  const std::vector<QueryOutcome> baseline =
+      RStarBaseline(*store_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
-  const uint64_t reads_before = FileReads();
-  for (const int threads : {1, 2, 7}) {
+  for (const int threads : {1, 2, 7, 16}) {
     EXPECT_EQ(RunRStar(*store_tree, queries, threads), baseline)
         << "store backend, threads=" << threads;
     EXPECT_EQ(RunRStar(*memory_tree, queries, threads), baseline)
         << "memory backend, threads=" << threads;
-    EXPECT_EQ(RunRStar(*file_tree, queries, threads), baseline)
+    EXPECT_EQ(RunCountingFileReads(*file_tree, queries, threads,
+                                   RStarQuery(*file_tree, kTimeDomain)),
+              baseline)
         << "file backend, threads=" << threads;
   }
-  EXPECT_EQ(FileReads() - reads_before, 3 * TotalMisses(baseline));
 }
 
-TEST(BackendDifferentialTest, RStarSharedPoolMatchesPrivateBaseline) {
+// AttachBackend must be all-or-nothing: a write fault while persisting
+// leaves the tree without a backend, still answering from the store with
+// the same per-query misses.
+template <typename Tree>
+void ExpectAttachRollsBackOnWriteFault(Tree* tree,
+                                       const std::vector<STQuery>& queries,
+                                       const QueryFn& run_query) {
+  const std::unique_ptr<SharedBufferPool> before_pool =
+      tree->NewSharedQueryPool();
+  const std::vector<QueryOutcome> before =
+      RunSessions(before_pool.get(), queries, 1, run_query);
+  ASSERT_GT(TotalMisses(before), 0u);
+  ASSERT_GT(tree->PageCount(), 3u);
+
+  FaultInjectingBackend::Faults faults;
+  faults.fail_write_at = 3;
+  const Status status = tree->AttachBackend(
+      std::make_unique<FaultInjectingBackend>(
+          std::make_unique<MemoryPageBackend>(), faults));
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("write of page"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("injected write failure"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(tree->backend(), nullptr);
+
+  const std::unique_ptr<SharedBufferPool> after_pool =
+      tree->NewSharedQueryPool();
+  EXPECT_FALSE(after_pool->backend_mode());
+  EXPECT_EQ(RunSessions(after_pool.get(), queries, 1, run_query), before);
+}
+
+TEST(BackendDifferentialTest, AttachBackendRollsBackOnWriteFault) {
+  const std::vector<SegmentRecord> records = MakeRecords();
+  const std::vector<STQuery> queries = MakeQueries();
+
+  const std::unique_ptr<PprTree> ppr = BuildPprTree(records);
+  ExpectAttachRollsBackOnWriteFault(ppr.get(), queries, PprQuery(*ppr));
+
+  const std::vector<Box3D> boxes = SegmentsToBoxes(records, 0, kTimeDomain);
+  RStarTree rstar;
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    rstar.Insert(boxes[i], static_cast<DataId>(i));
+  }
+  ExpectAttachRollsBackOnWriteFault(&rstar, queries,
+                                    RStarQuery(rstar, kTimeDomain));
+}
+
+TEST(BackendDifferentialTest, RStarProtocolMissesIndependentOfPoolSize) {
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
   const std::vector<Box3D> boxes = SegmentsToBoxes(records, 0, kTimeDomain);
@@ -301,20 +275,25 @@ TEST(BackendDifferentialTest, RStarSharedPoolMatchesPrivateBaseline) {
   const std::unique_ptr<RStarTree> store_tree = build();
   const std::unique_ptr<RStarTree> file_tree = build();
   ASSERT_TRUE(
-      file_tree->AttachBackend(MakeFileBackend("diff_rstar_shared")).ok());
+      file_tree->AttachBackend(MakeFileBackend("diff_rstar_sizes")).ok());
 
-  const std::vector<QueryOutcome> baseline = RunRStar(*store_tree, queries, 1);
+  const std::vector<QueryOutcome> baseline =
+      RStarBaseline(*store_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
-  for (const int threads : {1, 2, 7, 16}) {
-    EXPECT_EQ(RunRStarShared(*store_tree, queries, threads), baseline)
-        << "store backend, threads=" << threads;
-    const uint64_t reads_before = FileReads();
-    EXPECT_EQ(RunRStarShared(*file_tree, queries, threads), baseline)
-        << "file backend, threads=" << threads;
-    const uint64_t reads = FileReads() - reads_before;
-    EXPECT_GT(reads, 0u) << "threads=" << threads;
-    EXPECT_LE(reads, TotalMisses(baseline)) << "threads=" << threads;
+  for (const size_t pool_pages : {size_t{1}, size_t{3}, size_t{4096}}) {
+    for (const int threads : {1, 7}) {
+      EXPECT_EQ(RunRStar(*store_tree, queries, threads, pool_pages), baseline)
+          << "store backend, pool_pages=" << pool_pages
+          << ", threads=" << threads;
+      const uint64_t reads_before = FileReads();
+      EXPECT_EQ(RunRStar(*file_tree, queries, threads, pool_pages), baseline)
+          << "file backend, pool_pages=" << pool_pages
+          << ", threads=" << threads;
+      if (pool_pages == 4096) {
+        EXPECT_LE(FileReads() - reads_before, file_tree->PageCount());
+      }
+    }
   }
 }
 
@@ -403,7 +382,7 @@ TEST(BackendDifferentialTest, LiveIngestedPprMatchesBatchBuild) {
   EXPECT_EQ(tier.value()->historical().PageCount(), batch->PageCount());
   EXPECT_EQ(tier.value()->historical().NumRoots(), batch->NumRoots());
 
-  const std::vector<QueryOutcome> baseline = RunPpr(*batch, queries, 1);
+  const std::vector<QueryOutcome> baseline = PprBaseline(*batch, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
   for (const int threads : {1, 2, 7}) {
     EXPECT_EQ(RunPpr(tier.value()->historical(), queries, threads), baseline)

@@ -1,7 +1,7 @@
 // Concurrent read paths: indexes are immutable during queries, and every
-// querying thread uses its own BufferPool, so parallel queries must
-// return exactly the single-threaded answers (TSan-clean by design: no
-// shared mutable state on the read path).
+// querying thread uses its own Session of one shared pool, so parallel
+// queries must return exactly the single-threaded answers (TSan-clean:
+// the pool's only shared mutable state is behind its shard mutexes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include "hrtree/hr_tree.h"
 #include "pprtree/ppr_tree.h"
 #include "rstar/rstar_tree.h"
+#include "storage/shared_buffer_pool.h"
 #include "util/random.h"
 
 namespace stindex {
@@ -70,12 +71,13 @@ TEST(ConcurrencyTest, ParallelPprSnapshotsMatchSerial) {
   std::vector<std::vector<std::vector<PprDataId>>> got(
       kThreads, std::vector<std::vector<PprDataId>>(queries.size()));
   std::atomic<int> mismatches{0};
+  const std::unique_ptr<SharedBufferPool> pool = tree->NewSharedQueryPool();
   std::vector<std::thread> workers;
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&, w]() {
-      std::unique_ptr<BufferPool> buffer = tree->NewQueryBuffer();
+      SharedBufferPool::Session session(pool.get(), pool->capacity());
       for (size_t q = 0; q < queries.size(); ++q) {
-        tree->SnapshotQuery(queries[q].area, queries[q].t, buffer.get(),
+        tree->SnapshotQuery(queries[q].area, queries[q].t, &session,
                             &got[static_cast<size_t>(w)][q]);
         std::sort(got[static_cast<size_t>(w)][q].begin(),
                   got[static_cast<size_t>(w)][q].end());
@@ -94,15 +96,17 @@ TEST(ConcurrencyTest, ParallelIntervalQueriesAcrossStructures) {
 
   const std::vector<ThreadQuery> queries = MakeQueries(24, 100);
   std::atomic<int> mismatches{0};
+  const std::unique_ptr<SharedBufferPool> ppr_pool = ppr->NewSharedQueryPool();
+  const std::unique_ptr<SharedBufferPool> hr_pool = hr->NewSharedQueryPool();
   auto worker = [&]() {
-    std::unique_ptr<BufferPool> ppr_buffer = ppr->NewQueryBuffer();
-    std::unique_ptr<BufferPool> hr_buffer = hr->NewQueryBuffer();
+    SharedBufferPool::Session ppr_session(ppr_pool.get(), ppr_pool->capacity());
+    SharedBufferPool::Session hr_session(hr_pool.get(), hr_pool->capacity());
     std::vector<PprDataId> a;
     std::vector<HrDataId> b;
     for (const ThreadQuery& query : queries) {
       const TimeInterval range(query.t, std::min<Time>(200, query.t + 12));
-      ppr->IntervalQuery(query.area, range, ppr_buffer.get(), &a);
-      hr->IntervalQuery(query.area, range, hr_buffer.get(), &b);
+      ppr->IntervalQuery(query.area, range, &ppr_session, &a);
+      hr->IntervalQuery(query.area, range, &hr_session, &b);
       std::sort(a.begin(), a.end());
       std::sort(b.begin(), b.end());
       if (a != b) ++mismatches;
@@ -138,11 +142,12 @@ TEST(ConcurrencyTest, ParallelRStarSearchesMatchSerial) {
     std::sort(expected[q].begin(), expected[q].end());
   }
   std::atomic<int> mismatches{0};
+  const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
   auto worker = [&]() {
-    std::unique_ptr<BufferPool> buffer = tree.NewQueryBuffer();
+    SharedBufferPool::Session session(pool.get(), pool->capacity());
     std::vector<DataId> results;
     for (size_t q = 0; q < windows.size(); ++q) {
-      tree.Search(windows[q], buffer.get(), &results);
+      tree.Search(windows[q], &session, &results);
       std::sort(results.begin(), results.end());
       if (results != expected[q]) ++mismatches;
     }
@@ -153,8 +158,9 @@ TEST(ConcurrencyTest, ParallelRStarSearchesMatchSerial) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// N workers over ONE shared read-only PageStore, each owning a private
-// BufferPool and issuing a worker-specific mix of range + snapshot
+// N workers over ONE shared read-only PageStore, each owning a protocol
+// Session (a simulated private 10-page LRU) of one shared pool and
+// issuing a worker-specific mix of range + snapshot
 // queries generated from a deterministically derived sub-seed
 // (Rng::DeriveSeed, never a shared Rng — sharing one generator across
 // threads is both a race and a determinism bug). Results must match a
@@ -169,7 +175,7 @@ TEST(ConcurrencyTest, SharedStorePrivateBuffersAggregateConsistently) {
   constexpr uint64_t kBaseSeed = 28;
 
   // Every worker replays this stream shape from its own derived seed.
-  auto run_worker_stream = [&](uint64_t worker, BufferPool* buffer,
+  auto run_worker_stream = [&](uint64_t worker, PageCache* buffer,
                                std::vector<std::vector<PprDataId>>* results) {
     Rng rng(Rng::DeriveSeed(kBaseSeed, worker));
     results->resize(kQueriesPerWorker);
@@ -191,13 +197,14 @@ TEST(ConcurrencyTest, SharedStorePrivateBuffersAggregateConsistently) {
 
   std::vector<std::vector<std::vector<PprDataId>>> got(kWorkers);
   std::vector<IoStats> worker_stats(kWorkers);
+  const std::unique_ptr<SharedBufferPool> pool = tree->NewSharedQueryPool();
   std::vector<std::thread> workers;
   for (int w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&, w]() {
-      std::unique_ptr<BufferPool> buffer = tree->NewQueryBuffer();
-      run_worker_stream(static_cast<uint64_t>(w), buffer.get(),
+      SharedBufferPool::Session session(pool.get(), pool->capacity());
+      run_worker_stream(static_cast<uint64_t>(w), &session,
                         &got[static_cast<size_t>(w)]);
-      worker_stats[static_cast<size_t>(w)] = buffer->stats();
+      worker_stats[static_cast<size_t>(w)] = session.stats();
     });
   }
   for (std::thread& worker : workers) worker.join();
@@ -205,17 +212,20 @@ TEST(ConcurrencyTest, SharedStorePrivateBuffersAggregateConsistently) {
   // Serial oracle: the same derived-seed streams, one worker at a time.
   IoStats aggregate;
   for (int w = 0; w < kWorkers; ++w) {
-    std::unique_ptr<BufferPool> buffer = tree->NewQueryBuffer();
+    const std::unique_ptr<SharedBufferPool> serial_pool =
+        tree->NewSharedQueryPool();
+    SharedBufferPool::Session session(serial_pool.get(),
+                                      serial_pool->capacity());
     std::vector<std::vector<PprDataId>> expected;
-    run_worker_stream(static_cast<uint64_t>(w), buffer.get(), &expected);
+    run_worker_stream(static_cast<uint64_t>(w), &session, &expected);
     EXPECT_EQ(got[static_cast<size_t>(w)], expected) << "worker " << w;
-    // A private pool's traffic depends only on its own query stream, so
-    // the concurrent counters must equal the serial replay exactly.
+    // A protocol session's counters depend only on its own query stream,
+    // so the concurrent counters must equal the serial replay exactly.
     EXPECT_EQ(worker_stats[static_cast<size_t>(w)].accesses,
-              buffer->stats().accesses)
+              session.stats().accesses)
         << "worker " << w;
     EXPECT_EQ(worker_stats[static_cast<size_t>(w)].misses,
-              buffer->stats().misses)
+              session.stats().misses)
         << "worker " << w;
     aggregate.accesses += worker_stats[static_cast<size_t>(w)].accesses;
     aggregate.misses += worker_stats[static_cast<size_t>(w)].misses;
@@ -248,13 +258,14 @@ TEST(ConcurrencyTest, DerivedSubSeedsProduceDistinctStreams) {
 TEST(ConcurrencyTest, PerBufferStatsAreIndependent) {
   const std::vector<SegmentRecord> records = RandomRecords(26, 400);
   std::unique_ptr<PprTree> tree = BuildPprTree(records);
-  std::unique_ptr<BufferPool> a = tree->NewQueryBuffer();
-  std::unique_ptr<BufferPool> b = tree->NewQueryBuffer(3);
+  const std::unique_ptr<SharedBufferPool> pool = tree->NewSharedQueryPool();
+  SharedBufferPool::Session a(pool.get(), 10);
+  SharedBufferPool::Session b(pool.get(), 3);
   std::vector<PprDataId> results;
-  tree->SnapshotQuery(Rect2D(0, 0, 1, 1), 100, a.get(), &results);
-  EXPECT_GT(a->stats().accesses, 0u);
-  EXPECT_EQ(b->stats().accesses, 0u);
-  EXPECT_EQ(b->capacity(), 3u);
+  tree->SnapshotQuery(Rect2D(0, 0, 1, 1), 100, &a, &results);
+  EXPECT_GT(a.stats().accesses, 0u);
+  EXPECT_EQ(b.stats().accesses, 0u);
+  EXPECT_EQ(b.protocol_pages(), 3u);
 }
 
 }  // namespace

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "lru_oracle.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
@@ -19,7 +23,8 @@
 namespace stindex {
 namespace {
 
-// Same trivial page/codec pair as storage_test.cc.
+// A trivial page type carrying a tag so tests can verify identity, and
+// its codec for the backend-mode cases.
 class TestPage : public Page {
  public:
   explicit TestPage(int tag) : tag_(tag) {}
@@ -57,21 +62,50 @@ void FillStore(PageStore* store, size_t pages) {
   }
 }
 
+int TagOf(const Page* page) {
+  return static_cast<const TestPage*>(page)->tag();
+}
+
+// Pins and unpins `id`; returns whether the pin missed.
+bool Touch(SharedBufferPool* pool, PageId id) {
+  bool missed = false;
+  EXPECT_TRUE(pool->Pin(id, &missed).ok());
+  pool->Unpin(id);
+  return missed;
+}
+
+// The first `count` page ids of `store` that land in shard `shard` of a
+// pool of `capacity` frames, found through a throwaway probe pool of the
+// same shape (pinning one page shows which shard holds the pin).
+std::vector<PageId> IdsInShard(const PageStore* store, size_t capacity,
+                               size_t shard, size_t count) {
+  SharedBufferPoolOptions options;
+  options.capacity = capacity;
+  SharedBufferPool probe(store, options);
+  std::vector<PageId> ids;
+  for (PageId id = 0; ids.size() < count; ++id) {
+    bool missed = false;
+    EXPECT_TRUE(probe.Pin(id, &missed).ok());
+    if (probe.ShardOccupancies()[shard].pinned == 1) ids.push_back(id);
+    probe.Unpin(id);
+  }
+  return ids;
+}
+
 TEST(SharedBufferPoolTest, StoreModeHitsAndMisses) {
   PageStore store;
   FillStore(&store, 8);
   SharedBufferPoolOptions options;
   options.capacity = 4;
-  options.shards = 1;
   SharedBufferPool pool(&store, options);
   EXPECT_EQ(pool.capacity(), 4u);
-  EXPECT_EQ(pool.shard_count(), 1u);
+  EXPECT_FALSE(pool.backend_mode());
 
   bool missed = false;
   Result<const Page*> page = pool.Pin(0, &missed);
   ASSERT_TRUE(page.ok());
   EXPECT_TRUE(missed);
-  EXPECT_EQ(static_cast<const TestPage*>(page.value())->tag(), 0);
+  EXPECT_EQ(TagOf(page.value()), 0);
   pool.Unpin(0);
 
   page = pool.Pin(0, &missed);
@@ -82,8 +116,27 @@ TEST(SharedBufferPoolTest, StoreModeHitsAndMisses) {
   const IoStats stats = pool.AggregateStats();
   EXPECT_EQ(stats.accesses, 2u);
   EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.Hits(), 1u);
   EXPECT_EQ(pool.CachedPages(), 1u);
   EXPECT_EQ(pool.PinnedPages(), 0u);
+}
+
+TEST(SharedBufferPoolTest, ShardCountDerivesFromCapacity) {
+  PageStore store;
+  FillStore(&store, 1);
+  // The largest power of two <= min(16, capacity); the slices sum to the
+  // capacity.
+  const std::pair<size_t, size_t> expected[] = {
+      {1, 1}, {2, 2}, {3, 2}, {10, 8}, {16, 16}, {1000, 16}};
+  for (const auto& [capacity, shards] : expected) {
+    SharedBufferPoolOptions options;
+    options.capacity = capacity;
+    SharedBufferPool pool(&store, options);
+    EXPECT_EQ(pool.shard_count(), shards) << "capacity=" << capacity;
+    size_t total = 0;
+    for (const auto& shard : pool.ShardOccupancies()) total += shard.capacity;
+    EXPECT_EQ(total, capacity);
+  }
 }
 
 TEST(SharedBufferPoolTest, CapacityIsTotalAcrossShards) {
@@ -91,193 +144,166 @@ TEST(SharedBufferPoolTest, CapacityIsTotalAcrossShards) {
   FillStore(&store, 64);
   SharedBufferPoolOptions options;
   options.capacity = 10;
-  options.shards = 4;
   SharedBufferPool pool(&store, options);
-  EXPECT_EQ(pool.shard_count(), 4u);
-  bool missed = false;
-  for (PageId id = 0; id < 64; ++id) {
-    ASSERT_TRUE(pool.Pin(id, &missed).ok());
-    pool.Unpin(id);
-  }
+  EXPECT_EQ(pool.shard_count(), 8u);
+  for (PageId id = 0; id < 64; ++id) Touch(&pool, id);
   // No shard may hold more than its slice: the whole pool never exceeds
   // the requested total.
   EXPECT_LE(pool.CachedPages(), 10u);
   EXPECT_GT(pool.Evictions(), 0u);
 }
 
-// The Session's simulated LRU must reproduce a private BufferPool of the
-// same capacity exactly: same accesses, same misses, for an arbitrary
-// access stream with periodic protocol resets.
-TEST(SharedBufferPoolTest, SessionProtocolMatchesPrivateBufferPool) {
-  constexpr size_t kPages = 40;
-  constexpr size_t kCapacity = 10;
+TEST(SharedBufferPoolTest, ReusedSlotIsNeverServedStale) {
+  // A page cached in the pool, freed in the store, and replaced by a new
+  // allocation under the same id must be served as the NEW page.
   PageStore store;
-  FillStore(&store, kPages);
-
-  // One fixed pseudo-random access stream, reset every 50 accesses.
-  Rng rng(1234);
-  std::vector<PageId> accesses;
-  for (size_t i = 0; i < 2000; ++i) {
-    accesses.push_back(static_cast<PageId>(
-        rng.UniformInt(0, static_cast<int64_t>(kPages) - 1)));
-  }
-
-  BufferPool reference(&store, kCapacity);
-  IoStats reference_total;
-  for (size_t i = 0; i < accesses.size(); ++i) {
-    if (i % 50 == 0) {
-      reference.ResetCache();
-      reference_total.accesses += reference.stats().accesses;
-      reference_total.misses += reference.stats().misses;
-      reference.ResetStats();
-    }
-    reference.Fetch(accesses[i]);
-  }
-  reference_total.accesses += reference.stats().accesses;
-  reference_total.misses += reference.stats().misses;
-
+  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
   SharedBufferPoolOptions options;
-  options.capacity = kCapacity;
+  options.capacity = 4;
   SharedBufferPool pool(&store, options);
-  SharedBufferPool::Session session(&pool, kCapacity);
-  IoStats session_total;
-  for (size_t i = 0; i < accesses.size(); ++i) {
-    if (i % 50 == 0) {
-      session.ResetCache();
-      session_total.accesses += session.stats().accesses;
-      session_total.misses += session.stats().misses;
-      session.ResetStats();
-    }
-    const PageRef ref = session.FetchPinned(accesses[i]);
-    ASSERT_TRUE(static_cast<bool>(ref));
-  }
-  session_total.accesses += session.stats().accesses;
-  session_total.misses += session.stats().misses;
-
-  EXPECT_EQ(session_total.accesses, reference_total.accesses);
-  EXPECT_EQ(session_total.misses, reference_total.misses);
-  // The shared pool underneath saw every access but deduplicated the
-  // loads: real misses cannot exceed the protocol misses.
-  EXPECT_EQ(pool.AggregateStats().accesses, accesses.size());
-  EXPECT_LE(pool.AggregateStats().misses, session_total.misses);
+  bool missed = false;
+  EXPECT_EQ(TagOf(pool.Pin(a, &missed).value()), 1);
+  pool.Unpin(a);
+  store.Free(a);
+  const PageId b = store.Allocate(std::make_unique<TestPage>(2));
+  ASSERT_EQ(a, b);  // the slot was reused
+  EXPECT_EQ(TagOf(pool.Pin(a, &missed).value()), 2);
+  EXPECT_FALSE(missed);  // served from the resident frame, re-resolved
+  pool.Unpin(a);
 }
 
-// Satellite: partitioning one query stream across N worker sessions of
-// one shared pool must sum to the serial baseline's miss count exactly,
-// for every N — the measurement-protocol invariant the old per-worker
-// pools only satisfied by accident of their private capacity.
-TEST(SharedBufferPoolTest, MissAggregateInvariantAcrossThreadCounts) {
-  constexpr size_t kPages = 60;
-  constexpr size_t kCapacity = 10;
-  constexpr size_t kQueries = 120;
-  constexpr size_t kAccessesPerQuery = 30;
+TEST(SharedBufferPoolDeathTest, PinOfFreedPageAborts) {
   PageStore store;
-  FillStore(&store, kPages);
-
-  // Queries are deterministic functions of their index, so any partition
-  // replays the same per-query access sequences.
-  const auto query_page = [](size_t query, size_t step) {
-    Rng rng(Rng::DeriveSeed(777, query));
-    PageId id = 0;
-    for (size_t s = 0; s <= step; ++s) {
-      id = static_cast<PageId>(
-          rng.UniformInt(0, static_cast<int64_t>(kPages) - 1));
-    }
-    return id;
-  };
-
-  // Serial baseline through a private BufferPool, reset per query.
-  BufferPool reference(&store, kCapacity);
-  uint64_t baseline_misses = 0;
-  for (size_t q = 0; q < kQueries; ++q) {
-    reference.ResetCache();
-    reference.ResetStats();
-    for (size_t s = 0; s < kAccessesPerQuery; ++s) {
-      reference.Fetch(query_page(q, s));
-    }
-    baseline_misses += reference.stats().misses;
-  }
-
-  for (const int threads : {1, 2, 7, 16}) {
-    SharedBufferPoolOptions options;
-    options.capacity = kCapacity;
-    options.pin_overflow = true;  // hashed pin pile-ups must not fail
-    SharedBufferPool pool(&store, options);
-    const size_t chunks =
-        ParallelChunks(threads, kQueries);
-    std::vector<uint64_t> chunk_misses(chunks, 0);
-    ParallelFor(threads, kQueries,
-                [&](size_t chunk, size_t begin, size_t end) {
-                  SharedBufferPool::Session session(&pool, kCapacity);
-                  for (size_t q = begin; q < end; ++q) {
-                    session.ResetCache();
-                    session.ResetStats();
-                    for (size_t s = 0; s < kAccessesPerQuery; ++s) {
-                      const PageRef ref =
-                          session.FetchPinned(query_page(q, s));
-                      ASSERT_TRUE(static_cast<bool>(ref));
-                    }
-                    chunk_misses[chunk] += session.stats().misses;
-                  }
-                });
-    uint64_t total = 0;
-    for (const uint64_t misses : chunk_misses) total += misses;
-    EXPECT_EQ(total, baseline_misses) << "threads=" << threads;
-    EXPECT_LE(pool.CachedPages(), kCapacity);
-  }
-}
-
-TEST(SharedBufferPoolTest, AllPinnedShardFailsCleanlyWhenStrict) {
-  PageStore store;
-  FillStore(&store, 4);
+  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
   SharedBufferPoolOptions options;
-  options.capacity = 2;
-  options.shards = 1;
-  SharedBufferPool pool(&store, options);  // pin_overflow off: strict
+  options.capacity = 4;
+  SharedBufferPool pool(&store, options);
+  store.Free(a);
+  bool missed = false;
+  EXPECT_DEATH(static_cast<void>(pool.Pin(a, &missed)),
+               "freed or out-of-range");
+}
 
+TEST(SharedBufferPoolDeathTest, PinOfOutOfRangePageAborts) {
+  PageStore store;
+  store.Allocate(std::make_unique<TestPage>(1));
+  SharedBufferPoolOptions options;
+  options.capacity = 4;
+  SharedBufferPool pool(&store, options);
+  bool missed = false;
+  EXPECT_DEATH(static_cast<void>(pool.Pin(999, &missed)),
+               "freed or out-of-range");
+  EXPECT_DEATH(static_cast<void>(pool.Pin(kInvalidPage, &missed)),
+               "freed or out-of-range");
+}
+
+TEST(SharedBufferPoolDeathTest, StaleFrameForFreedPageAborts) {
+  // Even a page already resident in the pool must not be served once the
+  // store has freed it.
+  PageStore store;
+  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
+  SharedBufferPoolOptions options;
+  options.capacity = 4;
+  SharedBufferPool pool(&store, options);
+  Touch(&pool, a);  // now resident
+  store.Free(a);
+  bool missed = false;
+  EXPECT_DEATH(static_cast<void>(pool.Pin(a, &missed)),
+               "freed or out-of-range");
+}
+
+TEST(SharedBufferPoolTest, EvictsLeastRecentlyUsedWithinShard) {
+  PageStore store;
+  FillStore(&store, 64);
+  // Capacity 3 splits into two shards; shard 0 holds two frames.
+  const std::vector<PageId> ids = IdsInShard(&store, 3, 0, 3);
+  SharedBufferPoolOptions options;
+  options.capacity = 3;
+  SharedBufferPool pool(&store, options);
+  ASSERT_EQ(pool.ShardOccupancies()[0].capacity, 2u);
+  EXPECT_TRUE(Touch(&pool, ids[0]));   // miss, shard {0}
+  EXPECT_TRUE(Touch(&pool, ids[1]));   // miss, shard {1, 0}
+  EXPECT_FALSE(Touch(&pool, ids[0]));  // hit, shard {0, 1}
+  EXPECT_TRUE(Touch(&pool, ids[2]));   // miss, evicts 1, shard {2, 0}
+  EXPECT_FALSE(Touch(&pool, ids[0]));  // hit
+  EXPECT_TRUE(Touch(&pool, ids[1]));   // miss again (was evicted)
+  EXPECT_EQ(pool.AggregateStats().misses, 4u);
+  EXPECT_EQ(pool.AggregateStats().accesses, 6u);
+  EXPECT_EQ(pool.Evictions(), 2u);
+}
+
+TEST(SharedBufferPoolTest, CapacityOneThrashes) {
+  PageStore store;
+  FillStore(&store, 2);
+  SharedBufferPoolOptions options;
+  options.capacity = 1;
+  SharedBufferPool pool(&store, options);
+  for (int round = 0; round < 5; ++round) {
+    Touch(&pool, 0);
+    Touch(&pool, 1);
+  }
+  EXPECT_EQ(pool.AggregateStats().misses, 10u);
+  EXPECT_EQ(pool.Evictions(), 9u);
+}
+
+TEST(SharedBufferPoolTest, LargeCapacityHoldsWorkingSet) {
+  PageStore store;
+  FillStore(&store, 8);
+  SharedBufferPoolOptions options;
+  options.capacity = 256;  // 16 shards of 16 frames
+  SharedBufferPool pool(&store, options);
+  for (int round = 0; round < 3; ++round) {
+    for (PageId id = 0; id < 8; ++id) Touch(&pool, id);
+  }
+  EXPECT_EQ(pool.AggregateStats().misses, 8u);  // only cold misses
+  EXPECT_EQ(pool.CachedPages(), 8u);
+  EXPECT_EQ(pool.Evictions(), 0u);
+}
+
+TEST(SharedBufferPoolTest, PinBlocksEviction) {
+  PageStore store;
+  FillStore(&store, 3);
+  SharedBufferPoolOptions options;
+  options.capacity = 1;
+  SharedBufferPool pool(&store, options);
   bool missed = false;
   ASSERT_TRUE(pool.Pin(0, &missed).ok());
-  ASSERT_TRUE(pool.Pin(1, &missed).ok());
-  // Every frame pinned: the next distinct pin must fail cleanly, not
-  // abort and not grow the pool.
-  Result<const Page*> overflow = pool.Pin(2, &missed);
-  ASSERT_FALSE(overflow.ok());
-  EXPECT_EQ(overflow.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(pool.CachedPages(), 2u);
-  // Re-pinning a resident page still works (no eviction needed).
-  ASSERT_TRUE(pool.Pin(0, &missed).ok());
+  // The only frame is pinned: page 1 takes a transient extra frame and
+  // page 0 stays resident; unpinning page 1 trims it straight back out.
+  EXPECT_TRUE(Touch(&pool, 1));
+  EXPECT_EQ(pool.CachedPages(), 1u);
+  EXPECT_FALSE(Touch(&pool, 0));  // hit: the pinned frame survived
+  EXPECT_EQ(pool.PinnedPages(), 1u);
   pool.Unpin(0);
-
-  pool.Unpin(1);
-  ASSERT_TRUE(pool.Pin(2, &missed).ok());  // a victim exists now
-  pool.Unpin(2);
-  pool.Unpin(0);
+  EXPECT_EQ(pool.PinnedPages(), 0u);
+  EXPECT_TRUE(Touch(&pool, 2));  // unpinned now: page 0 is the victim
+  EXPECT_TRUE(Touch(&pool, 0));
 }
 
 TEST(SharedBufferPoolTest, PinOverflowGrowsTransientlyAndTrimsBack) {
   PageStore store;
   FillStore(&store, 8);
   SharedBufferPoolOptions options;
-  options.capacity = 2;
-  options.shards = 1;
-  options.pin_overflow = true;
+  options.capacity = 1;
   SharedBufferPool pool(&store, options);
 
   bool missed = false;
   ASSERT_TRUE(pool.Pin(0, &missed).ok());
   ASSERT_TRUE(pool.Pin(1, &missed).ok());
-  ASSERT_TRUE(pool.Pin(2, &missed).ok());  // transient third frame
+  ASSERT_TRUE(pool.Pin(2, &missed).ok());  // two transient extra frames
   EXPECT_EQ(pool.CachedPages(), 3u);
+  EXPECT_EQ(pool.ShardOccupancies()[0].cached, 3u);
   pool.Unpin(0);
-  // Releasing a pin trims clean overage straight back under the slice —
+  // Releasing a pin trims the overage as far as unpinned victims allow —
   // the overflow must not linger until the next miss happens to land in
   // this shard.
-  EXPECT_LE(pool.CachedPages(), 2u);
+  EXPECT_EQ(pool.CachedPages(), 2u);
   pool.Unpin(1);
+  EXPECT_EQ(pool.CachedPages(), 1u);
   pool.Unpin(2);
-  ASSERT_TRUE(pool.Pin(3, &missed).ok());
-  pool.Unpin(3);
-  EXPECT_LE(pool.CachedPages(), 2u);
+  EXPECT_EQ(pool.CachedPages(), 1u);
+  Touch(&pool, 3);
+  EXPECT_EQ(pool.CachedPages(), 1u);
 }
 
 TEST(SharedBufferPoolDeathTest, UnpinOfNonResidentPageAborts) {
@@ -289,25 +315,232 @@ TEST(SharedBufferPoolDeathTest, UnpinOfNonResidentPageAborts) {
   EXPECT_DEATH(pool.Unpin(1), "non-resident");
 }
 
-TEST(SharedBufferPoolTest, PutReplacingPinnedFrameFails) {
-  MemoryPageBackend backend;
-  TestCodec codec;
+// --- Sessions: the per-worker PageCache view ---
+
+TEST(SharedBufferPoolTest, PassThroughSessionReportsRealOutcomes) {
+  PageStore store;
+  FillStore(&store, 2);
   SharedBufferPoolOptions options;
   options.capacity = 4;
-  SharedBufferPool pool(&backend, &codec, options);
-  ASSERT_TRUE(pool.Put(0, std::make_unique<TestPage>(10)).ok());
-  ASSERT_TRUE(pool.FlushAll().ok());
+  SharedBufferPool pool(&store, options);
+  SharedBufferPool::Session session(&pool);
+  session.FetchPinned(0);
+  EXPECT_EQ(session.stats().accesses, 1u);
+  EXPECT_EQ(session.stats().misses, 1u);
+  session.FetchPinned(0);
+  EXPECT_EQ(session.stats().accesses, 2u);
+  EXPECT_EQ(session.stats().misses, 1u);
+  EXPECT_EQ(session.stats().Hits(), 1u);
+  // A second pass-through session sees the shared residency: a hit.
+  SharedBufferPool::Session other(&pool);
+  other.FetchPinned(0);
+  EXPECT_EQ(other.stats().misses, 0u);
+}
 
-  bool missed = false;
-  ASSERT_TRUE(pool.Pin(0, &missed).ok());
-  // A concurrent reader may hold the decoded page: replacing it in place
-  // must be refused, not dangle the pinner.
-  const Status replace = pool.Put(0, std::make_unique<TestPage>(11));
-  ASSERT_FALSE(replace.ok());
-  EXPECT_EQ(replace.code(), StatusCode::kFailedPrecondition);
-  pool.Unpin(0);
-  ASSERT_TRUE(pool.Put(0, std::make_unique<TestPage>(11)).ok());
-  ASSERT_TRUE(pool.FlushAll().ok());
+TEST(SharedBufferPoolTest, SessionResetCacheForcesProtocolMisses) {
+  PageStore store;
+  FillStore(&store, 1);
+  SharedBufferPoolOptions options;
+  options.capacity = 4;
+  SharedBufferPool pool(&store, options);
+  SharedBufferPool::Session session(&pool, 4);
+  session.FetchPinned(0);
+  session.ResetCache();
+  session.FetchPinned(0);  // resident in the pool, a protocol miss anyway
+  EXPECT_EQ(session.stats().misses, 2u);
+  EXPECT_EQ(pool.AggregateStats().misses, 1u);
+}
+
+TEST(SharedBufferPoolTest, SessionResetStatsKeepsProtocolCache) {
+  PageStore store;
+  FillStore(&store, 1);
+  SharedBufferPoolOptions options;
+  options.capacity = 4;
+  SharedBufferPool pool(&store, options);
+  SharedBufferPool::Session session(&pool, 4);
+  session.FetchPinned(0);
+  session.ResetStats();
+  session.FetchPinned(0);  // still in the simulated LRU: a hit
+  EXPECT_EQ(session.stats().accesses, 1u);
+  EXPECT_EQ(session.stats().misses, 0u);
+  EXPECT_EQ(session.lifetime_stats().accesses, 2u);
+  EXPECT_EQ(session.lifetime_stats().misses, 1u);
+}
+
+TEST(SharedBufferPoolTest, PageRefMoveTransfersPin) {
+  PageStore store;
+  FillStore(&store, 1);
+  SharedBufferPoolOptions options;
+  options.capacity = 2;
+  SharedBufferPool pool(&store, options);
+  SharedBufferPool::Session session(&pool);
+  PageRef ref = session.FetchPinned(0);
+  EXPECT_EQ(pool.PinnedPages(), 1u);
+  PageRef moved = std::move(ref);
+  EXPECT_EQ(pool.PinnedPages(), 1u);  // exactly one pin, now owned by `moved`
+  EXPECT_TRUE(static_cast<bool>(moved));
+  EXPECT_FALSE(static_cast<bool>(ref));  // NOLINT(bugprone-use-after-move)
+  moved.Release();
+  EXPECT_EQ(pool.PinnedPages(), 0u);
+}
+
+TEST(SharedBufferPoolTest, PageRefMoveResetsSourceCompletely) {
+  // The move operations must not leave a stale id_ in the moved-from
+  // ref, claiming the old PageId while holding no pin.
+  PageStore store;
+  FillStore(&store, 2);
+  SharedBufferPoolOptions options;
+  options.capacity = 2;
+  SharedBufferPool pool(&store, options);
+  SharedBufferPool::Session session(&pool);
+
+  PageRef ref = session.FetchPinned(0);
+  PageRef moved = std::move(ref);
+  EXPECT_EQ(ref.id(), kInvalidPage);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(ref.get(), nullptr);
+  EXPECT_FALSE(static_cast<bool>(ref));
+
+  // Move assignment must reset the source the same way (and release the
+  // destination's old pin exactly once).
+  PageRef target = session.FetchPinned(1);
+  EXPECT_EQ(pool.PinnedPages(), 2u);
+  target = std::move(moved);
+  EXPECT_EQ(pool.PinnedPages(), 1u);
+  EXPECT_EQ(target.id(), 0u);
+  EXPECT_EQ(moved.id(), kInvalidPage);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.get(), nullptr);
+}
+
+TEST(SharedBufferPoolTest, PageRefReleaseIsIdempotentAndMovedFromSafe) {
+  PageStore store;
+  FillStore(&store, 1);
+  SharedBufferPoolOptions options;
+  options.capacity = 2;
+  SharedBufferPool pool(&store, options);
+  SharedBufferPool::Session session(&pool);
+
+  PageRef ref = session.FetchPinned(0);
+  PageRef moved = std::move(ref);
+  // Releasing a moved-from ref must not unpin anything (the pin moved).
+  ref.Release();  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(pool.PinnedPages(), 1u);
+
+  moved.Release();
+  EXPECT_EQ(pool.PinnedPages(), 0u);
+  EXPECT_EQ(moved.id(), kInvalidPage);
+  EXPECT_EQ(moved.get(), nullptr);
+  // Double release is a no-op, not a double unpin.
+  moved.Release();
+  EXPECT_EQ(pool.PinnedPages(), 0u);
+}
+
+// The Session's simulated LRU must reproduce the paper's LRU exactly:
+// same misses as the recency oracle for an arbitrary access stream with
+// periodic protocol resets.
+TEST(SharedBufferPoolTest, SessionProtocolMatchesLruOracle) {
+  constexpr size_t kPages = 40;
+  constexpr size_t kCapacity = 10;
+  constexpr size_t kResetEvery = 50;
+  PageStore store;
+  FillStore(&store, kPages);
+
+  // One fixed pseudo-random access stream, reset every 50 accesses.
+  Rng rng(1234);
+  std::vector<PageId> accesses;
+  for (size_t i = 0; i < 2000; ++i) {
+    accesses.push_back(static_cast<PageId>(
+        rng.UniformInt(0, static_cast<int64_t>(kPages) - 1)));
+  }
+  uint64_t oracle_misses = 0;
+  for (size_t i = 0; i < accesses.size(); i += kResetEvery) {
+    const std::vector<PageId> segment(
+        accesses.begin() + static_cast<std::ptrdiff_t>(i),
+        accesses.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(i + kResetEvery, accesses.size())));
+    oracle_misses += LruOracleMisses(segment, kCapacity);
+  }
+
+  SharedBufferPoolOptions options;
+  options.capacity = kCapacity;
+  SharedBufferPool pool(&store, options);
+  SharedBufferPool::Session session(&pool, kCapacity);
+  for (size_t i = 0; i < accesses.size(); ++i) {
+    if (i % kResetEvery == 0) session.ResetCache();
+    const PageRef ref = session.FetchPinned(accesses[i]);
+    ASSERT_TRUE(static_cast<bool>(ref));
+  }
+
+  EXPECT_EQ(session.lifetime_stats().accesses, accesses.size());
+  EXPECT_EQ(session.lifetime_stats().misses, oracle_misses);
+  EXPECT_GT(oracle_misses, 0u);
+  EXPECT_LT(oracle_misses, accesses.size());
+  // The shared pool underneath saw every access but, keeping its frames
+  // across protocol resets, loaded no more pages than the protocol missed.
+  EXPECT_EQ(pool.AggregateStats().accesses, accesses.size());
+  EXPECT_LE(pool.AggregateStats().misses, oracle_misses);
+}
+
+// The oracle itself, on a hand-checked sequence.
+TEST(SharedBufferPoolTest, LruOracleDefinesMissesByRecency) {
+  // Capacity 2: a, b, a (hit), c (miss; the last two distinct are c's
+  // predecessors a, b), a (hit), b (miss: last two distinct are a, c).
+  EXPECT_EQ(LruOracleMisses({0, 1, 0, 2, 0, 1}, 2), 4u);
+  EXPECT_EQ(LruOracleMisses({0, 0, 0}, 1), 1u);
+  EXPECT_EQ(LruOracleMisses({0, 1, 0, 1}, 1), 4u);
+  EXPECT_EQ(LruOracleMisses({}, 10), 0u);
+}
+
+// Partitioning one query stream across N worker sessions of one shared
+// pool must sum to the oracle's miss count exactly, for every N.
+TEST(SharedBufferPoolTest, MissAggregateInvariantAcrossThreadCounts) {
+  constexpr size_t kPages = 60;
+  constexpr size_t kCapacity = 10;
+  constexpr size_t kQueries = 120;
+  constexpr size_t kAccessesPerQuery = 30;
+  PageStore store;
+  FillStore(&store, kPages);
+
+  // Queries are deterministic functions of their index, so any partition
+  // replays the same per-query access sequences.
+  const auto query_pages = [](size_t query) {
+    Rng rng(Rng::DeriveSeed(777, query));
+    std::vector<PageId> pages;
+    for (size_t s = 0; s < kAccessesPerQuery; ++s) {
+      pages.push_back(static_cast<PageId>(
+          rng.UniformInt(0, static_cast<int64_t>(kPages) - 1)));
+    }
+    return pages;
+  };
+
+  uint64_t baseline_misses = 0;
+  for (size_t q = 0; q < kQueries; ++q) {
+    baseline_misses += LruOracleMisses(query_pages(q), kCapacity);
+  }
+
+  for (const int threads : {1, 2, 7, 16}) {
+    SharedBufferPoolOptions options;
+    options.capacity = kCapacity;
+    SharedBufferPool pool(&store, options);
+    const size_t chunks = ParallelChunks(threads, kQueries);
+    std::vector<uint64_t> chunk_misses(chunks, 0);
+    ParallelFor(threads, kQueries,
+                [&](size_t chunk, size_t begin, size_t end) {
+                  SharedBufferPool::Session session(&pool, kCapacity);
+                  for (size_t q = begin; q < end; ++q) {
+                    session.ResetCache();
+                    session.ResetStats();
+                    for (const PageId id : query_pages(q)) {
+                      const PageRef ref = session.FetchPinned(id);
+                      ASSERT_TRUE(static_cast<bool>(ref));
+                    }
+                    chunk_misses[chunk] += session.stats().misses;
+                  }
+                });
+    uint64_t total = 0;
+    for (const uint64_t misses : chunk_misses) total += misses;
+    EXPECT_EQ(total, baseline_misses) << "threads=" << threads;
+    EXPECT_LE(pool.CachedPages(), kCapacity);
+  }
 }
 
 TEST(SharedBufferPoolTest, PublishStatsDoesNotDoubleCount) {
@@ -324,16 +557,12 @@ TEST(SharedBufferPoolTest, PublishStatsDoesNotDoubleCount) {
     options.capacity = 2;
     options.metric_scope = scope;
     SharedBufferPool pool(&store, options);
-    bool missed = false;
-    ASSERT_TRUE(pool.Pin(0, &missed).ok());
-    pool.Unpin(0);
+    Touch(&pool, 0);
     pool.PublishStats();  // mid-run publish, e.g. a stats endpoint
-    ASSERT_TRUE(pool.Pin(0, &missed).ok());
-    pool.Unpin(0);
+    Touch(&pool, 0);
     pool.PublishStats();
     pool.PublishStats();  // idempotent with no new traffic
-    ASSERT_TRUE(pool.Pin(1, &missed).ok());
-    pool.Unpin(1);
+    Touch(&pool, 1);
     // Destruction publishes only the remainder.
   }
   EXPECT_EQ(
@@ -345,81 +574,125 @@ TEST(SharedBufferPoolTest, PublishStatsDoesNotDoubleCount) {
             2u);
 }
 
-// TSan-targeted stress: >= 8 threads hammer one backend-mode pool with
-// session reads, direct pins, Puts on a disjoint id range, and flushes.
-// The assertions are deliberately loose — the point is the data-race-free
-// execution under ThreadSanitizer and the self-consistency of the
-// aggregate counters afterwards.
-TEST(SharedBufferPoolTest, ConcurrentStressIsRaceFree) {
-  constexpr PageId kReadPages = 48;   // readers touch [0, 48)
-  constexpr PageId kWritePages = 16;  // writers touch [48, 64)
-  MemoryPageBackend backend;
-  TestCodec codec;
-  {
-    // Seed every page through a writer pool.
-    SharedBufferPoolOptions options;
-    options.capacity = 8;
-    SharedBufferPool seeder(&backend, &codec, options);
-    for (PageId id = 0; id < kReadPages + kWritePages; ++id) {
-      ASSERT_TRUE(
-          seeder.Put(id, std::make_unique<TestPage>(static_cast<int>(id)))
-              .ok());
-    }
-    ASSERT_TRUE(seeder.FlushAll().ok());
-  }
+// --- Backend mode: a miss is a real read + decode ---
 
+// Seals TestPage(tag = id + offset) into slots [0, pages) of `backend`.
+void WritePages(PageBackend* backend, size_t pages, int offset = 0) {
+  TestCodec codec;
+  uint8_t buffer[kPageSize];
+  for (size_t i = 0; i < pages; ++i) {
+    codec.Encode(TestPage(static_cast<int>(i) + offset), buffer);
+    ASSERT_TRUE(backend->Write(static_cast<PageId>(i), buffer).ok());
+  }
+}
+
+TEST(SharedBufferPoolBackendTest, MissDecodesWrittenPage) {
+  MemoryPageBackend backend;
+  WritePages(&backend, 2, 10);
+  TestCodec codec;
+  SharedBufferPoolOptions options;
+  options.capacity = 64;  // 16 shards of 4 frames: both pages stay
+  SharedBufferPool pool(&backend, &codec, options);
+  EXPECT_TRUE(pool.backend_mode());
+  SharedBufferPool::Session session(&pool);
+  EXPECT_EQ(TagOf(session.FetchPinned(0).get()), 10);
+  EXPECT_EQ(TagOf(session.FetchPinned(1).get()), 11);
+  EXPECT_EQ(session.stats().misses, 2u);
+  session.FetchPinned(0);  // resident: a hit, no backend read
+  EXPECT_EQ(session.stats().misses, 2u);
+}
+
+TEST(SharedBufferPoolBackendTest, MissCountsMatchStoreModeExactly) {
+  // The property the differential suite relies on, in miniature: the same
+  // access pattern costs the oracle's misses in both modes, and the real
+  // pools evict identically (same shard layout).
+  PageStore store;
+  FillStore(&store, 3);
+  MemoryPageBackend backend;
+  WritePages(&backend, 3);
+  TestCodec codec;
+  SharedBufferPoolOptions options;
+  options.capacity = 2;
+  SharedBufferPool store_pool(&store, options);
+  SharedBufferPool backend_pool(&backend, &codec, options);
+  SharedBufferPool::Session store_session(&store_pool, 2);
+  SharedBufferPool::Session backend_session(&backend_pool, 2);
+  const std::vector<PageId> pattern = {0, 1, 0, 2, 0, 1, 2};
+  for (const PageId id : pattern) {
+    EXPECT_EQ(TagOf(store_session.FetchPinned(id).get()),
+              TagOf(backend_session.FetchPinned(id).get()));
+  }
+  EXPECT_EQ(store_session.stats().misses, LruOracleMisses(pattern, 2));
+  EXPECT_EQ(backend_session.stats().misses, LruOracleMisses(pattern, 2));
+  EXPECT_EQ(store_pool.AggregateStats().misses,
+            backend_pool.AggregateStats().misses);
+  EXPECT_EQ(store_pool.Evictions(), backend_pool.Evictions());
+}
+
+TEST(SharedBufferPoolBackendDeathTest, PinOfUnwrittenPageAborts) {
+  MemoryPageBackend backend;
+  WritePages(&backend, 1);
+  TestCodec codec;
+  SharedBufferPoolOptions options;
+  options.capacity = 4;
+  SharedBufferPool pool(&backend, &codec, options);
+  bool missed = false;
+  EXPECT_DEATH(static_cast<void>(pool.Pin(9, &missed)),
+               "freed or out-of-range");
+}
+
+// TSan-targeted stress: 10 threads hammer one backend-mode pool with
+// protocol and pass-through session reads and direct pins. The
+// assertions are deliberately loose — the point is the data-race-free
+// execution under ThreadSanitizer (including transient pin overflow and
+// its trim) and the self-consistency of the aggregate counters.
+TEST(SharedBufferPoolTest, ConcurrentStressIsRaceFree) {
+  constexpr PageId kPages = 64;
+  MemoryPageBackend backend;
+  WritePages(&backend, kPages);
+  TestCodec codec;
   SharedBufferPoolOptions options;
   options.capacity = 12;
-  options.shards = 4;
-  options.pin_overflow = true;
   SharedBufferPool pool(&backend, &codec, options);
 
   constexpr int kThreads = 10;
   constexpr int kOpsPerThread = 2000;
-  std::atomic<int> put_failures{0};
+  std::atomic<uint64_t> direct_pins{0};
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       Rng rng(Rng::DeriveSeed(42, static_cast<uint64_t>(t)));
-      SharedBufferPool::Session session(&pool, 0);
+      SharedBufferPool::Session session(&pool, t % 2 == 0 ? 0 : 10);
+      std::vector<PageRef> held;
       for (int op = 0; op < kOpsPerThread; ++op) {
-        const int64_t dice = rng.UniformInt(0, 99);
-        if (dice < 80) {
-          // Read a shared page; the decoded tag must match its id.
-          const PageId id = static_cast<PageId>(
-              rng.UniformInt(0, static_cast<int64_t>(kReadPages) - 1));
-          const PageRef ref = session.FetchPinned(id);
-          ASSERT_TRUE(static_cast<bool>(ref));
-          ASSERT_EQ(static_cast<const TestPage*>(ref.get())->tag(),
-                    static_cast<int>(id));
-        } else if (dice < 95) {
-          // Rewrite a page no reader thread ever pins. Racing Puts can
-          // still collide with a transiently pinned frame of another
-          // writer under pin_overflow; a clean refusal is acceptable.
-          const PageId id = static_cast<PageId>(
-              kReadPages +
-              rng.UniformInt(0, static_cast<int64_t>(kWritePages) - 1));
-          const Status status =
-              pool.Put(id, std::make_unique<TestPage>(static_cast<int>(id)));
-          if (!status.ok()) put_failures.fetch_add(1);
+        const PageId id = static_cast<PageId>(
+            rng.UniformInt(0, static_cast<int64_t>(kPages) - 1));
+        if (rng.UniformInt(0, 9) < 8) {
+          // Hold up to three pins at once, like a root-to-leaf path.
+          held.push_back(session.FetchPinned(id));
+          ASSERT_EQ(TagOf(held.back().get()), static_cast<int>(id));
+          if (held.size() > 3) held.erase(held.begin());
         } else {
-          const Status status = pool.FlushAll();
-          ASSERT_TRUE(status.ok()) << status.ToString();
+          bool missed = false;
+          Result<const Page*> page = pool.Pin(id, &missed);
+          ASSERT_TRUE(page.ok());
+          ASSERT_EQ(TagOf(page.value()), static_cast<int>(id));
+          pool.Unpin(id);
+          direct_pins.fetch_add(1);
         }
       }
     });
   }
   for (std::thread& worker : workers) worker.join();
 
-  ASSERT_TRUE(pool.FlushAll().ok());
   EXPECT_EQ(pool.PinnedPages(), 0u);
-  EXPECT_EQ(pool.DirtyPages(), 0u);
+  EXPECT_LE(pool.CachedPages(), pool.capacity());
   const IoStats stats = pool.AggregateStats();
+  EXPECT_EQ(stats.accesses,
+            static_cast<uint64_t>(kThreads) * kOpsPerThread);
   EXPECT_GE(stats.accesses, stats.misses);
-  EXPECT_GT(stats.accesses, 0u);
-  // Writers only Put/Flush; every read access came from the sessions.
-  EXPECT_EQ(put_failures.load(), 0);
+  EXPECT_GT(direct_pins.load(), 0u);
 }
 
 }  // namespace

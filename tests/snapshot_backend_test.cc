@@ -26,6 +26,7 @@
 #include "datagen/query_gen.h"
 #include "datagen/random_dataset.h"
 #include "live/live_tier.h"
+#include "lru_oracle.h"
 #include "pprtree/ppr_tree.h"
 #include "rstar/rstar_tree.h"
 #include "storage/file_backend.h"
@@ -40,15 +41,6 @@ namespace stindex {
 namespace {
 
 constexpr Time kTimeDomain = 1000;
-
-struct QueryOutcome {
-  std::vector<uint64_t> results;
-  uint64_t misses = 0;
-
-  bool operator==(const QueryOutcome& other) const {
-    return results == other.results && misses == other.misses;
-  }
-};
 
 std::vector<SegmentRecord> MakeRecords() {
   RandomDatasetConfig config;
@@ -88,116 +80,41 @@ std::unique_ptr<PageBackend> MakeFileBackend(const std::string& name) {
   return std::move(backend).value();
 }
 
-template <typename RunQuery>
-std::vector<QueryOutcome> RunAll(const std::vector<STQuery>& queries,
-                                 int num_threads, const RunQuery& run_query) {
-  std::vector<QueryOutcome> outcomes(queries.size());
-  ParallelFor(num_threads, queries.size(),
-              [&](size_t /*chunk*/, size_t begin, size_t end) {
-                for (size_t q = begin; q < end; ++q) {
-                  outcomes[q] = run_query(queries[q]);
-                }
-              });
-  return outcomes;
-}
-
+// Runs the query set through one fresh shared pool of `tree`; adds the
+// pool's real misses to `*pool_misses` when given.
 std::vector<QueryOutcome> RunPpr(const PprTree& tree,
                                  const std::vector<STQuery>& queries,
-                                 int num_threads) {
-  return RunAll(queries, num_threads, [&tree](const STQuery& query) {
-    std::unique_ptr<BufferPool> buffer = tree.NewQueryBuffer();
-    std::vector<PprDataId> results;
-    if (query.IsSnapshot()) {
-      tree.SnapshotQuery(query.area, query.range.start, buffer.get(),
-                         &results);
-    } else {
-      tree.IntervalQuery(query.area, query.range, buffer.get(), &results);
-    }
-    QueryOutcome outcome;
-    outcome.results.assign(results.begin(), results.end());
-    outcome.misses = buffer->stats().misses;
-    return outcome;
-  });
+                                 int num_threads,
+                                 uint64_t* pool_misses = nullptr) {
+  const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
+  std::vector<QueryOutcome> outcomes =
+      RunSessions(pool.get(), queries, num_threads, PprQuery(tree));
+  if (pool_misses != nullptr) *pool_misses += pool->AggregateStats().misses;
+  return outcomes;
 }
 
 std::vector<QueryOutcome> RunRStar(const RStarTree& tree,
                                    const std::vector<STQuery>& queries,
                                    int num_threads) {
-  return RunAll(queries, num_threads, [&tree](const STQuery& query) {
-    std::unique_ptr<BufferPool> buffer = tree.NewQueryBuffer();
-    std::vector<DataId> results;
-    tree.Search(QueryToBox(query, 0, kTimeDomain), buffer.get(), &results);
-    QueryOutcome outcome;
-    outcome.results.assign(results.begin(), results.end());
-    outcome.misses = buffer->stats().misses;
-    return outcome;
-  });
-}
-
-// The fig15/17/18 driver shape: one shared pool, per-chunk Sessions
-// running the paper's per-query-reset protocol.
-template <typename RunQuery>
-std::vector<QueryOutcome> RunShared(const std::vector<STQuery>& queries,
-                                    int num_threads, SharedBufferPool* pool,
-                                    const RunQuery& run_query) {
-  std::vector<QueryOutcome> outcomes(queries.size());
-  const size_t protocol_pages = pool->capacity();
-  ParallelFor(num_threads, queries.size(),
-              [&](size_t /*chunk*/, size_t begin, size_t end) {
-                SharedBufferPool::Session session(pool, protocol_pages);
-                for (size_t q = begin; q < end; ++q) {
-                  session.ResetCache();
-                  session.ResetStats();
-                  outcomes[q] = run_query(queries[q], &session);
-                  outcomes[q].misses = session.stats().misses;
-                }
-              });
-  return outcomes;
-}
-
-std::vector<QueryOutcome> RunPprShared(const PprTree& tree,
-                                       const std::vector<STQuery>& queries,
-                                       int num_threads) {
   const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
-  return RunShared(queries, num_threads, pool.get(),
-                   [&tree](const STQuery& query, PageCache* buffer) {
-                     std::vector<PprDataId> results;
-                     if (query.IsSnapshot()) {
-                       tree.SnapshotQuery(query.area, query.range.start,
-                                          buffer, &results);
-                     } else {
-                       tree.IntervalQuery(query.area, query.range, buffer,
-                                          &results);
-                     }
-                     QueryOutcome outcome;
-                     outcome.results.assign(results.begin(), results.end());
-                     return outcome;
-                   });
+  return RunSessions(pool.get(), queries, num_threads,
+                     RStarQuery(tree, kTimeDomain));
 }
 
-std::vector<QueryOutcome> RunRStarShared(const RStarTree& tree,
-                                         const std::vector<STQuery>& queries,
-                                         int num_threads) {
+std::vector<QueryOutcome> PprBaseline(const PprTree& tree,
+                                      const std::vector<STQuery>& queries) {
   const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
-  return RunShared(queries, num_threads, pool.get(),
-                   [&tree](const STQuery& query, PageCache* buffer) {
-                     std::vector<DataId> results;
-                     tree.Search(QueryToBox(query, 0, kTimeDomain), buffer,
-                                 &results);
-                     QueryOutcome outcome;
-                     outcome.results.assign(results.begin(), results.end());
-                     return outcome;
-                   });
+  return OracleBaseline(pool.get(), queries, PprQuery(tree));
+}
+
+std::vector<QueryOutcome> RStarBaseline(const RStarTree& tree,
+                                        const std::vector<STQuery>& queries) {
+  const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
+  return OracleBaseline(pool.get(), queries, RStarQuery(tree, kTimeDomain));
 }
 
 uint64_t Metric(const char* name) {
   return MetricRegistry::Global().GetCounter(name)->Value();
-}
-
-uint64_t TotalMisses(const std::vector<QueryOutcome>& outcomes) {
-  uint64_t total = 0;
-  for (const QueryOutcome& outcome : outcomes) total += outcome.misses;
-  return total;
 }
 
 TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
@@ -226,28 +143,30 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
                    ->file()
                    .mapped());
 
-  const std::vector<QueryOutcome> baseline = RunPpr(*store_tree, queries, 1);
+  const std::vector<QueryOutcome> baseline = PprBaseline(*store_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
   const uint64_t file_reads_before = Metric("backend.file.reads");
   const uint64_t mmap_reads_before = Metric("backend.mmap.reads");
   const uint64_t borrows_before = Metric("backend.mmap.borrows");
+  uint64_t pread_misses = 0;
   for (const int threads : {1, 2, 7, 16}) {
+    EXPECT_EQ(RunPpr(*store_tree, queries, threads), baseline)
+        << "store backend, threads=" << threads;
     EXPECT_EQ(RunPpr(*memory_tree, queries, threads), baseline)
         << "memory backend, threads=" << threads;
     EXPECT_EQ(RunPpr(*packed, queries, threads), baseline)
         << "mmap backend, threads=" << threads;
-    EXPECT_EQ(RunPpr(*pread_tree, queries, threads), baseline)
+    EXPECT_EQ(RunPpr(*pread_tree, queries, threads, &pread_misses), baseline)
         << "pread fallback, threads=" << threads;
-    EXPECT_EQ(RunPprShared(*packed, queries, threads), baseline)
-        << "mmap backend, shared pool, threads=" << threads;
   }
   // The mapped runs were zero-copy: every miss was served by borrowing
   // the mapped span, never a read into a frame — and never a file-backend
-  // read (the warm-path acceptance gate for --backend=mmap).
+  // read (the warm-path acceptance gate for --backend=mmap). Only the
+  // pread fallback's pool misses read.
   EXPECT_EQ(Metric("backend.file.reads"), file_reads_before);
-  EXPECT_EQ(Metric("backend.mmap.reads"),
-            mmap_reads_before + 4 * TotalMisses(baseline));
+  EXPECT_GT(pread_misses, 0u);
+  EXPECT_EQ(Metric("backend.mmap.reads"), mmap_reads_before + pread_misses);
   EXPECT_GT(Metric("backend.mmap.borrows"), borrows_before);
   // file_tree is the control: identical through a real page file too.
   EXPECT_EQ(RunPpr(*file_tree, queries, 7), baseline);
@@ -286,19 +205,20 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
       pread_tree->PackSnapshot(SnapPath("snap_rstar_pread"), pread_options)
           .ok());
 
-  const std::vector<QueryOutcome> baseline = RunRStar(*store_tree, queries, 1);
+  const std::vector<QueryOutcome> baseline =
+      RStarBaseline(*store_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
   const uint64_t file_reads_before = Metric("backend.file.reads");
   for (const int threads : {1, 2, 7, 16}) {
+    EXPECT_EQ(RunRStar(*store_tree, queries, threads), baseline)
+        << "store backend, threads=" << threads;
     EXPECT_EQ(RunRStar(*memory_tree, queries, threads), baseline)
         << "memory backend, threads=" << threads;
     EXPECT_EQ(RunRStar(*packed, queries, threads), baseline)
         << "mmap backend, threads=" << threads;
     EXPECT_EQ(RunRStar(*pread_tree, queries, threads), baseline)
         << "pread fallback, threads=" << threads;
-    EXPECT_EQ(RunRStarShared(*packed, queries, threads), baseline)
-        << "mmap backend, shared pool, threads=" << threads;
   }
   EXPECT_EQ(Metric("backend.file.reads"), file_reads_before);
   EXPECT_EQ(RunRStar(*file_tree, queries, 7), baseline);
@@ -657,7 +577,8 @@ off_t SlotOffset(PageId slot) {
 // Open-time verification does not make the serving path blind: the file
 // is mapped MAP_SHARED, so a write after PackSnapshot opened it shows
 // through the mapping. The next miss on that page views it in place and
-// must still fail the envelope check, naming the page, in both pools.
+// must still fail the envelope check, naming the page, whether pinned
+// directly or fetched through a query Session.
 TEST_F(SnapshotCorruptionTest, WriteAfterOpenDiesOnNextMiss) {
   const std::string path = SnapPath("corrupt_after_open");
   const std::unique_ptr<PprTree> tree = BuildPprTree(MakeRecords());
@@ -667,7 +588,6 @@ TEST_F(SnapshotCorruptionTest, WriteAfterOpenDiesOnNextMiss) {
                   .mapped());
   ASSERT_GT(tree->backend()->SlotCount(), 2u);
   const std::unique_ptr<SharedBufferPool> pool = tree->NewSharedQueryPool(1);
-  const std::unique_ptr<BufferPool> buffer = tree->NewQueryBuffer(1);
   bool missed = false;
   ASSERT_TRUE(pool->Pin(2, &missed).ok());  // served before the write
   pool->Unpin(2);
@@ -683,7 +603,8 @@ TEST_F(SnapshotCorruptionTest, WriteAfterOpenDiesOnNextMiss) {
 
   EXPECT_DEATH(static_cast<void>(pool->Pin(2, &missed)),
                "page 2: checksum mismatch");
-  EXPECT_DEATH(static_cast<void>(buffer->Fetch(2)),
+  SharedBufferPool::Session session(pool.get(), kPaperBufferPages);
+  EXPECT_DEATH(static_cast<void>(session.FetchPinned(2)),
                "page 2: checksum mismatch");
 }
 

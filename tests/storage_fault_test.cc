@@ -11,11 +11,11 @@
 #include <string>
 #include <utility>
 
-#include "storage/buffer_pool.h"
 #include "storage/fault_backend.h"
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
+#include "storage/shared_buffer_pool.h"
 
 namespace stindex {
 namespace {
@@ -123,7 +123,7 @@ TEST(FaultBackendTest, FailedWriteSurfacesStatusWithPageId) {
 
 TEST(FaultBackendTest, BitFlipIsSilentAtBackendLevel) {
   // The corrupting fault reports success — only the checksum layer can
-  // catch it, which the BufferPool death test below proves it does.
+  // catch it, which the pool death test below proves it does.
   FaultInjectingBackend::Faults faults;
   faults.corrupt_read_at = 1;
   faults.corrupt_bit = (kPageEnvelopeBytes + 3) * 8 + 5;  // payload byte
@@ -137,25 +137,35 @@ TEST(FaultBackendTest, BitFlipIsSilentAtBackendLevel) {
   EXPECT_TRUE(OpenPagePayload(clean, PageKind::kTest, 0).ok());
 }
 
-TEST(FaultPoolDeathTest, FetchDiesOnInjectedReadFailureNamingPage) {
+SharedBufferPoolOptions PoolOptions() {
+  SharedBufferPoolOptions options;
+  options.capacity = 4;
+  return options;
+}
+
+TEST(FaultPoolDeathTest, PinDiesOnInjectedReadFailureNamingPage) {
   FaultInjectingBackend::Faults faults;
   faults.fail_read_at = 1;
   std::unique_ptr<FaultInjectingBackend> backend = MakeFaulty(faults);
   TestCodec codec;
-  BufferPool pool(backend.get(), &codec, 4);
-  EXPECT_DEATH(pool.Fetch(2), "read of page 2 failed.*injected read failure");
+  SharedBufferPool pool(backend.get(), &codec, PoolOptions());
+  bool missed = false;
+  EXPECT_DEATH(static_cast<void>(pool.Pin(2, &missed)),
+               "read of page 2 failed.*injected read failure");
 }
 
-TEST(FaultPoolDeathTest, FetchDiesOnShortReadNamingPage) {
+TEST(FaultPoolDeathTest, PinDiesOnShortReadNamingPage) {
   FaultInjectingBackend::Faults faults;
   faults.short_read_at = 1;
   std::unique_ptr<FaultInjectingBackend> backend = MakeFaulty(faults);
   TestCodec codec;
-  BufferPool pool(backend.get(), &codec, 4);
-  EXPECT_DEATH(pool.Fetch(1), "read of page 1 failed.*short read");
+  SharedBufferPool pool(backend.get(), &codec, PoolOptions());
+  bool missed = false;
+  EXPECT_DEATH(static_cast<void>(pool.Pin(1, &missed)),
+               "read of page 1 failed.*short read");
 }
 
-TEST(FaultPoolDeathTest, FetchDiesOnBitFlipViaChecksum) {
+TEST(FaultPoolDeathTest, SessionFetchDiesOnBitFlipViaChecksum) {
   // The backend reports success for the corrupted page; the codec's
   // envelope checksum must reject it before a garbage node is served.
   FaultInjectingBackend::Faults faults;
@@ -163,50 +173,10 @@ TEST(FaultPoolDeathTest, FetchDiesOnBitFlipViaChecksum) {
   faults.corrupt_bit = (kPageEnvelopeBytes + 1) * 8;
   std::unique_ptr<FaultInjectingBackend> backend = MakeFaulty(faults);
   TestCodec codec;
-  BufferPool pool(backend.get(), &codec, 4);
-  EXPECT_DEATH(pool.Fetch(0), "decode of page 0 failed.*checksum mismatch");
-}
-
-TEST(FaultPoolTest, EvictionWriteFailureSurfacesInPut) {
-  FaultInjectingBackend::Faults faults;
-  faults.fail_write_at = 1;
-  auto backend = std::make_unique<FaultInjectingBackend>(
-      std::make_unique<MemoryPageBackend>(), faults);
-  TestCodec codec;
-  BufferPool pool(backend.get(), &codec, /*capacity=*/1);
-  ASSERT_TRUE(pool.Put(0, std::make_unique<TestPage>(10)).ok());
-  // Inserting page 1 evicts dirty page 0, whose write-back fails.
-  const Status status = pool.Put(1, std::make_unique<TestPage>(11));
-  EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_TRUE(Contains(status.message(), "write-back of page 0"))
-      << status.ToString();
-  EXPECT_TRUE(Contains(status.message(), "injected write failure"));
-  // The victim stayed resident and dirty; the fault disarmed, so the
-  // flush-on-destruction retry persists it.
-  EXPECT_EQ(pool.DirtyPages(), 1u);
-}
-
-TEST(FaultPoolTest, FlushAllWriteFailureSurfacesStatusAndRetries) {
-  FaultInjectingBackend::Faults faults;
-  faults.fail_write_at = 1;
-  auto backend = std::make_unique<FaultInjectingBackend>(
-      std::make_unique<MemoryPageBackend>(), faults);
-  TestCodec codec;
-  BufferPool pool(backend.get(), &codec, 4);
-  ASSERT_TRUE(pool.Put(5, std::make_unique<TestPage>(55)).ok());
-  const Status status = pool.FlushAll();
-  EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_TRUE(Contains(status.message(), "write-back of page 5"))
-      << status.ToString();
-  EXPECT_EQ(pool.DirtyPages(), 1u);  // still dirty after the failure
-  // The fault disarmed: the retry succeeds and the data is intact.
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(pool.DirtyPages(), 0u);
-  uint8_t buffer[kPageSize];
-  ASSERT_TRUE(backend->Read(5, buffer).ok());
-  Result<std::unique_ptr<Page>> decoded = codec.Decode(buffer, 5);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(static_cast<const TestPage*>(decoded.value().get())->value(), 55u);
+  SharedBufferPool pool(backend.get(), &codec, PoolOptions());
+  SharedBufferPool::Session session(&pool, 10);
+  EXPECT_DEATH(static_cast<void>(session.FetchPinned(0)),
+               "decode of page 0 failed.*checksum mismatch");
 }
 
 TEST(FaultBackendTest, CrashTriggerFiresAtNthMutationAndLatches) {
@@ -293,27 +263,28 @@ TEST(FaultBackendTest, AbandonedFileKeepsOnlySyncedState) {
   std::remove(path.c_str());
 }
 
-TEST(FaultPoolTest, WriteFaultDoesNotCorruptOtherPages) {
+TEST(FaultBackendTest, WriteFaultDoesNotCorruptOtherPages) {
   FaultInjectingBackend::Faults faults;
   faults.fail_write_at = 2;
   auto backend = std::make_unique<FaultInjectingBackend>(
       std::make_unique<MemoryPageBackend>(), faults);
   TestCodec codec;
-  {
-    BufferPool pool(backend.get(), &codec, 8);
-    for (PageId id = 0; id < 4; ++id) {
-      ASSERT_TRUE(pool.Put(id, std::make_unique<TestPage>(100 + id)).ok());
-    }
-    EXPECT_FALSE(pool.FlushAll().ok());  // page 1's write fails
-    ASSERT_TRUE(pool.FlushAll().ok());   // retry after disarm
-  }
+  uint8_t buffer[kPageSize];
   for (PageId id = 0; id < 4; ++id) {
-    uint8_t buffer[kPageSize];
-    ASSERT_TRUE(backend->Read(id, buffer).ok());
-    Result<std::unique_ptr<Page>> decoded = codec.Decode(buffer, id);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(static_cast<const TestPage*>(decoded.value().get())->value(),
-              100u + id);
+    codec.Encode(TestPage(100 + id), buffer);
+    const Status status = backend->Write(id, buffer);
+    EXPECT_EQ(status.ok(), id != 1) << status.ToString();  // page 1 fails
+  }
+  codec.Encode(TestPage(101), buffer);
+  ASSERT_TRUE(backend->Write(1, buffer).ok());  // retry after disarm
+  TestCodec reader;
+  SharedBufferPool pool(backend.get(), &reader, PoolOptions());
+  for (PageId id = 0; id < 4; ++id) {
+    bool missed = false;
+    Result<const Page*> page = pool.Pin(id, &missed);
+    ASSERT_TRUE(page.ok());
+    EXPECT_EQ(static_cast<const TestPage*>(page.value())->value(), 100u + id);
+    pool.Unpin(id);
   }
 }
 

@@ -1,13 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "storage/buffer_pool.h"
-#include "storage/page_backend.h"
-#include "storage/page_codec.h"
 #include "storage/page_store.h"
 
 namespace stindex {
@@ -21,29 +16,6 @@ class TestPage : public Page {
 
  private:
   int tag_;
-};
-
-// Serializes TestPage for the backend-mode BufferPool tests below.
-class TestCodec : public PageCodec {
- public:
-  void Encode(const Page& page, uint8_t* out) const override {
-    PageWriter writer = PayloadWriter(out);
-    writer.Write<int32_t>(static_cast<const TestPage&>(page).tag());
-    SealPage(out, PageKind::kTest);
-  }
-
-  Result<std::unique_ptr<Page>> Decode(const uint8_t* page,
-                                       PageId id) const override {
-    Result<PageReader> payload = OpenPagePayload(page, PageKind::kTest, id);
-    if (!payload.ok()) return payload.status();
-    PageReader reader = payload.value();
-    int32_t tag = 0;
-    if (!reader.Read(&tag)) {
-      return Status::InvalidArgument("page " + std::to_string(id) +
-                                     ": short test page");
-    }
-    return Result<std::unique_ptr<Page>>(std::make_unique<TestPage>(tag));
-  }
 };
 
 TEST(PageStoreTest, AllocateAndGet) {
@@ -120,341 +92,6 @@ TEST(PageStoreTest, AllocatedCountStaysFlatUnderChurn) {
   EXPECT_EQ(store.AllocatedCount(), 8u);
   EXPECT_EQ(store.PageCount(), 8u);
   EXPECT_EQ(store.TotalAllocations(), 58u);
-}
-
-TEST(BufferPoolTest, ReusedSlotIsNeverServedStale) {
-  // A page cached in the pool, freed in the store, and replaced by a new
-  // allocation under the same id must be served as the NEW page.
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  EXPECT_EQ(static_cast<const TestPage*>(pool.Fetch(a))->tag(), 1);
-  store.Free(a);
-  const PageId b = store.Allocate(std::make_unique<TestPage>(2));
-  ASSERT_EQ(a, b);  // the slot was reused
-  EXPECT_EQ(static_cast<const TestPage*>(pool.Fetch(a))->tag(), 2);
-}
-
-TEST(BufferPoolDeathTest, FetchOfFreedPageAborts) {
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  store.Free(a);
-  EXPECT_DEATH(pool.Fetch(a), "freed or out-of-range");
-}
-
-TEST(BufferPoolDeathTest, FetchOfOutOfRangePageAborts) {
-  PageStore store;
-  store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  EXPECT_DEATH(pool.Fetch(static_cast<PageId>(999)), "freed or out-of-range");
-  EXPECT_DEATH(pool.Fetch(kInvalidPage), "freed or out-of-range");
-}
-
-TEST(BufferPoolDeathTest, StaleCacheEntryForFreedPageAborts) {
-  // Even a page already resident in the LRU cache must not be served
-  // once the store has freed it.
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  pool.Fetch(a);  // now cached
-  store.Free(a);
-  EXPECT_DEATH(pool.Fetch(a), "freed or out-of-range");
-}
-
-TEST(BufferPoolTest, FirstAccessIsMiss) {
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  pool.Fetch(a);
-  EXPECT_EQ(pool.stats().accesses, 1u);
-  EXPECT_EQ(pool.stats().misses, 1u);
-  pool.Fetch(a);
-  EXPECT_EQ(pool.stats().accesses, 2u);
-  EXPECT_EQ(pool.stats().misses, 1u);
-  EXPECT_EQ(pool.stats().Hits(), 1u);
-}
-
-TEST(BufferPoolTest, EvictsLeastRecentlyUsed) {
-  PageStore store;
-  PageId pages[3];
-  for (int i = 0; i < 3; ++i) {
-    pages[i] = store.Allocate(std::make_unique<TestPage>(i));
-  }
-  BufferPool pool(&store, 2);
-  pool.Fetch(pages[0]);  // miss, cache {0}
-  pool.Fetch(pages[1]);  // miss, cache {1, 0}
-  pool.Fetch(pages[0]);  // hit, cache {0, 1}
-  pool.Fetch(pages[2]);  // miss, evicts 1, cache {2, 0}
-  pool.Fetch(pages[0]);  // hit
-  pool.Fetch(pages[1]);  // miss again (was evicted)
-  EXPECT_EQ(pool.stats().misses, 4u);
-  EXPECT_EQ(pool.stats().accesses, 6u);
-}
-
-TEST(BufferPoolTest, ResetCacheForcesMisses) {
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  pool.Fetch(a);
-  pool.ResetCache();
-  pool.Fetch(a);
-  EXPECT_EQ(pool.stats().misses, 2u);
-}
-
-TEST(BufferPoolTest, ResetStatsKeepsCache) {
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  pool.Fetch(a);
-  pool.ResetStats();
-  pool.Fetch(a);  // still cached: a hit
-  EXPECT_EQ(pool.stats().accesses, 1u);
-  EXPECT_EQ(pool.stats().misses, 0u);
-}
-
-TEST(BufferPoolTest, LifetimeStatsSurviveResetStats) {
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 4);
-  pool.Fetch(a);
-  pool.ResetStats();
-  pool.Fetch(a);
-  EXPECT_EQ(pool.stats().accesses, 1u);
-  EXPECT_EQ(pool.lifetime_stats().accesses, 2u);
-  EXPECT_EQ(pool.lifetime_stats().misses, 1u);
-}
-
-TEST(BufferPoolTest, CapacityOneThrashes) {
-  PageStore store;
-  PageId pages[2];
-  for (int i = 0; i < 2; ++i) {
-    pages[i] = store.Allocate(std::make_unique<TestPage>(i));
-  }
-  BufferPool pool(&store, 1);
-  for (int round = 0; round < 5; ++round) {
-    pool.Fetch(pages[0]);
-    pool.Fetch(pages[1]);
-  }
-  EXPECT_EQ(pool.stats().misses, 10u);
-}
-
-TEST(BufferPoolTest, LargeCapacityHoldsWorkingSet) {
-  PageStore store;
-  std::vector<PageId> pages;
-  for (int i = 0; i < 8; ++i) {
-    pages.push_back(store.Allocate(std::make_unique<TestPage>(i)));
-  }
-  BufferPool pool(&store, 10);
-  for (int round = 0; round < 3; ++round) {
-    for (PageId id : pages) pool.Fetch(id);
-  }
-  EXPECT_EQ(pool.stats().misses, 8u);  // only cold misses
-  EXPECT_EQ(pool.CachedPages(), 8u);
-}
-
-TEST(BufferPoolTest, EvictionCounter) {
-  PageStore store;
-  PageId pages[3];
-  for (int i = 0; i < 3; ++i) {
-    pages[i] = store.Allocate(std::make_unique<TestPage>(i));
-  }
-  BufferPool pool(&store, 2);
-  pool.Fetch(pages[0]);
-  pool.Fetch(pages[1]);
-  EXPECT_EQ(pool.Evictions(), 0u);
-  pool.Fetch(pages[2]);  // evicts pages[0]
-  EXPECT_EQ(pool.Evictions(), 1u);
-  pool.ResetCache();     // dropping frames is not an eviction
-  EXPECT_EQ(pool.Evictions(), 1u);
-}
-
-TEST(BufferPoolTest, PinBlocksEviction) {
-  PageStore store;
-  PageId pages[3];
-  for (int i = 0; i < 3; ++i) {
-    pages[i] = store.Allocate(std::make_unique<TestPage>(i));
-  }
-  BufferPool pool(&store, 2);
-  PageRef pinned = pool.FetchPinned(pages[0]);  // LRU position after...
-  pool.Fetch(pages[1]);                         // ...this access
-  EXPECT_EQ(pool.PinnedPages(), 1u);
-  // Eviction must skip the pinned LRU frame and take pages[1] instead.
-  pool.Fetch(pages[2]);
-  pool.Fetch(pages[0]);  // hit: still resident
-  EXPECT_EQ(pool.stats().misses, 3u);
-  EXPECT_EQ(pool.stats().accesses, 4u);
-  pinned.Release();
-  EXPECT_EQ(pool.PinnedPages(), 0u);
-  // pages[0] became MRU with the hit above, so the next miss evicts
-  // pages[2]; the formerly pinned frame stays resident on merit.
-  pool.Fetch(pages[1]);  // miss, evicts pages[2]
-  pool.Fetch(pages[0]);  // hit
-  EXPECT_EQ(pool.stats().misses, 4u);
-}
-
-TEST(BufferPoolDeathTest, AllPinnedCannotEvict) {
-  PageStore store;
-  PageId pages[3];
-  for (int i = 0; i < 3; ++i) {
-    pages[i] = store.Allocate(std::make_unique<TestPage>(i));
-  }
-  BufferPool pool(&store, 2);
-  PageRef a = pool.FetchPinned(pages[0]);
-  PageRef b = pool.FetchPinned(pages[1]);
-  EXPECT_DEATH(pool.Fetch(pages[2]), "every frame is pinned");
-}
-
-TEST(BufferPoolTest, PageRefMoveTransfersPin) {
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 2);
-  PageRef ref = pool.FetchPinned(a);
-  EXPECT_EQ(pool.PinnedPages(), 1u);
-  PageRef moved = std::move(ref);
-  EXPECT_EQ(pool.PinnedPages(), 1u);  // exactly one pin, now owned by `moved`
-  EXPECT_TRUE(static_cast<bool>(moved));
-  EXPECT_FALSE(static_cast<bool>(ref));  // NOLINT(bugprone-use-after-move)
-  moved.Release();
-  EXPECT_EQ(pool.PinnedPages(), 0u);
-}
-
-TEST(BufferPoolTest, PageRefMoveResetsSourceCompletely) {
-  // Regression: the move operations used to leave a stale id_ in the
-  // moved-from ref, so it still claimed the old PageId while holding no
-  // pin.
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  const PageId b = store.Allocate(std::make_unique<TestPage>(2));
-  BufferPool pool(&store, 2);
-
-  PageRef ref = pool.FetchPinned(a);
-  PageRef moved = std::move(ref);
-  EXPECT_EQ(ref.id(), kInvalidPage);  // NOLINT(bugprone-use-after-move)
-  EXPECT_EQ(ref.get(), nullptr);
-  EXPECT_FALSE(static_cast<bool>(ref));
-
-  // Move assignment must reset the source the same way (and release the
-  // destination's old pin exactly once).
-  PageRef target = pool.FetchPinned(b);
-  EXPECT_EQ(pool.PinnedPages(), 2u);
-  target = std::move(moved);
-  EXPECT_EQ(pool.PinnedPages(), 1u);
-  EXPECT_EQ(target.id(), a);
-  EXPECT_EQ(moved.id(), kInvalidPage);  // NOLINT(bugprone-use-after-move)
-  EXPECT_EQ(moved.get(), nullptr);
-}
-
-TEST(BufferPoolTest, PageRefReleaseIsIdempotentAndMovedFromSafe) {
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  BufferPool pool(&store, 2);
-
-  PageRef ref = pool.FetchPinned(a);
-  PageRef moved = std::move(ref);
-  // Releasing a moved-from ref must not unpin anything (the pin moved).
-  ref.Release();  // NOLINT(bugprone-use-after-move)
-  EXPECT_EQ(pool.PinnedPages(), 1u);
-
-  moved.Release();
-  EXPECT_EQ(pool.PinnedPages(), 0u);
-  EXPECT_EQ(moved.id(), kInvalidPage);
-  EXPECT_EQ(moved.get(), nullptr);
-  // Double release is a no-op, not a double unpin.
-  moved.Release();
-  EXPECT_EQ(pool.PinnedPages(), 0u);
-}
-
-// --- Backend mode: Put / write-back / flush ---
-
-TEST(BufferPoolBackendTest, PutFlushFetchRoundTrip) {
-  MemoryPageBackend backend;
-  TestCodec codec;
-  BufferPool pool(&backend, &codec, 4);
-  EXPECT_TRUE(pool.backend_mode());
-  ASSERT_TRUE(pool.Put(0, std::make_unique<TestPage>(10)).ok());
-  ASSERT_TRUE(pool.Put(1, std::make_unique<TestPage>(11)).ok());
-  EXPECT_EQ(pool.DirtyPages(), 2u);
-  EXPECT_EQ(backend.LivePageCount(), 0u);  // nothing written yet
-  ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(pool.DirtyPages(), 0u);
-  EXPECT_EQ(backend.LivePageCount(), 2u);
-  // A fresh pool over the same backend decodes what was written.
-  BufferPool reader(&backend, &codec, 4);
-  EXPECT_EQ(static_cast<const TestPage*>(reader.Fetch(0))->tag(), 10);
-  EXPECT_EQ(static_cast<const TestPage*>(reader.Fetch(1))->tag(), 11);
-  EXPECT_EQ(reader.stats().misses, 2u);
-  reader.Fetch(0);  // resident: a hit, no backend read
-  EXPECT_EQ(reader.stats().misses, 2u);
-}
-
-TEST(BufferPoolBackendTest, EvictionWritesBackDirtyVictim) {
-  MemoryPageBackend backend;
-  TestCodec codec;
-  BufferPool pool(&backend, &codec, /*capacity=*/1);
-  ASSERT_TRUE(pool.Put(0, std::make_unique<TestPage>(20)).ok());
-  // Inserting page 1 must spill dirty page 0 to the backend.
-  ASSERT_TRUE(pool.Put(1, std::make_unique<TestPage>(21)).ok());
-  EXPECT_EQ(pool.Evictions(), 1u);
-  EXPECT_TRUE(backend.IsAllocated(0));
-  uint8_t buffer[kPageSize];
-  ASSERT_TRUE(backend.Read(0, buffer).ok());
-  Result<std::unique_ptr<Page>> decoded = codec.Decode(buffer, 0);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(static_cast<const TestPage*>(decoded.value().get())->tag(), 20);
-}
-
-TEST(BufferPoolBackendTest, DestructionFlushesDirtyFrames) {
-  MemoryPageBackend backend;
-  TestCodec codec;
-  {
-    BufferPool pool(&backend, &codec, 4);
-    ASSERT_TRUE(pool.Put(3, std::make_unique<TestPage>(33)).ok());
-    EXPECT_EQ(backend.LivePageCount(), 0u);
-  }  // flush-on-destruction
-  EXPECT_EQ(backend.LivePageCount(), 1u);
-  uint8_t buffer[kPageSize];
-  ASSERT_TRUE(backend.Read(3, buffer).ok());
-  Result<std::unique_ptr<Page>> decoded = codec.Decode(buffer, 3);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(static_cast<const TestPage*>(decoded.value().get())->tag(), 33);
-}
-
-TEST(BufferPoolBackendTest, MissCountsMatchStoreModeExactly) {
-  // The shared-LRU property the differential suite relies on, in
-  // miniature: the same access pattern costs the same misses in both
-  // modes.
-  PageStore store;
-  MemoryPageBackend backend;
-  TestCodec codec;
-  PageId ids[3];
-  for (int i = 0; i < 3; ++i) {
-    ids[i] = store.Allocate(std::make_unique<TestPage>(i));
-    uint8_t buffer[kPageSize];
-    codec.Encode(TestPage(i), buffer);
-    ASSERT_TRUE(backend.Write(ids[i], buffer).ok());
-  }
-  BufferPool store_pool(&store, 2);
-  BufferPool backend_pool(&backend, &codec, 2);
-  const PageId pattern[] = {ids[0], ids[1], ids[0], ids[2],
-                            ids[0], ids[1], ids[2]};
-  for (const PageId id : pattern) {
-    store_pool.Fetch(id);
-    backend_pool.Fetch(id);
-  }
-  EXPECT_EQ(store_pool.stats().accesses, backend_pool.stats().accesses);
-  EXPECT_EQ(store_pool.stats().misses, backend_pool.stats().misses);
-  EXPECT_EQ(store_pool.Evictions(), backend_pool.Evictions());
-}
-
-TEST(BufferPoolBackendTest, FetchOfUnwrittenPageAborts) {
-  MemoryPageBackend backend;
-  TestCodec codec;
-  uint8_t buffer[kPageSize];
-  codec.Encode(TestPage(1), buffer);
-  ASSERT_TRUE(backend.Write(0, buffer).ok());
-  BufferPool pool(&backend, &codec, 4);
-  EXPECT_DEATH(pool.Fetch(9), "freed or out-of-range");
 }
 
 }  // namespace

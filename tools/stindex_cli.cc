@@ -43,6 +43,7 @@
 #include "core/query_profile.h"
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
+#include "storage/shared_buffer_pool.h"
 #include "util/json_writer.h"
 #include "util/metrics.h"
 #include "util/prom_writer.h"
@@ -460,21 +461,22 @@ int CmdQuery(Flags& flags) {
           ppr->AttachBackend(MakeCliBackend(backend, db_path, "query_ppr"));
       if (!status.ok()) Die(status);
     }
-    const std::unique_ptr<BufferPool> buffer =
-        ppr->NewQueryBuffer(buffer_pages);
+    const std::unique_ptr<SharedBufferPool> pool =
+        ppr->NewSharedQueryPool(buffer_pages);
+    SharedBufferPool::Session session(pool.get(), pool->capacity());
     for (const STQuery& query : queries) {
-      buffer->ResetCache();
-      buffer->ResetStats();
+      session.ResetCache();
+      session.ResetStats();
       std::vector<PprDataId> out;
       if (query.IsSnapshot()) {
-        ppr->SnapshotQuery(query.area, query.range.start, buffer.get(), &out,
+        ppr->SnapshotQuery(query.area, query.range.start, &session, &out,
                            profile_ptr);
       } else {
-        ppr->IntervalQuery(query.area, query.range, buffer.get(), &out,
+        ppr->IntervalQuery(query.area, query.range, &session, &out,
                            profile_ptr);
       }
       if (refiner != nullptr) refiner->CountFalseHits(out, query, profile_ptr);
-      misses += buffer->stats().misses;
+      misses += session.stats().misses;
       hits_total += out.size();
     }
   } else if (index == "hr") {
@@ -505,16 +507,16 @@ int CmdQuery(Flags& flags) {
           tree.AttachBackend(MakeCliBackend(backend, db_path, "query_rstar"));
       if (!status.ok()) Die(status);
     }
-    const std::unique_ptr<BufferPool> buffer =
-        tree.NewQueryBuffer(buffer_pages);
+    const std::unique_ptr<SharedBufferPool> pool =
+        tree.NewSharedQueryPool(buffer_pages);
+    SharedBufferPool::Session session(pool.get(), pool->capacity());
     for (const STQuery& query : queries) {
-      buffer->ResetCache();
-      buffer->ResetStats();
+      session.ResetCache();
+      session.ResetStats();
       std::vector<DataId> out;
-      tree.Search(QueryToBox(query, 0, domain), buffer.get(), &out,
-                  profile_ptr);
+      tree.Search(QueryToBox(query, 0, domain), &session, &out, profile_ptr);
       if (refiner != nullptr) refiner->CountFalseHits(out, query, profile_ptr);
-      misses += buffer->stats().misses;
+      misses += session.stats().misses;
       hits_total += out.size();
     }
   } else {
