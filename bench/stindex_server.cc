@@ -1,63 +1,46 @@
-// Server-style query driver: N client threads replay a large mixed
-// stream of snapshot and small-range queries against ONE shared sharded
-// buffer pool (total capacity `--buffer-pages`, default 64 — a warm
-// cache, not the paper's per-query-reset measurement protocol). Reports
-// throughput (QPS) and per-query latency percentiles through the
-// standard schema-v2 JSON report; `--prom=PATH` additionally dumps the
-// metric registry in Prometheus text format for scraping.
+// stindex_server — the end-to-end serving driver: `--threads` clients
+// pull request indexes from one shared counter and serve them against
+// one target until the stop condition holds.
 //
-// Extra flags on top of the shared bench surface (bench_report.h):
-//   --stream=N        total requests replayed across all clients
-//                     (default: 20x the scale's query_count)
-//   --prom=PATH       write a Prometheus text-format metrics snapshot
-//   --update-frac=F   fraction of the request stream that are movement
-//                     updates (0 <= F < 1, default 0). With F > 0 the
-//                     server runs the crash-safe live ingestion tier
-//                     (src/live): updates stream through the WAL-journaled
-//                     LiveIndex and migrate into the PPR-tree while the
-//                     remaining requests run freshness-bound tiered
-//                     queries (historical tree + in-flight migration +
-//                     live buffers) concurrently. --backend=file puts the
-//                     WAL on a real page file under --db.
-//   --group-commit    coalesce concurrent WAL commits into one fsync
-//                     (mixed mode only; see LiveTierOptions::group_commit)
-//   --commit-interval=US  with --group-commit: microseconds the commit
-//                     leader waits for joiners before flushing (default 0)
-//   --checkpoint-every=N  checkpoint + truncate the journal once N flushed
-//                     WAL pages accumulate (mixed mode only; 0 = never)
-//   --pack-at=N       after N applied updates, pack the historical tree
-//                     into a read-only mmap snapshot under --db and keep
-//                     serving it zero-copy as a frozen layer while a
-//                     fresh active tree takes over migration (mixed mode
-//                     only; 0 = never; requires --db). The WAL tier stays
-//                     on its page-file backend throughout.
+//   Target.  --update-frac=0 (default) serves the LAGreedy-150% PPR-tree
+//     of the scale's first dataset, persisted through --backend, behind
+//     one shared pool of --buffer-pages frames (default 64: a warm cache,
+//     not the paper's per-query reset), one pass-through Session per
+//     client. --update-frac=F > 0 serves the crash-safe live tier: a
+//     fraction F of the requests are movement updates, applied in stream
+//     order through the WAL (a Commit every 32), the rest tiered queries.
+//     --backend=file puts the WAL on a page file under --db.
+//   Stop.  --stream=N requests (default 20x the scale's query_count), or
+//     --duration-s=S seconds of wall clock looping the request list.
+//   Telemetry.  --metrics-port=P serves /metrics, /healthz and /statusz
+//     on 127.0.0.1:P (0: ephemeral; --port-file=PATH gets the port).
+//     --slow-query-ms=T captures queries at or above T ms (0: all) with
+//     their EXPLAIN profile into the /statusz ring (--slow-log=PATH also
+//     appends them as JSON lines). --prom=PATH dumps the registry.
+//   Live tier.  --commit-interval=US: how long a commit leader waits for
+//     joiners; --checkpoint-every=N: checkpoint and truncate the journal
+//     every N flushed WAL pages; --pack-at=N: after N applied updates,
+//     pack the historical tree into an mmap snapshot under --db, served
+//     zero-copy as a frozen layer.
 //
-// Soak mode (--soak): instead of replaying a fixed-length stream, run a
-// wall-clock-bounded mixed read/write workload against the live tier and
-// serve the telemetry plane live while it runs:
-//   --soak            run until --duration-s elapses (workload loops over
-//                     the generated streams; update-frac defaults to 0.2)
-//   --duration-s=N    soak wall-clock budget in seconds (default 30)
-//   --metrics-port=P  serve /metrics, /healthz and /statusz on
-//                     127.0.0.1:P for the whole soak (0 = ephemeral port;
-//                     pair with --port-file so scrapers can find it)
-//   --port-file=PATH  write the bound metrics port (one line) once the
-//                     exposition server is up
-//   --publish-interval-s=S  seconds between gauge publications and
-//                     progress lines (default 2)
-//   --slow-query-ms=T capture every query at or above T ms into the
-//                     slow-query EXPLAIN ring (shown on /statusz);
-//                     T=0 captures every query, omit to disable
-//   --slow-log=PATH   additionally append captured slow queries to PATH
-//                     as JSON lines
+// Every 2 s the main thread publishes the target's gauges and prints a
+// progress line; the report is the schema-v2 JSON of bench_report.h. A
+// flag that cannot take effect in its run is a usage error (exit 2).
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cinttypes>
+#include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,630 +55,261 @@
 #include "util/http_exposition.h"
 #include "util/metrics.h"
 #include "util/prom_writer.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace stindex {
 namespace bench {
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+constexpr size_t kCommitEvery = 32;  // applied updates per WAL commit
+constexpr std::chrono::seconds kPublishInterval(2);
+
+// Each takes a value, as `--flag=value` or `--flag value`.
+constexpr const char* kServerFlags[] = {
+    "--stream", "--duration-s", "--update-frac", "--commit-interval",
+    "--checkpoint-every", "--pack-at", "--prom", "--metrics-port",
+    "--port-file", "--slow-query-ms", "--slow-log"};
+
 struct ServerFlags {
-  size_t stream = 0;        // 0: scale default
-  std::string prom_path;    // empty: no Prometheus dump
-  double update_frac = 0.0;  // 0: pure-query replay (the classic mode)
-  bool group_commit = false;
+  std::map<std::string, std::string> given;  // flag -> value
+  size_t stream = 0;            // 0: 20x the scale's query_count
+  int64_t duration_s = 0;       // > 0: stop on wall clock instead
+  double update_frac = 0.0;     // > 0: serve a live tier
   int64_t commit_interval_us = 0;
   size_t checkpoint_every = 0;  // flushed WAL pages between checkpoints
-  size_t pack_at = 0;  // applied updates before packing the historical tree
-  // Soak mode (wall-clock-bounded live-tier workload + telemetry plane).
-  bool soak = false;
-  int64_t duration_s = 30;
-  int64_t metrics_port = -1;  // < 0: no exposition server
-  std::string port_file;      // write the bound port here once serving
-  double publish_interval_s = 2.0;
-  double slow_query_ms = -1.0;  // < 0: slow-query capture disabled
-  std::string slow_log_path;   // JSONL sink for captured slow queries
+  size_t pack_at = 0;           // applied updates before the pack; 0: never
+  int64_t metrics_port = -1;    // < 0: no HTTP plane
+  double slow_query_ms = -1.0;  // < 0: no slow-query capture
+
+  bool Given(const char* flag) const { return given.count(flag) > 0; }
 };
 
-// Parses a non-negative integer flag value or dies with a usage error.
-int64_t ParseNonNegative(const char* flag, const std::string& value) {
-  char* end = nullptr;
-  const long long n = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || n < 0) {
-    std::fprintf(stderr,
-                 "stindex_server: %s expects a non-negative integer, "
-                 "got '%s'\n",
-                 flag, value.c_str());
-    std::exit(2);
-  }
-  return static_cast<int64_t>(n);
+[[noreturn]] void Exit(int status, const std::string& message) {
+  std::fprintf(stderr, "stindex_server: %s\n", message.c_str());
+  std::exit(status);
 }
 
-// Splits the server-only flags off argv before ParseBenchArgs sees it
-// (unknown arguments are a hard error there).
+// The one value helper: `flag` parsed whole as a T in [min, max], or
+// `fallback` when absent. Garbage, trailing characters, overflow and
+// out-of-range values are usage errors naming the flag.
+template <typename T>
+T Value(const ServerFlags& flags, const char* flag, const char* expected,
+        T fallback, T min, T max = std::numeric_limits<T>::max()) {
+  if (!flags.Given(flag)) return fallback;
+  const std::string& text = flags.given.at(flag);
+  const char* last = text.data() + text.size();
+  T x{};
+  const auto [end, error] = std::from_chars(text.data(), last, x);
+  if (error != std::errc() || end != last || !(x >= min && x <= max)) {
+    Exit(2, std::string(flag) + " expects " + expected + ", got '" + text +
+                "'");
+  }
+  return x;
+}
+
+// Splits the server flags off argv before ParseBenchArgs sees it
+// (unknown arguments are a hard error there) and parses their values.
 ServerFlags ExtractServerFlags(int* argc, char** argv) {
   ServerFlags flags;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     const std::string arg = argv[i];
-    std::string value;
-    bool matched = true;
-    if (arg.rfind("--stream=", 0) == 0) {
-      value = arg.substr(9);
-    } else if (arg == "--stream" && i + 1 < *argc) {
-      value = argv[++i];
-    } else if (arg.rfind("--prom=", 0) == 0) {
-      flags.prom_path = arg.substr(7);
-    } else if (arg == "--prom" && i + 1 < *argc) {
-      flags.prom_path = argv[++i];
-    } else if (arg == "--group-commit") {
-      flags.group_commit = true;
-    } else if (arg.rfind("--commit-interval=", 0) == 0 ||
-               (arg == "--commit-interval" && i + 1 < *argc)) {
-      const std::string us =
-          arg == "--commit-interval" ? argv[++i] : arg.substr(18);
-      flags.commit_interval_us = ParseNonNegative("--commit-interval", us);
-    } else if (arg.rfind("--checkpoint-every=", 0) == 0 ||
-               (arg == "--checkpoint-every" && i + 1 < *argc)) {
-      const std::string pages =
-          arg == "--checkpoint-every" ? argv[++i] : arg.substr(19);
-      flags.checkpoint_every =
-          static_cast<size_t>(ParseNonNegative("--checkpoint-every", pages));
-    } else if (arg.rfind("--pack-at=", 0) == 0 ||
-               (arg == "--pack-at" && i + 1 < *argc)) {
-      const std::string count = arg == "--pack-at" ? argv[++i] : arg.substr(10);
-      flags.pack_at =
-          static_cast<size_t>(ParseNonNegative("--pack-at", count));
-    } else if (arg == "--soak") {
-      flags.soak = true;
-    } else if (arg.rfind("--duration-s=", 0) == 0 ||
-               (arg == "--duration-s" && i + 1 < *argc)) {
-      const std::string s = arg == "--duration-s" ? argv[++i] : arg.substr(13);
-      flags.duration_s = ParseNonNegative("--duration-s", s);
-    } else if (arg.rfind("--metrics-port=", 0) == 0 ||
-               (arg == "--metrics-port" && i + 1 < *argc)) {
-      const std::string port =
-          arg == "--metrics-port" ? argv[++i] : arg.substr(15);
-      flags.metrics_port = ParseNonNegative("--metrics-port", port);
-      if (flags.metrics_port > 65535) {
-        std::fprintf(stderr,
-                     "stindex_server: --metrics-port expects a TCP port, "
-                     "got '%s'\n",
-                     port.c_str());
-        std::exit(2);
-      }
-    } else if (arg.rfind("--port-file=", 0) == 0) {
-      flags.port_file = arg.substr(12);
-    } else if (arg == "--port-file" && i + 1 < *argc) {
-      flags.port_file = argv[++i];
-    } else if (arg.rfind("--publish-interval-s=", 0) == 0 ||
-               (arg == "--publish-interval-s" && i + 1 < *argc)) {
-      const std::string s =
-          arg == "--publish-interval-s" ? argv[++i] : arg.substr(21);
-      char* end = nullptr;
-      flags.publish_interval_s = std::strtod(s.c_str(), &end);
-      if (end == s.c_str() || *end != '\0' || flags.publish_interval_s <= 0.0) {
-        std::fprintf(stderr,
-                     "stindex_server: --publish-interval-s expects positive "
-                     "seconds, got '%s'\n",
-                     s.c_str());
-        std::exit(2);
-      }
-    } else if (arg.rfind("--slow-query-ms=", 0) == 0 ||
-               (arg == "--slow-query-ms" && i + 1 < *argc)) {
-      const std::string ms =
-          arg == "--slow-query-ms" ? argv[++i] : arg.substr(16);
-      char* end = nullptr;
-      flags.slow_query_ms = std::strtod(ms.c_str(), &end);
-      if (end == ms.c_str() || *end != '\0' || flags.slow_query_ms < 0.0) {
-        std::fprintf(stderr,
-                     "stindex_server: --slow-query-ms expects non-negative "
-                     "milliseconds, got '%s'\n",
-                     ms.c_str());
-        std::exit(2);
-      }
-    } else if (arg.rfind("--slow-log=", 0) == 0) {
-      flags.slow_log_path = arg.substr(11);
-    } else if (arg == "--slow-log" && i + 1 < *argc) {
-      flags.slow_log_path = argv[++i];
-    } else if (arg.rfind("--update-frac=", 0) == 0 ||
-               (arg == "--update-frac" && i + 1 < *argc)) {
-      const std::string frac =
-          arg == "--update-frac" ? argv[++i] : arg.substr(14);
-      char* end = nullptr;
-      flags.update_frac = std::strtod(frac.c_str(), &end);
-      if (end == frac.c_str() || *end != '\0' || flags.update_frac < 0.0 ||
-          flags.update_frac >= 1.0) {
-        std::fprintf(stderr,
-                     "stindex_server: --update-frac expects a fraction in "
-                     "[0, 1), got '%s'\n",
-                     frac.c_str());
-        std::exit(2);
-      }
-    } else {
-      matched = false;
+    const std::string flag = arg.substr(0, arg.find('='));
+    if (std::find(std::begin(kServerFlags), std::end(kServerFlags), flag) ==
+        std::end(kServerFlags)) {
       argv[out++] = argv[i];
-    }
-    if (matched && !value.empty()) {
-      char* end = nullptr;
-      const long n = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || n <= 0) {
-        std::fprintf(stderr,
-                     "stindex_server: --stream expects a positive query "
-                     "count, got '%s'\n",
-                     value.c_str());
-        std::exit(2);
-      }
-      flags.stream = static_cast<size_t>(n);
+    } else if (flag.size() < arg.size()) {
+      flags.given[flag] = arg.substr(flag.size() + 1);
+    } else if (i + 1 < *argc) {
+      flags.given[flag] = argv[++i];
+    } else {
+      Exit(2, flag + " expects a value");
     }
   }
   *argc = out;
+  flags.stream =
+      Value<size_t>(flags, "--stream", "a positive request count", 0, 1);
+  flags.duration_s = Value<int64_t>(flags, "--duration-s",
+                                    "a positive number of seconds", 0, 1);
+  flags.update_frac = Value(flags, "--update-frac", "a fraction in [0, 1)",
+                            0.0, 0.0, std::nextafter(1.0, 0.0));
+  flags.commit_interval_us = Value<int64_t>(
+      flags, "--commit-interval", "non-negative microseconds", 0, 0);
+  flags.checkpoint_every = Value<size_t>(flags, "--checkpoint-every",
+                                         "a non-negative page count", 0, 0);
+  flags.pack_at =
+      Value<size_t>(flags, "--pack-at", "a positive update count", 0, 1);
+  flags.metrics_port =
+      Value<int64_t>(flags, "--metrics-port", "a TCP port", -1, 0, 65535);
+  flags.slow_query_ms = Value(flags, "--slow-query-ms",
+                              "non-negative milliseconds", -1.0, 0.0);
   return flags;
 }
 
-// Writes the registry's Prometheus text rendering to --prom=PATH (no-op
-// without the flag); shared by every server mode.
-void DumpProm(const ServerFlags& flags, MetricRegistry& registry) {
-  if (flags.prom_path.empty()) return;
-  const std::string text = RenderPrometheus(registry.Snapshot());
-  std::ofstream out(flags.prom_path);
-  out << text;
-  if (!out.good()) {
-    std::fprintf(stderr, "stindex_server: write to '%s' failed\n",
-                 flags.prom_path.c_str());
-    std::exit(1);
+// Every flag must take effect in its run; one that cannot is a usage
+// error rather than silently ignored.
+void CheckFlagsTakeEffect(const ServerFlags& flags, const BenchArgs& args) {
+  if (flags.update_frac == 0.0) {
+    for (const char* flag :
+         {"--commit-interval", "--checkpoint-every", "--pack-at"}) {
+      if (flags.Given(flag)) {
+        Exit(2, std::string(flag) +
+                    " configures the live tier: it needs --update-frac > 0");
+      }
+    }
+  } else if (args.backend == "mmap") {
+    Exit(2, "--backend=mmap serves a packed read-only tree; a live run "
+            "journals to --backend=memory|file (--pack-at adds a zero-copy "
+            "layer)");
   }
-  std::fprintf(stderr, "wrote %s\n", flags.prom_path.c_str());
+  if (flags.Given("--stream") && flags.Given("--duration-s")) {
+    Exit(2, "--stream and --duration-s are exclusive stop conditions");
+  }
+  for (const auto& [flag, needs] :
+       {std::pair{"--port-file", "--metrics-port"},
+        std::pair{"--slow-log", "--slow-query-ms"}}) {
+    if (flags.Given(flag) && !flags.Given(needs)) {
+      Exit(2, std::string(flag) + " needs " + needs);
+    }
+  }
+  if (flags.Given("--pack-at") && args.db_path.empty()) {
+    Exit(2, "--pack-at needs --db=DIR");
+  }
 }
 
 // Alternates the two paper query mixes into one request stream, so
 // neighboring requests from one client exercise different access
 // patterns (like interleaved dashboard + drill-down traffic).
-std::vector<STQuery> MakeRequestStream(const BenchScale& scale, size_t total) {
+std::vector<STQuery> MakeRequestStream(size_t total) {
   const size_t half = (total + 1) / 2;
   const std::vector<STQuery> snapshots =
       MakeQueries(MixedSnapshotSet(), half);
   const std::vector<STQuery> ranges = MakeQueries(SmallRangeSet(), half);
   std::vector<STQuery> stream;
-  stream.reserve(total);
   for (size_t i = 0; i < total; ++i) {
-    const std::vector<STQuery>& set = i % 2 == 0 ? snapshots : ranges;
-    stream.push_back(set[(i / 2) % set.size()]);
+    stream.push_back((i % 2 == 0 ? snapshots : ranges)[i / 2]);
   }
   return stream;
 }
 
-// --- mixed update/query mode (--update-frac > 0) -------------------------
-//
 // Request i is an update when the Bresenham accumulator crosses an
-// integer (so updates are spread evenly through the stream at the exact
-// requested fraction). Updates are pulled in stream order from one
-// shared cursor under a mutex — the live tier requires globally
-// non-decreasing times — while queries fan out across all clients
-// through the tier's readers-writer lock and shared pool. A Commit every
-// `kCommitEvery` applied updates acknowledges the batch through the WAL.
-void RunMixed(const BenchArgs& args, const ServerFlags& flags) {
-  constexpr size_t kCommitEvery = 32;
-  if (flags.pack_at > 0 && args.db_path.empty()) {
-    std::fprintf(stderr, "stindex_server: --pack-at requires --db=DIR\n");
-    std::exit(2);
+// integer, which spreads updates evenly at exactly the requested share.
+bool IsUpdateSlot(size_t i, double update_frac) {
+  return static_cast<size_t>(static_cast<double>(i + 1) * update_frac) >
+         static_cast<size_t>(static_cast<double>(i) * update_frac);
+}
+
+double MillisSince(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
+// Runs one query against `index` — the live tier, or the tree through a
+// client's `session` — and returns the number of results.
+template <typename Id, typename Index, typename... Session>
+size_t RunQuery(const Index& index, const STQuery& query,
+                QueryProfile* profile, Session*... session) {
+  std::vector<Id> results;
+  if (query.IsSnapshot()) {
+    index.SnapshotQuery(query.area, query.range.start, session..., &results,
+                        profile);
+  } else {
+    index.IntervalQuery(query.area, query.range, session..., &results,
+                        profile);
   }
-  const BenchScale scale = GetScale();
-  const size_t n = scale.dataset_sizes.front();
-  const size_t stream_size =
-      flags.stream == 0 ? scale.query_count * 20 : flags.stream;
-  std::printf(
-      "stindex_server (scale=%s, clients=%d, backend=%s): %zu-request "
-      "stream at update-frac %.2f over a live tier of %zu objects.\n",
-      scale.name.c_str(), args.threads,
-      args.backend.empty() ? "store" : args.backend.c_str(), stream_size,
-      flags.update_frac, n);
+  return results.size();
+}
 
-  const std::vector<Trajectory> objects = MakeRandomDataset(n);
-  const std::vector<LiveObservation> updates = MakeObservationStream(objects);
-  const std::vector<STQuery> queries = MakeRequestStream(scale, stream_size);
+// What the clients serve: the read-only PPR-tree behind its shared pool,
+// or the live tier.
+struct Target {
+  std::unique_ptr<PprTree> tree;
+  std::unique_ptr<SharedBufferPool> pool;
+  std::unique_ptr<LiveTier> tier;
 
+  // Pushes the target's state gauges and pool counters to the registry.
+  void Publish() const {
+    tier ? tier->PublishGauges() : pool->PublishStats();
+  }
+  std::vector<SharedBufferPool::ShardOccupancy> PoolShards() const {
+    return tier ? tier->GetTelemetry().pool_shards : pool->ShardOccupancies();
+  }
+  size_t Answer(const STQuery& query, SharedBufferPool::Session* session,
+                QueryProfile* profile) const {
+    return tier ? RunQuery<ObjectId>(*tier, query, profile)
+                : RunQuery<PprDataId>(*tree, query, profile, session);
+  }
+};
+
+Target OpenTree(const BenchArgs& args, const std::vector<Trajectory>& objects,
+                size_t buffer_pages) {
+  Target target;
+  target.tree = BuildPprTree(SplitWithLaGreedy(objects, 150, args.threads));
+  AttachBenchBackend(target.tree.get(), args, "server");
+  target.pool = target.tree->NewSharedQueryPool(buffer_pages);
+  return target;
+}
+
+Target OpenTier(const BenchArgs& args, const ServerFlags& flags,
+                size_t buffer_pages) {
   std::unique_ptr<PageBackend> wal;
   if (args.backend == "file") {
     Result<std::unique_ptr<FilePageBackend>> file =
         FilePageBackend::Create(args.db_path + "/stindex_server_wal.stpages");
-    if (!file.ok()) {
-      std::fprintf(stderr, "stindex_server: %s\n",
-                   file.status().ToString().c_str());
-      std::exit(1);
-    }
+    if (!file.ok()) Exit(1, file.status().ToString());
     wal = std::move(file).value();
   } else {
     wal = std::make_unique<MemoryPageBackend>();
   }
-
   LiveTierOptions options;
-  options.index.capacity = 32;  // seal eagerly so migration runs mid-bench
-  options.query_pool_pages = args.buffer_pages;
-  options.group_commit = flags.group_commit;
+  options.index.capacity = 32;  // seal eagerly so migration runs mid-run
+  options.query_pool_pages = buffer_pages;
   options.commit_interval_us = flags.commit_interval_us;
   options.checkpoint_every_pages = flags.checkpoint_every;
   Result<std::unique_ptr<LiveTier>> opened =
       LiveTier::Open(options, std::move(wal));
-  if (!opened.ok()) {
-    std::fprintf(stderr, "stindex_server: %s\n",
-                 opened.status().ToString().c_str());
-    std::exit(1);
-  }
-  LiveTier* tier = opened.value().get();
-
-  Report().SetParam("objects", static_cast<int64_t>(n));
-  Report().SetParam("clients", static_cast<int64_t>(args.threads));
-  Report().SetParam("stream", static_cast<int64_t>(stream_size));
-  Report().SetParam("backend", args.backend.empty() ? "store" : args.backend);
-  Report().SetParam("update_frac", flags.update_frac);
-  Report().SetParam("group_commit",
-                    static_cast<int64_t>(flags.group_commit ? 1 : 0));
-  Report().SetParam("commit_interval_us", flags.commit_interval_us);
-  Report().SetParam("checkpoint_every",
-                    static_cast<int64_t>(flags.checkpoint_every));
-  Report().SetParam("pack_at", static_cast<int64_t>(flags.pack_at));
-
-  std::mutex update_mu;
-  size_t update_cursor = 0;
-  size_t updates_applied = 0;
-  size_t updates_dropped = 0;  // update slots with no work: exhausted stream
-  bool update_failed = false;
-  bool pack_done = false;
-
-  const size_t chunks = ParallelChunks(args.threads, stream_size);
-  std::vector<Histogram> query_latency(chunks);
-  std::vector<Histogram> update_latency(chunks);
-  std::vector<uint64_t> chunk_results(chunks, 0);
-  const auto wall_start = std::chrono::steady_clock::now();
-  {
-    TraceSpan span("bench", "server_mixed_replay");
-    span.Arg("requests", static_cast<int64_t>(stream_size))
-        .Arg("clients", static_cast<int64_t>(args.threads));
-    ParallelFor(args.threads, stream_size,
-                [&](size_t chunk, size_t begin, size_t end) {
-                  for (size_t i = begin; i < end; ++i) {
-                    const bool is_update =
-                        static_cast<size_t>(static_cast<double>(i + 1) *
-                                            flags.update_frac) >
-                        static_cast<size_t>(static_cast<double>(i) *
-                                            flags.update_frac);
-                    const auto start = std::chrono::steady_clock::now();
-                    if (is_update) {
-                      bool applied = false;
-                      bool commit_due = false;
-                      {
-                        std::lock_guard<std::mutex> lock(update_mu);
-                        if (update_failed || update_cursor >= updates.size()) {
-                          // No-op slot (latched tier / exhausted stream):
-                          // nothing was applied, so nothing may land in the
-                          // update-latency histogram.
-                          ++updates_dropped;
-                        } else {
-                          const Status status =
-                              tier->Apply(updates[update_cursor]);
-                          if (!status.ok()) {
-                            std::fprintf(stderr,
-                                         "stindex_server: update: %s\n",
-                                         status.ToString().c_str());
-                            update_failed = true;
-                          } else {
-                            ++update_cursor;
-                            applied = true;
-                            commit_due =
-                                ++updates_applied % kCommitEvery == 0;
-                            if (flags.pack_at > 0 && !pack_done &&
-                                updates_applied >= flags.pack_at) {
-                              // Freeze the historical tree into a zero-copy
-                              // snapshot layer mid-stream; queries keep
-                              // running concurrently (PackHistorical takes
-                              // the tier's writer lock itself).
-                              pack_done = true;
-                              const Status packed = tier->PackHistorical(
-                                  args.db_path +
-                                  "/stindex_server_hist.stsnap");
-                              if (!packed.ok()) {
-                                std::fprintf(stderr,
-                                             "stindex_server: pack: %s\n",
-                                             packed.ToString().c_str());
-                                update_failed = true;
-                              }
-                            }
-                          }
-                        }
-                      }
-                      // Commit outside update_mu so concurrent committers
-                      // coalesce through the group-commit leader instead of
-                      // serializing on the apply lock.
-                      if (applied && commit_due && !tier->Commit().ok()) {
-                        std::lock_guard<std::mutex> lock(update_mu);
-                        update_failed = true;
-                      }
-                      if (applied) {
-                        const std::chrono::duration<double, std::milli> ms =
-                            std::chrono::steady_clock::now() - start;
-                        update_latency[chunk].Record(ms.count());
-                      }
-                    } else {
-                      const STQuery& query = queries[i];
-                      std::vector<ObjectId> results;
-                      if (query.IsSnapshot()) {
-                        tier->SnapshotQuery(query.area, query.range.start,
-                                            &results);
-                      } else {
-                        tier->IntervalQuery(query.area, query.range, &results);
-                      }
-                      const std::chrono::duration<double, std::milli> ms =
-                          std::chrono::steady_clock::now() - start;
-                      query_latency[chunk].Record(ms.count());
-                      chunk_results[chunk] += results.size();
-                    }
-                  }
-                });
-  }
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall_start;
-  if (update_failed) {
-    std::fprintf(stderr, "stindex_server: update stream failed\n");
-    std::exit(1);
-  }
-  const Status commit = tier->Commit();
-  if (!commit.ok()) {
-    std::fprintf(stderr, "stindex_server: final commit: %s\n",
-                 commit.ToString().c_str());
-    std::exit(1);
-  }
-
-  uint64_t result_rows = 0;
-  for (size_t i = 0; i < chunks; ++i) result_rows += chunk_results[i];
-  MetricRegistry& registry = MetricRegistry::Global();
-  MergeShards(query_latency, registry.GetHistogram("io.query.latency_ms"));
-  MergeShards(update_latency, registry.GetHistogram("live.update.latency_ms"));
-
-  const double seconds = wall.count();
-  const double qps =
-      seconds > 0.0 ? static_cast<double>(stream_size) / seconds : 0.0;
-  const double ups = seconds > 0.0
-                         ? static_cast<double>(updates_applied) / seconds
-                         : 0.0;
-  const HistogramSnapshot latency =
-      registry.GetHistogram("io.query.latency_ms")->Value().Snapshot();
-  const HistogramSnapshot update_ms =
-      registry.GetHistogram("live.update.latency_ms")->Value().Snapshot();
-  PrintHeader("stindex_server: mixed update/query replay",
-              "clients | qps        | updates/s  | q_p50_ms | u_p50_ms | "
-              "segments | live | rows");
-  char row[256];
-  std::snprintf(row, sizeof(row),
-                "%7d | %10.0f | %10.0f | %8.3f | %8.3f | %8zu | %4zu | %zu",
-                args.threads, qps, ups, latency.p50, update_ms.p50,
-                tier->migrated_segments().size(), tier->live_objects(),
-                static_cast<size_t>(result_rows));
-  PrintRow(row);
-
-  if (updates_dropped > 0) {
-    std::printf("  (%zu update slots dropped: stream exhausted)\n",
-                updates_dropped);
-  }
-
-  Report().SetParam("updates_applied", static_cast<int64_t>(updates_applied));
-  Report().SetParam("updates_dropped",
-                    static_cast<int64_t>(updates_dropped));
-  Report().SetParam("wal_checkpoints",
-                    static_cast<int64_t>(tier->checkpoint_seq()));
-  Report().SetParam("migrated_segments",
-                    static_cast<int64_t>(tier->migrated_segments().size()));
-  Report().SetParam("live_objects",
-                    static_cast<int64_t>(tier->live_objects()));
-  Report().SetParam("wal_commits", static_cast<int64_t>(tier->wal_commits()));
-  Report().SetParam("frozen_layers",
-                    static_cast<int64_t>(tier->frozen_layers()));
-  Report().AddSample("qps", "overall", qps);
-  Report().AddSample("updates_per_s", "overall", ups);
-  Report().AddSample("latency_p50_ms", "overall", latency.p50);
-  Report().AddSample("latency_p95_ms", "overall", latency.p95);
-  Report().AddSample("latency_p99_ms", "overall", latency.p99);
-  Report().AddSample("update_latency_p50_ms", "overall", update_ms.p50);
-  Report().AddSample("result_rows", "overall",
-                     static_cast<double>(result_rows));
-
-  DumpProm(flags, registry);
+  if (!opened.ok()) Exit(1, opened.status().ToString());
+  return Target{nullptr, nullptr, std::move(opened).value()};
 }
 
-void Run(const BenchArgs& args, const ServerFlags& flags) {
-  const BenchScale scale = GetScale();
-  const size_t n = scale.dataset_sizes.front();
-  const size_t stream_size =
-      flags.stream == 0 ? scale.query_count * 20 : flags.stream;
-  const size_t buffer_pages = args.buffer_pages == 0 ? 64 : args.buffer_pages;
-  std::printf("stindex_server (scale=%s, clients=%d, backend=%s): %zu-query "
-              "mixed stream over a %zu-object PPR-tree, one shared "
-              "%zu-page pool.\n",
-              scale.name.c_str(), args.threads,
-              args.backend.empty() ? "store" : args.backend.c_str(),
-              stream_size, n, buffer_pages);
-
-  const std::vector<Trajectory> objects = MakeRandomDataset(n);
-  const std::vector<SegmentRecord> records =
-      SplitWithLaGreedy(objects, 150, args.threads);
-  const std::unique_ptr<PprTree> tree = BuildPprTree(records);
-  AttachBenchBackend(tree.get(), args, "server");
-  const std::vector<STQuery> stream = MakeRequestStream(scale, stream_size);
-
-  const std::unique_ptr<SharedBufferPool> pool =
-      tree->NewSharedQueryPool(buffer_pages);
-  Report().SetParam("objects", static_cast<int64_t>(n));
-  Report().SetParam("clients", static_cast<int64_t>(args.threads));
-  Report().SetParam("stream", static_cast<int64_t>(stream_size));
-  Report().SetParam("effective_buffer_pages",
-                    static_cast<int64_t>(pool->capacity()));
-  Report().SetParam("pool_shards", static_cast<int64_t>(pool->shard_count()));
-
-  const size_t chunks = ParallelChunks(args.threads, stream.size());
-  std::vector<IoStats> chunk_stats(chunks);
-  std::vector<Histogram> latency_shards(chunks);
-  std::vector<uint64_t> chunk_results(chunks, 0);
-  const auto wall_start = std::chrono::steady_clock::now();
-  {
-    TraceSpan span("bench", "server_replay");
-    span.Arg("requests", static_cast<int64_t>(stream.size()))
-        .Arg("clients", static_cast<int64_t>(args.threads));
-    ParallelFor(args.threads, stream.size(),
-                [&](size_t chunk, size_t begin, size_t end) {
-                  // Pass-through session: no per-query reset, stats
-                  // mirror the shared pool's real hits and misses.
-                  SharedBufferPool::Session session(pool.get(), 0);
-                  Histogram& latency = latency_shards[chunk];
-                  for (size_t q = begin; q < end; ++q) {
-                    const STQuery& query = stream[q];
-                    std::vector<PprDataId> results;
-                    const auto start = std::chrono::steady_clock::now();
-                    if (query.IsSnapshot()) {
-                      tree->SnapshotQuery(query.area, query.range.start,
-                                          &session, &results);
-                    } else {
-                      tree->IntervalQuery(query.area, query.range, &session,
-                                          &results);
-                    }
-                    const std::chrono::duration<double, std::milli> elapsed =
-                        std::chrono::steady_clock::now() - start;
-                    latency.Record(elapsed.count());
-                    chunk_results[chunk] += results.size();
-                  }
-                  chunk_stats[chunk] = session.stats();
-                });
-  }
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall_start;
-
-  IoStats total;
-  uint64_t result_rows = 0;
-  for (size_t i = 0; i < chunks; ++i) {
-    total.accesses += chunk_stats[i].accesses;
-    total.misses += chunk_stats[i].misses;
-    result_rows += chunk_results[i];
-  }
-  MetricRegistry& registry = MetricRegistry::Global();
-  registry.GetCounter("io.query.accesses")->Add(total.accesses);
-  registry.GetCounter("io.query.misses")->Add(total.misses);
-  MergeShards(latency_shards, registry.GetHistogram("io.query.latency_ms"));
-  pool->PublishStats();
-
-  const double seconds = wall.count();
-  const double qps =
-      seconds > 0.0 ? static_cast<double>(stream.size()) / seconds : 0.0;
-  const HistogramSnapshot latency =
-      registry.GetHistogram("io.query.latency_ms")->Value().Snapshot();
-  PrintHeader("stindex_server: shared-pool replay",
-              "clients | qps        | p50_ms  | p95_ms  | p99_ms  | "
-              "miss_rate | rows");
-  char row[256];
-  std::snprintf(row, sizeof(row),
-                "%7d | %10.0f | %7.3f | %7.3f | %7.3f | %9.4f | %zu",
-                args.threads, qps, latency.p50, latency.p95, latency.p99,
-                total.accesses == 0
-                    ? 0.0
-                    : static_cast<double>(total.misses) /
-                          static_cast<double>(total.accesses),
-                static_cast<size_t>(result_rows));
-  PrintRow(row);
-  Report().AddSample("qps", "overall", qps);
-  Report().AddSample("latency_p50_ms", "overall", latency.p50);
-  Report().AddSample("latency_p95_ms", "overall", latency.p95);
-  Report().AddSample("latency_p99_ms", "overall", latency.p99);
-  Report().AddSample("result_rows", "overall",
-                     static_cast<double>(result_rows));
-
-  DumpProm(flags, registry);
+void WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  if (!out.good()) Exit(1, "write to '" + path + "' failed");
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
-// --- soak mode (--soak) --------------------------------------------------
-//
-// A wall-clock-bounded endurance run for the telemetry plane: worker
-// threads loop a mixed update/query workload over the live tier until
-// the deadline while the exposition server serves /metrics, /healthz and
-// /statusz live. Latencies record straight into the registry histograms
-// (no determinism requirement here — soak output is wall-clock-shaped by
-// definition), which is exactly what makes the sliding-window series
-// move between scrapes. Queries at or above --slow-query-ms are captured
-// with their full EXPLAIN profile into the slow-query ring.
-void RunSoak(const BenchArgs& args, ServerFlags flags) {
-  constexpr size_t kCommitEvery = 32;
-  if (flags.update_frac == 0.0) flags.update_frac = 0.2;
-  const BenchScale scale = GetScale();
-  const size_t n = scale.dataset_sizes.front();
-  std::printf(
-      "stindex_server --soak (scale=%s, clients=%d, backend=%s): %llds "
-      "mixed workload at update-frac %.2f over a live tier of %zu "
-      "objects.\n",
-      scale.name.c_str(), args.threads,
-      args.backend.empty() ? "store" : args.backend.c_str(),
-      static_cast<long long>(flags.duration_s), flags.update_frac, n);
-
-  const std::vector<Trajectory> objects = MakeRandomDataset(n);
-  const std::vector<LiveObservation> updates = MakeObservationStream(objects);
-  const std::vector<STQuery> queries =
-      MakeRequestStream(scale, scale.query_count * 4);
-
-  std::unique_ptr<PageBackend> wal;
-  if (args.backend == "file") {
-    Result<std::unique_ptr<FilePageBackend>> file =
-        FilePageBackend::Create(args.db_path + "/stindex_server_wal.stpages");
-    if (!file.ok()) {
-      std::fprintf(stderr, "stindex_server: %s\n",
-                   file.status().ToString().c_str());
-      std::exit(1);
+// Starts the telemetry plane: /healthz follows the tier's WAL latch (a
+// read-only run is always healthy); /statusz carries the query pools'
+// shard occupancy, the tier telemetry when there is a tier, and the
+// slow-query ring.
+std::unique_ptr<HttpExpositionServer> StartExposition(
+    const ServerFlags& flags, const Target& target,
+    const SlowQueryLog& slow_log) {
+  HttpExpositionOptions options;
+  options.port = static_cast<uint16_t>(flags.metrics_port);
+  options.epoch_seconds = 1.0;  // fine-grained window for short runs
+  options.window_epochs = 30;
+  auto exposition = std::make_unique<HttpExpositionServer>(options);
+  const LiveTier* tier = target.tier.get();
+  exposition->set_health_check([tier](std::string* detail) {
+    if (tier == nullptr || !tier->latched()) return true;
+    *detail = "live tier latched on a WAL I/O failure";
+    return false;
+  });
+  exposition->set_status_source([&target, tier, &slow_log](JsonWriter* json) {
+    json->Key("pool_shards").BeginArray();
+    for (const auto& shard : target.PoolShards()) {
+      json->BeginObject();
+      json->Key("capacity").Uint(shard.capacity);
+      json->Key("cached").Uint(shard.cached);
+      json->Key("pinned").Uint(shard.pinned);
+      json->EndObject();
     }
-    wal = std::move(file).value();
-  } else {
-    wal = std::make_unique<MemoryPageBackend>();
-  }
-
-  LiveTierOptions options;
-  options.index.capacity = 32;
-  options.query_pool_pages = args.buffer_pages;
-  options.group_commit = flags.group_commit;
-  options.commit_interval_us = flags.commit_interval_us;
-  options.checkpoint_every_pages = flags.checkpoint_every;
-  Result<std::unique_ptr<LiveTier>> opened =
-      LiveTier::Open(options, std::move(wal));
-  if (!opened.ok()) {
-    std::fprintf(stderr, "stindex_server: %s\n",
-                 opened.status().ToString().c_str());
-    std::exit(1);
-  }
-  LiveTier* tier = opened.value().get();
-
-  SlowQueryLog slow_log(
-      flags.slow_query_ms >= 0.0 ? flags.slow_query_ms : 0.0);
-  const bool capture_slow = flags.slow_query_ms >= 0.0;
-  if (capture_slow && !flags.slow_log_path.empty() &&
-      !slow_log.OpenJsonlSink(flags.slow_log_path)) {
-    std::fprintf(stderr, "stindex_server: cannot open slow log '%s'\n",
-                 flags.slow_log_path.c_str());
-    std::exit(1);
-  }
-
-  // The telemetry plane: healthz tracks the tier's WAL latch, statusz
-  // carries the tier telemetry, pool occupancy and the slow-query ring.
-  HttpExpositionServer exposition{[&flags] {
-    HttpExpositionOptions opt;
-    opt.port = static_cast<uint16_t>(
-        flags.metrics_port < 0 ? 0 : flags.metrics_port);
-    opt.epoch_seconds = 1.0;  // fine-grained window for short soaks
-    opt.window_epochs = 30;
-    return opt;
-  }()};
-  const bool serve = flags.metrics_port >= 0;
-  if (serve) {
-    exposition.set_health_check([tier](std::string* detail) {
-      if (tier->latched()) {
-        *detail = "live tier latched on a WAL I/O failure";
-        return false;
-      }
-      return true;
-    });
-    exposition.set_status_source([tier, &slow_log](JsonWriter* json) {
+    json->EndArray();
+    if (tier != nullptr) {
       const LiveTier::Telemetry t = tier->GetTelemetry();
       json->Key("live").BeginObject();
       json->Key("latched").Bool(t.latched);
@@ -716,214 +330,254 @@ void RunSoak(const BenchArgs& args, ServerFlags flags) {
       json->Key("seconds_since_checkpoint")
           .Double(t.seconds_since_checkpoint);
       json->EndObject();
-      json->Key("pool_shards").BeginArray();
-      for (const auto& shard : t.pool_shards) {
-        json->BeginObject();
-        json->Key("capacity").Uint(shard.capacity);
-        json->Key("cached").Uint(shard.cached);
-        json->Key("pinned").Uint(shard.pinned);
-        json->EndObject();
-      }
-      json->EndArray();
       json->EndObject();
-      json->Key("slow_queries");
-      slow_log.RenderStatusz(json);
-    });
-    const Status started = exposition.Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "stindex_server: exposition: %s\n",
-                   started.ToString().c_str());
-      std::exit(1);
     }
-    std::printf("  telemetry: http://127.0.0.1:%u/metrics (healthz, "
-                "statusz)\n",
-                exposition.port());
-    if (!flags.port_file.empty()) {
-      std::ofstream out(flags.port_file);
-      out << exposition.port() << "\n";
-      if (!out.good()) {
-        std::fprintf(stderr, "stindex_server: write to '%s' failed\n",
-                     flags.port_file.c_str());
-        std::exit(1);
-      }
-    }
+    json->Key("slow_queries");
+    slow_log.RenderStatusz(json);
+  });
+  const Status started = exposition->Start();
+  if (!started.ok()) Exit(1, "exposition: " + started.ToString());
+  std::printf("  telemetry: http://127.0.0.1:%u/metrics (healthz, statusz)\n",
+              exposition->port());
+  if (flags.Given("--port-file")) {
+    WriteFile(flags.given.at("--port-file"),
+              std::to_string(exposition->port()) + "\n");
   }
+  return exposition;
+}
+
+void Serve(const BenchArgs& args, const ServerFlags& flags) {
+  const BenchScale scale = GetScale();
+  const size_t n = scale.dataset_sizes.front();
+  const bool live = flags.update_frac > 0.0;
+  const bool timed = flags.duration_s > 0;
+  const size_t stream_size =
+      flags.stream == 0 ? scale.query_count * 20 : flags.stream;
+  const size_t buffer_pages = args.buffer_pages == 0 ? 64 : args.buffer_pages;
+  const std::string backend = args.backend.empty() ? "store" : args.backend;
+  const std::string stop = timed ? std::to_string(flags.duration_s) + "s"
+                                 : std::to_string(stream_size) + "-request";
+  std::printf(
+      "stindex_server (scale=%s, clients=%d, backend=%s): %s mixed stream at "
+      "update-frac %.2f over a %zu-object %s, one shared %zu-page pool.\n",
+      scale.name.c_str(), args.threads, backend.c_str(), stop.c_str(),
+      flags.update_frac, n, live ? "live tier" : "PPR-tree", buffer_pages);
+
+  const std::vector<Trajectory> objects = MakeRandomDataset(n);
+  const Target target = live ? OpenTier(args, flags, buffer_pages)
+                             : OpenTree(args, objects, buffer_pages);
+  const std::vector<LiveObservation> updates =
+      live ? MakeObservationStream(objects) : std::vector<LiveObservation>();
+  const std::vector<STQuery> requests = MakeRequestStream(stream_size);
+  const size_t pool_shards = target.PoolShards().size();
+
+  const bool capture_slow = flags.slow_query_ms >= 0.0;
+  SlowQueryLog slow_log(capture_slow ? flags.slow_query_ms : 0.0);
+  if (flags.Given("--slow-log") &&
+      !slow_log.OpenJsonlSink(flags.given.at("--slow-log"))) {
+    Exit(1, "cannot open slow log '" + flags.given.at("--slow-log") + "'");
+  }
+  std::unique_ptr<HttpExpositionServer> exposition;
+  if (flags.metrics_port >= 0) {
+    exposition = StartExposition(flags, target, slow_log);
+  }
+  auto scrapes = [&exposition] {
+    return exposition ? exposition->scrapes() : uint64_t{0};
+  };
 
   MetricRegistry& registry = MetricRegistry::Global();
   HistogramMetric* query_latency = registry.GetHistogram("io.query.latency_ms");
   HistogramMetric* update_latency =
       registry.GetHistogram("live.update.latency_ms");
-  Counter* soak_queries = registry.GetCounter("soak.queries");
-  Counter* soak_updates = registry.GetCounter("soak.updates");
-  Counter* soak_slow = registry.GetCounter("soak.slow_queries");
+  Counter* queries_served = registry.GetCounter("server.queries");
+  Counter* updates_served = registry.GetCounter("server.updates");
+  Counter* slow_captured = registry.GetCounter("server.slow_queries");
+  Counter* io_accesses = registry.GetCounter("io.query.accesses");
+  Counter* io_misses = registry.GetCounter("io.query.misses");
 
-  const auto wall_start = std::chrono::steady_clock::now();
-  const auto deadline =
-      wall_start + std::chrono::seconds(flags.duration_s);
-  std::atomic<size_t> request_counter{0};
-  std::atomic<uint64_t> result_rows{0};
+  // Updates apply in stream order under update_mu (the tier requires
+  // globally non-decreasing times); queries fan out across all clients.
   std::mutex update_mu;
   size_t update_cursor = 0;
   size_t updates_applied = 0;
-  bool update_failed = false;
-
-  const int workers = args.threads < 1 ? 1 : args.threads;
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      while (std::chrono::steady_clock::now() < deadline) {
-        const size_t i =
-            request_counter.fetch_add(1, std::memory_order_relaxed);
-        // The same Bresenham slotting as RunMixed: request i is an
-        // update when the accumulator crosses an integer.
-        const bool is_update =
-            static_cast<size_t>(static_cast<double>(i + 1) *
-                                flags.update_frac) >
-            static_cast<size_t>(static_cast<double>(i) * flags.update_frac);
-        const auto start = std::chrono::steady_clock::now();
-        if (is_update) {
-          bool applied = false;
-          bool commit_due = false;
-          {
-            std::lock_guard<std::mutex> lock(update_mu);
-            // The observation stream is finite and must apply in time
-            // order; once exhausted (or failed) update slots fall
-            // through to queries below.
-            if (!update_failed && update_cursor < updates.size()) {
-              const Status status = tier->Apply(updates[update_cursor]);
-              if (!status.ok()) {
-                std::fprintf(stderr, "stindex_server: update: %s\n",
-                             status.ToString().c_str());
-                update_failed = true;
-              } else {
-                ++update_cursor;
-                applied = true;
-                commit_due = ++updates_applied % kCommitEvery == 0;
-              }
-            }
-          }
-          if (applied && commit_due && !tier->Commit().ok()) {
-            std::lock_guard<std::mutex> lock(update_mu);
-            update_failed = true;
-          }
-          if (applied) {
-            const std::chrono::duration<double, std::milli> ms =
-                std::chrono::steady_clock::now() - start;
-            update_latency->Record(ms.count());
-            soak_updates->Increment();
-            continue;
-          }
-        }
-        const STQuery& query = queries[i % queries.size()];
-        std::vector<ObjectId> results;
-        QueryProfile profile;
-        QueryProfile* profile_ptr = capture_slow ? &profile : nullptr;
-        if (query.IsSnapshot()) {
-          tier->SnapshotQuery(query.area, query.range.start, &results,
-                              profile_ptr);
-        } else {
-          tier->IntervalQuery(query.area, query.range, &results, profile_ptr);
-        }
-        const std::chrono::duration<double, std::milli> ms =
-            std::chrono::steady_clock::now() - start;
-        query_latency->Record(ms.count());
-        soak_queries->Increment();
-        result_rows.fetch_add(results.size(), std::memory_order_relaxed);
-        if (capture_slow &&
-            slow_log.MaybeRecord(ms.count(), query.IsSnapshot(), query.area,
-                                 query.range, results.size(), profile)) {
-          soak_slow->Increment();
-        }
+  size_t updates_dropped = 0;  // update slots served as queries instead
+  Status update_status;        // the first failure stops all updates
+  // Applies the next observation; false when there is none to apply
+  // (exhausted stream, failed tier), so the slot serves a query.
+  auto apply_next_update = [&] {
+    const Clock::time_point start = Clock::now();
+    bool commit_due = false;
+    {
+      std::lock_guard<std::mutex> lock(update_mu);
+      if (!update_status.ok() || update_cursor >= updates.size()) {
+        ++updates_dropped;
+        return false;
       }
-    });
-  }
+      update_status = target.tier->Apply(updates[update_cursor++]);
+      if (!update_status.ok()) {
+        ++updates_dropped;
+        return false;
+      }
+      commit_due = ++updates_applied % kCommitEvery == 0;
+      if (updates_applied == flags.pack_at) {
+        // Freeze the historical tree into a zero-copy snapshot layer;
+        // queries keep running (PackHistorical takes the tier's lock).
+        update_status = target.tier->PackHistorical(
+            args.db_path + "/stindex_server_hist.stsnap");
+      }
+    }
+    // Commit outside update_mu, so concurrent committers coalesce into
+    // one fsync instead of serializing on the apply lock.
+    if (commit_due) {
+      const Status committed = target.tier->Commit();
+      std::lock_guard<std::mutex> lock(update_mu);
+      if (update_status.ok()) update_status = committed;
+    }
+    update_latency->Record(MillisSince(start));
+    updates_served->Increment();
+    return true;
+  };
 
-  // The main thread is the publisher: every interval it pushes the
-  // tier's state gauges into the registry (so scrapes see fresh values)
-  // and prints one progress line of interval deltas.
-  uint64_t last_queries = 0;
-  uint64_t last_updates = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    const auto interval_end =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(flags.publish_interval_s));
-    std::this_thread::sleep_until(std::min(interval_end, deadline));
-    tier->PublishGauges();
-    const uint64_t q = soak_queries->Value();
-    const uint64_t u = soak_updates->Value();
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - wall_start;
-    std::printf(
-        "  t=%6.1fs  +%llu queries  +%llu updates  scrapes=%llu  slow=%llu\n",
-        elapsed.count(), static_cast<unsigned long long>(q - last_queries),
-        static_cast<unsigned long long>(u - last_updates),
-        static_cast<unsigned long long>(exposition.scrapes()),
-        static_cast<unsigned long long>(slow_log.captured()));
-    std::fflush(stdout);
-    last_queries = q;
-    last_updates = u;
-  }
-  for (std::thread& worker : pool) worker.join();
+  const int clients = args.threads;
+  std::atomic<size_t> next_request{0};
+  std::atomic<uint64_t> result_rows{0};
+  std::mutex done_mu;
+  std::condition_variable done_cv;
+  int clients_done = 0;
+  const Clock::time_point wall_start = Clock::now();
+  const Clock::time_point deadline =
+      wall_start + std::chrono::seconds(flags.duration_s);
+  auto client = [&] {
+    std::optional<SharedBufferPool::Session> session;
+    if (target.pool) session.emplace(target.pool.get(), 0);
+    while (true) {
+      const size_t i = next_request.fetch_add(1, std::memory_order_relaxed);
+      if (timed ? Clock::now() >= deadline : i >= stream_size) break;
+      if (live && IsUpdateSlot(i, flags.update_frac) && apply_next_update()) {
+        continue;
+      }
+      const Clock::time_point start = Clock::now();
+      const STQuery& query = requests[i % requests.size()];
+      QueryProfile profile;
+      const size_t rows = target.Answer(query, session ? &*session : nullptr,
+                                        capture_slow ? &profile : nullptr);
+      const double ms = MillisSince(start);
+      query_latency->Record(ms);
+      queries_served->Increment();
+      result_rows.fetch_add(rows, std::memory_order_relaxed);
+      if (capture_slow &&
+          slow_log.MaybeRecord(ms, query.IsSnapshot(), query.area,
+                               query.range, rows, profile)) {
+        slow_captured->Increment();
+      }
+    }
+    if (session) {
+      io_accesses->Add(session->stats().accesses);
+      io_misses->Add(session->stats().misses);
+    }
+    std::lock_guard<std::mutex> lock(done_mu);
+    ++clients_done;
+    done_cv.notify_all();
+  };
 
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - wall_start;
-  if (update_failed) {
-    std::fprintf(stderr, "stindex_server: update stream failed\n");
-    std::exit(1);
+  std::vector<std::thread> threads;
+  {
+    TraceSpan span("bench", "server_serve");
+    span.Arg("clients", static_cast<int64_t>(clients));
+    for (int c = 0; c < clients; ++c) threads.emplace_back(client);
+    // The main thread is the publisher: every interval it pushes fresh
+    // gauges (so scrapes see current values) and prints one progress
+    // line of interval deltas, until the clients stop.
+    uint64_t last_queries = 0;
+    uint64_t last_updates = 0;
+    std::unique_lock<std::mutex> lock(done_mu);
+    while (!done_cv.wait_for(lock, kPublishInterval,
+                             [&] { return clients_done == clients; })) {
+      lock.unlock();
+      target.Publish();
+      const uint64_t q = queries_served->Value();
+      const uint64_t u = updates_served->Value();
+      std::printf("  t=%6.1fs  +%" PRIu64 " queries  +%" PRIu64
+                  " updates  scrapes=%" PRIu64 "  slow=%" PRIu64 "\n",
+                  MillisSince(wall_start) / 1000.0, q - last_queries,
+                  u - last_updates, scrapes(), slow_log.captured());
+      std::fflush(stdout);
+      last_queries = q;
+      last_updates = u;
+      lock.lock();
+    }
   }
-  const Status commit = tier->Commit();
-  if (!commit.ok()) {
-    std::fprintf(stderr, "stindex_server: final commit: %s\n",
-                 commit.ToString().c_str());
-    std::exit(1);
-  }
-  tier->PublishGauges();
+  for (std::thread& thread : threads) thread.join();
+  const double seconds = MillisSince(wall_start) / 1000.0;
 
-  const double seconds = wall.count();
-  const uint64_t total_queries = soak_queries->Value();
-  const uint64_t total_updates = soak_updates->Value();
-  const double qps =
-      seconds > 0.0 ? static_cast<double>(total_queries) / seconds : 0.0;
-  const double ups =
-      seconds > 0.0 ? static_cast<double>(total_updates) / seconds : 0.0;
+  if (live && update_status.ok()) update_status = target.tier->Commit();
+  if (!update_status.ok()) Exit(1, "updates: " + update_status.ToString());
+  target.Publish();
+
+  const uint64_t queries = queries_served->Value();
+  const uint64_t rows = result_rows.load(std::memory_order_relaxed);
+  const double qps = static_cast<double>(queries) / seconds;
+  const double ups = static_cast<double>(updates_applied) / seconds;
   const HistogramSnapshot latency = query_latency->Value().Snapshot();
-  PrintHeader("stindex_server: soak",
+  const HistogramSnapshot update_ms = update_latency->Value().Snapshot();
+  const double miss_rate =
+      static_cast<double>(io_misses->Value()) /
+      static_cast<double>(std::max<uint64_t>(io_accesses->Value(), 1));
+  PrintHeader("stindex_server",
               "clients | seconds | qps        | updates/s  | q_p50_ms | "
-              "q_p99_ms | scrapes | slow");
+              "q_p99_ms | u_p50_ms | miss_rate | rows");
   char row[256];
   std::snprintf(row, sizeof(row),
-                "%7d | %7.1f | %10.0f | %10.0f | %8.3f | %8.3f | %7llu | %llu",
-                workers, seconds, qps, ups, latency.p50, latency.p99,
-                static_cast<unsigned long long>(exposition.scrapes()),
-                static_cast<unsigned long long>(slow_log.captured()));
+                "%7d | %7.2f | %10.0f | %10.0f | %8.3f | %8.3f | %8.3f | "
+                "%9.4f | %" PRIu64,
+                clients, seconds, qps, ups, latency.p50, latency.p99,
+                update_ms.p50, miss_rate, rows);
   PrintRow(row);
+  if (updates_dropped > 0) {
+    std::printf("  (%zu update slots served as queries: stream exhausted)\n",
+                updates_dropped);
+  }
 
-  Report().SetParam("objects", static_cast<int64_t>(n));
-  Report().SetParam("clients", static_cast<int64_t>(workers));
-  Report().SetParam("backend", args.backend.empty() ? "store" : args.backend);
-  Report().SetParam("update_frac", flags.update_frac);
-  Report().SetParam("duration_s", flags.duration_s);
-  Report().SetParam("soak_queries", static_cast<int64_t>(total_queries));
-  Report().SetParam("soak_updates", static_cast<int64_t>(total_updates));
-  Report().SetParam("scrapes", static_cast<int64_t>(exposition.scrapes()));
-  Report().SetParam("slow_queries",
-                    static_cast<int64_t>(slow_log.captured()));
-  Report().SetParam("wal_checkpoints",
-                    static_cast<int64_t>(tier->checkpoint_seq()));
-  Report().SetParam("wal_commits", static_cast<int64_t>(tier->wal_commits()));
-  Report().AddSample("qps", "overall", qps);
-  Report().AddSample("updates_per_s", "overall", ups);
-  Report().AddSample("latency_p50_ms", "overall", latency.p50);
-  Report().AddSample("latency_p95_ms", "overall", latency.p95);
-  Report().AddSample("latency_p99_ms", "overall", latency.p99);
-  Report().AddSample("result_rows", "overall",
-                     static_cast<double>(
-                         result_rows.load(std::memory_order_relaxed)));
+  BenchReport& report = Report();
+  auto count = [&report](const char* name, uint64_t value) {
+    report.SetParam(name, static_cast<int64_t>(value));
+  };
+  count("objects", n);
+  count("clients", static_cast<uint64_t>(clients));
+  report.SetParam("backend", backend);
+  count(timed ? "duration_s" : "stream",
+        timed ? static_cast<uint64_t>(flags.duration_s) : stream_size);
+  count("effective_buffer_pages", buffer_pages);
+  count("pool_shards", pool_shards);
+  report.SetParam("update_frac", flags.update_frac);
+  count("queries", queries);
+  count("updates_applied", updates_applied);
+  count("updates_dropped", updates_dropped);
+  count("scrapes", scrapes());
+  count("slow_queries", slow_log.captured());
+  if (live) {
+    const LiveTier& tier = *target.tier;
+    report.SetParam("commit_interval_us", flags.commit_interval_us);
+    count("checkpoint_every", flags.checkpoint_every);
+    count("pack_at", flags.pack_at);
+    count("wal_commits", tier.wal_commits());
+    count("wal_checkpoints", tier.checkpoint_seq());
+    count("migrated_segments", tier.migrated_segments().size());
+    count("live_objects", tier.live_objects());
+    count("frozen_layers", tier.frozen_layers());
+  }
+  report.AddSample("qps", "overall", qps);
+  report.AddSample("updates_per_s", "overall", ups);
+  report.AddSample("latency_p50_ms", "overall", latency.p50);
+  report.AddSample("latency_p95_ms", "overall", latency.p95);
+  report.AddSample("latency_p99_ms", "overall", latency.p99);
+  report.AddSample("update_latency_p50_ms", "overall", update_ms.p50);
+  report.AddSample("result_rows", "overall", static_cast<double>(rows));
 
-  DumpProm(flags, registry);
-  if (serve) exposition.Stop();
+  if (flags.Given("--prom")) {
+    WriteFile(flags.given.at("--prom"), RenderPrometheus(registry.Snapshot()));
+  }
+  if (exposition) exposition->Stop();
 }
 
 }  // namespace
@@ -931,17 +585,12 @@ void RunSoak(const BenchArgs& args, ServerFlags flags) {
 }  // namespace stindex
 
 int main(int argc, char** argv) {
-  stindex::bench::ServerFlags flags =
+  const stindex::bench::ServerFlags flags =
       stindex::bench::ExtractServerFlags(&argc, argv);
   const stindex::bench::BenchArgs args = stindex::bench::ParseBenchArgs(
       argc, argv, "stindex_server", /*accept_backend=*/true);
-  if (flags.soak) {
-    stindex::bench::RunSoak(args, flags);
-  } else if (flags.update_frac > 0.0) {
-    stindex::bench::RunMixed(args, flags);
-  } else {
-    stindex::bench::Run(args, flags);
-  }
+  stindex::bench::CheckFlagsTakeEffect(flags, args);
+  stindex::bench::Serve(args, flags);
   stindex::bench::FinishReport(args);
   return 0;
 }

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Builds the concurrency-sensitive test binaries under ThreadSanitizer
-# (via the STINDEX_SANITIZE CMake option) and runs them. Any data race —
-# including one TSan finds in a passing test — fails the script. CI runs
-# this on every change; run it locally before touching the thread pool,
-# the parallel split pipeline, or the buffer-pool read path.
+# Builds the concurrency-sensitive test binaries and stindex_server under
+# ThreadSanitizer (via the STINDEX_SANITIZE CMake option) and runs them:
+# the tests, then a ~3 s mixed stindex_server run whose client,
+# publisher and exposition threads are scraped while they work. Any data
+# race — including one TSan finds in a passing run — fails the script.
+# CI runs this on every change; run it locally before touching the
+# thread pool, the parallel split pipeline, the buffer-pool read path or
+# the server loop.
 #
 # Usage: scripts/check_tsan.sh [build-dir]
 set -euo pipefail
@@ -18,7 +21,7 @@ TESTS=(thread_pool_test parallel_pipeline_test concurrency_test
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." \
   -DSTINDEX_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" --target "${TESTS[@]}" -j"$JOBS"
+cmake --build "$BUILD_DIR" --target "${TESTS[@]}" stindex_server -j"$JOBS"
 
 # halt_on_error: make the first race fail the binary, not just warn.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -30,9 +33,34 @@ for test in "${TESTS[@]}"; do
   fi
 done
 
+echo "== TSan: stindex_server =="
+SERVER_DIR="$(mktemp -d)"
+trap 'rm -rf "$SERVER_DIR"' EXIT
+"$BUILD_DIR/bench/stindex_server" --duration-s=3 --update-frac=0.2 \
+  --threads=4 --metrics-port=0 --port-file="$SERVER_DIR/port" \
+  --slow-query-ms=0 > "$SERVER_DIR/server.txt" 2>&1 &
+server_pid=$!
+for _ in $(seq 1 100); do
+  [ -s "$SERVER_DIR/port" ] && break
+  kill -0 "$server_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if [ -s "$SERVER_DIR/port" ]; then
+  python3 - "$(cat "$SERVER_DIR/port")" <<'EOF' || status=1
+import sys, urllib.request
+for path in ("/metrics", "/healthz", "/statusz"):
+    url = f"http://127.0.0.1:{sys.argv[1]}{path}"
+    urllib.request.urlopen(url, timeout=10).read()
+EOF
+fi
+if ! wait "$server_pid"; then
+  status=1
+  cat "$SERVER_DIR/server.txt" >&2
+fi
+
 if [ "$status" -ne 0 ]; then
   echo "ThreadSanitizer FAILED" >&2
 else
-  echo "ThreadSanitizer clean: ${TESTS[*]}"
+  echo "ThreadSanitizer clean: ${TESTS[*]} stindex_server"
 fi
 exit "$status"

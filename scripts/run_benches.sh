@@ -105,15 +105,18 @@ fi
 # Mixed update/query smoke: one fifth of the request stream are live
 # movement updates journaled through the WAL onto a real page file while
 # the rest run freshness-bound tiered queries from 4 client threads.
-# Group commit coalesces the per-client commits and --checkpoint-every=1
-# forces at least one full checkpoint + truncation cycle mid-run. The
-# report must validate against schema v2, prove actual journal writes
-# (backend.file.writes > 0), prove the journal was truncated
-# (live.wal.truncated_pages > 0) and carry a sane updates_per_s sample.
+# Concurrent commits coalesce into one fsync (waiting up to 200 us for
+# joiners), --checkpoint-every=1 forces at least one full checkpoint +
+# truncation cycle mid-run, and --pack-at=40 freezes the historical tree
+# into a zero-copy snapshot layer mid-stream. The report must validate
+# against schema v2, prove actual journal writes (backend.file.writes >
+# 0), prove the journal was truncated (live.wal.truncated_pages > 0),
+# show exactly one pack (frozen_layers == 1, live.packs == 1) and carry
+# a sane updates_per_s sample.
 if [ -x "$SERVER" ]; then
   echo "== stindex_server mixed update/query smoke =="
   "$SERVER" --threads=4 --stream=400 --update-frac=0.2 \
-    --group-commit --commit-interval=200 --checkpoint-every=1 \
+    --commit-interval=200 --checkpoint-every=1 --pack-at=40 \
     --backend=file --db="$SMOKE_DIR" \
     --json="$OUT_DIR/stindex_server_mixed.json" \
     | tee "$OUT_DIR/stindex_server_mixed.txt"
@@ -127,8 +130,8 @@ params = report["params"]
 assert params["update_frac"] == 0.2, params
 assert params["updates_applied"] > 0, params
 assert params["wal_commits"] > 0, params
-assert params["group_commit"] == 1, params
 assert params["wal_checkpoints"] > 0, params
+assert params["frozen_layers"] == 1, params
 assert "updates_dropped" in params, params
 counters = report["metrics"]["counters"]
 writes = counters.get("backend.file.writes", 0)
@@ -139,6 +142,8 @@ checkpoints = counters.get("live.wal.checkpoints", 0)
 assert checkpoints > 0, f"expected checkpoints, got {counters}"
 truncated = counters.get("live.wal.truncated_pages", 0)
 assert truncated > 0, f"expected truncated journal pages, got {counters}"
+packs = counters.get("live.packs", 0)
+assert packs == 1, f"expected exactly one pack, got {counters}"
 series = {s["name"] for s in report["series"]}
 for required in ("qps", "updates_per_s", "latency_p50_ms",
                  "update_latency_p50_ms"):
@@ -149,21 +154,21 @@ assert ups and ups[0] > 0, f"expected positive updates_per_s, got {ups}"
 print(f"stindex_server mixed smoke OK: {params['updates_applied']} updates "
       f"({params['updates_dropped']} dropped), {writes} WAL file writes, "
       f"{params['wal_commits']} commits, {checkpoints} checkpoints, "
-      f"{truncated} truncated pages")
+      f"{truncated} truncated pages, {packs} pack")
 EOF
 fi
 
-# Soak smoke: run the wall-clock-bounded mixed workload for ~10s with the
-# telemetry plane on an ephemeral port, scrape it live (>=3 scrapes with
-# monotone counters, windowed p95, healthz green), then check the soak
-# report validates and the slow-query JSONL (threshold 0 => every query
-# captures) parses line by line.
+# Soak smoke: serve the mixed workload for 10 s of wall clock
+# (--duration-s) with the telemetry plane on an ephemeral port, scrape it
+# live (>=3 scrapes with monotone counters, windowed p95, healthz green),
+# then check the report validates and the slow-query JSONL (threshold 0
+# => every query captures) parses line by line.
 if [ -x "$SERVER" ]; then
   echo "== stindex_server soak + live scrape smoke =="
   SOAK_DIR="$SMOKE_DIR/soak"
   mkdir -p "$SOAK_DIR"
-  "$SERVER" --soak --duration-s=10 --threads=4 --buffer-pages=32 \
-    --metrics-port=0 --port-file="$SOAK_DIR/port" \
+  "$SERVER" --duration-s=10 --update-frac=0.2 --threads=4 \
+    --buffer-pages=32 --metrics-port=0 --port-file="$SOAK_DIR/port" \
     --slow-query-ms=0 --slow-log="$SOAK_DIR/slow.jsonl" \
     --backend=file --db="$SOAK_DIR" \
     --json="$OUT_DIR/stindex_server_soak.json" \
@@ -196,7 +201,7 @@ import json, sys
 with open(sys.argv[1], "r", encoding="utf-8") as f:
     report = json.load(f)
 params = report["params"]
-assert params["soak_queries"] > 0, params
+assert params["queries"] > 0, params
 assert params["scrapes"] >= 3, params
 assert params["slow_queries"] > 0, params
 series = {s["name"] for s in report["series"]}
@@ -208,8 +213,8 @@ with open(sys.argv[2], "r", encoding="utf-8") as f:
 assert lines, "slow-query JSONL is empty at threshold 0"
 for entry in lines:
     assert "latency_ms" in entry and "results" in entry, entry
-print(f"soak smoke OK: {params['soak_queries']} queries, "
-      f"{params['soak_updates']} updates, {params['scrapes']} scrapes, "
+print(f"soak smoke OK: {params['queries']} queries, "
+      f"{params['updates_applied']} updates, {params['scrapes']} scrapes, "
       f"{len(lines)} slow-log entries")
 EOF
 fi

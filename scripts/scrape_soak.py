@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Scrape a running stindex_server --soak telemetry plane and assert it
-is sane: counters are monotone across scrapes, gauges are finite,
+"""Scrape the telemetry plane of a running stindex_server (started with
+--metrics-port, typically for a --duration-s run) and assert it is
+sane: counters are monotone across scrapes, gauges are finite,
 sliding-window percentiles are being published, and /healthz is green.
 
 Usage: scrape_soak.py PORT [--scrapes N] [--interval S]
 
 Exits 0 when every assertion holds over at least N successful scrapes;
 prints the violated assertion and exits 1 otherwise. Stdlib only — this
-is the CI soak smoke, it must not need pip.
+is a CI smoke, it must not need pip.
 """
 
 import argparse

@@ -336,13 +336,6 @@ Status LiveTier::Commit() {
   std::unique_lock lock(mu_);
   Status status = CheckAlive();
   if (!status.ok()) return status;
-  if (!options_.group_commit) {
-    status = writer_->Commit();
-    if (!status.ok()) return Latch(status);
-    durable_records_ = writer_->appended_records();
-    return MaybeCheckpointLocked();
-  }
-
   // Group commit. Everything this caller appended is already in the
   // writer, so it is covered once `durable_records_` reaches the current
   // append count.

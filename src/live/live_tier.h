@@ -29,12 +29,9 @@ struct LiveTierOptions {
   // tier checkpoints and truncates them. 0 disables the automatic
   // trigger (explicit Checkpoint() calls still work).
   size_t checkpoint_every_pages = 0;
-  // Group commit: concurrent Commit() callers coalesce into one fsync —
-  // one caller becomes the leader, flushes everything appended so far
-  // and syncs once; the rest wait for the leader to cover their records.
-  bool group_commit = false;
-  // With group commit: how long the leader waits before flushing, so
-  // later callers can join the batch (0 = flush immediately). Updates
+  // Commits are group commits: concurrent Commit() callers coalesce into
+  // one fsync. This is how long the commit leader waits before flushing,
+  // so later callers can join the batch (0 = flush immediately). Updates
   // keep appending while the leader waits — the lock is released.
   int64_t commit_interval_us = 0;
 };
@@ -96,8 +93,8 @@ class LiveTier {
   Status End(ObjectId object, Time t);
   Status Apply(const LiveObservation& update);
 
-  // Makes every update since the last Commit durable. Under group_commit
-  // concurrent callers coalesce into one fsync (see LiveTierOptions).
+  // Makes every update since the last Commit durable. Concurrent callers
+  // coalesce into one fsync (see LiveTierOptions::commit_interval_us).
   Status Commit();
 
   // Persists the full tier state into the journal backend and truncates

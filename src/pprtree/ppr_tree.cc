@@ -1,11 +1,9 @@
 #include "pprtree/ppr_tree.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -1072,180 +1070,6 @@ void PprTree::CheckInvariants() const {
       }
     }
   }
-}
-
-namespace {
-
-// On-disk layout (all pages exactly kPageSize bytes):
-//   page 0            header: magic, config, size, time, era/page counts
-//   journal pages     packed (start, root) era records
-//   one page per node level, created, closed, entry count, entries
-constexpr char kPprMagic[8] = {'P', 'P', 'R', 'T', '0', '0', '0', '2'};
-constexpr size_t kEraBytes = sizeof(Time) + sizeof(PageId);
-
-bool WritePage(std::ostream& out, const std::array<uint8_t, kPageSize>& page) {
-  out.write(reinterpret_cast<const char*>(page.data()), kPageSize);
-  return static_cast<bool>(out);
-}
-
-bool ReadPage(std::istream& in, std::array<uint8_t, kPageSize>* page) {
-  in.read(reinterpret_cast<char*>(page->data()), kPageSize);
-  return static_cast<bool>(in);
-}
-
-}  // namespace
-
-Status PprTree::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::InvalidArgument("cannot write '" + path + "'");
-
-  std::array<uint8_t, kPageSize> page{};
-  {
-    PageWriter header(page.data(), kPageSize);
-    header.WriteBytes(kPprMagic, sizeof(kPprMagic));
-    header.Write(config_.max_entries);
-    header.Write(config_.p_version);
-    header.Write(config_.p_svo);
-    header.Write(config_.p_svu);
-    header.Write(config_.buffer_pages);
-    header.Write(size_);
-    header.Write(current_time_);
-    header.Write(roots_.size());
-    header.Write(store_.AllocatedCount());
-    if (!WritePage(out, page)) {
-      return Status::InvalidArgument("write failed for '" + path + "'");
-    }
-  }
-
-  // Root journal, packed across pages.
-  {
-    const size_t eras_per_page = kPageSize / kEraBytes;
-    size_t cursor = 0;
-    while (cursor < roots_.size()) {
-      page.fill(0);
-      PageWriter writer(page.data(), kPageSize);
-      for (size_t i = 0; i < eras_per_page && cursor < roots_.size();
-           ++i, ++cursor) {
-        writer.Write(roots_[cursor].start);
-        writer.Write(roots_[cursor].root);
-      }
-      if (!WritePage(out, page)) {
-        return Status::InvalidArgument("write failed for '" + path + "'");
-      }
-    }
-  }
-
-  // One page per node.
-  for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
-    const Node* node = GetNode(id);
-    page.fill(0);
-    PageWriter writer(page.data(), kPageSize);
-    writer.Write(node->level());
-    writer.Write(node->created());
-    writer.Write(node->closed());
-    writer.Write(node->entries().size());
-    for (const Entry& entry : node->entries()) {
-      writer.Write(entry.rect);
-      writer.Write(entry.lifetime);
-      writer.Write(entry.child);
-      writer.Write(entry.data);
-    }
-    if (!WritePage(out, page)) {
-      return Status::InvalidArgument("write failed for '" + path + "'");
-    }
-  }
-  out.flush();
-  if (!out) return Status::InvalidArgument("write failed for '" + path + "'");
-  return Status::OK();
-}
-
-Result<std::unique_ptr<PprTree>> PprTree::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-
-  std::array<uint8_t, kPageSize> page{};
-  if (!ReadPage(in, &page)) {
-    return Status::InvalidArgument("truncated PPR-tree header");
-  }
-  PageReader header(page.data(), kPageSize);
-  char magic[8];
-  if (!header.ReadBytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kPprMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("'" + path + "' is not a PPR-tree file");
-  }
-  PprConfig config;
-  size_t root_count = 0;
-  size_t pages = 0;
-  std::unique_ptr<PprTree> tree;
-  size_t size = 0;
-  Time current_time = 0;
-  if (!header.Read(&config.max_entries) || !header.Read(&config.p_version) ||
-      !header.Read(&config.p_svo) || !header.Read(&config.p_svu) ||
-      !header.Read(&config.buffer_pages) || !header.Read(&size) ||
-      !header.Read(&current_time) || !header.Read(&root_count) ||
-      !header.Read(&pages)) {
-    return Status::InvalidArgument("truncated PPR-tree header");
-  }
-  if (config.max_entries == 0 || config.max_entries > 4096 ||
-      config.p_version <= 0.0 || config.p_version >= 1.0) {
-    return Status::InvalidArgument("implausible PPR-tree configuration");
-  }
-  tree = std::make_unique<PprTree>(config);
-  tree->size_ = size;
-  tree->current_time_ = current_time;
-
-  // Root journal.
-  const size_t eras_per_page = kPageSize / kEraBytes;
-  for (size_t cursor = 0; cursor < root_count;) {
-    if (!ReadPage(in, &page)) {
-      return Status::InvalidArgument("truncated root journal");
-    }
-    PageReader reader(page.data(), kPageSize);
-    for (size_t i = 0; i < eras_per_page && cursor < root_count;
-         ++i, ++cursor) {
-      RootEra era;
-      if (!reader.Read(&era.start) || !reader.Read(&era.root)) {
-        return Status::InvalidArgument("truncated root journal");
-      }
-      tree->roots_.push_back(era);
-    }
-  }
-
-  // Nodes, one page each.
-  for (PageId id = 0; id < pages; ++id) {
-    if (!ReadPage(in, &page)) {
-      return Status::InvalidArgument("truncated node page");
-    }
-    PageReader reader(page.data(), kPageSize);
-    int level = 0;
-    Time created = 0, closed = 0;
-    size_t entry_count = 0;
-    if (!reader.Read(&level) || !reader.Read(&created) ||
-        !reader.Read(&closed) || !reader.Read(&entry_count) ||
-        entry_count > config.max_entries + 1) {
-      return Status::InvalidArgument("corrupt node page");
-    }
-    auto node = std::make_unique<Node>(level, created);
-    if (closed != kTimeInfinity) node->Close(closed);
-    node->entries().resize(entry_count);
-    for (Entry& entry : node->entries()) {
-      if (!reader.Read(&entry.rect) || !reader.Read(&entry.lifetime) ||
-          !reader.Read(&entry.child) || !reader.Read(&entry.data)) {
-        return Status::InvalidArgument("corrupt node page");
-      }
-      // Rebuild the alive-record and alive-parent maps.
-      if (entry.IsAlive()) {
-        if (level == 0) {
-          tree->alive_location_[entry.data] = id;
-        } else {
-          tree->parent_of_[entry.child] = id;
-        }
-      }
-    }
-    const PageId allocated = tree->store_.Allocate(std::move(node));
-    STINDEX_CHECK(allocated == id);
-  }
-  return tree;
 }
 
 void PprTree::EncodeCheckpointMeta(ByteSink* out) const {

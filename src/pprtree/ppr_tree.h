@@ -184,12 +184,6 @@ class PprTree {
   };
   std::vector<AliveNodeSummary> CollectAliveSummaries(Time t) const;
 
-  // Persists the whole structure (nodes, root journal, configuration) to
-  // a binary file, and restores it. A loaded tree answers queries
-  // identically and accepts further updates.
-  Status Save(const std::string& path) const;
-  static Result<std::unique_ptr<PprTree>> Load(const std::string& path);
-
   // --- live-tier checkpoint hooks ---------------------------------------
   // A live tree (before AttachBackend) round-trips through checkpoint
   // metadata plus one sealed kPprNode page per node: node ids are

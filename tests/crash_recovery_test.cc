@@ -305,8 +305,8 @@ TEST(CrashRecoveryTest, RecoveredJournalSurvivesAnotherGeneration) {
   std::remove(path.c_str());
 }
 
-// The checkpointed sweep: with automatic checkpointing and group commit
-// armed, the mutation space now includes every write of the checkpoint
+// The checkpointed sweep: with automatic checkpointing armed, the
+// mutation space now includes every write of the checkpoint
 // procedure — shadow node pages, the metadata chain, both syncs around
 // the header, the header itself, and every Free of truncation. A crash
 // at ANY of those sites (mid-checkpoint, between tree flush and header
@@ -325,8 +325,6 @@ TEST(CrashRecoveryTest, CheckpointedCrashSweepRecoversAtEveryMutationSite) {
 
   LiveTierOptions options = TierOptions();
   options.checkpoint_every_pages = 1;  // checkpoint at (nearly) every commit
-  options.group_commit = true;
-  options.commit_interval_us = 0;
 
   const std::string ref_path = ::testing::TempDir() + "/ckpt_ref.stpages";
   uint64_t mutations = 0;

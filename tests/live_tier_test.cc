@@ -624,7 +624,6 @@ TEST(LiveTierTest, CheckpointTruncatesJournalAndReopensFromIt) {
 
 TEST(LiveTierTest, GroupCommitCoalescesConcurrentCommitters) {
   LiveTierOptions options = SmallTierOptions();
-  options.group_commit = true;
   options.commit_interval_us = 2000;
   Result<std::unique_ptr<LiveTier>> tier =
       LiveTier::Open(options, std::make_unique<MemoryPageBackend>());

@@ -18,9 +18,11 @@
 // also supports --explain (per-level EXPLAIN profile), --objects FILE
 // (exact-geometry refinement / false-hit counting) and --trace FILE
 // (Chrome trace capture of build and query spans).
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -78,7 +80,7 @@ class Flags {
 
   // Presence flags that take no value.
   static bool IsBoolean(const std::string& key) {
-    return key == "explain" || key == "group-commit";
+    return key == "explain";
   }
 
   bool GetBool(const std::string& key) { return Get(key, "") == "1"; }
@@ -99,9 +101,37 @@ class Flags {
     return it->second;
   }
 
-  int64_t GetInt(const std::string& key, int64_t fallback) {
+  // An integer flag: non-numeric input, trailing garbage, overflow and
+  // values below `min` are usage errors (exit 2, naming the flag), never
+  // a silent fallback.
+  int64_t GetInt(const std::string& key, int64_t fallback,
+                 int64_t min = std::numeric_limits<int64_t>::min()) {
     const std::string value = Get(key, std::to_string(fallback));
-    return std::strtoll(value.c_str(), nullptr, 10);
+    errno = 0;
+    char* end = nullptr;
+    const long long n = std::strtoll(value.c_str(), &end, 10);
+    if (end == value.c_str() || *end != '\0') {
+      std::fprintf(stderr, "--%s: '%s' is not an integer\n", key.c_str(),
+                   value.c_str());
+      std::exit(2);
+    }
+    if (errno == ERANGE) {
+      std::fprintf(stderr, "--%s: %s is out of range\n", key.c_str(),
+                   value.c_str());
+      std::exit(2);
+    }
+    if (n < min) {
+      std::fprintf(stderr, "--%s: %s is below the minimum %lld\n",
+                   key.c_str(), value.c_str(), static_cast<long long>(min));
+      std::exit(2);
+    }
+    return static_cast<int64_t>(n);
+  }
+
+  // A count or size: GetInt with negative values rejected.
+  size_t GetCount(const std::string& key, size_t fallback) {
+    return static_cast<size_t>(
+        GetInt(key, static_cast<int64_t>(fallback), 0));
   }
 
   void RejectUnknown() const {
@@ -243,9 +273,9 @@ QuerySetConfig NamedQuerySet(const std::string& name) {
 
 int CmdGenerate(Flags& flags) {
   const std::string family = flags.Get("family", "random");
-  const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
+  const size_t n = flags.GetCount("n", 10000);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const Time domain = flags.GetInt("time-domain", 1000);
+  const Time domain = flags.GetInt("time-domain", 1000, 0);
   const std::string out = flags.Require("out");
   flags.RejectUnknown();
 
@@ -286,7 +316,7 @@ int CmdGenerate(Flags& flags) {
 int CmdSplit(Flags& flags) {
   const std::string in = flags.Require("in");
   const std::string out = flags.Require("out");
-  const int64_t percent = flags.GetInt("budget-percent", 150);
+  const int64_t percent = flags.GetInt("budget-percent", 150, 0);
   const std::string algo = flags.Get("algo", "lagreedy");
   const std::string method_name = flags.Get("method", "merge");
   // The split pipeline is deterministic at any thread count, so --threads
@@ -346,8 +376,8 @@ int CmdPiecewise(Flags& flags) {
 
 int CmdQueries(Flags& flags) {
   QuerySetConfig config = NamedQuerySet(flags.Get("set", "small"));
-  config.count = static_cast<size_t>(flags.GetInt("count", 1000));
-  config.time_domain = flags.GetInt("time-domain", 1000);
+  config.count = flags.GetCount("count", 1000);
+  config.time_domain = flags.GetInt("time-domain", 1000, 0);
   const std::string out = flags.Require("out");
   flags.RejectUnknown();
   const std::vector<STQuery> queries = GenerateQuerySet(config);
@@ -361,7 +391,7 @@ int CmdQueries(Flags& flags) {
 int CmdStats(Flags& flags) {
   const std::string path = flags.Require("segments");
   const std::string index = flags.Get("index", "ppr");
-  const Time domain = flags.GetInt("time-domain", 1000);
+  const Time domain = flags.GetInt("time-domain", 1000, 0);
   flags.RejectUnknown();
   const std::vector<SegmentRecord> records = LoadSegments(path);
   std::printf("%zu segment records, total volume %.6f\n", records.size(),
@@ -394,22 +424,16 @@ int CmdQuery(Flags& flags) {
   const std::string segments_path = flags.Require("segments");
   const std::string queries_path = flags.Require("queries");
   const std::string index = flags.Get("index", "ppr");
-  const Time domain = flags.GetInt("time-domain", 1000);
+  const Time domain = flags.GetInt("time-domain", 1000, 0);
   const bool explain = flags.GetBool("explain");
   const std::string trace_path = flags.Get("trace", "");
   const std::string objects_path = flags.Get("objects", "");
   // Total LRU capacity of the query buffer in pages; 0 keeps the tree's
   // configured default (the paper's 10-page protocol).
-  const long long buffer_pages_flag = flags.GetInt("buffer-pages", 0);
+  const size_t buffer_pages = flags.GetCount("buffer-pages", 0);
   std::string db_path;
   const std::string backend = GetBackendFlags(flags, &db_path);
   flags.RejectUnknown();
-  if (buffer_pages_flag < 0) {
-    std::fprintf(stderr, "--buffer-pages must be non-negative, got %lld\n",
-                 buffer_pages_flag);
-    return 2;
-  }
-  const size_t buffer_pages = static_cast<size_t>(buffer_pages_flag);
   if (index == "hr" && buffer_pages != 0) {
     std::fprintf(stderr,
                  "--buffer-pages is only supported for ppr and rstar\n");
@@ -562,21 +586,15 @@ int CmdIngest(Flags& flags) {
   const std::string in = flags.Require("in");
   const std::string db = flags.Require("db");
   LiveTierOptions options;
-  options.index.capacity = static_cast<size_t>(flags.GetInt("capacity", 64));
-  options.index.duration = flags.GetInt("duration", 0);
-  options.index.buffer = static_cast<size_t>(flags.GetInt("buffer", 0));
-  options.checkpoint_every_pages =
-      static_cast<size_t>(flags.GetInt("checkpoint-every", 0));
-  options.group_commit = flags.GetBool("group-commit");
-  options.commit_interval_us = flags.GetInt("commit-interval", 0);
-  const int64_t commit_every = flags.GetInt("commit-every", 64);
+  options.index.capacity = flags.GetCount("capacity", 64);
+  options.index.duration = flags.GetInt("duration", 0, 0);
+  options.index.buffer = flags.GetCount("buffer", 0);
+  options.checkpoint_every_pages = flags.GetCount("checkpoint-every", 0);
+  options.commit_interval_us = flags.GetInt("commit-interval", 0, 0);
+  const size_t commit_every = flags.GetCount("commit-every", 64);
   flags.RejectUnknown();
-  if (commit_every <= 0) {
+  if (commit_every == 0) {
     std::fprintf(stderr, "--commit-every must be positive\n");
-    return 2;
-  }
-  if (options.commit_interval_us < 0) {
-    std::fprintf(stderr, "--commit-interval must be non-negative\n");
     return 2;
   }
 
@@ -604,7 +622,7 @@ int CmdIngest(Flags& flags) {
   for (size_t i = 0; i < stream.size(); ++i) {
     const Status status = tier.value()->Apply(stream[i]);
     if (!status.ok()) Die(status);
-    if ((i + 1) % static_cast<size_t>(commit_every) == 0) {
+    if ((i + 1) % commit_every == 0) {
       const Status committed = tier.value()->Commit();
       if (!committed.ok()) Die(committed);
     }
@@ -671,8 +689,8 @@ int CmdPack(Flags& flags) {
 int CmdAdvise(Flags& flags) {
   const std::string in = flags.Require("in");
   QuerySetConfig query_config = NamedQuerySet(flags.Get("set", "small"));
-  query_config.count = static_cast<size_t>(flags.GetInt("count", 200));
-  const Time domain = flags.GetInt("time-domain", 1000);
+  query_config.count = flags.GetCount("count", 200);
+  const Time domain = flags.GetInt("time-domain", 1000, 0);
   query_config.time_domain = domain;
   const std::string mode = flags.Get("mode", "analytical");
   const int threads = ResolveThreadsOrDie(flags);
@@ -729,14 +747,13 @@ int Usage() {
       "            and serves it zero-copy through the mmap backend\n"
       "  ingest    --in FILE --db DIR [--capacity N] [--duration T]\n"
       "            [--buffer N] [--commit-every N] [--checkpoint-every P]\n"
-      "            [--group-commit] [--commit-interval US]\n"
+      "            [--commit-interval US]\n"
       "            stream objects through the crash-safe live tier,\n"
       "            journaling to DIR/live_wal.stpages; re-running after a\n"
       "            crash recovers and skips absorbed updates.\n"
       "            --checkpoint-every P truncates the journal once P\n"
-      "            flushed WAL pages accumulate; --group-commit coalesces\n"
-      "            concurrent commits, waiting --commit-interval US for\n"
-      "            joiners\n"
+      "            flushed WAL pages accumulate; each commit waits\n"
+      "            --commit-interval US for concurrent joiners\n"
       "  pack      --db DIR [--out FILE]\n"
       "            recover the live tier from DIR/live_wal.stpages, finish\n"
       "            the stream and pack the historical tree into a read-only\n"
