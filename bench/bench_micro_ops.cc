@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the core operations: the
 // single-object splitters, the distribution algorithms, index
-// construction and query execution. Complements the figure harnesses with
-// stable per-operation timings.
+// construction, query execution and live-tier updates. Complements the
+// figure harnesses with stable per-operation timings.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -12,6 +12,8 @@
 #include "core/distribute.h"
 #include "core/dp_split.h"
 #include "core/merge_split.h"
+#include "live/live_tier.h"
+#include "storage/page_backend.h"
 #include "storage/page_codec.h"
 #include "storage/shared_buffer_pool.h"
 #include "util/check.h"
@@ -212,6 +214,39 @@ void BM_PprSnapshotMiss(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PprSnapshotMiss);
+
+// Live-tier update cost against the live population: N random-dataset
+// objects, all alive for the same 48 ticks, fed through LiveTier::Apply
+// on a memory WAL (capacity 32, a commit every 1024 updates, no
+// checkpoints). Items are updates, so items/s is the per-update rate at
+// N open buffers.
+void BM_LiveTierApply(benchmark::State& state) {
+  RandomDatasetConfig config;
+  config.num_objects = static_cast<size_t>(state.range(0));
+  config.time_domain = 48;
+  config.min_lifetime = config.time_domain;
+  config.max_lifetime = config.time_domain;
+  const std::vector<LiveObservation> stream =
+      MakeObservationStream(GenerateRandomDataset(config));
+  LiveTierOptions options;
+  options.index.capacity = 32;
+  for (auto _ : state) {
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(options, std::make_unique<MemoryPageBackend>());
+    STINDEX_CHECK(tier.ok());
+    for (size_t i = 0; i < stream.size(); ++i) {
+      STINDEX_CHECK(tier.value()->Apply(stream[i]).ok());
+      if ((i + 1) % 1024 == 0) STINDEX_CHECK(tier.value()->Commit().ok());
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(stream.size()));
+}
+BENCHMARK(BM_LiveTierApply)
+    ->Arg(250)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bench

@@ -48,9 +48,13 @@ Status LiveIndex::Observe(ObjectId object, Time t, const Rect2D& rect,
   auto buffer = buffers_.find(object);
   if (buffer == buffers_.end()) {
     buffer = buffers_.emplace(object, Buffer(t, options_.split)).first;
+    by_start_.emplace(t, object);
   }
   buffer->second.rects.push_back(rect);
   buffer->second.splitter.Observe(rect);
+  if (buffer->second.rects.size() == options_.capacity) {
+    over_capacity_.insert(object);  // an observed object is unretired
+  }
   last_instant_[object] = t;
   last_global_ = t;
   ++buffered_instants_;
@@ -80,6 +84,10 @@ Status LiveIndex::End(ObjectId object, Time t, bool* applied) {
   Status status = CheckEnd(object, t, applied);
   if (!status.ok() || !*applied) return status;
   retired_.insert(object);
+  if (buffers_.count(object) != 0) {
+    over_capacity_.erase(object);
+    ended_buffered_.insert(object);
+  }
   return Status::OK();
 }
 
@@ -96,6 +104,9 @@ Result<LiveIndex::SealedChunk> LiveIndex::Seal(ObjectId object) {
   chunk.cuts = buffer->second.splitter.cuts();
   buffered_instants_ -= chunk.rects.size();
   buffers_.erase(buffer);
+  by_start_.erase({chunk.start, object});
+  ended_buffered_.erase(object);
+  over_capacity_.erase(object);
   return chunk;
 }
 
@@ -149,10 +160,22 @@ Status LiveIndex::DecodeState(ByteSource* in) {
     ObjectId object = 0;
     Time start = 0;
     uint64_t rect_count = 0;
-    if (!in->Read(&object) || !in->Read(&start) || !in->Read(&rect_count)) {
+    if (!in->Read(&object) || !in->Read(&start) || !in->Read(&rect_count) ||
+        rect_count > in->remaining() / sizeof(Rect2D)) {
       return Status::InvalidArgument("checkpoint: truncated live buffer");
     }
-    auto buffer = buffers_.emplace(object, Buffer(start, options_.split)).first;
+    if (rect_count == 0) {
+      return Status::InvalidArgument("checkpoint: live buffer of object " +
+                                     std::to_string(object) +
+                                     " holds no observations");
+    }
+    const auto [buffer, fresh] =
+        buffers_.emplace(object, Buffer(start, options_.split));
+    if (!fresh) {
+      return Status::InvalidArgument("checkpoint: live buffer of object " +
+                                     std::to_string(object) +
+                                     " listed twice");
+    }
     buffer->second.rects.reserve(static_cast<size_t>(rect_count));
     for (uint64_t j = 0; j < rect_count; ++j) {
       Rect2D rect;
@@ -192,49 +215,51 @@ Status LiveIndex::DecodeState(ByteSource* in) {
   if (!in->Read(&last_global_)) {
     return Status::InvalidArgument("checkpoint: truncated live-index state");
   }
+  for (const auto& [object, buffer] : buffers_) {
+    // A buffer holds its object's most recent instants, so it ends at the
+    // object's last observed instant (unsigned: a hostile start must not
+    // overflow the subtraction).
+    const auto last = last_instant_.find(object);
+    if (last == last_instant_.end() || last->second < buffer.start ||
+        static_cast<uint64_t>(last->second) -
+                static_cast<uint64_t>(buffer.start) + 1 !=
+            buffer.rects.size()) {
+      return Status::InvalidArgument(
+          "checkpoint: live buffer of object " + std::to_string(object) +
+          " does not end at the object's last instant");
+    }
+    by_start_.emplace(buffer.start, object);
+    if (retired_.count(object) != 0) {
+      ended_buffered_.insert(object);
+    } else if (options_.capacity != 0 &&
+               buffer.rects.size() >= options_.capacity) {
+      over_capacity_.insert(object);
+    }
+  }
   return Status::OK();
 }
 
-bool LiveIndex::OverThreshold(ObjectId object) const {
-  const auto buffer = buffers_.find(object);
-  if (buffer == buffers_.end()) return false;
-  if (options_.capacity != 0 &&
-      buffer->second.rects.size() >= options_.capacity) {
-    return true;
-  }
-  // Duration counts global time, so a buffer also ripens while *other*
-  // objects advance the clock.
-  return options_.duration != 0 &&
-         last_global_ - buffer->second.start + 1 >= options_.duration;
-}
-
 ObjectId LiveIndex::BudgetVictim() const {
-  ObjectId victim = kInvalidObject;
-  Time victim_start = 0;
-  for (const auto& [object, buffer] : buffers_) {
-    if (victim == kInvalidObject || buffer.start < victim_start ||
-        (buffer.start == victim_start && object < victim)) {
-      victim = object;
-      victim_start = buffer.start;
-    }
-  }
-  return victim;
+  return by_start_.empty() ? kInvalidObject : by_start_.begin()->second;
 }
 
 std::vector<ObjectId> LiveIndex::RipeForCatchUp() const {
-  std::vector<ObjectId> ended;
-  std::vector<ObjectId> over;
-  for (const auto& [object, buffer] : buffers_) {
-    if (retired_.count(object) != 0) {
-      ended.push_back(object);
-    } else if (OverThreshold(object)) {
-      over.push_back(object);
+  std::vector<ObjectId> ripe(ended_buffered_.begin(), ended_buffered_.end());
+  const auto ended = static_cast<std::ptrdiff_t>(ripe.size());
+  ripe.insert(ripe.end(), over_capacity_.begin(), over_capacity_.end());
+  if (options_.duration != 0) {
+    // Duration counts global time: a buffer is over it once the clock is
+    // `duration` past its first instant, so the over-duration buffers
+    // are a prefix of by_start_ (and ripen while *other* objects advance
+    // the clock).
+    for (const auto& [start, object] : by_start_) {
+      if (last_global_ - start + 1 < options_.duration) break;
+      if (ended_buffered_.count(object) == 0) ripe.push_back(object);
     }
   }
-  std::sort(ended.begin(), ended.end());
-  std::sort(over.begin(), over.end());
-  ended.insert(ended.end(), over.begin(), over.end());
-  return ended;
+  std::sort(ripe.begin() + ended, ripe.end());
+  ripe.erase(std::unique(ripe.begin() + ended, ripe.end()), ripe.end());
+  return ripe;
 }
 
 std::vector<ObjectId> LiveIndex::BufferedObjects() const {
@@ -262,12 +287,7 @@ void LiveIndex::CollectLive(const Rect2D& area, const TimeInterval& range,
 }
 
 Time LiveIndex::Watermark() const {
-  if (buffers_.empty()) return last_global_;
-  Time watermark = std::numeric_limits<Time>::max();
-  for (const auto& [object, buffer] : buffers_) {
-    watermark = std::min(watermark, buffer.start);
-  }
-  return watermark;
+  return by_start_.empty() ? last_global_ : by_start_.begin()->first;
 }
 
 }  // namespace stindex

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/online_split.h"
@@ -93,27 +95,35 @@ class LiveIndex {
   // sorted order). DecodeState restores it into a fresh index with the
   // same options; splitters are rebuilt by re-feeding each buffer's
   // rects, which reproduces their cut decisions exactly (the splitter is
-  // deterministic in its observed sequence).
+  // deterministic in its observed sequence). A buffer listed twice, one
+  // with no rects, or one that does not end at its object's last
+  // instant is rejected with InvalidArgument naming the object.
   void EncodeState(ByteSink* out) const;
   Status DecodeState(ByteSource* in);
 
   // --- sealing policy inputs -------------------------------------------
+  //
+  // Observe, End and Seal keep three ordered indexes in step with the
+  // buffers, so no policy query walks every open buffer: one update
+  // costs O(log n) in the n open buffers, plus O(log n) per id a query
+  // returns.
 
-  // True when `object` has a buffer over the capacity or duration knob.
-  bool OverThreshold(ObjectId object) const;
   // True when the global buffered-instant total exceeds the buffer knob.
   bool OverBudget() const {
     return options_.buffer != 0 && buffered_instants_ > options_.buffer;
   }
   // The buffer to evict when over budget: oldest first instant, smallest
-  // id on ties. kInvalidObject when no buffers exist.
+  // id on ties. kInvalidObject when no buffers exist. O(1).
   ObjectId BudgetVictim() const;
   // Buffers that should already have been sealed: ended objects whose
-  // buffer survived (ascending id), then over-threshold buffers
-  // (ascending id) — the deterministic catch-up order recovery uses when
-  // the tail of the log lost its seal records. At most one trigger can be
-  // pending (seal records directly follow their trigger in the log), so
-  // this order always matches the order the lost seals originally had.
+  // buffer survived (ascending id), then buffers over the capacity or
+  // duration knob (ascending id) — the deterministic catch-up order
+  // recovery uses when the tail of the log lost its seal records. At
+  // most one trigger can be pending (seal records directly follow their
+  // trigger in the log), so this order always matches the order the
+  // lost seals originally had.
+  // O(k log k) for k returned ids; the usual empty answer allocates
+  // nothing.
   std::vector<ObjectId> RipeForCatchUp() const;
 
   static constexpr ObjectId kInvalidObject =
@@ -141,7 +151,7 @@ class LiveIndex {
   Time last_time() const { return last_global_; }
   // Migration watermark: every future segment starts at or after this
   // time. Minimum first-buffered-instant over live buffers; the last
-  // global observation time when no buffer is open.
+  // global observation time when no buffer is open. O(1).
   Time Watermark() const;
 
  private:
@@ -162,6 +172,16 @@ class LiveIndex {
   std::unordered_set<ObjectId> retired_;
   size_t buffered_instants_ = 0;
   Time last_global_ = std::numeric_limits<Time>::min();
+
+  // The sealing policy's indexes (DecodeState rebuilds them):
+  //  - by_start_: (first instant, object) of every open buffer, so its
+  //    first entry is the watermark and the budget victim;
+  //  - ended_buffered_: retired objects that still hold a buffer;
+  //  - over_capacity_: unretired objects whose buffer holds at least
+  //    `capacity` instants.
+  std::set<std::pair<Time, ObjectId>> by_start_;
+  std::set<ObjectId> ended_buffered_;
+  std::set<ObjectId> over_capacity_;
 };
 
 }  // namespace stindex

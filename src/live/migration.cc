@@ -149,7 +149,12 @@ Status MigrationPipeline::DecodeState(ByteSource* in) {
             "checkpoint: pending id " + std::to_string(id) +
             " beyond the segment list");
       }
-      set->insert(id);
+      // A duplicate would queue its event twice, and the second apply
+      // would hit a record the tree already holds.
+      if (!set->insert(id).second) {
+        return Status::InvalidArgument("checkpoint: pending id " +
+                                       std::to_string(id) + " listed twice");
+      }
       const STBox& box = segments_[static_cast<size_t>(id)].box;
       events_.push(Event{is_insert ? box.interval.start : box.interval.end,
                          is_insert, id});
@@ -176,7 +181,10 @@ Status MigrationPipeline::DecodeState(ByteSource* in) {
                                      std::to_string(id) +
                                      " beyond the segment list");
     }
-    frozen_deletes_.insert(id);
+    if (!frozen_deletes_.insert(id).second) {
+      return Status::InvalidArgument("checkpoint: frozen-delete id " +
+                                     std::to_string(id) + " listed twice");
+    }
   }
   uint64_t applied = 0;
   if (!in->Read(&applied)) {

@@ -1,15 +1,21 @@
 // Unit tests for the live ingestion tier: WAL round-trip and torn-tail
-// semantics, LiveIndex stream invariants and sealing policy inputs, and
-// LiveTier end-to-end behaviour (tiered queries, clean reopen, corrupt
-// journals). Crash-point sweeps live in crash_recovery_test.cc; the
-// live-vs-batch equivalence in backend_differential_test.cc.
+// semantics, LiveIndex stream invariants and sealing policy inputs
+// (against a brute-force model), checkpoint-state decoding of LiveIndex
+// and MigrationPipeline, and LiveTier end-to-end behaviour (tiered
+// queries, clean reopen, corrupt journals). Crash-point sweeps live in
+// crash_recovery_test.cc; the live-vs-batch equivalence in
+// backend_differential_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,11 +24,13 @@
 #include "datagen/random_dataset.h"
 #include "live/live_index.h"
 #include "live/live_tier.h"
+#include "live/migration.h"
 #include "live/wal.h"
 #include "storage/fault_backend.h"
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
+#include "util/random.h"
 
 namespace stindex {
 namespace {
@@ -261,9 +269,8 @@ TEST(LiveIndexTest, SealingPolicyInputs) {
   bool applied = false;
   ASSERT_TRUE(index.Observe(1, 0, UnitRect(0.1, 0.2), &applied).ok());
   ASSERT_TRUE(index.Observe(1, 1, UnitRect(0.1, 0.2), &applied).ok());
-  EXPECT_FALSE(index.OverThreshold(1));
+  EXPECT_TRUE(index.RipeForCatchUp().empty());
   ASSERT_TRUE(index.Observe(1, 2, UnitRect(0.1, 0.2), &applied).ok());
-  EXPECT_TRUE(index.OverThreshold(1));
   EXPECT_EQ(index.RipeForCatchUp(), std::vector<ObjectId>{1});
 
   ASSERT_TRUE(index.Observe(2, 2, UnitRect(0.3, 0.4), &applied).ok());
@@ -297,10 +304,386 @@ TEST(LiveIndexTest, DurationRipensAgainstGlobalTime) {
   // Another object advancing the clock ripens object 2's buffer by
   // duration even though object 2 itself only has one instant.
   ASSERT_TRUE(index.Observe(2, 3, UnitRect(0.3, 0.4), &applied).ok());
-  EXPECT_FALSE(index.OverThreshold(2));
+  EXPECT_EQ(index.RipeForCatchUp(), std::vector<ObjectId>{1});
   ASSERT_TRUE(index.Observe(3, 7, UnitRect(0.5, 0.6), &applied).ok());
-  EXPECT_TRUE(index.OverThreshold(2));
   EXPECT_EQ(index.RipeForCatchUp(), (std::vector<ObjectId>{1, 2}));
+}
+
+// Brute-force reference for LiveIndex's sealing-policy inputs: plain
+// per-object state, every answer recomputed by a full scan in the order
+// the policy documents.
+class PolicyModel {
+ public:
+  explicit PolicyModel(const LiveIndexOptions& options) : options_(options) {}
+
+  void Observe(ObjectId object, Time t) {
+    ++buffers_.try_emplace(object, Buffer{t, 0}).first->second.size;
+    ++buffered_instants_;
+    last_global_ = t;
+  }
+  void End(ObjectId object) { retired_.insert(object); }
+  void Seal(ObjectId object) {
+    buffered_instants_ -= buffers_.at(object).size;
+    buffers_.erase(object);
+  }
+
+  Time StartOf(ObjectId object) const { return buffers_.at(object).start; }
+  size_t SizeOf(ObjectId object) const { return buffers_.at(object).size; }
+  size_t live_objects() const { return buffers_.size(); }
+  size_t buffered_instants() const { return buffered_instants_; }
+  // The `k`-th buffered object in id order.
+  ObjectId NthBuffered(size_t k) const {
+    return std::next(buffers_.begin(), static_cast<std::ptrdiff_t>(k))->first;
+  }
+
+  Time Watermark() const {
+    if (buffers_.empty()) return last_global_;
+    Time watermark = std::numeric_limits<Time>::max();
+    for (const auto& [object, buffer] : buffers_) {
+      watermark = std::min(watermark, buffer.start);
+    }
+    return watermark;
+  }
+  bool OverBudget() const {
+    return options_.buffer != 0 && buffered_instants_ > options_.buffer;
+  }
+  ObjectId BudgetVictim() const {
+    ObjectId victim = LiveIndex::kInvalidObject;
+    Time victim_start = std::numeric_limits<Time>::max();
+    for (const auto& [object, buffer] : buffers_) {  // ascending id
+      if (buffer.start < victim_start) {
+        victim = object;
+        victim_start = buffer.start;
+      }
+    }
+    return victim;
+  }
+  std::vector<ObjectId> RipeForCatchUp() const {
+    std::vector<ObjectId> ended;
+    std::vector<ObjectId> over;
+    for (const auto& [object, buffer] : buffers_) {  // ascending id
+      if (retired_.count(object) != 0) {
+        ended.push_back(object);
+      } else if ((options_.capacity != 0 && buffer.size >= options_.capacity) ||
+                 (options_.duration != 0 &&
+                  last_global_ - buffer.start + 1 >= options_.duration)) {
+        over.push_back(object);
+      }
+    }
+    ended.insert(ended.end(), over.begin(), over.end());
+    return ended;
+  }
+
+ private:
+  struct Buffer {
+    Time start;
+    size_t size;
+  };
+
+  LiveIndexOptions options_;
+  std::map<ObjectId, Buffer> buffers_;
+  std::set<ObjectId> retired_;
+  size_t buffered_instants_ = 0;
+  Time last_global_ = std::numeric_limits<Time>::min();
+};
+
+::testing::AssertionResult SamePolicy(const LiveIndex& index,
+                                      const PolicyModel& model) {
+  if (index.Watermark() != model.Watermark()) {
+    return ::testing::AssertionFailure()
+           << "Watermark " << index.Watermark() << ", model "
+           << model.Watermark();
+  }
+  if (index.BudgetVictim() != model.BudgetVictim()) {
+    return ::testing::AssertionFailure()
+           << "BudgetVictim " << index.BudgetVictim() << ", model "
+           << model.BudgetVictim();
+  }
+  if (index.OverBudget() != model.OverBudget()) {
+    return ::testing::AssertionFailure()
+           << "OverBudget " << index.OverBudget() << ", model "
+           << model.OverBudget();
+  }
+  if (index.RipeForCatchUp() != model.RipeForCatchUp()) {
+    return ::testing::AssertionFailure()
+           << "RipeForCatchUp has " << index.RipeForCatchUp().size()
+           << " ids, model " << model.RipeForCatchUp().size();
+  }
+  if (index.live_objects() != model.live_objects() ||
+      index.buffered_instants() != model.buffered_instants()) {
+    return ::testing::AssertionFailure()
+           << "buffers " << index.live_objects() << "/"
+           << index.buffered_instants() << ", model " << model.live_objects()
+           << "/" << model.buffered_instants();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// One update of a random valid stream; `redelivery` marks a copy of an
+// earlier update that the index must skip.
+struct PolicyStep {
+  ObjectId object = 0;
+  Time t = 0;
+  bool is_end = false;
+  bool redelivery = false;
+};
+
+// Random valid Observe/End stream over a few hundred objects with
+// scattered ids: each object observes every instant of its lifetime,
+// most end one past it, and updates of one tick come in random order.
+// About one update in twenty is followed by a re-delivery of an earlier
+// one.
+std::vector<PolicyStep> RandomPolicyStream(Rng& rng) {
+  const int64_t num_objects = rng.UniformInt(200, 400);
+  const Time domain = 150;
+  struct Life {
+    ObjectId object;
+    Time birth;
+    Time death;
+    bool ends;
+  };
+  std::vector<Life> lives;
+  std::set<ObjectId> ids;
+  while (static_cast<int64_t>(ids.size()) < num_objects) {
+    const ObjectId object =
+        static_cast<ObjectId>(rng.UniformInt(0, 10 * num_objects));
+    if (!ids.insert(object).second) continue;
+    const Time birth = rng.UniformInt(0, domain - 1);
+    lives.push_back(Life{object, birth, birth + rng.UniformInt(1, 40),
+                         rng.Bernoulli(0.9)});
+  }
+  std::vector<PolicyStep> stream;
+  for (Time t = 0; t <= domain + 40; ++t) {
+    std::vector<PolicyStep> tick;
+    for (const Life& life : lives) {
+      if (life.birth <= t && t < life.death) {
+        tick.push_back(PolicyStep{life.object, t, false, false});
+      } else if (life.ends && t == life.death) {
+        tick.push_back(PolicyStep{life.object, t, true, false});
+      }
+    }
+    for (size_t i = tick.size(); i > 1; --i) {
+      std::swap(tick[i - 1], tick[static_cast<size_t>(rng.UniformInt(
+                                 0, static_cast<int64_t>(i) - 1))]);
+    }
+    for (const PolicyStep& step : tick) {
+      stream.push_back(step);
+      if (rng.Bernoulli(0.05)) {
+        PolicyStep again = stream[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(stream.size()) - 1))];
+        again.redelivery = true;
+        stream.push_back(again);
+      }
+    }
+  }
+  return stream;
+}
+
+// Drives LiveIndex and the brute-force model through the same random
+// streams, seals and one checkpoint round trip, and compares every
+// policy input after every step.
+TEST(LiveIndexTest, PolicyMatchesBruteForce) {
+  struct Knobs {
+    const char* name;
+    bool capacity;
+    bool duration;
+    bool buffer;
+  };
+  const Knobs knob_sets[] = {{"capacity", true, false, false},
+                             {"duration", false, true, false},
+                             {"buffer", false, false, true},
+                             {"all", true, true, true}};
+  for (const Knobs& knobs : knob_sets) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed);
+      LiveIndexOptions options;
+      options.capacity =
+          knobs.capacity ? static_cast<size_t>(rng.UniformInt(2, 16)) : 0;
+      options.duration = knobs.duration ? rng.UniformInt(2, 30) : 0;
+      options.buffer =
+          knobs.buffer ? static_cast<size_t>(rng.UniformInt(50, 600)) : 0;
+      const std::vector<PolicyStep> stream = RandomPolicyStream(rng);
+      const size_t round_trip_at = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(stream.size()) - 1));
+      const std::string where =
+          std::string("knobs=") + knobs.name + " seed=" + std::to_string(seed);
+
+      auto index = std::make_unique<LiveIndex>(options);
+      PolicyModel model(options);
+      size_t seals = 0;
+      size_t deferred_until = 0;
+      const auto seal = [&](ObjectId object) -> ::testing::AssertionResult {
+        Result<LiveIndex::SealedChunk> chunk = index->Seal(object);
+        if (!chunk.ok()) {
+          return ::testing::AssertionFailure() << chunk.status().ToString();
+        }
+        if (chunk.value().start != model.StartOf(object) ||
+            chunk.value().rects.size() != model.SizeOf(object)) {
+          return ::testing::AssertionFailure()
+                 << "chunk of object " << object << " differs from the model";
+        }
+        model.Seal(object);
+        ++seals;
+        return SamePolicy(*index, model);
+      };
+
+      for (size_t i = 0; i < stream.size(); ++i) {
+        const PolicyStep& step = stream[i];
+        bool applied = false;
+        const Status status =
+            step.is_end ? index->End(step.object, step.t, &applied)
+                        : index->Observe(step.object, step.t,
+                                         UnitRect(0.1, 0.2), &applied);
+        ASSERT_TRUE(status.ok()) << where << " step " << i << ": "
+                                 << status.ToString();
+        ASSERT_EQ(applied, !step.redelivery) << where << " step " << i;
+        if (applied) {
+          if (step.is_end) {
+            model.End(step.object);
+          } else {
+            model.Observe(step.object, step.t);
+          }
+        }
+        ASSERT_TRUE(SamePolicy(*index, model)) << where << " step " << i;
+
+        // SealRipe's order, plus random extra seals. Random stretches of
+        // steps, and the 100 steps before the round trip, defer the
+        // policy's seals, so buffers run past their knobs, ripe objects
+        // end, and catch-up lists of several ids build up.
+        if (i >= deferred_until && rng.Bernoulli(0.01)) {
+          deferred_until = i + static_cast<size_t>(rng.UniformInt(1, 200));
+        }
+        const bool before_round_trip =
+            i <= round_trip_at && i + 100 >= round_trip_at;
+        if (i >= deferred_until && !before_round_trip) {
+          for (ObjectId object : index->RipeForCatchUp()) {
+            ASSERT_TRUE(seal(object)) << where << " step " << i;
+          }
+          while (index->OverBudget()) {
+            ASSERT_TRUE(seal(index->BudgetVictim())) << where << " step " << i;
+          }
+        }
+        if (model.live_objects() > 0 && rng.Bernoulli(0.03)) {
+          ASSERT_TRUE(seal(model.NthBuffered(static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(model.live_objects()) -
+                                    1)))))
+              << where << " step " << i;
+        }
+
+        if (i == round_trip_at) {
+          ByteSink sink;
+          index->EncodeState(&sink);
+          index = std::make_unique<LiveIndex>(options);
+          ByteSource source(sink.bytes().data(), sink.bytes().size());
+          const Status decoded = index->DecodeState(&source);
+          ASSERT_TRUE(decoded.ok()) << where << ": " << decoded.ToString();
+          ASSERT_EQ(source.remaining(), 0u) << where;
+          ASSERT_TRUE(SamePolicy(*index, model))
+              << where << " after the round trip at step " << i;
+        }
+      }
+      EXPECT_GT(seals, stream.size() / 100) << where;
+    }
+  }
+}
+
+// A hand-built LiveIndex checkpoint state: `buffers` as (object, first
+// instant, rect count), one last instant per object, nothing retired.
+struct BufferState {
+  ObjectId object;
+  Time start;
+  uint64_t rects;
+};
+Status DecodeIndexState(const std::vector<BufferState>& buffers,
+                        const std::vector<std::pair<ObjectId, Time>>& lasts) {
+  ByteSink sink;
+  sink.Write(static_cast<uint64_t>(buffers.size()));
+  for (const BufferState& buffer : buffers) {
+    sink.Write(buffer.object);
+    sink.Write(buffer.start);
+    sink.Write(buffer.rects);
+    for (uint64_t i = 0; i < buffer.rects; ++i) sink.Write(UnitRect(0.1, 0.2));
+  }
+  sink.Write(static_cast<uint64_t>(lasts.size()));
+  for (const auto& [object, t] : lasts) {
+    sink.Write(object);
+    sink.Write(t);
+  }
+  sink.Write(uint64_t{0});  // retired
+  sink.Write(Time{9});      // last global time
+  LiveIndex index(LiveIndexOptions{});
+  ByteSource source(sink.bytes().data(), sink.bytes().size());
+  return index.DecodeState(&source);
+}
+
+bool Mentions(const Status& status, const std::string& text) {
+  return status.message().find(text) != std::string::npos;
+}
+
+TEST(LiveIndexTest, DecodeStateAcceptsConsistentBuffers) {
+  EXPECT_TRUE(DecodeIndexState({{7, 0, 2}, {8, 3, 4}}, {{7, 1}, {8, 6}}).ok());
+}
+
+TEST(LiveIndexTest, DecodeStateRejectsBufferListedTwice) {
+  const Status status = DecodeIndexState({{7, 0, 2}, {7, 2, 2}}, {{7, 3}});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Mentions(status, "object 7 listed twice")) << status.ToString();
+}
+
+TEST(LiveIndexTest, DecodeStateRejectsEmptyBuffer) {
+  const Status status = DecodeIndexState({{7, 2, 0}}, {{7, 1}});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Mentions(status, "object 7 holds no observations"))
+      << status.ToString();
+}
+
+TEST(LiveIndexTest, DecodeStateRejectsRectCountBeyondTheBytes) {
+  ByteSink sink;
+  sink.Write(uint64_t{1});
+  sink.Write(ObjectId{7});
+  sink.Write(Time{0});
+  sink.Write(uint64_t{1} << 40);  // rects the state cannot hold
+  sink.Write(UnitRect(0.1, 0.2));
+  LiveIndex index(LiveIndexOptions{});
+  ByteSource source(sink.bytes().data(), sink.bytes().size());
+  const Status status = index.DecodeState(&source);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Mentions(status, "truncated live buffer")) << status.ToString();
+}
+
+TEST(LiveIndexTest, DecodeStateRejectsBufferNotEndingAtLastInstant) {
+  for (const auto& lasts : {std::vector<std::pair<ObjectId, Time>>{{7, 5}},
+                            std::vector<std::pair<ObjectId, Time>>{{7, 0}},
+                            std::vector<std::pair<ObjectId, Time>>{}}) {
+    const Status status = DecodeIndexState({{7, 2, 2}}, lasts);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(Mentions(status, "object 7 does not end at"))
+        << status.ToString();
+  }
+}
+
+// A pipeline state with one segment whose id `list` (0: insert-pending,
+// 1: delete-pending, 2: frozen deletes) names twice.
+TEST(MigrationPipelineTest, DecodeStateRejectsIdListedTwice) {
+  for (int list = 0; list < 3; ++list) {
+    ByteSink sink;
+    sink.Write(uint64_t{1});
+    sink.Write(ObjectId{4});
+    sink.Write(UnitRect(0.1, 0.2));
+    sink.Write(TimeInterval(0, 3));
+    for (int l = 0; l < 3; ++l) {
+      const uint64_t copies = l == list ? 2 : 0;
+      sink.Write(copies);
+      for (uint64_t i = 0; i < copies; ++i) sink.Write(PprDataId{0});
+    }
+    sink.Write(uint64_t{0});  // applied events
+    PprTree tree;
+    MigrationPipeline pipeline(&tree);
+    ByteSource source(sink.bytes().data(), sink.bytes().size());
+    const Status status = pipeline.DecodeState(&source);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "list " << list;
+    EXPECT_TRUE(Mentions(status, "id 0 listed twice")) << status.ToString();
+  }
 }
 
 // Exact linear-scan reference: an object matches iff at some instant of

@@ -278,7 +278,9 @@ TEST(SnapshotBackendTest, LiveTierPackedMidStreamMatchesReference) {
     static int pack_counter = 0;
     for (size_t i = 0; i < stream.size(); ++i) {
       EXPECT_TRUE(tier.value()->Apply(stream[i]).ok());
-      if ((i + 1) % 64 == 0) EXPECT_TRUE(tier.value()->Commit().ok());
+      if ((i + 1) % 64 == 0) {
+        EXPECT_TRUE(tier.value()->Commit().ok());
+      }
       if (pack_at != 0 && i + 1 == pack_at) {
         EXPECT_TRUE(tier.value()
                         ->PackHistorical(SnapPath(
@@ -345,7 +347,9 @@ TEST(SnapshotBackendTest, LiveTierPackSurvivesCheckpointRecovery) {
   const size_t half = stream.size() / 2;
   for (size_t i = 0; i < half; ++i) {
     ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
-    if ((i + 1) % 32 == 0) ASSERT_TRUE(tier.value()->Commit().ok());
+    if ((i + 1) % 32 == 0) {
+      ASSERT_TRUE(tier.value()->Commit().ok());
+    }
   }
   ASSERT_TRUE(
       tier.value()->PackHistorical(SnapPath("snap_live_ckpt")).ok());
