@@ -213,11 +213,10 @@ double AverageRStarIo(const RStarTree& tree,
 
 namespace {
 
-std::unique_ptr<PageBackend> MakeBenchBackend(const BenchArgs& args,
-                                              const std::string& tag) {
-  if (args.backend == "memory") return std::make_unique<MemoryPageBackend>();
-  // One page file per attached tree; the counter keeps names unique when
-  // a harness reuses a tag across dataset sizes.
+// One page file per attached tree; the counter keeps names unique when a
+// harness reuses a tag across dataset sizes.
+std::unique_ptr<PageBackend> MakeFileBackend(const BenchArgs& args,
+                                             const std::string& tag) {
   static int file_counter = 0;
   const std::string path = args.db_path + "/" + args.bench_name + "_" + tag +
                            "_" + std::to_string(file_counter++) + ".stpages";
@@ -234,8 +233,8 @@ std::unique_ptr<PageBackend> MakeBenchBackend(const BenchArgs& args,
 template <typename TreeT>
 void AttachBenchBackendImpl(TreeT* tree, const BenchArgs& args,
                             const std::string& tag) {
-  Report().SetParam("backend", args.backend.empty() ? "store" : args.backend);
-  if (args.backend.empty()) return;
+  Report().SetParam("backend", args.backend);
+  if (args.backend == "memory") return;  // the tree's own arena
   Status status;
   if (args.backend == "mmap") {
     // Pack into a read-only snapshot and serve it zero-copy. The id
@@ -255,7 +254,7 @@ void AttachBenchBackendImpl(TreeT* tree, const BenchArgs& args,
               : "pread");
     }
   } else {
-    status = tree->AttachBackend(MakeBenchBackend(args, tag));
+    status = tree->AttachBackend(MakeFileBackend(args, tag));
   }
   if (!status.ok()) {
     std::fprintf(stderr, "%s: attaching %s backend for '%s': %s\n",

@@ -103,11 +103,12 @@ double AverageRStarIo(const RStarTree& tree,
                       QueryProfile* profile = nullptr, size_t buffer_pages = 0);
 
 // Persists `tree` through the storage backend selected by --backend/--db
-// (no-op for the default in-memory store) and records the choice as
-// report param "backend" ("store" | "memory" | "file"). After this the
-// tree's query buffers read real pages, so the io.query.* misses the
-// drivers report are actual backend reads. `tag` distinguishes the page
-// files of multiple trees in one run. Failures print and exit(1).
+// (no-op for the default "memory": the tree's own arena) and records the
+// choice as report param "backend" ("memory" | "file" | "mmap"). After
+// this the tree's query buffers read real pages, so the io.query.*
+// misses the drivers report are actual backend reads. `tag` distinguishes
+// the page files of multiple trees in one run. Failures print and
+// exit(1).
 void AttachBenchBackend(RStarTree* tree, const BenchArgs& args,
                         const std::string& tag);
 void AttachBenchBackend(PprTree* tree, const BenchArgs& args,

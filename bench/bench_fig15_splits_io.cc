@@ -23,7 +23,7 @@ void Run(const BenchArgs& args) {
               "accesses vs splits, small range queries, %zu-object random "
               "dataset.\n",
               scale.name.c_str(),
-              args.backend.empty() ? "store" : args.backend.c_str(), n);
+              args.backend.c_str(), n);
   const std::vector<Trajectory> objects = MakeRandomDataset(n);
   const std::vector<STQuery> queries =
       MakeQueries(SmallRangeSet(), scale.query_count);

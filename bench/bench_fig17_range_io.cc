@@ -19,7 +19,7 @@ void Run(const BenchArgs& args) {
   std::printf("Figure 17 reproduction (scale=%s, threads=%d, backend=%s): "
               "avg disk accesses, small range queries.\n",
               scale.name.c_str(), num_threads,
-              args.backend.empty() ? "store" : args.backend.c_str());
+              args.backend.c_str());
   const std::vector<STQuery> queries =
       MakeQueries(SmallRangeSet(), scale.query_count);
   PrintHeader("Fig 17: small range queries across dataset sizes",

@@ -20,7 +20,7 @@ void Run(const BenchArgs& args) {
   std::printf("Figure 18 reproduction (scale=%s, threads=%d, backend=%s): "
               "avg disk accesses, mixed snapshot queries.\n",
               scale.name.c_str(), num_threads,
-              args.backend.empty() ? "store" : args.backend.c_str());
+              args.backend.c_str());
   const std::vector<STQuery> queries =
       MakeQueries(MixedSnapshotSet(), scale.query_count);
   PrintHeader("Fig 18: mixed snapshot queries across dataset sizes",

@@ -64,8 +64,8 @@ BenchArgs ParseBenchArgs(int argc, char** argv, const std::string& bench_name,
       std::exit(2);
     }
   }
-  if (!args.backend.empty() && args.backend != "memory" &&
-      args.backend != "file" && args.backend != "mmap") {
+  if (args.backend != "memory" && args.backend != "file" &&
+      args.backend != "mmap") {
     std::fprintf(stderr,
                  "%s: --backend must be 'memory', 'file' or 'mmap', got '%s'\n",
                  bench_name.c_str(), args.backend.c_str());

@@ -52,11 +52,11 @@ namespace bench {
 //                                10-page protocol)
 // Harnesses that can run against a real storage backend (fig15/17/18)
 // additionally accept:
-//   --backend=memory|file|mmap   persist indexes through a PageBackend and
-//                                query through it (default: the in-memory
-//                                store, no serialization). "mmap" packs
-//                                each tree into a read-only snapshot file
-//                                and serves it zero-copy.
+//   --backend=memory|file|mmap   where queries read index pages (default
+//                                "memory": each tree's own arena). "file"
+//                                persists each tree into a page file;
+//                                "mmap" packs each tree into a read-only
+//                                snapshot file and serves it zero-copy.
 //   --db=DIR                     directory for the page/snapshot files
 //                                (required for --backend=file|mmap)
 // Unknown arguments and invalid thread counts print a message and
@@ -66,7 +66,7 @@ struct BenchArgs {
   int threads = 1;
   std::string json_path;   // empty: no report file
   std::string trace_path;  // empty: no Chrome trace capture
-  std::string backend;     // "", "memory", "file" or "mmap"
+  std::string backend = "memory";  // "memory", "file" or "mmap"
   std::string db_path;     // --backend=file|mmap: directory for page files
   size_t buffer_pages = 0;  // total pool pages across all threads; 0 =
                             // the tree's configured default

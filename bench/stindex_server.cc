@@ -354,7 +354,7 @@ void Serve(const BenchArgs& args, const ServerFlags& flags) {
   const size_t stream_size =
       flags.stream == 0 ? scale.query_count * 20 : flags.stream;
   const size_t buffer_pages = args.buffer_pages == 0 ? 64 : args.buffer_pages;
-  const std::string backend = args.backend.empty() ? "store" : args.backend;
+  const std::string& backend = args.backend;
   const std::string stop = timed ? std::to_string(flags.duration_s) + "s"
                                  : std::to_string(stream_size) + "-request";
   std::printf(

@@ -221,7 +221,7 @@ fi
 
 # File-backend smoke: run the CLI pipeline against a real page file in a
 # scratch directory and check the metrics dump proves actual disk reads
-# (backend.file.reads > 0) rather than the simulated store.
+# (backend.file.reads > 0) rather than reads of the tree's own arena.
 CLI="$BUILD_DIR/tools/stindex_cli"
 if [ -x "$CLI" ]; then
   echo "== stindex_cli --backend file smoke =="

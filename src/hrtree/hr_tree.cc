@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <unordered_set>
 
 #include "util/check.h"
@@ -13,40 +14,39 @@ struct HrTree::Version {
   PageId root = kInvalidPage;
 };
 
-class HrTree::Node : public Page {
- public:
-  struct Entry {
-    Rect2D rect;
-    PageId child = kInvalidPage;  // internal nodes
-    HrDataId data = 0;            // leaves
-  };
-
-  Node(int level, Time created) : level_(level), created_(created) {}
-
-  int level() const { return level_; }
-  bool IsLeaf() const { return level_ == 0; }
-  Time created() const { return created_; }
-
-  std::vector<Entry>& entries() { return entries_; }
-  const std::vector<Entry>& entries() const { return entries_; }
-
-  Rect2D Mbr() const {
-    Rect2D mbr = Rect2D::Empty();
-    for (const Entry& entry : entries_) mbr.ExpandToInclude(entry.rect);
-    return mbr;
-  }
-
- private:
-  int level_;
-  Time created_;
-  std::vector<Entry> entries_;
+struct HrTree::Entry {
+  Rect2D rect;
+  PageId child = kInvalidPage;  // internal nodes
+  uint32_t reserved = 0;
+  HrDataId data = 0;            // leaves
 };
 
-HrTree::HrTree(HrConfig config) : config_(config) {
+// The node page header, right after the (never sealed) envelope.
+struct HrTree::Header {
+  int32_t level;
+  uint32_t count;
+  Time created;
+};
+
+namespace {
+
+template <typename Entries>
+Rect2D Mbr(const Entries& entries) {
+  Rect2D mbr = Rect2D::Empty();
+  for (const auto& entry : entries) mbr.ExpandToInclude(entry.rect);
+  return mbr;
+}
+
+}  // namespace
+
+HrTree::HrTree(HrConfig config) : config_(config), arena_("hr") {
+  static_assert(kPageEnvelopeBytes + sizeof(Header) == kNodeEntryOffset &&
+                kNodeEntryOffset % alignof(Entry) == 0);
   STINDEX_CHECK(config_.max_entries >= 4);
   STINDEX_CHECK(config_.min_entries >= 1);
   STINDEX_CHECK(config_.min_entries <= config_.max_entries / 2);
-  store_.SetMetricScope("hr");
+  STINDEX_CHECK_MSG(config_.max_entries + 1 <= Node::kCapacity,
+                    "HR-tree fanout does not fit a node page");
   pool_ = NewSharedQueryPool();
   session_ = std::make_unique<SharedBufferPool::Session>(pool_.get(),
                                                          config_.buffer_pages);
@@ -54,8 +54,16 @@ HrTree::HrTree(HrConfig config) : config_(config) {
 
 HrTree::~HrTree() = default;
 
-HrTree::Node* HrTree::GetNode(PageId id) const {
-  return static_cast<Node*>(store_.Get(id));
+HrTree::Node HrTree::GetNode(PageId id) const {
+  return Node(&arena_.MutablePage(id));
+}
+
+PageId HrTree::NewNode(int level, Time t, std::span<const Entry> entries) {
+  const PageId id = arena_.Allocate();
+  Node node = GetNode(id);
+  node.header() = Header{level, 0, t};
+  for (const Entry& entry : entries) node.Append(entry);
+  return id;
 }
 
 std::unique_ptr<SharedBufferPool> HrTree::NewSharedQueryPool(
@@ -63,7 +71,8 @@ std::unique_ptr<SharedBufferPool> HrTree::NewSharedQueryPool(
   SharedBufferPoolOptions options;
   options.capacity = pages == 0 ? config_.buffer_pages : pages;
   options.metric_scope = "hr";
-  return std::make_unique<SharedBufferPool>(&store_, options);
+  // The arena's pages are never sealed, so the pool checks nothing.
+  return std::make_unique<SharedBufferPool>(&arena_, nullptr, options);
 }
 
 size_t HrTree::NumVersions() const { return roots_.size(); }
@@ -94,15 +103,13 @@ void HrTree::PublishRoot(PageId root, Time t) {
 }
 
 PageId HrTree::MakeWritable(PageId id, Time t, bool* copied) {
-  Node* node = GetNode(id);
-  if (node->created() == t) {
+  const NodeView node = GetNode(id);
+  if (node.header().created == t) {
     *copied = false;
     return id;
   }
-  auto clone = std::make_unique<Node>(node->level(), t);
-  clone->entries() = node->entries();
   *copied = true;
-  return store_.Allocate(std::move(clone));
+  return NewNode(node.level(), t, node.entries());
 }
 
 PageId HrTree::InsertIntoVersion(PageId root, const Rect2D& rect,
@@ -113,9 +120,9 @@ PageId HrTree::InsertIntoVersion(PageId root, const Rect2D& rect,
   const PageId new_root = MakeWritable(root, t, &copied);
   std::vector<PageId> path = {new_root};
   std::vector<size_t> slots;
-  Node* node = GetNode(new_root);
-  while (!node->IsLeaf()) {
-    std::vector<Node::Entry>& entries = node->entries();
+  Node node = GetNode(new_root);
+  while (!node.IsLeaf()) {
+    const std::span<Entry> entries = node.entries();
     size_t best = 0;
     double best_enlargement = std::numeric_limits<double>::infinity();
     double best_area = std::numeric_limits<double>::infinity();
@@ -137,21 +144,22 @@ PageId HrTree::InsertIntoVersion(PageId root, const Rect2D& rect,
     node = GetNode(child);
   }
 
-  Node::Entry entry;
+  Entry entry;
   entry.rect = rect;
   entry.data = data;
-  node->entries().push_back(entry);
+  node.Append(entry);
 
   // Overflow propagation with quadratic splits.
   PageId result_root = path.front();
   for (size_t depth = path.size(); depth-- > 0;) {
-    Node* victim = GetNode(path[depth]);
-    if (victim->entries().size() <= config_.max_entries) break;
+    Node victim = GetNode(path[depth]);
+    if (victim.entries().size() <= config_.max_entries) break;
 
     // Quadratic split (Guttman): pick the seed pair wasting the most
     // area, then assign by least enlargement with fill guarantees.
-    std::vector<Node::Entry> pool;
-    pool.swap(victim->entries());
+    const std::vector<Entry> pool(victim.entries().begin(),
+                                  victim.entries().end());
+    victim.Assign({});
     size_t seed_a = 0, seed_b = 1;
     double worst_waste = -std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < pool.size(); ++i) {
@@ -165,24 +173,23 @@ PageId HrTree::InsertIntoVersion(PageId root, const Rect2D& rect,
         }
       }
     }
-    auto sibling = std::make_unique<Node>(victim->level(), t);
+    std::vector<Entry> sibling = {pool[seed_b]};
     Rect2D mbr_a = pool[seed_a].rect;
     Rect2D mbr_b = pool[seed_b].rect;
-    victim->entries().push_back(pool[seed_a]);
-    sibling->entries().push_back(pool[seed_b]);
+    victim.Append(pool[seed_a]);
     size_t remaining = pool.size() - 2;
     for (size_t i = 0; i < pool.size(); ++i) {
       if (i == seed_a || i == seed_b) continue;
       // Fill guarantee: a group that needs every remaining entry to reach
       // the minimum takes them all.
-      if (victim->entries().size() + remaining == config_.min_entries) {
-        victim->entries().push_back(pool[i]);
+      if (victim.entries().size() + remaining == config_.min_entries) {
+        victim.Append(pool[i]);
         mbr_a.ExpandToInclude(pool[i].rect);
         --remaining;
         continue;
       }
-      if (sibling->entries().size() + remaining == config_.min_entries) {
-        sibling->entries().push_back(pool[i]);
+      if (sibling.size() + remaining == config_.min_entries) {
+        sibling.push_back(pool[i]);
         mbr_b.ExpandToInclude(pool[i].rect);
         --remaining;
         continue;
@@ -191,37 +198,35 @@ PageId HrTree::InsertIntoVersion(PageId root, const Rect2D& rect,
       const double grow_a = mbr_a.Enlargement(pool[i].rect);
       const double grow_b = mbr_b.Enlargement(pool[i].rect);
       if (grow_a < grow_b ||
-          (grow_a == grow_b &&
-           victim->entries().size() <= sibling->entries().size())) {
-        victim->entries().push_back(pool[i]);
+          (grow_a == grow_b && victim.entries().size() <= sibling.size())) {
+        victim.Append(pool[i]);
         mbr_a.ExpandToInclude(pool[i].rect);
       } else {
-        sibling->entries().push_back(pool[i]);
+        sibling.push_back(pool[i]);
         mbr_b.ExpandToInclude(pool[i].rect);
       }
     }
-    const PageId sibling_id = store_.Allocate(std::move(sibling));
+    const PageId sibling_id = NewNode(victim.level(), t, sibling);
 
     if (depth == 0) {
       // Root split: new root one level up.
-      auto grown = std::make_unique<Node>(victim->level() + 1, t);
-      Node::Entry left;
-      left.rect = GetNode(path[0])->Mbr();
+      Entry left;
+      left.rect = Mbr(GetNode(path[0]).entries());
       left.child = path[0];
-      Node::Entry right;
-      right.rect = GetNode(sibling_id)->Mbr();
+      Entry right;
+      right.rect = Mbr(GetNode(sibling_id).entries());
       right.child = sibling_id;
-      grown->entries().push_back(left);
-      grown->entries().push_back(right);
-      result_root = store_.Allocate(std::move(grown));
+      const Entry children[] = {left, right};
+      result_root = NewNode(victim.level() + 1, t, children);
       break;
     }
-    Node* parent = GetNode(path[depth - 1]);
-    parent->entries()[slots[depth - 1]].rect = GetNode(path[depth])->Mbr();
-    Node::Entry extra;
-    extra.rect = GetNode(sibling_id)->Mbr();
+    Node parent = GetNode(path[depth - 1]);
+    parent.entries()[slots[depth - 1]].rect =
+        Mbr(GetNode(path[depth]).entries());
+    Entry extra;
+    extra.rect = Mbr(GetNode(sibling_id).entries());
     extra.child = sibling_id;
-    parent->entries().push_back(extra);
+    parent.Append(extra);
   }
   return result_root;
 }
@@ -258,9 +263,9 @@ PageId HrTree::DeleteFromVersion(PageId root, HrDataId data, Time t) {
   while (!stack.empty() && !found) {
     std::vector<Frame> candidate = std::move(stack.back());
     stack.pop_back();
-    const Node* node = GetNode(candidate.back().node);
-    if (node->IsLeaf()) {
-      for (const Node::Entry& entry : node->entries()) {
+    const NodeView node = GetNode(candidate.back().node);
+    if (node.IsLeaf()) {
+      for (const Entry& entry : node.entries()) {
         if (entry.data == data) {
           path = candidate;
           found = true;
@@ -269,7 +274,7 @@ PageId HrTree::DeleteFromVersion(PageId root, HrDataId data, Time t) {
       }
       continue;
     }
-    const std::vector<Node::Entry>& entries = node->entries();
+    const std::span<const Entry> entries = node.entries();
     for (size_t i = 0; i < entries.size(); ++i) {
       if (!entries[i].rect.Intersects(rect)) continue;
       std::vector<Frame> next = candidate;
@@ -283,18 +288,17 @@ PageId HrTree::DeleteFromVersion(PageId root, HrDataId data, Time t) {
   bool copied = false;
   path[0].node = MakeWritable(path[0].node, t, &copied);
   for (size_t i = 1; i < path.size(); ++i) {
-    Node* parent = GetNode(path[i - 1].node);
     path[i].node = MakeWritable(path[i].node, t, &copied);
-    parent->entries()[path[i].slot].child = path[i].node;
+    GetNode(path[i - 1].node).entries()[path[i].slot].child = path[i].node;
   }
 
   // Remove the entry from the (writable) leaf.
-  Node* leaf = GetNode(path.back().node);
-  auto& leaf_entries = leaf->entries();
+  Node leaf = GetNode(path.back().node);
+  const std::span<const Entry> leaf_entries = leaf.entries();
   bool erased = false;
   for (size_t i = 0; i < leaf_entries.size(); ++i) {
     if (leaf_entries[i].data == data) {
-      leaf_entries.erase(leaf_entries.begin() + static_cast<long>(i));
+      leaf.Erase(i);
       erased = true;
       break;
     }
@@ -305,27 +309,26 @@ PageId HrTree::DeleteFromVersion(PageId root, HrDataId data, Time t) {
   // not re-insert orphaned under-filled nodes (acceptable for the
   // historical baseline; rects never shrink below correctness).
   for (size_t depth = path.size(); depth-- > 1;) {
-    Node* node = GetNode(path[depth].node);
-    Node* parent = GetNode(path[depth - 1].node);
-    if (node->entries().empty()) {
-      parent->entries().erase(parent->entries().begin() +
-                              static_cast<long>(path[depth].slot));
+    const NodeView node = GetNode(path[depth].node);
+    Node parent = GetNode(path[depth - 1].node);
+    if (node.entries().empty()) {
+      parent.Erase(path[depth].slot);
       // Slots of later frames are unaffected (they are deeper).
     } else {
-      parent->entries()[path[depth].slot].rect = node->Mbr();
+      parent.entries()[path[depth].slot].rect = Mbr(node.entries());
     }
   }
 
   // Shrink the root.
   PageId new_root = path[0].node;
   while (new_root != kInvalidPage) {
-    Node* node = GetNode(new_root);
-    if (node->entries().empty()) {
+    const NodeView node = GetNode(new_root);
+    if (node.entries().empty()) {
       new_root = kInvalidPage;
       break;
     }
-    if (!node->IsLeaf() && node->entries().size() == 1) {
-      new_root = node->entries()[0].child;
+    if (!node.IsLeaf() && node.entries().size() == 1) {
+      new_root = node.entries()[0].child;
       continue;
     }
     break;
@@ -344,12 +347,10 @@ void HrTree::Insert(const Rect2D& rect, Time t, HrDataId data) {
 
   const PageId root = roots_.empty() ? kInvalidPage : roots_.back().root;
   if (root == kInvalidPage) {
-    auto node = std::make_unique<Node>(0, t);
-    Node::Entry entry;
+    Entry entry;
     entry.rect = rect;
     entry.data = data;
-    node->entries().push_back(entry);
-    PublishRoot(store_.Allocate(std::move(node)), t);
+    PublishRoot(NewNode(0, t, {&entry, 1}), t);
     return;
   }
   PublishRoot(InsertIntoVersion(root, rect, data, t), t);
@@ -388,10 +389,10 @@ void HrTree::SnapshotQuery(const Rect2D& area, Time t, PageCache* buffer,
     const PageId id = stack.back();
     stack.pop_back();
     const PageRef ref = buffer->FetchPinned(id);
-    const Node* node = static_cast<const Node*>(ref.get());
-    for (const Node::Entry& entry : node->entries()) {
+    const NodeView node(ref.get());
+    for (const Entry& entry : node.entries()) {
       if (!entry.rect.Intersects(area)) continue;
-      if (node->IsLeaf()) {
+      if (node.IsLeaf()) {
         results->push_back(entry.data);
       } else {
         stack.push_back(entry.child);
@@ -429,10 +430,10 @@ void HrTree::SnapshotQueryNoClear(PageId root, const Rect2D& area,
     const PageId id = stack.back();
     stack.pop_back();
     const PageRef ref = buffer->FetchPinned(id);
-    const Node* node = static_cast<const Node*>(ref.get());
-    for (const Node::Entry& entry : node->entries()) {
+    const NodeView node(ref.get());
+    for (const Entry& entry : node.entries()) {
       if (!entry.rect.Intersects(area)) continue;
-      if (node->IsLeaf()) {
+      if (node.IsLeaf()) {
         if (seen->insert(entry.data).second) results->push_back(entry.data);
       } else {
         stack.push_back(entry.child);
@@ -444,20 +445,20 @@ void HrTree::SnapshotQueryNoClear(PageId root, const Rect2D& area,
 void HrTree::CheckInvariants() const {
   for (const Version& version : roots_) {
     if (version.root == kInvalidPage) continue;
-    const int root_level = GetNode(version.root)->level();
+    const int root_level = GetNode(version.root).level();
     std::vector<std::pair<PageId, int>> stack = {{version.root, root_level}};
     while (!stack.empty()) {
       auto [id, expected_level] = stack.back();
       stack.pop_back();
-      const Node* node = GetNode(id);
-      STINDEX_CHECK(node->level() == expected_level);
-      STINDEX_CHECK(node->entries().size() <= config_.max_entries);
-      for (const Node::Entry& entry : node->entries()) {
+      const NodeView node = GetNode(id);
+      STINDEX_CHECK(node.level() == expected_level);
+      STINDEX_CHECK(node.entries().size() <= config_.max_entries);
+      for (const Entry& entry : node.entries()) {
         STINDEX_CHECK(entry.rect.IsValid());
-        if (!node->IsLeaf()) {
-          const Node* child = GetNode(entry.child);
-          STINDEX_CHECK(child->level() == node->level() - 1);
-          STINDEX_CHECK_MSG(entry.rect.Contains(child->Mbr()),
+        if (!node.IsLeaf()) {
+          const NodeView child = GetNode(entry.child);
+          STINDEX_CHECK(child.level() == node.level() - 1);
+          STINDEX_CHECK_MSG(entry.rect.Contains(Mbr(child.entries())),
                             "parent rect does not cover child");
           stack.push_back({entry.child, expected_level - 1});
         }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -11,7 +12,7 @@
 #include "geometry/interval.h"
 #include "geometry/rect.h"
 #include "storage/buffer_pool.h"
-#include "storage/page_store.h"
+#include "storage/page_backend.h"
 #include "storage/shared_buffer_pool.h"
 
 namespace stindex {
@@ -44,6 +45,9 @@ struct HrConfig {
 //    order of magnitude above the PPR-tree's linear storage;
 //  * interval queries must search one tree per instant in the range
 //    (with result de-duplication), so they degrade with duration.
+//
+// Nodes are the pages of the tree's arena, mutated in place; the HR-tree
+// is never persisted, so its pages are never sealed.
 //
 // Updates must be fed in non-decreasing time order, like the PPR-tree.
 class HrTree {
@@ -85,7 +89,7 @@ class HrTree {
 
   size_t Size() const { return size_; }
   size_t AliveCount() const { return alive_entry_.size(); }
-  size_t PageCount() const { return store_.PageCount(); }
+  size_t PageCount() const { return arena_.LivePageCount(); }
   size_t NumVersions() const;
 
   // I/O statistics of the tree's own query session (the query overloads
@@ -100,10 +104,18 @@ class HrTree {
   void CheckInvariants() const;
 
  private:
-  class Node;
+  struct Entry;
+  struct Header;
   struct Version;
+  // Entries follow the 16-byte header.
+  static constexpr size_t kNodeEntryOffset = kPageEnvelopeBytes + 16;
+  using NodeView = NodePageView<Header, Entry, kNodeEntryOffset>;
+  using Node = NodePage<Header, Entry, kNodeEntryOffset>;
 
-  Node* GetNode(PageId id) const;
+  // Mutable view of node `id`.
+  Node GetNode(PageId id) const;
+  // Allocates a node at `level` created at `t`, holding `entries`.
+  PageId NewNode(int level, Time t, std::span<const Entry> entries);
 
   // Returns the root owning instant t (kInvalidPage when empty).
   PageId RootAt(Time t) const;
@@ -131,7 +143,7 @@ class HrTree {
   void PublishRoot(PageId root, Time t);
 
   HrConfig config_;
-  mutable PageStore store_;
+  mutable MemoryPageBackend arena_;
   // session_ after pool_ so it dies first.
   std::unique_ptr<SharedBufferPool> pool_;
   std::unique_ptr<SharedBufferPool::Session> session_;

@@ -104,8 +104,8 @@ Status LiveTier::RestoreFromCheckpoint(const CheckpointHeader& header,
   ByteSource in(meta.value().data(), meta.value().size());
 
   // The layered tree state: frozen packed layers (oldest first), then
-  // the active tree. Restored layers serve from their in-memory stores —
-  // a pack's mmap serving is an optimization the snapshot file carries,
+  // the active tree. Restored layers serve from their arenas — a pack's
+  // mmap serving is an optimization the snapshot file carries,
   // not checkpoint state; answers are identical either way.
   uint64_t layer_count = 0;
   if (!in.Read(&layer_count) || layer_count == 0) {
@@ -416,11 +416,11 @@ Status LiveTier::CheckpointLocked() {
   const uint64_t wal_start_seq = writer_->next_seq();
 
   // 2. Shadow-write every historical-tree node — of every layer, oldest
-  //    frozen first then the active tree — into fresh slots, one encoded
+  //    frozen first then the active tree — into fresh slots, one sealed
   //    page write per node. The previous checkpoint's pages stay
   //    untouched — a crash anywhere before step 5 leaves it intact.
-  //    Frozen packed layers keep their nodes in memory with contiguous
-  //    ids, so they persist through the same path the active tree does.
+  //    Frozen packed layers copy their snapshot pages, which are sealed
+  //    already and have contiguous ids like the active tree's.
   std::vector<const PprTree*> layers;
   layers.reserve(frozen_.size() + 1);
   for (const FrozenLayer& layer : frozen_) layers.push_back(layer.tree.get());
@@ -496,13 +496,12 @@ Status LiveTier::PackHistorical(const std::string& path,
   }
   TraceSpan span("live", "pack_historical");
   span.Arg("pages", static_cast<int64_t>(tree_->NodeCount()));
-  // The shared pool's frames reference pre-pack page ids; drop it before
-  // the pack remaps the store and rebuild it below.
+  // The shared pool borrows the arena a successful pack releases; drop
+  // it first and rebuild it below.
   pool_.reset();
   Status status = tree_->PackSnapshot(path, options);
   if (!status.ok()) {
-    // The tree stayed consistent (PackSnapshot rewrites the in-memory
-    // graph before any I/O); keep serving from the store.
+    // A failed pack leaves the tree untouched; keep serving its arena.
     pool_ = tree_->NewSharedQueryPool(options_.query_pool_pages);
     return status;
   }

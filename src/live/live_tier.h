@@ -70,16 +70,18 @@ struct LiveObservation {
 // recovery from the durable prefix.
 //
 // Checkpoints bound the journal: Checkpoint() (or the automatic
-// checkpoint_every_pages trigger) writes the historical tree's encoded
-// pages plus the pipeline/index state into the journal backend, syncs,
-// commits a checkpoint header, and then frees every journal page before
-// the checkpoint — the file's page count stays bounded across
-// arbitrarily long streams.
+// checkpoint_every_pages trigger) writes sealed copies of the historical
+// trees' node pages plus the pipeline/index state into the journal
+// backend, syncs, commits a checkpoint header, and then frees every
+// journal page before the checkpoint — the file's page count stays
+// bounded across arbitrarily long streams.
 //
-// Thread safety: updates and Commit/Finish/Checkpoint are serialized
-// internally and may run concurrently with any number of queries
-// (readers-writer lock; historical reads go through a sharded
-// SharedBufferPool).
+// Thread safety: one readers-writer lock. Queries take it shared, so any
+// number of them run together (historical reads go through a sharded
+// SharedBufferPool). Updates, Commit, Finish, Checkpoint and
+// PackHistorical take it exclusively, so queries wait while one runs —
+// a checkpoint included, whether explicit or triggered inside Commit.
+// Only a commit leader's batching wait releases it.
 class LiveTier {
  public:
   // `wal_backend` holds the journal: freshly Create()d for a new tier, or
@@ -98,7 +100,8 @@ class LiveTier {
   Status Commit();
 
   // Persists the full tier state into the journal backend and truncates
-  // every journal page it covers. Queries run concurrently; updates wait.
+  // every journal page it covers. Holds the tier lock exclusively:
+  // queries and updates wait until it returns.
   Status Checkpoint();
 
   // End of stream: seals every remaining buffer, drains the migration
@@ -228,7 +231,7 @@ class LiveTier {
   Status Latch(Status status);  // records a WAL failure; returns it
 
   // One packed historical layer: a frozen tree serving from its snapshot
-  // backend (or, after a recovery, from its in-memory store — the pack
+  // backend (or, after a recovery, from its arena — the pack
   // optimization is lost on recovery, the answers are not), plus the
   // shared pool queries read it through. Pool declared after the tree so
   // it dies first.

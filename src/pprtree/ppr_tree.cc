@@ -23,8 +23,8 @@ namespace stindex {
 
 // An index or data record inside a node. Alive entries have an open
 // deletion time (kTimeInfinity). The struct is also the on-page entry
-// layout (NodeCodec), so it carries its padding as an explicit zeroed
-// field: page bytes stay deterministic.
+// layout, so it carries its padding as an explicit zeroed field: page
+// bytes stay deterministic.
 struct PprTree::Entry {
   Rect2D rect;
   TimeInterval lifetime;
@@ -33,6 +33,14 @@ struct PprTree::Entry {
   PprDataId data = 0;           // leaf entries
 
   bool IsAlive() const { return lifetime.end == kTimeInfinity; }
+};
+
+// The node page header, right after the envelope (little-endian).
+struct PprTree::Header {
+  int32_t level;
+  uint32_t count;
+  Time created;
+  Time closed;  // kTimeInfinity while the node is current
 };
 
 // One step of a root-to-leaf path: `slot` is the index of the directory
@@ -50,63 +58,30 @@ struct PprTree::RootEra {
   PageId root = kInvalidPage;
 };
 
-// A node either owns its entries (built in memory, or decoded) or views
-// them in place on a borrowed page (NodeCodec::View). Views are read-only:
-// the const accessor serves both, mutable access CHECKs ownership.
-class PprTree::Node : public Page {
- public:
-  Node(int level, Time created) : level_(level), created_(created) {}
+namespace {
 
-  Node(int level, Time created, Time closed, std::span<const Entry> view)
-      : level_(level),
-        created_(created),
-        closed_(closed),
-        view_(view),
-        borrowed_(true) {}
+template <typename Entries>
+size_t CountAlive(const Entries& entries) {
+  size_t count = 0;
+  for (const auto& entry : entries) count += entry.IsAlive() ? 1 : 0;
+  return count;
+}
 
-  int level() const { return level_; }
-  bool IsLeaf() const { return level_ == 0; }
-  Time created() const { return created_; }
-
-  // Time the node stopped being current (kTimeInfinity while current).
-  Time closed() const { return closed_; }
-  void Close(Time t) { closed_ = t; }
-
-  std::vector<Entry>& entries() {
-    STINDEX_CHECK_MSG(!borrowed_, "mutable access to a borrowed PPR-tree node");
-    return entries_;
+template <typename Entries>
+Rect2D AliveMbr(const Entries& entries) {
+  Rect2D mbr = Rect2D::Empty();
+  for (const auto& entry : entries) {
+    if (entry.IsAlive()) mbr.ExpandToInclude(entry.rect);
   }
-  std::span<const Entry> entries() const {
-    return borrowed_ ? view_ : std::span<const Entry>(entries_);
-  }
+  return mbr;
+}
 
-  size_t AliveCount() const {
-    size_t count = 0;
-    for (const Entry& entry : entries()) count += entry.IsAlive() ? 1 : 0;
-    return count;
-  }
+}  // namespace
 
-  Rect2D AliveMbr() const {
-    Rect2D mbr = Rect2D::Empty();
-    for (const Entry& entry : entries()) {
-      if (entry.IsAlive()) mbr.ExpandToInclude(entry.rect);
-    }
-    return mbr;
-  }
-
- private:
-  int level_;
-  Time created_;
-  Time closed_ = kTimeInfinity;
-  std::vector<Entry> entries_;
-  std::span<const Entry> view_;
-  bool borrowed_ = false;
-};
-
-// Serializes nodes to sealed pages whose payload is the in-memory layout
-// (little-endian): a Header, then `count` Entry structs from page offset
-// kNodeEntryOffset. Encode CHECKs the fanout bound; parsing tolerates
-// max_entries + 1 for transient states, as Load does.
+// The check every node page read from a backend or a snapshot passes:
+// the envelope (checksum, kind, version), then a plausible header. The
+// fanout bound tolerates max_entries + 1, the transient overflow state.
+// It also pins the page layout.
 class PprTree::NodeCodec : public PageCodec {
  public:
   explicit NodeCodec(size_t max_entries) : max_entries_(max_entries) {
@@ -114,65 +89,30 @@ class PprTree::NodeCodec : public PageCodec {
                       "PPR-tree fanout does not fit a node page");
   }
 
-  void Encode(const Page& page, uint8_t* out) const override {
-    const Node& node = static_cast<const Node&>(page);
-    const std::span<const Entry> entries = node.entries();
-    STINDEX_CHECK_MSG(entries.size() <= max_entries_ + 1,
-                      "PPR-tree node exceeds the configured fanout");
-    std::memset(out, 0, kPageSize);
-    const Header header{static_cast<int32_t>(node.level()),
-                        static_cast<uint32_t>(entries.size()), node.created(),
-                        node.closed()};
-    std::memcpy(out + kPageEnvelopeBytes, &header, sizeof(header));
-    if (!entries.empty()) {
-      std::memcpy(out + kNodeEntryOffset, entries.data(), entries.size_bytes());
+  Status Check(const uint8_t* page, PageId id) const override {
+    Result<PageReader> payload = OpenPagePayload(page, PageKind::kPprNode, id);
+    if (!payload.ok()) return payload.status();
+    Header header;
+    std::memcpy(&header, page + kPageEnvelopeBytes, sizeof(Header));
+    if (header.level < 0 || header.count > max_entries_ + 1) {
+      return Status::InvalidArgument(
+          "page " + std::to_string(id) + ": implausible PPR-tree node (level " +
+          std::to_string(header.level) + ", " + std::to_string(header.count) +
+          " entries)");
     }
-    SealPage(out, PageKind::kPprNode);
-  }
-
-  Result<std::unique_ptr<Page>> Decode(const uint8_t* page,
-                                       PageId id) const override {
-    Result<Parsed> parsed = Parse(page, id);
-    if (!parsed.ok()) return parsed.status();
-    const Header& header = parsed.value().header;
-    auto node = std::make_unique<Node>(header.level, header.created);
-    if (header.closed != kTimeInfinity) node->Close(header.closed);
-    // Byte copy: a decoded buffer need not be aligned for Entry.
-    const std::span<const Entry> entries = parsed.value().entries;
-    node->entries().resize(entries.size());
-    if (!entries.empty()) {
-      std::memcpy(node->entries().data(), entries.data(), entries.size_bytes());
-    }
-    return std::unique_ptr<Page>(std::move(node));
-  }
-
-  Result<std::unique_ptr<Page>> View(const uint8_t* page,
-                                     PageId id) const override {
-    STINDEX_CHECK_MSG(reinterpret_cast<uintptr_t>(page) % alignof(Entry) == 0,
-                      "PPR-tree node view over a misaligned page");
-    Result<Parsed> parsed = Parse(page, id);
-    if (!parsed.ok()) return parsed.status();
-    const Header& header = parsed.value().header;
-    return std::unique_ptr<Page>(std::make_unique<Node>(
-        header.level, header.created, header.closed, parsed.value().entries));
+    return Status::OK();
   }
 
  private:
-  struct Header {
-    int32_t level;
-    uint32_t count;
-    Time created;
-    Time closed;
-  };
   static_assert(sizeof(Header) == 24 && offsetof(Header, count) == 4 &&
                 offsetof(Header, created) == 8 &&
                 offsetof(Header, closed) == 16);
   static_assert(std::has_unique_object_representations_v<Header>);
-  static_assert(kPageEnvelopeBytes + sizeof(Header) <= kNodeEntryOffset &&
+  static_assert(kPageEnvelopeBytes + sizeof(Header) == kNodeEntryOffset &&
                 kNodeEntryOffset % alignof(Entry) == 0);
   // Entry is the on-page layout. Rect2D holds doubles, for which
-  // has_unique_object_representations is false by definition, so
-  // "no padding" is asserted as the sum of the member sizes instead.
+  // has_unique_object_representations is false by definition, so "no
+  // padding" is asserted as the sum of the member sizes instead.
   static_assert(sizeof(Entry) == kNodeEntryBytes &&
                 offsetof(Entry, rect) == 0 &&
                 offsetof(Entry, lifetime) == 32 &&
@@ -184,41 +124,17 @@ class PprTree::NodeCodec : public PageCodec {
   static_assert(std::is_trivially_copyable_v<Entry> &&
                 std::has_unique_object_representations_v<TimeInterval>);
 
-  struct Parsed {
-    Header header{};
-    std::span<const Entry> entries;
-  };
-
-  // The one validator behind Decode and View: the envelope (checksum,
-  // kind, version), then a plausible header. The entry span points into
-  // `page`.
-  Result<Parsed> Parse(const uint8_t* page, PageId id) const {
-    Result<PageReader> payload = OpenPagePayload(page, PageKind::kPprNode, id);
-    if (!payload.ok()) return payload.status();
-    Parsed parsed;
-    std::memcpy(&parsed.header, page + kPageEnvelopeBytes, sizeof(Header));
-    const Header& header = parsed.header;
-    if (header.level < 0 || header.count > max_entries_ + 1 ||
-        header.count * sizeof(Entry) > kPageSize - kNodeEntryOffset) {
-      return Status::InvalidArgument(
-          "page " + std::to_string(id) + ": implausible PPR-tree node (level " +
-          std::to_string(header.level) + ", " + std::to_string(header.count) +
-          " entries)");
-    }
-    parsed.entries = std::span<const Entry>(
-        reinterpret_cast<const Entry*>(page + kNodeEntryOffset), header.count);
-    return parsed;
-  }
-
   size_t max_entries_;
 };
 
-PprTree::PprTree(PprConfig config) : config_(config) {
+PprTree::PprTree(PprConfig config)
+    : config_(config),
+      arena_(std::make_unique<MemoryPageBackend>("ppr")),
+      codec_(std::make_unique<NodeCodec>(config_.max_entries)) {
   STINDEX_CHECK(config_.max_entries >= 4);
   STINDEX_CHECK(config_.p_version > 0.0 && config_.p_version < 1.0);
   STINDEX_CHECK(config_.p_svu > config_.p_version);
   STINDEX_CHECK(config_.p_svo > config_.p_svu && config_.p_svo <= 1.0);
-  store_.SetMetricScope("ppr");
   OpenQueryPool();
   // The strong-version window must leave room to insert into a fresh node.
   STINDEX_CHECK(StrongMax() < config_.max_entries);
@@ -246,20 +162,28 @@ size_t PprTree::StrongMin() const {
       std::ceil(config_.p_svu * static_cast<double>(config_.max_entries)));
 }
 
-PprTree::Node* PprTree::GetNode(PageId id) const {
-  return static_cast<Node*>(store_.Get(id));
+PprTree::Node PprTree::GetNode(PageId id) const {
+  STINDEX_CHECK_MSG(arena_ != nullptr, "PprTree is frozen after AttachBackend");
+  return Node(&arena_->MutablePage(id));
+}
+
+const PageBackend& PprTree::source() const {
+  return arena_ != nullptr ? *arena_ : *backend_;
+}
+
+std::unique_ptr<SharedBufferPool> PprTree::NewPool(
+    size_t pages, std::string metric_scope) const {
+  SharedBufferPoolOptions options;
+  options.capacity = pages;
+  options.metric_scope = std::move(metric_scope);
+  // Arena pages are not sealed; pages of a backend are checked per miss.
+  return std::make_unique<SharedBufferPool>(
+      &source(), arena_ != nullptr ? nullptr : codec_.get(), options);
 }
 
 std::unique_ptr<SharedBufferPool> PprTree::NewSharedQueryPool(
     size_t pages) const {
-  SharedBufferPoolOptions options;
-  options.capacity = pages == 0 ? config_.buffer_pages : pages;
-  options.metric_scope = "ppr";
-  if (backend_ != nullptr) {
-    return std::make_unique<SharedBufferPool>(backend_.get(), codec_.get(),
-                                              options);
-  }
-  return std::make_unique<SharedBufferPool>(&store_, options);
+  return NewPool(pages == 0 ? config_.buffer_pages : pages, "ppr");
 }
 
 void PprTree::OpenQueryPool() {
@@ -269,50 +193,72 @@ void PprTree::OpenQueryPool() {
                                                          config_.buffer_pages);
 }
 
+void PprTree::Freeze(std::unique_ptr<PageBackend> backend) {
+  session_.reset();
+  pool_.reset();
+  arena_.reset();
+  backend_ = std::move(backend);
+  OpenQueryPool();
+}
+
 Status PprTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
-  STINDEX_CHECK_MSG(backend_ == nullptr, "backend already attached");
+  STINDEX_CHECK_MSG(arena_ != nullptr, "backend already attached");
   STINDEX_CHECK(backend != nullptr);
   TraceSpan span("ppr", "attach_backend");
-  span.Arg("pages", static_cast<int64_t>(store_.PageCount()));
-  std::vector<PageId> slots(store_.AllocatedCount());
+  span.Arg("pages", static_cast<int64_t>(PageCount()));
+  std::vector<PageId> slots(NodeCount());
   std::iota(slots.begin(), slots.end(), PageId{0});
   Status status = PersistNodesForCheckpoint(backend.get(), slots);
   if (status.ok()) status = backend->Sync();
   if (!status.ok()) return status;
-  backend_ = std::move(backend);
-  codec_ = std::make_unique<NodeCodec>(config_.max_entries);
-  OpenQueryPool();
+  Freeze(std::move(backend));
   return Status::OK();
 }
 
 Status PprTree::PackSnapshot(const std::string& path,
                              const SnapshotFile::Options& options) {
-  STINDEX_CHECK_MSG(backend_ == nullptr, "backend already attached");
+  STINDEX_CHECK_MSG(arena_ != nullptr, "backend already attached");
   TraceSpan span("ppr", "pack_snapshot");
-  span.Arg("pages", static_cast<int64_t>(store_.PageCount()));
-  const size_t count = store_.AllocatedCount();
+  span.Arg("pages", static_cast<int64_t>(PageCount()));
+  const size_t count = NodeCount();
   // The PPR-tree never frees nodes, so ids are dense already; the packed
   // order sorts them bottom-up (level, then id) so every level occupies
   // one contiguous extent of the snapshot.
   std::vector<PageId> order(count);
-  for (PageId id = 0; id < count; ++id) order[id] = id;
+  std::iota(order.begin(), order.end(), PageId{0});
   std::stable_sort(order.begin(), order.end(), [this](PageId a, PageId b) {
-    return GetNode(a)->level() < GetNode(b)->level();
+    return GetNode(a).level() < GetNode(b).level();
   });
   std::vector<PageId> remap(count, kInvalidPage);
   for (size_t slot = 0; slot < order.size(); ++slot) {
     remap[order[slot]] = static_cast<PageId>(slot);
   }
-  // Rewrite the whole in-memory graph through the bijection first, so the
-  // tree stays consistent (and still queryable from the store) even if
-  // writing the snapshot fails below.
-  for (PageId id = 0; id < count; ++id) {
-    Node* node = GetNode(id);
-    if (node->IsLeaf()) continue;
-    for (Entry& entry : node->entries()) {
-      if (entry.child != kInvalidPage) entry.child = remap[entry.child];
+
+  // The snapshot gets remapped, sealed copies; the arena is untouched, so
+  // the tree still serves from it if writing the snapshot fails.
+  Result<std::unique_ptr<SnapshotWriter>> writer = SnapshotWriter::Create(path);
+  if (!writer.ok()) return writer.status();
+  Page page;
+  for (const PageId id : order) {
+    std::memcpy(page.bytes, arena_->BorrowPage(id), kPageSize);
+    Node node(&page);
+    if (!node.IsLeaf()) {
+      for (Entry& entry : node.entries()) {
+        if (entry.child != kInvalidPage) entry.child = remap[entry.child];
+      }
     }
+    SealPage(page.bytes, PageKind::kPprNode);
+    Status status =
+        writer.value()->Append(static_cast<uint32_t>(node.level()), page.bytes);
+    if (!status.ok()) return status;
   }
+  Status status = writer.value()->Finish();
+  if (!status.ok()) return status;
+  Result<std::unique_ptr<MmapSnapshotBackend>> backend =
+      MmapSnapshotBackend::Open(path, options);
+  if (!backend.ok()) return backend.status();
+
+  // Committed: the in-memory references follow the remap.
   for (RootEra& era : roots_) {
     if (era.root != kInvalidPage) era.root = remap[era.root];
   }
@@ -323,27 +269,7 @@ Status PprTree::PackSnapshot(const std::string& path,
     parents[remap[child]] = remap[parent];
   }
   parent_of_ = std::move(parents);
-  store_.Reindex(remap);
-
-  Result<std::unique_ptr<SnapshotWriter>> writer = SnapshotWriter::Create(path);
-  if (!writer.ok()) return writer.status();
-  const NodeCodec codec(config_.max_entries);
-  uint8_t page[kPageSize];
-  for (PageId slot = 0; slot < count; ++slot) {
-    const Node* node = GetNode(slot);
-    codec.Encode(*node, page);
-    Status status =
-        writer.value()->Append(static_cast<uint32_t>(node->level()), page);
-    if (!status.ok()) return status;
-  }
-  Status status = writer.value()->Finish();
-  if (!status.ok()) return status;
-  Result<std::unique_ptr<MmapSnapshotBackend>> backend =
-      MmapSnapshotBackend::Open(path, options);
-  if (!backend.ok()) return backend.status();
-  backend_ = std::move(backend).value();
-  codec_ = std::make_unique<NodeCodec>(config_.max_entries);
-  OpenQueryPool();
+  Freeze(std::move(backend).value());
   return Status::OK();
 }
 
@@ -367,13 +293,14 @@ void PprTree::ResetQueryState() const {
   session_->ResetStats();
 }
 
-PageId PprTree::MakeNode(int level, std::vector<Entry> entries, Time now) {
-  auto node = std::make_unique<Node>(level, now);
-  node->entries() = std::move(entries);
-  Node* raw = node.get();
-  const PageId id = store_.Allocate(std::move(node));
-  for (const Entry& entry : raw->entries()) {
+PageId PprTree::MakeNode(int level, const std::vector<Entry>& entries,
+                         Time now) {
+  const PageId id = arena_->Allocate();
+  Node node = GetNode(id);
+  node.header() = Header{level, 0, now, kTimeInfinity};
+  for (const Entry& entry : entries) {
     STINDEX_DCHECK(entry.IsAlive());
+    node.Append(entry);
     if (level == 0) {
       alive_location_[entry.data] = id;
     } else {
@@ -389,13 +316,13 @@ std::vector<PprTree::Frame> PprTree::DescendForInsert(
   PageId current = CurrentRoot();
   STINDEX_CHECK(current != kInvalidPage);
   path.push_back(Frame{current, SIZE_MAX});
-  Node* node = GetNode(current);
-  while (!node->IsLeaf()) {
+  NodeView node = GetNode(current);
+  while (!node.IsLeaf()) {
     // Least area enlargement among alive entries, ties by smallest area.
     size_t best = SIZE_MAX;
     double best_enlargement = std::numeric_limits<double>::infinity();
     double best_area = std::numeric_limits<double>::infinity();
-    const std::vector<Entry>& entries = node->entries();
+    const std::span<const Entry> entries = node.entries();
     for (size_t i = 0; i < entries.size(); ++i) {
       if (!entries[i].IsAlive()) continue;
       const double enlargement = entries[i].rect.Enlargement(rect);
@@ -429,10 +356,10 @@ std::vector<PprTree::Frame> PprTree::PathToAliveLeaf(PageId leaf) const {
   std::vector<Frame> path;
   path.push_back(Frame{chain.back(), SIZE_MAX});
   for (size_t i = chain.size() - 1; i-- > 0;) {
-    const Node* parent = GetNode(chain[i + 1]);
+    const std::span<const Entry> entries = GetNode(chain[i + 1]).entries();
     size_t slot = SIZE_MAX;
-    for (size_t s = 0; s < parent->entries().size(); ++s) {
-      const Entry& entry = parent->entries()[s];
+    for (size_t s = 0; s < entries.size(); ++s) {
+      const Entry& entry = entries[s];
       if (entry.IsAlive() && entry.child == chain[i]) {
         slot = s;
         break;
@@ -447,8 +374,8 @@ std::vector<PprTree::Frame> PprTree::PathToAliveLeaf(PageId leaf) const {
 void PprTree::ExpandPathRects(const std::vector<Frame>& path,
                               const Rect2D& rect) const {
   for (size_t i = 1; i < path.size(); ++i) {
-    Node* parent = GetNode(path[i - 1].node);
-    parent->entries()[path[i].slot].rect.ExpandToInclude(rect);
+    GetNode(path[i - 1].node).entries()[path[i].slot].rect.ExpandToInclude(
+        rect);
   }
 }
 
@@ -475,12 +402,12 @@ void PprTree::Insert(const Rect2D& rect, Time t, PprDataId data) {
 
   std::vector<Frame> path = DescendForInsert(rect);
   ExpandPathRects(path, rect);
-  Node* leaf = GetNode(path.back().node);
-  if (leaf->entries().size() >= config_.max_entries) {
+  Node leaf = GetNode(path.back().node);
+  if (leaf.entries().size() >= config_.max_entries) {
     Restructure(std::move(path), {entry}, t);
     return;
   }
-  leaf->entries().push_back(entry);
+  leaf.Append(entry);
   alive_location_[data] = path.back().node;
 }
 
@@ -495,15 +422,15 @@ void PprTree::Delete(PprDataId data, Time t) {
   alive_location_.erase(it);
 
   std::vector<Frame> path = PathToAliveLeaf(leaf_id);
-  Node* leaf = GetNode(leaf_id);
+  Node leaf = GetNode(leaf_id);
   bool found = false;
-  std::vector<Entry>& entries = leaf->entries();
+  const std::span<Entry> entries = leaf.entries();
   for (size_t i = 0; i < entries.size(); ++i) {
     Entry& entry = entries[i];
     if (entry.IsAlive() && entry.data == data) {
       if (entry.lifetime.start == t) {
         // Inserted and deleted at the same instant: never visible.
-        entries.erase(entries.begin() + static_cast<long>(i));
+        leaf.Erase(i);
       } else {
         entry.lifetime.end = t;
       }
@@ -519,7 +446,7 @@ void PprTree::Delete(PprDataId data, Time t) {
     FinalizeRoot(leaf_id, t);
     return;
   }
-  if (leaf->AliveCount() < WeakMin()) {
+  if (CountAlive(leaf.entries()) < WeakMin()) {
     Restructure(std::move(path), {}, t);  // weak version underflow
   }
 }
@@ -538,30 +465,29 @@ double CenterDistance2(const Rect2D& a, const Rect2D& b) {
 
 void PprTree::Restructure(std::vector<Frame> path, std::vector<Entry> pending,
                           Time now) {
-  Node* node = GetNode(path.back().node);
-  const int level = node->level();
+  Node node = GetNode(path.back().node);
+  const int level = node.level();
   const bool is_root = path.size() == 1;
   static Counter* const version_splits =
       MetricRegistry::Global().GetCounter("ppr.version_splits");
   version_splits->Increment();
 
-  auto truncate_alive = [now](Node* victim, std::vector<Entry>* copies) {
-    std::vector<Entry>& entries = victim->entries();
-    for (size_t i = 0; i < entries.size();) {
-      Entry& entry = entries[i];
+  auto truncate_alive = [now](Node victim, std::vector<Entry>* copies) {
+    for (size_t i = 0; i < victim.entries().size();) {
+      Entry& entry = victim.entries()[i];
       if (entry.IsAlive()) {
         Entry copy = entry;
         copy.lifetime = TimeInterval(now, kTimeInfinity);
         copies->push_back(copy);
         if (entry.lifetime.start == now) {
-          entries.erase(entries.begin() + static_cast<long>(i));
+          victim.Erase(i);
           continue;
         }
         entry.lifetime.end = now;
       }
       ++i;
     }
-    victim->Close(now);
+    victim.header().closed = now;
   };
 
   std::vector<Entry> copies;
@@ -574,14 +500,14 @@ void PprTree::Restructure(std::vector<Frame> path, std::vector<Entry> pending,
   // Strong version underflow: merge with the nearest alive sibling.
   std::optional<size_t> sibling_slot;
   if (!is_root && copies.size() < StrongMin()) {
-    Node* parent = GetNode(path[path.size() - 2].node);
+    const NodeView parent = GetNode(path[path.size() - 2].node);
     const Rect2D our_mbr = [&copies]() {
       Rect2D mbr = Rect2D::Empty();
       for (const Entry& entry : copies) mbr.ExpandToInclude(entry.rect);
       return mbr;
     }();
     double best_distance = std::numeric_limits<double>::infinity();
-    const std::vector<Entry>& siblings = parent->entries();
+    const std::span<const Entry> siblings = parent.entries();
     for (size_t s = 0; s < siblings.size(); ++s) {
       if (s == path.back().slot || !siblings[s].IsAlive()) continue;
       const double distance =
@@ -592,8 +518,7 @@ void PprTree::Restructure(std::vector<Frame> path, std::vector<Entry> pending,
       }
     }
     if (sibling_slot.has_value()) {
-      Node* sibling = GetNode(siblings[*sibling_slot].child);
-      truncate_alive(sibling, &copies);
+      truncate_alive(GetNode(siblings[*sibling_slot].child), &copies);
       static Counter* const sibling_merges =
           MetricRegistry::Global().GetCounter("ppr.sibling_merges");
       sibling_merges->Increment();
@@ -618,10 +543,10 @@ void PprTree::Restructure(std::vector<Frame> path, std::vector<Entry> pending,
   std::vector<PageId> new_nodes;
   std::vector<Entry> adds;
   for (std::vector<Entry>& group : groups) {
-    const PageId id = MakeNode(level, std::move(group), now);
+    const PageId id = MakeNode(level, group, now);
     new_nodes.push_back(id);
     Entry dir;
-    dir.rect = GetNode(id)->AliveMbr();
+    dir.rect = AliveMbr(GetNode(id).entries());
     dir.lifetime = TimeInterval(now, kTimeInfinity);
     dir.child = id;
     adds.push_back(dir);
@@ -633,7 +558,7 @@ void PprTree::Restructure(std::vector<Frame> path, std::vector<Entry> pending,
     } else if (new_nodes.size() == 1) {
       FinalizeRoot(new_nodes[0], now);
     } else {
-      const PageId new_root = MakeNode(level + 1, std::move(adds), now);
+      const PageId new_root = MakeNode(level + 1, adds, now);
       FinalizeRoot(new_root, now);
     }
     return;
@@ -642,16 +567,15 @@ void PprTree::Restructure(std::vector<Frame> path, std::vector<Entry> pending,
   // Kill the consumed parent entries (highest slot first: killing may
   // erase same-instant entries and shift indices).
   std::vector<Frame> parent_path(path.begin(), path.end() - 1);
-  Node* parent = GetNode(parent_path.back().node);
+  Node parent = GetNode(parent_path.back().node);
   std::vector<size_t> kill_slots = {path.back().slot};
   if (sibling_slot.has_value()) kill_slots.push_back(*sibling_slot);
   std::sort(kill_slots.rbegin(), kill_slots.rend());
   for (size_t slot : kill_slots) {
-    Entry& entry = parent->entries()[slot];
+    Entry& entry = parent.entries()[slot];
     STINDEX_CHECK(entry.IsAlive());
     if (entry.lifetime.start == now) {
-      parent->entries().erase(parent->entries().begin() +
-                              static_cast<long>(slot));
+      parent.Erase(slot);
     } else {
       entry.lifetime.end = now;
     }
@@ -662,21 +586,21 @@ void PprTree::Restructure(std::vector<Frame> path, std::vector<Entry> pending,
 
 void PprTree::AddEntries(std::vector<Frame> path, std::vector<Entry> adds,
                          Time now) {
-  Node* node = GetNode(path.back().node);
-  STINDEX_CHECK(!node->IsLeaf());
+  Node node = GetNode(path.back().node);
+  STINDEX_CHECK(!node.IsLeaf());
 
   if (!adds.empty() &&
-      node->entries().size() + adds.size() > config_.max_entries) {
+      node.entries().size() + adds.size() > config_.max_entries) {
     Restructure(std::move(path), std::move(adds), now);
     return;
   }
-  for (Entry& entry : adds) {
+  for (const Entry& entry : adds) {
     parent_of_[entry.child] = path.back().node;
     ExpandPathRects(path, entry.rect);
-    node->entries().push_back(std::move(entry));
+    node.Append(entry);
   }
 
-  const size_t alive = node->AliveCount();
+  const size_t alive = CountAlive(node.entries());
   if (path.size() == 1) {
     FinalizeRoot(path.back().node, now);
     return;
@@ -691,28 +615,28 @@ void PprTree::FinalizeRoot(PageId root, Time now) {
   // child would be a non-root node with no sibling to merge with, and the
   // weak-version invariant could not be maintained.
   while (root != kInvalidPage) {
-    Node* node = GetNode(root);
-    const size_t alive = node->AliveCount();
+    Node node = GetNode(root);
+    const size_t alive = CountAlive(node.entries());
     if (alive == 0) {
-      node->Close(now);
+      node.header().closed = now;
       root = kInvalidPage;
       break;
     }
-    if (node->IsLeaf() || alive > 1) break;
+    if (node.IsLeaf() || alive > 1) break;
     // Promote the only alive child.
     PageId child = kInvalidPage;
-    std::vector<Entry>& entries = node->entries();
+    const std::span<Entry> entries = node.entries();
     for (size_t i = 0; i < entries.size(); ++i) {
       if (!entries[i].IsAlive()) continue;
       child = entries[i].child;
       if (entries[i].lifetime.start == now) {
-        entries.erase(entries.begin() + static_cast<long>(i));
+        node.Erase(i);
       } else {
         entries[i].lifetime.end = now;
       }
       break;
     }
-    node->Close(now);
+    node.header().closed = now;
     parent_of_.erase(child);
     root = child;
   }
@@ -831,20 +755,20 @@ void PprTree::SnapshotQuery(const Rect2D& area, Time t, PageCache* buffer,
   while (!stack.empty()) {
     const PageId id = stack.back();
     stack.pop_back();
-    // Pinned for the loop body: the node pointer must survive any
-    // evictions a deeper Fetch could cause in backend mode.
+    // Pinned for the loop body: the page must survive any evictions a
+    // deeper Fetch could cause.
     const PageRef ref = buffer->FetchPinned(id);
-    const Node* node = static_cast<const Node*>(ref.get());
+    const NodeView node(ref.get());
     if (profile != nullptr) {
-      profile->CountNode(node->level());
-      if (node->IsLeaf()) {
-        profile->leaf_entries_scanned += node->entries().size();
+      profile->CountNode(node.level());
+      if (node.IsLeaf()) {
+        profile->leaf_entries_scanned += node.entries().size();
       }
     }
-    for (const Entry& entry : node->entries()) {
+    for (const Entry& entry : node.entries()) {
       if (!entry.lifetime.Contains(t)) continue;
       if (!entry.rect.Intersects(area)) continue;
-      if (node->IsLeaf()) {
+      if (node.IsLeaf()) {
         results->push_back(entry.data);
       } else {
         stack.push_back(entry.child);
@@ -881,17 +805,17 @@ void PprTree::IntervalQuery(const Rect2D& area, const TimeInterval& range,
       const PageId id = stack.back();
       stack.pop_back();
       const PageRef ref = buffer->FetchPinned(id);
-      const Node* node = static_cast<const Node*>(ref.get());
+      const NodeView node(ref.get());
       if (profile != nullptr) {
-        profile->CountNode(node->level());
-        if (node->IsLeaf()) {
-          profile->leaf_entries_scanned += node->entries().size();
+        profile->CountNode(node.level());
+        if (node.IsLeaf()) {
+          profile->leaf_entries_scanned += node.entries().size();
         }
       }
-      for (const Entry& entry : node->entries()) {
+      for (const Entry& entry : node.entries()) {
         if (!entry.lifetime.Intersects(range)) continue;
         if (!entry.rect.Intersects(area)) continue;
-        if (node->IsLeaf()) {
+        if (node.IsLeaf()) {
           // The same logical record may have physical copies in several
           // nodes (version splits) and eras; report it once.
           if (seen.insert(entry.data).second) results->push_back(entry.data);
@@ -921,19 +845,23 @@ std::vector<PprTree::AliveNodeSummary> PprTree::CollectAliveSummaries(
   if (it == roots_.begin()) return summaries;
   --it;
   if (it->root == kInvalidPage) return summaries;
+  const std::unique_ptr<SharedBufferPool> pool =
+      NewPool(config_.buffer_pages, "");
+  SharedBufferPool::Session nodes(pool.get());
   std::vector<PageId> stack = {it->root};
   while (!stack.empty()) {
     const PageId id = stack.back();
     stack.pop_back();
-    const Node* node = GetNode(id);
+    const PageRef ref = nodes.FetchPinned(id);
+    const NodeView node(ref.get());
     AliveNodeSummary summary;
-    summary.level = node->level();
+    summary.level = node.level();
     summary.rect = Rect2D::Empty();
-    for (const Entry& entry : node->entries()) {
+    for (const Entry& entry : node.entries()) {
       if (!entry.lifetime.Contains(t)) continue;
       ++summary.alive;
       summary.rect.ExpandToInclude(entry.rect);
-      if (!node->IsLeaf()) stack.push_back(entry.child);
+      if (!node.IsLeaf()) stack.push_back(entry.child);
     }
     if (summary.alive > 0) summaries.push_back(summary);
   }
@@ -959,11 +887,11 @@ size_t PprTree::SnapshotCount(const Rect2D& area, Time t,
     const PageId id = stack.back();
     stack.pop_back();
     const PageRef ref = buffer->FetchPinned(id);
-    const Node* node = static_cast<const Node*>(ref.get());
-    for (const Entry& entry : node->entries()) {
+    const NodeView node(ref.get());
+    for (const Entry& entry : node.entries()) {
       if (!entry.lifetime.Contains(t)) continue;
       if (!entry.rect.Intersects(area)) continue;
-      if (node->IsLeaf()) {
+      if (node.IsLeaf()) {
         ++count;
       } else {
         stack.push_back(entry.child);
@@ -984,7 +912,8 @@ std::vector<size_t> PprTree::OccupancyHistogram(
   return histogram;
 }
 
-void PprTree::CollectSubtree(PageId root, std::vector<PageId>* out) const {
+void PprTree::CollectSubtree(PageId root, PageCache* nodes,
+                             std::vector<PageId>* out) const {
   std::vector<PageId> stack = {root};
   std::unordered_set<PageId> visited;
   while (!stack.empty()) {
@@ -992,35 +921,43 @@ void PprTree::CollectSubtree(PageId root, std::vector<PageId>* out) const {
     stack.pop_back();
     if (!visited.insert(id).second) continue;
     out->push_back(id);
-    const Node* node = GetNode(id);
-    if (node->IsLeaf()) continue;
-    for (const Entry& entry : node->entries()) stack.push_back(entry.child);
+    const PageRef ref = nodes->FetchPinned(id);
+    const NodeView node(ref.get());
+    if (node.IsLeaf()) continue;
+    for (const Entry& entry : node.entries()) stack.push_back(entry.child);
   }
 }
 
 void PprTree::CheckInvariants() const {
+  // Pages come through an unpublished pool, so a frozen tree's backend is
+  // checked as well as a live tree's arena.
+  const std::unique_ptr<SharedBufferPool> pool =
+      NewPool(config_.buffer_pages, "");
+  SharedBufferPool::Session pages(pool.get());
+
   // Structural checks over every reachable node.
   std::vector<PageId> nodes;
   std::unordered_set<PageId> unique;
   for (const RootEra& era : roots_) {
     if (era.root == kInvalidPage) continue;
     std::vector<PageId> subtree;
-    CollectSubtree(era.root, &subtree);
+    CollectSubtree(era.root, &pages, &subtree);
     for (PageId id : subtree) {
       if (unique.insert(id).second) nodes.push_back(id);
     }
   }
   for (PageId id : nodes) {
-    const Node* node = GetNode(id);
-    STINDEX_CHECK(node->entries().size() <= config_.max_entries);
-    for (const Entry& entry : node->entries()) {
+    const PageRef ref = pages.FetchPinned(id);
+    const NodeView node(ref.get());
+    STINDEX_CHECK(node.entries().size() <= config_.max_entries);
+    for (const Entry& entry : node.entries()) {
       STINDEX_CHECK(entry.lifetime.start < entry.lifetime.end);
-      STINDEX_CHECK(entry.lifetime.start >= node->created());
-      STINDEX_CHECK(entry.lifetime.end <= node->closed());
+      STINDEX_CHECK(entry.lifetime.start >= node.header().created);
+      STINDEX_CHECK(entry.lifetime.end <= node.header().closed);
       STINDEX_CHECK(entry.rect.IsValid());
-      if (!node->IsLeaf()) {
-        const Node* child = GetNode(entry.child);
-        STINDEX_CHECK(child->level() == node->level() - 1);
+      if (!node.IsLeaf()) {
+        const PageRef child = pages.FetchPinned(entry.child);
+        STINDEX_CHECK(NodeView(child.get()).level() == node.level() - 1);
       }
     }
   }
@@ -1050,12 +987,13 @@ void PprTree::CheckInvariants() const {
         auto [id, info] = stack.back();
         stack.pop_back();
         const auto& [is_root, cover] = info;
-        const Node* node = GetNode(id);
+        const PageRef ref = pages.FetchPinned(id);
+        const NodeView node(ref.get());
         size_t alive = 0;
-        for (const Entry& entry : node->entries()) {
+        for (const Entry& entry : node.entries()) {
           if (!entry.lifetime.Contains(t)) continue;
           ++alive;
-          if (node->IsLeaf()) {
+          if (node.IsLeaf()) {
             STINDEX_CHECK_MSG(cover.Contains(entry.rect),
                               "ancestor rects do not cover alive data");
           } else {
@@ -1083,7 +1021,7 @@ void PprTree::EncodeCheckpointMeta(ByteSink* out) const {
 }
 
 Status PprTree::DecodeCheckpointMeta(ByteSource* in) {
-  STINDEX_CHECK_MSG(roots_.empty() && store_.AllocatedCount() == 0,
+  STINDEX_CHECK_MSG(roots_.empty() && NodeCount() == 0,
                     "checkpoint restore into a non-empty tree");
   uint64_t size = 0;
   uint64_t root_count = 0;
@@ -1104,16 +1042,19 @@ Status PprTree::DecodeCheckpointMeta(ByteSource* in) {
 
 Status PprTree::PersistNodesForCheckpoint(
     PageBackend* backend, const std::vector<PageId>& slots) const {
-  // Works for live trees and for frozen packed layers alike: the store
-  // keeps every node in memory even after PackSnapshot attaches a
-  // read-only backend, and ids stay contiguous 0..NodeCount()-1.
-  STINDEX_CHECK(slots.size() == store_.AllocatedCount());
-  const NodeCodec codec(config_.max_entries);
-  uint8_t page[kPageSize];
-  for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
-    if (!store_.IsLive(id)) continue;
-    codec.Encode(*GetNode(id), page);
-    Status status = backend->Write(slots[id], page);
+  // A live tree seals copies of its arena pages; a tree frozen by
+  // PackSnapshot copies its snapshot pages, which are sealed already.
+  STINDEX_CHECK(slots.size() == NodeCount());
+  Page page;
+  for (PageId id = 0; id < slots.size(); ++id) {
+    if (arena_ != nullptr) {
+      std::memcpy(page.bytes, arena_->BorrowPage(id), kPageSize);
+      SealPage(page.bytes, PageKind::kPprNode);
+    } else {
+      Status status = backend_->Read(id, page.bytes);
+      if (!status.ok()) return status;
+    }
+    Status status = backend->Write(slots[id], page.bytes);
     if (!status.ok()) {
       return Status(status.code(),
                     "write of page " + std::to_string(slots[id]) +
@@ -1124,24 +1065,25 @@ Status PprTree::PersistNodesForCheckpoint(
 }
 
 Status PprTree::InstallCheckpointNode(PageId id, const uint8_t* page) {
-  STINDEX_CHECK_MSG(backend_ == nullptr,
+  STINDEX_CHECK_MSG(arena_ != nullptr,
                     "checkpoint restore into an attached tree");
-  STINDEX_CHECK(store_.AllocatedCount() == id);
-  const NodeCodec codec(config_.max_entries);
-  Result<std::unique_ptr<Page>> decoded = codec.Decode(page, id);
-  if (!decoded.ok()) return decoded.status();
-  auto node = std::unique_ptr<Node>(static_cast<Node*>(decoded.value().release()));
-  for (const Entry& entry : node->entries()) {
+  STINDEX_CHECK(NodeCount() == id);
+  Status status = codec_->Check(page, id);
+  if (!status.ok()) return status;
+  const PageId allocated = arena_->Allocate();
+  STINDEX_CHECK(allocated == id);
+  Page& copy = arena_->MutablePage(id);
+  std::memcpy(copy.bytes, page, kPageSize);
+  const NodeView node(&copy);
+  for (const Entry& entry : node.entries()) {
     if (entry.IsAlive()) {
-      if (node->IsLeaf()) {
+      if (node.IsLeaf()) {
         alive_location_[entry.data] = id;
       } else {
         parent_of_[entry.child] = id;
       }
     }
   }
-  const PageId allocated = store_.Allocate(std::move(node));
-  STINDEX_CHECK(allocated == id);
   return Status::OK();
 }
 

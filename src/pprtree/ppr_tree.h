@@ -12,7 +12,6 @@
 #include "geometry/rect.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_backend.h"
-#include "storage/page_store.h"
 #include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
 #include "util/bytes.h"
@@ -51,7 +50,8 @@ struct PprConfig {
 // changes, and answers historical queries as if the R-tree state at the
 // query time were still available.
 //
-// Structure: a DAG of nodes (pages). Data and index entries carry a
+// Structure: a DAG of nodes, each node one page of the tree's arena,
+// mutated in place (docs/storage.md). Data and index entries carry a
 // lifetime [insertion-time, deletion-time). A non-root node must contain
 // at least D alive entries at every instant it is alive; restructuring
 // happens through version splits (copy alive entries to a fresh node),
@@ -105,18 +105,19 @@ class PprTree {
   // frames (0 = the configured default) are shared by every worker.
   // Workers query through per-worker SharedBufferPool::Sessions; a
   // protocol-mode Session (protocol_pages = the paper's buffer size)
-  // reports the paper's per-query misses. After AttachBackend/PackSnapshot
-  // the pool reads (and decodes or views) real pages from the backend;
-  // before, it fronts the in-memory store.
+  // reports the paper's per-query misses. Before AttachBackend/
+  // PackSnapshot the pool borrows the arena's pages; after, it reads (and
+  // checks) real pages from the backend.
   std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
 
-  // Encodes every node and writes it to `backend` (ascending page id, one
-  // write per node), then serves all subsequent queries from the backend:
-  // pool misses become actual backend reads. The tree is frozen
-  // afterwards — Insert/Delete become checked errors. Page ids are
-  // preserved, so query I/O counts are identical to the in-memory
-  // tree's. On a write or sync failure the backend is dropped and the
-  // tree keeps serving from the store.
+  // Writes a sealed copy of every node page to `backend` (ascending page
+  // id, one write per node), then serves all subsequent queries from the
+  // backend: pool misses become actual backend reads. The tree is frozen
+  // afterwards — Insert/Delete become checked errors — and releases its
+  // arena. Page ids are preserved, so query I/O counts are identical to
+  // the arena's. On a write or sync failure the backend is dropped and
+  // the tree keeps serving from its arena. Pools from NewSharedQueryPool
+  // must be destroyed before a freeze succeeds.
   Status AttachBackend(std::unique_ptr<PageBackend> backend);
 
   // Packs the structure into a read-only snapshot file at `path` and
@@ -126,7 +127,7 @@ class PprTree {
   // one contiguous extent. The remap is a bijection of the page-id
   // access sequence, so per-query LRU miss counts are byte-identical to
   // the unpacked tree's. The tree is frozen afterwards, like
-  // AttachBackend.
+  // AttachBackend; on failure it keeps serving from its arena, unchanged.
   Status PackSnapshot(const std::string& path,
                       const SnapshotFile::Options& options = {});
 
@@ -158,7 +159,7 @@ class PprTree {
   size_t AliveCount() const { return alive_location_.size(); }
 
   // Disk footprint in pages.
-  size_t PageCount() const { return store_.PageCount(); }
+  size_t PageCount() const { return source().LivePageCount(); }
 
   // Number of eras in the root journal.
   size_t NumRoots() const;
@@ -171,7 +172,8 @@ class PprTree {
   void ResetQueryState() const;
 
   // Validates structural invariants at sampled time instants (alive-entry
-  // bounds, lifetime nesting, MBR containment). Test hook.
+  // bounds, lifetime nesting, MBR containment), reading the arena or,
+  // once frozen, the backend. Test hook.
   void CheckInvariants() const;
 
   // Introspection: one summary per node of the *ephemeral* tree at
@@ -185,44 +187,60 @@ class PprTree {
   std::vector<AliveNodeSummary> CollectAliveSummaries(Time t) const;
 
   // --- live-tier checkpoint hooks ---------------------------------------
-  // A live tree (before AttachBackend) round-trips through checkpoint
-  // metadata plus one sealed kPprNode page per node: node ids are
-  // contiguous 0..NodeCount()-1 (the tree never frees a node), the page
-  // encoding is position-independent, and the meta carries the root
-  // journal and counters.
+  // A tree round-trips through checkpoint metadata plus one sealed
+  // kPprNode page per node: node ids are contiguous 0..NodeCount()-1 (the
+  // tree never frees a node), node pages are position-independent, and
+  // the meta carries the root journal and counters.
 
   // Nodes a checkpoint must persist: ids 0..NodeCount()-1.
-  size_t NodeCount() const { return store_.AllocatedCount(); }
+  size_t NodeCount() const { return source().SlotCount(); }
 
   // Serializes the non-node state (size, clock, root journal).
   void EncodeCheckpointMeta(ByteSink* out) const;
   // Restores it into a freshly constructed tree of the same config.
   Status DecodeCheckpointMeta(ByteSource* in);
 
-  // Encodes node i and writes it to backend slot `slots[i]` (slots.size()
-  // must be NodeCount()), in ascending node id — the same write path
-  // AttachBackend persists through. The first failed write is returned,
-  // naming the slot. Does not sync.
+  // Writes a sealed copy of node i to backend slot `slots[i]`
+  // (slots.size() must be NodeCount()), in ascending node id — the same
+  // write path AttachBackend persists through. A tree frozen by
+  // PackSnapshot copies its snapshot pages, which are sealed already.
+  // The first failed write is returned, naming the slot. Does not sync.
   Status PersistNodesForCheckpoint(PageBackend* backend,
                                    const std::vector<PageId>& slots) const;
 
-  // Installs node `id` from a sealed kPprNode page image; ids must
-  // arrive 0, 1, 2, ... on a tree holding exactly `id` nodes. Rebuilds
-  // the alive-record and alive-parent maps.
+  // Checks a sealed kPprNode page image and copies it into the arena as
+  // node `id`; ids must arrive 0, 1, 2, ... on a tree holding exactly
+  // `id` nodes. Rebuilds the alive-record and alive-parent maps.
   Status InstallCheckpointNode(PageId id, const uint8_t* page);
 
  private:
-  class Node;
   class NodeCodec;
   struct Entry;
+  struct Header;
   struct Frame;
   struct RootEra;
+  using NodeView = NodePageView<Header, Entry, kNodeEntryOffset>;
+  using Node = NodePage<Header, Entry, kNodeEntryOffset>;
 
-  Node* GetNode(PageId id) const;
+  // Mutable view of arena node `id`; the tree must not be frozen.
+  Node GetNode(PageId id) const;
 
-  // (Re)opens the tree's own query pool and protocol session over the
-  // current store or backend.
+  // Where the nodes live: the arena, or the backend the tree was frozen
+  // into.
+  const PageBackend& source() const;
+
+  // A pool of `pages` frames over source(), publishing under
+  // `metric_scope` (empty: unpublished).
+  std::unique_ptr<SharedBufferPool> NewPool(size_t pages,
+                                            std::string metric_scope) const;
+
+  // (Re)opens the tree's own query pool and protocol session over
+  // source().
   void OpenQueryPool();
+
+  // Makes `backend` the tree's only page source: drops the query pool
+  // and the arena, then reopens the pool over the backend.
+  void Freeze(std::unique_ptr<PageBackend> backend);
 
   size_t WeakMin() const;    // D
   size_t StrongMax() const;  // p_svo * B
@@ -261,21 +279,23 @@ class PprTree {
 
   // Creates a node at `level` holding `entries`, maintains parent/alive
   // bookkeeping, and returns its id.
-  PageId MakeNode(int level, std::vector<Entry> entries, Time now);
+  PageId MakeNode(int level, const std::vector<Entry>& entries, Time now);
 
   // Installs `root` as the root for instants >= now, collapsing directory
   // roots with a single alive child (so no non-root node can be starved of
   // merge siblings) and closing the era when nothing is alive.
   void FinalizeRoot(PageId root, Time now);
 
-  void CollectSubtree(PageId root, std::vector<PageId>* out) const;
+  void CollectSubtree(PageId root, PageCache* nodes,
+                      std::vector<PageId>* out) const;
 
   PprConfig config_;
-  mutable PageStore store_;
-  // Declared before pool_ so the pool dies before the backend and codec
-  // it borrows; session_ after pool_ so it dies first.
+  // Exactly one of arena_ (a live tree) and backend_ (a frozen one) is
+  // set. Declared before pool_ so the pool dies before the pages and
+  // codec it borrows; session_ after pool_ so it dies first.
+  std::unique_ptr<MemoryPageBackend> arena_;
   std::unique_ptr<PageBackend> backend_;
-  std::unique_ptr<PageCodec> codec_;
+  std::unique_ptr<const NodeCodec> codec_;
   std::unique_ptr<SharedBufferPool> pool_;
   std::unique_ptr<SharedBufferPool::Session> session_;
   std::vector<RootEra> roots_;

@@ -18,54 +18,38 @@
 
 namespace stindex {
 
-// A node occupies one page. `level` 0 means leaf; internal entries point
-// at children one level below. A node either owns its entries or views
-// them in place on a borrowed page (NodeCodec::View); views are
-// read-only, so mutable access CHECKs ownership.
-class RStarTree::Node : public Page {
- public:
-  // Also the on-page entry layout (NodeCodec): the padding is an explicit
-  // zeroed field, so page bytes stay deterministic.
-  struct Entry {
-    Box3D box;
-    PageId child = kInvalidPage;  // internal nodes
-    uint32_t reserved = 0;
-    DataId data = 0;              // leaves
-  };
-
-  explicit Node(int level) : level_(level) {}
-
-  Node(int level, std::span<const Entry> view)
-      : level_(level), view_(view), borrowed_(true) {}
-
-  int level() const { return level_; }
-  bool IsLeaf() const { return level_ == 0; }
-
-  std::vector<Entry>& entries() {
-    STINDEX_CHECK_MSG(!borrowed_, "mutable access to a borrowed R*-tree node");
-    return entries_;
-  }
-  std::span<const Entry> entries() const {
-    return borrowed_ ? view_ : std::span<const Entry>(entries_);
-  }
-
-  Box3D Mbr() const {
-    Box3D mbr = Box3D::Empty();
-    for (const Entry& entry : entries()) mbr.ExpandToInclude(entry.box);
-    return mbr;
-  }
-
- private:
-  int level_;
-  std::vector<Entry> entries_;
-  std::span<const Entry> view_;
-  bool borrowed_ = false;
+// A leaf or directory entry. The struct is also the on-page entry
+// layout, so the padding is an explicit zeroed field: page bytes stay
+// deterministic.
+struct RStarTree::Entry {
+  Box3D box;
+  PageId child = kInvalidPage;  // internal nodes
+  uint32_t reserved = 0;
+  DataId data = 0;              // leaves
 };
 
-// Serializes nodes to sealed pages whose payload is the in-memory layout
-// (little-endian): a Header, then `count` Node::Entry structs from page
-// offset kNodeEntryOffset. Encode and parsing both hold the configured
-// fanout bound.
+// The node page header, right after the envelope (little-endian).
+// `level` 0 means leaf; internal entries point at children one level
+// below.
+struct RStarTree::Header {
+  int32_t level;
+  uint32_t count;
+};
+
+namespace {
+
+template <typename Entries>
+Box3D Mbr(const Entries& entries) {
+  Box3D mbr = Box3D::Empty();
+  for (const auto& entry : entries) mbr.ExpandToInclude(entry.box);
+  return mbr;
+}
+
+}  // namespace
+
+// The check every node page read from a backend or a snapshot passes:
+// the envelope (checksum, kind, version), then a plausible header. It
+// also pins the page layout.
 class RStarTree::NodeCodec : public PageCodec {
  public:
   explicit NodeCodec(size_t max_entries) : max_entries_(max_entries) {
@@ -73,55 +57,25 @@ class RStarTree::NodeCodec : public PageCodec {
                       "R*-tree fanout does not fit a node page");
   }
 
-  void Encode(const Page& page, uint8_t* out) const override {
-    const Node& node = static_cast<const Node&>(page);
-    const std::span<const Entry> entries = node.entries();
-    STINDEX_CHECK_MSG(entries.size() <= max_entries_,
-                      "R*-tree node exceeds the configured fanout");
-    std::memset(out, 0, kPageSize);
-    const Header header{static_cast<int32_t>(node.level()),
-                        static_cast<uint32_t>(entries.size())};
-    std::memcpy(out + kPageEnvelopeBytes, &header, sizeof(header));
-    if (!entries.empty()) {
-      std::memcpy(out + kNodeEntryOffset, entries.data(), entries.size_bytes());
+  Status Check(const uint8_t* page, PageId id) const override {
+    Result<PageReader> payload =
+        OpenPagePayload(page, PageKind::kRStarNode, id);
+    if (!payload.ok()) return payload.status();
+    Header header;
+    std::memcpy(&header, page + kPageEnvelopeBytes, sizeof(Header));
+    if (header.level < 0 || header.count > max_entries_) {
+      return Status::InvalidArgument(
+          "page " + std::to_string(id) + ": implausible R*-tree node (level " +
+          std::to_string(header.level) + ", " + std::to_string(header.count) +
+          " entries)");
     }
-    SealPage(out, PageKind::kRStarNode);
-  }
-
-  Result<std::unique_ptr<Page>> Decode(const uint8_t* page,
-                                       PageId id) const override {
-    Result<Parsed> parsed = Parse(page, id);
-    if (!parsed.ok()) return parsed.status();
-    auto node = std::make_unique<Node>(parsed.value().header.level);
-    // Byte copy: a decoded buffer need not be aligned for Entry.
-    const std::span<const Entry> entries = parsed.value().entries;
-    node->entries().resize(entries.size());
-    if (!entries.empty()) {
-      std::memcpy(node->entries().data(), entries.data(), entries.size_bytes());
-    }
-    return std::unique_ptr<Page>(std::move(node));
-  }
-
-  Result<std::unique_ptr<Page>> View(const uint8_t* page,
-                                     PageId id) const override {
-    STINDEX_CHECK_MSG(reinterpret_cast<uintptr_t>(page) % alignof(Entry) == 0,
-                      "R*-tree node view over a misaligned page");
-    Result<Parsed> parsed = Parse(page, id);
-    if (!parsed.ok()) return parsed.status();
-    return std::unique_ptr<Page>(std::make_unique<Node>(
-        parsed.value().header.level, parsed.value().entries));
+    return Status::OK();
   }
 
  private:
-  using Entry = Node::Entry;
-
-  struct Header {
-    int32_t level;
-    uint32_t count;
-  };
   static_assert(sizeof(Header) == 8 && offsetof(Header, count) == 4);
   static_assert(std::has_unique_object_representations_v<Header>);
-  static_assert(kPageEnvelopeBytes + sizeof(Header) <= kNodeEntryOffset &&
+  static_assert(kPageEnvelopeBytes + sizeof(Header) == kNodeEntryOffset &&
                 kNodeEntryOffset % alignof(Entry) == 0);
   // Entry is the on-page layout. Box3D holds doubles, for which
   // has_unique_object_representations is false by definition, so
@@ -134,43 +88,18 @@ class RStarTree::NodeCodec : public PageCodec {
                 sizeof(Entry));
   static_assert(std::is_trivially_copyable_v<Entry>);
 
-  struct Parsed {
-    Header header{};
-    std::span<const Entry> entries;
-  };
-
-  // The one validator behind Decode and View: the envelope (checksum,
-  // kind, version), then a plausible header. The entry span points into
-  // `page`.
-  Result<Parsed> Parse(const uint8_t* page, PageId id) const {
-    Result<PageReader> payload =
-        OpenPagePayload(page, PageKind::kRStarNode, id);
-    if (!payload.ok()) return payload.status();
-    Parsed parsed;
-    std::memcpy(&parsed.header, page + kPageEnvelopeBytes, sizeof(Header));
-    const Header& header = parsed.header;
-    if (header.level < 0 || header.count > max_entries_ ||
-        header.count * sizeof(Entry) > kPageSize - kNodeEntryOffset) {
-      return Status::InvalidArgument(
-          "page " + std::to_string(id) + ": implausible R*-tree node (level " +
-          std::to_string(header.level) + ", " + std::to_string(header.count) +
-          " entries)");
-    }
-    parsed.entries = std::span<const Entry>(
-        reinterpret_cast<const Entry*>(page + kNodeEntryOffset), header.count);
-    return parsed;
-  }
-
   size_t max_entries_;
 };
 
-RStarTree::RStarTree(RStarConfig config) : config_(config) {
+RStarTree::RStarTree(RStarConfig config)
+    : config_(config),
+      arena_(std::make_unique<MemoryPageBackend>("rstar")),
+      codec_(std::make_unique<NodeCodec>(config_.max_entries)) {
   STINDEX_CHECK(config_.max_entries >= 4);
   STINDEX_CHECK(config_.min_entries >= 2);
   STINDEX_CHECK(config_.min_entries <= config_.max_entries / 2);
   STINDEX_CHECK(config_.reinsert_count >= 1);
   STINDEX_CHECK(config_.reinsert_count < config_.max_entries);
-  store_.SetMetricScope("rstar");
   OpenQueryPool();
 }
 
@@ -180,20 +109,37 @@ RStarTree::~RStarTree() {
   }
 }
 
-RStarTree::Node* RStarTree::GetNode(PageId id) const {
-  return static_cast<Node*>(store_.Get(id));
+RStarTree::Node RStarTree::GetNode(PageId id) const {
+  STINDEX_CHECK_MSG(arena_ != nullptr,
+                    "RStarTree is frozen after AttachBackend");
+  return Node(&arena_->MutablePage(id));
+}
+
+PageId RStarTree::NewNode(int level) {
+  const PageId id = arena_->Allocate();
+  GetNode(id).header().level = level;
+  return id;
+}
+
+void RStarTree::FreeNode(PageId id) { STINDEX_CHECK(arena_->Free(id).ok()); }
+
+const PageBackend& RStarTree::source() const {
+  return arena_ != nullptr ? *arena_ : *backend_;
+}
+
+std::unique_ptr<SharedBufferPool> RStarTree::NewPool(
+    size_t pages, std::string metric_scope) const {
+  SharedBufferPoolOptions options;
+  options.capacity = pages;
+  options.metric_scope = std::move(metric_scope);
+  // Arena pages are not sealed; pages of a backend are checked per miss.
+  return std::make_unique<SharedBufferPool>(
+      &source(), arena_ != nullptr ? nullptr : codec_.get(), options);
 }
 
 std::unique_ptr<SharedBufferPool> RStarTree::NewSharedQueryPool(
     size_t pages) const {
-  SharedBufferPoolOptions options;
-  options.capacity = pages == 0 ? config_.buffer_pages : pages;
-  options.metric_scope = "rstar";
-  if (backend_ != nullptr) {
-    return std::make_unique<SharedBufferPool>(backend_.get(), codec_.get(),
-                                              options);
-  }
-  return std::make_unique<SharedBufferPool>(&store_, options);
+  return NewPool(pages == 0 ? config_.buffer_pages : pages, "rstar");
 }
 
 void RStarTree::OpenQueryPool() {
@@ -203,77 +149,73 @@ void RStarTree::OpenQueryPool() {
                                                          config_.buffer_pages);
 }
 
-Status RStarTree::PersistAllNodes(PageBackend* backend) const {
-  const NodeCodec codec(config_.max_entries);
-  uint8_t page[kPageSize];
-  for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
-    if (!store_.IsLive(id)) continue;
-    codec.Encode(*GetNode(id), page);
-    Status status = backend->Write(id, page);
+void RStarTree::Freeze(std::unique_ptr<PageBackend> backend) {
+  session_.reset();
+  pool_.reset();
+  arena_.reset();
+  backend_ = std::move(backend);
+  OpenQueryPool();
+}
+
+Status RStarTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
+  STINDEX_CHECK_MSG(arena_ != nullptr, "backend already attached");
+  STINDEX_CHECK(backend != nullptr);
+  TraceSpan span("rstar", "attach_backend");
+  span.Arg("pages", static_cast<int64_t>(PageCount()));
+  // A sealed copy of every live node page, to the same page id.
+  Page page;
+  for (PageId id = 0; id < arena_->SlotCount(); ++id) {
+    if (!arena_->IsAllocated(id)) continue;
+    std::memcpy(page.bytes, arena_->BorrowPage(id), kPageSize);
+    SealPage(page.bytes, PageKind::kRStarNode);
+    Status status = backend->Write(id, page.bytes);
     if (!status.ok()) {
       return Status(status.code(),
                     "write of page " + std::to_string(id) +
                         " failed: " + status.message());
     }
   }
-  return Status::OK();
-}
-
-Status RStarTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
-  STINDEX_CHECK_MSG(backend_ == nullptr, "backend already attached");
-  STINDEX_CHECK(backend != nullptr);
-  TraceSpan span("rstar", "attach_backend");
-  span.Arg("pages", static_cast<int64_t>(store_.PageCount()));
-  Status status = PersistAllNodes(backend.get());
-  if (status.ok()) status = backend->Sync();
+  Status status = backend->Sync();
   if (!status.ok()) return status;
-  backend_ = std::move(backend);
-  codec_ = std::make_unique<NodeCodec>(config_.max_entries);
-  OpenQueryPool();
+  Freeze(std::move(backend));
   return Status::OK();
 }
 
 Status RStarTree::PackSnapshot(const std::string& path,
                                const SnapshotFile::Options& options) {
-  STINDEX_CHECK_MSG(backend_ == nullptr, "backend already attached");
+  STINDEX_CHECK_MSG(arena_ != nullptr, "backend already attached");
   TraceSpan span("rstar", "pack_snapshot");
-  span.Arg("pages", static_cast<int64_t>(store_.PageCount()));
+  span.Arg("pages", static_cast<int64_t>(PageCount()));
   // Deletes can leave freed holes in the id space; packing keeps only the
   // live nodes, sorted bottom-up (level, then id) so every level occupies
   // one contiguous extent of the snapshot.
   std::vector<PageId> order;
-  order.reserve(store_.PageCount());
-  for (PageId id = 0; id < store_.AllocatedCount(); ++id) {
-    if (store_.IsLive(id)) order.push_back(id);
+  order.reserve(PageCount());
+  for (PageId id = 0; id < arena_->SlotCount(); ++id) {
+    if (arena_->IsAllocated(id)) order.push_back(id);
   }
   std::stable_sort(order.begin(), order.end(), [this](PageId a, PageId b) {
-    return GetNode(a)->level() < GetNode(b)->level();
+    return GetNode(a).level() < GetNode(b).level();
   });
-  std::vector<PageId> remap(store_.AllocatedCount(), kInvalidPage);
+  std::vector<PageId> remap(arena_->SlotCount(), kInvalidPage);
   for (size_t slot = 0; slot < order.size(); ++slot) {
     remap[order[slot]] = static_cast<PageId>(slot);
   }
-  // Rewrite the whole in-memory graph through the bijection first, so the
-  // tree stays consistent (and still queryable from the store) even if
-  // writing the snapshot fails below.
-  for (PageId old_id : order) {
-    Node* node = GetNode(old_id);
-    if (node->IsLeaf()) continue;
-    for (Node::Entry& entry : node->entries()) entry.child = remap[entry.child];
-  }
-  if (root_ != kInvalidPage) root_ = remap[root_];
-  store_.Reindex(remap);
 
-  const size_t count = order.size();
+  // The snapshot gets remapped, sealed copies; the arena is untouched, so
+  // the tree still serves from it if writing the snapshot fails.
   Result<std::unique_ptr<SnapshotWriter>> writer = SnapshotWriter::Create(path);
   if (!writer.ok()) return writer.status();
-  const NodeCodec codec(config_.max_entries);
-  uint8_t page[kPageSize];
-  for (PageId slot = 0; slot < count; ++slot) {
-    const Node* node = GetNode(slot);
-    codec.Encode(*node, page);
+  Page page;
+  for (const PageId id : order) {
+    std::memcpy(page.bytes, arena_->BorrowPage(id), kPageSize);
+    Node node(&page);
+    if (!node.IsLeaf()) {
+      for (Entry& entry : node.entries()) entry.child = remap[entry.child];
+    }
+    SealPage(page.bytes, PageKind::kRStarNode);
     Status status =
-        writer.value()->Append(static_cast<uint32_t>(node->level()), page);
+        writer.value()->Append(static_cast<uint32_t>(node.level()), page.bytes);
     if (!status.ok()) return status;
   }
   Status status = writer.value()->Finish();
@@ -281,15 +223,17 @@ Status RStarTree::PackSnapshot(const std::string& path,
   Result<std::unique_ptr<MmapSnapshotBackend>> backend =
       MmapSnapshotBackend::Open(path, options);
   if (!backend.ok()) return backend.status();
-  backend_ = std::move(backend).value();
-  codec_ = std::make_unique<NodeCodec>(config_.max_entries);
-  OpenQueryPool();
+  if (root_ != kInvalidPage) root_ = remap[root_];
+  Freeze(std::move(backend).value());
   return Status::OK();
 }
 
 size_t RStarTree::Height() const {
   if (root_ == kInvalidPage) return 0;
-  return static_cast<size_t>(GetNode(root_)->level()) + 1;
+  const std::unique_ptr<SharedBufferPool> pool = NewPool(1, "");
+  SharedBufferPool::Session nodes(pool.get());
+  const PageRef root = nodes.FetchPinned(root_);
+  return static_cast<size_t>(NodeView(root.get()).level()) + 1;
 }
 
 void RStarTree::ResetQueryState() const {
@@ -396,17 +340,17 @@ std::unique_ptr<RStarTree> RStarTree::BulkLoad(
     for (size_t take :
          PackChunkSizes(order.size(), config.max_entries,
                         config.min_entries)) {
-      auto node = std::make_unique<Node>(0);
+      const PageId id = tree->NewNode(0);
+      Node node = tree->GetNode(id);
       Box3D mbr = Box3D::Empty();
       for (size_t i = 0; i < take; ++i, ++cursor) {
-        Node::Entry entry;
+        Entry entry;
         entry.box = boxes[order[cursor]];
         entry.data = static_cast<DataId>(order[cursor]);
         mbr.ExpandToInclude(entry.box);
-        node->entries().push_back(entry);
+        node.Append(entry);
       }
-      level_nodes.push_back(
-          Placed{mbr, tree->store_.Allocate(std::move(node))});
+      level_nodes.push_back(Placed{mbr, id});
     }
   }
   int level = 0;
@@ -417,16 +361,17 @@ std::unique_ptr<RStarTree> RStarTree::BulkLoad(
     for (size_t take :
          PackChunkSizes(level_nodes.size(), config.max_entries,
                         config.min_entries)) {
-      auto node = std::make_unique<Node>(level);
+      const PageId id = tree->NewNode(level);
+      Node node = tree->GetNode(id);
       Box3D mbr = Box3D::Empty();
       for (size_t i = 0; i < take; ++i, ++cursor) {
-        Node::Entry entry;
+        Entry entry;
         entry.box = level_nodes[cursor].mbr;
         entry.child = level_nodes[cursor].page;
         mbr.ExpandToInclude(entry.box);
-        node->entries().push_back(entry);
+        node.Append(entry);
       }
-      parents.push_back(Placed{mbr, tree->store_.Allocate(std::move(node))});
+      parents.push_back(Placed{mbr, id});
     }
     level_nodes = std::move(parents);
   }
@@ -441,7 +386,7 @@ void RStarTree::Insert(const Box3D& box, DataId data) {
                     "RStarTree is frozen after AttachBackend");
   STINDEX_CHECK_MSG(box.IsValid(), "inserting an invalid box");
   if (root_ == kInvalidPage) {
-    root_ = store_.Allocate(std::make_unique<Node>(0));
+    root_ = NewNode(0);
     reinserted_on_level_.assign(1, false);
   }
   std::fill(reinserted_on_level_.begin(), reinserted_on_level_.end(), false);
@@ -457,12 +402,12 @@ void RStarTree::ChoosePath(const Box3D& box, int target_level,
   path_slots->clear();
   PageId current = root_;
   path_nodes->push_back(current);
-  Node* node = GetNode(current);
-  while (node->level() > target_level) {
-    const std::vector<Node::Entry>& entries = node->entries();
+  NodeView node = GetNode(current);
+  while (node.level() > target_level) {
+    const std::span<const Entry> entries = node.entries();
     STINDEX_CHECK(!entries.empty());
     size_t best = 0;
-    if (node->level() == 1 && config_.split == SplitStrategy::kRStar) {
+    if (node.level() == 1 && config_.split == SplitStrategy::kRStar) {
       // Children are leaves: minimize overlap enlargement (R* CS2), ties
       // broken by volume enlargement, then volume. The Guttman variants
       // use the classic least-enlargement rule at every level.
@@ -517,9 +462,8 @@ void RStarTree::ChoosePath(const Box3D& box, int target_level,
 void RStarTree::AdjustPath(const std::vector<PageId>& path_nodes,
                            const std::vector<size_t>& path_slots) const {
   for (size_t i = path_nodes.size(); i-- > 1;) {
-    Node* child = GetNode(path_nodes[i]);
-    Node* parent = GetNode(path_nodes[i - 1]);
-    parent->entries()[path_slots[i - 1]].box = child->Mbr();
+    const Box3D mbr = Mbr(GetNode(path_nodes[i]).entries());
+    GetNode(path_nodes[i - 1]).entries()[path_slots[i - 1]].box = mbr;
   }
 }
 
@@ -529,16 +473,16 @@ void RStarTree::InsertEntry(const Box3D& box, PageId child, DataId data,
   std::vector<size_t> path_slots;
   ChoosePath(box, target_level, &path_nodes, &path_slots);
 
-  Node* node = GetNode(path_nodes.back());
-  STINDEX_CHECK(node->level() == target_level);
-  Node::Entry entry;
+  Node node = GetNode(path_nodes.back());
+  STINDEX_CHECK(node.level() == target_level);
+  Entry entry;
   entry.box = box;
   entry.child = child;
   entry.data = data;
-  node->entries().push_back(entry);
+  node.Append(entry);
   AdjustPath(path_nodes, path_slots);
 
-  if (node->entries().size() > config_.max_entries) {
+  if (node.entries().size() > config_.max_entries) {
     HandleOverflow(path_nodes, path_slots, allow_reinsert);
   }
 }
@@ -546,8 +490,7 @@ void RStarTree::InsertEntry(const Box3D& box, PageId child, DataId data,
 void RStarTree::HandleOverflow(std::vector<PageId>& path_nodes,
                                std::vector<size_t>& path_slots,
                                bool allow_reinsert) {
-  Node* node = GetNode(path_nodes.back());
-  const size_t level = static_cast<size_t>(node->level());
+  const size_t level = static_cast<size_t>(GetNode(path_nodes.back()).level());
   const bool is_root = path_nodes.size() == 1;
   if (!is_root && allow_reinsert && config_.forced_reinsert &&
       !reinserted_on_level_[level]) {
@@ -559,8 +502,8 @@ void RStarTree::HandleOverflow(std::vector<PageId>& path_nodes,
 
 void RStarTree::Reinsert(std::vector<PageId>& path_nodes,
                          std::vector<size_t>& path_slots) {
-  Node* node = GetNode(path_nodes.back());
-  const size_t level = static_cast<size_t>(node->level());
+  Node node = GetNode(path_nodes.back());
+  const size_t level = static_cast<size_t>(node.level());
   reinserted_on_level_[level] = true;
   static Counter* const reinsertions =
       MetricRegistry::Global().GetCounter("rstar.reinsertions");
@@ -568,12 +511,12 @@ void RStarTree::Reinsert(std::vector<PageId>& path_nodes,
 
   // Order entries by distance of their box center from the node MBR
   // center; the `reinsert_count` furthest leave the node.
-  const Box3D node_mbr = node->Mbr();
+  const Box3D node_mbr = Mbr(node.entries());
   double center[3];
   for (int d = 0; d < 3; ++d) center[d] = (node_mbr.lo[d] + node_mbr.hi[d]) / 2;
 
-  std::vector<Node::Entry>& entries = node->entries();
-  auto distance2 = [&center](const Node::Entry& entry) {
+  const std::span<Entry> entries = node.entries();
+  auto distance2 = [&center](const Entry& entry) {
     double sum = 0.0;
     for (int d = 0; d < 3; ++d) {
       const double delta = (entry.box.lo[d] + entry.box.hi[d]) / 2 - center[d];
@@ -582,18 +525,18 @@ void RStarTree::Reinsert(std::vector<PageId>& path_nodes,
     return sum;
   };
   std::stable_sort(entries.begin(), entries.end(),
-                   [&distance2](const Node::Entry& a, const Node::Entry& b) {
+                   [&distance2](const Entry& a, const Entry& b) {
                      return distance2(a) < distance2(b);
                    });
 
   const size_t keep = entries.size() - config_.reinsert_count;
-  std::vector<Node::Entry> removed(entries.begin() + static_cast<long>(keep),
-                                   entries.end());
-  entries.resize(keep);
+  const std::vector<Entry> removed(entries.begin() + static_cast<long>(keep),
+                                  entries.end());
+  node.Assign(entries.first(keep));
   AdjustPath(path_nodes, path_slots);
 
   // Close reinsert: closest of the removed entries first.
-  for (const Node::Entry& entry : removed) {
+  for (const Entry& entry : removed) {
     InsertEntry(entry.box, entry.child, entry.data, static_cast<int>(level),
                 /*allow_reinsert=*/true);
   }
@@ -843,15 +786,15 @@ std::vector<Entry> LinearPartition(std::vector<Entry>* entry_list,
 
 void RStarTree::SplitNode(std::vector<PageId>& path_nodes,
                           std::vector<size_t>& path_slots) {
-  Node* node = GetNode(path_nodes.back());
-  std::vector<Node::Entry>& entries = node->entries();
+  Node node = GetNode(path_nodes.back());
+  std::vector<Entry> entries(node.entries().begin(), node.entries().end());
   const size_t min_fill = config_.min_entries;
   STINDEX_CHECK(entries.size() == config_.max_entries + 1);
   static Counter* const node_splits =
       MetricRegistry::Global().GetCounter("rstar.node_splits");
   node_splits->Increment();
 
-  std::vector<Node::Entry> right_group;
+  std::vector<Entry> right_group;
   switch (config_.split) {
     case SplitStrategy::kRStar:
       right_group = RStarPartition(&entries, min_fill);
@@ -863,41 +806,42 @@ void RStarTree::SplitNode(std::vector<PageId>& path_nodes,
       right_group = LinearPartition(&entries, min_fill);
       break;
   }
-  auto sibling = std::make_unique<Node>(node->level());
-  sibling->entries() = std::move(right_group);
-  const Box3D left_mbr = node->Mbr();
-  const Box3D right_mbr = sibling->Mbr();
-  const PageId sibling_id = store_.Allocate(std::move(sibling));
+  node.Assign(entries);
+  const PageId sibling_id = NewNode(node.level());
+  Node sibling = GetNode(sibling_id);
+  sibling.Assign(right_group);
+  const Box3D left_mbr = Mbr(node.entries());
+  const Box3D right_mbr = Mbr(sibling.entries());
 
   if (path_nodes.size() == 1) {
     // Root split: grow the tree by one level.
-    auto new_root = std::make_unique<Node>(node->level() + 1);
-    Node::Entry left_entry;
+    root_ = NewNode(node.level() + 1);
+    Node new_root = GetNode(root_);
+    Entry left_entry;
     left_entry.box = left_mbr;
     left_entry.child = path_nodes.back();
-    Node::Entry right_entry;
+    Entry right_entry;
     right_entry.box = right_mbr;
     right_entry.child = sibling_id;
-    new_root->entries().push_back(left_entry);
-    new_root->entries().push_back(right_entry);
-    root_ = store_.Allocate(std::move(new_root));
+    new_root.Append(left_entry);
+    new_root.Append(right_entry);
     reinserted_on_level_.push_back(false);
     return;
   }
 
   // Update the parent: refresh the split node's entry, add the sibling.
-  Node* parent = GetNode(path_nodes[path_nodes.size() - 2]);
-  parent->entries()[path_slots.back()].box = left_mbr;
-  Node::Entry sibling_entry;
+  Node parent = GetNode(path_nodes[path_nodes.size() - 2]);
+  parent.entries()[path_slots.back()].box = left_mbr;
+  Entry sibling_entry;
   sibling_entry.box = right_mbr;
   sibling_entry.child = sibling_id;
-  parent->entries().push_back(sibling_entry);
+  parent.Append(sibling_entry);
 
   path_nodes.pop_back();
   path_slots.pop_back();
   AdjustPath(path_nodes, path_slots);
 
-  if (parent->entries().size() > config_.max_entries) {
+  if (parent.entries().size() > config_.max_entries) {
     HandleOverflow(path_nodes, path_slots, /*allow_reinsert=*/true);
   }
 }
@@ -940,9 +884,9 @@ bool RStarTree::Delete(const Box3D& box, DataId data) {
     while (!stack.empty() && !found) {
       Frame frame = std::move(stack.back());
       stack.pop_back();
-      const Node* node = GetNode(frame.nodes.back());
-      if (node->IsLeaf()) {
-        for (const Node::Entry& entry : node->entries()) {
+      const NodeView node = GetNode(frame.nodes.back());
+      if (node.IsLeaf()) {
+        for (const Entry& entry : node.entries()) {
           if (entry.data == data && entry.box == box) {
             path_nodes = frame.nodes;
             path_slots = frame.slots;
@@ -952,7 +896,7 @@ bool RStarTree::Delete(const Box3D& box, DataId data) {
         }
         continue;
       }
-      const std::span<const Node::Entry> entries = node->entries();
+      const std::span<const Entry> entries = node.entries();
       for (size_t i = 0; i < entries.size(); ++i) {
         if (!entries[i].box.Contains(box)) continue;
         Frame next = frame;
@@ -966,11 +910,11 @@ bool RStarTree::Delete(const Box3D& box, DataId data) {
 
   // Remove the entry from the (found) leaf.
   {
-    Node* leaf = GetNode(path_nodes.back());
-    std::vector<Node::Entry>& entries = leaf->entries();
+    Node leaf = GetNode(path_nodes.back());
+    const std::span<const Entry> entries = leaf.entries();
     for (size_t i = 0; i < entries.size(); ++i) {
       if (entries[i].data == data && entries[i].box == box) {
-        entries.erase(entries.begin() + static_cast<long>(i));
+        leaf.Erase(i);
         break;
       }
     }
@@ -980,37 +924,36 @@ bool RStarTree::Delete(const Box3D& box, DataId data) {
   // CondenseTree: dissolve under-filled nodes bottom-up, collecting
   // orphaned entries (with their level) for re-insertion.
   struct Orphan {
-    Node::Entry entry;
+    Entry entry;
     int level;  // level the entry belongs at (0 = data)
   };
   std::vector<Orphan> orphans;
   for (size_t depth = path_nodes.size(); depth-- > 1;) {
-    Node* node = GetNode(path_nodes[depth]);
-    Node* parent = GetNode(path_nodes[depth - 1]);
-    if (node->entries().size() < config_.min_entries) {
-      for (const Node::Entry& entry : node->entries()) {
-        orphans.push_back(Orphan{entry, node->level()});
+    const NodeView node = GetNode(path_nodes[depth]);
+    Node parent = GetNode(path_nodes[depth - 1]);
+    if (node.entries().size() < config_.min_entries) {
+      for (const Entry& entry : node.entries()) {
+        orphans.push_back(Orphan{entry, node.level()});
       }
-      parent->entries().erase(parent->entries().begin() +
-                              static_cast<long>(path_slots[depth - 1]));
-      store_.Free(path_nodes[depth]);
+      parent.Erase(path_slots[depth - 1]);
+      FreeNode(path_nodes[depth]);
     } else {
-      parent->entries()[path_slots[depth - 1]].box = node->Mbr();
+      parent.entries()[path_slots[depth - 1]].box = Mbr(node.entries());
     }
   }
 
   // Shrink the root.
   while (root_ != kInvalidPage) {
-    Node* root = GetNode(root_);
-    if (root->entries().empty()) {
-      store_.Free(root_);
+    const NodeView root = GetNode(root_);
+    if (root.entries().empty()) {
+      FreeNode(root_);
       root_ = kInvalidPage;
       reinserted_on_level_.clear();
       break;
     }
-    if (!root->IsLeaf() && root->entries().size() == 1) {
-      const PageId child = root->entries()[0].child;
-      store_.Free(root_);
+    if (!root.IsLeaf() && root.entries().size() == 1) {
+      const PageId child = root.entries()[0].child;
+      FreeNode(root_);
       root_ = child;
       reinserted_on_level_.pop_back();
       continue;
@@ -1027,21 +970,21 @@ bool RStarTree::Delete(const Box3D& box, DataId data) {
     const Orphan orphan = orphans.front();
     orphans.erase(orphans.begin());
     const int root_level =
-        root_ == kInvalidPage ? -1 : GetNode(root_)->level();
+        root_ == kInvalidPage ? -1 : GetNode(root_).level();
     if (orphan.level > 0 && orphan.level >= root_level) {
-      Node* node = GetNode(orphan.entry.child);
+      const NodeView node = GetNode(orphan.entry.child);
       // An entry stored in a node at level L is itself "at" level L: the
       // dissolved child sits at orphan.level - 1, so its entries re-enter
       // at that level.
-      for (const Node::Entry& entry : node->entries()) {
-        orphans.push_back(Orphan{entry, node->level()});
+      for (const Entry& entry : node.entries()) {
+        orphans.push_back(Orphan{entry, node.level()});
       }
-      store_.Free(orphan.entry.child);
+      FreeNode(orphan.entry.child);
       continue;
     }
     if (root_ == kInvalidPage) {
       STINDEX_CHECK(orphan.level == 0);
-      root_ = store_.Allocate(std::make_unique<Node>(0));
+      root_ = NewNode(0);
       reinserted_on_level_.assign(1, false);
     }
     std::fill(reinserted_on_level_.begin(), reinserted_on_level_.end(),
@@ -1079,10 +1022,10 @@ void RStarTree::NearestNeighbors(const double point[3], size_t k,
       continue;
     }
     const PageRef ref = session_->FetchPinned(top.node);
-    const Node* node = static_cast<const Node*>(ref.get());
-    for (const Node::Entry& entry : node->entries()) {
+    const NodeView node(ref.get());
+    for (const Entry& entry : node.entries()) {
       const double distance = MinDistance2(point, entry.box);
-      if (node->IsLeaf()) {
+      if (node.IsLeaf()) {
         queue.push(Candidate{distance, true, kInvalidPage, entry.data});
       } else {
         queue.push(Candidate{distance, false, entry.child, 0});
@@ -1107,19 +1050,19 @@ void RStarTree::Search(const Box3D& query, PageCache* buffer,
   while (!stack.empty()) {
     const PageId id = stack.back();
     stack.pop_back();
-    // Pinned for the loop body: the node pointer must survive any
-    // evictions a deeper Fetch could cause in backend mode.
+    // Pinned for the loop body: the page must survive any evictions a
+    // deeper Fetch could cause.
     const PageRef ref = buffer->FetchPinned(id);
-    const Node* node = static_cast<const Node*>(ref.get());
+    const NodeView node(ref.get());
     if (profile != nullptr) {
-      profile->CountNode(node->level());
-      if (node->IsLeaf()) {
-        profile->leaf_entries_scanned += node->entries().size();
+      profile->CountNode(node.level());
+      if (node.IsLeaf()) {
+        profile->leaf_entries_scanned += node.entries().size();
       }
     }
-    for (const Node::Entry& entry : node->entries()) {
+    for (const Entry& entry : node.entries()) {
       if (!entry.box.Intersects(query)) continue;
-      if (node->IsLeaf()) {
+      if (node.IsLeaf()) {
         results->push_back(entry.data);
       } else {
         stack.push_back(entry.child);
@@ -1152,18 +1095,22 @@ bool BoxAlmostContains(const Box3D& outer, const Box3D& inner) {
 std::vector<RStarTree::NodeSummary> RStarTree::CollectNodeSummaries() const {
   std::vector<NodeSummary> summaries;
   if (root_ == kInvalidPage) return summaries;
+  const std::unique_ptr<SharedBufferPool> pool =
+      NewPool(config_.buffer_pages, "");
+  SharedBufferPool::Session nodes(pool.get());
   std::vector<PageId> stack = {root_};
   while (!stack.empty()) {
     const PageId id = stack.back();
     stack.pop_back();
-    const Node* node = GetNode(id);
+    const PageRef ref = nodes.FetchPinned(id);
+    const NodeView node(ref.get());
     NodeSummary summary;
-    summary.level = node->level();
-    summary.box = node->Mbr();
-    summary.entries = node->entries().size();
+    summary.level = node.level();
+    summary.box = Mbr(node.entries());
+    summary.entries = node.entries().size();
     summaries.push_back(summary);
-    if (node->IsLeaf()) continue;
-    for (const Node::Entry& entry : node->entries()) {
+    if (node.IsLeaf()) continue;
+    for (const Entry& entry : node.entries()) {
       stack.push_back(entry.child);
     }
   }
@@ -1175,30 +1122,38 @@ void RStarTree::CheckInvariants() const {
     STINDEX_CHECK(size_ == 0);
     return;
   }
+  // Pages come through an unpublished pool, so a frozen tree's backend is
+  // checked as well as a live tree's arena.
+  const std::unique_ptr<SharedBufferPool> pool =
+      NewPool(config_.buffer_pages, "");
+  SharedBufferPool::Session pages(pool.get());
   size_t leaf_entries = 0;
-  const int root_level = GetNode(root_)->level();
+  const PageRef root = pages.FetchPinned(root_);
+  const int root_level = NodeView(root.get()).level();
   // (node, expected MBR or null for root)
   std::vector<std::pair<PageId, Box3D>> stack;
-  stack.emplace_back(root_, GetNode(root_)->Mbr());
+  stack.emplace_back(root_, Mbr(NodeView(root.get()).entries()));
   while (!stack.empty()) {
     auto [id, expected] = stack.back();
     stack.pop_back();
-    const Node* node = GetNode(id);
-    STINDEX_CHECK(node->level() >= 0 && node->level() <= root_level);
-    STINDEX_CHECK(node->entries().size() <= config_.max_entries);
+    const PageRef ref = pages.FetchPinned(id);
+    const NodeView node(ref.get());
+    STINDEX_CHECK(node.level() >= 0 && node.level() <= root_level);
+    STINDEX_CHECK(node.entries().size() <= config_.max_entries);
     if (id != root_) {
-      STINDEX_CHECK(node->entries().size() >= config_.min_entries);
+      STINDEX_CHECK(node.entries().size() >= config_.min_entries);
     } else {
-      STINDEX_CHECK(!node->entries().empty());
+      STINDEX_CHECK(!node.entries().empty());
     }
-    STINDEX_CHECK(BoxAlmostContains(expected, node->Mbr()));
-    for (const Node::Entry& entry : node->entries()) {
-      if (node->IsLeaf()) {
+    STINDEX_CHECK(BoxAlmostContains(expected, Mbr(node.entries())));
+    for (const Entry& entry : node.entries()) {
+      if (node.IsLeaf()) {
         ++leaf_entries;
       } else {
-        const Node* child = GetNode(entry.child);
-        STINDEX_CHECK(child->level() == node->level() - 1);
-        STINDEX_CHECK(BoxAlmostContains(entry.box, child->Mbr()));
+        const PageRef child_ref = pages.FetchPinned(entry.child);
+        const NodeView child(child_ref.get());
+        STINDEX_CHECK(child.level() == node.level() - 1);
+        STINDEX_CHECK(BoxAlmostContains(entry.box, Mbr(child.entries())));
         stack.emplace_back(entry.child, entry.box);
       }
     }

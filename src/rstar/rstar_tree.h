@@ -3,12 +3,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "geometry/box.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_backend.h"
-#include "storage/page_store.h"
 #include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
 #include "util/status.h"
@@ -59,7 +59,8 @@ enum class PackingMethod {
 };
 
 // A 3-dimensional R*-tree (Beckmann, Kriegel, Schneider, Seeger, SIGMOD
-// 1990) over simulated disk pages: ChooseSubtree with minimum overlap
+// 1990) whose nodes are the pages of its arena, mutated in place:
+// ChooseSubtree with minimum overlap
 // enlargement at the leaf level, margin-driven split axis selection,
 // minimum-overlap split distribution, and forced reinsertion. This is the
 // "straightforward" baseline the paper compares against: objects (or their
@@ -113,18 +114,19 @@ class RStarTree {
   // A sharded thread-safe pool over this tree's pages whose `pages`
   // frames (0 = the configured default) are shared by every worker.
   // Workers query through per-worker SharedBufferPool::Sessions; a
-  // protocol-mode Session reports the paper's per-query misses. After
-  // AttachBackend/PackSnapshot the pool reads (and decodes or views)
-  // real pages from the backend; before, it fronts the in-memory store.
+  // protocol-mode Session reports the paper's per-query misses. Before
+  // AttachBackend/PackSnapshot the pool borrows the arena's pages; after,
+  // it reads (and checks) real pages from the backend.
   std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
 
-  // Encodes every live node and writes it to `backend` (ascending page
-  // id, one write per node), then serves all subsequent queries from the
-  // backend: pool misses become actual backend reads. The tree is frozen
-  // afterwards — Insert/Delete become checked errors. Page ids are
-  // preserved, so query I/O counts are identical to the in-memory
-  // tree's. On a write or sync failure the backend is dropped and the
-  // tree keeps serving from the store.
+  // Writes a sealed copy of every live node page to `backend` (ascending
+  // page id, one write per node), then serves all subsequent queries
+  // from the backend: pool misses become actual backend reads. The tree
+  // is frozen afterwards — Insert/Delete become checked errors — and
+  // releases its arena. Page ids are preserved, so query I/O counts are
+  // identical to the arena's. On a write or sync failure the backend is
+  // dropped and the tree keeps serving from its arena. Pools from
+  // NewSharedQueryPool must be destroyed before a freeze succeeds.
   Status AttachBackend(std::unique_ptr<PageBackend> backend);
 
   // Packs the live nodes into a read-only snapshot file at `path` and
@@ -134,7 +136,8 @@ class RStarTree {
   // directory level in one contiguous extent. The remap is a bijection
   // of the page-id access sequence, so per-query LRU miss counts are
   // byte-identical to the unpacked tree's. The tree is frozen
-  // afterwards, like AttachBackend.
+  // afterwards, like AttachBackend; on failure it keeps serving from its
+  // arena, unchanged.
   Status PackSnapshot(const std::string& path,
                       const SnapshotFile::Options& options = {});
 
@@ -152,7 +155,7 @@ class RStarTree {
   size_t Size() const { return size_; }
 
   // Disk footprint in pages (nodes).
-  size_t PageCount() const { return store_.PageCount(); }
+  size_t PageCount() const { return source().LivePageCount(); }
 
   // Tree height (1 = root is a leaf); 0 when empty.
   size_t Height() const;
@@ -165,7 +168,8 @@ class RStarTree {
   void ResetQueryState() const;
 
   // Validates structural invariants (entry counts, MBR containment,
-  // uniform leaf depth). Test hook; aborts on violation.
+  // uniform leaf depth), reading the arena or, once frozen, the backend.
+  // Test hook; aborts on violation.
   void CheckInvariants() const;
 
   // Introspection: one summary per node (level, MBR, entry count), for
@@ -178,19 +182,34 @@ class RStarTree {
   std::vector<NodeSummary> CollectNodeSummaries() const;
 
  private:
-  class Node;
   class NodeCodec;
+  struct Entry;
+  struct Header;
+  using NodeView = NodePageView<Header, Entry, kNodeEntryOffset>;
+  using Node = NodePage<Header, Entry, kNodeEntryOffset>;
 
-  Node* GetNode(PageId id) const;
+  // Mutable view of arena node `id`; the tree must not be frozen.
+  Node GetNode(PageId id) const;
+  // Allocates an empty arena node at `level`.
+  PageId NewNode(int level);
+  void FreeNode(PageId id);
 
-  // Encodes every live node and writes it to the same page id of
-  // `backend`, in ascending id. The error of a failed write names the
-  // page.
-  Status PersistAllNodes(PageBackend* backend) const;
+  // Where the nodes live: the arena, or the backend the tree was frozen
+  // into.
+  const PageBackend& source() const;
 
-  // (Re)opens the tree's own query pool and protocol session over the
-  // current store or backend.
+  // A pool of `pages` frames over source(), publishing under
+  // `metric_scope` (empty: unpublished).
+  std::unique_ptr<SharedBufferPool> NewPool(size_t pages,
+                                            std::string metric_scope) const;
+
+  // (Re)opens the tree's own query pool and protocol session over
+  // source().
   void OpenQueryPool();
+
+  // Makes `backend` the tree's only page source: drops the query pool
+  // and the arena, then reopens the pool over the backend.
+  void Freeze(std::unique_ptr<PageBackend> backend);
 
   // Descends from the root to a node at `target_level`, recording the
   // path (page ids and the entry index taken in each parent).
@@ -218,11 +237,12 @@ class RStarTree {
                   const std::vector<size_t>& path_slots) const;
 
   RStarConfig config_;
-  mutable PageStore store_;
-  // Declared before pool_ so the pool dies before the backend and codec
-  // it borrows; session_ after pool_ so it dies first.
+  // Exactly one of arena_ (a live tree) and backend_ (a frozen one) is
+  // set. Declared before pool_ so the pool dies before the pages and
+  // codec it borrows; session_ after pool_ so it dies first.
+  std::unique_ptr<MemoryPageBackend> arena_;
   std::unique_ptr<PageBackend> backend_;
-  std::unique_ptr<PageCodec> codec_;
+  std::unique_ptr<const NodeCodec> codec_;
   std::unique_ptr<SharedBufferPool> pool_;
   std::unique_ptr<SharedBufferPool::Session> session_;
   PageId root_ = kInvalidPage;

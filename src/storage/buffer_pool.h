@@ -3,7 +3,7 @@
 
 #include <cstdint>
 
-#include "storage/page_store.h"
+#include "storage/page_codec.h"
 
 namespace stindex {
 

@@ -3,26 +3,26 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "storage/page_codec.h"
-#include "storage/page_store.h"
 #include "util/status.h"
 
 namespace stindex {
 
 // A raw store of fixed-size pages addressed by PageId. Backends know
 // nothing about node layouts — they move kPageSize byte blobs. Indexes
-// encode their nodes through a PageCodec and write them directly; a
-// read-only SharedBufferPool sits in front for queries, decoding (or
-// viewing) pages through the codec and turning cache misses into actual
-// backend reads.
+// persist by sealing copies of their node pages and writing them
+// directly; a read-only SharedBufferPool sits in front for queries,
+// checking pages through a PageCodec and turning cache misses into
+// actual backend reads.
 //
 // Concurrency: concurrent Read calls are safe (the parallel query drivers
 // share one SharedBufferPool, whose shards read the backend in parallel);
-// Write/Free/Sync require external exclusion and in this codebase happen
-// only while an index is being persisted, before any reader exists.
+// Write/Free/Sync require external exclusion — the same exclusion that
+// keeps a tree's updates away from its queries.
 class PageBackend {
  public:
   virtual ~PageBackend() = default;
@@ -58,30 +58,55 @@ class PageBackend {
   // Short backend name for diagnostics ("memory", "file", "fault(...)").
   virtual std::string Name() const = 0;
 
-  // Zero-copy read: a pointer to page `id`'s page_size() bytes, valid for
-  // the backend's lifetime, or nullptr if this backend cannot lend stable
-  // storage (the default). The buffer pools View borrowed pages in place
-  // (PageCodec::View), so their frames must die before the backend. The
-  // bytes may still change underneath: the mmap snapshot maps its file
-  // MAP_SHARED, so a later write to the file shows through even though
-  // every page was verified at open. Readers therefore re-check the page
-  // envelope on every miss. Only immutable backends (the mmap snapshot)
-  // return non-null.
+  // Zero-copy read: a pointer to page `id`'s page_size() bytes, stable
+  // for the backend's lifetime, or nullptr if this backend cannot lend
+  // its storage (the default). Pool frames read lent pages in place, so
+  // they must die before the backend. The bytes may change underneath: a
+  // tree mutates its arena pages in place, and the mmap snapshot maps its
+  // file MAP_SHARED, so a later write to the file shows through even
+  // though every page was verified at open. Pools over a sealed backend
+  // therefore re-check the page on every miss.
   virtual const uint8_t* BorrowPage(PageId id) const {
     (void)id;
     return nullptr;
   }
 };
 
-// Heap-backed PageBackend: pages live in malloc'd buffers. The byte-exact
-// reference implementation the file backend is differentially tested
-// against, and the substrate the fault-injection wrapper wraps in tests.
-class MemoryPageBackend : public PageBackend {
+// Heap-backed PageBackend: one malloc'd Page per slot. It is the arena a
+// tree's nodes live in — the tree allocates pages, mutates them in place
+// and reads them through a pool that borrows them — and the byte-exact
+// reference the file backend is differentially tested against.
+//
+// Slot addresses are stable: a freed slot keeps its page for reuse, so a
+// pool frame over a lent page stays valid (and shows the new contents)
+// when the slot is freed and allocated again.
+class MemoryPageBackend final : public PageBackend {
  public:
   MemoryPageBackend() = default;
 
+  // `metric_scope` names the index this arena backs ("ppr", "rstar",
+  // "hr"): the destructor publishes pagestore.<scope>.live_pages and
+  // .peak_pages gauges (SetMax, order-independent) and adds the
+  // Allocate() calls to pagestore.<scope>.allocations.
+  explicit MemoryPageBackend(std::string metric_scope)
+      : metric_scope_(std::move(metric_scope)) {}
+  ~MemoryPageBackend() override;
+
   MemoryPageBackend(const MemoryPageBackend&) = delete;
   MemoryPageBackend& operator=(const MemoryPageBackend&) = delete;
+
+  // Allocates a zeroed page: the lowest freed slot first, else a new slot
+  // at the end. Long insert/delete workloads keep a bounded id space, and
+  // id reuse is deterministic for a given operation sequence.
+  PageId Allocate();
+
+  // Page `id` for in-place mutation; the slot must be allocated.
+  Page& MutablePage(PageId id);
+
+  // Highest number of simultaneously allocated slots ever observed.
+  size_t PeakPageCount() const { return peak_live_count_; }
+  // Allocate() calls over the backend's lifetime (reuse included).
+  size_t TotalAllocations() const { return total_allocations_; }
 
   size_t page_size() const override { return kPageSize; }
   Status Read(PageId id, uint8_t* out) const override;
@@ -92,11 +117,20 @@ class MemoryPageBackend : public PageBackend {
   size_t LivePageCount() const override { return live_count_; }
   Status Sync() override { return Status::OK(); }
   std::string Name() const override { return "memory"; }
+  const uint8_t* BorrowPage(PageId id) const override;
 
  private:
-  // nullptr = never written or freed.
-  std::vector<std::unique_ptr<uint8_t[]>> slots_;
+  // Makes `id` allocated (the slot already exists) and counts it.
+  void MarkLive(PageId id);
+
+  // nullptr = never written; a freed slot keeps its page.
+  std::vector<std::unique_ptr<Page>> slots_;
+  std::vector<bool> live_;
+  std::set<PageId> free_slots_;  // freed and not written since
   size_t live_count_ = 0;
+  size_t peak_live_count_ = 0;
+  size_t total_allocations_ = 0;
+  std::string metric_scope_;
 };
 
 }  // namespace stindex

@@ -1,20 +1,33 @@
 #ifndef STINDEX_STORAGE_PAGE_CODEC_H_
 #define STINDEX_STORAGE_PAGE_CODEC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
+#include <span>
 #include <type_traits>
 
-#include "storage/page_store.h"
 #include "util/check.h"
 #include "util/status.h"
 
 namespace stindex {
 
+// Identifier of a disk page. Every index node occupies exactly one page.
+using PageId = uint32_t;
+
+inline constexpr PageId kInvalidPage = UINT32_MAX;
+
 // On-disk page size. An index node (51 entries of 64 bytes plus a small
 // header) fits comfortably; serializers CHECK it.
 inline constexpr size_t kPageSize = 4096;
+
+// One page image, the unit every backend stores and every pool frame
+// holds. An index node *is* its page: the trees mutate node pages in
+// place in their arena (a MemoryPageBackend) and read them in place from
+// any backend, so a node is never held in a second representation.
+struct alignas(16) Page {
+  uint8_t bytes[kPageSize];
+};
 
 // What a sealed page holds. Stored in the page envelope so a decoder can
 // reject a page of the wrong kind before looking at the payload.
@@ -41,16 +54,98 @@ inline constexpr size_t kPagePayloadBytes = kPageSize - kPageEnvelopeBytes;
 // version 1 packed them as 60-byte records.
 inline constexpr uint16_t kPageCodecVersion = 2;
 
-// Node pages are laid out for in-place reads: a fixed header after the
-// envelope, then `count` entries of kNodeEntryBytes each, starting at an
-// 8-byte-aligned page offset and bit-identical to the tree's in-memory
-// entry struct. A codec can then View a borrowed page without decoding.
+// Node pages are laid out for in-place reads and writes: a fixed header
+// after the envelope, then `count` entries of kNodeEntryBytes each,
+// starting at an 8-byte-aligned page offset and bit-identical to the
+// tree's entry struct. Bytes past the last entry stay zero, so a sealed
+// copy of a node page is deterministic.
 inline constexpr size_t kNodeEntryBytes = 64;
 
 // Entries that fit a node page whose entries start at `entry_offset`.
 constexpr size_t NodePageCapacity(size_t entry_offset) {
   return (kPageSize - entry_offset) / kNodeEntryBytes;
 }
+
+// A view of a node page wherever it lives (a tree's arena, a pool frame,
+// a mapped snapshot): a `Header` with an int32_t `level` and a uint32_t
+// `count` right after the envelope, then `count` entries from
+// `kEntryOffset`. Views allocate nothing.
+template <typename Header, typename Entry, size_t kEntryOffset>
+class NodePageView {
+ public:
+  explicit NodePageView(const Page* page) : page_(page) {}
+
+  const Header& header() const {
+    return *reinterpret_cast<const Header*>(page_->bytes + kPageEnvelopeBytes);
+  }
+  int level() const { return header().level; }
+  bool IsLeaf() const { return header().level == 0; }
+  std::span<const Entry> entries() const {
+    return {reinterpret_cast<const Entry*>(page_->bytes + kEntryOffset),
+            header().count};
+  }
+
+ private:
+  const Page* page_;
+};
+
+// A node page mutated in place. Removing entries zeroes the slots they
+// vacate, so the bytes past the last entry stay zero and a sealed copy
+// of the page is deterministic.
+template <typename Header, typename Entry, size_t kEntryOffset>
+class NodePage : public NodePageView<Header, Entry, kEntryOffset> {
+  using View = NodePageView<Header, Entry, kEntryOffset>;
+
+ public:
+  static constexpr size_t kCapacity =
+      (kPageSize - kEntryOffset) / sizeof(Entry);
+
+  explicit NodePage(Page* page) : View(page), page_(page) {}
+
+  using View::entries;
+  using View::header;
+  Header& header() {
+    return *reinterpret_cast<Header*>(page_->bytes + kPageEnvelopeBytes);
+  }
+  std::span<Entry> entries() {
+    return {reinterpret_cast<Entry*>(page_->bytes + kEntryOffset),
+            header().count};
+  }
+
+  void Append(const Entry& entry) {
+    STINDEX_CHECK_MSG(header().count < kCapacity, "node page overflow");
+    ++header().count;
+    entries().back() = entry;
+  }
+
+  void Erase(size_t slot) {
+    const std::span<Entry> all = entries();
+    STINDEX_CHECK(slot < all.size());
+    std::memmove(static_cast<void*>(all.data() + slot), all.data() + slot + 1,
+                 (all.size() - slot - 1) * sizeof(Entry));
+    std::memset(static_cast<void*>(&all.back()), 0, sizeof(Entry));
+    --header().count;
+  }
+
+  // Replaces the entries with `replacement`, which may be a prefix of
+  // the current ones.
+  void Assign(std::span<const Entry> replacement) {
+    STINDEX_CHECK_MSG(replacement.size() <= kCapacity, "node page overflow");
+    Entry* slots = reinterpret_cast<Entry*>(page_->bytes + kEntryOffset);
+    if (!replacement.empty()) {
+      std::memmove(static_cast<void*>(slots), replacement.data(),
+                   replacement.size_bytes());
+    }
+    if (header().count > replacement.size()) {
+      std::memset(static_cast<void*>(slots + replacement.size()), 0,
+                  (header().count - replacement.size()) * sizeof(Entry));
+    }
+    header().count = static_cast<uint32_t>(replacement.size());
+  }
+
+ private:
+  Page* page_;
+};
 
 // CRC-32 (IEEE 802.3 polynomial, reflected) over `size` bytes.
 uint32_t Crc32(const uint8_t* data, size_t size);
@@ -59,32 +154,18 @@ uint32_t Crc32(const uint8_t* data, size_t size);
 // whose payload bytes [kPageEnvelopeBytes, kPageSize) are already filled.
 void SealPage(uint8_t* page, PageKind kind);
 
-// Encodes/decodes one Page subclass to/from sealed kPageSize buffers.
-// Implementations live next to the node types they serialize (the tree
-// classes keep their node layouts private).
+// The check a sealed page must pass before anything reads it in place:
+// the envelope (checksum, kind, version) plus a plausible header. The
+// buffer pool runs it on every page it loads from a backend a tree was
+// frozen into (file, memory or mmap); a tree's own arena holds unsealed
+// pages and is never checked. Implementations live next to the node
+// layouts they check (the tree classes keep those layouts private).
 class PageCodec {
  public:
   virtual ~PageCodec() = default;
 
-  // Serializes `page` into `out` (kPageSize bytes) and seals it.
-  // Unencodable pages (fanout above the configured bound) are checked
-  // programming errors: node capacities are chosen so nodes fit.
-  virtual void Encode(const Page& page, uint8_t* out) const = 0;
-
-  // Rebuilds a Page from a sealed buffer. Corruption is a runtime
-  // condition: the error names the offending page id.
-  virtual Result<std::unique_ptr<Page>> Decode(const uint8_t* page,
-                                               PageId id) const = 0;
-
-  // Like Decode, but the returned Page may read `page` in place instead
-  // of copying it, so it is valid only while those bytes are: callers
-  // pass PageBackend::BorrowPage storage, which lives as long as its
-  // backend. Validates exactly what Decode validates (envelope included).
-  // The default decodes.
-  virtual Result<std::unique_ptr<Page>> View(const uint8_t* page,
-                                             PageId id) const {
-    return Decode(page, id);
-  }
+  // Corruption is a runtime condition: the error names page `id`.
+  virtual Status Check(const uint8_t* page, PageId id) const = 0;
 };
 
 // Bounds-checked sequential writer over a fixed-size buffer. Overflowing

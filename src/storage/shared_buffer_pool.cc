@@ -25,25 +25,11 @@ uint64_t MixPageId(PageId id) {
 
 }  // namespace
 
-SharedBufferPool::SharedBufferPool(const PageStore* store,
-                                   const SharedBufferPoolOptions& options)
-    : store_(store) {
-  STINDEX_CHECK(store != nullptr);
-  InitShards(options);
-}
-
 SharedBufferPool::SharedBufferPool(const PageBackend* backend,
                                    const PageCodec* codec,
                                    const SharedBufferPoolOptions& options)
     : backend_(backend), codec_(codec) {
   STINDEX_CHECK(backend != nullptr);
-  STINDEX_CHECK(codec != nullptr);
-  InitShards(options);
-}
-
-SharedBufferPool::~SharedBufferPool() { PublishStats(); }
-
-void SharedBufferPool::InitShards(const SharedBufferPoolOptions& options) {
   STINDEX_CHECK_MSG(options.capacity > 0,
                     "SharedBufferPool: capacity must be > 0");
   capacity_ = options.capacity;
@@ -59,6 +45,8 @@ void SharedBufferPool::InitShards(const SharedBufferPoolOptions& options) {
     shards_.push_back(std::move(shard));
   }
 }
+
+SharedBufferPool::~SharedBufferPool() { PublishStats(); }
 
 size_t SharedBufferPool::ShardOf(PageId id) const {
   return static_cast<size_t>(MixPageId(id) & (shards_.size() - 1));
@@ -84,44 +72,41 @@ void SharedBufferPool::EvictDownTo(Shard& shard, size_t limit) {
 }
 
 SharedBufferPool::Frame SharedBufferPool::LoadFrame(PageId id) const {
+  // Zero-copy path: a backend that lends its pages (a tree's arena, the
+  // mmap snapshot) is read in place. The check still runs on every miss:
+  // a MAP_SHARED mapping shows later writes to the file.
   Frame frame;
-  if (store_ != nullptr) {
-    frame.page = store_->Get(id);
-    return frame;
-  }
-  // Zero-decode path: an immutable backend (the mmap snapshot) lends its
-  // pages — the frame views the mapping in place, no decoded copy. The
-  // view still re-checks the envelope: a MAP_SHARED mapping shows later
-  // writes to the file.
   const uint8_t* borrowed = backend_->BorrowPage(id);
-  uint8_t buffer[kPageSize];
-  if (borrowed == nullptr) {
-    Status status = backend_->Read(id, buffer);
+  if (borrowed != nullptr) {
+    STINDEX_CHECK_MSG(
+        reinterpret_cast<uintptr_t>(borrowed) % alignof(Page) == 0,
+        "SharedBufferPool: backend lent a misaligned page");
+    frame.page = reinterpret_cast<const Page*>(borrowed);
+  } else {
+    frame.owned = std::make_unique_for_overwrite<Page>();
+    Status status = backend_->Read(id, frame.owned->bytes);
     if (!status.ok()) {
       const std::string msg = "SharedBufferPool: read of page " +
                               std::to_string(id) +
                               " failed: " + status.ToString();
       STINDEX_CHECK_MSG(false, msg.c_str());
     }
+    frame.page = frame.owned.get();
   }
-  Result<std::unique_ptr<Page>> decoded = borrowed != nullptr
-                                              ? codec_->View(borrowed, id)
-                                              : codec_->Decode(buffer, id);
-  if (!decoded.ok()) {
-    const std::string msg = "SharedBufferPool: decode of page " +
-                            std::to_string(id) +
-                            " failed: " + decoded.status().ToString();
-    STINDEX_CHECK_MSG(false, msg.c_str());
+  if (codec_ != nullptr) {
+    Status status = codec_->Check(frame.page->bytes, id);
+    if (!status.ok()) {
+      const std::string msg = "SharedBufferPool: decode of page " +
+                              std::to_string(id) +
+                              " failed: " + status.ToString();
+      STINDEX_CHECK_MSG(false, msg.c_str());
+    }
   }
-  frame.owned = std::move(decoded).value();
-  frame.page = frame.owned.get();
   return frame;
 }
 
 Result<const Page*> SharedBufferPool::Pin(PageId id, bool* missed) {
-  const bool live = store_ != nullptr ? store_->IsLive(id)
-                                      : backend_->IsAllocated(id);
-  if (!live) {
+  if (!backend_->IsAllocated(id)) {
     const std::string msg =
         "SharedBufferPool::Pin of a freed or out-of-range PageId (page " +
         std::to_string(id) + ")";
@@ -132,12 +117,11 @@ Result<const Page*> SharedBufferPool::Pin(PageId id, bool* missed) {
   ++shard.stats.accesses;
   auto it = shard.frames.find(id);
   if (it != shard.frames.end()) {
-    // Hit: move to MRU. In store mode re-resolve the pointer so a slot
-    // freed and reused between queries is never served stale.
+    // Hit: move to MRU. A lent arena page is never stale: a slot freed
+    // and reused keeps its address, so the frame shows the new contents.
     Frame& frame = it->second;
     shard.lru.splice(shard.lru.begin(), shard.lru, frame.lru);
     frame.lru = shard.lru.begin();
-    if (store_ != nullptr) frame.page = store_->Get(id);
     if (frame.pins++ == 0) ++shard.pinned;
     *missed = false;
     return frame.page;

@@ -12,7 +12,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
-#include "storage/page_store.h"
 #include "util/status.h"
 
 namespace stindex {
@@ -46,21 +45,18 @@ struct SharedBufferPoolOptions {
 // interface for the tree query paths and keeps the deterministic
 // per-worker accounting the paper's measurement protocol needs.
 // Pin/Unpin are safe to call from any thread. Writing pages is not the
-// pool's business: indexes encode nodes and write them to the backend
-// directly.
+// pool's business: trees mutate their arena pages in place and write
+// sealed copies to a backend directly.
 class SharedBufferPool {
  public:
   class Session;
 
-  // Store mode: fronts a read-only PageStore (the simulated disk).
-  SharedBufferPool(const PageStore* store,
-                   const SharedBufferPoolOptions& options);
-
-  // Backend mode: fronts a PageBackend through a PageCodec; a miss is an
-  // actual backend read + decode, or a PageCodec::View in place when the
-  // backend lends the page (BorrowPage). `backend` and `codec` are
-  // borrowed and must outlive the pool: frames over borrowed pages point
-  // into the backend's storage.
+  // Fronts `backend`. A frame points at the backend's page when the
+  // backend lends it (BorrowPage: a tree's arena, the mmap snapshot), and
+  // otherwise at a copy the frame owns, filled by a real backend read.
+  // `codec` checks every page a miss loads and is null only over a
+  // tree's own arena, whose pages are not sealed. `backend` and `codec`
+  // are borrowed and must outlive the pool.
   SharedBufferPool(const PageBackend* backend, const PageCodec* codec,
                    const SharedBufferPoolOptions& options);
 
@@ -70,11 +66,10 @@ class SharedBufferPool {
   SharedBufferPool(const SharedBufferPool&) = delete;
   SharedBufferPool& operator=(const SharedBufferPool&) = delete;
 
-  // Pins `id`, loading it on a miss (a real backend read in backend
-  // mode); `*missed` reports whether this call loaded the page. The
-  // returned page stays resident until the matching Unpin. Pinning a
-  // freed, out-of-range, unreadable or undecodable page is a checked
-  // error naming the page — an index handing out such an id is
+  // Pins `id`, loading it on a miss; `*missed` reports whether this call
+  // loaded the page. The returned page stays resident until the matching
+  // Unpin. Pinning a freed, out-of-range, unreadable or corrupt page is a
+  // checked error naming the page — an index handing out such an id is
   // structurally corrupt. Prefer a Session over calling this directly.
   Result<const Page*> Pin(PageId id, bool* missed);
 
@@ -99,7 +94,6 @@ class SharedBufferPool {
   size_t shard_count() const { return shards_.size(); }
   size_t CachedPages() const;
   size_t PinnedPages() const;
-  bool backend_mode() const { return backend_ != nullptr; }
 
   // Point-in-time occupancy of one shard (telemetry: the /statusz pool
   // section). pinned <= cached; cached may transiently exceed capacity
@@ -113,9 +107,8 @@ class SharedBufferPool {
 
  private:
   struct Frame {
-    const Page* page = nullptr;
-    // Backend mode: a decoded node, or a view over a borrowed page.
-    std::unique_ptr<Page> owned;
+    const Page* page = nullptr;   // a lent page, or `owned`
+    std::unique_ptr<Page> owned;  // a copy, when the backend cannot lend
     uint32_t pins = 0;
     std::list<PageId>::iterator lru;
   };
@@ -131,19 +124,17 @@ class SharedBufferPool {
     std::unordered_map<PageId, Frame> frames;
   };
 
-  void InitShards(const SharedBufferPoolOptions& options);
   size_t ShardOf(PageId id) const;
   // Evicts least-recently-used unpinned frames until the shard holds
   // fewer than `limit` frames or no unpinned victim remains. Caller holds
   // the shard mutex.
   void EvictDownTo(Shard& shard, size_t limit);
-  // Loads the page on a miss: a store lookup, a view over a borrowed
-  // page, or a backend read + decode.
+  // Loads the page on a miss: the lent page or a backend read into an
+  // owned copy, then the codec's check.
   Frame LoadFrame(PageId id) const;
 
-  const PageStore* store_ = nullptr;
-  const PageBackend* backend_ = nullptr;
-  const PageCodec* codec_ = nullptr;
+  const PageBackend* backend_;
+  const PageCodec* codec_;
   size_t capacity_ = 0;
   std::string metric_scope_;
   std::vector<std::unique_ptr<Shard>> shards_;

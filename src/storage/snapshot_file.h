@@ -125,8 +125,8 @@ class SnapshotFile {
 
 // PageBackend over a SnapshotFile: node slot `id` is page `id`. Read-only
 // — Write/Free are FailedPrecondition. BorrowPage hands out the mapped
-// span (nullptr in fallback mode), which the buffer pools decode from
-// directly instead of bouncing through a copy.
+// span (nullptr in fallback mode), which the buffer pools read in place
+// instead of bouncing through a copy.
 class MmapSnapshotBackend : public PageBackend {
  public:
   // Opens the snapshot at `path`.

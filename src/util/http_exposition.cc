@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "util/check.h"
@@ -17,10 +18,36 @@ namespace stindex {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 // How long the accept loop sleeps in poll() between checks of the stop
 // flag and the window-epoch deadline. Short enough that Stop() and the
 // publisher cadence are responsive, long enough to stay idle-cheap.
 constexpr int kPollMs = 50;
+
+// The whole budget of one connection: reading the request head and
+// writing the response. A scraper is local and fast, so two seconds is
+// generous; a client trickling bytes cannot hold the single serving
+// thread (and with it window epochs and Stop()) any longer.
+constexpr std::chrono::milliseconds kConnectionDeadline(2000);
+
+// Waits until `fd` is ready for `events`; false once `deadline` passes
+// or the socket fails.
+bool WaitReady(int fd, short events, Clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) return false;
+    pollfd pfd;
+    pfd.fd = fd;
+    pfd.events = events;
+    pfd.revents = 0;
+    const int ready = poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready > 0) return true;
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready < 0) return false;
+  }
+}
 
 const char* ReasonPhrase(int code) {
   switch (code) {
@@ -46,32 +73,35 @@ std::string BuildResponse(int code, const std::string& content_type,
   return response;
 }
 
-// Sends the whole buffer, tolerating short writes. MSG_NOSIGNAL: a
-// scraper hanging up mid-response must not SIGPIPE the process.
-void SendAll(int fd, const std::string& data) {
+// Sends the whole buffer before `deadline`, tolerating short writes.
+// MSG_NOSIGNAL: a scraper hanging up mid-response must not SIGPIPE the
+// process.
+void SendAll(int fd, const std::string& data, Clock::time_point deadline) {
   size_t sent = 0;
   while (sent < data.size()) {
-    const ssize_t n =
-        send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (!WaitReady(fd, POLLOUT, deadline)) return;
+    const ssize_t n = send(fd, data.data() + sent, data.size() - sent,
+                           MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
       return;  // client went away; nothing to clean up but the fd
     }
     sent += static_cast<size_t>(n);
   }
 }
 
-// Reads until the end of the request headers (CRLFCRLF) or the socket
-// receive timeout. We only ever need the request line; the body, if a
-// client sends one, is ignored.
-std::string ReadRequestHead(int fd) {
+// Reads until the end of the request headers (CRLFCRLF), 16 KiB or
+// `deadline`. We only ever need the request line; the body, if a client
+// sends one, is ignored.
+std::string ReadRequestHead(int fd, Clock::time_point deadline) {
   std::string head;
   char buffer[1024];
   while (head.size() < 16 * 1024) {
-    const ssize_t n = recv(fd, buffer, sizeof(buffer), 0);
+    if (!WaitReady(fd, POLLIN, deadline)) break;
+    const ssize_t n = recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);
     if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;  // EOF, timeout or error — parse whatever we have
+      if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+      break;  // EOF or error — parse whatever we have
     }
     head.append(buffer, static_cast<size_t>(n));
     if (head.find("\r\n\r\n") != std::string::npos) break;
@@ -185,10 +215,9 @@ void HttpExpositionServer::Stop() {
 }
 
 void HttpExpositionServer::Serve() {
-  using clock = std::chrono::steady_clock;
-  const auto epoch_period = std::chrono::duration_cast<clock::duration>(
+  const auto epoch_period = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(options_.epoch_seconds));
-  clock::time_point next_epoch = clock::now() + epoch_period;
+  Clock::time_point next_epoch = Clock::now() + epoch_period;
 
   pollfd pfd;
   pfd.fd = listen_fd_;
@@ -196,45 +225,40 @@ void HttpExpositionServer::Serve() {
   while (!stop_.load(std::memory_order_acquire)) {
     pfd.revents = 0;
     const int ready = poll(&pfd, 1, kPollMs);
-    if (clock::now() >= next_epoch) {
+    if (Clock::now() >= next_epoch) {
       window_.Advance();
       next_epoch += epoch_period;
       // A long scrape stall should not cause a burst of catch-up epochs.
-      if (clock::now() >= next_epoch) next_epoch = clock::now() + epoch_period;
+      if (Clock::now() >= next_epoch) next_epoch = Clock::now() + epoch_period;
     }
     if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int conn = accept(listen_fd_, nullptr, nullptr);
     if (conn < 0) continue;
-    // Bound a stuck client: a scraper is local and fast, so one second
-    // each way is generous.
-    timeval timeout;
-    timeout.tv_sec = 1;
-    timeout.tv_usec = 0;
-    setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     HandleConnection(conn);
     close(conn);
   }
 }
 
 void HttpExpositionServer::HandleConnection(int fd) {
-  const std::string target = ParseGetTarget(ReadRequestHead(fd));
+  const Clock::time_point deadline = Clock::now() + kConnectionDeadline;
+  const std::string target = ParseGetTarget(ReadRequestHead(fd, deadline));
+  std::string response;
   if (target == "/metrics") {
     scrapes_.fetch_add(1, std::memory_order_relaxed);
     MetricRegistry::Global().GetCounter("telemetry.scrapes")->Increment();
-    SendAll(fd, BuildResponse(200, "text/plain; version=0.0.4",
-                              MetricsBody()));
+    response =
+        BuildResponse(200, "text/plain; version=0.0.4", MetricsBody());
   } else if (target == "/healthz") {
     int code = 200;
     const std::string body = HealthzBody(&code);
-    SendAll(fd, BuildResponse(code, "text/plain", body));
+    response = BuildResponse(code, "text/plain", body);
   } else if (target == "/statusz") {
-    SendAll(fd, BuildResponse(200, "application/json", StatuszBody()));
+    response = BuildResponse(200, "application/json", StatuszBody());
   } else {
-    SendAll(fd, BuildResponse(
-                    404, "text/plain",
-                    "not found; try /metrics, /healthz or /statusz\n"));
+    response = BuildResponse(
+        404, "text/plain", "not found; try /metrics, /healthz or /statusz\n");
   }
+  SendAll(fd, response, deadline);
 }
 
 std::string HttpExpositionServer::MetricsBody() const {

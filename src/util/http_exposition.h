@@ -25,7 +25,9 @@
 //
 // Requests are handled serially on the server thread — scrapes are rare
 // and tiny — but any number of clients may connect concurrently; pending
-// connections queue in the listen backlog. Handlers only read registry
+// connections queue in the listen backlog. Each connection gets one
+// fixed deadline (2 s) to send its request head and take the response,
+// so a slow or stuck client cannot stall the window or Stop(). Handlers only read registry
 // snapshots and call the installed callbacks, both of which must be
 // thread-safe against the serving process's worker threads.
 

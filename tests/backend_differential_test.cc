@@ -1,5 +1,5 @@
 // Differential tests for the storage backends: the same seeded dataset
-// indexed three ways — the legacy in-memory PageStore, a persisted
+// indexed three ways — the tree's own arena of node pages, a persisted
 // MemoryPageBackend, and a persisted FilePageBackend — must answer every
 // query byte-identically and with identical per-query buffer-miss counts
 // (the paper's "disk accesses" metric), at every thread count. The
@@ -122,19 +122,19 @@ TEST(BackendDifferentialTest, PprTreeIdenticalAcrossBackendsAndThreads) {
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
 
-  const std::unique_ptr<PprTree> store_tree = BuildPprTree(records);
+  const std::unique_ptr<PprTree> arena_tree = BuildPprTree(records);
   const std::unique_ptr<PprTree> memory_tree = BuildPprTree(records);
   ASSERT_TRUE(
       memory_tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
   const std::unique_ptr<PprTree> file_tree = BuildPprTree(records);
   ASSERT_TRUE(file_tree->AttachBackend(MakeFileBackend("diff_ppr")).ok());
 
-  const std::vector<QueryOutcome> baseline = PprBaseline(*store_tree, queries);
+  const std::vector<QueryOutcome> baseline = PprBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
   for (const int threads : {1, 2, 7, 16}) {
-    EXPECT_EQ(RunPpr(*store_tree, queries, threads), baseline)
-        << "store backend, threads=" << threads;
+    EXPECT_EQ(RunPpr(*arena_tree, queries, threads), baseline)
+        << "arena, threads=" << threads;
     EXPECT_EQ(RunPpr(*memory_tree, queries, threads), baseline)
         << "memory backend, threads=" << threads;
     EXPECT_EQ(RunCountingFileReads(*file_tree, queries, threads,
@@ -152,18 +152,18 @@ TEST(BackendDifferentialTest, PprProtocolMissesIndependentOfPoolSize) {
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
 
-  const std::unique_ptr<PprTree> store_tree = BuildPprTree(records);
+  const std::unique_ptr<PprTree> arena_tree = BuildPprTree(records);
   const std::unique_ptr<PprTree> file_tree = BuildPprTree(records);
   ASSERT_TRUE(
       file_tree->AttachBackend(MakeFileBackend("diff_ppr_sizes")).ok());
 
-  const std::vector<QueryOutcome> baseline = PprBaseline(*store_tree, queries);
+  const std::vector<QueryOutcome> baseline = PprBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
   for (const size_t pool_pages : {size_t{1}, size_t{3}, size_t{4096}}) {
     for (const int threads : {1, 7}) {
-      EXPECT_EQ(RunPpr(*store_tree, queries, threads, pool_pages), baseline)
-          << "store backend, pool_pages=" << pool_pages
+      EXPECT_EQ(RunPpr(*arena_tree, queries, threads, pool_pages), baseline)
+          << "arena, pool_pages=" << pool_pages
           << ", threads=" << threads;
       const uint64_t reads_before = FileReads();
       EXPECT_EQ(RunPpr(*file_tree, queries, threads, pool_pages), baseline)
@@ -189,7 +189,7 @@ TEST(BackendDifferentialTest, RStarTreeIdenticalAcrossBackendsAndThreads) {
     }
     return tree;
   };
-  const std::unique_ptr<RStarTree> store_tree = build();
+  const std::unique_ptr<RStarTree> arena_tree = build();
   const std::unique_ptr<RStarTree> memory_tree = build();
   ASSERT_TRUE(
       memory_tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
@@ -197,12 +197,12 @@ TEST(BackendDifferentialTest, RStarTreeIdenticalAcrossBackendsAndThreads) {
   ASSERT_TRUE(file_tree->AttachBackend(MakeFileBackend("diff_rstar")).ok());
 
   const std::vector<QueryOutcome> baseline =
-      RStarBaseline(*store_tree, queries);
+      RStarBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
   for (const int threads : {1, 2, 7, 16}) {
-    EXPECT_EQ(RunRStar(*store_tree, queries, threads), baseline)
-        << "store backend, threads=" << threads;
+    EXPECT_EQ(RunRStar(*arena_tree, queries, threads), baseline)
+        << "arena, threads=" << threads;
     EXPECT_EQ(RunRStar(*memory_tree, queries, threads), baseline)
         << "memory backend, threads=" << threads;
     EXPECT_EQ(RunCountingFileReads(*file_tree, queries, threads,
@@ -213,7 +213,7 @@ TEST(BackendDifferentialTest, RStarTreeIdenticalAcrossBackendsAndThreads) {
 }
 
 // AttachBackend must be all-or-nothing: a write fault while persisting
-// leaves the tree without a backend, still answering from the store with
+// leaves the tree without a backend, still answering from its arena with
 // the same per-query misses.
 template <typename Tree>
 void ExpectAttachRollsBackOnWriteFault(Tree* tree,
@@ -240,7 +240,6 @@ void ExpectAttachRollsBackOnWriteFault(Tree* tree,
 
   const std::unique_ptr<SharedBufferPool> after_pool =
       tree->NewSharedQueryPool();
-  EXPECT_FALSE(after_pool->backend_mode());
   EXPECT_EQ(RunSessions(after_pool.get(), queries, 1, run_query), before);
 }
 
@@ -272,19 +271,19 @@ TEST(BackendDifferentialTest, RStarProtocolMissesIndependentOfPoolSize) {
     }
     return tree;
   };
-  const std::unique_ptr<RStarTree> store_tree = build();
+  const std::unique_ptr<RStarTree> arena_tree = build();
   const std::unique_ptr<RStarTree> file_tree = build();
   ASSERT_TRUE(
       file_tree->AttachBackend(MakeFileBackend("diff_rstar_sizes")).ok());
 
   const std::vector<QueryOutcome> baseline =
-      RStarBaseline(*store_tree, queries);
+      RStarBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
   for (const size_t pool_pages : {size_t{1}, size_t{3}, size_t{4096}}) {
     for (const int threads : {1, 7}) {
-      EXPECT_EQ(RunRStar(*store_tree, queries, threads, pool_pages), baseline)
-          << "store backend, pool_pages=" << pool_pages
+      EXPECT_EQ(RunRStar(*arena_tree, queries, threads, pool_pages), baseline)
+          << "arena, pool_pages=" << pool_pages
           << ", threads=" << threads;
       const uint64_t reads_before = FileReads();
       EXPECT_EQ(RunRStar(*file_tree, queries, threads, pool_pages), baseline)

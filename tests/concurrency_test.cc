@@ -158,7 +158,7 @@ TEST(ConcurrencyTest, ParallelRStarSearchesMatchSerial) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// N workers over ONE shared read-only PageStore, each owning a protocol
+// N workers over ONE tree's read-only arena, each owning a protocol
 // Session (a simulated private 10-page LRU) of one shared pool and
 // issuing a worker-specific mix of range + snapshot
 // queries generated from a deterministically derived sub-seed

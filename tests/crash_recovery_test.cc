@@ -209,6 +209,7 @@ TEST(CrashRecoveryTest, EveryWriteSiteRecoversToTheReferenceRun) {
     Result<std::unique_ptr<LiveTier>> recovered =
         LiveTier::Open(TierOptions(), std::move(reopened).value());
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    recovered.value()->historical().CheckInvariants();
 
     // Re-ingest the unacknowledged tail; absorbed records are skipped.
     for (size_t i = acked; i < stream.size(); ++i) {
@@ -383,6 +384,7 @@ TEST(CrashRecoveryTest, CheckpointedCrashSweepRecoversAtEveryMutationSite) {
     Result<std::unique_ptr<LiveTier>> recovered =
         LiveTier::Open(options, std::move(reopened).value());
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    recovered.value()->historical().CheckInvariants();
 
     for (size_t i = acked; i < stream.size(); ++i) {
       ASSERT_TRUE(recovered.value()->Apply(stream[i]).ok());

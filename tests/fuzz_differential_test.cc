@@ -199,6 +199,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferentialTest,
 //      schedule — packing is invisible to queries, and a crash after an
 //      unjournaled pack recovers to the pre-pack layering with the same
 //      answers.
+//   3. The active tree's structural invariants hold after every recovery
+//      and at the end of every schedule.
 // ---------------------------------------------------------------------------
 
 std::vector<STQuery> RandomLiveQueries(Rng& rng, Time domain, int count) {
@@ -280,6 +282,7 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
       }
     }
     ASSERT_TRUE(tier.value()->Finish().ok()) << "seed=" << seed;
+    tier.value()->historical().CheckInvariants();
     reference = FinalAnswers(*tier.value(), queries);
   }
 
@@ -366,11 +369,14 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
       tier = LiveTier::Open(options, std::move(reopened).value());
       ASSERT_TRUE(tier.ok())
           << "seed=" << seed << " " << tier.status().ToString();
+      tier.value()->historical().CheckInvariants();
       for (size_t i = acked; i < stream.size(); ++i) {
         ASSERT_TRUE(tier.value()->Apply(stream[i]).ok()) << "seed=" << seed;
       }
       ASSERT_TRUE(tier.value()->Finish().ok()) << "seed=" << seed;
     }
+
+    tier.value()->historical().CheckInvariants();
 
     // Invariant 2: the finished (possibly recovered) run answers exactly
     // like the never-crashed reference.

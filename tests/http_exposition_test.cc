@@ -2,11 +2,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -351,6 +353,55 @@ TEST(HttpExpositionTest, UnknownTargetIs404) {
   EXPECT_EQ(StatusCodeOf(HttpGet(server.port(), "/nope")), 404);
   // Query strings are stripped before routing.
   EXPECT_EQ(StatusCodeOf(HttpGet(server.port(), "/healthz?verbose=1")), 200);
+  server.Stop();
+}
+
+// A client that trickles its request head one byte at a time must not
+// hold the single serving thread past the per-connection deadline (2 s):
+// the server answers with what it has and closes, and the next scrape is
+// served at once. With per-call socket timeouts instead, the trickle
+// would keep the connection open until the 16 KiB head cap.
+TEST(HttpExpositionTest, TricklingClientIsCutOffAtTheDeadline) {
+  using Clock = std::chrono::steady_clock;
+  HttpExpositionServer server;
+  ASSERT_TRUE(server.Start().ok());
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+
+  const Clock::time_point start = Clock::now();
+  const std::string head = "GET /metrics HTTP/1.1\r\nX-Trickle: ";
+  ASSERT_EQ(send(fd, head.data(), head.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(head.size()));
+  bool closed = false;
+  while (!closed && Clock::now() - start < std::chrono::seconds(10)) {
+    pollfd pfd;
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    pfd.revents = 0;
+    if (poll(&pfd, 1, 200) > 0) {
+      char buffer[4096];
+      closed = recv(fd, buffer, sizeof(buffer), 0) <= 0;  // drain to EOF
+    } else {
+      closed = send(fd, "a", 1, MSG_NOSIGNAL) <= 0;
+    }
+  }
+  const double held_s =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  close(fd);
+  EXPECT_TRUE(closed);
+  EXPECT_GE(held_s, 1.5);
+  EXPECT_LT(held_s, 4.0);
+
+  const Clock::time_point scrape_start = Clock::now();
+  EXPECT_EQ(StatusCodeOf(HttpGet(server.port(), "/metrics")), 200);
+  EXPECT_LT(std::chrono::duration<double>(Clock::now() - scrape_start).count(),
+            1.0);
   server.Stop();
 }
 

@@ -7,9 +7,11 @@
 #include <string>
 #include <vector>
 
+#include "live/live_tier.h"
 #include "pprtree/ppr_tree.h"
 #include "rstar/rstar_tree.h"
 #include "storage/file_backend.h"
+#include "storage/page_backend.h"
 #include "storage/page_codec.h"
 
 namespace stindex {
@@ -238,6 +240,143 @@ TEST(PageEnvelopeTest, Crc32MatchesKnownVector) {
       if (length < kPageSize) state = reference.Update(state, start[length]);
     }
   }
+}
+
+// --- Pinned on-disk bytes ---
+//
+// A fixed hand-made input (integer-grid rects and times, no generated
+// floats) is packed into snapshots and checkpointed; the CRC-32 of the
+// bytes written must equal a recorded constant. A change to the node
+// page layout, to the trees' split decisions or to the checkpoint path
+// then fails here instead of silently changing users' files.
+
+std::vector<SegmentRecord> GridRecords() {
+  std::vector<SegmentRecord> records;
+  for (uint64_t i = 0; i < 400; ++i) {
+    const double x = static_cast<double>((i * 37) % 64);
+    const double y = static_cast<double>((i * 11) % 64);
+    const Time start = static_cast<Time>((i * 13) % 90);
+    SegmentRecord record;
+    record.object = i;
+    record.box.rect = Rect2D(x, y, x + 1 + static_cast<double>(i % 3),
+                             y + 1 + static_cast<double>(i % 4));
+    record.box.interval =
+        TimeInterval(start, start + 1 + static_cast<Time>((i * 7) % 30));
+    records.push_back(record);
+  }
+  return records;
+}
+
+uint32_t FileCrc(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return 0;
+  uint8_t chunk[kPageSize];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    bytes.insert(bytes.end(), chunk, chunk + n);
+  }
+  std::fclose(f);
+  return Crc32(bytes.data(), bytes.size());
+}
+
+TEST(PinnedBytesTest, PackedSnapshotsKeepTheirBytes) {
+  const std::vector<SegmentRecord> records = GridRecords();
+  const std::string ppr_path = ::testing::TempDir() + "/pinned_ppr.stsnap";
+  const std::unique_ptr<PprTree> ppr = BuildPprTree(records);
+  ASSERT_TRUE(ppr->PackSnapshot(ppr_path).ok());
+  EXPECT_EQ(FileCrc(ppr_path), 0x626779deu);
+
+  // Deletes leave holes in the R*-tree's id space, so the pack's remap
+  // is covered too.
+  RStarTree rstar;
+  std::vector<Box3D> boxes;
+  for (const SegmentRecord& record : records) {
+    const Rect2D& r = record.box.rect;
+    boxes.emplace_back(r.xlo, r.ylo,
+                       static_cast<double>(record.box.interval.start), r.xhi,
+                       r.yhi, static_cast<double>(record.box.interval.end));
+  }
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    rstar.Insert(boxes[i], static_cast<DataId>(i));
+  }
+  for (size_t i = 0; i < boxes.size(); i += 5) {
+    ASSERT_TRUE(rstar.Delete(boxes[i], static_cast<DataId>(i)));
+  }
+  const std::string rstar_path = ::testing::TempDir() + "/pinned_rstar.stsnap";
+  ASSERT_TRUE(rstar.PackSnapshot(rstar_path).ok());
+  EXPECT_EQ(FileCrc(rstar_path), 0x8937857cu);
+
+  std::remove(ppr_path.c_str());
+  std::remove(rstar_path.c_str());
+}
+
+TEST(PinnedBytesTest, CheckpointNodePagesKeepTheirBytes) {
+  // 48 objects on an integer grid, each alive for 12..23 ticks, fed in
+  // tick order (ends before observes, then by object id).
+  std::vector<LiveObservation> stream;
+  for (Time t = 0; t < 60; ++t) {
+    for (ObjectId object = 0; object < 48; ++object) {
+      const Time start = static_cast<Time>(object % 30);
+      const Time end = start + 12 + static_cast<Time>(object % 12);
+      if (t == end) {
+        LiveObservation update;
+        update.object = object;
+        update.time = t;
+        update.is_end = true;
+        stream.push_back(update);
+      }
+    }
+    for (ObjectId object = 0; object < 48; ++object) {
+      const Time start = static_cast<Time>(object % 30);
+      const Time end = start + 12 + static_cast<Time>(object % 12);
+      if (t < start || t >= end) continue;
+      const double x = static_cast<double>((object * 5) % 40 + (t - start));
+      const double y = static_cast<double>((object * 3) % 40);
+      LiveObservation update;
+      update.object = object;
+      update.time = t;
+      update.rect = Rect2D(x, y, x + 2, y + 1);
+      stream.push_back(update);
+    }
+  }
+
+  LiveTierOptions options;
+  options.index.capacity = 6;
+  options.ppr.max_entries = 8;
+  auto memory = std::make_unique<MemoryPageBackend>();
+  const MemoryPageBackend* wal = memory.get();
+  Result<std::unique_ptr<LiveTier>> tier =
+      LiveTier::Open(options, std::move(memory));
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+  const std::string snap_path = ::testing::TempDir() + "/pinned_live.stsnap";
+  for (size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+    if ((i + 1) % 16 == 0) {
+      ASSERT_TRUE(tier.value()->Commit().ok());
+    }
+    if (i + 1 == stream.size() / 2) {
+      ASSERT_TRUE(tier.value()->PackHistorical(snap_path).ok());
+    }
+  }
+  ASSERT_TRUE(tier.value()->Commit().ok());
+  ASSERT_TRUE(tier.value()->Checkpoint().ok());
+  EXPECT_EQ(FileCrc(snap_path), 0xa1fedf4bu);
+
+  // The checkpoint's node pages — the frozen layer's and the active
+  // tree's — in slot order.
+  std::vector<uint8_t> node_pages;
+  uint8_t page[kPageSize];
+  for (PageId slot = 0; slot < wal->SlotCount(); ++slot) {
+    if (!wal->IsAllocated(slot)) continue;
+    ASSERT_TRUE(wal->Read(slot, page).ok());
+    if (!OpenPagePayload(page, PageKind::kPprNode, slot).ok()) continue;
+    node_pages.insert(node_pages.end(), page, page + kPageSize);
+  }
+  EXPECT_EQ(node_pages.size() / kPageSize, 57u);
+  EXPECT_EQ(Crc32(node_pages.data(), node_pages.size()), 0x2eb2b8dbu);
+  std::remove(snap_path.c_str());
 }
 
 // --- FilePageBackend open-time validation ---

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,7 +16,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
-#include "storage/page_store.h"
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -23,47 +23,31 @@
 namespace stindex {
 namespace {
 
-// A trivial page type carrying a tag so tests can verify identity, and
-// its codec for the backend-mode cases.
-class TestPage : public Page {
- public:
-  explicit TestPage(int tag) : tag_(tag) {}
-  int tag() const { return tag_; }
-
- private:
-  int tag_;
-};
-
-class TestCodec : public PageCodec {
- public:
-  void Encode(const Page& page, uint8_t* out) const override {
-    PageWriter writer = PayloadWriter(out);
-    writer.Write<int32_t>(static_cast<const TestPage&>(page).tag());
-    SealPage(out, PageKind::kTest);
-  }
-
-  Result<std::unique_ptr<Page>> Decode(const uint8_t* page,
-                                       PageId id) const override {
-    Result<PageReader> payload = OpenPagePayload(page, PageKind::kTest, id);
-    if (!payload.ok()) return payload.status();
-    PageReader reader = payload.value();
-    int32_t tag = 0;
-    if (!reader.Read(&tag)) {
-      return Status::InvalidArgument("page " + std::to_string(id) +
-                                     ": short test page");
-    }
-    return Result<std::unique_ptr<Page>>(std::make_unique<TestPage>(tag));
-  }
-};
-
-void FillStore(PageStore* store, size_t pages) {
-  for (size_t i = 0; i < pages; ++i) {
-    store->Allocate(std::make_unique<TestPage>(static_cast<int>(i)));
-  }
+// Test pages carry an int32 tag as their first payload bytes so tests
+// can verify identity: unsealed in an arena, sealed (kTest) in a backend
+// a pool checks through TestCodec.
+void TagPage(Page* page, int32_t tag) {
+  std::memcpy(page->bytes + kPageEnvelopeBytes, &tag, sizeof(tag));
 }
 
 int TagOf(const Page* page) {
-  return static_cast<const TestPage*>(page)->tag();
+  int32_t tag = 0;
+  std::memcpy(&tag, page->bytes + kPageEnvelopeBytes, sizeof(tag));
+  return tag;
+}
+
+class TestCodec : public PageCodec {
+ public:
+  Status Check(const uint8_t* page, PageId id) const override {
+    return OpenPagePayload(page, PageKind::kTest, id).status();
+  }
+};
+
+// Allocates `pages` arena pages, page i tagged i.
+void FillArena(MemoryPageBackend* arena, size_t pages) {
+  for (size_t i = 0; i < pages; ++i) {
+    TagPage(&arena->MutablePage(arena->Allocate()), static_cast<int>(i));
+  }
 }
 
 // Pins and unpins `id`; returns whether the pin missed.
@@ -74,14 +58,14 @@ bool Touch(SharedBufferPool* pool, PageId id) {
   return missed;
 }
 
-// The first `count` page ids of `store` that land in shard `shard` of a
+// The first `count` page ids of `arena` that land in shard `shard` of a
 // pool of `capacity` frames, found through a throwaway probe pool of the
 // same shape (pinning one page shows which shard holds the pin).
-std::vector<PageId> IdsInShard(const PageStore* store, size_t capacity,
-                               size_t shard, size_t count) {
+std::vector<PageId> IdsInShard(const MemoryPageBackend* arena,
+                               size_t capacity, size_t shard, size_t count) {
   SharedBufferPoolOptions options;
   options.capacity = capacity;
-  SharedBufferPool probe(store, options);
+  SharedBufferPool probe(arena, nullptr, options);
   std::vector<PageId> ids;
   for (PageId id = 0; ids.size() < count; ++id) {
     bool missed = false;
@@ -92,14 +76,13 @@ std::vector<PageId> IdsInShard(const PageStore* store, size_t capacity,
   return ids;
 }
 
-TEST(SharedBufferPoolTest, StoreModeHitsAndMisses) {
-  PageStore store;
-  FillStore(&store, 8);
+TEST(SharedBufferPoolTest, ArenaHitsAndMisses) {
+  MemoryPageBackend arena;
+  FillArena(&arena, 8);
   SharedBufferPoolOptions options;
   options.capacity = 4;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   EXPECT_EQ(pool.capacity(), 4u);
-  EXPECT_FALSE(pool.backend_mode());
 
   bool missed = false;
   Result<const Page*> page = pool.Pin(0, &missed);
@@ -122,8 +105,8 @@ TEST(SharedBufferPoolTest, StoreModeHitsAndMisses) {
 }
 
 TEST(SharedBufferPoolTest, ShardCountDerivesFromCapacity) {
-  PageStore store;
-  FillStore(&store, 1);
+  MemoryPageBackend arena;
+  FillArena(&arena, 1);
   // The largest power of two <= min(16, capacity); the slices sum to the
   // capacity.
   const std::pair<size_t, size_t> expected[] = {
@@ -131,7 +114,7 @@ TEST(SharedBufferPoolTest, ShardCountDerivesFromCapacity) {
   for (const auto& [capacity, shards] : expected) {
     SharedBufferPoolOptions options;
     options.capacity = capacity;
-    SharedBufferPool pool(&store, options);
+    SharedBufferPool pool(&arena, nullptr, options);
     EXPECT_EQ(pool.shard_count(), shards) << "capacity=" << capacity;
     size_t total = 0;
     for (const auto& shard : pool.ShardOccupancies()) total += shard.capacity;
@@ -140,11 +123,11 @@ TEST(SharedBufferPoolTest, ShardCountDerivesFromCapacity) {
 }
 
 TEST(SharedBufferPoolTest, CapacityIsTotalAcrossShards) {
-  PageStore store;
-  FillStore(&store, 64);
+  MemoryPageBackend arena;
+  FillArena(&arena, 64);
   SharedBufferPoolOptions options;
   options.capacity = 10;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   EXPECT_EQ(pool.shard_count(), 8u);
   for (PageId id = 0; id < 64; ++id) Touch(&pool, id);
   // No shard may hold more than its slice: the whole pool never exceeds
@@ -154,42 +137,44 @@ TEST(SharedBufferPoolTest, CapacityIsTotalAcrossShards) {
 }
 
 TEST(SharedBufferPoolTest, ReusedSlotIsNeverServedStale) {
-  // A page cached in the pool, freed in the store, and replaced by a new
+  // A page cached in the pool, freed in the arena, and replaced by a new
   // allocation under the same id must be served as the NEW page.
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
+  MemoryPageBackend arena;
+  const PageId a = arena.Allocate();
+  TagPage(&arena.MutablePage(a), 1);
   SharedBufferPoolOptions options;
   options.capacity = 4;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   bool missed = false;
   EXPECT_EQ(TagOf(pool.Pin(a, &missed).value()), 1);
   pool.Unpin(a);
-  store.Free(a);
-  const PageId b = store.Allocate(std::make_unique<TestPage>(2));
+  ASSERT_TRUE(arena.Free(a).ok());
+  const PageId b = arena.Allocate();
   ASSERT_EQ(a, b);  // the slot was reused
+  TagPage(&arena.MutablePage(b), 2);
   EXPECT_EQ(TagOf(pool.Pin(a, &missed).value()), 2);
-  EXPECT_FALSE(missed);  // served from the resident frame, re-resolved
+  EXPECT_FALSE(missed);  // the resident frame shows the slot's new page
   pool.Unpin(a);
 }
 
 TEST(SharedBufferPoolDeathTest, PinOfFreedPageAborts) {
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
+  MemoryPageBackend arena;
+  const PageId a = arena.Allocate();
   SharedBufferPoolOptions options;
   options.capacity = 4;
-  SharedBufferPool pool(&store, options);
-  store.Free(a);
+  SharedBufferPool pool(&arena, nullptr, options);
+  ASSERT_TRUE(arena.Free(a).ok());
   bool missed = false;
   EXPECT_DEATH(static_cast<void>(pool.Pin(a, &missed)),
                "freed or out-of-range");
 }
 
 TEST(SharedBufferPoolDeathTest, PinOfOutOfRangePageAborts) {
-  PageStore store;
-  store.Allocate(std::make_unique<TestPage>(1));
+  MemoryPageBackend arena;
+  arena.Allocate();
   SharedBufferPoolOptions options;
   options.capacity = 4;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   bool missed = false;
   EXPECT_DEATH(static_cast<void>(pool.Pin(999, &missed)),
                "freed or out-of-range");
@@ -199,27 +184,27 @@ TEST(SharedBufferPoolDeathTest, PinOfOutOfRangePageAborts) {
 
 TEST(SharedBufferPoolDeathTest, StaleFrameForFreedPageAborts) {
   // Even a page already resident in the pool must not be served once the
-  // store has freed it.
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
+  // arena has freed it.
+  MemoryPageBackend arena;
+  const PageId a = arena.Allocate();
   SharedBufferPoolOptions options;
   options.capacity = 4;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   Touch(&pool, a);  // now resident
-  store.Free(a);
+  ASSERT_TRUE(arena.Free(a).ok());
   bool missed = false;
   EXPECT_DEATH(static_cast<void>(pool.Pin(a, &missed)),
                "freed or out-of-range");
 }
 
 TEST(SharedBufferPoolTest, EvictsLeastRecentlyUsedWithinShard) {
-  PageStore store;
-  FillStore(&store, 64);
+  MemoryPageBackend arena;
+  FillArena(&arena, 64);
   // Capacity 3 splits into two shards; shard 0 holds two frames.
-  const std::vector<PageId> ids = IdsInShard(&store, 3, 0, 3);
+  const std::vector<PageId> ids = IdsInShard(&arena, 3, 0, 3);
   SharedBufferPoolOptions options;
   options.capacity = 3;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   ASSERT_EQ(pool.ShardOccupancies()[0].capacity, 2u);
   EXPECT_TRUE(Touch(&pool, ids[0]));   // miss, shard {0}
   EXPECT_TRUE(Touch(&pool, ids[1]));   // miss, shard {1, 0}
@@ -233,11 +218,11 @@ TEST(SharedBufferPoolTest, EvictsLeastRecentlyUsedWithinShard) {
 }
 
 TEST(SharedBufferPoolTest, CapacityOneThrashes) {
-  PageStore store;
-  FillStore(&store, 2);
+  MemoryPageBackend arena;
+  FillArena(&arena, 2);
   SharedBufferPoolOptions options;
   options.capacity = 1;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   for (int round = 0; round < 5; ++round) {
     Touch(&pool, 0);
     Touch(&pool, 1);
@@ -247,11 +232,11 @@ TEST(SharedBufferPoolTest, CapacityOneThrashes) {
 }
 
 TEST(SharedBufferPoolTest, LargeCapacityHoldsWorkingSet) {
-  PageStore store;
-  FillStore(&store, 8);
+  MemoryPageBackend arena;
+  FillArena(&arena, 8);
   SharedBufferPoolOptions options;
   options.capacity = 256;  // 16 shards of 16 frames
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   for (int round = 0; round < 3; ++round) {
     for (PageId id = 0; id < 8; ++id) Touch(&pool, id);
   }
@@ -261,11 +246,11 @@ TEST(SharedBufferPoolTest, LargeCapacityHoldsWorkingSet) {
 }
 
 TEST(SharedBufferPoolTest, PinBlocksEviction) {
-  PageStore store;
-  FillStore(&store, 3);
+  MemoryPageBackend arena;
+  FillArena(&arena, 3);
   SharedBufferPoolOptions options;
   options.capacity = 1;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   bool missed = false;
   ASSERT_TRUE(pool.Pin(0, &missed).ok());
   // The only frame is pinned: page 1 takes a transient extra frame and
@@ -281,11 +266,11 @@ TEST(SharedBufferPoolTest, PinBlocksEviction) {
 }
 
 TEST(SharedBufferPoolTest, PinOverflowGrowsTransientlyAndTrimsBack) {
-  PageStore store;
-  FillStore(&store, 8);
+  MemoryPageBackend arena;
+  FillArena(&arena, 8);
   SharedBufferPoolOptions options;
   options.capacity = 1;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
 
   bool missed = false;
   ASSERT_TRUE(pool.Pin(0, &missed).ok());
@@ -307,22 +292,22 @@ TEST(SharedBufferPoolTest, PinOverflowGrowsTransientlyAndTrimsBack) {
 }
 
 TEST(SharedBufferPoolDeathTest, UnpinOfNonResidentPageAborts) {
-  PageStore store;
-  FillStore(&store, 2);
+  MemoryPageBackend arena;
+  FillArena(&arena, 2);
   SharedBufferPoolOptions options;
   options.capacity = 2;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   EXPECT_DEATH(pool.Unpin(1), "non-resident");
 }
 
 // --- Sessions: the per-worker PageCache view ---
 
 TEST(SharedBufferPoolTest, PassThroughSessionReportsRealOutcomes) {
-  PageStore store;
-  FillStore(&store, 2);
+  MemoryPageBackend arena;
+  FillArena(&arena, 2);
   SharedBufferPoolOptions options;
   options.capacity = 4;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   SharedBufferPool::Session session(&pool);
   session.FetchPinned(0);
   EXPECT_EQ(session.stats().accesses, 1u);
@@ -338,11 +323,11 @@ TEST(SharedBufferPoolTest, PassThroughSessionReportsRealOutcomes) {
 }
 
 TEST(SharedBufferPoolTest, SessionResetCacheForcesProtocolMisses) {
-  PageStore store;
-  FillStore(&store, 1);
+  MemoryPageBackend arena;
+  FillArena(&arena, 1);
   SharedBufferPoolOptions options;
   options.capacity = 4;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   SharedBufferPool::Session session(&pool, 4);
   session.FetchPinned(0);
   session.ResetCache();
@@ -352,11 +337,11 @@ TEST(SharedBufferPoolTest, SessionResetCacheForcesProtocolMisses) {
 }
 
 TEST(SharedBufferPoolTest, SessionResetStatsKeepsProtocolCache) {
-  PageStore store;
-  FillStore(&store, 1);
+  MemoryPageBackend arena;
+  FillArena(&arena, 1);
   SharedBufferPoolOptions options;
   options.capacity = 4;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   SharedBufferPool::Session session(&pool, 4);
   session.FetchPinned(0);
   session.ResetStats();
@@ -368,11 +353,11 @@ TEST(SharedBufferPoolTest, SessionResetStatsKeepsProtocolCache) {
 }
 
 TEST(SharedBufferPoolTest, PageRefMoveTransfersPin) {
-  PageStore store;
-  FillStore(&store, 1);
+  MemoryPageBackend arena;
+  FillArena(&arena, 1);
   SharedBufferPoolOptions options;
   options.capacity = 2;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   SharedBufferPool::Session session(&pool);
   PageRef ref = session.FetchPinned(0);
   EXPECT_EQ(pool.PinnedPages(), 1u);
@@ -387,11 +372,11 @@ TEST(SharedBufferPoolTest, PageRefMoveTransfersPin) {
 TEST(SharedBufferPoolTest, PageRefMoveResetsSourceCompletely) {
   // The move operations must not leave a stale id_ in the moved-from
   // ref, claiming the old PageId while holding no pin.
-  PageStore store;
-  FillStore(&store, 2);
+  MemoryPageBackend arena;
+  FillArena(&arena, 2);
   SharedBufferPoolOptions options;
   options.capacity = 2;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   SharedBufferPool::Session session(&pool);
 
   PageRef ref = session.FetchPinned(0);
@@ -412,11 +397,11 @@ TEST(SharedBufferPoolTest, PageRefMoveResetsSourceCompletely) {
 }
 
 TEST(SharedBufferPoolTest, PageRefReleaseIsIdempotentAndMovedFromSafe) {
-  PageStore store;
-  FillStore(&store, 1);
+  MemoryPageBackend arena;
+  FillArena(&arena, 1);
   SharedBufferPoolOptions options;
   options.capacity = 2;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   SharedBufferPool::Session session(&pool);
 
   PageRef ref = session.FetchPinned(0);
@@ -441,8 +426,8 @@ TEST(SharedBufferPoolTest, SessionProtocolMatchesLruOracle) {
   constexpr size_t kPages = 40;
   constexpr size_t kCapacity = 10;
   constexpr size_t kResetEvery = 50;
-  PageStore store;
-  FillStore(&store, kPages);
+  MemoryPageBackend arena;
+  FillArena(&arena, kPages);
 
   // One fixed pseudo-random access stream, reset every 50 accesses.
   Rng rng(1234);
@@ -462,7 +447,7 @@ TEST(SharedBufferPoolTest, SessionProtocolMatchesLruOracle) {
 
   SharedBufferPoolOptions options;
   options.capacity = kCapacity;
-  SharedBufferPool pool(&store, options);
+  SharedBufferPool pool(&arena, nullptr, options);
   SharedBufferPool::Session session(&pool, kCapacity);
   for (size_t i = 0; i < accesses.size(); ++i) {
     if (i % kResetEvery == 0) session.ResetCache();
@@ -497,8 +482,8 @@ TEST(SharedBufferPoolTest, MissAggregateInvariantAcrossThreadCounts) {
   constexpr size_t kCapacity = 10;
   constexpr size_t kQueries = 120;
   constexpr size_t kAccessesPerQuery = 30;
-  PageStore store;
-  FillStore(&store, kPages);
+  MemoryPageBackend arena;
+  FillArena(&arena, kPages);
 
   // Queries are deterministic functions of their index, so any partition
   // replays the same per-query access sequences.
@@ -520,7 +505,7 @@ TEST(SharedBufferPoolTest, MissAggregateInvariantAcrossThreadCounts) {
   for (const int threads : {1, 2, 7, 16}) {
     SharedBufferPoolOptions options;
     options.capacity = kCapacity;
-    SharedBufferPool pool(&store, options);
+    SharedBufferPool pool(&arena, nullptr, options);
     const size_t chunks = ParallelChunks(threads, kQueries);
     std::vector<uint64_t> chunk_misses(chunks, 0);
     ParallelFor(threads, kQueries,
@@ -544,8 +529,8 @@ TEST(SharedBufferPoolTest, MissAggregateInvariantAcrossThreadCounts) {
 }
 
 TEST(SharedBufferPoolTest, PublishStatsDoesNotDoubleCount) {
-  PageStore store;
-  FillStore(&store, 4);
+  MemoryPageBackend arena;
+  FillArena(&arena, 4);
   MetricRegistry& registry = MetricRegistry::Global();
   const std::string scope = "test.shared_publish";
   const uint64_t accesses_before =
@@ -556,7 +541,7 @@ TEST(SharedBufferPoolTest, PublishStatsDoesNotDoubleCount) {
     SharedBufferPoolOptions options;
     options.capacity = 2;
     options.metric_scope = scope;
-    SharedBufferPool pool(&store, options);
+    SharedBufferPool pool(&arena, nullptr, options);
     Touch(&pool, 0);
     pool.PublishStats();  // mid-run publish, e.g. a stats endpoint
     Touch(&pool, 0);
@@ -574,26 +559,26 @@ TEST(SharedBufferPoolTest, PublishStatsDoesNotDoubleCount) {
             2u);
 }
 
-// --- Backend mode: a miss is a real read + decode ---
+// --- Sealed backends: a miss is a real read (or a lent page) + check ---
 
-// Seals TestPage(tag = id + offset) into slots [0, pages) of `backend`.
+// Seals test pages (tag = id + offset) into slots [0, pages) of `backend`.
 void WritePages(PageBackend* backend, size_t pages, int offset = 0) {
-  TestCodec codec;
-  uint8_t buffer[kPageSize];
+  Page page;
   for (size_t i = 0; i < pages; ++i) {
-    codec.Encode(TestPage(static_cast<int>(i) + offset), buffer);
-    ASSERT_TRUE(backend->Write(static_cast<PageId>(i), buffer).ok());
+    std::memset(page.bytes, 0, kPageSize);
+    TagPage(&page, static_cast<int>(i) + offset);
+    SealPage(page.bytes, PageKind::kTest);
+    ASSERT_TRUE(backend->Write(static_cast<PageId>(i), page.bytes).ok());
   }
 }
 
-TEST(SharedBufferPoolBackendTest, MissDecodesWrittenPage) {
+TEST(SharedBufferPoolBackendTest, MissChecksWrittenPage) {
   MemoryPageBackend backend;
   WritePages(&backend, 2, 10);
   TestCodec codec;
   SharedBufferPoolOptions options;
   options.capacity = 64;  // 16 shards of 4 frames: both pages stay
   SharedBufferPool pool(&backend, &codec, options);
-  EXPECT_TRUE(pool.backend_mode());
   SharedBufferPool::Session session(&pool);
   EXPECT_EQ(TagOf(session.FetchPinned(0).get()), 10);
   EXPECT_EQ(TagOf(session.FetchPinned(1).get()), 11);
@@ -602,31 +587,51 @@ TEST(SharedBufferPoolBackendTest, MissDecodesWrittenPage) {
   EXPECT_EQ(session.stats().misses, 2u);
 }
 
-TEST(SharedBufferPoolBackendTest, MissCountsMatchStoreModeExactly) {
+TEST(SharedBufferPoolBackendTest, MissCountsMatchArenaExactly) {
   // The property the differential suite relies on, in miniature: the same
-  // access pattern costs the oracle's misses in both modes, and the real
-  // pools evict identically (same shard layout).
-  PageStore store;
-  FillStore(&store, 3);
+  // access pattern costs the oracle's misses over an arena and over a
+  // sealed backend, and the real pools evict identically (same shard
+  // layout).
+  MemoryPageBackend arena;
+  FillArena(&arena, 3);
   MemoryPageBackend backend;
   WritePages(&backend, 3);
   TestCodec codec;
   SharedBufferPoolOptions options;
   options.capacity = 2;
-  SharedBufferPool store_pool(&store, options);
+  SharedBufferPool arena_pool(&arena, nullptr, options);
   SharedBufferPool backend_pool(&backend, &codec, options);
-  SharedBufferPool::Session store_session(&store_pool, 2);
+  SharedBufferPool::Session arena_session(&arena_pool, 2);
   SharedBufferPool::Session backend_session(&backend_pool, 2);
   const std::vector<PageId> pattern = {0, 1, 0, 2, 0, 1, 2};
   for (const PageId id : pattern) {
-    EXPECT_EQ(TagOf(store_session.FetchPinned(id).get()),
+    EXPECT_EQ(TagOf(arena_session.FetchPinned(id).get()),
               TagOf(backend_session.FetchPinned(id).get()));
   }
-  EXPECT_EQ(store_session.stats().misses, LruOracleMisses(pattern, 2));
+  EXPECT_EQ(arena_session.stats().misses, LruOracleMisses(pattern, 2));
   EXPECT_EQ(backend_session.stats().misses, LruOracleMisses(pattern, 2));
-  EXPECT_EQ(store_pool.AggregateStats().misses,
+  EXPECT_EQ(arena_pool.AggregateStats().misses,
             backend_pool.AggregateStats().misses);
-  EXPECT_EQ(store_pool.Evictions(), backend_pool.Evictions());
+  EXPECT_EQ(arena_pool.Evictions(), backend_pool.Evictions());
+}
+
+TEST(SharedBufferPoolBackendDeathTest, CorruptLentPageDiesOnMiss) {
+  // A memory backend lends its pages; the codec still checks each miss.
+  MemoryPageBackend backend;
+  WritePages(&backend, 2);
+  Page page;
+  ASSERT_TRUE(backend.Read(1, page.bytes).ok());
+  page.bytes[kPageEnvelopeBytes + 9] ^= 0x20;
+  ASSERT_TRUE(backend.Write(1, page.bytes).ok());
+  TestCodec codec;
+  SharedBufferPoolOptions options;
+  options.capacity = 4;
+  SharedBufferPool pool(&backend, &codec, options);
+  bool missed = false;
+  EXPECT_TRUE(pool.Pin(0, &missed).ok());
+  pool.Unpin(0);
+  EXPECT_DEATH(static_cast<void>(pool.Pin(1, &missed)),
+               "decode of page 1 failed.*checksum mismatch");
 }
 
 TEST(SharedBufferPoolBackendDeathTest, PinOfUnwrittenPageAborts) {

@@ -1,7 +1,7 @@
 // Differential tests for the zero-copy mmap snapshot backend: a tree
 // packed into a read-only snapshot must answer every query byte-
 // identically and with identical per-query protocol-mode miss counts to
-// the in-memory store, the MemoryPageBackend and the FilePageBackend, at
+// the tree's own arena, the MemoryPageBackend and the FilePageBackend, at
 // every thread count — packing remaps page ids through a bijection, and
 // LRU behaviour depends only on the equality structure of the access
 // sequence. The suite also covers the pread fallback, a LiveTier whose
@@ -121,7 +121,7 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
 
-  const std::unique_ptr<PprTree> store_tree = BuildPprTree(records);
+  const std::unique_ptr<PprTree> arena_tree = BuildPprTree(records);
   const std::unique_ptr<PprTree> memory_tree = BuildPprTree(records);
   ASSERT_TRUE(
       memory_tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
@@ -143,7 +143,7 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
                    ->file()
                    .mapped());
 
-  const std::vector<QueryOutcome> baseline = PprBaseline(*store_tree, queries);
+  const std::vector<QueryOutcome> baseline = PprBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
   const uint64_t file_reads_before = Metric("backend.file.reads");
@@ -151,8 +151,8 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
   const uint64_t borrows_before = Metric("backend.mmap.borrows");
   uint64_t pread_misses = 0;
   for (const int threads : {1, 2, 7, 16}) {
-    EXPECT_EQ(RunPpr(*store_tree, queries, threads), baseline)
-        << "store backend, threads=" << threads;
+    EXPECT_EQ(RunPpr(*arena_tree, queries, threads), baseline)
+        << "arena, threads=" << threads;
     EXPECT_EQ(RunPpr(*memory_tree, queries, threads), baseline)
         << "memory backend, threads=" << threads;
     EXPECT_EQ(RunPpr(*packed, queries, threads), baseline)
@@ -177,7 +177,7 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
   const std::vector<STQuery> queries = MakeQueries();
   const std::vector<Box3D> boxes = SegmentsToBoxes(records, 0, kTimeDomain);
 
-  // Deletes leave holes in the store's id space, so the packer's
+  // Deletes leave holes in the arena's id space, so the packer's
   // live-id collection and remap are both exercised.
   const auto build = [&boxes] {
     auto tree = std::make_unique<RStarTree>();
@@ -189,7 +189,7 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
     }
     return tree;
   };
-  const std::unique_ptr<RStarTree> store_tree = build();
+  const std::unique_ptr<RStarTree> arena_tree = build();
   const std::unique_ptr<RStarTree> memory_tree = build();
   ASSERT_TRUE(
       memory_tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
@@ -206,13 +206,13 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
           .ok());
 
   const std::vector<QueryOutcome> baseline =
-      RStarBaseline(*store_tree, queries);
+      RStarBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
   const uint64_t file_reads_before = Metric("backend.file.reads");
   for (const int threads : {1, 2, 7, 16}) {
-    EXPECT_EQ(RunRStar(*store_tree, queries, threads), baseline)
-        << "store backend, threads=" << threads;
+    EXPECT_EQ(RunRStar(*arena_tree, queries, threads), baseline)
+        << "arena, threads=" << threads;
     EXPECT_EQ(RunRStar(*memory_tree, queries, threads), baseline)
         << "memory backend, threads=" << threads;
     EXPECT_EQ(RunRStar(*packed, queries, threads), baseline)
@@ -613,8 +613,8 @@ TEST_F(SnapshotCorruptionTest, WriteAfterOpenDiesOnNextMiss) {
 }
 
 // A page with a valid checksum but an implausible header (entry count
-// past the fanout bound, or a negative level) is rejected by the view
-// path exactly as Decode rejects it.
+// past the fanout bound, or a negative level) is rejected on the pool's
+// miss path exactly as checkpoint restore rejects it.
 TEST_F(SnapshotCorruptionTest, ImplausibleHeaderRejectedByViewAsByDecode) {
   const std::string path = SnapPath("corrupt_implausible");
   const std::unique_ptr<PprTree> tree = BuildPprTree(MakeRecords());
@@ -641,7 +641,7 @@ TEST_F(SnapshotCorruptionTest, ImplausibleHeaderRejectedByViewAsByDecode) {
     SealPage(page, PageKind::kPprNode);
     PwriteFile(path, SlotOffset(corruption.slot), page, kPageSize);
 
-    // Decode (the checkpoint-restore path) on a fresh tree, as page 0.
+    // The checkpoint-restore path on a fresh tree, as page 0.
     PprTree fresh;
     const Status decoded = fresh.InstallCheckpointNode(0, page);
     ASSERT_FALSE(decoded.ok());

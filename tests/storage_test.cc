@@ -1,97 +1,137 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstring>
 #include <vector>
 
-#include "storage/page_store.h"
+#include "storage/page_backend.h"
+#include "util/metrics.h"
 
 namespace stindex {
 namespace {
 
-// A trivial page type carrying a tag so tests can verify identity.
-class TestPage : public Page {
- public:
-  explicit TestPage(int tag) : tag_(tag) {}
-  int tag() const { return tag_; }
+// Tags page `id` of `arena` so tests can verify identity.
+void Tag(MemoryPageBackend* arena, PageId id, int tag) {
+  std::memcpy(arena->MutablePage(id).bytes, &tag, sizeof(tag));
+}
 
- private:
-  int tag_;
-};
+int TagOf(const MemoryPageBackend& arena, PageId id) {
+  int tag = 0;
+  std::memcpy(&tag, arena.BorrowPage(id), sizeof(tag));
+  return tag;
+}
 
-TEST(PageStoreTest, AllocateAndGet) {
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  const PageId b = store.Allocate(std::make_unique<TestPage>(2));
+TEST(MemoryArenaTest, AllocateAndGet) {
+  MemoryPageBackend arena;
+  const PageId a = arena.Allocate();
+  const PageId b = arena.Allocate();
   EXPECT_NE(a, b);
-  EXPECT_EQ(static_cast<TestPage*>(store.Get(a))->tag(), 1);
-  EXPECT_EQ(static_cast<TestPage*>(store.Get(b))->tag(), 2);
-  EXPECT_EQ(store.PageCount(), 2u);
+  Tag(&arena, a, 1);
+  Tag(&arena, b, 2);
+  EXPECT_EQ(TagOf(arena, a), 1);
+  EXPECT_EQ(TagOf(arena, b), 2);
+  EXPECT_EQ(arena.LivePageCount(), 2u);
 }
 
-TEST(PageStoreTest, FreeReducesLiveCount) {
-  PageStore store;
-  const PageId a = store.Allocate(std::make_unique<TestPage>(1));
-  store.Allocate(std::make_unique<TestPage>(2));
-  EXPECT_TRUE(store.IsLive(a));
-  store.Free(a);
-  EXPECT_FALSE(store.IsLive(a));
-  EXPECT_EQ(store.PageCount(), 1u);
-  EXPECT_EQ(store.AllocatedCount(), 2u);
+TEST(MemoryArenaTest, FreeReducesLiveCount) {
+  MemoryPageBackend arena;
+  const PageId a = arena.Allocate();
+  arena.Allocate();
+  EXPECT_TRUE(arena.IsAllocated(a));
+  ASSERT_TRUE(arena.Free(a).ok());
+  EXPECT_FALSE(arena.IsAllocated(a));
+  EXPECT_EQ(arena.BorrowPage(a), nullptr);
+  EXPECT_EQ(arena.LivePageCount(), 1u);
+  EXPECT_EQ(arena.SlotCount(), 2u);
+  EXPECT_FALSE(arena.Free(a).ok());  // double free
 }
 
-TEST(PageStoreTest, PeakPageCountTracksHighWaterMark) {
-  PageStore store;
+TEST(MemoryArenaTest, PeakPageCountTracksHighWaterMark) {
+  MemoryPageBackend arena;
   PageId pages[3];
-  for (int i = 0; i < 3; ++i) {
-    pages[i] = store.Allocate(std::make_unique<TestPage>(i));
-  }
-  EXPECT_EQ(store.PeakPageCount(), 3u);
-  store.Free(pages[0]);
-  store.Free(pages[1]);
-  EXPECT_EQ(store.PageCount(), 1u);
-  EXPECT_EQ(store.PeakPageCount(), 3u);  // the peak never decays
-  store.Allocate(std::make_unique<TestPage>(9));
-  EXPECT_EQ(store.PageCount(), 2u);
-  EXPECT_EQ(store.PeakPageCount(), 3u);
+  for (PageId& page : pages) page = arena.Allocate();
+  EXPECT_EQ(arena.PeakPageCount(), 3u);
+  ASSERT_TRUE(arena.Free(pages[0]).ok());
+  ASSERT_TRUE(arena.Free(pages[1]).ok());
+  EXPECT_EQ(arena.LivePageCount(), 1u);
+  EXPECT_EQ(arena.PeakPageCount(), 3u);  // the peak never decays
+  arena.Allocate();
+  EXPECT_EQ(arena.LivePageCount(), 2u);
+  EXPECT_EQ(arena.PeakPageCount(), 3u);
 }
 
-TEST(PageStoreTest, FreedSlotsAreReusedLowestFirst) {
+TEST(MemoryArenaTest, FreedSlotsAreReusedLowestFirst) {
   // Regression for the slot leak: Free used to strand the slot forever,
-  // so insert/delete workloads grew AllocatedCount() without bound.
-  PageStore store;
+  // so insert/delete workloads grew the id space without bound.
+  MemoryPageBackend arena;
   PageId pages[4];
-  for (int i = 0; i < 4; ++i) {
-    pages[i] = store.Allocate(std::make_unique<TestPage>(i));
-  }
-  EXPECT_EQ(store.AllocatedCount(), 4u);
-  store.Free(pages[2]);
-  store.Free(pages[0]);
+  for (PageId& page : pages) page = arena.Allocate();
+  EXPECT_EQ(arena.SlotCount(), 4u);
+  ASSERT_TRUE(arena.Free(pages[2]).ok());
+  ASSERT_TRUE(arena.Free(pages[0]).ok());
   // Reuse picks the lowest free id first — deterministic for a given
   // operation sequence.
-  EXPECT_EQ(store.Allocate(std::make_unique<TestPage>(10)), pages[0]);
-  EXPECT_EQ(store.Allocate(std::make_unique<TestPage>(12)), pages[2]);
-  EXPECT_EQ(store.AllocatedCount(), 4u);  // the id space did not grow
-  EXPECT_EQ(store.PageCount(), 4u);
-  EXPECT_EQ(store.TotalAllocations(), 6u);
-  // A store with no free slots grows again.
-  store.Allocate(std::make_unique<TestPage>(13));
-  EXPECT_EQ(store.AllocatedCount(), 5u);
+  EXPECT_EQ(arena.Allocate(), pages[0]);
+  EXPECT_EQ(arena.Allocate(), pages[2]);
+  EXPECT_EQ(arena.SlotCount(), 4u);  // the id space did not grow
+  EXPECT_EQ(arena.LivePageCount(), 4u);
+  EXPECT_EQ(arena.TotalAllocations(), 6u);
+  // An arena with no free slots grows again.
+  arena.Allocate();
+  EXPECT_EQ(arena.SlotCount(), 5u);
 }
 
-TEST(PageStoreTest, AllocatedCountStaysFlatUnderChurn) {
-  PageStore store;
+TEST(MemoryArenaTest, SlotCountStaysFlatUnderChurn) {
+  MemoryPageBackend arena;
   std::vector<PageId> live;
-  for (int i = 0; i < 8; ++i) {
-    live.push_back(store.Allocate(std::make_unique<TestPage>(i)));
-  }
+  for (int i = 0; i < 8; ++i) live.push_back(arena.Allocate());
   for (int round = 0; round < 50; ++round) {
-    store.Free(live.back());
+    ASSERT_TRUE(arena.Free(live.back()).ok());
     live.pop_back();
-    live.push_back(store.Allocate(std::make_unique<TestPage>(round)));
+    live.push_back(arena.Allocate());
   }
-  EXPECT_EQ(store.AllocatedCount(), 8u);
-  EXPECT_EQ(store.PageCount(), 8u);
-  EXPECT_EQ(store.TotalAllocations(), 58u);
+  EXPECT_EQ(arena.SlotCount(), 8u);
+  EXPECT_EQ(arena.LivePageCount(), 8u);
+  EXPECT_EQ(arena.TotalAllocations(), 58u);
+}
+
+TEST(MemoryArenaTest, ReusedSlotKeepsItsAddressAndIsZeroed) {
+  // A pool frame over a lent page stays valid across free and reuse: the
+  // slot keeps its page, and a reallocated page starts zeroed.
+  MemoryPageBackend arena;
+  const PageId a = arena.Allocate();
+  Tag(&arena, a, 7);
+  const uint8_t* lent = arena.BorrowPage(a);
+  ASSERT_TRUE(arena.Free(a).ok());
+  ASSERT_EQ(arena.Allocate(), a);
+  EXPECT_EQ(arena.BorrowPage(a), lent);
+  EXPECT_EQ(TagOf(arena, a), 0);
+}
+
+TEST(MemoryArenaTest, WriteOfAFreedSlotTakesItOffTheFreeList) {
+  MemoryPageBackend arena;
+  arena.Allocate();
+  arena.Allocate();
+  ASSERT_TRUE(arena.Free(0).ok());
+  uint8_t page[kPageSize] = {};
+  ASSERT_TRUE(arena.Write(0, page).ok());
+  EXPECT_TRUE(arena.IsAllocated(0));
+  EXPECT_EQ(arena.Allocate(), 2u);  // slot 0 is live again, not reused
+}
+
+TEST(MemoryArenaTest, ScopePublishesPageStoreMetrics) {
+  MetricRegistry& registry = MetricRegistry::Global();
+  const uint64_t before =
+      registry.GetCounter("pagestore.arena_test.allocations")->Value();
+  {
+    MemoryPageBackend arena("arena_test");
+    for (int i = 0; i < 3; ++i) arena.Allocate();
+    ASSERT_TRUE(arena.Free(1).ok());
+  }
+  EXPECT_EQ(registry.GetCounter("pagestore.arena_test.allocations")->Value() -
+                before,
+            3u);
+  EXPECT_GE(registry.GetGauge("pagestore.arena_test.peak_pages")->Value(), 3);
+  EXPECT_GE(registry.GetGauge("pagestore.arena_test.live_pages")->Value(), 2);
 }
 
 }  // namespace

@@ -223,21 +223,19 @@ std::vector<SegmentRecord> LoadSegments(const std::string& path) {
   return std::move(result).value();
 }
 
-// Backend selection for `query`: --backend store|memory|file|mmap plus
-// --db DIR for the file-backed ones. "store" is the legacy in-memory
-// PageStore (no serialization); "memory" and "file" persist the index
-// through a PageBackend so buffer misses are actual page reads; "mmap"
-// packs the tree into a read-only snapshot file under --db and serves it
+// Backend selection for `query`: --backend memory|file|mmap plus --db
+// DIR for the file-backed ones. "memory" (the default) queries the tree's
+// own arena of node pages; "file" persists the index into a page file
+// under --db so buffer misses are actual page reads; "mmap" packs the
+// tree into a read-only snapshot file under --db and serves it
 // zero-copy. Returns the validated backend name.
 std::string GetBackendFlags(Flags& flags, std::string* db_path) {
-  const std::string backend = flags.Get("backend", "store");
+  const std::string backend = flags.Get("backend", "memory");
   *db_path = flags.Get("db", "");
-  if (backend != "store" && backend != "memory" && backend != "file" &&
-      backend != "mmap") {
-    std::fprintf(
-        stderr,
-        "--backend must be 'store', 'memory', 'file' or 'mmap', got '%s'\n",
-        backend.c_str());
+  if (backend != "memory" && backend != "file" && backend != "mmap") {
+    std::fprintf(stderr,
+                 "--backend must be 'memory', 'file' or 'mmap', got '%s'\n",
+                 backend.c_str());
     std::exit(2);
   }
   if ((backend == "file" || backend == "mmap") && db_path->empty()) {
@@ -247,10 +245,8 @@ std::string GetBackendFlags(Flags& flags, std::string* db_path) {
   return backend;
 }
 
-std::unique_ptr<PageBackend> MakeCliBackend(const std::string& backend,
-                                            const std::string& db_path,
-                                            const std::string& tag) {
-  if (backend == "memory") return std::make_unique<MemoryPageBackend>();
+std::unique_ptr<PageBackend> MakeFileBackend(const std::string& db_path,
+                                             const std::string& tag) {
   Result<std::unique_ptr<FilePageBackend>> file =
       FilePageBackend::Create(db_path + "/" + tag + ".stpages");
   if (!file.ok()) Die(file.status());
@@ -439,9 +435,9 @@ int CmdQuery(Flags& flags) {
                  "--buffer-pages is only supported for ppr and rstar\n");
     return 2;
   }
-  if (backend != "store" && index == "hr") {
-    std::fprintf(stderr, "--backend %s: the hr index only supports the "
-                 "in-memory store\n", backend.c_str());
+  if (backend != "memory" && index == "hr") {
+    std::fprintf(stderr, "--backend %s: the hr index only supports its "
+                 "in-memory arena\n", backend.c_str());
     return 2;
   }
   if (index == "hr" && (explain || !objects_path.empty())) {
@@ -480,9 +476,9 @@ int CmdQuery(Flags& flags) {
       const Status status =
           ppr->PackSnapshot(db_path + "/query_ppr.stsnap");
       if (!status.ok()) Die(status);
-    } else if (backend != "store") {
+    } else if (backend == "file") {
       const Status status =
-          ppr->AttachBackend(MakeCliBackend(backend, db_path, "query_ppr"));
+          ppr->AttachBackend(MakeFileBackend(db_path, "query_ppr"));
       if (!status.ok()) Die(status);
     }
     const std::unique_ptr<SharedBufferPool> pool =
@@ -526,9 +522,9 @@ int CmdQuery(Flags& flags) {
       const Status status =
           tree.PackSnapshot(db_path + "/query_rstar.stsnap");
       if (!status.ok()) Die(status);
-    } else if (backend != "store") {
+    } else if (backend == "file") {
       const Status status =
-          tree.AttachBackend(MakeCliBackend(backend, db_path, "query_rstar"));
+          tree.AttachBackend(MakeFileBackend(db_path, "query_rstar"));
       if (!status.ok()) Die(status);
     }
     const std::unique_ptr<SharedBufferPool> pool =
@@ -741,7 +737,7 @@ int Usage() {
       "  queries   --set NAME --out FILE [--count N] [--time-domain T]\n"
       "  stats     --segments FILE [--index ppr|rstar|hr]\n"
       "  query     --segments FILE --queries FILE [--index ppr|rstar|hr]\n"
-      "            [--backend store|memory|file|mmap] [--db DIR] [--explain]\n"
+      "            [--backend memory|file|mmap] [--db DIR] [--explain]\n"
       "            [--objects FILE] [--trace FILE] [--buffer-pages N]\n"
       "            --backend mmap packs the tree into DIR/query_*.stsnap\n"
       "            and serves it zero-copy through the mmap backend\n"
