@@ -1,5 +1,7 @@
 #include "core/split_pipeline.h"
 
+#include <algorithm>
+
 #include "core/dp_split.h"
 #include "core/merge_split.h"
 #include "util/check.h"
@@ -10,32 +12,6 @@
 namespace stindex {
 
 namespace {
-
-// Splits one object and materializes its records.
-std::vector<SegmentRecord> SplitOne(const Trajectory& object, int k,
-                                    SplitMethod method) {
-  const std::vector<Rect2D> rects = object.Sample();
-  SplitResult split;
-  if (k > 0) {
-    split =
-        method == SplitMethod::kDp ? DpSplit(rects, k) : MergeSplit(rects, k);
-  }
-  return ApplySplits(object.id(), rects, object.Lifetime().start, split.cuts);
-}
-
-// Concatenates per-chunk slots in chunk order: since chunks partition the
-// object range contiguously, this reproduces the serial object order.
-std::vector<SegmentRecord> Concatenate(
-    std::vector<std::vector<SegmentRecord>> chunk_records) {
-  size_t total = 0;
-  for (const auto& chunk : chunk_records) total += chunk.size();
-  std::vector<SegmentRecord> records;
-  records.reserve(total);
-  for (auto& chunk : chunk_records) {
-    records.insert(records.end(), chunk.begin(), chunk.end());
-  }
-  return records;
-}
 
 // Publishes the segment-phase outcome (count only; counter adds are
 // order-independent, so the parallel path stays deterministic).
@@ -54,30 +30,41 @@ std::vector<SegmentRecord> BuildSegments(
   TraceSpan span("pipeline", "build_segments");
   span.Arg("objects", static_cast<int64_t>(objects.size()))
       .Arg("threads", static_cast<int64_t>(num_threads));
-  if (num_threads <= 1) {
-    std::vector<SegmentRecord> records;
-    records.reserve(objects.size());
-    for (size_t i = 0; i < objects.size(); ++i) {
-      const std::vector<SegmentRecord> pieces =
-          SplitOne(objects[i], splits_per_object[i], method);
-      records.insert(records.end(), pieces.begin(), pieces.end());
-    }
-    CountSegmentsBuilt(records.size());
-    return records;
+  // An object of n alive instants asked for k splits gets min(k, n - 1)
+  // of them (none for k <= 0), and every method then yields exactly
+  // splits + 1 records, so one prefix sum places each object's records
+  // before any is computed.
+  std::vector<size_t> offsets(objects.size() + 1, 0);
+  for (size_t i = 0; i < objects.size(); ++i) {
+    const int k = splits_per_object[i];
+    const int64_t splits =
+        k <= 0 ? 0 : std::min<int64_t>(k, objects[i].NumInstants() - 1);
+    offsets[i + 1] = offsets[i] + static_cast<size_t>(splits) + 1;
   }
-
-  std::vector<std::vector<SegmentRecord>> chunk_records(
-      ParallelChunks(num_threads, objects.size()));
+  std::vector<SegmentRecord> records(offsets.back());
   ParallelFor(num_threads, objects.size(),
-              [&](size_t chunk, size_t begin, size_t end) {
-                std::vector<SegmentRecord>& out = chunk_records[chunk];
+              [&](size_t /*chunk*/, size_t begin, size_t end) {
+                GreedyMerger merger;
                 for (size_t i = begin; i < end; ++i) {
-                  const std::vector<SegmentRecord> pieces =
-                      SplitOne(objects[i], splits_per_object[i], method);
-                  out.insert(out.end(), pieces.begin(), pieces.end());
+                  const Trajectory& object = objects[i];
+                  SegmentRecord* out = records.data() + offsets[i];
+                  const size_t splits = offsets[i + 1] - offsets[i] - 1;
+                  if (splits == 0) {
+                    *out = SegmentRecord{object.id(), object.FullBox()};
+                  } else if (method == SplitMethod::kMerge) {
+                    merger.Load(object);
+                    merger.MergeTo(static_cast<int>(splits) + 1);
+                    merger.WriteRecords(object.id(), object.Lifetime().start,
+                                        out);
+                  } else {
+                    const std::vector<Rect2D> rects = object.Sample();
+                    const std::vector<SegmentRecord> pieces = ApplySplits(
+                        object.id(), rects, object.Lifetime().start,
+                        DpSplit(rects, static_cast<int>(splits)).cuts);
+                    std::copy(pieces.begin(), pieces.end(), out);
+                  }
                 }
               });
-  std::vector<SegmentRecord> records = Concatenate(std::move(chunk_records));
   CountSegmentsBuilt(records.size());
   return records;
 }

@@ -16,13 +16,15 @@ namespace stindex {
 // examples and every index experiment.
 
 // Applies `splits_per_object[i]` splits to object i with the chosen
-// single-object splitter and materializes all segment records.
+// single-object splitter and materializes all segment records: object i
+// yields exactly min(k_i, n_i - 1) + 1 records, in time order, after
+// those of objects 0..i-1.
 //
-// Objects are independent units of work: with num_threads > 1 they are
-// partitioned into contiguous chunks on the shared thread pool and each
-// chunk materializes its records into a pre-sized per-chunk slot; the
-// slots are concatenated in chunk order, so the result is byte-identical
-// to the serial path at any thread count.
+// The output is sized once from those counts, and each object's records
+// are written straight into their slots. Objects are independent units
+// of work: with num_threads > 1 they are partitioned into contiguous
+// chunks on the shared thread pool, each chunk reusing one GreedyMerger,
+// so the result is byte-identical at any thread count.
 std::vector<SegmentRecord> BuildSegments(
     const std::vector<Trajectory>& objects,
     const std::vector<int>& splits_per_object, SplitMethod method,

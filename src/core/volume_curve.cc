@@ -9,24 +9,10 @@
 
 namespace stindex {
 
-VolumeCurve ComputeVolumeCurve(const std::vector<Rect2D>& rects, int k_max,
-                               SplitMethod method) {
-  VolumeCurve curve;
-  switch (method) {
-    case SplitMethod::kDp:
-      curve.volume = DpVolumeCurve(rects, k_max);
-      break;
-    case SplitMethod::kMerge:
-      curve.volume = MergeVolumeCurve(rects, k_max);
-      break;
-  }
-  STINDEX_CHECK(!curve.volume.empty());
-  return curve;
-}
-
 std::vector<VolumeCurve> ComputeVolumeCurves(
     const std::vector<Trajectory>& objects, int k_max, SplitMethod method,
     int num_threads) {
+  STINDEX_CHECK(k_max >= 0);
   ScopedTimer timer("pipeline.curve_seconds");
   TraceSpan span("pipeline", "compute_volume_curves");
   span.Arg("objects", static_cast<int64_t>(objects.size()))
@@ -37,9 +23,15 @@ std::vector<VolumeCurve> ComputeVolumeCurves(
   std::vector<VolumeCurve> curves(objects.size());
   ParallelFor(num_threads, objects.size(),
               [&](size_t /*chunk*/, size_t begin, size_t end) {
+                GreedyMerger merger;
                 for (size_t i = begin; i < end; ++i) {
-                  curves[i] =
-                      ComputeVolumeCurve(objects[i].Sample(), k_max, method);
+                  if (method == SplitMethod::kMerge) {
+                    merger.Load(objects[i]);
+                    curves[i].volume = merger.VolumeCurve(k_max);
+                  } else {
+                    curves[i].volume =
+                        DpVolumeCurve(objects[i].Sample(), k_max);
+                  }
                 }
               });
   return curves;

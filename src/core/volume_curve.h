@@ -40,15 +40,12 @@ struct VolumeCurve {
   double Gain2(int j) const { return VolumeAt(j) - VolumeAt(j + 2); }
 };
 
-// Computes the curve for one object, allowing up to k_max splits
-// (truncated to the object's lifetime - 1).
-VolumeCurve ComputeVolumeCurve(const std::vector<Rect2D>& rects, int k_max,
-                               SplitMethod method);
-
-// Curves for a whole dataset. Objects are independent, so with
-// num_threads > 1 the computation is chunked over the shared thread pool;
-// each object's curve is written into its pre-sized slot, making the
-// result identical to the serial path at any thread count.
+// Curves for a whole dataset, allowing up to k_max splits per object
+// (truncated to the object's lifetime - 1). Objects are independent, so
+// with num_threads > 1 the computation is chunked over the shared thread
+// pool; each object's curve is written into its pre-sized slot, making
+// the result identical to the serial path at any thread count. Each
+// chunk reuses one GreedyMerger for all its objects (kMerge).
 std::vector<VolumeCurve> ComputeVolumeCurves(
     const std::vector<Trajectory>& objects, int k_max, SplitMethod method,
     int num_threads = 1);

@@ -1,63 +1,8 @@
 #include "geometry/rect.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <limits>
 
 namespace stindex {
-
-Rect2D Rect2D::Empty() {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  return Rect2D(kInf, kInf, -kInf, -kInf);
-}
-
-bool Rect2D::Contains(const Point2D& p) const {
-  return p.x >= xlo && p.x <= xhi && p.y >= ylo && p.y <= yhi;
-}
-
-bool Rect2D::Contains(const Rect2D& r) const {
-  return r.xlo >= xlo && r.xhi <= xhi && r.ylo >= ylo && r.yhi <= yhi;
-}
-
-bool Rect2D::Intersects(const Rect2D& r) const {
-  return xlo <= r.xhi && r.xlo <= xhi && ylo <= r.yhi && r.ylo <= yhi;
-}
-
-double Rect2D::OverlapArea(const Rect2D& r) const {
-  const double w = std::min(xhi, r.xhi) - std::max(xlo, r.xlo);
-  if (w <= 0.0) return 0.0;
-  const double h = std::min(yhi, r.yhi) - std::max(ylo, r.ylo);
-  if (h <= 0.0) return 0.0;
-  return w * h;
-}
-
-Rect2D Rect2D::Union(const Rect2D& r) const {
-  return Rect2D(std::min(xlo, r.xlo), std::min(ylo, r.ylo),
-                std::max(xhi, r.xhi), std::max(yhi, r.yhi));
-}
-
-Rect2D Rect2D::Intersection(const Rect2D& r) const {
-  return Rect2D(std::max(xlo, r.xlo), std::max(ylo, r.ylo),
-                std::min(xhi, r.xhi), std::min(yhi, r.yhi));
-}
-
-void Rect2D::ExpandToInclude(const Rect2D& r) {
-  xlo = std::min(xlo, r.xlo);
-  ylo = std::min(ylo, r.ylo);
-  xhi = std::max(xhi, r.xhi);
-  yhi = std::max(yhi, r.yhi);
-}
-
-void Rect2D::ExpandToInclude(const Point2D& p) {
-  xlo = std::min(xlo, p.x);
-  ylo = std::min(ylo, p.y);
-  xhi = std::max(xhi, p.x);
-  yhi = std::max(yhi, p.y);
-}
-
-double Rect2D::Enlargement(const Rect2D& r) const {
-  return Union(r).Area() - Area();
-}
 
 std::string Rect2D::ToString() const {
   char buf[128];

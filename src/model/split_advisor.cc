@@ -94,7 +94,7 @@ SplitAdvice SplitAdvisor::ChooseAnalytical(
     const std::vector<VolumeCurve>& curves,
     const std::vector<int64_t>& candidate_budgets,
     const std::vector<STQuery>& workload, IndexKind kind,
-    const SplitAdvisorOptions& options) {
+    const SplitAdvisorOptions& options, int num_threads) {
   STINDEX_CHECK(!candidate_budgets.empty());
   STINDEX_CHECK(!workload.empty());
   STINDEX_CHECK(objects.size() == curves.size());
@@ -102,9 +102,9 @@ SplitAdvice SplitAdvisor::ChooseAnalytical(
   SplitAdvice advice;
   advice.estimated_cost = std::numeric_limits<double>::infinity();
   for (int64_t budget : candidate_budgets) {
-    const Distribution dist = DistributeLAGreedy(curves, budget);
-    const std::vector<SegmentRecord> records =
-        BuildSegments(objects, dist.splits, SplitMethod::kMerge);
+    const Distribution dist = DistributeLAGreedy(curves, budget, num_threads);
+    const std::vector<SegmentRecord> records = BuildSegments(
+        objects, dist.splits, SplitMethod::kMerge, num_threads);
     const double cost = AnalyticalCost(records, workload, kind, options);
     advice.evaluated.emplace_back(budget, cost);
     if (cost < advice.estimated_cost) {
@@ -119,7 +119,7 @@ SplitAdvice SplitAdvisor::ChooseBySampling(
     const std::vector<Trajectory>& objects,
     const std::vector<int64_t>& candidate_budgets, double sample_fraction,
     const std::vector<STQuery>& workload, size_t max_queries, IndexKind kind,
-    const SplitAdvisorOptions& options, uint64_t seed) {
+    const SplitAdvisorOptions& options, uint64_t seed, int num_threads) {
   STINDEX_CHECK(!candidate_budgets.empty());
   STINDEX_CHECK(!workload.empty());
   STINDEX_CHECK(sample_fraction > 0.0 && sample_fraction <= 1.0);
@@ -135,7 +135,7 @@ SplitAdvice SplitAdvisor::ChooseBySampling(
                                     static_cast<double>(objects.size());
 
   const std::vector<VolumeCurve> curves = ComputeVolumeCurves(
-      sample, /*k_max=*/256, SplitMethod::kMerge);
+      sample, /*k_max=*/256, SplitMethod::kMerge, num_threads);
 
   SplitAdvice advice;
   advice.estimated_cost = std::numeric_limits<double>::infinity();
@@ -143,9 +143,10 @@ SplitAdvice SplitAdvisor::ChooseBySampling(
     // Normalize the budget to the sample size.
     const int64_t sample_budget = static_cast<int64_t>(
         static_cast<double>(budget) * effective_fraction + 0.5);
-    const Distribution dist = DistributeLAGreedy(curves, sample_budget);
-    const std::vector<SegmentRecord> records =
-        BuildSegments(sample, dist.splits, SplitMethod::kMerge);
+    const Distribution dist =
+        DistributeLAGreedy(curves, sample_budget, num_threads);
+    const std::vector<SegmentRecord> records = BuildSegments(
+        sample, dist.splits, SplitMethod::kMerge, num_threads);
     const double cost =
         MeasuredCost(records, workload, max_queries, kind, options);
     advice.evaluated.emplace_back(budget, cost);

@@ -39,7 +39,8 @@ struct SplitAdvisorOptions {
 };
 
 // Chooser for the number of splits (paper Section IV). Both methods
-// evaluate a list of candidate budgets and return the cheapest.
+// evaluate a list of candidate budgets and return the cheapest. They
+// split with num_threads workers; the advice is identical at any count.
 class SplitAdvisor {
  public:
   // Analytical mode: for every candidate budget, distribute the splits
@@ -50,7 +51,7 @@ class SplitAdvisor {
       const std::vector<VolumeCurve>& curves,
       const std::vector<int64_t>& candidate_budgets,
       const std::vector<STQuery>& workload, IndexKind kind,
-      const SplitAdvisorOptions& options);
+      const SplitAdvisorOptions& options, int num_threads = 1);
 
   // Sampling mode: build a real (small) index over a random object sample
   // with the budget scaled by the sampling fraction, measure average disk
@@ -59,7 +60,8 @@ class SplitAdvisor {
       const std::vector<Trajectory>& objects,
       const std::vector<int64_t>& candidate_budgets, double sample_fraction,
       const std::vector<STQuery>& workload, size_t max_queries,
-      IndexKind kind, const SplitAdvisorOptions& options, uint64_t seed);
+      IndexKind kind, const SplitAdvisorOptions& options, uint64_t seed,
+      int num_threads = 1);
 };
 
 }  // namespace stindex

@@ -1,6 +1,7 @@
 #include "pprtree/ppr_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -10,6 +11,7 @@
 #include <span>
 #include <type_traits>
 #include <unordered_set>
+#include <utility>
 
 #include "core/query_profile.h"
 #include "storage/page_codec.h"
@@ -310,12 +312,11 @@ PageId PprTree::MakeNode(int level, const std::vector<Entry>& entries,
   return id;
 }
 
-std::vector<PprTree::Frame> PprTree::DescendForInsert(
-    const Rect2D& rect) const {
-  std::vector<Frame> path;
+void PprTree::DescendForInsert(const Rect2D& rect) {
+  path_.clear();
   PageId current = CurrentRoot();
   STINDEX_CHECK(current != kInvalidPage);
-  path.push_back(Frame{current, SIZE_MAX});
+  path_.push_back(Frame{current, SIZE_MAX});
   NodeView node = GetNode(current);
   while (!node.IsLeaf()) {
     // Least area enlargement among alive entries, ties by smallest area.
@@ -337,38 +338,36 @@ std::vector<PprTree::Frame> PprTree::DescendForInsert(
     STINDEX_CHECK_MSG(best != SIZE_MAX,
                       "directory node without alive entries on insert path");
     current = entries[best].child;
-    path.push_back(Frame{current, best});
+    path_.push_back(Frame{current, best});
     node = GetNode(current);
   }
-  return path;
 }
 
-std::vector<PprTree::Frame> PprTree::PathToAliveLeaf(PageId leaf) const {
+void PprTree::PathToAliveLeaf(PageId leaf) {
   // Climb the alive-parent links, then resolve entry slots downward.
-  std::vector<PageId> chain = {leaf};
+  chain_.assign(1, leaf);
   while (true) {
-    auto it = parent_of_.find(chain.back());
+    auto it = parent_of_.find(chain_.back());
     if (it == parent_of_.end()) break;
-    chain.push_back(it->second);
+    chain_.push_back(it->second);
   }
-  STINDEX_CHECK_MSG(chain.back() == CurrentRoot(),
+  STINDEX_CHECK_MSG(chain_.back() == CurrentRoot(),
                     "alive leaf is not reachable from the current root");
-  std::vector<Frame> path;
-  path.push_back(Frame{chain.back(), SIZE_MAX});
-  for (size_t i = chain.size() - 1; i-- > 0;) {
-    const std::span<const Entry> entries = GetNode(chain[i + 1]).entries();
+  path_.clear();
+  path_.push_back(Frame{chain_.back(), SIZE_MAX});
+  for (size_t i = chain_.size() - 1; i-- > 0;) {
+    const std::span<const Entry> entries = GetNode(chain_[i + 1]).entries();
     size_t slot = SIZE_MAX;
     for (size_t s = 0; s < entries.size(); ++s) {
       const Entry& entry = entries[s];
-      if (entry.IsAlive() && entry.child == chain[i]) {
+      if (entry.IsAlive() && entry.child == chain_[i]) {
         slot = s;
         break;
       }
     }
     STINDEX_CHECK_MSG(slot != SIZE_MAX, "stale parent link");
-    path.push_back(Frame{chain[i], slot});
+    path_.push_back(Frame{chain_[i], slot});
   }
-  return path;
 }
 
 void PprTree::ExpandPathRects(const std::vector<Frame>& path,
@@ -400,15 +399,15 @@ void PprTree::Insert(const Rect2D& rect, Time t, PprDataId data) {
     return;
   }
 
-  std::vector<Frame> path = DescendForInsert(rect);
-  ExpandPathRects(path, rect);
-  Node leaf = GetNode(path.back().node);
+  DescendForInsert(rect);
+  ExpandPathRects(path_, rect);
+  Node leaf = GetNode(path_.back().node);
   if (leaf.entries().size() >= config_.max_entries) {
-    Restructure(std::move(path), {entry}, t);
+    Restructure(&path_, {entry}, t);
     return;
   }
   leaf.Append(entry);
-  alive_location_[data] = path.back().node;
+  alive_location_[data] = path_.back().node;
 }
 
 void PprTree::Delete(PprDataId data, Time t) {
@@ -421,7 +420,7 @@ void PprTree::Delete(PprDataId data, Time t) {
   const PageId leaf_id = it->second;
   alive_location_.erase(it);
 
-  std::vector<Frame> path = PathToAliveLeaf(leaf_id);
+  PathToAliveLeaf(leaf_id);
   Node leaf = GetNode(leaf_id);
   bool found = false;
   const std::span<Entry> entries = leaf.entries();
@@ -440,14 +439,14 @@ void PprTree::Delete(PprDataId data, Time t) {
   }
   STINDEX_CHECK_MSG(found, "alive record missing from its leaf");
 
-  if (path.size() == 1) {
+  if (path_.size() == 1) {
     // Root leaf: exempt from the weak-version bound, but close the era
     // when nothing is left alive.
     FinalizeRoot(leaf_id, t);
     return;
   }
   if (CountAlive(leaf.entries()) < WeakMin()) {
-    Restructure(std::move(path), {}, t);  // weak version underflow
+    Restructure(&path_, {}, t);  // weak version underflow
   }
 }
 
@@ -463,11 +462,11 @@ double CenterDistance2(const Rect2D& a, const Rect2D& b) {
 
 }  // namespace
 
-void PprTree::Restructure(std::vector<Frame> path, std::vector<Entry> pending,
-                          Time now) {
-  Node node = GetNode(path.back().node);
+void PprTree::Restructure(std::vector<Frame>* path,
+                          std::vector<Entry> pending, Time now) {
+  Node node = GetNode(path->back().node);
   const int level = node.level();
-  const bool is_root = path.size() == 1;
+  const bool is_root = path->size() == 1;
   static Counter* const version_splits =
       MetricRegistry::Global().GetCounter("ppr.version_splits");
   version_splits->Increment();
@@ -500,7 +499,7 @@ void PprTree::Restructure(std::vector<Frame> path, std::vector<Entry> pending,
   // Strong version underflow: merge with the nearest alive sibling.
   std::optional<size_t> sibling_slot;
   if (!is_root && copies.size() < StrongMin()) {
-    const NodeView parent = GetNode(path[path.size() - 2].node);
+    const NodeView parent = GetNode((*path)[path->size() - 2].node);
     const Rect2D our_mbr = [&copies]() {
       Rect2D mbr = Rect2D::Empty();
       for (const Entry& entry : copies) mbr.ExpandToInclude(entry.rect);
@@ -509,7 +508,7 @@ void PprTree::Restructure(std::vector<Frame> path, std::vector<Entry> pending,
     double best_distance = std::numeric_limits<double>::infinity();
     const std::span<const Entry> siblings = parent.entries();
     for (size_t s = 0; s < siblings.size(); ++s) {
-      if (s == path.back().slot || !siblings[s].IsAlive()) continue;
+      if (s == path->back().slot || !siblings[s].IsAlive()) continue;
       const double distance =
           copies.empty() ? 0.0 : CenterDistance2(our_mbr, siblings[s].rect);
       if (distance < best_distance) {
@@ -566,9 +565,9 @@ void PprTree::Restructure(std::vector<Frame> path, std::vector<Entry> pending,
 
   // Kill the consumed parent entries (highest slot first: killing may
   // erase same-instant entries and shift indices).
-  std::vector<Frame> parent_path(path.begin(), path.end() - 1);
-  Node parent = GetNode(parent_path.back().node);
-  std::vector<size_t> kill_slots = {path.back().slot};
+  std::vector<size_t> kill_slots = {path->back().slot};
+  path->pop_back();
+  Node parent = GetNode(path->back().node);
   if (sibling_slot.has_value()) kill_slots.push_back(*sibling_slot);
   std::sort(kill_slots.rbegin(), kill_slots.rend());
   for (size_t slot : kill_slots) {
@@ -581,32 +580,32 @@ void PprTree::Restructure(std::vector<Frame> path, std::vector<Entry> pending,
     }
   }
 
-  AddEntries(std::move(parent_path), std::move(adds), now);
+  AddEntries(path, std::move(adds), now);
 }
 
-void PprTree::AddEntries(std::vector<Frame> path, std::vector<Entry> adds,
+void PprTree::AddEntries(std::vector<Frame>* path, std::vector<Entry> adds,
                          Time now) {
-  Node node = GetNode(path.back().node);
+  Node node = GetNode(path->back().node);
   STINDEX_CHECK(!node.IsLeaf());
 
   if (!adds.empty() &&
       node.entries().size() + adds.size() > config_.max_entries) {
-    Restructure(std::move(path), std::move(adds), now);
+    Restructure(path, std::move(adds), now);
     return;
   }
   for (const Entry& entry : adds) {
-    parent_of_[entry.child] = path.back().node;
-    ExpandPathRects(path, entry.rect);
+    parent_of_[entry.child] = path->back().node;
+    ExpandPathRects(*path, entry.rect);
     node.Append(entry);
   }
 
   const size_t alive = CountAlive(node.entries());
-  if (path.size() == 1) {
-    FinalizeRoot(path.back().node, now);
+  if (path->size() == 1) {
+    FinalizeRoot(path->back().node, now);
     return;
   }
   if (alive < WeakMin()) {
-    Restructure(std::move(path), {}, now);
+    Restructure(path, {}, now);
   }
 }
 
@@ -1087,37 +1086,70 @@ Status PprTree::InstallCheckpointNode(PageId id, const uint8_t* page) {
   return Status::OK();
 }
 
+namespace {
+
+// The replay order of `records`' 2N events, each encoded as 2 * record +
+// (1 for the insert at interval.start, 0 for the delete at interval.end):
+// by time, deletes before inserts at equal times (a record with lifetime
+// [a, b) is gone at instant b), then by record. The events start out
+// ordered by (kind, record), and stable LSD radix passes over the time
+// offset from the earliest instant, at most 16 bits per pass, then order
+// them by time: the exact order a comparison sort on (time, kind, record)
+// gives, in linear time however wide the time span.
+std::vector<uint64_t> ReplayOrder(const std::vector<SegmentRecord>& records) {
+  const size_t n = records.size();
+  std::vector<uint64_t> order(2 * n);
+  if (n == 0) return order;
+  Time first = records[0].box.interval.start;
+  Time last = first;
+  for (size_t i = 0; i < n; ++i) {
+    order[i] = 2 * i;          // deletes, by record
+    order[n + i] = 2 * i + 1;  // then inserts, by record
+    const TimeInterval& life = records[i].box.interval;
+    first = std::min({first, life.start, life.end});
+    last = std::max({last, life.start, life.end});
+  }
+  auto offset = [&records, first](uint64_t event) {
+    const TimeInterval& life = records[event >> 1].box.interval;
+    return static_cast<uint64_t>((event & 1) != 0 ? life.start : life.end) -
+           static_cast<uint64_t>(first);
+  };
+  const int bits = static_cast<int>(std::bit_width(
+      static_cast<uint64_t>(last) - static_cast<uint64_t>(first)));
+  if (bits == 0) return order;
+  const int passes = (bits + 15) / 16;
+  const int digit_bits = (bits + passes - 1) / passes;
+  const uint64_t mask = (uint64_t{1} << digit_bits) - 1;
+  std::vector<uint64_t> scratch(order.size());
+  std::vector<size_t> start(size_t{1} << digit_bits);
+  for (int shift = 0; shift < bits; shift += digit_bits) {
+    std::fill(start.begin(), start.end(), 0);
+    for (const uint64_t event : order) ++start[(offset(event) >> shift) & mask];
+    size_t sum = 0;
+    for (size_t& bucket : start) sum += std::exchange(bucket, sum);
+    for (const uint64_t event : order) {
+      scratch[start[(offset(event) >> shift) & mask]++] = event;
+    }
+    order.swap(scratch);
+  }
+  return order;
+}
+
+}  // namespace
+
 std::unique_ptr<PprTree> BuildPprTree(
     const std::vector<SegmentRecord>& records, PprConfig config) {
   auto tree = std::make_unique<PprTree>(config);
   TraceSpan span("ppr", "build");
   span.Arg("records", static_cast<int64_t>(records.size()));
-
-  // Replay the evolution: one insert and one delete event per record,
-  // deletes first at equal timestamps (a record with lifetime [a, b) is
-  // gone at instant b).
-  struct Event {
-    Time time;
-    bool is_insert;
-    uint64_t record;
-  };
-  std::vector<Event> events;
-  events.reserve(records.size() * 2);
-  for (uint64_t i = 0; i < records.size(); ++i) {
-    events.push_back(Event{records[i].box.interval.start, true, i});
-    events.push_back(Event{records[i].box.interval.end, false, i});
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.is_insert != b.is_insert) return !a.is_insert;  // deletes first
-    return a.record < b.record;
-  });
-  for (const Event& event : events) {
-    const SegmentRecord& record = records[event.record];
-    if (event.is_insert) {
-      tree->Insert(record.box.rect, record.box.interval.start, event.record);
+  // Replay the evolution: one insert and one delete event per record.
+  for (const uint64_t event : ReplayOrder(records)) {
+    const uint64_t index = event >> 1;
+    const SegmentRecord& record = records[index];
+    if ((event & 1) != 0) {
+      tree->Insert(record.box.rect, record.box.interval.start, index);
     } else {
-      tree->Delete(event.record, record.box.interval.end);
+      tree->Delete(index, record.box.interval.end);
     }
   }
   return tree;

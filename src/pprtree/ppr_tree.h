@@ -249,27 +249,28 @@ class PprTree {
   PageId CurrentRoot() const;
   void StartNewEra(PageId root, Time t);
 
-  // Path (root..leaf) for inserting `rect` at `now`, choosing among alive
-  // directory entries by least area enlargement.
-  std::vector<Frame> DescendForInsert(const Rect2D& rect) const;
+  // Fills path_ (root..leaf) for inserting `rect` at `now`, choosing
+  // among alive directory entries by least area enlargement.
+  void DescendForInsert(const Rect2D& rect);
 
-  // Path (root..leaf) to the given alive leaf, reconstructed through the
-  // parent links maintained for alive nodes.
-  std::vector<Frame> PathToAliveLeaf(PageId leaf) const;
+  // Fills path_ (root..leaf) to the given alive leaf, reconstructed
+  // through the parent links maintained for alive nodes.
+  void PathToAliveLeaf(PageId leaf);
 
   // Grows ancestor directory-entry rects so the path covers `rect`.
   void ExpandPathRects(const std::vector<Frame>& path,
                        const Rect2D& rect) const;
 
-  // Version split of path.back() at time `now`, folding `pending` entries
-  // (same level as the node) into the copy. Handles key split, sibling
-  // merge, parent updates and root-era changes; may recurse up the path.
-  void Restructure(std::vector<Frame> path, std::vector<Entry> pending,
+  // Version split of path->back() at time `now`, folding `pending`
+  // entries (same level as the node) into the copy. Handles key split,
+  // sibling merge, parent updates and root-era changes; may recurse up
+  // the path, popping the frames it leaves.
+  void Restructure(std::vector<Frame>* path, std::vector<Entry> pending,
                    Time now);
 
-  // Appends `adds` to the node at path.back(), restructuring it first if
+  // Appends `adds` to the node at path->back(), restructuring it first if
   // they do not fit, and handles a resulting weak version underflow.
-  void AddEntries(std::vector<Frame> path, std::vector<Entry> adds,
+  void AddEntries(std::vector<Frame>* path, std::vector<Entry> adds,
                   Time now);
 
   // Splits `entries` spatially into two groups (R*-style axis/margin
@@ -306,6 +307,11 @@ class PprTree {
   std::unordered_map<PprDataId, PageId> alive_location_;
   // alive node -> its alive parent (roots absent).
   std::unordered_map<PageId, PageId> parent_of_;
+
+  // The update path of the current Insert/Delete and PathToAliveLeaf's
+  // leaf-to-root chain, kept so updates reuse their capacity.
+  std::vector<Frame> path_;
+  std::vector<PageId> chain_;
 };
 
 // Replays a segment-record collection (insert at interval.start, delete at

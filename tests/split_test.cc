@@ -1,14 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <limits>
+#include <queue>
+#include <string>
 #include <vector>
 
+#include "core/distribute.h"
 #include "core/dp_split.h"
 #include "core/merge_split.h"
 #include "core/piecewise_split.h"
 #include "core/segment.h"
+#include "core/split_pipeline.h"
 #include "core/volume_curve.h"
+#include "datagen/random_dataset.h"
+#include "pprtree/ppr_tree.h"
+#include "storage/page_codec.h"
 #include "trajectory/trajectory.h"
 #include "util/random.h"
 
@@ -264,6 +273,329 @@ TEST(PiecewiseSplitTest, CutsAtTupleBoundaries) {
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].box.interval, TimeInterval(10, 15));
   EXPECT_EQ(records[2].box.interval, TimeInterval(22, 30));
+}
+
+// --- GreedyMerger against the priority-queue oracle ---
+//
+// The reference merger: the same greedy algorithm on a
+// std::priority_queue, with two per-segment versions instead of stamps.
+// Equal merge costs are common (stationary objects, points, integer-grid
+// moves), and which tied pair merges first decides the splits, so
+// GreedyMerger must make exactly this merger's choices and produce
+// bit-identical volumes.
+class OracleMerger {
+ public:
+  explicit OracleMerger(const std::vector<Rect2D>& rects) {
+    const int n = static_cast<int>(rects.size());
+    for (int i = 0; i < n; ++i) {
+      Segment seg;
+      seg.lo = i;
+      seg.hi = i;
+      seg.mbr = rects[static_cast<size_t>(i)];
+      seg.prev = i - 1;
+      seg.next = i + 1 < n ? i + 1 : -1;
+      segments_.push_back(seg);
+      total_volume_ += seg.mbr.Area();
+    }
+    count_ = n;
+    for (int i = 0; i + 1 < n; ++i) PushCandidate(i);
+  }
+
+  int count() const { return count_; }
+  double total_volume() const { return total_volume_; }
+
+  void MergeOnce() {
+    while (true) {
+      const Candidate top = heap_.top();
+      heap_.pop();
+      Segment& left = segments_[static_cast<size_t>(top.left)];
+      if (!left.alive || left.version != top.left_version ||
+          left.next != top.right) {
+        continue;
+      }
+      Segment& right = segments_[static_cast<size_t>(top.right)];
+      if (!right.alive || right.version != top.right_version) continue;
+      total_volume_ += top.cost;
+      left.hi = right.hi;
+      left.mbr.ExpandToInclude(right.mbr);
+      left.next = right.next;
+      ++left.version;
+      right.alive = false;
+      if (left.next >= 0) {
+        segments_[static_cast<size_t>(left.next)].prev = top.left;
+        PushCandidate(top.left);
+      }
+      if (left.prev >= 0) PushCandidate(left.prev);
+      --count_;
+      return;
+    }
+  }
+
+  std::vector<int> Cuts() const {
+    std::vector<int> cuts;
+    for (const Segment& seg : segments_) {
+      if (seg.alive && seg.lo > 0) cuts.push_back(seg.lo);
+    }
+    std::sort(cuts.begin(), cuts.end());
+    return cuts;
+  }
+
+ private:
+  struct Segment {
+    int lo = 0;
+    int hi = 0;
+    Rect2D mbr;
+    int prev = -1;
+    int next = -1;
+    uint32_t version = 0;
+    bool alive = true;
+
+    double Volume() const {
+      return mbr.Area() * static_cast<double>(hi - lo + 1);
+    }
+  };
+
+  struct Candidate {
+    double cost;
+    int left;
+    int right;
+    uint32_t left_version;
+    uint32_t right_version;
+
+    bool operator>(const Candidate& other) const { return cost > other.cost; }
+  };
+
+  void PushCandidate(int left) {
+    const Segment& a = segments_[static_cast<size_t>(left)];
+    const Segment& b = segments_[static_cast<size_t>(a.next)];
+    const double merged_volume = a.mbr.Union(b.mbr).Area() *
+                                 static_cast<double>(b.hi - a.lo + 1);
+    heap_.push(Candidate{merged_volume - a.Volume() - b.Volume(), left,
+                         a.next, a.version, b.version});
+  }
+
+  std::vector<Segment> segments_;
+  std::priority_queue<Candidate, std::vector<Candidate>,
+                      std::greater<Candidate>>
+      heap_;
+  double total_volume_ = 0.0;
+  int count_ = 0;
+};
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// MergeVolumeCurve and MergeSplit at several split counts must equal the
+// oracle bit for bit.
+void ExpectSameAsOracle(const std::vector<Rect2D>& rects,
+                        const std::string& label) {
+  const int n = static_cast<int>(rects.size());
+  OracleMerger curve_oracle(rects);
+  std::vector<double> want_curve(static_cast<size_t>(n));
+  want_curve[static_cast<size_t>(n) - 1] = curve_oracle.total_volume();
+  while (curve_oracle.count() > 1) {
+    curve_oracle.MergeOnce();
+    want_curve[static_cast<size_t>(curve_oracle.count()) - 1] =
+        curve_oracle.total_volume();
+  }
+  const std::vector<double> curve = MergeVolumeCurve(rects, n);
+  ASSERT_EQ(curve.size(), want_curve.size()) << label;
+  for (size_t j = 0; j < curve.size(); ++j) {
+    ASSERT_EQ(Bits(curve[j]), Bits(want_curve[j])) << label << " j=" << j;
+  }
+  for (int k : {0, 1, 2, 3, n / 4, n / 2, n - 2, n - 1}) {
+    if (k < 0) continue;
+    OracleMerger oracle(rects);
+    while (oracle.count() > std::min(k, n - 1) + 1) oracle.MergeOnce();
+    const SplitResult split = MergeSplit(rects, k);
+    ASSERT_EQ(split.cuts, oracle.Cuts()) << label << " k=" << k;
+    ASSERT_EQ(Bits(split.total_volume), Bits(oracle.total_volume()))
+        << label << " k=" << k;
+  }
+}
+
+TEST(MergeOrderTest, StationaryObjectsTieEveryMerge) {
+  // Every merge cost is exactly 0.
+  for (int n : {2, 3, 5, 8, 17, 33, 64, 101}) {
+    const std::vector<Rect2D> rects(static_cast<size_t>(n),
+                                    Rect2D(3, 4, 5, 7));
+    ExpectSameAsOracle(rects, "stationary n=" + std::to_string(n));
+  }
+}
+
+TEST(MergeOrderTest, ConstantVelocityGridMovesTie) {
+  // Integer positions and extents: equal-length runs cost exactly the
+  // same wherever they sit.
+  for (int n : {4, 9, 16, 31, 50, 97}) {
+    for (int vx : {0, 1, 2}) {
+      for (int vy : {0, 1, 3}) {
+        std::vector<Rect2D> rects;
+        for (int t = 0; t < n; ++t) {
+          const double x = 10.0 + vx * t;
+          const double y = -4.0 + vy * t;
+          rects.emplace_back(x, y, x + 2, y + 1);
+        }
+        ExpectSameAsOracle(rects, "grid n=" + std::to_string(n) +
+                                      " v=" + std::to_string(vx) + "," +
+                                      std::to_string(vy));
+      }
+    }
+  }
+}
+
+TEST(MergeOrderTest, MovingPointsHaveZeroAreas) {
+  for (int n : {5, 20, 64}) {
+    std::vector<Rect2D> horizontal;  // zero area everywhere: all costs 0
+    std::vector<Rect2D> diagonal;    // zero-area instants, positive unions
+    for (int t = 0; t < n; ++t) {
+      const double x = 0.25 * t;
+      horizontal.emplace_back(x, 1, x, 1);
+      diagonal.emplace_back(x, 0.5 * (t % 7), x, 0.5 * (t % 7));
+    }
+    ExpectSameAsOracle(horizontal, "points n=" + std::to_string(n));
+    ExpectSameAsOracle(diagonal, "diagonal points n=" + std::to_string(n));
+  }
+}
+
+TEST(MergeOrderTest, GeneratedObjectsMatchOracle) {
+  RandomDatasetConfig config;
+  config.num_objects = 2000;
+  config.seed = 2002;
+  for (const Trajectory& object : GenerateRandomDataset(config)) {
+    ExpectSameAsOracle(object.Sample(),
+                       "object " + std::to_string(object.id()));
+  }
+}
+
+TEST(MergeOrderTest, ReusedMergerMatchesFreshOne) {
+  // One merger across objects of shrinking and growing lifetimes keeps no
+  // state from the previous object.
+  RandomDatasetConfig config;
+  config.num_objects = 200;
+  config.seed = 7;
+  GreedyMerger merger;
+  for (const Trajectory& object : GenerateRandomDataset(config)) {
+    merger.Load(object);
+    const std::vector<double> curve = merger.VolumeCurve(32);
+    EXPECT_EQ(curve, MergeVolumeCurve(object.Sample(), 32));
+    merger.Load(object);
+    merger.MergeTo(4);
+    EXPECT_EQ(merger.Cuts(), MergeSplit(object.Sample(), 3).cuts);
+  }
+}
+
+// --- Pinned split-pipeline bytes ---
+//
+// A hand-made dataset on the integer grid (integer coefficients, integer
+// extents, so exact cost ties are everywhere) runs through curves,
+// LAGreedy, segment building (merge and DP) and a packed PPR-tree at 1
+// and 3 threads. The CRC-32 of each stage's output must equal a recorded
+// constant: a change in merge order, in record layout or in the replay
+// fails here.
+
+std::vector<Trajectory> GridObjects() {
+  std::vector<Trajectory> objects;
+  for (ObjectId id = 0; id < 150; ++id) {
+    const Time start = static_cast<Time>((id * 7) % 60);
+    const int tuples = 1 + static_cast<int>(id % 3);
+    std::vector<MovementTuple> movement;
+    Time t = start;
+    double x = static_cast<double>((id * 13) % 50);
+    double y = static_cast<double>((id * 29) % 50);
+    for (int k = 0; k < tuples; ++k) {
+      const Time length = 3 + static_cast<Time>((id * 5 + k * 11) % 25);
+      const double vx = static_cast<double>(static_cast<int>((id + k) % 5)) - 2;
+      const double vy =
+          static_cast<double>(static_cast<int>((id * 3 + k) % 3)) - 1;
+      MovementTuple tuple;
+      tuple.interval = TimeInterval(t, t + length);
+      tuple.center_x = Polynomial::Linear(x, vx);
+      tuple.center_y = Polynomial::Linear(y, vy);
+      tuple.extent_x = Polynomial::Constant(static_cast<double>(id % 4) * 2);
+      tuple.extent_y = Polynomial::Constant(static_cast<double>(id % 3) * 2);
+      movement.push_back(tuple);
+      x += vx * static_cast<double>(length);
+      y += vy * static_cast<double>(length);
+      t += length;
+    }
+    objects.emplace_back(id, std::move(movement));
+  }
+  return objects;
+}
+
+class Crc {
+ public:
+  template <typename T>
+  void Add(const T& value) {
+    const auto* p = reinterpret_cast<const uint8_t*>(&value);
+    bytes_.insert(bytes_.end(), p, p + sizeof(T));
+  }
+  void Add(const SegmentRecord& record) {
+    Add(record.object);
+    Add(record.box.rect.xlo);
+    Add(record.box.rect.ylo);
+    Add(record.box.rect.xhi);
+    Add(record.box.rect.yhi);
+    Add(record.box.interval.start);
+    Add(record.box.interval.end);
+  }
+  uint32_t Value() const { return Crc32(bytes_.data(), bytes_.size()); }
+
+ private:
+  std::vector<uint8_t> bytes_;
+};
+
+uint32_t FileCrc(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return 0;
+  uint8_t chunk[4096];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    bytes.insert(bytes.end(), chunk, chunk + n);
+  }
+  std::fclose(f);
+  return Crc32(bytes.data(), bytes.size());
+}
+
+TEST(PinnedSplitBytesTest, GridDatasetKeepsItsBytes) {
+  const std::vector<Trajectory> objects = GridObjects();
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::vector<VolumeCurve> curves =
+        ComputeVolumeCurves(objects, 24, SplitMethod::kMerge, threads);
+    Crc curve_crc;
+    for (const VolumeCurve& curve : curves) {
+      for (double volume : curve.volume) curve_crc.Add(volume);
+    }
+    EXPECT_EQ(curve_crc.Value(), 0xb47088deu);
+
+    const Distribution dist = DistributeLAGreedy(curves, 225, threads);
+    Crc split_crc;
+    for (int splits : dist.splits) split_crc.Add(splits);
+    EXPECT_EQ(split_crc.Value(), 0x8fb8178fu);
+
+    const std::vector<SegmentRecord> merged =
+        BuildSegments(objects, dist.splits, SplitMethod::kMerge, threads);
+    Crc merge_crc;
+    for (const SegmentRecord& record : merged) merge_crc.Add(record);
+    EXPECT_EQ(merged.size(), 375u);
+    EXPECT_EQ(merge_crc.Value(), 0xd28d8994u);
+
+    const std::vector<SegmentRecord> optimal =
+        BuildSegments(objects, dist.splits, SplitMethod::kDp, threads);
+    Crc dp_crc;
+    for (const SegmentRecord& record : optimal) dp_crc.Add(record);
+    EXPECT_EQ(optimal.size(), merged.size());
+    EXPECT_EQ(dp_crc.Value(), 0x2fa6ce88u);
+
+    const std::string path = ::testing::TempDir() + "/pinned_split_" +
+                             std::to_string(threads) + ".stsnap";
+    const std::unique_ptr<PprTree> tree = BuildPprTree(merged);
+    ASSERT_TRUE(tree->PackSnapshot(path).ok());
+    EXPECT_EQ(FileCrc(path), 0x17211bd3u);
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -707,11 +707,11 @@ int CmdAdvise(Flags& flags) {
         ComputeVolumeCurves(objects, 128, SplitMethod::kMerge, threads);
     advice = SplitAdvisor::ChooseAnalytical(objects, curves, candidates,
                                             workload, IndexKind::kPprTree,
-                                            options);
+                                            options, threads);
   } else if (mode == "sampling") {
     advice = SplitAdvisor::ChooseBySampling(objects, candidates, 0.25,
-                                            workload, 60,
-                                            IndexKind::kPprTree, options, 17);
+                                            workload, 60, IndexKind::kPprTree,
+                                            options, 17, threads);
   } else {
     std::fprintf(stderr, "unknown mode '%s' (analytical|sampling)\n",
                  mode.c_str());
