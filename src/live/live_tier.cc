@@ -561,7 +561,8 @@ void LiveTier::IntervalQuery(const Rect2D& area, const TimeInterval& range,
     }
   }
   pipeline_.CollectPending(area, range, out);
-  index_.CollectLive(area, range, out);
+  // No open buffer starts before the watermark.
+  if (range.end > index_.Watermark()) index_.CollectLive(area, range, out);
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
 }

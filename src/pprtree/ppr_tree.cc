@@ -1089,27 +1089,30 @@ Status PprTree::InstallCheckpointNode(PageId id, const uint8_t* page) {
 namespace {
 
 // The replay order of `records`' 2N events, each encoded as 2 * record +
-// (1 for the insert at interval.start, 0 for the delete at interval.end):
+// (1 for the insert at interval.start, 0 for the delete at interval.end)
+// in 32 bits, which halves the order and its radix scratch against 64:
 // by time, deletes before inserts at equal times (a record with lifetime
 // [a, b) is gone at instant b), then by record. The events start out
 // ordered by (kind, record), and stable LSD radix passes over the time
 // offset from the earliest instant, at most 16 bits per pass, then order
 // them by time: the exact order a comparison sort on (time, kind, record)
 // gives, in linear time however wide the time span.
-std::vector<uint64_t> ReplayOrder(const std::vector<SegmentRecord>& records) {
+std::vector<uint32_t> ReplayOrder(const std::vector<SegmentRecord>& records) {
   const size_t n = records.size();
-  std::vector<uint64_t> order(2 * n);
+  STINDEX_CHECK_MSG(n < (size_t{1} << 31),
+                    "too many records for 32-bit replay events");
+  std::vector<uint32_t> order(2 * n);
   if (n == 0) return order;
   Time first = records[0].box.interval.start;
   Time last = first;
   for (size_t i = 0; i < n; ++i) {
-    order[i] = 2 * i;          // deletes, by record
-    order[n + i] = 2 * i + 1;  // then inserts, by record
+    order[i] = static_cast<uint32_t>(2 * i);          // deletes, by record
+    order[n + i] = static_cast<uint32_t>(2 * i + 1);  // then inserts
     const TimeInterval& life = records[i].box.interval;
     first = std::min({first, life.start, life.end});
     last = std::max({last, life.start, life.end});
   }
-  auto offset = [&records, first](uint64_t event) {
+  auto offset = [&records, first](uint32_t event) {
     const TimeInterval& life = records[event >> 1].box.interval;
     return static_cast<uint64_t>((event & 1) != 0 ? life.start : life.end) -
            static_cast<uint64_t>(first);
@@ -1120,14 +1123,14 @@ std::vector<uint64_t> ReplayOrder(const std::vector<SegmentRecord>& records) {
   const int passes = (bits + 15) / 16;
   const int digit_bits = (bits + passes - 1) / passes;
   const uint64_t mask = (uint64_t{1} << digit_bits) - 1;
-  std::vector<uint64_t> scratch(order.size());
+  std::vector<uint32_t> scratch(order.size());
   std::vector<size_t> start(size_t{1} << digit_bits);
   for (int shift = 0; shift < bits; shift += digit_bits) {
     std::fill(start.begin(), start.end(), 0);
-    for (const uint64_t event : order) ++start[(offset(event) >> shift) & mask];
+    for (const uint32_t event : order) ++start[(offset(event) >> shift) & mask];
     size_t sum = 0;
     for (size_t& bucket : start) sum += std::exchange(bucket, sum);
-    for (const uint64_t event : order) {
+    for (const uint32_t event : order) {
       scratch[start[(offset(event) >> shift) & mask]++] = event;
     }
     order.swap(scratch);
@@ -1143,8 +1146,8 @@ std::unique_ptr<PprTree> BuildPprTree(
   TraceSpan span("ppr", "build");
   span.Arg("records", static_cast<int64_t>(records.size()));
   // Replay the evolution: one insert and one delete event per record.
-  for (const uint64_t event : ReplayOrder(records)) {
-    const uint64_t index = event >> 1;
+  for (const uint32_t event : ReplayOrder(records)) {
+    const uint32_t index = event >> 1;
     const SegmentRecord& record = records[index];
     if ((event & 1) != 0) {
       tree->Insert(record.box.rect, record.box.interval.start, index);

@@ -1,5 +1,7 @@
 #include "storage/page_backend.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
 
 #include "util/metrics.h"
@@ -17,6 +19,23 @@ MemoryPageBackend::~MemoryPageBackend() {
       ->Add(total_allocations_);
 }
 
+void MemoryPageBackend::SlabUnmapper::operator()(Page* slab) const {
+  ::munmap(slab, kSlabPages * kPageSize);
+}
+
+Page* MemoryPageBackend::SlotPage(PageId id) {
+  const size_t slab = id / kSlabPages;
+  if (slab >= slabs_.size()) slabs_.resize(slab + 1);
+  if (slabs_[slab] == nullptr) {
+    void* pages = ::mmap(nullptr, kSlabPages * kPageSize,
+                         PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                         -1, 0);
+    STINDEX_CHECK_MSG(pages != MAP_FAILED, "arena slab mmap failed");
+    slabs_[slab].reset(static_cast<Page*>(pages));
+  }
+  return MappedPage(id);
+}
+
 void MemoryPageBackend::MarkLive(PageId id) {
   live_[id] = true;
   free_slots_.erase(id);
@@ -29,11 +48,12 @@ PageId MemoryPageBackend::Allocate() {
   PageId id;
   if (!free_slots_.empty()) {
     id = *free_slots_.begin();
-    std::memset(slots_[id]->bytes, 0, kPageSize);
+    std::memset(MappedPage(id)->bytes, 0, kPageSize);
   } else {
-    STINDEX_CHECK_MSG(slots_.size() < kInvalidPage, "page id space exhausted");
-    id = static_cast<PageId>(slots_.size());
-    slots_.push_back(std::make_unique<Page>());
+    // A slot past the end has never been touched: its mapped page is zero.
+    STINDEX_CHECK_MSG(live_.size() < kInvalidPage, "page id space exhausted");
+    id = static_cast<PageId>(live_.size());
+    SlotPage(id);
     live_.push_back(false);
   }
   MarkLive(id);
@@ -42,7 +62,7 @@ PageId MemoryPageBackend::Allocate() {
 
 Page& MemoryPageBackend::MutablePage(PageId id) {
   STINDEX_CHECK_MSG(IsAllocated(id), "access to a freed or unallocated page");
-  return *slots_[id];
+  return *MappedPage(id);
 }
 
 Status MemoryPageBackend::Read(PageId id, uint8_t* out) const {
@@ -50,7 +70,7 @@ Status MemoryPageBackend::Read(PageId id, uint8_t* out) const {
     return Status::InvalidArgument("page " + std::to_string(id) +
                                    ": read of unallocated page");
   }
-  std::memcpy(out, slots_[id]->bytes, kPageSize);
+  std::memcpy(out, BorrowPage(id), kPageSize);
   return Status::OK();
 }
 
@@ -58,15 +78,10 @@ Status MemoryPageBackend::Write(PageId id, const uint8_t* data) {
   if (id == kInvalidPage) {
     return Status::InvalidArgument("write to kInvalidPage");
   }
-  if (id >= slots_.size()) {
-    slots_.resize(id + 1);
-    live_.resize(id + 1, false);
-  }
-  if (slots_[id] == nullptr) {
-    slots_[id] = std::make_unique_for_overwrite<Page>();
-  }
+  Page* page = SlotPage(id);
+  if (id >= live_.size()) live_.resize(id + 1, false);
   if (!live_[id]) MarkLive(id);
-  std::memcpy(slots_[id]->bytes, data, kPageSize);
+  std::memcpy(page->bytes, data, kPageSize);
   return Status::OK();
 }
 
@@ -82,11 +97,11 @@ Status MemoryPageBackend::Free(PageId id) {
 }
 
 bool MemoryPageBackend::IsAllocated(PageId id) const {
-  return id < slots_.size() && live_[id];
+  return id < live_.size() && live_[id];
 }
 
 const uint8_t* MemoryPageBackend::BorrowPage(PageId id) const {
-  return IsAllocated(id) ? slots_[id]->bytes : nullptr;
+  return IsAllocated(id) ? MappedPage(id)->bytes : nullptr;
 }
 
 }  // namespace stindex

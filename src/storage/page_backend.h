@@ -72,16 +72,27 @@ class PageBackend {
   }
 };
 
-// Heap-backed PageBackend: one malloc'd Page per slot. It is the arena a
-// tree's nodes live in — the tree allocates pages, mutates them in place
-// and reads them through a pool that borrows them — and the byte-exact
-// reference the file backend is differentially tested against.
+// RAM-backed PageBackend whose pages live in fixed-size slabs of
+// kSlabPages pages. It is the arena a tree's nodes live in — the tree
+// allocates pages, mutates them in place and reads them through a pool
+// that borrows them — and the byte-exact reference the file backend is
+// differentially tested against.
 //
-// Slot addresses are stable: a freed slot keeps its page for reuse, so a
-// pool frame over a lent page stays valid (and shows the new contents)
-// when the slot is freed and allocated again.
+// Slot `id` is page id % kSlabPages of slab id / kSlabPages. A slab is
+// mapped (mmap, zero-filled) when a slot in it is first allocated or
+// written, and unmapped when the arena is destroyed, so a released arena
+// goes back to the OS at once. malloc would not do: glibc raises its
+// mmap threshold after a large free, and heap chunks are not returned.
+//
+// Slot addresses are stable: slabs never move, and a freed slot keeps
+// its page for reuse, so a pool frame over a lent page stays valid (and
+// shows the new contents) when the slot is freed and allocated again.
 class MemoryPageBackend final : public PageBackend {
  public:
+  // Pages per slab: 1 MiB of address space, resident only as pages are
+  // touched.
+  static constexpr size_t kSlabPages = 256;
+
   MemoryPageBackend() = default;
 
   // `metric_scope` names the index this arena backs ("ppr", "rstar",
@@ -113,19 +124,30 @@ class MemoryPageBackend final : public PageBackend {
   Status Write(PageId id, const uint8_t* data) override;
   Status Free(PageId id) override;
   bool IsAllocated(PageId id) const override;
-  size_t SlotCount() const override { return slots_.size(); }
+  size_t SlotCount() const override { return live_.size(); }
   size_t LivePageCount() const override { return live_count_; }
   Status Sync() override { return Status::OK(); }
   std::string Name() const override { return "memory"; }
   const uint8_t* BorrowPage(PageId id) const override;
 
  private:
+  struct SlabUnmapper {
+    void operator()(Page* slab) const;
+  };
+  using Slab = std::unique_ptr<Page[], SlabUnmapper>;
+
+  // Slot `id`'s page, mapping its slab first if no slot in it was
+  // allocated or written before.
+  Page* SlotPage(PageId id);
+  // Slot `id`'s page; its slab must be mapped.
+  Page* MappedPage(PageId id) const {
+    return &slabs_[id / kSlabPages][id % kSlabPages];
+  }
   // Makes `id` allocated (the slot already exists) and counts it.
   void MarkLive(PageId id);
 
-  // nullptr = never written; a freed slot keeps its page.
-  std::vector<std::unique_ptr<Page>> slots_;
-  std::vector<bool> live_;
+  std::vector<Slab> slabs_;  // nullptr = not mapped yet
+  std::vector<bool> live_;   // per slot; its size is SlotCount()
   std::set<PageId> free_slots_;  // freed and not written since
   size_t live_count_ = 0;
   size_t peak_live_count_ = 0;

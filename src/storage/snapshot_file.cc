@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "storage/page_codec.h"
 #include "util/check.h"
@@ -82,6 +83,36 @@ const MmapMetrics& Metrics() {
 // CRC entries per manifest page.
 constexpr size_t kManifestEntriesPerPage = kPagePayloadBytes / sizeof(uint32_t);
 
+// Pages moved per pwrite when packing and per pread when verifying.
+constexpr size_t kBatchPages = 64;
+
+// "node pages 64..127": `count` pages from `first`, numbered as `what`.
+std::string PageRange(const char* what, size_t first, size_t count) {
+  return std::string(what) + " pages " + std::to_string(first) + ".." +
+         std::to_string(first + count - 1);
+}
+
+// Reads `count` pages starting at file page `file_page` into `batch`
+// (kBatchPages pages), one pread per batch, and hands each to
+// `check(i, bytes)` with i counting from 0; stops at the first error.
+// Read errors name the range as `what` pages.
+template <typename Check>
+Status CheckPages(int fd, const std::string& path, const char* what,
+                  size_t file_page, size_t count, Page* batch, Check check) {
+  for (size_t begin = 0; begin < count; begin += kBatchPages) {
+    const size_t n = std::min(kBatchPages, count - begin);
+    Status status = PReadFull(
+        fd, batch->bytes, n * kPageSize,
+        static_cast<off_t>((file_page + begin) * kPageSize),
+        "read " + PageRange(what, begin, n) + " of " + path);
+    for (size_t i = 0; status.ok() && i < n; ++i) {
+      status = check(begin + i, batch[i].bytes);
+    }
+    if (!status.ok()) return status;
+  }
+  return Status::OK();
+}
+
 size_t ManifestPagesFor(size_t node_count) {
   return (node_count + kManifestEntriesPerPage - 1) / kManifestEntriesPerPage;
 }
@@ -102,7 +133,9 @@ uint32_t ManifestDigest(const std::vector<uint32_t>& checksums) {
 // SnapshotWriter
 
 SnapshotWriter::SnapshotWriter(std::string path, int fd)
-    : path_(std::move(path)), fd_(fd) {}
+    : path_(std::move(path)),
+      fd_(fd),
+      batch_(std::make_unique_for_overwrite<Page[]>(kBatchPages)) {}
 
 Result<std::unique_ptr<SnapshotWriter>> SnapshotWriter::Create(
     const std::string& path) {
@@ -140,20 +173,28 @@ Status SnapshotWriter::Append(uint32_t level, const uint8_t* page) {
     STINDEX_CHECK_MSG(level + 1 == extents_.size(),
                       "snapshot pages must be appended bottom-up");
   }
-  const size_t slot = checksums_.size();
-  Status status = PWriteFull(fd_, page, kPageSize, SlotOffset(slot),
-                             "write node page " + std::to_string(slot) +
-                                 " of " + path_);
-  if (!status.ok()) return status;
+  std::memcpy(batch_[batched_].bytes, page, kPageSize);
   checksums_.push_back(Crc32(page, kPageSize));
   ++extents_.back().count;
-  return Status::OK();
+  return ++batched_ == kBatchPages ? WriteBatch() : Status::OK();
+}
+
+Status SnapshotWriter::WriteBatch() {
+  if (batched_ == 0) return Status::OK();
+  const size_t first = checksums_.size() - batched_;
+  const size_t count = std::exchange(batched_, 0);
+  return PWriteFull(fd_, batch_[0].bytes, count * kPageSize,
+                    SlotOffset(first),
+                    "write " + PageRange("node", first, count) + " of " +
+                        path_);
 }
 
 Status SnapshotWriter::Finish() {
   STINDEX_CHECK_MSG(!finished_, "double Finish");
   TraceSpan span("storage", "snapshot_finish");
   span.Arg("pages", static_cast<int64_t>(checksums_.size()));
+  Status status = WriteBatch();
+  if (!status.ok()) return status;
   const size_t manifest_pages = ManifestPagesFor(checksums_.size());
   uint8_t page[kPageSize];
   for (size_t m = 0; m < manifest_pages; ++m) {
@@ -163,7 +204,7 @@ Status SnapshotWriter::Finish() {
         std::min(begin + kManifestEntriesPerPage, checksums_.size());
     for (size_t i = begin; i < end; ++i) writer.Write(checksums_[i]);
     SealPage(page, PageKind::kSnapshotManifest);
-    Status status = PWriteFull(
+    status = PWriteFull(
         fd_, page, kPageSize, SlotOffset(checksums_.size() + m),
         "write manifest page " + std::to_string(m) + " of " + path_);
     if (!status.ok()) return status;
@@ -185,8 +226,7 @@ Status SnapshotWriter::Finish() {
   // Data + manifest must be durable before the superblock makes the file
   // openable; the superblock is the commit point.
   if (::fsync(fd_) != 0) return Status::IoError(Errno("fsync(" + path_ + ")"));
-  Status status =
-      PWriteFull(fd_, page, kPageSize, 0, "write superblock of " + path_);
+  status = PWriteFull(fd_, page, kPageSize, 0, "write superblock of " + path_);
   if (!status.ok()) return status;
   if (::fsync(fd_) != 0) return Status::IoError(Errno("fsync(" + path_ + ")"));
   ::close(fd_);
@@ -317,6 +357,56 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
   file->node_count_ = static_cast<size_t>(node_count);
   file->extents_ = std::move(extents);
 
+  // Verify through pread, in mapped and pread opens alike, so open
+  // leaves the mapping untouched: it becomes resident only as pools
+  // borrow pages. First the manifest against the superblock's digest,
+  // then every data page against its manifest entry.
+  const std::unique_ptr<Page[]> batch =
+      std::make_unique_for_overwrite<Page[]>(kBatchPages);
+  std::vector<uint32_t> checksums;
+  checksums.reserve(file->node_count_);
+  status = CheckPages(
+      fd, path, "manifest", 1 + file->node_count_, manifest_pages,
+      batch.get(), [&](size_t m, const uint8_t* page) {
+        Result<PageReader> manifest =
+            OpenPagePayload(page, PageKind::kSnapshotManifest,
+                            static_cast<PageId>(1 + file->node_count_ + m));
+        if (!manifest.ok()) {
+          return Status::InvalidArgument(path + ": corrupt manifest page " +
+                                         std::to_string(m) + " (" +
+                                         manifest.status().message() + ")");
+        }
+        PageReader entries = manifest.value();
+        const size_t begin = m * kManifestEntriesPerPage;
+        const size_t end =
+            std::min(begin + kManifestEntriesPerPage, file->node_count_);
+        for (size_t i = begin; i < end; ++i) {
+          uint32_t crc = 0;
+          if (!entries.Read(&crc)) {
+            return Status::InvalidArgument(path + ": corrupt manifest page " +
+                                           std::to_string(m) +
+                                           " (short payload)");
+          }
+          checksums.push_back(crc);
+        }
+        return Status::OK();
+      });
+  if (!status.ok()) return status;
+  if (ManifestDigest(checksums) != manifest_digest) {
+    return Status::InvalidArgument(
+        path + ": manifest digest mismatch (superblock and manifest disagree)");
+  }
+  status = CheckPages(fd, path, "node", 1, file->node_count_, batch.get(),
+                      [&](size_t id, const uint8_t* page) {
+                        if (Crc32(page, kPageSize) != checksums[id]) {
+                          return Status::InvalidArgument(
+                              path + ": checksum mismatch on page " +
+                              std::to_string(id));
+                        }
+                        return Status::OK();
+                      });
+  if (!status.ok()) return status;
+
   const bool force_pread =
       options.force_pread ||
       std::getenv("STINDEX_SNAPSHOT_NO_MMAP") != nullptr;
@@ -329,62 +419,6 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
     }
   }
   if (file->map_ == nullptr) Metrics().fallback_opens->Add(1);
-
-  // Verify the manifest digest, then every data page against its manifest
-  // entry — after this pass the zero-copy path serves pages unrechecked.
-  std::vector<uint32_t> checksums;
-  checksums.reserve(file->node_count_);
-  uint8_t buffer[kPageSize];
-  for (size_t m = 0; m < manifest_pages; ++m) {
-    const size_t page_index = 1 + file->node_count_ + m;
-    const uint8_t* page = file->map_ != nullptr
-                              ? file->map_ + page_index * kPageSize
-                              : buffer;
-    if (file->map_ == nullptr) {
-      status = PReadFull(fd, buffer, kPageSize,
-                         static_cast<off_t>(page_index * kPageSize),
-                         "read manifest page " + std::to_string(m) + " of " +
-                             path);
-      if (!status.ok()) return status;
-    }
-    Result<PageReader> manifest = OpenPagePayload(
-        page, PageKind::kSnapshotManifest, static_cast<PageId>(page_index));
-    if (!manifest.ok()) {
-      return Status::InvalidArgument(path + ": corrupt manifest page " +
-                                     std::to_string(m) + " (" +
-                                     manifest.status().message() + ")");
-    }
-    PageReader entries = manifest.value();
-    const size_t begin = m * kManifestEntriesPerPage;
-    const size_t end =
-        std::min(begin + kManifestEntriesPerPage, file->node_count_);
-    for (size_t i = begin; i < end; ++i) {
-      uint32_t crc = 0;
-      if (!entries.Read(&crc)) {
-        return Status::InvalidArgument(path + ": corrupt manifest page " +
-                                       std::to_string(m) + " (short payload)");
-      }
-      checksums.push_back(crc);
-    }
-  }
-  if (ManifestDigest(checksums) != manifest_digest) {
-    return Status::InvalidArgument(
-        path + ": manifest digest mismatch (superblock and manifest disagree)");
-  }
-  for (size_t id = 0; id < file->node_count_; ++id) {
-    const uint8_t* page =
-        file->map_ != nullptr ? file->map_ + (1 + id) * kPageSize : buffer;
-    if (file->map_ == nullptr) {
-      status = PReadFull(fd, buffer, kPageSize, SlotOffset(id),
-                         "read node page " + std::to_string(id) + " of " +
-                             path);
-      if (!status.ok()) return status;
-    }
-    if (Crc32(page, kPageSize) != checksums[id]) {
-      return Status::InvalidArgument(path + ": checksum mismatch on page " +
-                                     std::to_string(id));
-    }
-  }
   span.Arg("pages", static_cast<int64_t>(file->node_count_));
   return file;
 }

@@ -41,7 +41,7 @@ struct SnapshotLevelExtent {
 // knowing their count up front. The superblock's manifest digest (CRC-32
 // over the concatenated per-page checksums) ties the manifest to the
 // superblock; every data page is verified against its manifest entry at
-// open time, so the zero-copy path never re-validates on reads.
+// open time, and pools re-check each page they load on a miss.
 class SnapshotWriter {
  public:
   // Creates a new snapshot file at `path` (truncating any existing file).
@@ -57,7 +57,9 @@ class SnapshotWriter {
 
   // Appends the next node page (kPageSize bytes, already sealed by the
   // tree's codec) into the next dense slot. Pages must arrive bottom-up:
-  // `level` starts at 0 and may only stay or step up by one.
+  // `level` starts at 0 and may only stay or step up by one. Pages are
+  // buffered and written 64 to a pwrite, so a write error surfaces from
+  // the Append that fills a batch, or from Finish, naming the page range.
   Status Append(uint32_t level, const uint8_t* page);
 
   // Number of pages appended so far — the slot id the next Append gets.
@@ -70,8 +72,13 @@ class SnapshotWriter {
  private:
   SnapshotWriter(std::string path, int fd);
 
+  // Writes the buffered pages, if any, with one pwrite.
+  Status WriteBatch();
+
   std::string path_;
   int fd_;
+  std::unique_ptr<Page[]> batch_;  // the next pages to write, in slot order
+  size_t batched_ = 0;
   std::vector<uint32_t> checksums_;          // per data page, slot order
   std::vector<SnapshotLevelExtent> extents_;  // per level, bottom-up
   bool finished_ = false;
@@ -82,7 +89,9 @@ class SnapshotWriter {
 // STINDEX_SNAPSHOT_NO_MMAP environment variable, automatic if mmap
 // fails). Open() validates the superblock, the manifest digest and every
 // data page's checksum, so corruption fails at open time with a Status
-// naming the offending page id.
+// naming the offending page id. It reads the pages to verify through
+// pread in either mode, so a fresh mapping is not resident: pages fault
+// in as they are borrowed.
 class SnapshotFile {
  public:
   struct Options {

@@ -4,11 +4,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 
 #include "util/check.h"
@@ -30,6 +32,37 @@ constexpr int kPollMs = 50;
 // generous; a client trickling bytes cannot hold the single serving
 // thread (and with it window epochs and Stop()) any longer.
 constexpr std::chrono::milliseconds kConnectionDeadline(2000);
+
+struct ProcessMemory {
+  int64_t resident_bytes = 0;
+  int64_t peak_resident_bytes = 0;
+};
+
+// Reads this process's resident set (VmRSS, from /proc/self/statm) and
+// its peak (getrusage's ru_maxrss, the figure the benchmark reports as
+// peak_rss_mb) into the process.* gauges. A value that cannot be read
+// stays 0.
+ProcessMemory RefreshProcessMemory() {
+  ProcessMemory memory;
+  if (FILE* statm = std::fopen("/proc/self/statm", "r")) {
+    long size_pages = 0;
+    long resident_pages = 0;
+    if (std::fscanf(statm, "%ld %ld", &size_pages, &resident_pages) == 2) {
+      memory.resident_bytes =
+          static_cast<int64_t>(resident_pages) * sysconf(_SC_PAGESIZE);
+    }
+    std::fclose(statm);
+  }
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) == 0) {
+    memory.peak_resident_bytes = static_cast<int64_t>(usage.ru_maxrss) * 1024;
+  }
+  MetricRegistry& registry = MetricRegistry::Global();
+  registry.GetGauge("process.resident_bytes")->Set(memory.resident_bytes);
+  registry.GetGauge("process.peak_resident_bytes")
+      ->Set(memory.peak_resident_bytes);
+  return memory;
+}
 
 // Waits until `fd` is ready for `events`; false once `deadline` passes
 // or the socket fails.
@@ -262,6 +295,7 @@ void HttpExpositionServer::HandleConnection(int fd) {
 }
 
 std::string HttpExpositionServer::MetricsBody() const {
+  RefreshProcessMemory();
   std::string body = RenderPrometheus(MetricRegistry::Global().Snapshot());
   body += RenderPrometheusWindow(window_.WindowSnapshot());
   return body;
@@ -284,6 +318,7 @@ std::string HttpExpositionServer::StatuszBody() const {
   const std::chrono::duration<double> uptime =
       std::chrono::steady_clock::now() - started_at_;
   const WindowedMetricsSnapshot window = window_.WindowSnapshot();
+  const ProcessMemory memory = RefreshProcessMemory();
   JsonWriter json;
   json.BeginObject();
   json.Key("server").String("stindex");
@@ -302,6 +337,10 @@ std::string HttpExpositionServer::StatuszBody() const {
       .Uint(MetricRegistry::Global()
                 .GetCounter("trace.dropped_events")
                 ->Value());
+  json.Key("process").BeginObject();
+  json.Key("resident_bytes").Int(memory.resident_bytes);
+  json.Key("peak_resident_bytes").Int(memory.peak_resident_bytes);
+  json.EndObject();
   json.Key("window").BeginObject();
   json.Key("seconds").Double(window.seconds);
   json.Key("epochs").Uint(window.epochs);

@@ -9,10 +9,13 @@
 //              cumulative registry plus the sliding-window companion
 //              series (<name>_rate gauges, <name>_window summaries with
 //              rolling p50/p95/p99) of the server-owned MetricsWindow.
+//              Every render first refreshes the process.resident_bytes
+//              and process.peak_resident_bytes gauges.
 //   /healthz   200 "ok" while the installed health check passes, 503
 //              with the check's detail once it fails (e.g. the live tier
 //              latched on a WAL I/O error).
 //   /statusz   one JSON object (util/json_writer.h): uptime, build info,
+//              process memory (the same two gauges, refreshed),
 //              scrape/window bookkeeping, trace.dropped_events, plus
 //              whatever the installed status source appends (the server
 //              driver wires in WAL/checkpoint/pool/live-tier state).

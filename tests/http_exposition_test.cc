@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <cstdlib>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -345,6 +346,44 @@ TEST(HttpExpositionTest, StatuszIsValidJson) {
   EXPECT_NE(body.find("\"slow_queries\""), std::string::npos);
   EXPECT_NE(body.find("\"latency_ms\": 1.25"), std::string::npos);
   server.Stop();
+}
+
+// The integer after `key` in `body` (0 when absent).
+int64_t ValueAfter(const std::string& body, const std::string& key) {
+  const size_t at = body.find(key);
+  if (at == std::string::npos) return 0;
+  return std::strtoll(body.c_str() + at + key.size(), nullptr, 10);
+}
+
+TEST(HttpExpositionTest, ProcessMemoryGaugesAreRefreshedPerRender) {
+  MetricRegistry::Global().ResetForTest();
+  HttpExpositionServer server;
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::string metrics = BodyOf(HttpGet(server.port(), "/metrics"));
+  EXPECT_GT(ValueAfter(metrics, "\nstindex_process_resident_bytes "), 0)
+      << metrics;
+  EXPECT_GT(ValueAfter(metrics, "\nstindex_process_peak_resident_bytes "), 0)
+      << metrics;
+
+  MetricRegistry::Global().ResetForTest();
+  const std::string statusz = BodyOf(HttpGet(server.port(), "/statusz"));
+  EXPECT_TRUE(JsonValidator(statusz).Valid()) << statusz;
+  const int64_t resident = ValueAfter(statusz, "\"resident_bytes\": ");
+  const int64_t peak = ValueAfter(statusz, "\"peak_resident_bytes\": ");
+  EXPECT_GT(resident, 0) << statusz;
+  EXPECT_GT(peak, 0) << statusz;
+  // The /statusz render refreshed the registry's gauges too.
+  EXPECT_GT(MetricRegistry::Global()
+                .GetGauge("process.resident_bytes")
+                ->Value(),
+            0);
+  EXPECT_GT(MetricRegistry::Global()
+                .GetGauge("process.peak_resident_bytes")
+                ->Value(),
+            0);
+  server.Stop();
+  MetricRegistry::Global().ResetForTest();
 }
 
 TEST(HttpExpositionTest, UnknownTargetIs404) {

@@ -587,6 +587,63 @@ TEST(LiveIndexTest, PolicyMatchesBruteForce) {
   }
 }
 
+// LiveTier skips CollectLive for a range that ends at or before the
+// watermark, since no open buffer starts earlier. Over random streams
+// with policy and random seals, such a range collects nothing, while the
+// instant at the watermark collects an object whenever a buffer is open.
+TEST(LiveIndexTest, NothingLiveBeforeTheWatermark) {
+  const Rect2D everywhere = UnitRect(0.0, 1.0);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    LiveIndexOptions options;
+    options.capacity = static_cast<size_t>(rng.UniformInt(2, 16));
+    options.buffer = static_cast<size_t>(rng.UniformInt(50, 600));
+    LiveIndex index(options);
+    const std::vector<PolicyStep> stream = RandomPolicyStream(rng);
+    size_t checked_open = 0;
+    for (size_t i = 0; i < stream.size(); ++i) {
+      const PolicyStep& step = stream[i];
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(i);
+      bool applied = false;
+      const Status status =
+          step.is_end ? index.End(step.object, step.t, &applied)
+                      : index.Observe(step.object, step.t, UnitRect(0.1, 0.2),
+                                      &applied);
+      ASSERT_TRUE(status.ok()) << where << ": " << status.ToString();
+      for (ObjectId object : index.RipeForCatchUp()) {
+        ASSERT_TRUE(index.Seal(object).ok()) << where;
+      }
+      while (index.OverBudget()) {
+        ASSERT_TRUE(index.Seal(index.BudgetVictim()).ok()) << where;
+      }
+      if (index.live_objects() > 0 && rng.Bernoulli(0.03)) {
+        const std::vector<ObjectId> buffered = index.BufferedObjects();
+        ASSERT_TRUE(index
+                        .Seal(buffered[static_cast<size_t>(rng.UniformInt(
+                            0, static_cast<int64_t>(buffered.size()) - 1))])
+                        .ok())
+            << where;
+      }
+
+      const Time watermark = index.Watermark();
+      std::vector<ObjectId> live;
+      index.CollectLive(
+          everywhere, TimeInterval(watermark - rng.UniformInt(1, 200), watermark),
+          &live);
+      ASSERT_TRUE(live.empty()) << where << ": " << live.size()
+                                << " objects before watermark " << watermark;
+      if (index.live_objects() > 0) {
+        index.CollectLive(everywhere, TimeInterval(watermark, watermark + 1),
+                          &live);
+        ASSERT_FALSE(live.empty()) << where << ": nothing at the watermark";
+        ++checked_open;
+      }
+    }
+    EXPECT_GT(checked_open, stream.size() / 2) << "seed " << seed;
+  }
+}
+
 // A hand-built LiveIndex checkpoint state: `buffers` as (object, first
 // instant, rect count), one last instant per object, nothing retired.
 struct BufferState {

@@ -5,10 +5,11 @@
 // every thread count — packing remaps page ids through a bijection, and
 // LRU behaviour depends only on the equality structure of the access
 // sequence. The suite also covers the pread fallback, a LiveTier whose
-// historical tree was packed mid-stream, and open-time corruption
-// detection (truncation, bad magic, version skew, bit flips, manifest
-// and extent mismatches), extending the storage_fault_test.cc patterns
-// to the snapshot path.
+// historical tree was packed mid-stream, a mapping that open leaves
+// non-resident, and open-time corruption detection (truncation, bad
+// magic, version skew, bit flips, manifest and extent mismatches, each
+// mapped and through pread), extending the storage_fault_test.cc
+// patterns to the snapshot path.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -28,6 +29,7 @@
 #include "live/live_tier.h"
 #include "lru_oracle.h"
 #include "pprtree/ppr_tree.h"
+#include "proc_status.h"
 #include "rstar/rstar_tree.h"
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
@@ -35,6 +37,7 @@
 #include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
 #include "util/metrics.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace stindex {
@@ -386,6 +389,53 @@ TEST(SnapshotBackendTest, LiveTierPackSurvivesCheckpointRecovery) {
   std::remove(wal_path.c_str());
 }
 
+// Open verifies a snapshot through pread, so packing leaves the fresh
+// mapping non-resident: its pages fault in only as a pool borrows them.
+TEST(SnapshotResidencyTest, MappingBecomesResidentOnlyAsPoolsBorrowIt) {
+  // Short random boxes over a long time span: a tree of over 4,096 pages.
+  Rng rng(5);
+  std::vector<SegmentRecord> records(96000);
+  for (size_t i = 0; i < records.size(); ++i) {
+    const double x = rng.UniformDouble(0.0, 0.99);
+    const double y = rng.UniformDouble(0.0, 0.99);
+    const Time start = rng.UniformInt(0, 20000);
+    records[i].object = static_cast<ObjectId>(i);
+    records[i].box = STBox(Rect2D(x, y, x + 0.01, y + 0.01),
+                           TimeInterval(start, start + rng.UniformInt(1, 50)));
+  }
+  // Pack a small tree first, so the pack and open code faults in here
+  // rather than inside the measurement.
+  ASSERT_TRUE(BuildPprTree(MakeRecords())
+                  ->PackSnapshot(SnapPath("residency_warmup"))
+                  .ok());
+
+  const std::unique_ptr<PprTree> tree = BuildPprTree(records);
+  const int64_t before = MappedFileRssBytes();
+  ASSERT_TRUE(tree->PackSnapshot(SnapPath("residency")).ok());
+  const int64_t opened = MappedFileRssBytes();
+  ASSERT_TRUE(static_cast<const MmapSnapshotBackend*>(tree->backend())
+                  ->file()
+                  .mapped());
+  const size_t pages = tree->backend()->SlotCount();
+  ASSERT_GE(pages, 4096u);
+  const int64_t data_bytes = static_cast<int64_t>(pages * kPageSize);
+  EXPECT_LT(opened - before, data_bytes / 10)
+      << "open made " << opened - before << " of " << data_bytes
+      << " mapped bytes resident";
+
+  const std::unique_ptr<SharedBufferPool> pool =
+      tree->NewSharedQueryPool(pages);
+  for (PageId id = 0; id < pages; ++id) {
+    bool missed = false;
+    ASSERT_TRUE(pool->Pin(id, &missed).ok());
+    pool->Unpin(id);
+  }
+  const int64_t pinned = MappedFileRssBytes();
+  EXPECT_GE(pinned - before, data_bytes * 9 / 10)
+      << "pinning every page made " << pinned - before << " of "
+      << data_bytes << " mapped bytes resident";
+}
+
 // --- corruption / fault coverage ------------------------------------------
 
 class SnapshotCorruptionTest : public ::testing::Test {
@@ -421,10 +471,19 @@ class SnapshotCorruptionTest : public ::testing::Test {
     std::fclose(f);
   }
 
+  // Opens `path` mapped and with force_pread; the two opens must agree.
   static Status OpenStatus(const std::string& path) {
-    Result<std::unique_ptr<MmapSnapshotBackend>> backend =
-        MmapSnapshotBackend::Open(path);
-    return backend.ok() ? Status::OK() : backend.status();
+    std::vector<Status> statuses;
+    for (const bool force_pread : {false, true}) {
+      SnapshotFile::Options options;
+      options.force_pread = force_pread;
+      Result<std::unique_ptr<MmapSnapshotBackend>> backend =
+          MmapSnapshotBackend::Open(path, options);
+      statuses.push_back(backend.ok() ? Status::OK() : backend.status());
+    }
+    EXPECT_EQ(statuses[0].ToString(), statuses[1].ToString())
+        << "mapped and pread opens disagree";
+    return statuses[0];
   }
 
   size_t node_count_ = 0;

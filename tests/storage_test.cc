@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
+#include "proc_status.h"
 #include "storage/page_backend.h"
 #include "util/metrics.h"
 
@@ -105,6 +107,78 @@ TEST(MemoryArenaTest, ReusedSlotKeepsItsAddressAndIsZeroed) {
   ASSERT_EQ(arena.Allocate(), a);
   EXPECT_EQ(arena.BorrowPage(a), lent);
   EXPECT_EQ(TagOf(arena, a), 0);
+}
+
+constexpr size_t kSlabPages = MemoryPageBackend::kSlabPages;
+
+TEST(MemoryArenaTest, LentPageKeepsItsAddressAsTheArenaGrowsBySlabs) {
+  MemoryPageBackend arena;
+  const PageId a = arena.Allocate();
+  Page& page = arena.MutablePage(a);
+  for (size_t i = 0; i < kPageSize; ++i) {
+    page.bytes[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  const Page before = page;
+  const uint8_t* lent = arena.BorrowPage(a);
+  for (size_t i = 0; i < 3 * kSlabPages + 1; ++i) arena.Allocate();
+  ASSERT_GT(arena.SlotCount(), 3 * kSlabPages + 1);
+  EXPECT_EQ(arena.BorrowPage(a), lent);
+  EXPECT_EQ(std::memcmp(lent, before.bytes, kPageSize), 0);
+}
+
+TEST(MemoryArenaTest, WriteFarBeyondTheEndReadsBack) {
+  MemoryPageBackend arena;
+  arena.Allocate();
+  const PageId far = static_cast<PageId>(5 * kSlabPages + 17);
+  uint8_t page[kPageSize];
+  for (size_t i = 0; i < kPageSize; ++i) {
+    page[i] = static_cast<uint8_t>(i * 31 + 5);
+  }
+  ASSERT_TRUE(arena.Write(far, page).ok());
+  EXPECT_EQ(arena.SlotCount(), far + 1u);
+  EXPECT_TRUE(arena.IsAllocated(far));
+  EXPECT_FALSE(arena.IsAllocated(far - 1));
+  EXPECT_FALSE(arena.IsAllocated(static_cast<PageId>(2 * kSlabPages)));
+  uint8_t back[kPageSize] = {};
+  ASSERT_TRUE(arena.Read(far, back).ok());
+  EXPECT_EQ(std::memcmp(back, page, kPageSize), 0);
+  // The skipped slots are not handed out: allocation continues past `far`.
+  EXPECT_EQ(arena.Allocate(), far + 1);
+  EXPECT_EQ(arena.LivePageCount(), 3u);
+}
+
+TEST(MemoryArenaTest, FreedSlotInALaterSlabComesBackZeroed) {
+  MemoryPageBackend arena;
+  for (size_t i = 0; i < 2 * kSlabPages + 10; ++i) arena.Allocate();
+  const PageId id = static_cast<PageId>(2 * kSlabPages + 3);
+  std::memset(arena.MutablePage(id).bytes, 0xff, kPageSize);
+  const uint8_t* lent = arena.BorrowPage(id);
+  ASSERT_TRUE(arena.Free(id).ok());
+  ASSERT_EQ(arena.Allocate(), id);
+  EXPECT_EQ(arena.BorrowPage(id), lent);
+  const Page zero{};
+  EXPECT_EQ(std::memcmp(lent, zero.bytes, kPageSize), 0);
+}
+
+// A destroyed arena goes back to the OS, even when other allocations
+// made while it grew outlive it, as a tree's maps do: a heap would keep
+// the freed pages between them resident.
+TEST(MemoryArenaTest, DestroyedArenaLeavesTheResidentSet) {
+  if (kAnonRssSkipReason != nullptr) GTEST_SKIP() << kAnonRssSkipReason;
+  constexpr size_t kPages = 8192;
+  auto arena = std::make_unique<MemoryPageBackend>();
+  std::vector<std::unique_ptr<uint64_t>> survivors;
+  for (size_t i = 0; i < kPages; ++i) {
+    std::memset(arena->MutablePage(arena->Allocate()).bytes, 0xa5, kPageSize);
+    if (i % 16 == 0) survivors.push_back(std::make_unique<uint64_t>(i));
+  }
+  const int64_t before = ProcStatusBytes("RssAnon");
+  ASSERT_GT(before, 0);
+  arena.reset();
+  const int64_t after = ProcStatusBytes("RssAnon");
+  const int64_t arena_bytes = static_cast<int64_t>(kPages * kPageSize);
+  EXPECT_GE(before - after, arena_bytes * 3 / 4)
+      << "RssAnon " << before << " -> " << after << " bytes";
 }
 
 TEST(MemoryArenaTest, WriteOfAFreedSlotTakesItOffTheFreeList) {
