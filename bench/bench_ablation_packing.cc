@@ -93,7 +93,7 @@ void Run(const BenchArgs& args) {
 
 int main(int argc, char** argv) {
   const stindex::bench::BenchArgs args = stindex::bench::ParseBenchArgs(
-      argc, argv, "bench_ablation_packing", /*accept_backend=*/true);
+      argc, argv, "bench_ablation_packing", stindex::bench::kTreeBackends);
   stindex::bench::Run(args);
   stindex::bench::FinishReport(args);
   return 0;

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "core/distribute.h"
-#include "storage/file_backend.h"
 #include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
 #include "util/check.h"
@@ -213,55 +212,27 @@ double AverageRStarIo(const RStarTree& tree,
 
 namespace {
 
-// One page file per attached tree; the counter keeps names unique when a
-// harness reuses a tag across dataset sizes.
-std::unique_ptr<PageBackend> MakeFileBackend(const BenchArgs& args,
-                                             const std::string& tag) {
-  static int file_counter = 0;
-  const std::string path = args.db_path + "/" + args.bench_name + "_" + tag +
-                           "_" + std::to_string(file_counter++) + ".stpages";
-  Result<std::unique_ptr<FilePageBackend>> backend =
-      FilePageBackend::Create(path);
-  if (!backend.ok()) {
-    std::fprintf(stderr, "%s: %s\n", args.bench_name.c_str(),
-                 backend.status().ToString().c_str());
-    std::exit(1);
-  }
-  return std::move(backend).value();
-}
-
 template <typename TreeT>
 void AttachBenchBackendImpl(TreeT* tree, const BenchArgs& args,
                             const std::string& tag) {
   Report().SetParam("backend", args.backend);
   if (args.backend == "memory") return;  // the tree's own arena
-  Status status;
-  if (args.backend == "mmap") {
-    // Pack into a read-only snapshot and serve it zero-copy. The id
-    // remap is a bijection, so protocol-mode miss counts stay identical
-    // to every other backend's.
-    static int snap_counter = 0;
-    const std::string path = args.db_path + "/" + args.bench_name + "_" + tag +
-                             "_" + std::to_string(snap_counter++) + ".stsnap";
-    status = tree->PackSnapshot(path);
-    if (status.ok()) {
-      Report().SetParam(
-          "mmap_fallback",
-          static_cast<const MmapSnapshotBackend*>(tree->backend())
-                  ->file()
-                  .mapped()
-              ? "no"
-              : "pread");
-    }
-  } else {
-    status = tree->AttachBackend(MakeFileBackend(args, tag));
-  }
+  // Pack into a read-only snapshot and serve it zero-copy. The id remap
+  // is a bijection, so protocol-mode miss counts stay identical to the
+  // arena's. The counter keeps names unique when a harness reuses a tag
+  // across dataset sizes.
+  static int snap_counter = 0;
+  const std::string path = args.db_path + "/" + args.bench_name + "_" + tag +
+                           "_" + std::to_string(snap_counter++) + ".stsnap";
+  const Status status = tree->PackSnapshot(path);
   if (!status.ok()) {
-    std::fprintf(stderr, "%s: attaching %s backend for '%s': %s\n",
-                 args.bench_name.c_str(), args.backend.c_str(), tag.c_str(),
+    std::fprintf(stderr, "%s: packing '%s' into %s: %s\n",
+                 args.bench_name.c_str(), tag.c_str(), path.c_str(),
                  status.ToString().c_str());
     std::exit(1);
   }
+  Report().SetParam("mmap_fallback",
+                    tree->backend()->file().mapped() ? "no" : "pread");
 }
 
 }  // namespace

@@ -80,7 +80,7 @@ std::unique_ptr<RStarTree> BuildRStar(const std::vector<SegmentRecord>& records,
 // pool) implements the paper's measurement protocol: reset before every
 // query, so per-query miss counts are partition-independent and the
 // aggregate equals the serial run exactly at any thread count. Page
-// bytes come from the shared pool, so with a backend attached the real
+// bytes come from the shared pool, so over a packed snapshot the real
 // read count reflects the shared capacity (reads <= protocol misses).
 // Per-worker protocol IoStats are summed into *aggregate when non-null;
 // the pool's total capacity is recorded as report param
@@ -102,13 +102,13 @@ double AverageRStarIo(const RStarTree& tree,
                       const FalseHitRefiner* refiner = nullptr,
                       QueryProfile* profile = nullptr, size_t buffer_pages = 0);
 
-// Persists `tree` through the storage backend selected by --backend/--db
-// (no-op for the default "memory": the tree's own arena) and records the
-// choice as report param "backend" ("memory" | "file" | "mmap"). After
-// this the tree's query buffers read real pages, so the io.query.*
-// misses the drivers report are actual backend reads. `tag` distinguishes
-// the page files of multiple trees in one run. Failures print and
-// exit(1).
+// Serves `tree` from the storage backend selected by --backend/--db and
+// records the choice as report param "backend" ("memory" | "mmap"):
+// "memory" (the default) keeps the tree's own arena, "mmap" packs the
+// tree into a read-only snapshot under --db, after which the io.query.*
+// misses the drivers report are served by the mapped file. `tag`
+// distinguishes the snapshot files of multiple trees in one run.
+// Failures print and exit(1).
 void AttachBenchBackend(RStarTree* tree, const BenchArgs& args,
                         const std::string& tag);
 void AttachBenchBackend(PprTree* tree, const BenchArgs& args,

@@ -94,7 +94,7 @@ void Run(const BenchArgs& args) {
 
 int main(int argc, char** argv) {
   const stindex::bench::BenchArgs args = stindex::bench::ParseBenchArgs(
-      argc, argv, "bench_fig18_snapshot_io", /*accept_backend=*/true);
+      argc, argv, "bench_fig18_snapshot_io", stindex::bench::kTreeBackends);
   stindex::bench::Run(args);
   stindex::bench::FinishReport(args);
   return 0;

@@ -15,7 +15,8 @@ namespace stindex {
 namespace bench {
 
 BenchArgs ParseBenchArgs(int argc, char** argv, const std::string& bench_name,
-                         bool accept_backend) {
+                         const std::string& backends) {
+  const bool accept_backend = !backends.empty();
   BenchArgs args;
   args.bench_name = bench_name;
   std::string threads_flag;
@@ -59,20 +60,20 @@ BenchArgs ParseBenchArgs(int argc, char** argv, const std::string& bench_name,
       std::fprintf(stderr, "%s: unknown argument '%s' (--threads=N, "
                    "--json=PATH, --trace=PATH, --buffer-pages=N%s)\n",
                    bench_name.c_str(), arg.c_str(),
-                   accept_backend ? ", --backend=memory|file|mmap, --db=DIR"
-                                  : "");
+                   accept_backend
+                       ? (", --backend=" + backends + ", --db=DIR").c_str()
+                       : "");
       std::exit(2);
     }
   }
-  if (args.backend != "memory" && args.backend != "file" &&
-      args.backend != "mmap") {
-    std::fprintf(stderr,
-                 "%s: --backend must be 'memory', 'file' or 'mmap', got '%s'\n",
-                 bench_name.c_str(), args.backend.c_str());
+  if (accept_backend &&
+      ("|" + backends + "|").find("|" + args.backend + "|") ==
+          std::string::npos) {
+    std::fprintf(stderr, "%s: --backend must be one of %s, got '%s'\n",
+                 bench_name.c_str(), backends.c_str(), args.backend.c_str());
     std::exit(2);
   }
-  if ((args.backend == "file" || args.backend == "mmap") &&
-      args.db_path.empty()) {
+  if (args.backend != "memory" && args.db_path.empty()) {
     std::fprintf(stderr, "%s: --backend=%s requires --db=DIR\n",
                  bench_name.c_str(), args.backend.c_str());
     std::exit(2);

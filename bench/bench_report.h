@@ -50,30 +50,37 @@ namespace bench {
 //                                shared by all worker threads (0: the
 //                                tree's configured default, the paper's
 //                                10-page protocol)
-// Harnesses that can run against a real storage backend (fig15/17/18)
+// Harnesses that serve trees from storage (fig15/17/18,
+// bench_ablation_packing) pass `backends` = kTreeBackends and
 // additionally accept:
-//   --backend=memory|file|mmap   where queries read index pages (default
-//                                "memory": each tree's own arena). "file"
-//                                persists each tree into a page file;
-//                                "mmap" packs each tree into a read-only
-//                                snapshot file and serves it zero-copy.
-//   --db=DIR                     directory for the page/snapshot files
-//                                (required for --backend=file|mmap)
-// Unknown arguments and invalid thread counts print a message and
-// exit(2); thread resolution shares util/threads.h with stindex_cli.
+//   --backend=memory|mmap   where queries read index pages (default
+//                           "memory": each tree's own arena). "mmap"
+//                           packs each tree into a read-only snapshot
+//                           file and serves it zero-copy.
+//   --db=DIR                directory for the snapshot files (required
+//                           for any backend but memory)
+// stindex_server passes "memory|file|mmap": a read-only run serves its
+// tree from memory|mmap, a live run journals to memory|file.
+// Unknown arguments, backends outside `backends` and invalid thread
+// counts print a message and exit(2); thread resolution shares
+// util/threads.h with stindex_cli.
+inline constexpr char kTreeBackends[] = "memory|mmap";
+
 struct BenchArgs {
   std::string bench_name;
   int threads = 1;
   std::string json_path;   // empty: no report file
   std::string trace_path;  // empty: no Chrome trace capture
-  std::string backend = "memory";  // "memory", "file" or "mmap"
-  std::string db_path;     // --backend=file|mmap: directory for page files
+  std::string backend = "memory";  // one of the harness's `backends`
+  std::string db_path;     // directory for snapshot or page files
   size_t buffer_pages = 0;  // total pool pages across all threads; 0 =
                             // the tree's configured default
 };
 
+// `backends` lists the accepted --backend values, '|'-separated; empty:
+// the harness takes no --backend/--db flags.
 BenchArgs ParseBenchArgs(int argc, char** argv, const std::string& bench_name,
-                         bool accept_backend = false);
+                         const std::string& backends = "");
 
 // Accumulates the report body for the current process.
 class BenchReport {

@@ -3,13 +3,15 @@
 // one target until the stop condition holds.
 //
 //   Target.  --update-frac=0 (default) serves the LAGreedy-150% PPR-tree
-//     of the scale's first dataset, persisted through --backend, behind
-//     one shared pool of --buffer-pages frames (default 64: a warm cache,
-//     not the paper's per-query reset), one pass-through Session per
-//     client. --update-frac=F > 0 serves the crash-safe live tier: a
-//     fraction F of the requests are movement updates, applied in stream
-//     order through the WAL (a Commit every 32), the rest tiered queries.
-//     --backend=file puts the WAL on a page file under --db.
+//     of the scale's first dataset from --backend=memory|mmap (its arena,
+//     or a snapshot packed under --db), behind one shared pool of
+//     --buffer-pages frames (default 64: a warm cache, not the paper's
+//     per-query reset), one pass-through Session per client.
+//     --update-frac=F > 0 serves the crash-safe live tier: a fraction F
+//     of the requests are movement updates, applied in stream order
+//     through the WAL (a Commit every 32), the rest tiered queries.
+//     --backend=memory|file keeps the WAL in memory or on a page file
+//     under --db.
 //   Stop.  --stream=N requests (default 20x the scale's query_count), or
 //     --duration-s=S seconds of wall clock looping the request list.
 //   Telemetry.  --metrics-port=P serves /metrics, /healthz and /statusz
@@ -158,6 +160,10 @@ void CheckFlagsTakeEffect(const ServerFlags& flags, const BenchArgs& args) {
         Exit(2, std::string(flag) +
                     " configures the live tier: it needs --update-frac > 0");
       }
+    }
+    if (args.backend == "file") {
+      Exit(2, "--backend=file journals the live tier (--update-frac > 0); "
+              "a read-only run serves its tree from --backend=memory|mmap");
     }
   } else if (args.backend == "mmap") {
     Exit(2, "--backend=mmap serves a packed read-only tree; a live run "
@@ -588,7 +594,7 @@ int main(int argc, char** argv) {
   const stindex::bench::ServerFlags flags =
       stindex::bench::ExtractServerFlags(&argc, argv);
   const stindex::bench::BenchArgs args = stindex::bench::ParseBenchArgs(
-      argc, argv, "stindex_server", /*accept_backend=*/true);
+      argc, argv, "stindex_server", "memory|file|mmap");
   stindex::bench::CheckFlagsTakeEffect(flags, args);
   stindex::bench::Serve(args, flags);
   stindex::bench::FinishReport(args);

@@ -72,13 +72,14 @@ SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 # Server-driver smoke: replay a short mixed stream from 4 client threads
-# against one shared sharded pool over a real page file; the report must
-# validate and prove actual disk reads (backend.file.reads > 0).
+# against one shared sharded pool over the tree packed into an mmap
+# snapshot; the report must validate and prove the pages were served by
+# the snapshot (borrowed or read) and never by a page file.
 SERVER="$BUILD_DIR/bench/stindex_server"
 if [ -x "$SERVER" ]; then
   echo "== stindex_server shared-pool smoke =="
   "$SERVER" --threads=4 --stream=400 --buffer-pages=32 \
-    --backend=file --db="$SMOKE_DIR" \
+    --backend=mmap --db="$SMOKE_DIR" \
     --json="$OUT_DIR/stindex_server.json" \
     --prom="$OUT_DIR/stindex_server.prom" \
     | tee "$OUT_DIR/stindex_server.txt"
@@ -88,14 +89,17 @@ import json, sys
 with open(sys.argv[1], "r", encoding="utf-8") as f:
     report = json.load(f)
 counters = report["metrics"]["counters"]
-reads = counters.get("backend.file.reads", 0)
-assert reads > 0, f"expected file-backend reads, got {counters}"
+served = counters.get("backend.mmap.borrows", 0) + \
+    counters.get("backend.mmap.reads", 0)
+assert served > 0, f"expected snapshot pages served, got {counters}"
+file_reads = counters.get("backend.file.reads", 0)
+assert file_reads == 0, f"expected zero file reads under mmap, got {counters}"
 series = {s["name"] for s in report["series"]}
 for required in ("qps", "latency_p50_ms", "latency_p95_ms",
                  "latency_p99_ms"):
     assert required in series, f"report missing series '{required}'"
 assert report["params"]["effective_buffer_pages"] == 32, report["params"]
-print(f"stindex_server smoke OK: {reads} file reads, "
+print(f"stindex_server smoke OK: {served} snapshot pages served, "
       f"{report['latency_ms']['count']} latencies")
 EOF
 else
@@ -219,45 +223,21 @@ print(f"soak smoke OK: {params['queries']} queries, "
 EOF
 fi
 
-# File-backend smoke: run the CLI pipeline against a real page file in a
-# scratch directory and check the metrics dump proves actual disk reads
-# (backend.file.reads > 0) rather than reads of the tree's own arena.
+# Zero-copy snapshot smoke: run the CLI pipeline in a scratch directory,
+# ingest the objects into a live-tier WAL, pack it into a read-only
+# snapshot (stindex_cli pack), then serve queries with --backend=mmap and
+# a trace capture. Warm queries must come entirely from the mapping — the
+# CLI stats dump proves zero file-backend reads and nonzero borrowed
+# pages — and the fig17 mmap report must still validate against schema
+# v2 with the same invariant.
 CLI="$BUILD_DIR/tools/stindex_cli"
+FIG17="$BUILD_DIR/bench/bench_fig17_range_io"
 if [ -x "$CLI" ]; then
-  echo "== stindex_cli --backend file smoke =="
+  echo "== stindex_cli pack + --backend mmap smoke =="
   "$CLI" generate --family random --n 500 --out "$SMOKE_DIR/objects.csv"
   "$CLI" split --in "$SMOKE_DIR/objects.csv" --out "$SMOKE_DIR/segments.csv" \
     --budget-percent 100
   "$CLI" queries --set small --count 50 --out "$SMOKE_DIR/queries.csv"
-  "$CLI" query --segments "$SMOKE_DIR/segments.csv" \
-    --queries "$SMOKE_DIR/queries.csv" --index ppr \
-    --backend file --db "$SMOKE_DIR" --stats "$SMOKE_DIR/metrics.json" \
-    --explain --objects "$SMOKE_DIR/objects.csv" \
-    --trace "$SMOKE_DIR/query.trace.json"
-  python3 "$(dirname "$0")/validate_trace.py" "$SMOKE_DIR/query.trace.json"
-  python3 - "$SMOKE_DIR/metrics.json" <<'EOF'
-import json, sys
-with open(sys.argv[1], "r", encoding="utf-8") as f:
-    counters = json.load(f)["counters"]
-reads = counters.get("backend.file.reads", 0)
-writes = counters.get("backend.file.writes", 0)
-assert reads > 0, f"expected file-backend reads, got {counters}"
-assert writes > 0, f"expected file-backend writes, got {counters}"
-print(f"file backend smoke OK: {reads} reads, {writes} writes")
-EOF
-else
-  echo "warning: $CLI not built, skipping file-backend smoke" >&2
-fi
-
-# Zero-copy snapshot smoke: ingest a stream into a live-tier WAL, pack it
-# into a read-only snapshot (stindex_cli pack), then serve queries with
-# --backend=mmap. Warm queries must come entirely from the mapping — the
-# CLI stats dump proves zero file-backend reads and nonzero borrowed
-# pages — and the fig17 mmap report must still validate against schema
-# v2 with the same invariant.
-FIG17="$BUILD_DIR/bench/bench_fig17_range_io"
-if [ -x "$CLI" ]; then
-  echo "== stindex_cli pack + --backend mmap smoke =="
   MMAP_DIR="$SMOKE_DIR/mmap"
   mkdir -p "$MMAP_DIR"
   "$CLI" ingest --in "$SMOKE_DIR/objects.csv" --db "$MMAP_DIR"
@@ -266,7 +246,10 @@ if [ -x "$CLI" ]; then
     echo "error: pack produced no snapshot" >&2; exit 1; }
   "$CLI" query --segments "$SMOKE_DIR/segments.csv" \
     --queries "$SMOKE_DIR/queries.csv" --index ppr \
-    --backend mmap --db "$MMAP_DIR" --stats "$MMAP_DIR/metrics.json"
+    --backend mmap --db "$MMAP_DIR" --stats "$MMAP_DIR/metrics.json" \
+    --explain --objects "$SMOKE_DIR/objects.csv" \
+    --trace "$SMOKE_DIR/query.trace.json"
+  python3 "$(dirname "$0")/validate_trace.py" "$SMOKE_DIR/query.trace.json"
   python3 - "$MMAP_DIR/metrics.json" <<'EOF'
 import json, sys
 with open(sys.argv[1], "r", encoding="utf-8") as f:

@@ -39,7 +39,9 @@ Rect2D Mbr(const Entries& entries) {
 
 }  // namespace
 
-HrTree::HrTree(HrConfig config) : config_(config), arena_("hr") {
+// The HR-tree is never packed, so its pages are never sealed or checked.
+HrTree::HrTree(HrConfig config)
+    : config_(config), pages_("hr", config.buffer_pages, std::nullopt) {
   static_assert(kPageEnvelopeBytes + sizeof(Header) == kNodeEntryOffset &&
                 kNodeEntryOffset % alignof(Entry) == 0);
   STINDEX_CHECK(config_.max_entries >= 4);
@@ -47,40 +49,23 @@ HrTree::HrTree(HrConfig config) : config_(config), arena_("hr") {
   STINDEX_CHECK(config_.min_entries <= config_.max_entries / 2);
   STINDEX_CHECK_MSG(config_.max_entries + 1 <= Node::kCapacity,
                     "HR-tree fanout does not fit a node page");
-  pool_ = NewSharedQueryPool();
-  session_ = std::make_unique<SharedBufferPool::Session>(pool_.get(),
-                                                         config_.buffer_pages);
 }
 
 HrTree::~HrTree() = default;
 
 HrTree::Node HrTree::GetNode(PageId id) const {
-  return Node(&arena_.MutablePage(id));
+  return Node(&pages_.arena().MutablePage(id));
 }
 
 PageId HrTree::NewNode(int level, Time t, std::span<const Entry> entries) {
-  const PageId id = arena_.Allocate();
+  const PageId id = pages_.arena().Allocate();
   Node node = GetNode(id);
   node.header() = Header{level, 0, t};
   for (const Entry& entry : entries) node.Append(entry);
   return id;
 }
 
-std::unique_ptr<SharedBufferPool> HrTree::NewSharedQueryPool(
-    size_t pages) const {
-  SharedBufferPoolOptions options;
-  options.capacity = pages == 0 ? config_.buffer_pages : pages;
-  options.metric_scope = "hr";
-  // The arena's pages are never sealed, so the pool checks nothing.
-  return std::make_unique<SharedBufferPool>(&arena_, nullptr, options);
-}
-
 size_t HrTree::NumVersions() const { return roots_.size(); }
-
-void HrTree::ResetQueryState() const {
-  session_->ResetCache();
-  session_->ResetStats();
-}
 
 PageId HrTree::RootAt(Time t) const {
   auto it = std::upper_bound(roots_.begin(), roots_.end(), t,
@@ -371,12 +356,12 @@ void HrTree::Delete(HrDataId data, Time t) {
 
 void HrTree::SnapshotQuery(const Rect2D& area, Time t,
                            std::vector<HrDataId>* results) const {
-  SnapshotQuery(area, t, session_.get(), results);
+  SnapshotQuery(area, t, pages_.session(), results);
 }
 
 void HrTree::IntervalQuery(const Rect2D& area, const TimeInterval& range,
                            std::vector<HrDataId>* results) const {
-  IntervalQuery(area, range, session_.get(), results);
+  IntervalQuery(area, range, pages_.session(), results);
 }
 
 void HrTree::SnapshotQuery(const Rect2D& area, Time t, PageCache* buffer,

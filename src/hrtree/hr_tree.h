@@ -14,6 +14,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/page_backend.h"
 #include "storage/shared_buffer_pool.h"
+#include "storage/tree_pages.h"
 
 namespace stindex {
 
@@ -85,19 +86,21 @@ class HrTree {
   // A sharded thread-safe pool over this tree's pages whose `pages`
   // frames (0 = the configured default) are shared by every worker;
   // workers query through per-worker SharedBufferPool::Sessions.
-  std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
+  std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const {
+    return pages_.NewSharedQueryPool(pages);
+  }
 
   size_t Size() const { return size_; }
   size_t AliveCount() const { return alive_entry_.size(); }
-  size_t PageCount() const { return arena_.LivePageCount(); }
+  size_t PageCount() const { return pages_.source().LivePageCount(); }
   size_t NumVersions() const;
 
   // I/O statistics of the tree's own query session (the query overloads
   // without a PageCache): misses under the paper's LRU of
   // config.buffer_pages pages. ResetQueryState() restarts that LRU and
   // zeroes the counters.
-  const IoStats& stats() const { return session_->stats(); }
-  void ResetQueryState() const;
+  const IoStats& stats() const { return pages_.stats(); }
+  void ResetQueryState() const { pages_.ResetQueryState(); }
 
   // Structural checks on every version tree (sampled): uniform leaf
   // depth, parent MBR containment, capacity bounds. Test hook.
@@ -143,10 +146,9 @@ class HrTree {
   void PublishRoot(PageId root, Time t);
 
   HrConfig config_;
-  mutable MemoryPageBackend arena_;
-  // session_ after pool_ so it dies first.
-  std::unique_ptr<SharedBufferPool> pool_;
-  std::unique_ptr<SharedBufferPool::Session> session_;
+  // The arena of node pages, with the tree's own query pool and protocol
+  // session.
+  TreePages pages_;
   // Version list: root of the tree valid from `start` until the next
   // version's start.
   std::vector<Version> roots_;

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -80,32 +79,14 @@ Rect2D AliveMbr(const Entries& entries) {
 
 }  // namespace
 
-// The check every node page read from a backend or a snapshot passes:
-// the envelope (checksum, kind, version), then a plausible header. The
-// fanout bound tolerates max_entries + 1, the transient overflow state.
-// It also pins the page layout.
-class PprTree::NodeCodec : public PageCodec {
- public:
-  explicit NodeCodec(size_t max_entries) : max_entries_(max_entries) {
-    STINDEX_CHECK_MSG(max_entries_ + 1 <= kNodePageCapacity,
-                      "PPR-tree fanout does not fit a node page");
-  }
-
-  Status Check(const uint8_t* page, PageId id) const override {
-    Result<PageReader> payload = OpenPagePayload(page, PageKind::kPprNode, id);
-    if (!payload.ok()) return payload.status();
-    Header header;
-    std::memcpy(&header, page + kPageEnvelopeBytes, sizeof(Header));
-    if (header.level < 0 || header.count > max_entries_ + 1) {
-      return Status::InvalidArgument(
-          "page " + std::to_string(id) + ": implausible PPR-tree node (level " +
-          std::to_string(header.level) + ", " + std::to_string(header.count) +
-          " entries)");
-    }
-    return Status::OK();
-  }
-
- private:
+// The check on sealed node pages tolerates max_entries + 1 entries, the
+// transient overflow state.
+PprTree::PprTree(PprConfig config)
+    : config_(config),
+      pages_("ppr", config.buffer_pages,
+             NodePageCheck(PageKind::kPprNode, "PPR-tree",
+                           config.max_entries + 1)) {
+  // The node page layout (Header and Entry above).
   static_assert(sizeof(Header) == 24 && offsetof(Header, count) == 4 &&
                 offsetof(Header, created) == 8 &&
                 offsetof(Header, closed) == 16);
@@ -125,19 +106,12 @@ class PprTree::NodeCodec : public PageCodec {
                 sizeof(Entry));
   static_assert(std::is_trivially_copyable_v<Entry> &&
                 std::has_unique_object_representations_v<TimeInterval>);
-
-  size_t max_entries_;
-};
-
-PprTree::PprTree(PprConfig config)
-    : config_(config),
-      arena_(std::make_unique<MemoryPageBackend>("ppr")),
-      codec_(std::make_unique<NodeCodec>(config_.max_entries)) {
+  STINDEX_CHECK_MSG(config_.max_entries + 1 <= kNodePageCapacity,
+                    "PPR-tree fanout does not fit a node page");
   STINDEX_CHECK(config_.max_entries >= 4);
   STINDEX_CHECK(config_.p_version > 0.0 && config_.p_version < 1.0);
   STINDEX_CHECK(config_.p_svu > config_.p_version);
   STINDEX_CHECK(config_.p_svo > config_.p_svu && config_.p_svo <= 1.0);
-  OpenQueryPool();
   // The strong-version window must leave room to insert into a fresh node.
   STINDEX_CHECK(StrongMax() < config_.max_entries);
   STINDEX_CHECK(WeakMin() >= 1);
@@ -165,102 +139,21 @@ size_t PprTree::StrongMin() const {
 }
 
 PprTree::Node PprTree::GetNode(PageId id) const {
-  STINDEX_CHECK_MSG(arena_ != nullptr, "PprTree is frozen after AttachBackend");
-  return Node(&arena_->MutablePage(id));
-}
-
-const PageBackend& PprTree::source() const {
-  return arena_ != nullptr ? *arena_ : *backend_;
-}
-
-std::unique_ptr<SharedBufferPool> PprTree::NewPool(
-    size_t pages, std::string metric_scope) const {
-  SharedBufferPoolOptions options;
-  options.capacity = pages;
-  options.metric_scope = std::move(metric_scope);
-  // Arena pages are not sealed; pages of a backend are checked per miss.
-  return std::make_unique<SharedBufferPool>(
-      &source(), arena_ != nullptr ? nullptr : codec_.get(), options);
-}
-
-std::unique_ptr<SharedBufferPool> PprTree::NewSharedQueryPool(
-    size_t pages) const {
-  return NewPool(pages == 0 ? config_.buffer_pages : pages, "ppr");
-}
-
-void PprTree::OpenQueryPool() {
-  session_.reset();
-  pool_ = NewSharedQueryPool();
-  session_ = std::make_unique<SharedBufferPool::Session>(pool_.get(),
-                                                         config_.buffer_pages);
-}
-
-void PprTree::Freeze(std::unique_ptr<PageBackend> backend) {
-  session_.reset();
-  pool_.reset();
-  arena_.reset();
-  backend_ = std::move(backend);
-  OpenQueryPool();
-}
-
-Status PprTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
-  STINDEX_CHECK_MSG(arena_ != nullptr, "backend already attached");
-  STINDEX_CHECK(backend != nullptr);
-  TraceSpan span("ppr", "attach_backend");
-  span.Arg("pages", static_cast<int64_t>(PageCount()));
-  std::vector<PageId> slots(NodeCount());
-  std::iota(slots.begin(), slots.end(), PageId{0});
-  Status status = PersistNodesForCheckpoint(backend.get(), slots);
-  if (status.ok()) status = backend->Sync();
-  if (!status.ok()) return status;
-  Freeze(std::move(backend));
-  return Status::OK();
+  return Node(&pages_.arena().MutablePage(id));
 }
 
 Status PprTree::PackSnapshot(const std::string& path,
                              const SnapshotFile::Options& options) {
-  STINDEX_CHECK_MSG(arena_ != nullptr, "backend already attached");
-  TraceSpan span("ppr", "pack_snapshot");
-  span.Arg("pages", static_cast<int64_t>(PageCount()));
-  const size_t count = NodeCount();
-  // The PPR-tree never frees nodes, so ids are dense already; the packed
-  // order sorts them bottom-up (level, then id) so every level occupies
-  // one contiguous extent of the snapshot.
-  std::vector<PageId> order(count);
-  std::iota(order.begin(), order.end(), PageId{0});
-  std::stable_sort(order.begin(), order.end(), [this](PageId a, PageId b) {
-    return GetNode(a).level() < GetNode(b).level();
-  });
-  std::vector<PageId> remap(count, kInvalidPage);
-  for (size_t slot = 0; slot < order.size(); ++slot) {
-    remap[order[slot]] = static_cast<PageId>(slot);
-  }
-
-  // The snapshot gets remapped, sealed copies; the arena is untouched, so
-  // the tree still serves from it if writing the snapshot fails.
-  Result<std::unique_ptr<SnapshotWriter>> writer = SnapshotWriter::Create(path);
-  if (!writer.ok()) return writer.status();
-  Page page;
-  for (const PageId id : order) {
-    std::memcpy(page.bytes, arena_->BorrowPage(id), kPageSize);
-    Node node(&page);
-    if (!node.IsLeaf()) {
-      for (Entry& entry : node.entries()) {
-        if (entry.child != kInvalidPage) entry.child = remap[entry.child];
-      }
-    }
-    SealPage(page.bytes, PageKind::kPprNode);
-    Status status =
-        writer.value()->Append(static_cast<uint32_t>(node.level()), page.bytes);
-    if (!status.ok()) return status;
-  }
-  Status status = writer.value()->Finish();
-  if (!status.ok()) return status;
-  Result<std::unique_ptr<MmapSnapshotBackend>> backend =
-      MmapSnapshotBackend::Open(path, options);
-  if (!backend.ok()) return backend.status();
+  Result<std::vector<PageId>> packed = pages_.Pack(
+      path, options, [](Page* page, const std::vector<PageId>& remap) {
+        for (Entry& entry : Node(page).entries()) {
+          if (entry.child != kInvalidPage) entry.child = remap[entry.child];
+        }
+      });
+  if (!packed.ok()) return packed.status();
 
   // Committed: the in-memory references follow the remap.
+  const std::vector<PageId>& remap = packed.value();
   for (RootEra& era : roots_) {
     if (era.root != kInvalidPage) era.root = remap[era.root];
   }
@@ -271,7 +164,6 @@ Status PprTree::PackSnapshot(const std::string& path,
     parents[remap[child]] = remap[parent];
   }
   parent_of_ = std::move(parents);
-  Freeze(std::move(backend).value());
   return Status::OK();
 }
 
@@ -290,14 +182,9 @@ void PprTree::StartNewEra(PageId root, Time t) {
   roots_.push_back(RootEra{t, root});
 }
 
-void PprTree::ResetQueryState() const {
-  session_->ResetCache();
-  session_->ResetStats();
-}
-
 PageId PprTree::MakeNode(int level, const std::vector<Entry>& entries,
                          Time now) {
-  const PageId id = arena_->Allocate();
+  const PageId id = pages_.arena().Allocate();
   Node node = GetNode(id);
   node.header() = Header{level, 0, now, kTimeInfinity};
   for (const Entry& entry : entries) {
@@ -379,8 +266,8 @@ void PprTree::ExpandPathRects(const std::vector<Frame>& path,
 }
 
 void PprTree::Insert(const Rect2D& rect, Time t, PprDataId data) {
-  STINDEX_CHECK_MSG(backend_ == nullptr,
-                    "PprTree is frozen after AttachBackend");
+  STINDEX_CHECK_MSG(!pages_.frozen(),
+                    "PprTree is frozen: it serves a packed snapshot");
   STINDEX_CHECK_MSG(rect.IsValid(), "inserting an invalid rect");
   STINDEX_CHECK_MSG(t >= current_time_, "updates must be fed in time order");
   STINDEX_CHECK_MSG(alive_location_.find(data) == alive_location_.end(),
@@ -411,8 +298,8 @@ void PprTree::Insert(const Rect2D& rect, Time t, PprDataId data) {
 }
 
 void PprTree::Delete(PprDataId data, Time t) {
-  STINDEX_CHECK_MSG(backend_ == nullptr,
-                    "PprTree is frozen after AttachBackend");
+  STINDEX_CHECK_MSG(!pages_.frozen(),
+                    "PprTree is frozen: it serves a packed snapshot");
   STINDEX_CHECK_MSG(t >= current_time_, "updates must be fed in time order");
   current_time_ = t;
   auto it = alive_location_.find(data);
@@ -727,12 +614,12 @@ void PprTree::KeySplit(std::vector<Entry>* entries, std::vector<Entry>* left,
 
 void PprTree::SnapshotQuery(const Rect2D& area, Time t,
                             std::vector<PprDataId>* results) const {
-  SnapshotQuery(area, t, session_.get(), results);
+  SnapshotQuery(area, t, pages_.session(), results);
 }
 
 void PprTree::IntervalQuery(const Rect2D& area, const TimeInterval& range,
                             std::vector<PprDataId>* results) const {
-  IntervalQuery(area, range, session_.get(), results);
+  IntervalQuery(area, range, pages_.session(), results);
 }
 
 void PprTree::SnapshotQuery(const Rect2D& area, Time t, PageCache* buffer,
@@ -844,8 +731,7 @@ std::vector<PprTree::AliveNodeSummary> PprTree::CollectAliveSummaries(
   if (it == roots_.begin()) return summaries;
   --it;
   if (it->root == kInvalidPage) return summaries;
-  const std::unique_ptr<SharedBufferPool> pool =
-      NewPool(config_.buffer_pages, "");
+  const std::unique_ptr<SharedBufferPool> pool = pages_.NewUnpublishedPool();
   SharedBufferPool::Session nodes(pool.get());
   std::vector<PageId> stack = {it->root};
   while (!stack.empty()) {
@@ -868,7 +754,7 @@ std::vector<PprTree::AliveNodeSummary> PprTree::CollectAliveSummaries(
 }
 
 size_t PprTree::SnapshotCount(const Rect2D& area, Time t) const {
-  return SnapshotCount(area, t, session_.get());
+  return SnapshotCount(area, t, pages_.session());
 }
 
 size_t PprTree::SnapshotCount(const Rect2D& area, Time t,
@@ -928,10 +814,9 @@ void PprTree::CollectSubtree(PageId root, PageCache* nodes,
 }
 
 void PprTree::CheckInvariants() const {
-  // Pages come through an unpublished pool, so a frozen tree's backend is
+  // Pages come through an unpublished pool, so a frozen tree's snapshot is
   // checked as well as a live tree's arena.
-  const std::unique_ptr<SharedBufferPool> pool =
-      NewPool(config_.buffer_pages, "");
+  const std::unique_ptr<SharedBufferPool> pool = pages_.NewUnpublishedPool();
   SharedBufferPool::Session pages(pool.get());
 
   // Structural checks over every reachable node.
@@ -1041,39 +926,13 @@ Status PprTree::DecodeCheckpointMeta(ByteSource* in) {
 
 Status PprTree::PersistNodesForCheckpoint(
     PageBackend* backend, const std::vector<PageId>& slots) const {
-  // A live tree seals copies of its arena pages; a tree frozen by
-  // PackSnapshot copies its snapshot pages, which are sealed already.
-  STINDEX_CHECK(slots.size() == NodeCount());
-  Page page;
-  for (PageId id = 0; id < slots.size(); ++id) {
-    if (arena_ != nullptr) {
-      std::memcpy(page.bytes, arena_->BorrowPage(id), kPageSize);
-      SealPage(page.bytes, PageKind::kPprNode);
-    } else {
-      Status status = backend_->Read(id, page.bytes);
-      if (!status.ok()) return status;
-    }
-    Status status = backend->Write(slots[id], page.bytes);
-    if (!status.ok()) {
-      return Status(status.code(),
-                    "write of page " + std::to_string(slots[id]) +
-                        " failed: " + status.message());
-    }
-  }
-  return Status::OK();
+  return pages_.PersistPages(backend, slots);
 }
 
 Status PprTree::InstallCheckpointNode(PageId id, const uint8_t* page) {
-  STINDEX_CHECK_MSG(arena_ != nullptr,
-                    "checkpoint restore into an attached tree");
-  STINDEX_CHECK(NodeCount() == id);
-  Status status = codec_->Check(page, id);
-  if (!status.ok()) return status;
-  const PageId allocated = arena_->Allocate();
-  STINDEX_CHECK(allocated == id);
-  Page& copy = arena_->MutablePage(id);
-  std::memcpy(copy.bytes, page, kPageSize);
-  const NodeView node(&copy);
+  Result<const Page*> installed = pages_.InstallPage(id, page);
+  if (!installed.ok()) return installed.status();
+  const NodeView node(installed.value());
   for (const Entry& entry : node.entries()) {
     if (entry.IsAlive()) {
       if (node.IsLeaf()) {

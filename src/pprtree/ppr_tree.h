@@ -14,6 +14,7 @@
 #include "storage/page_backend.h"
 #include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
+#include "storage/tree_pages.h"
 #include "util/bytes.h"
 #include "util/status.h"
 
@@ -105,34 +106,29 @@ class PprTree {
   // frames (0 = the configured default) are shared by every worker.
   // Workers query through per-worker SharedBufferPool::Sessions; a
   // protocol-mode Session (protocol_pages = the paper's buffer size)
-  // reports the paper's per-query misses. Before AttachBackend/
-  // PackSnapshot the pool borrows the arena's pages; after, it reads (and
-  // checks) real pages from the backend.
-  std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
-
-  // Writes a sealed copy of every node page to `backend` (ascending page
-  // id, one write per node), then serves all subsequent queries from the
-  // backend: pool misses become actual backend reads. The tree is frozen
-  // afterwards — Insert/Delete become checked errors — and releases its
-  // arena. Page ids are preserved, so query I/O counts are identical to
-  // the arena's. On a write or sync failure the backend is dropped and
-  // the tree keeps serving from its arena. Pools from NewSharedQueryPool
-  // must be destroyed before a freeze succeeds.
-  Status AttachBackend(std::unique_ptr<PageBackend> backend);
+  // reports the paper's per-query misses. Before PackSnapshot the pool
+  // borrows the arena's pages; after, it borrows (or, through pread,
+  // reads) and checks the snapshot's pages.
+  std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const {
+    return pages_.NewSharedQueryPool(pages);
+  }
 
   // Packs the structure into a read-only snapshot file at `path` and
   // serves all subsequent queries from its mmap'd pages (zero-copy;
-  // pread fallback per `options`). Node ids are remapped to a dense
-  // bottom-up layout — all leaves first, then each directory level in
-  // one contiguous extent. The remap is a bijection of the page-id
-  // access sequence, so per-query LRU miss counts are byte-identical to
-  // the unpacked tree's. The tree is frozen afterwards, like
-  // AttachBackend; on failure it keeps serving from its arena, unchanged.
+  // pread fallback per `options`) — the only way the tree leaves its
+  // arena (TreePages::Pack). Node ids are remapped to a dense bottom-up
+  // layout — all leaves first, then each directory level in one
+  // contiguous extent. The remap is a bijection of the page-id access
+  // sequence, so per-query LRU miss counts are byte-identical to the
+  // unpacked tree's. The tree is frozen afterwards — Insert/Delete
+  // become checked errors — and releases its arena; pools from
+  // NewSharedQueryPool must be destroyed first. On failure it keeps
+  // serving from its arena, unchanged.
   Status PackSnapshot(const std::string& path,
                       const SnapshotFile::Options& options = {});
 
-  // Nullptr until AttachBackend/PackSnapshot succeeds.
-  const PageBackend* backend() const { return backend_.get(); }
+  // Nullptr until PackSnapshot succeeds.
+  const MmapSnapshotBackend* backend() const { return pages_.snapshot(); }
 
   // Node page layout (docs/storage.md): a 24-byte header {int32 level,
   // uint32 count, Time created, Time closed} after the envelope, then
@@ -159,7 +155,7 @@ class PprTree {
   size_t AliveCount() const { return alive_location_.size(); }
 
   // Disk footprint in pages.
-  size_t PageCount() const { return source().LivePageCount(); }
+  size_t PageCount() const { return pages_.source().LivePageCount(); }
 
   // Number of eras in the root journal.
   size_t NumRoots() const;
@@ -168,12 +164,12 @@ class PprTree {
   // without a PageCache); misses are "disk accesses" under the paper's
   // LRU of config.buffer_pages pages. ResetQueryState() restarts that
   // LRU and zeroes the counters, as before each measured query.
-  const IoStats& stats() const { return session_->stats(); }
-  void ResetQueryState() const;
+  const IoStats& stats() const { return pages_.stats(); }
+  void ResetQueryState() const { pages_.ResetQueryState(); }
 
   // Validates structural invariants at sampled time instants (alive-entry
   // bounds, lifetime nesting, MBR containment), reading the arena or,
-  // once frozen, the backend. Test hook.
+  // once frozen, the snapshot. Test hook.
   void CheckInvariants() const;
 
   // Introspection: one summary per node of the *ephemeral* tree at
@@ -193,7 +189,7 @@ class PprTree {
   // the meta carries the root journal and counters.
 
   // Nodes a checkpoint must persist: ids 0..NodeCount()-1.
-  size_t NodeCount() const { return source().SlotCount(); }
+  size_t NodeCount() const { return pages_.source().SlotCount(); }
 
   // Serializes the non-node state (size, clock, root journal).
   void EncodeCheckpointMeta(ByteSink* out) const;
@@ -201,10 +197,10 @@ class PprTree {
   Status DecodeCheckpointMeta(ByteSource* in);
 
   // Writes a sealed copy of node i to backend slot `slots[i]`
-  // (slots.size() must be NodeCount()), in ascending node id — the same
-  // write path AttachBackend persists through. A tree frozen by
-  // PackSnapshot copies its snapshot pages, which are sealed already.
-  // The first failed write is returned, naming the slot. Does not sync.
+  // (slots.size() must be NodeCount()), in ascending node id. A tree
+  // frozen by PackSnapshot copies its snapshot pages, which are sealed
+  // already. The first failed write is returned, naming the slot. Does
+  // not sync.
   Status PersistNodesForCheckpoint(PageBackend* backend,
                                    const std::vector<PageId>& slots) const;
 
@@ -214,7 +210,6 @@ class PprTree {
   Status InstallCheckpointNode(PageId id, const uint8_t* page);
 
  private:
-  class NodeCodec;
   struct Entry;
   struct Header;
   struct Frame;
@@ -224,23 +219,6 @@ class PprTree {
 
   // Mutable view of arena node `id`; the tree must not be frozen.
   Node GetNode(PageId id) const;
-
-  // Where the nodes live: the arena, or the backend the tree was frozen
-  // into.
-  const PageBackend& source() const;
-
-  // A pool of `pages` frames over source(), publishing under
-  // `metric_scope` (empty: unpublished).
-  std::unique_ptr<SharedBufferPool> NewPool(size_t pages,
-                                            std::string metric_scope) const;
-
-  // (Re)opens the tree's own query pool and protocol session over
-  // source().
-  void OpenQueryPool();
-
-  // Makes `backend` the tree's only page source: drops the query pool
-  // and the arena, then reopens the pool over the backend.
-  void Freeze(std::unique_ptr<PageBackend> backend);
 
   size_t WeakMin() const;    // D
   size_t StrongMax() const;  // p_svo * B
@@ -291,14 +269,9 @@ class PprTree {
                       std::vector<PageId>* out) const;
 
   PprConfig config_;
-  // Exactly one of arena_ (a live tree) and backend_ (a frozen one) is
-  // set. Declared before pool_ so the pool dies before the pages and
-  // codec it borrows; session_ after pool_ so it dies first.
-  std::unique_ptr<MemoryPageBackend> arena_;
-  std::unique_ptr<PageBackend> backend_;
-  std::unique_ptr<const NodeCodec> codec_;
-  std::unique_ptr<SharedBufferPool> pool_;
-  std::unique_ptr<SharedBufferPool::Session> session_;
+  // The arena of node pages, or the snapshot the tree was packed into,
+  // with the tree's own query pool and protocol session.
+  TreePages pages_;
   std::vector<RootEra> roots_;
   size_t size_ = 0;
   Time current_time_ = 0;

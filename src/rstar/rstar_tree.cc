@@ -47,32 +47,12 @@ Box3D Mbr(const Entries& entries) {
 
 }  // namespace
 
-// The check every node page read from a backend or a snapshot passes:
-// the envelope (checksum, kind, version), then a plausible header. It
-// also pins the page layout.
-class RStarTree::NodeCodec : public PageCodec {
- public:
-  explicit NodeCodec(size_t max_entries) : max_entries_(max_entries) {
-    STINDEX_CHECK_MSG(max_entries_ + 1 <= kNodePageCapacity,
-                      "R*-tree fanout does not fit a node page");
-  }
-
-  Status Check(const uint8_t* page, PageId id) const override {
-    Result<PageReader> payload =
-        OpenPagePayload(page, PageKind::kRStarNode, id);
-    if (!payload.ok()) return payload.status();
-    Header header;
-    std::memcpy(&header, page + kPageEnvelopeBytes, sizeof(Header));
-    if (header.level < 0 || header.count > max_entries_) {
-      return Status::InvalidArgument(
-          "page " + std::to_string(id) + ": implausible R*-tree node (level " +
-          std::to_string(header.level) + ", " + std::to_string(header.count) +
-          " entries)");
-    }
-    return Status::OK();
-  }
-
- private:
+RStarTree::RStarTree(RStarConfig config)
+    : config_(config),
+      pages_("rstar", config.buffer_pages,
+             NodePageCheck(PageKind::kRStarNode, "R*-tree",
+                           config.max_entries)) {
+  // The node page layout (Header and Entry above).
   static_assert(sizeof(Header) == 8 && offsetof(Header, count) == 4);
   static_assert(std::has_unique_object_representations_v<Header>);
   static_assert(kPageEnvelopeBytes + sizeof(Header) == kNodeEntryOffset &&
@@ -87,20 +67,13 @@ class RStarTree::NodeCodec : public PageCodec {
                     sizeof(DataId) ==
                 sizeof(Entry));
   static_assert(std::is_trivially_copyable_v<Entry>);
-
-  size_t max_entries_;
-};
-
-RStarTree::RStarTree(RStarConfig config)
-    : config_(config),
-      arena_(std::make_unique<MemoryPageBackend>("rstar")),
-      codec_(std::make_unique<NodeCodec>(config_.max_entries)) {
+  STINDEX_CHECK_MSG(config_.max_entries + 1 <= kNodePageCapacity,
+                    "R*-tree fanout does not fit a node page");
   STINDEX_CHECK(config_.max_entries >= 4);
   STINDEX_CHECK(config_.min_entries >= 2);
   STINDEX_CHECK(config_.min_entries <= config_.max_entries / 2);
   STINDEX_CHECK(config_.reinsert_count >= 1);
   STINDEX_CHECK(config_.reinsert_count < config_.max_entries);
-  OpenQueryPool();
 }
 
 RStarTree::~RStarTree() {
@@ -110,135 +83,38 @@ RStarTree::~RStarTree() {
 }
 
 RStarTree::Node RStarTree::GetNode(PageId id) const {
-  STINDEX_CHECK_MSG(arena_ != nullptr,
-                    "RStarTree is frozen after AttachBackend");
-  return Node(&arena_->MutablePage(id));
+  return Node(&pages_.arena().MutablePage(id));
 }
 
 PageId RStarTree::NewNode(int level) {
-  const PageId id = arena_->Allocate();
+  const PageId id = pages_.arena().Allocate();
   GetNode(id).header().level = level;
   return id;
 }
 
-void RStarTree::FreeNode(PageId id) { STINDEX_CHECK(arena_->Free(id).ok()); }
-
-const PageBackend& RStarTree::source() const {
-  return arena_ != nullptr ? *arena_ : *backend_;
-}
-
-std::unique_ptr<SharedBufferPool> RStarTree::NewPool(
-    size_t pages, std::string metric_scope) const {
-  SharedBufferPoolOptions options;
-  options.capacity = pages;
-  options.metric_scope = std::move(metric_scope);
-  // Arena pages are not sealed; pages of a backend are checked per miss.
-  return std::make_unique<SharedBufferPool>(
-      &source(), arena_ != nullptr ? nullptr : codec_.get(), options);
-}
-
-std::unique_ptr<SharedBufferPool> RStarTree::NewSharedQueryPool(
-    size_t pages) const {
-  return NewPool(pages == 0 ? config_.buffer_pages : pages, "rstar");
-}
-
-void RStarTree::OpenQueryPool() {
-  session_.reset();
-  pool_ = NewSharedQueryPool();
-  session_ = std::make_unique<SharedBufferPool::Session>(pool_.get(),
-                                                         config_.buffer_pages);
-}
-
-void RStarTree::Freeze(std::unique_ptr<PageBackend> backend) {
-  session_.reset();
-  pool_.reset();
-  arena_.reset();
-  backend_ = std::move(backend);
-  OpenQueryPool();
-}
-
-Status RStarTree::AttachBackend(std::unique_ptr<PageBackend> backend) {
-  STINDEX_CHECK_MSG(arena_ != nullptr, "backend already attached");
-  STINDEX_CHECK(backend != nullptr);
-  TraceSpan span("rstar", "attach_backend");
-  span.Arg("pages", static_cast<int64_t>(PageCount()));
-  // A sealed copy of every live node page, to the same page id.
-  Page page;
-  for (PageId id = 0; id < arena_->SlotCount(); ++id) {
-    if (!arena_->IsAllocated(id)) continue;
-    std::memcpy(page.bytes, arena_->BorrowPage(id), kPageSize);
-    SealPage(page.bytes, PageKind::kRStarNode);
-    Status status = backend->Write(id, page.bytes);
-    if (!status.ok()) {
-      return Status(status.code(),
-                    "write of page " + std::to_string(id) +
-                        " failed: " + status.message());
-    }
-  }
-  Status status = backend->Sync();
-  if (!status.ok()) return status;
-  Freeze(std::move(backend));
-  return Status::OK();
+void RStarTree::FreeNode(PageId id) {
+  STINDEX_CHECK(pages_.arena().Free(id).ok());
 }
 
 Status RStarTree::PackSnapshot(const std::string& path,
                                const SnapshotFile::Options& options) {
-  STINDEX_CHECK_MSG(arena_ != nullptr, "backend already attached");
-  TraceSpan span("rstar", "pack_snapshot");
-  span.Arg("pages", static_cast<int64_t>(PageCount()));
-  // Deletes can leave freed holes in the id space; packing keeps only the
-  // live nodes, sorted bottom-up (level, then id) so every level occupies
-  // one contiguous extent of the snapshot.
-  std::vector<PageId> order;
-  order.reserve(PageCount());
-  for (PageId id = 0; id < arena_->SlotCount(); ++id) {
-    if (arena_->IsAllocated(id)) order.push_back(id);
-  }
-  std::stable_sort(order.begin(), order.end(), [this](PageId a, PageId b) {
-    return GetNode(a).level() < GetNode(b).level();
-  });
-  std::vector<PageId> remap(arena_->SlotCount(), kInvalidPage);
-  for (size_t slot = 0; slot < order.size(); ++slot) {
-    remap[order[slot]] = static_cast<PageId>(slot);
-  }
-
-  // The snapshot gets remapped, sealed copies; the arena is untouched, so
-  // the tree still serves from it if writing the snapshot fails.
-  Result<std::unique_ptr<SnapshotWriter>> writer = SnapshotWriter::Create(path);
-  if (!writer.ok()) return writer.status();
-  Page page;
-  for (const PageId id : order) {
-    std::memcpy(page.bytes, arena_->BorrowPage(id), kPageSize);
-    Node node(&page);
-    if (!node.IsLeaf()) {
-      for (Entry& entry : node.entries()) entry.child = remap[entry.child];
-    }
-    SealPage(page.bytes, PageKind::kRStarNode);
-    Status status =
-        writer.value()->Append(static_cast<uint32_t>(node.level()), page.bytes);
-    if (!status.ok()) return status;
-  }
-  Status status = writer.value()->Finish();
-  if (!status.ok()) return status;
-  Result<std::unique_ptr<MmapSnapshotBackend>> backend =
-      MmapSnapshotBackend::Open(path, options);
-  if (!backend.ok()) return backend.status();
-  if (root_ != kInvalidPage) root_ = remap[root_];
-  Freeze(std::move(backend).value());
+  Result<std::vector<PageId>> packed = pages_.Pack(
+      path, options, [](Page* page, const std::vector<PageId>& remap) {
+        for (Entry& entry : Node(page).entries()) {
+          entry.child = remap[entry.child];
+        }
+      });
+  if (!packed.ok()) return packed.status();
+  if (root_ != kInvalidPage) root_ = packed.value()[root_];
   return Status::OK();
 }
 
 size_t RStarTree::Height() const {
   if (root_ == kInvalidPage) return 0;
-  const std::unique_ptr<SharedBufferPool> pool = NewPool(1, "");
+  const std::unique_ptr<SharedBufferPool> pool = pages_.NewUnpublishedPool(1);
   SharedBufferPool::Session nodes(pool.get());
   const PageRef root = nodes.FetchPinned(root_);
   return static_cast<size_t>(NodeView(root.get()).level()) + 1;
-}
-
-void RStarTree::ResetQueryState() const {
-  session_->ResetCache();
-  session_->ResetStats();
 }
 
 namespace {
@@ -382,8 +258,8 @@ std::unique_ptr<RStarTree> RStarTree::BulkLoad(
 }
 
 void RStarTree::Insert(const Box3D& box, DataId data) {
-  STINDEX_CHECK_MSG(backend_ == nullptr,
-                    "RStarTree is frozen after AttachBackend");
+  STINDEX_CHECK_MSG(!pages_.frozen(),
+                    "RStarTree is frozen: it serves a packed snapshot");
   STINDEX_CHECK_MSG(box.IsValid(), "inserting an invalid box");
   if (root_ == kInvalidPage) {
     root_ = NewNode(0);
@@ -866,8 +742,8 @@ double MinDistance2(const double point[3], const Box3D& box) {
 }  // namespace
 
 bool RStarTree::Delete(const Box3D& box, DataId data) {
-  STINDEX_CHECK_MSG(backend_ == nullptr,
-                    "RStarTree is frozen after AttachBackend");
+  STINDEX_CHECK_MSG(!pages_.frozen(),
+                    "RStarTree is frozen: it serves a packed snapshot");
   if (root_ == kInvalidPage) return false;
 
   // DFS for the leaf holding (box, data); directory MBRs are exact, so
@@ -1021,7 +897,7 @@ void RStarTree::NearestNeighbors(const double point[3], size_t k,
       results->push_back(top.data);
       continue;
     }
-    const PageRef ref = session_->FetchPinned(top.node);
+    const PageRef ref = pages_.session()->FetchPinned(top.node);
     const NodeView node(ref.get());
     for (const Entry& entry : node.entries()) {
       const double distance = MinDistance2(point, entry.box);
@@ -1036,7 +912,7 @@ void RStarTree::NearestNeighbors(const double point[3], size_t k,
 
 void RStarTree::Search(const Box3D& query,
                        std::vector<DataId>* results) const {
-  Search(query, session_.get(), results);
+  Search(query, pages_.session(), results);
 }
 
 void RStarTree::Search(const Box3D& query, PageCache* buffer,
@@ -1095,8 +971,7 @@ bool BoxAlmostContains(const Box3D& outer, const Box3D& inner) {
 std::vector<RStarTree::NodeSummary> RStarTree::CollectNodeSummaries() const {
   std::vector<NodeSummary> summaries;
   if (root_ == kInvalidPage) return summaries;
-  const std::unique_ptr<SharedBufferPool> pool =
-      NewPool(config_.buffer_pages, "");
+  const std::unique_ptr<SharedBufferPool> pool = pages_.NewUnpublishedPool();
   SharedBufferPool::Session nodes(pool.get());
   std::vector<PageId> stack = {root_};
   while (!stack.empty()) {
@@ -1122,10 +997,9 @@ void RStarTree::CheckInvariants() const {
     STINDEX_CHECK(size_ == 0);
     return;
   }
-  // Pages come through an unpublished pool, so a frozen tree's backend is
+  // Pages come through an unpublished pool, so a frozen tree's snapshot is
   // checked as well as a live tree's arena.
-  const std::unique_ptr<SharedBufferPool> pool =
-      NewPool(config_.buffer_pages, "");
+  const std::unique_ptr<SharedBufferPool> pool = pages_.NewUnpublishedPool();
   SharedBufferPool::Session pages(pool.get());
   size_t leaf_entries = 0;
   const PageRef root = pages.FetchPinned(root_);

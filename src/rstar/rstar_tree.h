@@ -11,6 +11,7 @@
 #include "storage/page_backend.h"
 #include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
+#include "storage/tree_pages.h"
 #include "util/status.h"
 
 namespace stindex {
@@ -115,34 +116,28 @@ class RStarTree {
   // frames (0 = the configured default) are shared by every worker.
   // Workers query through per-worker SharedBufferPool::Sessions; a
   // protocol-mode Session reports the paper's per-query misses. Before
-  // AttachBackend/PackSnapshot the pool borrows the arena's pages; after,
-  // it reads (and checks) real pages from the backend.
-  std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
-
-  // Writes a sealed copy of every live node page to `backend` (ascending
-  // page id, one write per node), then serves all subsequent queries
-  // from the backend: pool misses become actual backend reads. The tree
-  // is frozen afterwards — Insert/Delete become checked errors — and
-  // releases its arena. Page ids are preserved, so query I/O counts are
-  // identical to the arena's. On a write or sync failure the backend is
-  // dropped and the tree keeps serving from its arena. Pools from
-  // NewSharedQueryPool must be destroyed before a freeze succeeds.
-  Status AttachBackend(std::unique_ptr<PageBackend> backend);
+  // PackSnapshot the pool borrows the arena's pages; after, it borrows
+  // (or, through pread, reads) and checks the snapshot's pages.
+  std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const {
+    return pages_.NewSharedQueryPool(pages);
+  }
 
   // Packs the live nodes into a read-only snapshot file at `path` and
   // serves all subsequent queries from its mmap'd pages (zero-copy;
-  // pread fallback per `options`). Live ids (sparse after deletes) are
+  // pread fallback per `options`) — the only way the tree leaves its
+  // arena (TreePages::Pack). Live ids (sparse after deletes) are
   // remapped to a dense bottom-up layout — leaves first, then each
   // directory level in one contiguous extent. The remap is a bijection
   // of the page-id access sequence, so per-query LRU miss counts are
   // byte-identical to the unpacked tree's. The tree is frozen
-  // afterwards, like AttachBackend; on failure it keeps serving from its
-  // arena, unchanged.
+  // afterwards — Insert/Delete become checked errors — and releases its
+  // arena; pools from NewSharedQueryPool must be destroyed first. On
+  // failure it keeps serving from its arena, unchanged.
   Status PackSnapshot(const std::string& path,
                       const SnapshotFile::Options& options = {});
 
-  // Nullptr until AttachBackend/PackSnapshot succeeds.
-  const PageBackend* backend() const { return backend_.get(); }
+  // Nullptr until PackSnapshot succeeds.
+  const MmapSnapshotBackend* backend() const { return pages_.snapshot(); }
 
   // Node page layout (docs/storage.md): an 8-byte header {int32 level,
   // uint32 count} after the envelope, then 64-byte entries from this page
@@ -155,7 +150,7 @@ class RStarTree {
   size_t Size() const { return size_; }
 
   // Disk footprint in pages (nodes).
-  size_t PageCount() const { return source().LivePageCount(); }
+  size_t PageCount() const { return pages_.source().LivePageCount(); }
 
   // Tree height (1 = root is a leaf); 0 when empty.
   size_t Height() const;
@@ -164,11 +159,11 @@ class RStarTree {
   // without a PageCache); misses are "disk accesses" under the paper's
   // LRU of config.buffer_pages pages. ResetQueryState() restarts that
   // LRU and zeroes the counters, as before each measured query.
-  const IoStats& stats() const { return session_->stats(); }
-  void ResetQueryState() const;
+  const IoStats& stats() const { return pages_.stats(); }
+  void ResetQueryState() const { pages_.ResetQueryState(); }
 
   // Validates structural invariants (entry counts, MBR containment,
-  // uniform leaf depth), reading the arena or, once frozen, the backend.
+  // uniform leaf depth), reading the arena or, once frozen, the snapshot.
   // Test hook; aborts on violation.
   void CheckInvariants() const;
 
@@ -182,7 +177,6 @@ class RStarTree {
   std::vector<NodeSummary> CollectNodeSummaries() const;
 
  private:
-  class NodeCodec;
   struct Entry;
   struct Header;
   using NodeView = NodePageView<Header, Entry, kNodeEntryOffset>;
@@ -193,23 +187,6 @@ class RStarTree {
   // Allocates an empty arena node at `level`.
   PageId NewNode(int level);
   void FreeNode(PageId id);
-
-  // Where the nodes live: the arena, or the backend the tree was frozen
-  // into.
-  const PageBackend& source() const;
-
-  // A pool of `pages` frames over source(), publishing under
-  // `metric_scope` (empty: unpublished).
-  std::unique_ptr<SharedBufferPool> NewPool(size_t pages,
-                                            std::string metric_scope) const;
-
-  // (Re)opens the tree's own query pool and protocol session over
-  // source().
-  void OpenQueryPool();
-
-  // Makes `backend` the tree's only page source: drops the query pool
-  // and the arena, then reopens the pool over the backend.
-  void Freeze(std::unique_ptr<PageBackend> backend);
 
   // Descends from the root to a node at `target_level`, recording the
   // path (page ids and the entry index taken in each parent).
@@ -237,14 +214,9 @@ class RStarTree {
                   const std::vector<size_t>& path_slots) const;
 
   RStarConfig config_;
-  // Exactly one of arena_ (a live tree) and backend_ (a frozen one) is
-  // set. Declared before pool_ so the pool dies before the pages and
-  // codec it borrows; session_ after pool_ so it dies first.
-  std::unique_ptr<MemoryPageBackend> arena_;
-  std::unique_ptr<PageBackend> backend_;
-  std::unique_ptr<const NodeCodec> codec_;
-  std::unique_ptr<SharedBufferPool> pool_;
-  std::unique_ptr<SharedBufferPool::Session> session_;
+  // The arena of node pages, or the snapshot the tree was packed into,
+  // with the tree's own query pool and protocol session.
+  TreePages pages_;
   PageId root_ = kInvalidPage;
   size_t size_ = 0;
   // Levels on which forced reinsertion already ran during the current

@@ -13,11 +13,12 @@
 namespace stindex {
 
 // A raw store of fixed-size pages addressed by PageId. Backends know
-// nothing about node layouts — they move kPageSize byte blobs. Indexes
-// persist by sealing copies of their node pages and writing them
-// directly; a read-only SharedBufferPool sits in front for queries,
-// checking pages through a PageCodec and turning cache misses into
-// actual backend reads.
+// nothing about node layouts — they move kPageSize byte blobs. A tree's
+// pages live in a MemoryPageBackend arena or, once packed, in a read-only
+// MmapSnapshotBackend (storage/tree_pages.h); the live tier journals to a
+// memory or file backend. A read-only SharedBufferPool sits in front for
+// queries, checking sealed pages through a PageCodec and turning cache
+// misses into backend reads.
 //
 // Concurrency: concurrent Read calls are safe (the parallel query drivers
 // share one SharedBufferPool, whose shards read the backend in parallel);
@@ -75,8 +76,7 @@ class PageBackend {
 // RAM-backed PageBackend whose pages live in fixed-size slabs of
 // kSlabPages pages. It is the arena a tree's nodes live in — the tree
 // allocates pages, mutates them in place and reads them through a pool
-// that borrows them — and the byte-exact reference the file backend is
-// differentially tested against.
+// that borrows them — and the in-memory journal of the live tier.
 //
 // Slot `id` is page id % kSlabPages of slab id / kSlabPages. A slab is
 // mapped (mmap, zero-filled) when a slot in it is first allocated or

@@ -156,10 +156,9 @@ void SealPage(uint8_t* page, PageKind kind);
 
 // The check a sealed page must pass before anything reads it in place:
 // the envelope (checksum, kind, version) plus a plausible header. The
-// buffer pool runs it on every page it loads from a backend a tree was
-// frozen into (file, memory or mmap); a tree's own arena holds unsealed
-// pages and is never checked. Implementations live next to the node
-// layouts they check (the tree classes keep those layouts private).
+// buffer pool runs it on every page it loads from a tree's packed
+// snapshot; a tree's own arena holds unsealed pages and is never checked.
+// The trees' implementation is NodePageCheck (storage/tree_pages.h).
 class PageCodec {
  public:
   virtual ~PageCodec() = default;

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -407,10 +406,7 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
                       });
   if (!status.ok()) return status;
 
-  const bool force_pread =
-      options.force_pread ||
-      std::getenv("STINDEX_SNAPSHOT_NO_MMAP") != nullptr;
-  if (!force_pread) {
+  if (!options.force_pread) {
     void* map = ::mmap(nullptr, static_cast<size_t>(expected), PROT_READ,
                        MAP_SHARED, fd, 0);
     if (map != MAP_FAILED) {

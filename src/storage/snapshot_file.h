@@ -85,13 +85,12 @@ class SnapshotWriter {
 };
 
 // An open snapshot: the whole file mapped PROT_READ (or a pread fallback
-// when mapping is unavailable — forced by `Options::force_pread` or the
-// STINDEX_SNAPSHOT_NO_MMAP environment variable, automatic if mmap
-// fails). Open() validates the superblock, the manifest digest and every
-// data page's checksum, so corruption fails at open time with a Status
-// naming the offending page id. It reads the pages to verify through
-// pread in either mode, so a fresh mapping is not resident: pages fault
-// in as they are borrowed.
+// when mapping is unavailable — forced by `Options::force_pread`,
+// automatic if mmap fails). Open() validates the superblock, the
+// manifest digest and every data page's checksum, so corruption fails at
+// open time with a Status naming the offending page id. It reads the
+// pages to verify through pread in either mode, so a fresh mapping is
+// not resident: pages fault in as they are borrowed.
 class SnapshotFile {
  public:
   struct Options {

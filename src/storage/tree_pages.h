@@ -1,0 +1,137 @@
+#ifndef STINDEX_STORAGE_TREE_PAGES_H_
+#define STINDEX_STORAGE_TREE_PAGES_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "storage/buffer_pool.h"
+#include "storage/page_backend.h"
+#include "storage/page_codec.h"
+#include "storage/shared_buffer_pool.h"
+#include "storage/snapshot_file.h"
+#include "util/status.h"
+
+namespace stindex {
+
+// The check every sealed node page passes before it is read in place —
+// each page a pool loads from a packed snapshot and each page a
+// checkpoint restore installs: the envelope (checksum, `kind`, version),
+// then a plausible {int32 level, uint32 count} header prefix
+// (NodePageView): a non-negative level and at most `max_count` entries.
+// Errors name the page and the tree (`name`, a string literal).
+class NodePageCheck final : public PageCodec {
+ public:
+  NodePageCheck(PageKind kind, const char* name, size_t max_count)
+      : kind_(kind), name_(name), max_count_(max_count) {}
+
+  Status Check(const uint8_t* page, PageId id) const override;
+
+  PageKind kind() const { return kind_; }
+
+ private:
+  PageKind kind_;
+  const char* name_;
+  size_t max_count_;
+};
+
+// The pages of one tree and their lifecycle, shared by the PPR-, R*- and
+// HR-tree. A tree is built in its arena — a MemoryPageBackend of
+// unsealed node pages it mutates in place — and may be frozen once, by
+// Pack, into a read-only snapshot it serves until it dies: exactly one of
+// the two exists. Pools over the arena borrow its pages unchecked; pools
+// over the snapshot check every page they load. TreePages also owns the
+// tree's own query pool and the protocol session behind the query
+// overloads that take no PageCache. Pools borrow the pages and the check,
+// so they must die before a Pack succeeds and before the TreePages.
+class TreePages {
+ public:
+  // `scope` (a string literal: "ppr", "rstar", "hr") names the tree in the
+  // arena's pagestore.* gauges, the query pools' bufferpool.* counters
+  // and the pack's trace span. `buffer_pages` is the paper's LRU size:
+  // the protocol session's and the default pool capacity. A tree that is
+  // never packed passes no check.
+  TreePages(const char* scope, size_t buffer_pages,
+            std::optional<NodePageCheck> check);
+  ~TreePages();
+
+  TreePages(const TreePages&) = delete;
+  TreePages& operator=(const TreePages&) = delete;
+
+  bool frozen() const { return snapshot_ != nullptr; }
+
+  // The arena, for in-place mutation; a frozen tree has none (checked).
+  MemoryPageBackend& arena() const;
+
+  // Where the pages live: the arena, or the snapshot once packed.
+  const PageBackend& source() const;
+
+  // Nullptr until Pack succeeds.
+  const MmapSnapshotBackend* snapshot() const { return snapshot_.get(); }
+
+  // A pool of `pages` frames (0: buffer_pages) over source(), publishing
+  // bufferpool.<scope>.* counters — or not, for walks that are not
+  // queries (invariant checks, summaries).
+  std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const;
+  std::unique_ptr<SharedBufferPool> NewUnpublishedPool(size_t pages = 0) const;
+
+  // The tree's own protocol session and its statistics;
+  // ResetQueryState() restarts its LRU and zeroes the counters.
+  SharedBufferPool::Session* session() const { return session_.get(); }
+  const IoStats& stats() const { return session_->stats(); }
+  void ResetQueryState() const;
+
+  // Rewrites the child ids of a copied directory page (level > 0)
+  // through `remap` (arena id -> snapshot slot).
+  using RemapChildren = void (*)(Page* page, const std::vector<PageId>& remap);
+
+  // Packs the allocated arena pages into a read-only snapshot file at
+  // `path` and makes it the only page source. Pages go bottom-up (level,
+  // then arena id), so every level is one contiguous extent; each is
+  // copied, its children remapped, sealed with the check's kind and
+  // streamed through a SnapshotWriter. The snapshot is then opened (mmap,
+  // or pread per `options`), the arena released and the query pool
+  // reopened. The remap is a bijection of the page-id access sequence,
+  // so per-query LRU misses stay identical; it is returned (arena id ->
+  // slot, kInvalidPage for free ids) for the tree's own references. On
+  // failure nothing changes. Packing twice is a checked error.
+  Result<std::vector<PageId>> Pack(const std::string& path,
+                                   const SnapshotFile::Options& options,
+                                   RemapChildren remap_children);
+
+  // Writes a sealed copy of page i to `backend` slot `slots[i]`, in
+  // ascending i, for a tree whose ids are dense (slots.size() must be
+  // source().SlotCount()). The first failed write is returned, naming the
+  // slot. Does not sync.
+  Status PersistPages(PageBackend* backend,
+                      const std::vector<PageId>& slots) const;
+
+  // Checks the sealed page image `page` and copies it into the arena as
+  // page `id`; ids must arrive 0, 1, 2, ... Returns the installed page.
+  Result<const Page*> InstallPage(PageId id, const uint8_t* page);
+
+ private:
+  // A pool over source(), checking pages only from the sealed snapshot.
+  std::unique_ptr<SharedBufferPool> NewPool(size_t pages,
+                                            std::string metric_scope) const;
+  // (Re)opens the query pool and the protocol session over source().
+  void OpenQueryPool();
+
+  const char* scope_;
+  size_t buffer_pages_;
+  std::optional<NodePageCheck> check_;
+  // Exactly one of arena_ and snapshot_ is set. Declared before pool_ so
+  // the pool dies before the pages it borrows; session_ after pool_ so
+  // it dies first.
+  std::unique_ptr<MemoryPageBackend> arena_;
+  std::unique_ptr<MmapSnapshotBackend> snapshot_;
+  std::unique_ptr<SharedBufferPool> pool_;
+  std::unique_ptr<SharedBufferPool::Session> session_;
+};
+
+}  // namespace stindex
+
+#endif  // STINDEX_STORAGE_TREE_PAGES_H_

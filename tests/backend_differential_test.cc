@@ -1,15 +1,18 @@
 // Differential tests for the storage backends: the same seeded dataset
-// indexed three ways — the tree's own arena of node pages, a persisted
-// MemoryPageBackend, and a persisted FilePageBackend — must answer every
-// query byte-identically and with identical per-query buffer-miss counts
-// (the paper's "disk accesses" metric), at every thread count. The
-// baseline is scored by an LRU oracle from the recorded page-access
-// sequence, not by any pool. This pins the property that moving the
-// experiments onto real files changes nothing about the reported numbers.
+// indexed two ways — the tree's own arena of node pages, and a snapshot
+// file packed from it and served through pread, so every pool miss is a
+// real read of the file — must answer every query byte-identically and
+// with identical per-query buffer-miss counts (the paper's "disk
+// accesses" metric), at every thread count and pool size. The baseline is
+// scored by an LRU oracle from the recorded page-access sequence, not by
+// any pool. This pins the property that moving the experiments onto real
+// files changes nothing about the reported numbers. (snapshot_backend_
+// test.cc compares the mapped snapshot too.)
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/shared_buffer_pool.h"
+#include "storage/snapshot_file.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -60,11 +64,16 @@ std::vector<STQuery> MakeQueries() {
   return queries;
 }
 
-std::unique_ptr<PageBackend> MakeFileBackend(const std::string& name) {
-  Result<std::unique_ptr<FilePageBackend>> backend =
-      FilePageBackend::Create(::testing::TempDir() + "/" + name + ".stpages");
-  EXPECT_TRUE(backend.ok()) << backend.status().ToString();
-  return std::move(backend).value();
+// Packs `tree` into a snapshot served through pread: every pool miss is
+// one real read of the file.
+template <typename Tree>
+void PackForPread(Tree* tree, const std::string& name) {
+  SnapshotFile::Options options;
+  options.force_pread = true;
+  const Status status = tree->PackSnapshot(
+      ::testing::TempDir() + "/" + name + ".stsnap", options);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_FALSE(tree->backend()->file().mapped());
 }
 
 std::vector<QueryOutcome> RunPpr(const PprTree& tree,
@@ -96,22 +105,22 @@ std::vector<QueryOutcome> RStarBaseline(const RStarTree& tree,
   return OracleBaseline(pool.get(), queries, RStarQuery(tree, kTimeDomain));
 }
 
-uint64_t FileReads() {
-  return MetricRegistry::Global().GetCounter("backend.file.reads")->Value();
+uint64_t SnapshotReads() {
+  return MetricRegistry::Global().GetCounter("backend.mmap.reads")->Value();
 }
 
 // Runs `tree`'s queries through one fresh default-size pool and checks
-// that every real pool miss was one read of the file backend, and that
+// that every real pool miss was one read of the pread snapshot, and that
 // shared residency kept the reads at or below the protocol misses.
 template <typename Tree>
-std::vector<QueryOutcome> RunCountingFileReads(
+std::vector<QueryOutcome> RunCountingSnapshotReads(
     const Tree& tree, const std::vector<STQuery>& queries, int num_threads,
     const QueryFn& run_query) {
   const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
-  const uint64_t reads_before = FileReads();
+  const uint64_t reads_before = SnapshotReads();
   std::vector<QueryOutcome> outcomes =
       RunSessions(pool.get(), queries, num_threads, run_query);
-  const uint64_t reads = FileReads() - reads_before;
+  const uint64_t reads = SnapshotReads() - reads_before;
   EXPECT_GT(reads, 0u) << "threads=" << num_threads;
   EXPECT_EQ(reads, pool->AggregateStats().misses) << "threads=" << num_threads;
   EXPECT_LE(reads, TotalMisses(outcomes)) << "threads=" << num_threads;
@@ -123,11 +132,8 @@ TEST(BackendDifferentialTest, PprTreeIdenticalAcrossBackendsAndThreads) {
   const std::vector<STQuery> queries = MakeQueries();
 
   const std::unique_ptr<PprTree> arena_tree = BuildPprTree(records);
-  const std::unique_ptr<PprTree> memory_tree = BuildPprTree(records);
-  ASSERT_TRUE(
-      memory_tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
-  const std::unique_ptr<PprTree> file_tree = BuildPprTree(records);
-  ASSERT_TRUE(file_tree->AttachBackend(MakeFileBackend("diff_ppr")).ok());
+  const std::unique_ptr<PprTree> packed = BuildPprTree(records);
+  PackForPread(packed.get(), "diff_ppr");
 
   const std::vector<QueryOutcome> baseline = PprBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
@@ -135,12 +141,10 @@ TEST(BackendDifferentialTest, PprTreeIdenticalAcrossBackendsAndThreads) {
   for (const int threads : {1, 2, 7, 16}) {
     EXPECT_EQ(RunPpr(*arena_tree, queries, threads), baseline)
         << "arena, threads=" << threads;
-    EXPECT_EQ(RunPpr(*memory_tree, queries, threads), baseline)
-        << "memory backend, threads=" << threads;
-    EXPECT_EQ(RunCountingFileReads(*file_tree, queries, threads,
-                                   PprQuery(*file_tree)),
+    EXPECT_EQ(RunCountingSnapshotReads(*packed, queries, threads,
+                                       PprQuery(*packed)),
               baseline)
-        << "file backend, threads=" << threads;
+        << "pread snapshot, threads=" << threads;
   }
 }
 
@@ -153,9 +157,8 @@ TEST(BackendDifferentialTest, PprProtocolMissesIndependentOfPoolSize) {
   const std::vector<STQuery> queries = MakeQueries();
 
   const std::unique_ptr<PprTree> arena_tree = BuildPprTree(records);
-  const std::unique_ptr<PprTree> file_tree = BuildPprTree(records);
-  ASSERT_TRUE(
-      file_tree->AttachBackend(MakeFileBackend("diff_ppr_sizes")).ok());
+  const std::unique_ptr<PprTree> packed = BuildPprTree(records);
+  PackForPread(packed.get(), "diff_ppr_sizes");
 
   const std::vector<QueryOutcome> baseline = PprBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
@@ -165,13 +168,13 @@ TEST(BackendDifferentialTest, PprProtocolMissesIndependentOfPoolSize) {
       EXPECT_EQ(RunPpr(*arena_tree, queries, threads, pool_pages), baseline)
           << "arena, pool_pages=" << pool_pages
           << ", threads=" << threads;
-      const uint64_t reads_before = FileReads();
-      EXPECT_EQ(RunPpr(*file_tree, queries, threads, pool_pages), baseline)
-          << "file backend, pool_pages=" << pool_pages
+      const uint64_t reads_before = SnapshotReads();
+      EXPECT_EQ(RunPpr(*packed, queries, threads, pool_pages), baseline)
+          << "pread snapshot, pool_pages=" << pool_pages
           << ", threads=" << threads;
       if (pool_pages == 4096) {
         // The pool holds the whole tree: each page is read at most once.
-        EXPECT_LE(FileReads() - reads_before, file_tree->PageCount());
+        EXPECT_LE(SnapshotReads() - reads_before, packed->PageCount());
       }
     }
   }
@@ -190,11 +193,8 @@ TEST(BackendDifferentialTest, RStarTreeIdenticalAcrossBackendsAndThreads) {
     return tree;
   };
   const std::unique_ptr<RStarTree> arena_tree = build();
-  const std::unique_ptr<RStarTree> memory_tree = build();
-  ASSERT_TRUE(
-      memory_tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
-  const std::unique_ptr<RStarTree> file_tree = build();
-  ASSERT_TRUE(file_tree->AttachBackend(MakeFileBackend("diff_rstar")).ok());
+  const std::unique_ptr<RStarTree> packed = build();
+  PackForPread(packed.get(), "diff_rstar");
 
   const std::vector<QueryOutcome> baseline =
       RStarBaseline(*arena_tree, queries);
@@ -203,60 +203,44 @@ TEST(BackendDifferentialTest, RStarTreeIdenticalAcrossBackendsAndThreads) {
   for (const int threads : {1, 2, 7, 16}) {
     EXPECT_EQ(RunRStar(*arena_tree, queries, threads), baseline)
         << "arena, threads=" << threads;
-    EXPECT_EQ(RunRStar(*memory_tree, queries, threads), baseline)
-        << "memory backend, threads=" << threads;
-    EXPECT_EQ(RunCountingFileReads(*file_tree, queries, threads,
-                                   RStarQuery(*file_tree, kTimeDomain)),
+    EXPECT_EQ(RunCountingSnapshotReads(*packed, queries, threads,
+                                       RStarQuery(*packed, kTimeDomain)),
               baseline)
-        << "file backend, threads=" << threads;
+        << "pread snapshot, threads=" << threads;
   }
 }
 
-// AttachBackend must be all-or-nothing: a write fault while persisting
-// leaves the tree without a backend, still answering from its arena with
-// the same per-query misses.
-template <typename Tree>
-void ExpectAttachRollsBackOnWriteFault(Tree* tree,
-                                       const std::vector<STQuery>& queries,
-                                       const QueryFn& run_query) {
-  const std::unique_ptr<SharedBufferPool> before_pool =
-      tree->NewSharedQueryPool();
-  const std::vector<QueryOutcome> before =
-      RunSessions(before_pool.get(), queries, 1, run_query);
-  ASSERT_GT(TotalMisses(before), 0u);
-  ASSERT_GT(tree->PageCount(), 3u);
-
-  FaultInjectingBackend::Faults faults;
-  faults.fail_write_at = 3;
-  const Status status = tree->AttachBackend(
-      std::make_unique<FaultInjectingBackend>(
-          std::make_unique<MemoryPageBackend>(), faults));
-  EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_NE(status.message().find("write of page"), std::string::npos)
-      << status.ToString();
-  EXPECT_NE(status.message().find("injected write failure"), std::string::npos)
-      << status.ToString();
-  EXPECT_EQ(tree->backend(), nullptr);
-
-  const std::unique_ptr<SharedBufferPool> after_pool =
-      tree->NewSharedQueryPool();
-  EXPECT_EQ(RunSessions(after_pool.get(), queries, 1, run_query), before);
-}
-
-TEST(BackendDifferentialTest, AttachBackendRollsBackOnWriteFault) {
+// A checkpoint's node copy (PprTree::PersistNodesForCheckpoint) returns
+// the first failed write, naming the slot and the cause, whether it
+// seals arena pages or copies a packed tree's snapshot pages; the tree
+// keeps answering unchanged.
+TEST(BackendDifferentialTest, PersistNodesNamesTheFailedWrite) {
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
+  for (const bool packed : {false, true}) {
+    SCOPED_TRACE(packed ? "packed" : "arena");
+    const std::unique_ptr<PprTree> tree = BuildPprTree(records);
+    if (packed) PackForPread(tree.get(), "diff_persist_fault");
+    const std::vector<QueryOutcome> before = RunPpr(*tree, queries, 1);
+    ASSERT_GT(TotalMisses(before), 0u);
+    ASSERT_GT(tree->NodeCount(), 3u);
 
-  const std::unique_ptr<PprTree> ppr = BuildPprTree(records);
-  ExpectAttachRollsBackOnWriteFault(ppr.get(), queries, PprQuery(*ppr));
-
-  const std::vector<Box3D> boxes = SegmentsToBoxes(records, 0, kTimeDomain);
-  RStarTree rstar;
-  for (size_t i = 0; i < boxes.size(); ++i) {
-    rstar.Insert(boxes[i], static_cast<DataId>(i));
+    std::vector<PageId> slots(tree->NodeCount());
+    std::iota(slots.begin(), slots.end(), PageId{100});
+    FaultInjectingBackend::Faults faults;
+    faults.fail_write_at = 3;
+    FaultInjectingBackend backend(std::make_unique<MemoryPageBackend>(),
+                                  faults);
+    const Status status = tree->PersistNodesForCheckpoint(&backend, slots);
+    EXPECT_EQ(status.code(), StatusCode::kIoError);
+    EXPECT_NE(status.message().find("write of page 102 failed"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("injected write failure"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(RunPpr(*tree, queries, 1), before);
   }
-  ExpectAttachRollsBackOnWriteFault(&rstar, queries,
-                                    RStarQuery(rstar, kTimeDomain));
 }
 
 TEST(BackendDifferentialTest, RStarProtocolMissesIndependentOfPoolSize) {
@@ -272,9 +256,8 @@ TEST(BackendDifferentialTest, RStarProtocolMissesIndependentOfPoolSize) {
     return tree;
   };
   const std::unique_ptr<RStarTree> arena_tree = build();
-  const std::unique_ptr<RStarTree> file_tree = build();
-  ASSERT_TRUE(
-      file_tree->AttachBackend(MakeFileBackend("diff_rstar_sizes")).ok());
+  const std::unique_ptr<RStarTree> packed = build();
+  PackForPread(packed.get(), "diff_rstar_sizes");
 
   const std::vector<QueryOutcome> baseline =
       RStarBaseline(*arena_tree, queries);
@@ -285,48 +268,54 @@ TEST(BackendDifferentialTest, RStarProtocolMissesIndependentOfPoolSize) {
       EXPECT_EQ(RunRStar(*arena_tree, queries, threads, pool_pages), baseline)
           << "arena, pool_pages=" << pool_pages
           << ", threads=" << threads;
-      const uint64_t reads_before = FileReads();
-      EXPECT_EQ(RunRStar(*file_tree, queries, threads, pool_pages), baseline)
-          << "file backend, pool_pages=" << pool_pages
+      const uint64_t reads_before = SnapshotReads();
+      EXPECT_EQ(RunRStar(*packed, queries, threads, pool_pages), baseline)
+          << "pread snapshot, pool_pages=" << pool_pages
           << ", threads=" << threads;
       if (pool_pages == 4096) {
-        EXPECT_LE(FileReads() - reads_before, file_tree->PageCount());
+        EXPECT_LE(SnapshotReads() - reads_before, packed->PageCount());
       }
     }
   }
 }
 
 TEST(BackendDifferentialTest, FileBackendSurvivesReopen) {
-  // Persist an R*-tree to a file, then read the raw pages back through a
-  // freshly opened backend: every live page must decode to the same bytes
-  // the original backend serves.
+  // Write sealed R*-tree node pages straight into a page file (the
+  // backend the live tier journals to), free one to leave a hole, then
+  // read the raw pages back through a freshly opened backend: the slot
+  // and live counts survive, the hole stays free and every live page
+  // reads back byte-identical.
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<Box3D> boxes = SegmentsToBoxes(records, 0, kTimeDomain);
-  auto tree = std::make_unique<RStarTree>();
+  RStarTree tree;
   for (size_t i = 0; i < boxes.size(); ++i) {
-    tree->Insert(boxes[i], static_cast<DataId>(i));
+    tree.Insert(boxes[i], static_cast<DataId>(i));
   }
+  ASSERT_TRUE(
+      tree.PackSnapshot(::testing::TempDir() + "/diff_reopen.stsnap").ok());
+  const size_t slots = tree.backend()->SlotCount();
+  ASSERT_GT(slots, 2u);
+
   const std::string path = ::testing::TempDir() + "/diff_reopen.stpages";
   Result<std::unique_ptr<FilePageBackend>> created =
       FilePageBackend::Create(path);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
-  ASSERT_TRUE(tree->AttachBackend(std::move(created).value()).ok());
-  const size_t live = tree->backend()->LivePageCount();
-  const size_t slots = tree->backend()->SlotCount();
-  ASSERT_GT(live, 0u);
-
   std::vector<std::vector<uint8_t>> original(slots);
   for (PageId id = 0; id < slots; ++id) {
-    if (!tree->backend()->IsAllocated(id)) continue;
     original[id].resize(kPageSize);
-    ASSERT_TRUE(tree->backend()->Read(id, original[id].data()).ok());
+    ASSERT_TRUE(tree.backend()->Read(id, original[id].data()).ok());
+    ASSERT_TRUE(created.value()->Write(id, original[id].data()).ok());
   }
-  tree.reset();  // syncs and closes the file
+  const PageId hole = static_cast<PageId>(slots / 2);
+  ASSERT_TRUE(created.value()->Free(hole).ok());
+  original[hole].clear();
+  ASSERT_TRUE(created.value()->Sync().ok());
+  created.value().reset();  // closes the file
 
   Result<std::unique_ptr<FilePageBackend>> reopened =
       FilePageBackend::Open(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ(reopened.value()->LivePageCount(), live);
+  EXPECT_EQ(reopened.value()->LivePageCount(), slots - 1);
   EXPECT_EQ(reopened.value()->SlotCount(), slots);
   for (PageId id = 0; id < slots; ++id) {
     if (original[id].empty()) {

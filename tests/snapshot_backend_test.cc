@@ -1,10 +1,11 @@
 // Differential tests for the zero-copy mmap snapshot backend: a tree
 // packed into a read-only snapshot must answer every query byte-
 // identically and with identical per-query protocol-mode miss counts to
-// the tree's own arena, the MemoryPageBackend and the FilePageBackend, at
-// every thread count — packing remaps page ids through a bijection, and
-// LRU behaviour depends only on the equality structure of the access
-// sequence. The suite also covers the pread fallback, a LiveTier whose
+// the tree's own arena, mapped and through the pread fallback, at every
+// thread count — packing remaps page ids through a bijection, and LRU
+// behaviour depends only on the equality structure of the access
+// sequence. The suite also covers a pack that fails (the tree, or the
+// live tier, keeps serving its arena unchanged), a LiveTier whose
 // historical tree was packed mid-stream, a mapping that open leaves
 // non-resident, and open-time corruption detection (truncation, bad
 // magic, version skew, bit flips, manifest and extent mismatches, each
@@ -76,13 +77,6 @@ std::string SnapPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name + ".stsnap";
 }
 
-std::unique_ptr<PageBackend> MakeFileBackend(const std::string& name) {
-  Result<std::unique_ptr<FilePageBackend>> backend =
-      FilePageBackend::Create(::testing::TempDir() + "/" + name + ".stpages");
-  EXPECT_TRUE(backend.ok()) << backend.status().ToString();
-  return std::move(backend).value();
-}
-
 // Runs the query set through one fresh shared pool of `tree`; adds the
 // pool's real misses to `*pool_misses` when given.
 std::vector<QueryOutcome> RunPpr(const PprTree& tree,
@@ -125,11 +119,6 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
   const std::vector<STQuery> queries = MakeQueries();
 
   const std::unique_ptr<PprTree> arena_tree = BuildPprTree(records);
-  const std::unique_ptr<PprTree> memory_tree = BuildPprTree(records);
-  ASSERT_TRUE(
-      memory_tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
-  const std::unique_ptr<PprTree> file_tree = BuildPprTree(records);
-  ASSERT_TRUE(file_tree->AttachBackend(MakeFileBackend("snap_ppr_file")).ok());
   const std::unique_ptr<PprTree> packed = BuildPprTree(records);
   ASSERT_TRUE(packed->PackSnapshot(SnapPath("snap_ppr")).ok());
   ASSERT_NE(packed->backend(), nullptr);
@@ -142,9 +131,7 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
       pread_tree->PackSnapshot(SnapPath("snap_ppr_pread"), pread_options)
           .ok());
   EXPECT_EQ(Metric("backend.mmap.fallback_opens"), fallbacks_before + 1);
-  EXPECT_FALSE(static_cast<const MmapSnapshotBackend*>(pread_tree->backend())
-                   ->file()
-                   .mapped());
+  EXPECT_FALSE(pread_tree->backend()->file().mapped());
 
   const std::vector<QueryOutcome> baseline = PprBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
@@ -156,8 +143,6 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
   for (const int threads : {1, 2, 7, 16}) {
     EXPECT_EQ(RunPpr(*arena_tree, queries, threads), baseline)
         << "arena, threads=" << threads;
-    EXPECT_EQ(RunPpr(*memory_tree, queries, threads), baseline)
-        << "memory backend, threads=" << threads;
     EXPECT_EQ(RunPpr(*packed, queries, threads), baseline)
         << "mmap backend, threads=" << threads;
     EXPECT_EQ(RunPpr(*pread_tree, queries, threads, &pread_misses), baseline)
@@ -171,8 +156,6 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
   EXPECT_GT(pread_misses, 0u);
   EXPECT_EQ(Metric("backend.mmap.reads"), mmap_reads_before + pread_misses);
   EXPECT_GT(Metric("backend.mmap.borrows"), borrows_before);
-  // file_tree is the control: identical through a real page file too.
-  EXPECT_EQ(RunPpr(*file_tree, queries, 7), baseline);
 }
 
 TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
@@ -193,12 +176,6 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
     return tree;
   };
   const std::unique_ptr<RStarTree> arena_tree = build();
-  const std::unique_ptr<RStarTree> memory_tree = build();
-  ASSERT_TRUE(
-      memory_tree->AttachBackend(std::make_unique<MemoryPageBackend>()).ok());
-  const std::unique_ptr<RStarTree> file_tree = build();
-  ASSERT_TRUE(
-      file_tree->AttachBackend(MakeFileBackend("snap_rstar_file")).ok());
   const std::unique_ptr<RStarTree> packed = build();
   ASSERT_TRUE(packed->PackSnapshot(SnapPath("snap_rstar")).ok());
   const std::unique_ptr<RStarTree> pread_tree = build();
@@ -216,15 +193,12 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
   for (const int threads : {1, 2, 7, 16}) {
     EXPECT_EQ(RunRStar(*arena_tree, queries, threads), baseline)
         << "arena, threads=" << threads;
-    EXPECT_EQ(RunRStar(*memory_tree, queries, threads), baseline)
-        << "memory backend, threads=" << threads;
     EXPECT_EQ(RunRStar(*packed, queries, threads), baseline)
         << "mmap backend, threads=" << threads;
     EXPECT_EQ(RunRStar(*pread_tree, queries, threads), baseline)
         << "pread fallback, threads=" << threads;
   }
   EXPECT_EQ(Metric("backend.file.reads"), file_reads_before);
-  EXPECT_EQ(RunRStar(*file_tree, queries, 7), baseline);
 }
 
 TEST(SnapshotBackendTest, PackedTreeRefusesMutation) {
@@ -236,11 +210,11 @@ TEST(SnapshotBackendTest, PackedTreeRefusesMutation) {
   }
   ASSERT_TRUE(tree->PackSnapshot(SnapPath("snap_frozen")).ok());
   EXPECT_DEATH(tree->Insert(boxes[0], 999), "frozen");
-  // A second pack is a programming error too: the tree already owns a
-  // backend.
+  // A second pack is a programming error too: the tree serves its
+  // snapshot already.
   EXPECT_DEATH(
       static_cast<void>(tree->PackSnapshot(SnapPath("snap_frozen2"))),
-      "backend already attached");
+      "tree already packed");
 }
 
 TEST(SnapshotBackendTest, EmptySnapshotRoundTrips) {
@@ -254,6 +228,130 @@ TEST(SnapshotBackendTest, EmptySnapshotRoundTrips) {
   tree.IntervalQuery(Rect2D(0, 0, 1, 1), TimeInterval(0, kTimeDomain),
                      &results);
   EXPECT_TRUE(results.empty());
+}
+
+// A pack that fails changes nothing: the Status names the path, the
+// tree keeps serving its arena with the same answers and per-query
+// protocol misses, and a later pack to a good path succeeds. Two
+// failure points: a missing directory (the snapshot file cannot be
+// created) and /dev/full (the superblock reservation's pwrite fails with
+// ENOSPC).
+std::vector<std::string> FailingPackPaths(const std::string& name) {
+  return {::testing::TempDir() + "/missing_dir/" + name + ".stsnap",
+          "/dev/full"};
+}
+
+template <typename Tree>
+void ExpectFailedPackKeepsServing(Tree* tree,
+                                  const std::vector<STQuery>& queries,
+                                  const QueryFn& run_query,
+                                  const std::string& name) {
+  const auto run = [&] {
+    const std::unique_ptr<SharedBufferPool> pool = tree->NewSharedQueryPool();
+    return RunSessions(pool.get(), queries, 1, run_query);
+  };
+  const std::vector<QueryOutcome> before = run();
+  ASSERT_GT(TotalMisses(before), 0u);
+  for (const std::string& path : FailingPackPaths(name)) {
+    const Status status = tree->PackSnapshot(path);
+    EXPECT_FALSE(status.ok()) << path;
+    EXPECT_NE(status.message().find(path), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(tree->backend(), nullptr) << path;
+    EXPECT_EQ(run(), before) << "after a failed pack to " << path;
+  }
+  const Status packed = tree->PackSnapshot(SnapPath(name));
+  ASSERT_TRUE(packed.ok()) << packed.ToString();
+  ASSERT_NE(tree->backend(), nullptr);
+  EXPECT_EQ(run(), before) << "after the good pack";
+}
+
+TEST(SnapshotBackendTest, FailedPackKeepsServingTheArena) {
+  const std::vector<SegmentRecord> records = MakeRecords();
+  const std::vector<STQuery> queries = MakeQueries();
+  const std::unique_ptr<PprTree> ppr = BuildPprTree(records);
+  ExpectFailedPackKeepsServing(ppr.get(), queries, PprQuery(*ppr),
+                               "rollback_ppr");
+
+  const std::vector<Box3D> boxes = SegmentsToBoxes(records, 0, kTimeDomain);
+  RStarTree rstar;
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    rstar.Insert(boxes[i], static_cast<DataId>(i));
+  }
+  for (size_t i = 0; i < boxes.size(); i += 5) {
+    ASSERT_TRUE(rstar.Delete(boxes[i], static_cast<DataId>(i)));
+  }
+  ExpectFailedPackKeepsServing(&rstar, queries, RStarQuery(rstar, kTimeDomain),
+                               "rollback_rstar");
+}
+
+// The live tier's side of the contract: after a failed PackHistorical
+// the tier has no frozen layer, keeps taking updates, commits and
+// checkpoints, and a later pack answers like a never-packed run.
+TEST(SnapshotBackendTest, LiveTierFailedPackKeepsServing) {
+  RandomDatasetConfig config;
+  config.num_objects = 300;
+  config.seed = 42;
+  config.time_domain = kTimeDomain;
+  const std::vector<Trajectory> objects = GenerateRandomDataset(config);
+  const std::vector<LiveObservation> stream = MakeObservationStream(objects);
+  const std::vector<STQuery> queries = MakeQueries();
+
+  LiveTierOptions options;
+  options.index.capacity = 24;
+  options.index.buffer = 4000;
+  const auto open = [&options] {
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(options, std::make_unique<MemoryPageBackend>());
+    EXPECT_TRUE(tier.ok()) << tier.status().ToString();
+    return std::move(tier).value();
+  };
+  const auto feed = [&stream](LiveTier* tier, size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i) {
+      ASSERT_TRUE(tier->Apply(stream[i]).ok());
+      if ((i + 1) % 64 == 0) {
+        ASSERT_TRUE(tier->Commit().ok());
+      }
+    }
+  };
+
+  const std::unique_ptr<LiveTier> reference = open();
+  feed(reference.get(), 0, stream.size());
+  ASSERT_TRUE(reference->Finish().ok());
+
+  const std::unique_ptr<LiveTier> tier = open();
+  const size_t half = stream.size() / 2;
+  const size_t three_quarters = stream.size() * 3 / 4;
+  feed(tier.get(), 0, half);
+  for (const std::string& path : FailingPackPaths("rollback_live")) {
+    const Status status = tier->PackHistorical(path);
+    EXPECT_FALSE(status.ok()) << path;
+    EXPECT_NE(status.message().find(path), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(tier->frozen_layers(), 0u) << path;
+  }
+  feed(tier.get(), half, three_quarters);
+  ASSERT_TRUE(tier->Commit().ok());
+  ASSERT_TRUE(tier->Checkpoint().ok());
+  ASSERT_TRUE(tier->PackHistorical(SnapPath("rollback_live")).ok());
+  EXPECT_EQ(tier->frozen_layers(), 1u);
+  feed(tier.get(), three_quarters, stream.size());
+  ASSERT_TRUE(tier->Finish().ok());
+
+  for (size_t q = 0; q < queries.size(); ++q) {
+    std::vector<ObjectId> want;
+    reference->IntervalQuery(queries[q].area, queries[q].range, &want);
+    std::vector<ObjectId> got;
+    tier->IntervalQuery(queries[q].area, queries[q].range, &got);
+    EXPECT_EQ(got, want) << "interval query " << q;
+
+    std::vector<ObjectId> want_snap;
+    reference->SnapshotQuery(queries[q].area, queries[q].range.start,
+                             &want_snap);
+    std::vector<ObjectId> got_snap;
+    tier->SnapshotQuery(queries[q].area, queries[q].range.start, &got_snap);
+    EXPECT_EQ(got_snap, want_snap) << "snapshot query " << q;
+  }
 }
 
 // A LiveTier whose historical tree was packed mid-stream (and again
@@ -413,9 +511,7 @@ TEST(SnapshotResidencyTest, MappingBecomesResidentOnlyAsPoolsBorrowIt) {
   const int64_t before = MappedFileRssBytes();
   ASSERT_TRUE(tree->PackSnapshot(SnapPath("residency")).ok());
   const int64_t opened = MappedFileRssBytes();
-  ASSERT_TRUE(static_cast<const MmapSnapshotBackend*>(tree->backend())
-                  ->file()
-                  .mapped());
+  ASSERT_TRUE(tree->backend()->file().mapped());
   const size_t pages = tree->backend()->SlotCount();
   ASSERT_GE(pages, 4096u);
   const int64_t data_bytes = static_cast<int64_t>(pages * kPageSize);
@@ -646,9 +742,7 @@ TEST_F(SnapshotCorruptionTest, WriteAfterOpenDiesOnNextMiss) {
   const std::string path = SnapPath("corrupt_after_open");
   const std::unique_ptr<PprTree> tree = BuildPprTree(MakeRecords());
   ASSERT_TRUE(tree->PackSnapshot(path).ok());
-  ASSERT_TRUE(static_cast<const MmapSnapshotBackend*>(tree->backend())
-                  ->file()
-                  .mapped());
+  ASSERT_TRUE(tree->backend()->file().mapped());
   ASSERT_GT(tree->backend()->SlotCount(), 2u);
   const std::unique_ptr<SharedBufferPool> pool = tree->NewSharedQueryPool(1);
   bool missed = false;

@@ -223,34 +223,24 @@ std::vector<SegmentRecord> LoadSegments(const std::string& path) {
   return std::move(result).value();
 }
 
-// Backend selection for `query`: --backend memory|file|mmap plus --db
-// DIR for the file-backed ones. "memory" (the default) queries the tree's
-// own arena of node pages; "file" persists the index into a page file
-// under --db so buffer misses are actual page reads; "mmap" packs the
-// tree into a read-only snapshot file under --db and serves it
-// zero-copy. Returns the validated backend name.
+// Backend selection for `query`: --backend memory|mmap plus --db DIR.
+// "memory" (the default) queries the tree's own arena of node pages;
+// "mmap" packs the tree into a read-only snapshot file under --db and
+// serves it zero-copy, so buffer misses are served by the mapped file.
+// Returns the validated backend name.
 std::string GetBackendFlags(Flags& flags, std::string* db_path) {
   const std::string backend = flags.Get("backend", "memory");
   *db_path = flags.Get("db", "");
-  if (backend != "memory" && backend != "file" && backend != "mmap") {
-    std::fprintf(stderr,
-                 "--backend must be 'memory', 'file' or 'mmap', got '%s'\n",
+  if (backend != "memory" && backend != "mmap") {
+    std::fprintf(stderr, "--backend must be memory|mmap, got '%s'\n",
                  backend.c_str());
     std::exit(2);
   }
-  if ((backend == "file" || backend == "mmap") && db_path->empty()) {
+  if (backend == "mmap" && db_path->empty()) {
     std::fprintf(stderr, "--backend %s requires --db DIR\n", backend.c_str());
     std::exit(2);
   }
   return backend;
-}
-
-std::unique_ptr<PageBackend> MakeFileBackend(const std::string& db_path,
-                                             const std::string& tag) {
-  Result<std::unique_ptr<FilePageBackend>> file =
-      FilePageBackend::Create(db_path + "/" + tag + ".stpages");
-  if (!file.ok()) Die(file.status());
-  return std::move(file).value();
 }
 
 QuerySetConfig NamedQuerySet(const std::string& name) {
@@ -476,10 +466,6 @@ int CmdQuery(Flags& flags) {
       const Status status =
           ppr->PackSnapshot(db_path + "/query_ppr.stsnap");
       if (!status.ok()) Die(status);
-    } else if (backend == "file") {
-      const Status status =
-          ppr->AttachBackend(MakeFileBackend(db_path, "query_ppr"));
-      if (!status.ok()) Die(status);
     }
     const std::unique_ptr<SharedBufferPool> pool =
         ppr->NewSharedQueryPool(buffer_pages);
@@ -521,10 +507,6 @@ int CmdQuery(Flags& flags) {
     if (backend == "mmap") {
       const Status status =
           tree.PackSnapshot(db_path + "/query_rstar.stsnap");
-      if (!status.ok()) Die(status);
-    } else if (backend == "file") {
-      const Status status =
-          tree.AttachBackend(MakeFileBackend(db_path, "query_rstar"));
       if (!status.ok()) Die(status);
     }
     const std::unique_ptr<SharedBufferPool> pool =
@@ -648,20 +630,32 @@ int CmdIngest(Flags& flags) {
 // Converts an ingested --db (the live tier's WAL journal) into a packed
 // read-only mmap snapshot: recovers the tier from DIR/live_wal.stpages,
 // finishes the stream (seals every buffer, drains migration), then packs
-// the historical tree into --out. The WAL itself is untouched — the
-// snapshot is a derived artifact a query server can mmap and serve
-// zero-copy.
+// the historical tree into --out. The WAL itself is untouched — the tier
+// runs over an in-memory copy of it, so what Finish journals never
+// reaches the file a later `ingest` resumes from. The snapshot is a
+// derived artifact a query server can mmap and serve zero-copy.
 int CmdPack(Flags& flags) {
   const std::string db = flags.Require("db");
   const std::string out = flags.Get("out", db + "/historical.stsnap");
   flags.RejectUnknown();
 
   const std::string wal_path = db + "/live_wal.stpages";
-  Result<std::unique_ptr<FilePageBackend>> wal =
-      FilePageBackend::Open(wal_path);
-  if (!wal.ok()) Die(wal.status());
+  std::unique_ptr<MemoryPageBackend> journal;
+  {
+    Result<std::unique_ptr<FilePageBackend>> wal =
+        FilePageBackend::Open(wal_path);
+    if (!wal.ok()) Die(wal.status());
+    journal = std::make_unique<MemoryPageBackend>();
+    Page page;
+    for (PageId id = 0; id < wal.value()->SlotCount(); ++id) {
+      if (!wal.value()->IsAllocated(id)) continue;
+      Status status = wal.value()->Read(id, page.bytes);
+      if (status.ok()) status = journal->Write(id, page.bytes);
+      if (!status.ok()) Die(status);
+    }
+  }
   Result<std::unique_ptr<LiveTier>> tier =
-      LiveTier::Open(LiveTierOptions{}, std::move(wal).value());
+      LiveTier::Open(LiveTierOptions{}, std::move(journal));
   if (!tier.ok()) Die(tier.status());
 
   const Status finished = tier.value()->Finish();
@@ -737,7 +731,7 @@ int Usage() {
       "  queries   --set NAME --out FILE [--count N] [--time-domain T]\n"
       "  stats     --segments FILE [--index ppr|rstar|hr]\n"
       "  query     --segments FILE --queries FILE [--index ppr|rstar|hr]\n"
-      "            [--backend memory|file|mmap] [--db DIR] [--explain]\n"
+      "            [--backend memory|mmap] [--db DIR] [--explain]\n"
       "            [--objects FILE] [--trace FILE] [--buffer-pages N]\n"
       "            --backend mmap packs the tree into DIR/query_*.stsnap\n"
       "            and serves it zero-copy through the mmap backend\n"
@@ -751,9 +745,10 @@ int Usage() {
       "            flushed WAL pages accumulate; each commit waits\n"
       "            --commit-interval US for concurrent joiners\n"
       "  pack      --db DIR [--out FILE]\n"
-      "            recover the live tier from DIR/live_wal.stpages, finish\n"
-      "            the stream and pack the historical tree into a read-only\n"
-      "            mmap snapshot (default DIR/historical.stsnap)\n"
+      "            recover the live tier from a copy of DIR/live_wal.stpages\n"
+      "            (the journal stays untouched), finish the stream and pack\n"
+      "            the historical tree into a read-only mmap snapshot\n"
+      "            (default DIR/historical.stsnap)\n"
       "  advise    --in FILE [--set NAME] [--mode analytical|sampling]\n"
       "            [--threads N]\n"
       "Query flags:\n"
