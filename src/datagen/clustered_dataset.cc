@@ -66,6 +66,7 @@ std::vector<Trajectory> GenerateClusteredDataset(
     std::sort(boundaries.begin(), boundaries.end());
 
     std::vector<MovementTuple> movement;
+    movement.reserve(boundaries.size() - 1);
     Point2D at = waypoint();
     for (size_t b = 0; b + 1 < boundaries.size(); ++b) {
       const Point2D next = waypoint();

@@ -12,21 +12,21 @@ namespace {
 
 // Applies x' = a * x + b to a center polynomial.
 Polynomial AffineTransform(const Polynomial& poly, double a, double b) {
-  std::vector<double> coefficients = poly.coefficients();
-  if (coefficients.empty()) coefficients.push_back(0.0);
-  for (double& c : coefficients) c *= a;
+  Polynomial::Coefficients coefficients{};
+  const std::span<const double> in = poly.coefficients();
+  for (size_t i = 0; i < in.size(); ++i) coefficients[i] = in[i] * a;
   coefficients[0] += b;
-  return Polynomial(std::move(coefficients));
+  return Polynomial(coefficients);
 }
 
 // Random movement polynomial of the requested degree with the given start
 // position, using per-instant velocity/acceleration scales small enough
 // that normalization rarely has to shrink much.
 Polynomial RandomMovement(Rng& rng, int degree, double start) {
-  std::vector<double> coefficients = {start};
-  if (degree >= 1) coefficients.push_back(rng.UniformDouble(-0.02, 0.02));
-  if (degree >= 2) coefficients.push_back(rng.UniformDouble(-0.002, 0.002));
-  return Polynomial(std::move(coefficients));
+  double velocity = 0.0, acceleration = 0.0;
+  if (degree >= 1) velocity = rng.UniformDouble(-0.02, 0.02);
+  if (degree >= 2) acceleration = rng.UniformDouble(-0.002, 0.002);
+  return Polynomial({start, velocity, acceleration});
 }
 
 }  // namespace
@@ -39,7 +39,8 @@ std::vector<Trajectory> GenerateRandomDataset(
   STINDEX_CHECK(config.max_lifetime <= config.time_domain);
   STINDEX_CHECK(config.min_tuples >= 1 &&
                 config.min_tuples <= config.max_tuples);
-  STINDEX_CHECK(config.max_degree >= 1);
+  STINDEX_CHECK(config.max_degree >= 1 &&
+                config.max_degree <= Polynomial::kMaxDegree);
   // Zero extents are allowed: the moving-points special case the paper
   // cites ([20], [21]) flows through the same pipeline.
   STINDEX_CHECK(config.min_extent >= 0.0 &&
@@ -76,6 +77,7 @@ std::vector<Trajectory> GenerateRandomDataset(
     // Build continuous movement: each tuple starts where the previous
     // ended.
     std::vector<MovementTuple> movement;
+    movement.reserve(boundaries.size() - 1);
     double x = rng.NextDouble();
     double y = rng.NextDouble();
     for (size_t b = 0; b + 1 < boundaries.size(); ++b) {
@@ -100,16 +102,16 @@ std::vector<Trajectory> GenerateRandomDataset(
           static_cast<double>(tuple.interval.Duration());
       x = tuple.center_x.Evaluate(duration);
       y = tuple.center_y.Evaluate(duration);
-      movement.push_back(std::move(tuple));
+      movement.push_back(tuple);
     }
 
     // Normalize: map the center bounding box into the unit square
     // (shrinking if the random walk drifted out, translating otherwise).
-    Trajectory draft(static_cast<ObjectId>(obj), std::move(movement));
     Rect2D centers = Rect2D::Empty();
-    const TimeInterval life = draft.Lifetime();
-    for (Time t = life.start; t < life.end; ++t) {
-      centers.ExpandToInclude(draft.RectAt(t).Center());
+    for (const MovementTuple& tuple : movement) {
+      for (Time t = tuple.interval.start; t < tuple.interval.end; ++t) {
+        centers.ExpandToInclude(tuple.RectAt(t).Center());
+      }
     }
     auto normalize_axis = [&rng](double lo, double hi, double margin,
                                  double* a, double* b) {
@@ -126,12 +128,11 @@ std::vector<Trajectory> GenerateRandomDataset(
     double ax, bx, ay, by;
     normalize_axis(centers.xlo, centers.xhi, extent_x / 2.0, &ax, &bx);
     normalize_axis(centers.ylo, centers.yhi, extent_y / 2.0, &ay, &by);
-    std::vector<MovementTuple> normalized = draft.tuples();
-    for (MovementTuple& tuple : normalized) {
+    for (MovementTuple& tuple : movement) {
       tuple.center_x = AffineTransform(tuple.center_x, ax, bx);
       tuple.center_y = AffineTransform(tuple.center_y, ay, by);
     }
-    objects.emplace_back(static_cast<ObjectId>(obj), std::move(normalized));
+    objects.emplace_back(static_cast<ObjectId>(obj), std::move(movement));
     STINDEX_DCHECK(objects.back().Validate().ok());
   }
   return objects;

@@ -20,7 +20,8 @@ struct RandomDatasetConfig {
   Time max_lifetime = 100;
   int min_tuples = 1;
   int max_tuples = 10;
-  // Movement polynomial degree is chosen uniformly in [1, max_degree].
+  // Movement polynomial degree is chosen uniformly in [1, max_degree];
+  // max_degree is at most Polynomial::kMaxDegree (CHECKed).
   int max_degree = 2;
   // Rectangle extents as a fraction of the unit-square side.
   double min_extent = 0.001;

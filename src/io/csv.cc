@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <unordered_set>
 
 namespace stindex {
 namespace {
@@ -18,11 +20,9 @@ std::string FormatDouble(double value) {
 
 std::string FormatPolynomial(const Polynomial& poly) {
   std::string out;
-  const std::vector<double>& coefficients = poly.coefficients();
-  if (coefficients.empty()) return "0";
-  for (size_t i = 0; i < coefficients.size(); ++i) {
-    if (i > 0) out += ':';
-    out += FormatDouble(coefficients[i]);
+  for (const double c : poly.coefficients()) {
+    if (!out.empty()) out += ':';
+    out += FormatDouble(c);
   }
   return out;
 }
@@ -36,6 +36,25 @@ std::vector<std::string> SplitFields(const std::string& line,
   while (std::getline(stream, field, delimiter)) fields.push_back(field);
   if (!line.empty() && line.back() == delimiter) fields.push_back("");
   return fields;
+}
+
+// Parses a base-10 integer in [min, max]: InvalidArgument for a syntax
+// error, OutOfRange for a value outside the range.
+Status ParseInteger(const std::string& text, const char* what, long long min,
+                    long long max, long long* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0') {
+    return Status::InvalidArgument(std::string("malformed ") + what + ": '" +
+                                   text + "'");
+  }
+  if (errno == ERANGE || value < min || value > max) {
+    return Status::OutOfRange(std::string(what) + " out of range: '" + text +
+                              "'");
+  }
+  *out = value;
+  return Status::OK();
 }
 
 }  // namespace
@@ -53,37 +72,59 @@ Status ParseDouble(const std::string& text, double* out) {
   if (errno == ERANGE && (*out == HUGE_VAL || *out == -HUGE_VAL)) {
     return Status::OutOfRange("number out of range: '" + text + "'");
   }
+  // "inf" and "nan" parse, but no field may hold them.
+  if (!std::isfinite(*out)) {
+    return Status::InvalidArgument("non-finite number: '" + text + "'");
+  }
   return Status::OK();
 }
 
 Status ParseTime(const std::string& text, Time* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::InvalidArgument("malformed time: '" + text + "'");
-  }
-  if (errno == ERANGE) {
-    return Status::OutOfRange("time out of range: '" + text + "'");
-  }
-  *out = static_cast<Time>(value);
-  return Status::OK();
+  long long value = 0;
+  const Status status =
+      ParseInteger(text, "time", std::numeric_limits<long long>::min(),
+                   std::numeric_limits<long long>::max(), &value);
+  if (status.ok()) *out = static_cast<Time>(value);
+  return status;
+}
+
+Status ParseObjectId(const std::string& text, ObjectId* out) {
+  long long value = 0;
+  const Status status = ParseInteger(
+      text, "object id", 0, std::numeric_limits<ObjectId>::max(), &value);
+  if (status.ok()) *out = static_cast<ObjectId>(value);
+  return status;
 }
 
 namespace {
 
-Status ParsePolynomial(const std::string& text, Polynomial* out) {
-  std::vector<double> coefficients;
-  for (const std::string& field : SplitFields(text, ':')) {
+// Parses polynomial field `name`: coefficients joined by ':', constant
+// term first. Zeros past t^kMaxDegree are trimmed like any trailing zero;
+// anything else there is InvalidArgument. Errors name the field.
+Status ParsePolynomial(const char* name, const std::string& text,
+                       Polynomial* out) {
+  const std::vector<std::string> terms = SplitFields(text, ':');
+  if (terms.empty()) {
+    return Status::InvalidArgument(std::string(name) +
+                                   ": empty polynomial field");
+  }
+  Polynomial::Coefficients coefficients{};
+  for (size_t i = 0; i < terms.size(); ++i) {
     double value = 0.0;
-    const Status status = ParseDouble(field, &value);
-    if (!status.ok()) return status;
-    coefficients.push_back(value);
+    const Status status = ParseDouble(terms[i], &value);
+    if (!status.ok()) {
+      return Status(status.code(), std::string(name) + ": " + status.message());
+    }
+    if (i < coefficients.size()) {
+      coefficients[i] = value;
+    } else if (value != 0.0) {
+      return Status::InvalidArgument(
+          std::string(name) + ": '" + text + "' has a nonzero t^" +
+          std::to_string(i) + " coefficient; the degree is at most " +
+          std::to_string(Polynomial::kMaxDegree));
+    }
   }
-  if (coefficients.empty()) {
-    return Status::InvalidArgument("empty polynomial field");
-  }
-  *out = Polynomial(std::move(coefficients));
+  *out = Polynomial(coefficients);
   return Status::OK();
 }
 
@@ -130,57 +171,70 @@ Status WriteTrajectoriesCsv(const std::string& path,
 
 Result<std::vector<Trajectory>> ReadTrajectoriesCsv(const std::string& path) {
   std::vector<Trajectory> objects;
+  std::unordered_set<ObjectId> finished;  // objects before `current_id`
   ObjectId current_id = 0;
   std::vector<MovementTuple> current;
-  bool have_current = false;
 
-  auto flush = [&]() -> Status {
-    if (!have_current) return Status::OK();
-    Trajectory trajectory(current_id, std::move(current));
-    Status status = trajectory.Validate();
-    if (!status.ok()) return status;
-    objects.push_back(std::move(trajectory));
+  auto finish = [&]() {
+    if (current.empty()) return;
+    finished.insert(current_id);
+    objects.emplace_back(current_id, std::move(current));
     current.clear();
-    have_current = false;
-    return Status::OK();
+    STINDEX_DCHECK(objects.back().Validate().ok());
   };
 
+  // Every tuple is checked as it is read, so an error names its own line.
   Status status = ForEachLine(
       path, [&](size_t, const std::string& line) -> Status {
         const std::vector<std::string> fields = SplitFields(line, ',');
         if (fields.size() != 7) {
           return Status::InvalidArgument("expected 7 fields");
         }
+        ObjectId id = 0;
+        Status parse = ParseObjectId(fields[0], &id);
+        if (!parse.ok()) return parse;
         Time start = 0, end = 0;
-        Status parse = ParseTime(fields[1], &start);
+        parse = ParseTime(fields[1], &start);
         if (!parse.ok()) return parse;
         parse = ParseTime(fields[2], &end);
         if (!parse.ok()) return parse;
         MovementTuple tuple;
         tuple.interval = TimeInterval(start, end);
-        parse = ParsePolynomial(fields[3], &tuple.center_x);
+        if (!tuple.interval.IsValid()) {
+          return Status::InvalidArgument(
+              "movement tuple has empty interval [" + fields[1] + ", " +
+              fields[2] + ")");
+        }
+        parse = ParsePolynomial("cx", fields[3], &tuple.center_x);
         if (!parse.ok()) return parse;
-        parse = ParsePolynomial(fields[4], &tuple.center_y);
+        parse = ParsePolynomial("cy", fields[4], &tuple.center_y);
         if (!parse.ok()) return parse;
-        parse = ParsePolynomial(fields[5], &tuple.extent_x);
+        parse = ParsePolynomial("ex", fields[5], &tuple.extent_x);
         if (!parse.ok()) return parse;
-        parse = ParsePolynomial(fields[6], &tuple.extent_y);
+        parse = ParsePolynomial("ey", fields[6], &tuple.extent_y);
         if (!parse.ok()) return parse;
 
-        const ObjectId id =
-            static_cast<ObjectId>(std::strtoul(fields[0].c_str(), nullptr, 10));
-        if (!have_current || id != current_id) {
-          Status flushed = flush();
-          if (!flushed.ok()) return flushed;
+        if (current.empty() || id != current_id) {
+          finish();
+          if (finished.contains(id)) {
+            return Status::InvalidArgument(
+                "object " + fields[0] +
+                " reappears after another object's tuples; an object's "
+                "tuples must be contiguous");
+          }
           current_id = id;
-          have_current = true;
+        } else if (start != current.back().interval.end) {
+          return Status::InvalidArgument(
+              "tuple of object " + fields[0] + " starts at " + fields[1] +
+              " but its previous tuple ends at " +
+              std::to_string(current.back().interval.end) +
+              "; tuples must be contiguous in time");
         }
-        current.push_back(std::move(tuple));
+        current.push_back(tuple);
         return Status::OK();
       });
   if (!status.ok()) return status;
-  status = flush();
-  if (!status.ok()) return status;
+  finish();
   return objects;
 }
 
@@ -210,10 +264,10 @@ Result<std::vector<SegmentRecord>> ReadSegmentsCsv(const std::string& path) {
           return Status::InvalidArgument("expected 7 fields");
         }
         SegmentRecord record;
-        record.object =
-            static_cast<ObjectId>(std::strtoul(fields[0].c_str(), nullptr, 10));
+        Status parse = ParseObjectId(fields[0], &record.object);
+        if (!parse.ok()) return parse;
         Time start = 0, end = 0;
-        Status parse = ParseTime(fields[1], &start);
+        parse = ParseTime(fields[1], &start);
         if (!parse.ok()) return parse;
         parse = ParseTime(fields[2], &end);
         if (!parse.ok()) return parse;

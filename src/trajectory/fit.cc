@@ -1,18 +1,22 @@
 #include "trajectory/fit.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
 
 #include "util/check.h"
 
 namespace stindex {
 namespace {
 
-// Solves the (d+1)x(d+1) normal equations by Gaussian elimination with
-// partial pivoting. Small systems only (d <= 3).
-std::vector<double> SolveNormalEquations(std::vector<std::vector<double>> a,
-                                         std::vector<double> b) {
-  const size_t n = b.size();
+using Vector = Polynomial::Coefficients;
+constexpr size_t kTerms = Polynomial::kMaxDegree + 1;
+
+// Solves the leading n x n block of the normal equations (n <= kTerms)
+// by Gaussian elimination with partial pivoting; the rest of x is zero.
+Vector SolveNormalEquations(std::array<Vector, kTerms> a, Vector b,
+                            size_t n) {
   for (size_t col = 0; col < n; ++col) {
     size_t pivot = col;
     for (size_t row = col + 1; row < n; ++row) {
@@ -27,7 +31,7 @@ std::vector<double> SolveNormalEquations(std::vector<std::vector<double>> a,
       b[row] -= factor * b[col];
     }
   }
-  std::vector<double> x(n, 0.0);
+  Vector x{};
   for (size_t row = n; row-- > 0;) {
     double sum = b[row];
     for (size_t k = row + 1; k < n; ++k) sum -= a[row][k] * x[k];
@@ -42,13 +46,13 @@ Polynomial FitPolynomial(const std::vector<double>& values, int degree) {
   STINDEX_CHECK(!values.empty());
   STINDEX_CHECK(degree >= 0);
   const int n = static_cast<int>(values.size());
-  // Cannot determine more coefficients than samples.
-  const int d = std::min(degree, n - 1);
+  // Cannot determine more coefficients than samples, nor hold more than
+  // kMaxDegree + 1.
+  const int d = std::min({degree, Polynomial::kMaxDegree, n - 1});
 
   // Normal equations: sum over s of s^(i+j) * c_j = sum of s^i * y_s.
-  std::vector<std::vector<double>> a(
-      static_cast<size_t>(d) + 1, std::vector<double>(static_cast<size_t>(d) + 1, 0.0));
-  std::vector<double> b(static_cast<size_t>(d) + 1, 0.0);
+  std::array<Vector, kTerms> a{};
+  Vector b{};
   for (int s = 0; s < n; ++s) {
     double power_i = 1.0;
     for (int i = 0; i <= d; ++i) {
@@ -61,7 +65,7 @@ Polynomial FitPolynomial(const std::vector<double>& values, int degree) {
       power_i *= static_cast<double>(s);
     }
   }
-  return Polynomial(SolveNormalEquations(std::move(a), std::move(b)));
+  return Polynomial(SolveNormalEquations(a, b, static_cast<size_t>(d) + 1));
 }
 
 namespace {
@@ -95,6 +99,12 @@ Result<Trajectory> FitTrajectory(ObjectId id,
   if (options.max_degree < 0 || options.max_extent_degree < 0 ||
       options.max_error < 0.0) {
     return Status::InvalidArgument("invalid fit options");
+  }
+  if (options.max_degree > Polynomial::kMaxDegree ||
+      options.max_extent_degree > Polynomial::kMaxDegree) {
+    return Status::InvalidArgument(
+        "max_degree and max_extent_degree must be at most " +
+        std::to_string(Polynomial::kMaxDegree));
   }
   for (size_t i = 1; i < obs.size(); ++i) {
     if (obs[i].t != obs[i - 1].t + 1) {

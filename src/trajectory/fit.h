@@ -20,11 +20,11 @@ struct RawObservation {
 };
 
 struct FitOptions {
-  // Maximum degree of the fitted center polynomials (paper Section II-A:
-  // bounding the degree keeps the representation compact while most
-  // common movements are approximated well).
+  // Maximum degree of the fitted center polynomials, 0..kMaxDegree (paper
+  // Section II-A: bounding the degree keeps the representation compact
+  // while most common movements are approximated well).
   int max_degree = 2;
-  // Maximum degree for the extent polynomials.
+  // Maximum degree for the extent polynomials, 0..kMaxDegree.
   int max_extent_degree = 1;
   // Maximum absolute deviation, per axis and instant, between the fitted
   // tuple and the observations.
@@ -39,13 +39,15 @@ struct FitOptions {
 //
 // The fitted trajectory covers exactly [obs.front().t, obs.back().t + 1)
 // and deviates from every observation by at most max_error per axis
-// (centers and extents).
+// (centers and extents). A degree option above Polynomial::kMaxDegree is
+// InvalidArgument.
 Result<Trajectory> FitTrajectory(ObjectId id,
                                  const std::vector<RawObservation>& obs,
                                  const FitOptions& options = FitOptions());
 
 // Least-squares polynomial fit of degree <= `degree` to values sampled at
-// local times 0..n-1. Exposed for tests and reuse.
+// local times 0..n-1; the degree is clamped to n - 1 and to kMaxDegree.
+// Exposed for tests and reuse.
 Polynomial FitPolynomial(const std::vector<double>& values, int degree);
 
 }  // namespace stindex

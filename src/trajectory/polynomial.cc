@@ -4,11 +4,9 @@
 
 namespace stindex {
 
-Polynomial::Polynomial(std::vector<double> coefficients)
-    : coefficients_(std::move(coefficients)) {
-  while (coefficients_.size() > 1 && coefficients_.back() == 0.0) {
-    coefficients_.pop_back();
-  }
+Polynomial::Polynomial(const Coefficients& coefficients) : c_(coefficients) {
+  // Trimming stores +0.0, whatever the sign of the zero it drops.
+  for (size_t i = kMaxDegree; i > 0 && c_[i] == 0.0; --i) c_[i] = 0.0;
 }
 
 Polynomial Polynomial::Constant(double c) { return Polynomial({c}); }
@@ -17,36 +15,16 @@ Polynomial Polynomial::Linear(double c0, double c1) {
   return Polynomial({c0, c1});
 }
 
-int Polynomial::Degree() const {
-  return coefficients_.empty()
-             ? 0
-             : static_cast<int>(coefficients_.size()) - 1;
-}
-
-double Polynomial::Evaluate(double t) const {
-  double value = 0.0;
-  for (size_t i = coefficients_.size(); i-- > 0;) {
-    value = value * t + coefficients_[i];
-  }
-  return value;
-}
-
 Polynomial Polynomial::Derivative() const {
-  if (coefficients_.size() <= 1) return Polynomial::Constant(0.0);
-  std::vector<double> derived(coefficients_.size() - 1);
-  for (size_t i = 1; i < coefficients_.size(); ++i) {
-    derived[i - 1] = coefficients_[i] * static_cast<double>(i);
-  }
-  return Polynomial(std::move(derived));
+  return Polynomial({c_[1], c_[2] * 2.0});
 }
 
 std::string Polynomial::ToString() const {
-  if (coefficients_.empty()) return "0";
   std::string out;
   char buf[64];
-  for (size_t i = 0; i < coefficients_.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), i == 0 ? "%g" : " + %g*t^%zu",
-                  coefficients_[i], i);
+  const std::span<const double> c = coefficients();
+  for (size_t i = 0; i < c.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), i == 0 ? "%g" : " + %g*t^%zu", c[i], i);
     out += buf;
   }
   return out;

@@ -16,7 +16,11 @@ Rect2D MovementTuple::RectAt(Time t) const {
 }
 
 Trajectory::Trajectory(ObjectId id, std::vector<MovementTuple> tuples)
-    : id_(id), tuples_(std::move(tuples)) {}
+    : id_(id), tuples_(std::move(tuples)) {
+  // A dataset holds its trajectories for its whole life: drop any slack
+  // that building the vector left (none when the caller reserved).
+  tuples_.shrink_to_fit();
+}
 
 Status Trajectory::Validate() const {
   if (tuples_.empty()) {

@@ -2,6 +2,7 @@
 #define STINDEX_TRAJECTORY_TRAJECTORY_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "geometry/box.h"
@@ -19,6 +20,8 @@ using ObjectId = uint32_t;
 // with extent polynomials so objects may also grow/shrink (Figure 6).
 // Polynomials are evaluated at *local* time s = t - interval.start, which
 // keeps generated coefficients small and evaluation well conditioned.
+// Its polynomials are inline, so a tuple owns no heap memory and a
+// trajectory's tuples are one allocation.
 struct MovementTuple {
   TimeInterval interval;
   Polynomial center_x;
@@ -31,6 +34,9 @@ struct MovementTuple {
   // Spatial MBR of the object at instant t (must lie in `interval`).
   Rect2D RectAt(Time t) const;
 };
+
+static_assert(sizeof(MovementTuple) == 112);
+static_assert(std::is_trivially_copyable_v<MovementTuple>);
 
 // A spatiotemporal object: a contiguous sequence of movement tuples
 // covering the object's lifetime [t_start, t_end). This is the generator-

@@ -159,6 +159,13 @@ TEST(CsvTest, ParseDoubleRejectsOnlyOverflow) {
     ASSERT_FALSE(status.ok()) << "'" << bad << "'";
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
   }
+  // strtod spells out infinities and NaNs, but no field may hold one.
+  for (const char* bad : {"nan", "-nan", "NAN", "nan(0x1)", "inf", "-inf",
+                          "Infinity", "-INFINITY"}) {
+    status = ParseDouble(bad, &parsed);
+    ASSERT_FALSE(status.ok()) << "'" << bad << "'";
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(CsvTest, ParseTimeRejectsGarbageAndOverflow) {
@@ -217,6 +224,120 @@ TEST(CsvTest, CommentsAndBlankLinesIgnored) {
   ASSERT_EQ(read.value().size(), 1u);
   EXPECT_EQ(read.value()[0].id(), 5u);
   EXPECT_EQ(read.value()[0].tuples()[0].center_x, Polynomial({0.1, 0.01}));
+}
+
+
+// Writes `lines` (no trailing newline needed) to a fresh file in the test
+// temp dir and returns its path.
+std::string WriteLines(const char* name,
+                       std::initializer_list<const char*> lines) {
+  const std::string path = TempPath(name);
+  std::ofstream out(path);
+  for (const char* line : lines) out << line << '\n';
+  return path;
+}
+
+// Expects `status` to fail with `code` and a message that contains each
+// of `parts`.
+void ExpectError(const Status& status, StatusCode code,
+                 std::initializer_list<std::string> parts) {
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), code) << status.ToString();
+  for (const std::string& part : parts) {
+    EXPECT_NE(status.message().find(part), std::string::npos)
+        << "'" << part << "' missing from " << status.ToString();
+  }
+}
+
+TEST(CsvTest, NonFiniteNumbersRejected) {
+  const std::string objects = WriteLines(
+      "nan_coefficient.csv", {"0,0,5,nan,0.5,0.01,0.01"});
+  ExpectError(ReadTrajectoriesCsv(objects).status(),
+              StatusCode::kInvalidArgument, {objects + ":1:", "nan"});
+  const std::string segments = WriteLines(
+      "inf_segment.csv", {"0,0,5,0.1,0.1,0.2,0.2", "1,0,5,0.1,0.1,inf,0.2"});
+  ExpectError(ReadSegmentsCsv(segments).status(),
+              StatusCode::kInvalidArgument, {segments + ":2:", "inf"});
+  const std::string queries =
+      WriteLines("inf_query.csv", {"0,5,-inf,0.1,0.2,0.2"});
+  ExpectError(ReadQueriesCsv(queries).status(), StatusCode::kInvalidArgument,
+              {queries + ":1:", "inf"});
+}
+
+TEST(CsvTest, ObjectIdsOutsideTheirRangeRejected) {
+  const struct {
+    const char* id;
+    StatusCode code;
+  } cases[] = {{"abc", StatusCode::kInvalidArgument},
+               {"", StatusCode::kInvalidArgument},
+               {"7x", StatusCode::kInvalidArgument},
+               {"-1", StatusCode::kOutOfRange},
+               {"4294967296", StatusCode::kOutOfRange},
+               {"99999999999999999999", StatusCode::kOutOfRange}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string("id '") + c.id + "'");
+    const std::string line = std::string(c.id) + ",0,5,0.1,0.1,0.2,0.2";
+    const std::string path = WriteLines("bad_id.csv", {line.c_str()});
+    ExpectError(ReadTrajectoriesCsv(path).status(), c.code,
+                {path + ":1:", "object id"});
+    ExpectError(ReadSegmentsCsv(path).status(), c.code,
+                {path + ":1:", "object id"});
+  }
+  // The largest id still loads, in both kinds of file.
+  const std::string path =
+      WriteLines("max_id.csv", {"4294967295,0,5,0.1,0.1,0.2,0.2"});
+  Result<std::vector<Trajectory>> objects = ReadTrajectoriesCsv(path);
+  ASSERT_TRUE(objects.ok()) << objects.status().ToString();
+  EXPECT_EQ(objects.value()[0].id(), 4294967295u);
+  Result<std::vector<SegmentRecord>> segments = ReadSegmentsCsv(path);
+  ASSERT_TRUE(segments.ok()) << segments.status().ToString();
+  EXPECT_EQ(segments.value()[0].object, 4294967295u);
+}
+
+TEST(CsvTest, ObjectWhoseTuplesAreNotContiguousRejected) {
+  const std::string path = WriteLines(
+      "reappearing.csv", {"0,0,5,0.1,0.1,0.01,0.01", "1,0,5,0.2,0.2,0.01,0.01",
+                          "0,5,9,0.1,0.1,0.01,0.01"});
+  ExpectError(ReadTrajectoriesCsv(path).status(),
+              StatusCode::kInvalidArgument, {path + ":3:", "object 0"});
+}
+
+TEST(CsvTest, TimeGapIsReportedAtItsOwnLine) {
+  // The gap is on line 3, followed by another object.
+  const std::string middle = WriteLines(
+      "gap_middle.csv",
+      {"# header", "0,0,10,0.5,0.5,0.01,0.01", "0,12,20,0.5,0.5,0.01,0.01",
+       "1,0,5,0.5,0.5,0.01,0.01"});
+  ExpectError(ReadTrajectoriesCsv(middle).status(),
+              StatusCode::kInvalidArgument, {middle + ":3:", "contiguous"});
+  // The gap is in the file's last object.
+  const std::string last = WriteLines(
+      "gap_last.csv", {"0,0,10,0.5,0.5,0.01,0.01", "1,0,10,0.5,0.5,0.01,0.01",
+                       "1,10,20,0.5,0.5,0.01,0.01", "1,21,30,0.5,0.5,0.01,0.01"});
+  ExpectError(ReadTrajectoriesCsv(last).status(),
+              StatusCode::kInvalidArgument, {last + ":4:", "contiguous"});
+  // So is an empty interval.
+  const std::string empty = WriteLines(
+      "empty_interval.csv",
+      {"0,0,10,0.5,0.5,0.01,0.01", "0,10,10,0.5,0.5,0.01,0.01"});
+  ExpectError(ReadTrajectoriesCsv(empty).status(),
+              StatusCode::kInvalidArgument, {empty + ":2:", "empty"});
+}
+
+TEST(CsvTest, PolynomialDegreeAboveTwoRejected) {
+  const std::string path = WriteLines(
+      "cubic.csv", {"0,0,10,0.5:0.01,0.5,0.01,0.01",
+                    "0,10,20,0.5,0.5:0:0:1e-9,0.01,0.01"});
+  ExpectError(ReadTrajectoriesCsv(path).status(),
+              StatusCode::kInvalidArgument, {path + ":2:", "cy", "t^3"});
+  // Zeros past t^2 are trimmed like any trailing zero.
+  const std::string zeros =
+      WriteLines("trailing_zeros.csv", {"3,0,10,0.5:0.01:0:0,0.5,0.01,0.01"});
+  Result<std::vector<Trajectory>> read = ReadTrajectoriesCsv(zeros);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const Polynomial& cx = read.value()[0].tuples()[0].center_x;
+  EXPECT_EQ(cx.Degree(), 1);
+  EXPECT_EQ(cx, Polynomial::Linear(0.5, 0.01));
 }
 
 }  // namespace

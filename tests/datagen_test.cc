@@ -1,15 +1,42 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "datagen/clustered_dataset.h"
 #include "datagen/query_gen.h"
 #include "datagen/railway.h"
 #include "datagen/random_dataset.h"
+#include "io/csv.h"
+#include "proc_status.h"
+#include "storage/page_codec.h"
+#include "trajectory/fit.h"
 #include "util/random.h"
 
 namespace stindex {
 namespace {
+
+// A movement tuple owns no heap memory, so a dataset costs little more
+// than 112 bytes a tuple: each trajectory's one allocation of tuples and
+// its entry in the dataset's vector. First in the file, so no heap that
+// earlier tests freed absorbs the growth.
+TEST(RandomDatasetTest, TuplesHoldNoHeapMemory) {
+  if (kHeapRssSkipReason != nullptr) GTEST_SKIP() << kHeapRssSkipReason;
+  RandomDatasetConfig config;
+  config.num_objects = 20000;
+  config.seed = 7;
+  const int64_t before = ProcStatusBytes("RssAnon");
+  ASSERT_GT(before, 0);
+  const std::vector<Trajectory> objects = GenerateRandomDataset(config);
+  const int64_t after = ProcStatusBytes("RssAnon");
+  size_t tuples = 0;
+  for (const Trajectory& object : objects) tuples += object.tuples().size();
+  ASSERT_EQ(tuples, 105543u);
+  EXPECT_LT(static_cast<double>(after - before) / static_cast<double>(tuples),
+            160.0)
+      << "RssAnon " << before << " -> " << after << " bytes";
+}
 
 TEST(RandomDatasetTest, RespectsCardinalityAndIds) {
   RandomDatasetConfig config;
@@ -108,6 +135,13 @@ TEST(RandomDatasetTest, ChangingExtentsStayValid) {
       EXPECT_TRUE(rect.IsValid());
     }
   }
+}
+
+TEST(RandomDatasetDeathTest, DegreeAboveTwoDies) {
+  RandomDatasetConfig config;
+  config.num_objects = 10;
+  config.max_degree = 3;
+  EXPECT_DEATH(GenerateRandomDataset(config), "max_degree");
 }
 
 TEST(DatasetStatsTest, MatchesHandComputation) {
@@ -316,6 +350,81 @@ TEST(QueryGenTest, DistinctSetsUseDistinctSeeds) {
     if (a[i].range.start == b[i].range.start) ++identical;
   }
   EXPECT_LT(identical, 50);
+}
+
+
+// CRC-32 of every rect Sample() gives for `objects`, in order.
+uint32_t SampleCrc(const std::vector<Trajectory>& objects) {
+  std::vector<uint8_t> bytes;
+  for (const Trajectory& object : objects) {
+    for (const Rect2D& rect : object.Sample()) {
+      for (const double value : {rect.xlo, rect.ylo, rect.xhi, rect.yhi}) {
+        const auto* p = reinterpret_cast<const uint8_t*>(&value);
+        bytes.insert(bytes.end(), p, p + sizeof(value));
+      }
+    }
+  }
+  return Crc32(bytes.data(), bytes.size());
+}
+
+RandomDatasetConfig PinnedRandomConfig(bool changing_extents) {
+  RandomDatasetConfig config;
+  config.num_objects = 2000;
+  config.seed = 42;
+  config.changing_extents = changing_extents;
+  return config;
+}
+
+// The generators' and the fit's floats, bit for bit: every sampled rect
+// of these datasets keeps its CRC when polynomials change representation.
+TEST(PinnedDatasetTest, RandomDatasetKeepsItsRects) {
+  EXPECT_EQ(SampleCrc(GenerateRandomDataset(PinnedRandomConfig(false))),
+            0x95915040u);
+  EXPECT_EQ(SampleCrc(GenerateRandomDataset(PinnedRandomConfig(true))),
+            0x0b9b63a1u);
+}
+
+TEST(PinnedDatasetTest, ClusteredAndRailwayDatasetsKeepTheirRects) {
+  ClusteredDatasetConfig clustered;
+  clustered.num_objects = 2000;
+  EXPECT_EQ(SampleCrc(GenerateClusteredDataset(clustered)), 0x8b870c9bu);
+  RailwayDatasetConfig railway;
+  railway.num_trains = 2000;
+  EXPECT_EQ(SampleCrc(GenerateRailwayDataset(railway)), 0x351155b6u);
+}
+
+TEST(PinnedDatasetTest, FittedTrajectoryKeepsItsRects) {
+  Rng rng(95);
+  std::vector<RawObservation> obs;
+  double x = 0.5, y = 0.5, vx = 0.0;
+  for (int i = 0; i < 400; ++i) {
+    vx += rng.UniformDouble(-0.0004, 0.0004);
+    x += vx;
+    y += rng.UniformDouble(-0.003, 0.003);
+    RawObservation o;
+    o.t = 50 + i;
+    o.center = Point2D(x, y);
+    o.extent_x = 0.02 + 0.00005 * i + rng.UniformDouble(-0.0005, 0.0005);
+    o.extent_y = 0.01;
+    obs.push_back(o);
+  }
+  FitOptions options;
+  options.max_error = 0.003;
+  Result<Trajectory> fitted = FitTrajectory(3, obs, options);
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  EXPECT_EQ(fitted.value().tuples().size(), 23u);
+  EXPECT_EQ(SampleCrc({fitted.value()}), 0x2d36437au);
+}
+
+TEST(PinnedDatasetTest, CsvRoundTripKeepsTheRects) {
+  const std::vector<Trajectory> objects =
+      GenerateRandomDataset(PinnedRandomConfig(true));
+  const std::string path = ::testing::TempDir() + "/pinned_dataset.csv";
+  ASSERT_TRUE(WriteTrajectoriesCsv(path, objects).ok());
+  Result<std::vector<Trajectory>> read = ReadTrajectoriesCsv(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(SampleCrc(read.value()), 0x0b9b63a1u);
 }
 
 }  // namespace

@@ -159,5 +159,25 @@ TEST(FitTrajectoryTest, RejectsBadInput) {
   EXPECT_FALSE(FitTrajectory(0, gap).ok());
 }
 
+TEST(FitTrajectoryTest, RejectsDegreeAboveTwo) {
+  std::vector<RawObservation> obs(4);
+  for (size_t i = 0; i < obs.size(); ++i) {
+    obs[i].t = static_cast<Time>(i);
+    obs[i].center = Point2D(0.1 * static_cast<double>(i), 0.5);
+  }
+  FitOptions options;
+  options.max_degree = 3;
+  Result<Trajectory> fitted = FitTrajectory(0, obs, options);
+  ASSERT_FALSE(fitted.ok());
+  EXPECT_EQ(fitted.status().code(), StatusCode::kInvalidArgument);
+  options.max_degree = 2;
+  options.max_extent_degree = 3;
+  fitted = FitTrajectory(0, obs, options);
+  ASSERT_FALSE(fitted.ok());
+  EXPECT_EQ(fitted.status().code(), StatusCode::kInvalidArgument);
+  options.max_extent_degree = 2;
+  EXPECT_TRUE(FitTrajectory(0, obs, options).ok());
+}
+
 }  // namespace
 }  // namespace stindex

@@ -49,6 +49,18 @@ inline constexpr const char* kAnonRssSkipReason =
 inline constexpr const char* kAnonRssSkipReason = nullptr;
 #endif
 
+// Why RssAnon cannot tell what heap allocations cost in this build, or
+// nullptr. AddressSanitizer surrounds each allocation with redzones,
+// keeps freed memory in quarantine and shadows all of it, in anonymous
+// memory too.
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr const char* kHeapRssSkipReason =
+    "AddressSanitizer's redzones, quarantine and shadow memory inflate "
+    "RssAnon beyond the heap's own bytes";
+#else
+inline constexpr const char* kHeapRssSkipReason = kAnonRssSkipReason;
+#endif
+
 }  // namespace stindex
 
 #endif  // STINDEX_TESTS_PROC_STATUS_H_

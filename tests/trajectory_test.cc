@@ -20,6 +20,8 @@ TEST(PolynomialTest, DegreeTrimsTrailingZeros) {
   EXPECT_EQ(Polynomial({1.0, 0.0, 0.0}).Degree(), 0);
   EXPECT_EQ(Polynomial({1.0, 2.0, 0.0}).Degree(), 1);
   EXPECT_EQ(Polynomial({0.0, 0.0, 3.0}).Degree(), 2);
+  EXPECT_EQ(Polynomial({1.0, 2.0, -0.0}).Degree(), 1);
+  EXPECT_EQ(Polynomial({1.0, 2.0, 0.0}).coefficients().size(), 2u);
 }
 
 TEST(PolynomialTest, Derivative) {
