@@ -123,6 +123,34 @@ void BM_PprBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_PprBuild)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
 
+// PackSnapshot of the BM_PprBuild tree: sealing every page into the
+// writer's batches, the manifest, both fsyncs and the verified open that
+// reads every page back. The tree is rebuilt, untimed, before each pack.
+void BM_PackSnapshot(benchmark::State& state) {
+  const std::vector<Trajectory> objects =
+      MakeRandomDataset(static_cast<size_t>(state.range(0)));
+  const std::vector<SegmentRecord> records = SplitWithLaGreedy(objects, 50);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "bench_micro_ops_pack.stsnap")
+          .string();
+  size_t pages = 0;
+  std::unique_ptr<PprTree> tree;
+  for (auto _ : state) {
+    state.PauseTiming();
+    tree = BuildPprTree(records);  // the previous tree dies here, untimed
+    pages = tree->PageCount();
+    state.ResumeTiming();
+    const Status status = tree->PackSnapshot(path);
+    STINDEX_CHECK_MSG(status.ok(), status.ToString().c_str());
+  }
+  tree.reset();
+  std::remove(path.c_str());
+  state.counters["pages"] = static_cast<double>(pages);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(pages * kPageSize));
+}
+BENCHMARK(BM_PackSnapshot)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
+
 void BM_RStarBuild(benchmark::State& state) {
   const std::vector<Trajectory> objects =
       MakeRandomDataset(static_cast<size_t>(state.range(0)));

@@ -127,8 +127,15 @@ void GreedyMerger::MergeOnce() {
 
 std::vector<double> GreedyMerger::VolumeCurve(int k_max) {
   STINDEX_CHECK(k_max >= 0);
-  const int top = std::min(k_max, count_ - 1);
-  std::vector<double> curve(static_cast<size_t>(top) + 1, 0.0);
+  std::vector<double> curve(
+      static_cast<size_t>(std::min(k_max, count_ - 1)) + 1, 0.0);
+  VolumeCurve(curve);
+  return curve;
+}
+
+void GreedyMerger::VolumeCurve(std::span<double> curve) {
+  STINDEX_CHECK(!curve.empty() && curve.size() <= static_cast<size_t>(count_));
+  const int top = static_cast<int>(curve.size()) - 1;
   if (count_ - 1 <= top) {
     curve[static_cast<size_t>(count_) - 1] = total_volume_;
   }
@@ -137,7 +144,6 @@ std::vector<double> GreedyMerger::VolumeCurve(int k_max) {
     const int splits = count_ - 1;
     if (splits <= top) curve[static_cast<size_t>(splits)] = total_volume_;
   }
-  return curve;
 }
 
 std::vector<int> GreedyMerger::Cuts() const {

@@ -50,6 +50,8 @@ class GreedyMerger {
   // Merges down to one box, recording the total volume each time the
   // segment count passes through j + 1 for j = 0..min(k_max, n-1).
   std::vector<double> VolumeCurve(int k_max);
+  // The same into `curve`, which holds min(k_max, n-1) + 1 entries.
+  void VolumeCurve(std::span<double> curve);
 
   // Boundaries between surviving segments (the cut positions), ascending.
   std::vector<int> Cuts() const;

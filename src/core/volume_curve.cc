@@ -1,5 +1,8 @@
 #include "core/volume_curve.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "core/dp_split.h"
 #include "core/merge_split.h"
 #include "util/check.h"
@@ -21,13 +24,23 @@ std::vector<VolumeCurve> ComputeVolumeCurves(
       .GetCounter("pipeline.curves_computed")
       ->Add(objects.size());
   std::vector<VolumeCurve> curves(objects.size());
+  if (method == SplitMethod::kMerge) {
+    // The calling thread allocates every curve, in object order. Chunks
+    // go to whichever worker is free, so curves allocated by the workers
+    // would land in their malloc arenas in shares that vary from run to
+    // run, and so would the arenas' high-water marks.
+    for (size_t i = 0; i < objects.size(); ++i) {
+      curves[i].volume.resize(static_cast<size_t>(
+          std::min<int64_t>(k_max, objects[i].NumInstants() - 1) + 1));
+    }
+  }
   ParallelFor(num_threads, objects.size(),
               [&](size_t /*chunk*/, size_t begin, size_t end) {
                 GreedyMerger merger;
                 for (size_t i = begin; i < end; ++i) {
                   if (method == SplitMethod::kMerge) {
                     merger.Load(objects[i]);
-                    curves[i].volume = merger.VolumeCurve(k_max);
+                    merger.VolumeCurve(curves[i].volume);
                   } else {
                     curves[i].volume =
                         DpVolumeCurve(objects[i].Sample(), k_max);

@@ -685,7 +685,13 @@ void LiveTier::PublishGauges() const {
 
 std::vector<LiveObservation> MakeObservationStream(
     const std::vector<Trajectory>& objects) {
+  // One observation per alive instant plus one end per object.
+  size_t size = objects.size();
+  for (const Trajectory& object : objects) {
+    size += static_cast<size_t>(object.Lifetime().Duration());
+  }
   std::vector<LiveObservation> stream;
+  stream.reserve(size);
   for (const Trajectory& object : objects) {
     const TimeInterval life = object.Lifetime();
     const std::vector<Rect2D> rects = object.Sample();
@@ -702,6 +708,7 @@ std::vector<LiveObservation> MakeObservationStream(
     end.is_end = true;
     stream.push_back(end);
   }
+  STINDEX_DCHECK(stream.size() == size);
   std::sort(stream.begin(), stream.end(),
             [](const LiveObservation& a, const LiveObservation& b) {
               if (a.time != b.time) return a.time < b.time;

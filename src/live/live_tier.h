@@ -38,13 +38,15 @@ struct LiveTierOptions {
 
 // One movement update of the input stream; `MakeObservationStream` turns
 // a trajectory dataset into the tick-ordered sequence of these that a
-// position feed would deliver.
+// position feed would deliver. Fields are ordered widest first, so the
+// struct carries only its 3 bytes of tail padding.
 struct LiveObservation {
-  ObjectId object = 0;
   Time time = 0;
   Rect2D rect;
+  ObjectId object = 0;
   bool is_end = false;  // when set, `time` is one past the last instant
 };
+static_assert(sizeof(LiveObservation) == 48);
 
 // The crash-safe live ingestion tier: movement updates land in an
 // in-memory LiveIndex and are journaled to a write-ahead log; ripe

@@ -61,11 +61,17 @@ struct PprTree::RootEra {
 
 namespace {
 
+// Slot `slot` of an alive-slot bitmap.
+constexpr uint64_t SlotBit(size_t slot) { return uint64_t{1} << slot; }
+
+// The alive-slot bitmap of `entries`.
 template <typename Entries>
-size_t CountAlive(const Entries& entries) {
-  size_t count = 0;
-  for (const auto& entry : entries) count += entry.IsAlive() ? 1 : 0;
-  return count;
+uint64_t AliveSlots(const Entries& entries) {
+  uint64_t alive = 0;
+  for (size_t s = 0; s < entries.size(); ++s) {
+    if (entries[s].IsAlive()) alive |= SlotBit(s);
+  }
+  return alive;
 }
 
 template <typename Entries>
@@ -108,6 +114,7 @@ PprTree::PprTree(PprConfig config)
                 std::has_unique_object_representations_v<TimeInterval>);
   STINDEX_CHECK_MSG(config_.max_entries + 1 <= kNodePageCapacity,
                     "PPR-tree fanout does not fit a node page");
+  static_assert(kNodePageCapacity <= 64, "alive-slot bitmaps are 64 bits");
   STINDEX_CHECK(config_.max_entries >= 4);
   STINDEX_CHECK(config_.p_version > 0.0 && config_.p_version < 1.0);
   STINDEX_CHECK(config_.p_svu > config_.p_version);
@@ -138,6 +145,63 @@ size_t PprTree::StrongMin() const {
       std::ceil(config_.p_svu * static_cast<double>(config_.max_entries)));
 }
 
+size_t PprTree::LocationTable::Home(PprDataId data) const {
+  // Fibonacci hashing: the top bits of the product spread consecutive ids.
+  return static_cast<size_t>((data * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+size_t PprTree::LocationTable::Probe(PprDataId data) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(data);
+  while (slots_[i].place.node != kInvalidPage && slots_[i].data != data) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+const PprTree::Place* PprTree::LocationTable::Find(PprDataId data) const {
+  if (size_ == 0) return nullptr;
+  const Slot& slot = slots_[Probe(data)];
+  return slot.place.node != kInvalidPage ? &slot.place : nullptr;
+}
+
+void PprTree::LocationTable::Set(PprDataId data, Place place) {
+  STINDEX_DCHECK(place.node != kInvalidPage);
+  if (2 * (size_ + 1) > slots_.size()) {
+    // Double (from 16 slots) and reinsert.
+    std::vector<Slot> old(std::max<size_t>(16, 2 * slots_.size()));
+    old.swap(slots_);
+    shift_ = 64 - std::countr_zero(slots_.size());
+    for (const Slot& slot : old) {
+      if (slot.place.node != kInvalidPage) slots_[Probe(slot.data)] = slot;
+    }
+  }
+  Slot& slot = slots_[Probe(data)];
+  if (slot.place.node == kInvalidPage) ++size_;
+  slot = Slot{data, place};
+}
+
+bool PprTree::LocationTable::Take(PprDataId data, Place* place) {
+  if (size_ == 0) return false;
+  size_t hole = Probe(data);
+  if (slots_[hole].place.node == kInvalidPage) return false;
+  *place = slots_[hole].place;
+  --size_;
+  // Backward shift: pull each later entry of the probe run whose home is
+  // not after the hole into it, so no probe run is broken.
+  const size_t mask = slots_.size() - 1;
+  for (size_t next = (hole + 1) & mask; slots_[next].place.node != kInvalidPage;
+       next = (next + 1) & mask) {
+    const size_t home = Home(slots_[next].data);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      slots_[hole] = slots_[next];
+      hole = next;
+    }
+  }
+  slots_[hole] = Slot{};
+  return true;
+}
+
 PprTree::Node PprTree::GetNode(PageId id) const {
   return Node(&pages_.arena().MutablePage(id));
 }
@@ -157,13 +221,12 @@ Status PprTree::PackSnapshot(const std::string& path,
   for (RootEra& era : roots_) {
     if (era.root != kInvalidPage) era.root = remap[era.root];
   }
-  for (auto& [data, leaf] : alive_location_) leaf = remap[leaf];
-  std::unordered_map<PageId, PageId> parents;
-  parents.reserve(parent_of_.size());
-  for (const auto& [child, parent] : parent_of_) {
-    parents[remap[child]] = remap[parent];
-  }
-  parent_of_ = std::move(parents);
+  alive_location_.ForEachPlace(
+      [&remap](Place& place) { place.node = remap[place.node]; });
+  // The replay bookkeeping serves updates, which a frozen tree refuses.
+  alive_slots_ = {};
+  parent_of_ = {};
+  pending_parents_ = {};
   return Status::OK();
 }
 
@@ -182,21 +245,63 @@ void PprTree::StartNewEra(PageId root, Time t) {
   roots_.push_back(RootEra{t, root});
 }
 
+void PprTree::TrackNode(PageId id) {
+  STINDEX_CHECK(id == alive_slots_.size());
+  alive_slots_.push_back(0);
+  parent_of_.emplace_back();
+}
+
+template <typename Match>
+size_t PprTree::FindAliveSlot(PageId id, size_t hint, Match match) const {
+  uint64_t alive = alive_slots_[id];
+  if (hint < kNodePageCapacity && (alive & SlotBit(hint)) != 0 &&
+      match(hint)) {
+    return hint;
+  }
+  for (; alive != 0; alive &= alive - 1) {
+    const auto slot = static_cast<size_t>(std::countr_zero(alive));
+    if (match(slot)) return slot;
+  }
+  return SIZE_MAX;
+}
+
 PageId PprTree::MakeNode(int level, const std::vector<Entry>& entries,
                          Time now) {
   const PageId id = pages_.arena().Allocate();
+  TrackNode(id);
   Node node = GetNode(id);
   node.header() = Header{level, 0, now, kTimeInfinity};
-  for (const Entry& entry : entries) {
-    STINDEX_DCHECK(entry.IsAlive());
-    node.Append(entry);
+  for (uint32_t slot = 0; slot < entries.size(); ++slot) {
+    const Entry& entry = entries[slot];
+    AppendAlive(node, id, entry);
     if (level == 0) {
-      alive_location_[entry.data] = id;
+      alive_location_.Set(entry.data, Place{id, slot});
     } else {
-      parent_of_[entry.child] = id;
+      parent_of_[entry.child] = Place{id, slot};
     }
   }
   return id;
+}
+
+void PprTree::AppendAlive(Node node, PageId id, const Entry& entry) {
+  STINDEX_DCHECK(entry.IsAlive());
+  node.Append(entry);
+  alive_slots_[id] |= SlotBit(node.entries().size() - 1);
+}
+
+bool PprTree::KillEntry(Node node, PageId id, size_t slot, Time now) {
+  Entry& entry = node.entries()[slot];
+  STINDEX_CHECK(entry.IsAlive());
+  uint64_t& alive = alive_slots_[id];
+  alive &= ~SlotBit(slot);
+  if (entry.lifetime.start != now) {
+    entry.lifetime.end = now;
+    return false;
+  }
+  node.Erase(slot);
+  const uint64_t below = SlotBit(slot) - 1;
+  alive = (alive & below) | ((alive >> 1) & ~below);
+  return true;
 }
 
 void PprTree::DescendForInsert(const Rect2D& rect) {
@@ -206,21 +311,23 @@ void PprTree::DescendForInsert(const Rect2D& rect) {
   path_.push_back(Frame{current, SIZE_MAX});
   NodeView node = GetNode(current);
   while (!node.IsLeaf()) {
-    // Least area enlargement among alive entries, ties by smallest area.
+    // Least area enlargement among the alive entries, then least area,
+    // then the first slot, in one pass over the alive slots.
     size_t best = SIZE_MAX;
     double best_enlargement = std::numeric_limits<double>::infinity();
     double best_area = std::numeric_limits<double>::infinity();
     const std::span<const Entry> entries = node.entries();
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (!entries[i].IsAlive()) continue;
-      const double enlargement = entries[i].rect.Enlargement(rect);
+    for (uint64_t alive = alive_slots_[current]; alive != 0;
+         alive &= alive - 1) {
+      const auto i = static_cast<size_t>(std::countr_zero(alive));
       const double area = entries[i].rect.Area();
-      if (enlargement < best_enlargement ||
-          (enlargement == best_enlargement && area < best_area)) {
-        best = i;
-        best_enlargement = enlargement;
-        best_area = area;
-      }
+      const double enlargement = entries[i].rect.Union(rect).Area() - area;
+      const bool better =
+          enlargement < best_enlargement ||
+          (enlargement == best_enlargement && area < best_area);
+      best = better ? i : best;
+      best_enlargement = better ? enlargement : best_enlargement;
+      best_area = better ? area : best_area;
     }
     STINDEX_CHECK_MSG(best != SIZE_MAX,
                       "directory node without alive entries on insert path");
@@ -233,27 +340,22 @@ void PprTree::DescendForInsert(const Rect2D& rect) {
 void PprTree::PathToAliveLeaf(PageId leaf) {
   // Climb the alive-parent links, then resolve entry slots downward.
   chain_.assign(1, leaf);
-  while (true) {
-    auto it = parent_of_.find(chain_.back());
-    if (it == parent_of_.end()) break;
-    chain_.push_back(it->second);
+  for (PageId parent = parent_of_[leaf].node; parent != kInvalidPage;
+       parent = parent_of_[parent].node) {
+    chain_.push_back(parent);
   }
   STINDEX_CHECK_MSG(chain_.back() == CurrentRoot(),
                     "alive leaf is not reachable from the current root");
   path_.clear();
   path_.push_back(Frame{chain_.back(), SIZE_MAX});
   for (size_t i = chain_.size() - 1; i-- > 0;) {
+    const PageId child = chain_[i];
     const std::span<const Entry> entries = GetNode(chain_[i + 1]).entries();
-    size_t slot = SIZE_MAX;
-    for (size_t s = 0; s < entries.size(); ++s) {
-      const Entry& entry = entries[s];
-      if (entry.IsAlive() && entry.child == chain_[i]) {
-        slot = s;
-        break;
-      }
-    }
+    const size_t slot =
+        FindAliveSlot(chain_[i + 1], parent_of_[child].slot,
+                      [&](size_t s) { return entries[s].child == child; });
     STINDEX_CHECK_MSG(slot != SIZE_MAX, "stale parent link");
-    path_.push_back(Frame{chain_[i], slot});
+    path_.push_back(Frame{child, slot});
   }
 }
 
@@ -270,7 +372,7 @@ void PprTree::Insert(const Rect2D& rect, Time t, PprDataId data) {
                     "PprTree is frozen: it serves a packed snapshot");
   STINDEX_CHECK_MSG(rect.IsValid(), "inserting an invalid rect");
   STINDEX_CHECK_MSG(t >= current_time_, "updates must be fed in time order");
-  STINDEX_CHECK_MSG(alive_location_.find(data) == alive_location_.end(),
+  STINDEX_CHECK_MSG(alive_location_.Find(data) == nullptr,
                     "record is already alive");
   current_time_ = t;
   ++size_;
@@ -280,6 +382,7 @@ void PprTree::Insert(const Rect2D& rect, Time t, PprDataId data) {
   entry.lifetime = TimeInterval(t, kTimeInfinity);
   entry.data = data;
 
+  // MakeNode records the location on the paths that create a node.
   if (CurrentRoot() == kInvalidPage) {
     const PageId root = MakeNode(0, {entry}, t);
     StartNewEra(root, t);
@@ -288,13 +391,15 @@ void PprTree::Insert(const Rect2D& rect, Time t, PprDataId data) {
 
   DescendForInsert(rect);
   ExpandPathRects(path_, rect);
-  Node leaf = GetNode(path_.back().node);
+  const PageId leaf_id = path_.back().node;
+  Node leaf = GetNode(leaf_id);
   if (leaf.entries().size() >= config_.max_entries) {
     Restructure(&path_, {entry}, t);
     return;
   }
-  leaf.Append(entry);
-  alive_location_[data] = path_.back().node;
+  AppendAlive(leaf, leaf_id, entry);
+  alive_location_.Set(
+      data, Place{leaf_id, static_cast<uint32_t>(leaf.entries().size() - 1)});
 }
 
 void PprTree::Delete(PprDataId data, Time t) {
@@ -302,29 +407,17 @@ void PprTree::Delete(PprDataId data, Time t) {
                     "PprTree is frozen: it serves a packed snapshot");
   STINDEX_CHECK_MSG(t >= current_time_, "updates must be fed in time order");
   current_time_ = t;
-  auto it = alive_location_.find(data);
-  STINDEX_CHECK_MSG(it != alive_location_.end(), "record is not alive");
-  const PageId leaf_id = it->second;
-  alive_location_.erase(it);
+  Place place;
+  STINDEX_CHECK_MSG(alive_location_.Take(data, &place), "record is not alive");
+  const PageId leaf_id = place.node;
 
   PathToAliveLeaf(leaf_id);
   Node leaf = GetNode(leaf_id);
-  bool found = false;
-  const std::span<Entry> entries = leaf.entries();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    Entry& entry = entries[i];
-    if (entry.IsAlive() && entry.data == data) {
-      if (entry.lifetime.start == t) {
-        // Inserted and deleted at the same instant: never visible.
-        leaf.Erase(i);
-      } else {
-        entry.lifetime.end = t;
-      }
-      found = true;
-      break;
-    }
-  }
-  STINDEX_CHECK_MSG(found, "alive record missing from its leaf");
+  const std::span<const Entry> entries = leaf.entries();
+  const size_t slot = FindAliveSlot(
+      leaf_id, place.slot, [&](size_t s) { return entries[s].data == data; });
+  STINDEX_CHECK_MSG(slot != SIZE_MAX, "alive record missing from its leaf");
+  KillEntry(leaf, leaf_id, slot, t);
 
   if (path_.size() == 1) {
     // Root leaf: exempt from the weak-version bound, but close the era
@@ -332,7 +425,7 @@ void PprTree::Delete(PprDataId data, Time t) {
     FinalizeRoot(leaf_id, t);
     return;
   }
-  if (CountAlive(leaf.entries()) < WeakMin()) {
+  if (static_cast<size_t>(std::popcount(alive_slots_[leaf_id])) < WeakMin()) {
     Restructure(&path_, {}, t);  // weak version underflow
   }
 }
@@ -351,33 +444,30 @@ double CenterDistance2(const Rect2D& a, const Rect2D& b) {
 
 void PprTree::Restructure(std::vector<Frame>* path,
                           std::vector<Entry> pending, Time now) {
-  Node node = GetNode(path->back().node);
-  const int level = node.level();
+  const int level = GetNode(path->back().node).level();
   const bool is_root = path->size() == 1;
   static Counter* const version_splits =
       MetricRegistry::Global().GetCounter("ppr.version_splits");
   version_splits->Increment();
 
-  auto truncate_alive = [now](Node victim, std::vector<Entry>* copies) {
-    for (size_t i = 0; i < victim.entries().size();) {
-      Entry& entry = victim.entries()[i];
-      if (entry.IsAlive()) {
-        Entry copy = entry;
-        copy.lifetime = TimeInterval(now, kTimeInfinity);
-        copies->push_back(copy);
-        if (entry.lifetime.start == now) {
-          victim.Erase(i);
-          continue;
-        }
-        entry.lifetime.end = now;
-      }
-      ++i;
+  // Copies the alive entries of node `id`, in slot order, with lifetime
+  // [now, inf) and kills them; `erased` counts the slots removed so far,
+  // which shift the later ones down.
+  auto truncate_alive = [this, now](PageId id, std::vector<Entry>* copies) {
+    Node victim = GetNode(id);
+    size_t erased = 0;
+    for (uint64_t alive = alive_slots_[id]; alive != 0; alive &= alive - 1) {
+      const size_t slot = static_cast<size_t>(std::countr_zero(alive)) - erased;
+      Entry copy = victim.entries()[slot];
+      copy.lifetime = TimeInterval(now, kTimeInfinity);
+      copies->push_back(copy);
+      if (KillEntry(victim, id, slot, now)) ++erased;
     }
     victim.header().closed = now;
   };
 
   std::vector<Entry> copies;
-  truncate_alive(node, &copies);
+  truncate_alive(path->back().node, &copies);
   for (Entry& entry : pending) {
     STINDEX_DCHECK(entry.lifetime.start == now && entry.IsAlive());
     copies.push_back(entry);
@@ -386,16 +476,18 @@ void PprTree::Restructure(std::vector<Frame>* path,
   // Strong version underflow: merge with the nearest alive sibling.
   std::optional<size_t> sibling_slot;
   if (!is_root && copies.size() < StrongMin()) {
-    const NodeView parent = GetNode((*path)[path->size() - 2].node);
+    const PageId parent_id = (*path)[path->size() - 2].node;
     const Rect2D our_mbr = [&copies]() {
       Rect2D mbr = Rect2D::Empty();
       for (const Entry& entry : copies) mbr.ExpandToInclude(entry.rect);
       return mbr;
     }();
     double best_distance = std::numeric_limits<double>::infinity();
-    const std::span<const Entry> siblings = parent.entries();
-    for (size_t s = 0; s < siblings.size(); ++s) {
-      if (s == path->back().slot || !siblings[s].IsAlive()) continue;
+    const std::span<const Entry> siblings = GetNode(parent_id).entries();
+    for (uint64_t alive = alive_slots_[parent_id]; alive != 0;
+         alive &= alive - 1) {
+      const auto s = static_cast<size_t>(std::countr_zero(alive));
+      if (s == path->back().slot) continue;
       const double distance =
           copies.empty() ? 0.0 : CenterDistance2(our_mbr, siblings[s].rect);
       if (distance < best_distance) {
@@ -404,7 +496,7 @@ void PprTree::Restructure(std::vector<Frame>* path,
       }
     }
     if (sibling_slot.has_value()) {
-      truncate_alive(GetNode(siblings[*sibling_slot].child), &copies);
+      truncate_alive(siblings[*sibling_slot].child, &copies);
       static Counter* const sibling_merges =
           MetricRegistry::Global().GetCounter("ppr.sibling_merges");
       sibling_merges->Increment();
@@ -454,25 +546,19 @@ void PprTree::Restructure(std::vector<Frame>* path,
   // erase same-instant entries and shift indices).
   std::vector<size_t> kill_slots = {path->back().slot};
   path->pop_back();
-  Node parent = GetNode(path->back().node);
+  const PageId parent_id = path->back().node;
+  Node parent = GetNode(parent_id);
   if (sibling_slot.has_value()) kill_slots.push_back(*sibling_slot);
   std::sort(kill_slots.rbegin(), kill_slots.rend());
-  for (size_t slot : kill_slots) {
-    Entry& entry = parent.entries()[slot];
-    STINDEX_CHECK(entry.IsAlive());
-    if (entry.lifetime.start == now) {
-      parent.Erase(slot);
-    } else {
-      entry.lifetime.end = now;
-    }
-  }
+  for (size_t slot : kill_slots) KillEntry(parent, parent_id, slot, now);
 
   AddEntries(path, std::move(adds), now);
 }
 
 void PprTree::AddEntries(std::vector<Frame>* path, std::vector<Entry> adds,
                          Time now) {
-  Node node = GetNode(path->back().node);
+  const PageId id = path->back().node;
+  Node node = GetNode(id);
   STINDEX_CHECK(!node.IsLeaf());
 
   if (!adds.empty() &&
@@ -481,17 +567,17 @@ void PprTree::AddEntries(std::vector<Frame>* path, std::vector<Entry> adds,
     return;
   }
   for (const Entry& entry : adds) {
-    parent_of_[entry.child] = path->back().node;
     ExpandPathRects(*path, entry.rect);
-    node.Append(entry);
+    AppendAlive(node, id, entry);
+    parent_of_[entry.child] =
+        Place{id, static_cast<uint32_t>(node.entries().size() - 1)};
   }
 
-  const size_t alive = CountAlive(node.entries());
   if (path->size() == 1) {
-    FinalizeRoot(path->back().node, now);
+    FinalizeRoot(id, now);
     return;
   }
-  if (alive < WeakMin()) {
+  if (static_cast<size_t>(std::popcount(alive_slots_[id])) < WeakMin()) {
     Restructure(path, {}, now);
   }
 }
@@ -502,28 +588,19 @@ void PprTree::FinalizeRoot(PageId root, Time now) {
   // weak-version invariant could not be maintained.
   while (root != kInvalidPage) {
     Node node = GetNode(root);
-    const size_t alive = CountAlive(node.entries());
+    const uint64_t alive = alive_slots_[root];
     if (alive == 0) {
       node.header().closed = now;
       root = kInvalidPage;
       break;
     }
-    if (node.IsLeaf() || alive > 1) break;
+    if (node.IsLeaf() || !std::has_single_bit(alive)) break;
     // Promote the only alive child.
-    PageId child = kInvalidPage;
-    const std::span<Entry> entries = node.entries();
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (!entries[i].IsAlive()) continue;
-      child = entries[i].child;
-      if (entries[i].lifetime.start == now) {
-        node.Erase(i);
-      } else {
-        entries[i].lifetime.end = now;
-      }
-      break;
-    }
+    const auto slot = static_cast<size_t>(std::countr_zero(alive));
+    const PageId child = node.entries()[slot].child;
+    KillEntry(node, root, slot, now);
     node.header().closed = now;
-    parent_of_.erase(child);
+    parent_of_[child] = Place{};
     root = child;
   }
   if (root != CurrentRoot()) StartNewEra(root, now);
@@ -892,6 +969,53 @@ void PprTree::CheckInvariants() const {
       }
     }
   }
+
+  CheckReplayBookkeeping();
+}
+
+void PprTree::CheckReplayBookkeeping() const {
+  if (pages_.frozen()) {
+    STINDEX_CHECK(alive_slots_.empty() && parent_of_.empty() &&
+                  pending_parents_.empty());
+    return;
+  }
+  STINDEX_CHECK(alive_slots_.size() == NodeCount() &&
+                parent_of_.size() == NodeCount());
+  STINDEX_CHECK_MSG(pending_parents_.empty(),
+                    "parent link to a node that was never installed");
+  for (PageId id = 0; id < NodeCount(); ++id) {
+    STINDEX_CHECK_MSG(alive_slots_[id] == AliveSlots(GetNode(id).entries()),
+                      "alive-slot bitmap disagrees with its node page");
+  }
+  // The alive entries form the current ephemeral tree: walk it from the
+  // current root, checking each alive node's parent link and each alive
+  // record's location.
+  size_t alive_records = 0;
+  if (CurrentRoot() != kInvalidPage) {
+    STINDEX_CHECK_MSG(parent_of_[CurrentRoot()].node == kInvalidPage,
+                      "the current root has a parent link");
+    std::vector<PageId> stack = {CurrentRoot()};
+    while (!stack.empty()) {
+      const PageId id = stack.back();
+      stack.pop_back();
+      const NodeView node = GetNode(id);
+      for (const Entry& entry : node.entries()) {
+        if (!entry.IsAlive()) continue;
+        if (node.IsLeaf()) {
+          ++alive_records;
+          const Place* location = alive_location_.Find(entry.data);
+          STINDEX_CHECK_MSG(location != nullptr && location->node == id,
+                            "alive record location disagrees with its leaf");
+        } else {
+          STINDEX_CHECK_MSG(parent_of_[entry.child].node == id,
+                            "parent link disagrees with the alive entry");
+          stack.push_back(entry.child);
+        }
+      }
+    }
+  }
+  STINDEX_CHECK_MSG(alive_records == alive_location_.size(),
+                    "alive record locations outside the current tree");
 }
 
 void PprTree::EncodeCheckpointMeta(ByteSink* out) const {
@@ -933,13 +1057,25 @@ Status PprTree::InstallCheckpointNode(PageId id, const uint8_t* page) {
   Result<const Page*> installed = pages_.InstallPage(id, page);
   if (!installed.ok()) return installed.status();
   const NodeView node(installed.value());
-  for (const Entry& entry : node.entries()) {
-    if (entry.IsAlive()) {
-      if (node.IsLeaf()) {
-        alive_location_[entry.data] = id;
-      } else {
-        parent_of_[entry.child] = id;
-      }
+  TrackNode(id);
+  alive_slots_[id] = AliveSlots(node.entries());
+  // A child may come after its parent in id order: its link waits in
+  // pending_parents_ until the child is installed.
+  if (const auto pending = pending_parents_.find(id);
+      pending != pending_parents_.end()) {
+    parent_of_[id] = pending->second;
+    pending_parents_.erase(pending);
+  }
+  const std::span<const Entry> entries = node.entries();
+  for (uint32_t slot = 0; slot < entries.size(); ++slot) {
+    const Entry& entry = entries[slot];
+    if (!entry.IsAlive()) continue;
+    if (node.IsLeaf()) {
+      alive_location_.Set(entry.data, Place{id, slot});
+    } else if (entry.child < parent_of_.size()) {
+      parent_of_[entry.child] = Place{id, slot};
+    } else {
+      pending_parents_[entry.child] = Place{id, slot};
     }
   }
   return Status::OK();
@@ -1005,7 +1141,15 @@ std::unique_ptr<PprTree> BuildPprTree(
   TraceSpan span("ppr", "build");
   span.Arg("records", static_cast<int64_t>(records.size()));
   // Replay the evolution: one insert and one delete event per record.
-  for (const uint32_t event : ReplayOrder(records)) {
+  // Time order visits the records out of memory order, so each event's
+  // record is prefetched a few events ahead.
+  constexpr size_t kPrefetchAhead = 8;
+  const std::vector<uint32_t> order = ReplayOrder(records);
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i + kPrefetchAhead < order.size()) {
+      __builtin_prefetch(&records[order[i + kPrefetchAhead] >> 1].box);
+    }
+    const uint32_t event = order[i];
     const uint32_t index = event >> 1;
     const SegmentRecord& record = records[index];
     if ((event & 1) != 0) {

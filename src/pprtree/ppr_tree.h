@@ -169,7 +169,9 @@ class PprTree {
 
   // Validates structural invariants at sampled time instants (alive-entry
   // bounds, lifetime nesting, MBR containment), reading the arena or,
-  // once frozen, the snapshot. Test hook.
+  // once frozen, the snapshot; then the replay bookkeeping against the
+  // arena's pages: every node's alive-slot bitmap, every alive node's
+  // parent link and every alive record's location. Test hook.
   void CheckInvariants() const;
 
   // Introspection: one summary per node of the *ephemeral* tree at
@@ -206,7 +208,9 @@ class PprTree {
 
   // Checks a sealed kPprNode page image and copies it into the arena as
   // node `id`; ids must arrive 0, 1, 2, ... on a tree holding exactly
-  // `id` nodes. Rebuilds the alive-record and alive-parent maps.
+  // `id` nodes. Rebuilds the replay bookkeeping the page implies: its
+  // alive-slot bitmap, its alive records' locations and its alive
+  // children's parent links.
   Status InstallCheckpointNode(PageId id, const uint8_t* page);
 
  private:
@@ -216,6 +220,51 @@ class PprTree {
   struct RootEra;
   using NodeView = NodePageView<Header, Entry, kNodeEntryOffset>;
   using Node = NodePage<Header, Entry, kNodeEntryOffset>;
+
+  // Where an alive entry sits: its node, and its slot there as a hint —
+  // erasing a same-instant entry shifts the later slots of its node
+  // down, so a reader checks the hinted entry and falls back to a scan.
+  struct Place {
+    PageId node = kInvalidPage;
+    uint32_t slot = 0;
+  };
+
+  // Alive data id -> Place of its leaf entry. Open addressing over a
+  // power-of-two array of slots, at most half full, with linear probing
+  // and backward-shift deletion; a slot with an invalid node is empty.
+  // A lookup hashes once and reads about one cache line, and no entry is
+  // allocated on its own.
+  class LocationTable {
+   public:
+    size_t size() const { return size_; }
+    // The place of `data`, or nullptr.
+    const Place* Find(PprDataId data) const;
+    // Sets the place of `data` (a valid node), inserting `data` if absent.
+    void Set(PprDataId data, Place place);
+    // Removes `data` and stores its place in `*place`; false if absent.
+    bool Take(PprDataId data, Place* place);
+    // Calls fn(Place&) on every entry.
+    template <typename Fn>
+    void ForEachPlace(Fn fn) {
+      for (Slot& slot : slots_) {
+        if (slot.place.node != kInvalidPage) fn(slot.place);
+      }
+    }
+
+   private:
+    struct Slot {
+      PprDataId data = 0;
+      Place place;
+    };
+    // The slot `data` probes first.
+    size_t Home(PprDataId data) const;
+    // The slot holding `data`, or the empty slot ending its probe run.
+    size_t Probe(PprDataId data) const;
+
+    std::vector<Slot> slots_;
+    int shift_ = 64;  // 64 - log2(slots_.size())
+    size_t size_ = 0;
+  };
 
   // Mutable view of arena node `id`; the tree must not be frozen.
   Node GetNode(PageId id) const;
@@ -230,6 +279,14 @@ class PprTree {
   // Fills path_ (root..leaf) for inserting `rect` at `now`, choosing
   // among alive directory entries by least area enlargement.
   void DescendForInsert(const Rect2D& rect);
+
+  // Appends the alive `entry` to node `id`.
+  void AppendAlive(Node node, PageId id, const Entry& entry);
+
+  // Ends alive entry `slot` of node `id` at `now`: closes its lifetime,
+  // or erases it if it was born at `now` (it was never visible), which
+  // shifts the later slots down by one. Returns whether it was erased.
+  bool KillEntry(Node node, PageId id, size_t slot, Time now);
 
   // Fills path_ (root..leaf) to the given alive leaf, reconstructed
   // through the parent links maintained for alive nodes.
@@ -260,6 +317,15 @@ class PprTree {
   // bookkeeping, and returns its id.
   PageId MakeNode(int level, const std::vector<Entry>& entries, Time now);
 
+  // Grows the per-node bookkeeping to cover the new node `id`.
+  void TrackNode(PageId id);
+
+  // The alive slot of node `id` whose entry satisfies `match`: `hint`
+  // when it does (the common case reads one entry), else the first alive
+  // slot that does, or SIZE_MAX.
+  template <typename Match>
+  size_t FindAliveSlot(PageId id, size_t hint, Match match) const;
+
   // Installs `root` as the root for instants >= now, collapsing directory
   // roots with a single alive child (so no non-root node can be starved of
   // merge siblings) and closing the era when nothing is alive.
@@ -267,6 +333,9 @@ class PprTree {
 
   void CollectSubtree(PageId root, PageCache* nodes,
                       std::vector<PageId>* out) const;
+
+  // The bookkeeping half of CheckInvariants.
+  void CheckReplayBookkeeping() const;
 
   PprConfig config_;
   // The arena of node pages, or the snapshot the tree was packed into,
@@ -276,10 +345,23 @@ class PprTree {
   size_t size_ = 0;
   Time current_time_ = 0;
 
-  // data id -> leaf currently holding its alive entry.
-  std::unordered_map<PprDataId, PageId> alive_location_;
-  // alive node -> its alive parent (roots absent).
-  std::unordered_map<PageId, PageId> parent_of_;
+  // data id -> the leaf holding its alive entry (and that entry's slot,
+  // as a hint).
+  LocationTable alive_location_;
+
+  // The replay's per-node bookkeeping, indexed by node id and kept for
+  // the arena only (PackSnapshot drops it; docs/pprtree.md):
+  //   alive_slots_: bit s is set iff entry s of the node is alive (node
+  //     pages hold at most 63 entries);
+  //   parent_of_: for an alive node, the alive directory node whose alive
+  //     entry points to it (kInvalidPage for the current root) and that
+  //     entry's slot, as a hint; stale for nodes that have died.
+  std::vector<uint64_t> alive_slots_;
+  std::vector<Place> parent_of_;
+  // Parent links a checkpoint restore met before their child was
+  // installed (child -> parent); InstallCheckpointNode moves each into
+  // parent_of_ when the child arrives.
+  std::unordered_map<PageId, Place> pending_parents_;
 
   // The update path of the current Insert/Delete and PathToAliveLeaf's
   // leaf-to-root chain, kept so updates reuse their capacity.

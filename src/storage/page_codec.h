@@ -150,9 +150,19 @@ class NodePage : public NodePageView<Header, Entry, kEntryOffset> {
 // CRC-32 (IEEE 802.3 polynomial, reflected) over `size` bytes.
 uint32_t Crc32(const uint8_t* data, size_t size);
 
+// The CRC-32 of A followed by B, from crc_a = Crc32(A), crc_b = Crc32(B)
+// and size_b = |B|, without reading either (zlib's crc32_combine).
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t size_b);
+
 // Stamps the envelope (kind, version, checksum) onto a kPageSize buffer
 // whose payload bytes [kPageEnvelopeBytes, kPageSize) are already filled.
 void SealPage(uint8_t* page, PageKind kind);
+
+// Crc32(page, kPageSize) of a sealed page, derived from the checksum its
+// envelope stores (which covers bytes [4, kPageSize)) by Crc32Combine,
+// so it reads only the envelope. Equal to the full-page CRC exactly when
+// the stored checksum is right.
+uint32_t SealedPageCrc32(const uint8_t* page);
 
 // The check a sealed page must pass before anything reads it in place:
 // the envelope (checksum, kind, version) plus a plausible header. The

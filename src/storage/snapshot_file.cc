@@ -159,7 +159,12 @@ SnapshotWriter::~SnapshotWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status SnapshotWriter::Append(uint32_t level, const uint8_t* page) {
+Page* SnapshotWriter::NextPage() {
+  STINDEX_CHECK_MSG(!finished_, "NextPage after Finish");
+  return &batch_[batched_];
+}
+
+Status SnapshotWriter::Append(uint32_t level) {
   STINDEX_CHECK_MSG(!finished_, "Append after Finish");
   // Bottom-up order: levels start at 0 and never step down or skip.
   if (extents_.empty()) {
@@ -172,8 +177,7 @@ Status SnapshotWriter::Append(uint32_t level, const uint8_t* page) {
     STINDEX_CHECK_MSG(level + 1 == extents_.size(),
                       "snapshot pages must be appended bottom-up");
   }
-  std::memcpy(batch_[batched_].bytes, page, kPageSize);
-  checksums_.push_back(Crc32(page, kPageSize));
+  checksums_.push_back(SealedPageCrc32(batch_[batched_].bytes));
   ++extents_.back().count;
   return ++batched_ == kBatchPages ? WriteBatch() : Status::OK();
 }
@@ -182,10 +186,17 @@ Status SnapshotWriter::WriteBatch() {
   if (batched_ == 0) return Status::OK();
   const size_t first = checksums_.size() - batched_;
   const size_t count = std::exchange(batched_, 0);
-  return PWriteFull(fd_, batch_[0].bytes, count * kPageSize,
-                    SlotOffset(first),
-                    "write " + PageRange("node", first, count) + " of " +
-                        path_);
+  Status status = PWriteFull(
+      fd_, batch_[0].bytes, count * kPageSize, SlotOffset(first),
+      "write " + PageRange("node", first, count) + " of " + path_);
+  if (!status.ok()) return status;
+  // Start the batch's write-back now rather than at Finish's fsync. Only
+  // a hint: durability still comes from that fsync, which reports any
+  // write-back error, so a failure here is ignored.
+  (void)::sync_file_range(fd_, SlotOffset(first),
+                          static_cast<off_t>(count * kPageSize),
+                          SYNC_FILE_RANGE_WRITE);
+  return Status::OK();
 }
 
 Status SnapshotWriter::Finish() {

@@ -55,12 +55,22 @@ class SnapshotWriter {
   SnapshotWriter(const SnapshotWriter&) = delete;
   SnapshotWriter& operator=(const SnapshotWriter&) = delete;
 
-  // Appends the next node page (kPageSize bytes, already sealed by the
-  // tree's codec) into the next dense slot. Pages must arrive bottom-up:
-  // `level` starts at 0 and may only stay or step up by one. Pages are
-  // buffered and written 64 to a pwrite, so a write error surfaces from
-  // the Append that fills a batch, or from Finish, naming the page range.
-  Status Append(uint32_t level, const uint8_t* page);
+  // The buffer of the next node page, inside the writer's current batch
+  // of 64 pages: the caller writes the page there, seals it with the
+  // tree's codec, then calls Append.
+  Page* NextPage();
+
+  // Appends the sealed page written into NextPage() as the next dense
+  // slot. Pages must arrive bottom-up: `level` starts at 0 and may only
+  // stay or step up by one. The manifest entry is derived from the
+  // checksum the page's envelope stores (SealedPageCrc32), so the page
+  // is not read again; an envelope that does not match its page makes
+  // Open fail. Each full batch is written with one pwrite and its
+  // write-back started at once (sync_file_range), so Finish's first
+  // fsync waits only for what is still in flight. A write error surfaces
+  // from the Append that fills a batch, or from Finish, naming the page
+  // range.
+  Status Append(uint32_t level);
 
   // Number of pages appended so far — the slot id the next Append gets.
   size_t appended() const { return checksums_.size(); }
@@ -72,7 +82,8 @@ class SnapshotWriter {
  private:
   SnapshotWriter(std::string path, int fd);
 
-  // Writes the buffered pages, if any, with one pwrite.
+  // Writes the buffered pages, if any, with one pwrite, and starts their
+  // write-back.
   Status WriteBatch();
 
   std::string path_;

@@ -119,14 +119,13 @@ Result<std::vector<PageId>> TreePages::Pack(
   // fails.
   Result<std::unique_ptr<SnapshotWriter>> writer = SnapshotWriter::Create(path);
   if (!writer.ok()) return writer.status();
-  Page page;
   for (size_t level = 0; level < levels.size(); ++level) {
     for (const PageId id : levels[level]) {
-      std::memcpy(page.bytes, arena_->BorrowPage(id), kPageSize);
-      if (level > 0) remap_children(&page, remap);
-      SealPage(page.bytes, check_->kind());
-      Status status =
-          writer.value()->Append(static_cast<uint32_t>(level), page.bytes);
+      Page* page = writer.value()->NextPage();
+      std::memcpy(page->bytes, arena_->BorrowPage(id), kPageSize);
+      if (level > 0) remap_children(page, remap);
+      SealPage(page->bytes, check_->kind());
+      Status status = writer.value()->Append(static_cast<uint32_t>(level));
       if (!status.ok()) return status;
     }
   }

@@ -91,8 +91,10 @@ class TreePages {
   // Packs the allocated arena pages into a read-only snapshot file at
   // `path` and makes it the only page source. Pages go bottom-up (level,
   // then arena id), so every level is one contiguous extent; each is
-  // copied, its children remapped, sealed with the check's kind and
-  // streamed through a SnapshotWriter. The snapshot is then opened (mmap,
+  // copied straight into the SnapshotWriter's batch, its children
+  // remapped there, and sealed with the check's kind: one checksum pass
+  // per page, the manifest entry following from the seal's checksum by
+  // CRC combination. The snapshot is then opened (mmap,
   // or pread per `options`), the arena released and the query pool
   // reopened. The remap is a bijection of the page-id access sequence,
   // so per-query LRU misses stay identical; it is returned (arena id ->

@@ -144,7 +144,11 @@ ThreadPool& ThreadPool::Shared(int min_threads) {
 }
 
 size_t ParallelChunks(int num_threads, size_t n) {
-  return std::min(n, static_cast<size_t>(std::max(num_threads, 1)));
+  const size_t chunks =
+      num_threads <= 1 ? 1
+                       : static_cast<size_t>(num_threads) *
+                             static_cast<size_t>(kParallelChunksPerThread);
+  return std::min(n, chunks);
 }
 
 void ParallelFor(int num_threads, size_t n,
@@ -157,7 +161,8 @@ void ParallelFor(int num_threads, size_t n,
     body(0, 0, n);
     return;
   }
-  ThreadPool::Shared(num_threads).ParallelFor(n, num_threads, body);
+  ThreadPool::Shared(num_threads)
+      .ParallelFor(n, static_cast<int>(ParallelChunks(num_threads, n)), body);
 }
 
 }  // namespace stindex

@@ -71,15 +71,26 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-// Number of chunks ParallelFor(num_threads, n, ...) executes:
-// min(max(num_threads, 1), n). Callers pre-size per-chunk output slots
-// with this.
+// Chunks per thread of the free ParallelFor below: the chunks queue up
+// and each worker takes the next as it finishes one, so a slow core or
+// an expensive stretch of the range delays one small chunk instead of a
+// third of the work.
+inline constexpr int kParallelChunksPerThread = 8;
+
+// Number of chunks ParallelFor(num_threads, n, ...) executes: 1 when
+// num_threads <= 1, else kParallelChunksPerThread * num_threads, capped at
+// n (0 for an empty range). Callers pre-size per-chunk output slots with
+// this.
 size_t ParallelChunks(int num_threads, size_t n);
 
 // Convenience wrapper: chunked deterministic parallel-for over the shared
-// pool. `num_threads <= 1` runs body(0, 0, n) inline without touching the
-// pool, so serial callers pay nothing. This is the entry point the split
-// pipeline, distribution, and benchmark drivers use.
+// pool, with ParallelChunks(num_threads, n) chunks — boundaries that
+// depend only on n and num_threads, so callers that write per-index or
+// per-chunk slots (and merge chunk results in chunk order) produce the
+// same output at any thread count. `num_threads <= 1` runs body(0, 0, n)
+// inline without touching the pool, so serial callers pay nothing. This
+// is the entry point the split pipeline, distribution, and benchmark
+// drivers use.
 void ParallelFor(int num_threads, size_t n,
                  const std::function<void(size_t, size_t, size_t)>& body);
 

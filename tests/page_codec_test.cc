@@ -216,30 +216,79 @@ class BytewiseCrc32 {
   std::array<uint32_t, 256> table_{};
 };
 
-TEST(PageEnvelopeTest, Crc32MatchesKnownVector) {
-  // The standard check value for CRC-32/IEEE over "123456789".
-  const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(Crc32(data, sizeof(data)), 0xCBF43926u);
-
-  // Every length 0..kPageSize, from every start offset mod 8, against the
-  // bytewise reference over pseudo-random bytes.
-  constexpr size_t kMaxOffset = 8;
-  std::vector<uint8_t> bytes(kPageSize + kMaxOffset);
+// `size` pseudo-random bytes.
+std::vector<uint8_t> RandomBytes(size_t size) {
+  std::vector<uint8_t> bytes(size);
   uint64_t seed = 0x9e3779b97f4a7c15ull;
   for (uint8_t& byte : bytes) {
     seed = seed * 6364136223846793005ull + 1442695040888963407ull;
     byte = static_cast<uint8_t>(seed >> 56);
   }
+  return bytes;
+}
+
+TEST(PageEnvelopeTest, Crc32MatchesKnownVector) {
+  // The standard check value for CRC-32/IEEE over "123456789".
+  const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(Crc32(data, sizeof(data)), 0xCBF43926u);
+
+  // Every length up to three pages and 17 bytes, from every start offset
+  // mod 8, against the bytewise reference over pseudo-random bytes: the
+  // four-lane rounds, their serial tails, one and several rounds, and
+  // inputs as long as a snapshot's manifest digest.
+  constexpr size_t kMaxOffset = 8;
+  constexpr size_t kMaxLength = 3 * kPageSize + 17;
+  const std::vector<uint8_t> bytes = RandomBytes(kMaxLength + kMaxOffset);
   const BytewiseCrc32 reference;
   for (size_t offset = 0; offset < kMaxOffset; ++offset) {
     const uint8_t* start = bytes.data() + offset;
     uint32_t state = BytewiseCrc32::Start();
-    for (size_t length = 0; length <= kPageSize; ++length) {
+    for (size_t length = 0; length <= kMaxLength; ++length) {
       ASSERT_EQ(Crc32(start, length), BytewiseCrc32::Finish(state))
           << "offset " << offset << ", length " << length;
-      if (length < kPageSize) state = reference.Update(state, start[length]);
+      if (length < kMaxLength) state = reference.Update(state, start[length]);
     }
   }
+}
+
+TEST(PageEnvelopeTest, Crc32CombineEqualsCrc32OfTheConcatenation) {
+  // Every split point of a page, then random splits of random lengths.
+  const std::vector<uint8_t> bytes = RandomBytes(3 * kPageSize);
+  const uint32_t whole = Crc32(bytes.data(), kPageSize);
+  for (size_t split = 0; split <= kPageSize; ++split) {
+    ASSERT_EQ(Crc32Combine(Crc32(bytes.data(), split),
+                           Crc32(bytes.data() + split, kPageSize - split),
+                           kPageSize - split),
+              whole)
+        << "split " << split;
+  }
+  uint64_t seed = 17;
+  auto next = [&seed](size_t bound) {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<size_t>((seed >> 33) % bound);
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t length = next(bytes.size() + 1);
+    const size_t split = next(length + 1);
+    ASSERT_EQ(Crc32Combine(Crc32(bytes.data(), split),
+                           Crc32(bytes.data() + split, length - split),
+                           length - split),
+              Crc32(bytes.data(), length))
+        << "length " << length << ", split " << split;
+  }
+}
+
+TEST(PageEnvelopeTest, SealedPageCrc32IsTheFullPageChecksum) {
+  std::vector<uint8_t> page = RandomBytes(kPageSize);
+  SealPage(page.data(), PageKind::kTest);
+  EXPECT_EQ(SealedPageCrc32(page.data()), Crc32(page.data(), kPageSize));
+  // It trusts the stored checksum: a payload flip after sealing leaves it
+  // unchanged, so it no longer equals the page's CRC (and Open's check
+  // of the page against its manifest entry fails).
+  const uint32_t sealed = SealedPageCrc32(page.data());
+  page[kPageSize / 2] ^= 0x40;
+  EXPECT_EQ(SealedPageCrc32(page.data()), sealed);
+  EXPECT_NE(SealedPageCrc32(page.data()), Crc32(page.data(), kPageSize));
 }
 
 // --- Pinned on-disk bytes ---

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "pprtree/ppr_tree.h"
+#include "storage/page_backend.h"
+#include "storage/page_codec.h"
 #include "util/random.h"
 
 namespace stindex {
@@ -168,6 +172,98 @@ TEST(PprTreeTest, WeakVersionUnderflowTriggersConsolidation) {
         ScanSnapshot(records, Rect2D(0, 0, 1, 1), t);
     EXPECT_EQ(results, expected) << "t=" << t;
   }
+}
+
+// One entry of a node page, read from a sealed copy of it (the layout of
+// docs/storage.md: 64-byte entries from byte 32, the lifetime at entry
+// byte 32, the child id at entry byte 48).
+struct PageEntry {
+  Time start = 0;
+  Time end = 0;
+  PageId child = kInvalidPage;
+};
+
+std::vector<PageEntry> NodeEntries(const PprTree& tree, PageId id) {
+  MemoryPageBackend copies;
+  std::vector<PageId> slots(tree.NodeCount());
+  std::iota(slots.begin(), slots.end(), PageId{0});
+  EXPECT_TRUE(tree.PersistNodesForCheckpoint(&copies, slots).ok());
+  const uint8_t* page = copies.BorrowPage(id);
+  uint32_t count = 0;
+  std::memcpy(&count, page + kPageEnvelopeBytes + 4, sizeof(count));
+  std::vector<PageEntry> entries(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint8_t* entry =
+        page + PprTree::kNodeEntryOffset + i * kNodeEntryBytes;
+    std::memcpy(&entries[i].start, entry + 32, sizeof(Time));
+    std::memcpy(&entries[i].end, entry + 40, sizeof(Time));
+    std::memcpy(&entries[i].child, entry + 48, sizeof(PageId));
+  }
+  return entries;
+}
+
+TEST(PprTreeTest, SameInstantEraseOfAMiddleDirectorySlot) {
+  // With four entries a node, the last insert of this sequence (t = 3)
+  // restructures a node whose parent entry, slot 0 of directory node 8,
+  // was born at t = 3 too: the entry is erased and the later slots shift
+  // down. Node 8's alive-slot bitmap must shift with them, and the slot
+  // hints of its children's parent links are then one slot off: the
+  // deletes that follow must find their paths anyway. CheckInvariants
+  // compares the bitmaps and parent links with the pages after every
+  // update.
+  struct Op {
+    bool insert;
+    PprDataId data;
+    Time t;
+    double x = 0;
+    double y = 0;
+  };
+  const std::vector<Op> ops = {
+      {true, 0, 0, 0, 12},  {false, 0, 0},        {true, 1, 0, 8, 18},
+      {true, 2, 0, 16, 6},  {true, 3, 0, 1, 18},  {true, 4, 1, 18, 12},
+      {false, 2, 1},        {true, 5, 1, 13, 0},  {true, 6, 1, 15, 4},
+      {true, 7, 2, 19, 6},  {false, 4, 2},        {true, 8, 2, 6, 18},
+      {true, 9, 2, 11, 15}, {false, 5, 2},        {true, 10, 2, 18, 0},
+      {false, 6, 3},        {true, 11, 3, 0, 1},  {true, 12, 3, 5, 14},
+      {true, 13, 3, 6, 4}};
+  constexpr PageId kDirectory = 8;
+  PprConfig config;
+  config.max_entries = 4;
+  PprTree tree(config);
+  std::vector<PageEntry> before;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const Op& op = ops[i];
+    if (i + 1 == ops.size()) before = NodeEntries(tree, kDirectory);
+    if (op.insert) {
+      tree.Insert(Rect2D(op.x, op.y, op.x + 1, op.y + 1), op.t, op.data);
+    } else {
+      tree.Delete(op.data, op.t);
+    }
+    tree.CheckInvariants();
+  }
+  const std::vector<PageEntry> after = NodeEntries(tree, kDirectory);
+  ASSERT_GE(before.size(), 2u);
+  EXPECT_EQ(before[0].start, 3);
+  EXPECT_EQ(before[0].end, kTimeInfinity);
+  ASSERT_FALSE(after.empty());
+  EXPECT_EQ(after[0].child, before[1].child);
+  for (const PageEntry& entry : after) {
+    EXPECT_NE(entry.child, before[0].child);
+  }
+
+  // Delete the survivors, one instant each.
+  const std::vector<PprDataId> survivors = {1, 3, 7, 8, 9, 10, 11, 12, 13};
+  ASSERT_EQ(tree.AliveCount(), survivors.size());
+  Time t = 4;
+  for (const PprDataId data : survivors) {
+    tree.Delete(data, t++);
+    tree.CheckInvariants();
+  }
+  EXPECT_EQ(tree.AliveCount(), 0u);
+  std::vector<PprDataId> results;
+  tree.SnapshotQuery(Rect2D(0, 0, 20, 20), 3, &results);
+  std::sort(results.begin(), results.end());
+  EXPECT_EQ(results, survivors);
 }
 
 TEST(PprTreeTest, EraClosesWhenEverythingDies) {

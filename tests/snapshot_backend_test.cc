@@ -671,6 +671,32 @@ TEST_F(SnapshotCorruptionTest, ManifestMismatchFailsOpen) {
       << status.ToString();
 }
 
+TEST_F(SnapshotCorruptionTest, ManifestEntriesAreFullPageChecksums) {
+  // The packer derives each manifest entry from the page's seal by CRC
+  // combination; re-read every data page and compare with Crc32 of it.
+  const std::string path = PackFixture("manifest_entries");
+  const std::vector<uint8_t> bytes = ReadFile(path);
+  constexpr size_t kEntriesPerPage = kPagePayloadBytes / sizeof(uint32_t);
+  const size_t manifest_pages =
+      (node_count_ + kEntriesPerPage - 1) / kEntriesPerPage;
+  ASSERT_EQ(bytes.size(), (1 + node_count_ + manifest_pages) * kPageSize);
+  for (size_t id = 0; id < node_count_; ++id) {
+    const uint8_t* page = bytes.data() + (1 + id) * kPageSize;
+    const uint8_t* entry = bytes.data() +
+                           (1 + node_count_ + id / kEntriesPerPage) *
+                               kPageSize +
+                           kPageEnvelopeBytes +
+                           (id % kEntriesPerPage) * sizeof(uint32_t);
+    uint32_t manifest_crc = 0;
+    std::memcpy(&manifest_crc, entry, sizeof(manifest_crc));
+    EXPECT_EQ(manifest_crc, Crc32(page, kPageSize)) << "page " << id;
+    EXPECT_TRUE(OpenPagePayload(page, PageKind::kPprNode,
+                                static_cast<PageId>(id))
+                    .ok())
+        << "page " << id;
+  }
+}
+
 TEST_F(SnapshotCorruptionTest, ExtentMismatchFailsOpen) {
   const std::string path = PackFixture("corrupt_extent");
   std::vector<uint8_t> bytes = ReadFile(path);

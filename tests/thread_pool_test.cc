@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace stindex {
@@ -158,9 +160,10 @@ TEST(ThreadPoolTest, SharedPoolGrowsButNeverShrinks) {
 }
 
 TEST(ThreadPoolTest, ParallelChunksMatchesExecution) {
-  EXPECT_EQ(ParallelChunks(4, 100u), 4u);
+  EXPECT_EQ(ParallelChunks(4, 100u), 4u * kParallelChunksPerThread);
   EXPECT_EQ(ParallelChunks(8, 3u), 3u);
   EXPECT_EQ(ParallelChunks(0, 5u), 1u);
+  EXPECT_EQ(ParallelChunks(1, 5u), 1u);
   EXPECT_EQ(ParallelChunks(3, 0u), 0u);
 
   std::atomic<size_t> max_chunk{0};
@@ -173,6 +176,27 @@ TEST(ThreadPoolTest, ParallelChunksMatchesExecution) {
   });
   EXPECT_EQ(static_cast<size_t>(calls.load()), ParallelChunks(5, 3u));
   EXPECT_EQ(max_chunk.load(), ParallelChunks(5, 3u) - 1);
+}
+
+TEST(ThreadPoolTest, FreeParallelForBoundariesDependOnlyOnRangeAndThreads) {
+  // Chunk c of n = 1000 at 3 threads covers [c*q + min(c, r), ...) with
+  // q, r = divmod(n, ParallelChunks(3, n)), however the workers ran.
+  constexpr size_t kN = 1000;
+  const size_t chunks = ParallelChunks(3, kN);
+  ASSERT_EQ(chunks, 3u * kParallelChunksPerThread);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::pair<size_t, size_t>> ranges(chunks);
+    ParallelFor(3, kN, [&](size_t chunk, size_t begin, size_t end) {
+      ranges[chunk] = {begin, end};
+    });
+    const size_t q = kN / chunks;
+    const size_t r = kN % chunks;
+    for (size_t c = 0; c < chunks; ++c) {
+      EXPECT_EQ(ranges[c].first, c * q + std::min(c, r)) << "chunk " << c;
+      EXPECT_EQ(ranges[c].second, (c + 1) * q + std::min(c + 1, r))
+          << "chunk " << c;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, FreeParallelForSerialPathRunsInline) {
