@@ -4,9 +4,11 @@
 // figure harnesses with stable per-operation timings.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/distribute.h"
@@ -17,6 +19,7 @@
 #include "storage/page_codec.h"
 #include "storage/shared_buffer_pool.h"
 #include "util/check.h"
+#include "util/metrics.h"
 
 namespace stindex {
 namespace bench {
@@ -274,6 +277,67 @@ BENCHMARK(BM_LiveTierApply)
     ->Arg(250)
     ->Arg(1000)
     ->Arg(4000)
+    ->Unit(benchmark::kMillisecond);
+
+// Checkpoint cost against the migrated history: a 20k-object
+// random-dataset stream (about 1.03M updates) through a live tier on a
+// memory WAL (capacity 32, a commit every 1024 updates) with a
+// Checkpoint() after every tenth of the stream; Arg(1) also packs the
+// active tree into a snapshot at the halfway point. The counters are the
+// pages written (live.wal.checkpoint_pages_written) and the milliseconds
+// of the first and the tenth checkpoint: a checkpoint that writes what
+// changed costs about the same at the tenth as at the first, where one
+// that rewrites the history grows with it.
+void BM_LiveTierCheckpoint(benchmark::State& state) {
+  RandomDatasetConfig config;
+  config.num_objects = 20000;
+  const std::vector<LiveObservation> stream =
+      MakeObservationStream(GenerateRandomDataset(config));
+  const bool pack = state.range(0) != 0;
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "bench_micro_ops_checkpoint.stsnap")
+                               .string();
+  Counter* written =
+      MetricRegistry::Global().GetCounter("live.wal.checkpoint_pages_written");
+  LiveTierOptions options;
+  options.index.capacity = 32;
+  const size_t tenth = stream.size() / 10;
+  std::vector<uint64_t> pages;
+  std::vector<double> ms;
+  for (auto _ : state) {
+    pages.clear();
+    ms.clear();
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(options, std::make_unique<MemoryPageBackend>());
+    STINDEX_CHECK(tier.ok());
+    for (size_t i = 0; i < stream.size(); ++i) {
+      STINDEX_CHECK(tier.value()->Apply(stream[i]).ok());
+      if ((i + 1) % 1024 == 0) STINDEX_CHECK(tier.value()->Commit().ok());
+      if (pack && i + 1 == stream.size() / 2) {
+        STINDEX_CHECK(tier.value()->PackHistorical(path).ok());
+      }
+      if ((i + 1) % tenth == 0 && pages.size() < 10) {
+        const uint64_t before = written->Value();
+        const auto start = std::chrono::steady_clock::now();
+        STINDEX_CHECK(tier.value()->Checkpoint().ok());
+        ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+        pages.push_back(written->Value() - before);
+      }
+    }
+  }
+  std::remove(path.c_str());
+  STINDEX_CHECK(pages.size() == 10);
+  state.counters["first_pages"] = static_cast<double>(pages.front());
+  state.counters["tenth_pages"] = static_cast<double>(pages.back());
+  state.counters["first_ms"] = ms.front();
+  state.counters["tenth_ms"] = ms.back();
+}
+BENCHMARK(BM_LiveTierCheckpoint)
+    ->Arg(0)
+    ->Arg(1)
+    ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,8 +2,10 @@
 #define STINDEX_LIVE_CHECKPOINT_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "core/segment.h"
 #include "live/wal.h"
 #include "storage/page_backend.h"
 #include "util/status.h"
@@ -15,17 +17,54 @@ namespace stindex {
 // header write can never destroy the previous checkpoint — the other
 // slot still holds it, CRC-valid). A checkpoint consists of:
 //
-//   * one sealed kPprNode page per historical-tree node, in freshly
-//     acquired slots (shadow pages — the previous checkpoint's copies
-//     stay untouched until this one commits),
+//   * one sealed kPprNode page per historical-tree node. A checkpoint
+//     writes only the nodes created or changed since the previous one
+//     (PprTree::DirtyNodes), each into a freshly acquired slot. Every
+//     other node keeps — the checkpoint inherits — the slot an earlier
+//     checkpoint wrote it to: every dead node, a frozen layer once a
+//     checkpoint has copied it, a restored node not changed since;
+//   * the segment chain, the migrated-segment table, append-only
+//     (below);
 //   * a chain of kCheckpointPage pages carrying the serialized metadata
-//     (tree meta + node slot map, migration pipeline, live index),
+//     (tree meta + the slot of every node, migration pipeline, live
+//     index), rewritten by every checkpoint;
 //   * this header, whose durable write *is* the commit point.
 //
-// All of the above are synced before the header is written, so a valid
-// header always points at complete, durable state ("a checkpoint commits
-// only after tree pages are synced"). Everything a failed checkpoint
-// left behind is unreferenced debris that recovery frees.
+// A checkpoint never writes a slot the previous one owns, and syncs all
+// its pages before the header is written, so a valid header always
+// points at complete, durable state, and a crash before the header
+// leaves the previous checkpoint intact. Once the header commits, the
+// previous checkpoint's slots that the new one did not inherit are
+// freed: its metadata chain, the old copies of rewritten nodes, a
+// re-sealed segment tail page and the pages of a tree packed since.
+// Everything a failed checkpoint left behind is unreferenced debris that
+// recovery frees.
+//
+// The segment chain. Page k, a kSegmentPage, holds segments
+// [k * kSegmentsPerPage, (k + 1) * kSegmentsPerPage), so every page but
+// the last is full. Its payload:
+//   u32 page_index  (k)
+//   u32 prev_slot   (page k - 1's slot; kInvalidPage on page 0)
+//   u32 count
+//   count x {u32 object, f64 xlo, ylo, xhi, yhi, i64 start, end}
+// A checkpoint writes only the segments migrated since the previous one:
+// it re-seals the previous last page, if partial, with new segments
+// appended into a fresh slot, and writes further pages after it. Full
+// pages are never rewritten. The header names the last page, whose
+// backward links reach page 0.
+//
+// Recovery reads the header with the highest sequence, the metadata
+// chain, every node page from its slot, and the segment chain from its
+// last page back, decoding each page straight into its place in the
+// segment table. The checkpoint owns every slot it references, inherited
+// or fresh; every other allocated slot is journal tail or debris.
+
+// The checkpoint layout this build writes and reads. Layout 1, which
+// carried the segment table in the metadata stream, had no layout field
+// (it reads as 0); a journal whose newest checkpoint has another layout
+// is refused.
+inline constexpr uint32_t kCheckpointLayout = 2;
+
 struct CheckpointHeader {
   uint64_t checkpoint_seq = 0;  // 0 = no committed checkpoint
   // Journal pages with seq >= this are the post-checkpoint tail replay
@@ -34,13 +73,20 @@ struct CheckpointHeader {
   PageId meta_head = kInvalidPage;  // first page of the metadata chain
   uint32_t meta_pages = 0;
   uint64_t meta_bytes = 0;
+  uint32_t layout = kCheckpointLayout;
+  // The segment chain: its last page, its length and the segments it
+  // holds.
+  PageId segment_tail = kInvalidPage;
+  uint32_t segment_pages = 0;
+  uint64_t segment_count = 0;
 };
 
 // Reads slots 0 and 1 and returns the valid header with the highest
 // checkpoint_seq; a header with checkpoint_seq == 0 when neither slot
 // holds one (fresh journal, or no checkpoint ever committed). Unreadable
-// or torn slots are skipped, never an error.
-CheckpointHeader ReadLatestCheckpointHeader(const PageBackend& backend);
+// or torn slots are skipped, never an error; a newest header of another
+// layout is refused with InvalidArgument naming its checkpoint and slot.
+Result<CheckpointHeader> ReadLatestCheckpointHeader(const PageBackend& backend);
 
 // Writes `header` into its slot (checkpoint_seq % 2). Does not sync —
 // the caller syncs to make the commit durable.
@@ -61,6 +107,41 @@ Status WriteCheckpointMeta(PageBackend* backend, WalSlotAllocator* allocator,
 Result<std::vector<uint8_t>> ReadCheckpointMeta(const PageBackend& backend,
                                                 const CheckpointHeader& header,
                                                 std::vector<PageId>* slots);
+
+// Where byte `offset` of the metadata stream of `header`, read from the
+// chain `slots`, lives — "checkpoint N: metadata byte B (page P, slot S)"
+// — for errors found while decoding it.
+std::string MetaLocation(const CheckpointHeader& header,
+                         const std::vector<PageId>& slots, uint64_t offset);
+
+// Segments per segment-chain page: 52 bytes each after a 12-byte header.
+inline constexpr size_t kSegmentsPerPage = 78;
+
+// The segment chain a checkpoint holds: the slot of every page, page 0
+// first, and the number of segments in them.
+struct SegmentChain {
+  std::vector<PageId> pages;
+  uint64_t segments = 0;
+};
+
+// Extends `chain` to hold all of `segments`, writing only
+// segments[chain->segments, segments.size()): a partial last page is
+// re-sealed with new segments appended into a fresh slot (its old slot
+// is appended to `superseded`), and further pages go to fresh slots.
+// Fills header->segment_*; `*written` counts the pages written. Does not
+// sync.
+Status AppendSegmentChain(PageBackend* backend, WalSlotAllocator* allocator,
+                          const std::vector<SegmentRecord>& segments,
+                          SegmentChain* chain, CheckpointHeader* header,
+                          std::vector<PageId>* superseded, size_t* written);
+
+// Reads the segment chain `header` names into `segments`, resized to
+// header.segment_count, page by page from the last; `chain` receives its
+// slots.
+Status ReadSegmentChain(const PageBackend& backend,
+                        const CheckpointHeader& header,
+                        std::vector<SegmentRecord>* segments,
+                        SegmentChain* chain);
 
 }  // namespace stindex
 

@@ -152,10 +152,25 @@ void LiveIndex::EncodeState(ByteSink* out) const {
 Status LiveIndex::DecodeState(ByteSource* in) {
   STINDEX_CHECK_MSG(buffers_.empty() && last_instant_.empty(),
                     "checkpoint restore into a non-empty index");
+  // A count of items that take at least `bytes` each must fit the bytes
+  // that are left.
+  const auto check_count = [in](const char* what, uint64_t count,
+                                size_t bytes) {
+    if (count <= in->remaining() / bytes) return Status::OK();
+    return Status::InvalidArgument(
+        std::string("checkpoint: ") + what + " of " + std::to_string(count) +
+        " entries overruns the " + std::to_string(in->remaining()) +
+        " metadata bytes left");
+  };
   uint64_t buffer_count = 0;
   if (!in->Read(&buffer_count)) {
     return Status::InvalidArgument("checkpoint: truncated live-index state");
   }
+  constexpr size_t kMinBufferBytes =
+      sizeof(ObjectId) + sizeof(Time) + sizeof(uint64_t) + sizeof(Rect2D);
+  Status status =
+      check_count("live-buffer list", buffer_count, kMinBufferBytes);
+  if (!status.ok()) return status;
   for (uint64_t i = 0; i < buffer_count; ++i) {
     ObjectId object = 0;
     Time start = 0;
@@ -193,6 +208,9 @@ Status LiveIndex::DecodeState(ByteSource* in) {
   if (!in->Read(&last_count)) {
     return Status::InvalidArgument("checkpoint: truncated live-index state");
   }
+  status = check_count("last-instant list", last_count,
+                       sizeof(ObjectId) + sizeof(Time));
+  if (!status.ok()) return status;
   for (uint64_t i = 0; i < last_count; ++i) {
     ObjectId object = 0;
     Time t = 0;
@@ -205,6 +223,8 @@ Status LiveIndex::DecodeState(ByteSource* in) {
   if (!in->Read(&retired_count)) {
     return Status::InvalidArgument("checkpoint: truncated live-index state");
   }
+  status = check_count("retired-object list", retired_count, sizeof(ObjectId));
+  if (!status.ok()) return status;
   for (uint64_t i = 0; i < retired_count; ++i) {
     ObjectId object = 0;
     if (!in->Read(&object)) {

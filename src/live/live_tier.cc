@@ -17,6 +17,8 @@ struct TierMetrics {
   Counter* queries;
   Counter* checkpoints;
   Counter* truncated_pages;
+  Counter* checkpoint_pages_written;
+  Counter* checkpoint_pages_inherited;
   Counter* packs;
 };
 
@@ -29,6 +31,8 @@ const TierMetrics& Metrics() {
                        r.GetCounter("live.queries"),
                        r.GetCounter("live.wal.checkpoints"),
                        r.GetCounter("live.wal.truncated_pages"),
+                       r.GetCounter("live.wal.checkpoint_pages_written"),
+                       r.GetCounter("live.wal.checkpoint_pages_inherited"),
                        r.GetCounter("live.packs")};
   }();
   return m;
@@ -60,15 +64,16 @@ Result<std::unique_ptr<LiveTier>> LiveTier::Open(
 
 Status LiveTier::Recover() {
   TraceSpan span("live", "recover");
-  const CheckpointHeader header = ReadLatestCheckpointHeader(*wal_backend_);
+  const Result<CheckpointHeader> header =
+      ReadLatestCheckpointHeader(*wal_backend_);
+  if (!header.ok()) return header.status();
   WalReplayOptions replay;
-  if (header.checkpoint_seq > 0) {
+  if (header.value().checkpoint_seq > 0) {
     std::vector<PageId> owned;
-    Status status = RestoreFromCheckpoint(header, &owned);
+    Status status = RestoreFromCheckpoint(header.value(), &owned);
     if (!status.ok()) return status;
-    checkpoint_seq_ = header.checkpoint_seq;
-    checkpoint_slots_ = owned;
-    replay.start_seq = header.wal_start_seq;
+    checkpoint_seq_ = header.value().checkpoint_seq;
+    replay.start_seq = header.value().wal_start_seq;
     replay.owned.insert(owned.begin(), owned.end());
   }
   Result<WalReplayStats> stats = ReplayWal(
@@ -101,79 +106,113 @@ Status LiveTier::RestoreFromCheckpoint(const CheckpointHeader& header,
   Result<std::vector<uint8_t>> meta =
       ReadCheckpointMeta(*wal_backend_, header, &meta_slots);
   if (!meta.ok()) return meta.status();
+  std::vector<SegmentRecord> segments;
+  Status status =
+      ReadSegmentChain(*wal_backend_, header, &segments, &segment_chain_);
+  if (!status.ok()) return status;
   ByteSource in(meta.value().data(), meta.value().size());
+  // A metadata error names where in the stream decoding stopped.
+  const auto meta_error = [&](const Status& error) {
+    return Status(error.code(),
+                  MetaLocation(header, meta_slots,
+                               meta.value().size() - in.remaining()) +
+                      ": " + error.message());
+  };
 
   // The layered tree state: frozen packed layers (oldest first), then
   // the active tree. Restored layers serve from their arenas — a pack's
   // mmap serving is an optimization the snapshot file carries,
   // not checkpoint state; answers are identical either way.
   uint64_t layer_count = 0;
-  if (!in.Read(&layer_count) || layer_count == 0) {
-    return Status::InvalidArgument("checkpoint: bad tree layer count");
+  // A layer takes at least its tree meta's three counters and its node
+  // count.
+  if (!in.Read(&layer_count) || layer_count == 0 ||
+      layer_count > in.remaining() / (4 * sizeof(uint64_t))) {
+    return meta_error(
+        Status::InvalidArgument("checkpoint: bad tree layer count"));
   }
-  std::vector<std::unique_ptr<PprTree>> layers;
-  std::vector<PageId> node_slots;
-  uint8_t page[kPageSize];
-  Status status;
-  for (uint64_t l = 0; l < layer_count; ++l) {
-    auto tree = std::make_unique<PprTree>(options_.ppr);
-    status = tree->DecodeCheckpointMeta(&in);
-    if (!status.ok()) return status;
-
+  std::vector<FrozenLayer> layers(static_cast<size_t>(layer_count));
+  for (FrozenLayer& layer : layers) {
+    layer.tree = std::make_unique<PprTree>(options_.ppr);
+    status = layer.tree->DecodeCheckpointMeta(&in);
+    if (!status.ok()) return meta_error(status);
     uint64_t node_count = 0;
     if (!in.Read(&node_count)) {
-      return Status::InvalidArgument("checkpoint: truncated node slot map");
+      return meta_error(
+          Status::InvalidArgument("checkpoint: truncated node slot map"));
     }
-    std::vector<PageId> layer_slots(static_cast<size_t>(node_count));
-    for (PageId& slot : layer_slots) {
-      if (!in.Read(&slot)) {
-        return Status::InvalidArgument("checkpoint: truncated node slot map");
-      }
+    if (node_count > in.remaining() / sizeof(PageId)) {
+      return meta_error(Status::InvalidArgument(
+          "checkpoint: node slot map of " + std::to_string(node_count) +
+          " nodes overruns the " + std::to_string(in.remaining()) +
+          " metadata bytes left"));
     }
-    for (size_t i = 0; i < layer_slots.size(); ++i) {
-      const PageId slot = layer_slots[i];
+    layer.node_slots.resize(static_cast<size_t>(node_count));
+    for (PageId& slot : layer.node_slots) {
+      STINDEX_CHECK(in.Read(&slot));  // the count fits the bytes left
+    }
+  }
+
+  // Every node from the slot it was read from, where it stays clean.
+  uint8_t page[kPageSize];
+  for (size_t l = 0; l < layers.size(); ++l) {
+    PprTree& tree = *layers[l].tree;
+    const std::vector<PageId>& node_slots = layers[l].node_slots;
+    for (size_t i = 0; i < node_slots.size(); ++i) {
+      const PageId slot = node_slots[i];
+      const auto node_error = [&](const Status& error) {
+        return Status(error.code(),
+                      "checkpoint " + std::to_string(header.checkpoint_seq) +
+                          ": tree layer " + std::to_string(l) + " node " +
+                          std::to_string(i) + " in slot " +
+                          std::to_string(slot) + ": " + error.message());
+      };
       if (static_cast<size_t>(slot) >= wal_backend_->SlotCount() ||
           !wal_backend_->IsAllocated(slot)) {
-        return Status::InvalidArgument(
-            "checkpoint: tree node " + std::to_string(i) +
-            " points at freed slot " + std::to_string(slot));
+        return node_error(Status::InvalidArgument("slot is not allocated"));
       }
       status = wal_backend_->Read(slot, page);
       if (!status.ok()) return status;
-      status = tree->InstallCheckpointNode(static_cast<PageId>(i), page);
-      if (!status.ok()) return status;
+      status = tree.InstallCheckpointNode(static_cast<PageId>(i), page);
+      if (!status.ok()) return node_error(status);
     }
-    node_slots.insert(node_slots.end(), layer_slots.begin(),
-                      layer_slots.end());
-    layers.push_back(std::move(tree));
+    tree.MarkCheckpointed();
   }
 
   // Install the restored layering before the pipeline decodes: it must
   // aim at the active tree.
-  frozen_.clear();
-  for (size_t l = 0; l + 1 < layers.size(); ++l) {
-    FrozenLayer layer;
-    layer.tree = std::move(layers[l]);
-    layer.pool = layer.tree->NewSharedQueryPool(options_.query_pool_pages);
-    frozen_.push_back(std::move(layer));
-  }
   pool_.reset();
-  tree_ = std::move(layers.back());
+  tree_ = std::move(layers.back().tree);
+  node_slots_ = std::move(layers.back().node_slots);
+  layers.pop_back();
+  for (FrozenLayer& layer : layers) {
+    layer.pool = layer.tree->NewSharedQueryPool(options_.query_pool_pages);
+  }
+  frozen_ = std::move(layers);
   pipeline_.SetTree(tree_.get());
   pool_ = tree_->NewSharedQueryPool(options_.query_pool_pages);
 
-  status = pipeline_.DecodeState(&in);
-  if (!status.ok()) return status;
+  status = pipeline_.DecodeState(std::move(segments), &in);
+  if (!status.ok()) return meta_error(status);
   status = index_.DecodeState(&in);
-  if (!status.ok()) return status;
+  if (!status.ok()) return meta_error(status);
   if (in.remaining() != 0) {
-    return Status::InvalidArgument("checkpoint: trailing metadata bytes");
+    return meta_error(
+        Status::InvalidArgument("checkpoint: trailing metadata bytes"));
   }
 
-  owned_slots->insert(owned_slots->end(), node_slots.begin(),
-                      node_slots.end());
+  for (const FrozenLayer& layer : frozen_) {
+    owned_slots->insert(owned_slots->end(), layer.node_slots.begin(),
+                        layer.node_slots.end());
+  }
+  owned_slots->insert(owned_slots->end(), node_slots_.begin(),
+                      node_slots_.end());
+  owned_slots->insert(owned_slots->end(), segment_chain_.pages.begin(),
+                      segment_chain_.pages.end());
   owned_slots->insert(owned_slots->end(), meta_slots.begin(),
                       meta_slots.end());
+  // The next checkpoint rewrites the metadata.
+  superseded_slots_ = std::move(meta_slots);
   return Status::OK();
 }
 
@@ -385,19 +424,41 @@ Status LiveTier::Checkpoint() {
   return CheckpointLocked();
 }
 
-void LiveTier::EncodeCheckpointState(
-    const std::vector<std::vector<PageId>>& layer_slots, ByteSink* out) const {
-  STINDEX_CHECK(layer_slots.size() == frozen_.size() + 1);
-  out->Write(static_cast<uint64_t>(layer_slots.size()));
-  for (size_t l = 0; l < layer_slots.size(); ++l) {
-    const PprTree& tree =
-        l < frozen_.size() ? *frozen_[l].tree : *tree_;
+void LiveTier::EncodeCheckpointState(ByteSink* out) const {
+  out->Write(static_cast<uint64_t>(frozen_.size() + 1));
+  const auto encode_layer = [out](const PprTree& tree,
+                                  const std::vector<PageId>& node_slots) {
+    STINDEX_CHECK(node_slots.size() == tree.NodeCount());
     tree.EncodeCheckpointMeta(out);
-    out->Write(static_cast<uint64_t>(layer_slots[l].size()));
-    for (PageId slot : layer_slots[l]) out->Write(slot);
+    out->Write(static_cast<uint64_t>(node_slots.size()));
+    for (PageId slot : node_slots) out->Write(slot);
+  };
+  for (const FrozenLayer& layer : frozen_) {
+    encode_layer(*layer.tree, layer.node_slots);
   }
+  encode_layer(*tree_, node_slots_);
   pipeline_.EncodeState(out);
   index_.EncodeState(out);
+}
+
+Status LiveTier::WriteDirtyNodes(PprTree* tree,
+                                 std::vector<PageId>* node_slots,
+                                 uint64_t* written, uint64_t* inherited) {
+  const std::vector<PageId> dirty = tree->DirtyNodes();
+  node_slots->resize(tree->NodeCount(), kInvalidPage);
+  std::vector<PageId> fresh(dirty.size());
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    PageId& slot = (*node_slots)[dirty[i]];
+    if (slot != kInvalidPage) superseded_slots_.push_back(slot);
+    slot = fresh[i] = slots_.Acquire();
+  }
+  Status status =
+      tree->PersistNodesForCheckpoint(wal_backend_.get(), dirty, fresh);
+  if (!status.ok()) return status;
+  tree->MarkCheckpointed();
+  *written += dirty.size();
+  *inherited += node_slots->size() - dirty.size();
+  return Status::OK();
 }
 
 Status LiveTier::CheckpointLocked() {
@@ -415,72 +476,84 @@ Status LiveTier::CheckpointLocked() {
   if (!status.ok()) return Latch(status);
   const uint64_t wal_start_seq = writer_->next_seq();
 
-  // 2. Shadow-write every historical-tree node — of every layer, oldest
-  //    frozen first then the active tree — into fresh slots, one sealed
-  //    page write per node. The previous checkpoint's pages stay
-  //    untouched — a crash anywhere before step 5 leaves it intact.
-  //    Frozen packed layers copy their snapshot pages, which are sealed
-  //    already and have contiguous ids like the active tree's.
-  std::vector<const PprTree*> layers;
-  layers.reserve(frozen_.size() + 1);
-  for (const FrozenLayer& layer : frozen_) layers.push_back(layer.tree.get());
-  layers.push_back(tree_.get());
-  std::vector<std::vector<PageId>> layer_slots(layers.size());
-  std::vector<PageId> node_slots;
-  for (size_t l = 0; l < layers.size(); ++l) {
-    layer_slots[l].resize(layers[l]->NodeCount());
-    for (PageId& slot : layer_slots[l]) slot = slots_.Acquire();
-    status =
-        layers[l]->PersistNodesForCheckpoint(wal_backend_.get(), layer_slots[l]);
+  // 2. Shadow-write the nodes created or changed since the previous
+  //    checkpoint — of every layer, oldest frozen first then the active
+  //    tree — into fresh slots, one sealed page write per node; every
+  //    other node keeps its slot. The previous checkpoint's pages stay
+  //    untouched — a crash anywhere before step 6 leaves it intact. A
+  //    frozen packed layer is copied whole once, from its snapshot pages,
+  //    which are sealed already.
+  uint64_t written = 0;
+  uint64_t inherited = 0;
+  for (FrozenLayer& layer : frozen_) {
+    status = WriteDirtyNodes(layer.tree.get(), &layer.node_slots, &written,
+                             &inherited);
     if (!status.ok()) return Latch(status);
-    node_slots.insert(node_slots.end(), layer_slots[l].begin(),
-                      layer_slots[l].end());
   }
+  status = WriteDirtyNodes(tree_.get(), &node_slots_, &written, &inherited);
+  if (!status.ok()) return Latch(status);
 
-  // 3. Serialize the layered tree state + pipeline + live index into the
-  //    metadata chain.
-  ByteSink meta;
-  EncodeCheckpointState(layer_slots, &meta);
+  // 3. Append the segments migrated since the previous checkpoint to the
+  //    segment chain.
   CheckpointHeader header;
   header.checkpoint_seq = seq;
   header.wal_start_seq = wal_start_seq;
-  std::vector<PageId> new_slots = node_slots;
-  status = WriteCheckpointMeta(wal_backend_.get(), &slots_, seq, meta.bytes(),
-                               &header, &new_slots);
+  size_t segment_pages = 0;
+  status = AppendSegmentChain(wal_backend_.get(), &slots_, pipeline_.segments(),
+                              &segment_chain_, &header, &superseded_slots_,
+                              &segment_pages);
   if (!status.ok()) return Latch(status);
+  written += segment_pages;
+  inherited += segment_chain_.pages.size() - segment_pages;
 
-  // 4. Everything the header will reference must be durable *before* the
+  // 4. Serialize the layered tree state + pipeline + live index into the
+  //    metadata chain.
+  ByteSink meta;
+  EncodeCheckpointState(&meta);
+  std::vector<PageId> meta_slots;
+  status = WriteCheckpointMeta(wal_backend_.get(), &slots_, seq, meta.bytes(),
+                               &header, &meta_slots);
+  if (!status.ok()) return Latch(status);
+  written += meta_slots.size();
+
+  // 5. Everything the header will reference must be durable *before* the
   //    header commits: tree pages flushed + synced first.
   status = wal_backend_->Sync();
   if (!status.ok()) return Latch(status);
 
-  // 5. The commit point: a durable header makes this checkpoint the one
+  // 6. The commit point: a durable header makes this checkpoint the one
   //    recovery loads.
   status = WriteCheckpointHeader(wal_backend_.get(), header);
   if (!status.ok()) return Latch(status);
   status = wal_backend_->Sync();
   if (!status.ok()) return Latch(status);
 
-  // 6. Truncate: the journal prefix the checkpoint absorbed, and the
-  //    previous checkpoint's shadow pages. A crash mid-truncation is
-  //    safe — recovery frees whatever this loop did not.
+  // 7. Truncate: the journal prefix the checkpoint absorbed, and the
+  //    previous checkpoint's slots this one did not inherit. A crash
+  //    mid-truncation is safe — recovery frees whatever this loop did
+  //    not.
   size_t freed = 0;
   status = writer_->TruncateBefore(wal_start_seq, &freed);
   if (!status.ok()) return Latch(status);
-  for (PageId slot : checkpoint_slots_) {
+  for (PageId slot : superseded_slots_) {
     status = wal_backend_->Free(slot);
     if (!status.ok()) return Latch(status);
     slots_.Release(slot);
     ++freed;
   }
-  Metrics().truncated_pages->Add(checkpoint_slots_.size());
+  Metrics().truncated_pages->Add(superseded_slots_.size());
+  // The next checkpoint rewrites the metadata.
+  superseded_slots_ = std::move(meta_slots);
 
   checkpoint_seq_ = seq;
-  checkpoint_slots_ = std::move(new_slots);
   last_checkpoint_at_ = std::chrono::steady_clock::now();
-  // The sync at step 4/5 covered every appended record.
+  // The sync at step 5/6 covered every appended record.
   durable_records_ = writer_->appended_records();
   Metrics().checkpoints->Add(1);
+  Metrics().checkpoint_pages_written->Add(written);
+  Metrics().checkpoint_pages_inherited->Add(inherited);
+  span.Arg("pages_written", static_cast<int64_t>(written));
+  span.Arg("pages_inherited", static_cast<int64_t>(inherited));
   span.Arg("freed_pages", static_cast<int64_t>(freed));
   return Status::OK();
 }
@@ -509,6 +582,12 @@ Status LiveTier::PackHistorical(const std::string& path,
   layer.tree = std::move(tree_);
   layer.pool = layer.tree->NewSharedQueryPool(options_.query_pool_pages);
   frozen_.push_back(std::move(layer));
+  // The pack renumbered the tree's nodes: the next checkpoint copies the
+  // new layer whole, and the committed copies of the tree go once it
+  // commits.
+  superseded_slots_.insert(superseded_slots_.end(), node_slots_.begin(),
+                           node_slots_.end());
+  node_slots_.clear();
   tree_ = std::make_unique<PprTree>(options_.ppr);
   pipeline_.RetargetAfterPack(tree_.get());
   pool_ = tree_->NewSharedQueryPool(options_.query_pool_pages);
@@ -652,6 +731,49 @@ LiveTier::Telemetry LiveTier::GetTelemetry() const {
     }
   }
   return telemetry;
+}
+
+Status LiveTier::VerifyCheckpointCopies() const {
+  std::shared_lock lock(mu_);
+  if (failed_) {
+    return Status::FailedPrecondition(
+        "live tier hit a WAL I/O failure — its checkpoint state is unknown");
+  }
+  for (const FrozenLayer& layer : frozen_) {
+    Status status =
+        layer.tree->CheckCleanNodes(*wal_backend_, layer.node_slots);
+    if (!status.ok()) return status;
+  }
+  Status status = tree_->CheckCleanNodes(*wal_backend_, node_slots_);
+  if (!status.ok()) return status;
+
+  const Result<CheckpointHeader> header =
+      ReadLatestCheckpointHeader(*wal_backend_);
+  if (!header.ok()) return header.status();
+  if (header.value().checkpoint_seq != checkpoint_seq_) {
+    return Status::InvalidArgument(
+        "the journal's newest checkpoint is " +
+        std::to_string(header.value().checkpoint_seq) + ", the tier's " +
+        std::to_string(checkpoint_seq_));
+  }
+  if (checkpoint_seq_ == 0) return Status::OK();
+  std::vector<SegmentRecord> copies;
+  SegmentChain chain;
+  status = ReadSegmentChain(*wal_backend_, header.value(), &copies, &chain);
+  if (!status.ok()) return status;
+  const std::vector<SegmentRecord>& segments = pipeline_.segments();
+  if (chain.pages != segment_chain_.pages || copies.size() > segments.size()) {
+    return Status::InvalidArgument(
+        "the segment chain on disk is not the one the tier holds");
+  }
+  for (size_t i = 0; i < copies.size(); ++i) {
+    if (copies[i].object != segments[i].object ||
+        copies[i].box != segments[i].box) {
+      return Status::InvalidArgument("segment " + std::to_string(i) +
+                                     " differs from its copy in the chain");
+    }
+  }
+  return Status::OK();
 }
 
 void LiveTier::PublishGauges() const {

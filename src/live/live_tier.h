@@ -73,10 +73,13 @@ static_assert(sizeof(LiveObservation) == 48);
 //
 // Checkpoints bound the journal: Checkpoint() (or the automatic
 // checkpoint_every_pages trigger) writes sealed copies of the historical
-// trees' node pages plus the pipeline/index state into the journal
-// backend, syncs, commits a checkpoint header, and then frees every
-// journal page before the checkpoint — the file's page count stays
-// bounded across arbitrarily long streams.
+// trees' nodes changed since the previous checkpoint, the segments
+// migrated since, and the pipeline/index state into the journal backend,
+// syncs, commits a checkpoint header, and then frees every journal page
+// before the checkpoint and every page of the previous checkpoint it did
+// not inherit — so a checkpoint costs what changed, and the file's page
+// count stays bounded across arbitrarily long streams (see
+// live/checkpoint.h).
 //
 // Thread safety: one readers-writer lock. Queries take it shared, so any
 // number of them run together (historical reads go through a sharded
@@ -101,9 +104,10 @@ class LiveTier {
   // coalesce into one fsync (see LiveTierOptions::commit_interval_us).
   Status Commit();
 
-  // Persists the full tier state into the journal backend and truncates
-  // every journal page it covers. Holds the tier lock exclusively:
-  // queries and updates wait until it returns.
+  // Persists the tier state into the journal backend — what changed since
+  // the previous checkpoint, inheriting the rest — and truncates every
+  // journal page it covers. Holds the tier lock exclusively: queries and
+  // updates wait until it returns.
   Status Checkpoint();
 
   // End of stream: seals every remaining buffer, drains the migration
@@ -192,6 +196,13 @@ class LiveTier {
   };
   Telemetry GetTelemetry() const;
 
+  // Test hook: the committed checkpoint's copies still match the tier.
+  // Every node clean since the checkpoint seals to exactly the bytes in
+  // its slot, and the segment chain the header names decodes to the
+  // migrated segments it covers. A mutation that does not mark its node
+  // dirty fails here. FailedPrecondition on a latched tier.
+  Status VerifyCheckpointCopies() const;
+
   // Publishes the tier's deterministic state gauges (live.objects,
   // live.pending_events, live.frozen_layers, live.wal.*, watermark lag)
   // to the global registry and flushes the shared pools' counter deltas.
@@ -221,9 +232,13 @@ class LiveTier {
   // Serializes the layered tree state (per layer, oldest frozen first
   // then the active tree: meta + node slot map) + pipeline + index into
   // one byte stream (the checkpoint metadata chain's content).
-  void EncodeCheckpointState(
-      const std::vector<std::vector<PageId>>& layer_slots,
-      ByteSink* out) const;
+  void EncodeCheckpointState(ByteSink* out) const;
+  // Shadow-writes the nodes of `tree` changed since the last checkpoint
+  // into fresh slots and points `node_slots` (node id -> slot) at them;
+  // the slots they leave join superseded_slots_. Adds the pages written
+  // and the pages kept to the counts.
+  Status WriteDirtyNodes(PprTree* tree, std::vector<PageId>* node_slots,
+                         uint64_t* written, uint64_t* inherited);
   // The checkpoint procedure; caller holds the exclusive lock.
   Status CheckpointLocked();
   // Runs CheckpointLocked when the automatic trigger is armed and due.
@@ -236,10 +251,12 @@ class LiveTier {
   // backend (or, after a recovery, from its arena — the pack
   // optimization is lost on recovery, the answers are not), plus the
   // shared pool queries read it through. Pool declared after the tree so
-  // it dies first.
+  // it dies first. `node_slots` holds the journal slot of each node's
+  // checkpoint copy; it is empty until a checkpoint copies the layer.
   struct FrozenLayer {
     std::unique_ptr<PprTree> tree;
     std::unique_ptr<SharedBufferPool> pool;
+    std::vector<PageId> node_slots;
   };
 
   LiveTierOptions options_;
@@ -252,11 +269,17 @@ class LiveTier {
   MigrationPipeline pipeline_;
   std::unique_ptr<SharedBufferPool> pool_;
   WalReplayStats recovered_;
-  // Sequence of the committed checkpoint (0 = none yet) and the slots it
-  // owns (tree node pages + metadata chain), freed when the next
-  // checkpoint commits.
+  // The committed checkpoint: its sequence (0 = none yet), the slot of
+  // each active-tree node's copy (frozen layers keep theirs), its segment
+  // chain, and the slots it owns that the next checkpoint does not
+  // inherit, freed once that one commits: its metadata chain and the
+  // copies of a tree packed since, joined while the next checkpoint
+  // writes by the old copies of the nodes it rewrites and a re-sealed
+  // last segment page.
   uint64_t checkpoint_seq_ = 0;
-  std::vector<PageId> checkpoint_slots_;
+  std::vector<PageId> node_slots_;
+  SegmentChain segment_chain_;
+  std::vector<PageId> superseded_slots_;
   // Group commit: records covered by the last successful fsync, and
   // whether a leader is mid-flush. Joiners wait on commit_cv_.
   uint64_t durable_records_ = 0;

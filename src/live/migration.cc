@@ -99,12 +99,6 @@ void MigrationPipeline::RetargetAfterPack(PprTree* tree) {
 }
 
 void MigrationPipeline::EncodeState(ByteSink* out) const {
-  out->Write(static_cast<uint64_t>(segments_.size()));
-  for (const SegmentRecord& record : segments_) {
-    out->Write(record.object);
-    out->Write(record.box.rect);
-    out->Write(record.box.interval);
-  }
   const auto write_sorted = [out](const std::unordered_set<PprDataId>& set) {
     std::vector<PprDataId> ids(set.begin(), set.end());
     std::sort(ids.begin(), ids.end());
@@ -117,28 +111,30 @@ void MigrationPipeline::EncodeState(ByteSink* out) const {
   out->Write(static_cast<uint64_t>(applied_events_));
 }
 
-Status MigrationPipeline::DecodeState(ByteSource* in) {
+Status MigrationPipeline::DecodeState(std::vector<SegmentRecord> segments,
+                                      ByteSource* in) {
   STINDEX_CHECK_MSG(segments_.empty() && events_.empty(),
                     "checkpoint restore into a non-empty pipeline");
-  uint64_t segment_count = 0;
-  if (!in->Read(&segment_count)) {
-    return Status::InvalidArgument("checkpoint: truncated segment list");
-  }
-  segments_.reserve(static_cast<size_t>(segment_count));
-  for (uint64_t i = 0; i < segment_count; ++i) {
-    SegmentRecord record;
-    if (!in->Read(&record.object) || !in->Read(&record.box.rect) ||
-        !in->Read(&record.box.interval)) {
-      return Status::InvalidArgument("checkpoint: truncated segment list");
+  segments_ = std::move(segments);
+  // Each listed id takes sizeof(PprDataId) bytes of what is left.
+  const auto read_count = [in](const char* what, uint64_t* count) -> Status {
+    if (!in->Read(count)) {
+      return Status::InvalidArgument(std::string("checkpoint: truncated ") +
+                                     what);
     }
-    segments_.push_back(record);
-  }
+    if (*count > in->remaining() / sizeof(PprDataId)) {
+      return Status::InvalidArgument(
+          std::string("checkpoint: ") + what + " of " +
+          std::to_string(*count) + " ids overruns the " +
+          std::to_string(in->remaining()) + " metadata bytes left");
+    }
+    return Status::OK();
+  };
   const auto read_set = [&](std::unordered_set<PprDataId>* set,
                             bool is_insert) -> Status {
     uint64_t count = 0;
-    if (!in->Read(&count)) {
-      return Status::InvalidArgument("checkpoint: truncated pending set");
-    }
+    Status status = read_count("pending set", &count);
+    if (!status.ok()) return status;
     for (uint64_t i = 0; i < count; ++i) {
       PprDataId id = 0;
       if (!in->Read(&id)) {
@@ -168,9 +164,8 @@ Status MigrationPipeline::DecodeState(ByteSource* in) {
   // Frozen deletes rebuild the set only — their events are unappliable by
   // construction, so none are queued.
   uint64_t frozen_count = 0;
-  if (!in->Read(&frozen_count)) {
-    return Status::InvalidArgument("checkpoint: truncated frozen-delete set");
-  }
+  status = read_count("frozen-delete set", &frozen_count);
+  if (!status.ok()) return status;
   for (uint64_t i = 0; i < frozen_count; ++i) {
     PprDataId id = 0;
     if (!in->Read(&id)) {

@@ -70,14 +70,17 @@ class MigrationPipeline {
 
   // --- checkpoint state -------------------------------------------------
 
-  // Serializes segments + pending sets (sorted — deterministic bytes).
-  // The event queue is not serialized: it is exactly {insert event for
-  // every insert-pending id} ∪ {delete event for every delete-pending
-  // id} — Enqueue pushes an event and its pending id together, Apply
-  // pops them together — so DecodeState rebuilds it from the sets.
+  // Serializes the pending sets (sorted — deterministic bytes). The
+  // segments are not serialized: the checkpoint keeps them in its
+  // append-only segment chain. Nor is the event queue: it is exactly
+  // {insert event for every insert-pending id} ∪ {delete event for every
+  // delete-pending id} — Enqueue pushes an event and its pending id
+  // together, Apply pops them together — so DecodeState rebuilds it from
+  // the sets.
   void EncodeState(ByteSink* out) const;
-  // Restores into a fresh pipeline whose tree was already restored.
-  Status DecodeState(ByteSource* in);
+  // Restores into a fresh pipeline whose tree was already restored,
+  // taking `segments` (read from the segment chain) as its table.
+  Status DecodeState(std::vector<SegmentRecord> segments, ByteSource* in);
 
   // --- query support over in-flight records ----------------------------
 

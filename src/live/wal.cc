@@ -274,6 +274,14 @@ Result<WalReplayStats> ReplayWal(
     candidate.slot = slot;
     uint32_t count = 0;
     bool well_formed = reader.Read(&candidate.seq) && reader.Read(&count);
+    // A CRC-valid page cannot claim more records than its payload holds:
+    // every record takes at least its kind + object + time header.
+    if (well_formed && count > reader.remaining() / kHeaderBytes) {
+      return Status::InvalidArgument(
+          "wal: page in slot " + std::to_string(slot) + " (seq " +
+          std::to_string(candidate.seq) + ") claims " + std::to_string(count) +
+          " records, more than its payload holds");
+    }
     if (well_formed) {
       candidate.records.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {

@@ -202,7 +202,15 @@ bool PprTree::LocationTable::Take(PprDataId data, Place* place) {
   return true;
 }
 
-PprTree::Node PprTree::GetNode(PageId id) const {
+PprTree::NodeView PprTree::View(PageId id) const {
+  return NodeView(&pages_.arena().MutablePage(id));
+}
+
+PprTree::Node PprTree::Mutate(PageId id) {
+  if (id < clean_below_ && !dirty_[id]) {
+    dirty_[id] = true;
+    dirtied_.push_back(id);
+  }
   return Node(&pages_.arena().MutablePage(id));
 }
 
@@ -227,6 +235,10 @@ Status PprTree::PackSnapshot(const std::string& path,
   alive_slots_ = {};
   parent_of_ = {};
   pending_parents_ = {};
+  // Every node has a new id: the next checkpoint copies them all.
+  clean_below_ = 0;
+  dirty_ = {};
+  dirtied_ = {};
   return Status::OK();
 }
 
@@ -269,7 +281,7 @@ PageId PprTree::MakeNode(int level, const std::vector<Entry>& entries,
                          Time now) {
   const PageId id = pages_.arena().Allocate();
   TrackNode(id);
-  Node node = GetNode(id);
+  Node node = Mutate(id);
   node.header() = Header{level, 0, now, kTimeInfinity};
   for (uint32_t slot = 0; slot < entries.size(); ++slot) {
     const Entry& entry = entries[slot];
@@ -309,7 +321,7 @@ void PprTree::DescendForInsert(const Rect2D& rect) {
   PageId current = CurrentRoot();
   STINDEX_CHECK(current != kInvalidPage);
   path_.push_back(Frame{current, SIZE_MAX});
-  NodeView node = GetNode(current);
+  NodeView node = View(current);
   while (!node.IsLeaf()) {
     // Least area enlargement among the alive entries, then least area,
     // then the first slot, in one pass over the alive slots.
@@ -333,7 +345,7 @@ void PprTree::DescendForInsert(const Rect2D& rect) {
                       "directory node without alive entries on insert path");
     current = entries[best].child;
     path_.push_back(Frame{current, best});
-    node = GetNode(current);
+    node = View(current);
   }
 }
 
@@ -350,7 +362,7 @@ void PprTree::PathToAliveLeaf(PageId leaf) {
   path_.push_back(Frame{chain_.back(), SIZE_MAX});
   for (size_t i = chain_.size() - 1; i-- > 0;) {
     const PageId child = chain_[i];
-    const std::span<const Entry> entries = GetNode(chain_[i + 1]).entries();
+    const std::span<const Entry> entries = View(chain_[i + 1]).entries();
     const size_t slot =
         FindAliveSlot(chain_[i + 1], parent_of_[child].slot,
                       [&](size_t s) { return entries[s].child == child; });
@@ -360,9 +372,9 @@ void PprTree::PathToAliveLeaf(PageId leaf) {
 }
 
 void PprTree::ExpandPathRects(const std::vector<Frame>& path,
-                              const Rect2D& rect) const {
+                              const Rect2D& rect) {
   for (size_t i = 1; i < path.size(); ++i) {
-    GetNode(path[i - 1].node).entries()[path[i].slot].rect.ExpandToInclude(
+    Mutate(path[i - 1].node).entries()[path[i].slot].rect.ExpandToInclude(
         rect);
   }
 }
@@ -392,7 +404,7 @@ void PprTree::Insert(const Rect2D& rect, Time t, PprDataId data) {
   DescendForInsert(rect);
   ExpandPathRects(path_, rect);
   const PageId leaf_id = path_.back().node;
-  Node leaf = GetNode(leaf_id);
+  Node leaf = Mutate(leaf_id);
   if (leaf.entries().size() >= config_.max_entries) {
     Restructure(&path_, {entry}, t);
     return;
@@ -412,7 +424,7 @@ void PprTree::Delete(PprDataId data, Time t) {
   const PageId leaf_id = place.node;
 
   PathToAliveLeaf(leaf_id);
-  Node leaf = GetNode(leaf_id);
+  Node leaf = Mutate(leaf_id);
   const std::span<const Entry> entries = leaf.entries();
   const size_t slot = FindAliveSlot(
       leaf_id, place.slot, [&](size_t s) { return entries[s].data == data; });
@@ -444,7 +456,7 @@ double CenterDistance2(const Rect2D& a, const Rect2D& b) {
 
 void PprTree::Restructure(std::vector<Frame>* path,
                           std::vector<Entry> pending, Time now) {
-  const int level = GetNode(path->back().node).level();
+  const int level = View(path->back().node).level();
   const bool is_root = path->size() == 1;
   static Counter* const version_splits =
       MetricRegistry::Global().GetCounter("ppr.version_splits");
@@ -454,7 +466,7 @@ void PprTree::Restructure(std::vector<Frame>* path,
   // [now, inf) and kills them; `erased` counts the slots removed so far,
   // which shift the later ones down.
   auto truncate_alive = [this, now](PageId id, std::vector<Entry>* copies) {
-    Node victim = GetNode(id);
+    Node victim = Mutate(id);
     size_t erased = 0;
     for (uint64_t alive = alive_slots_[id]; alive != 0; alive &= alive - 1) {
       const size_t slot = static_cast<size_t>(std::countr_zero(alive)) - erased;
@@ -483,7 +495,7 @@ void PprTree::Restructure(std::vector<Frame>* path,
       return mbr;
     }();
     double best_distance = std::numeric_limits<double>::infinity();
-    const std::span<const Entry> siblings = GetNode(parent_id).entries();
+    const std::span<const Entry> siblings = View(parent_id).entries();
     for (uint64_t alive = alive_slots_[parent_id]; alive != 0;
          alive &= alive - 1) {
       const auto s = static_cast<size_t>(std::countr_zero(alive));
@@ -524,7 +536,7 @@ void PprTree::Restructure(std::vector<Frame>* path,
     const PageId id = MakeNode(level, group, now);
     new_nodes.push_back(id);
     Entry dir;
-    dir.rect = AliveMbr(GetNode(id).entries());
+    dir.rect = AliveMbr(View(id).entries());
     dir.lifetime = TimeInterval(now, kTimeInfinity);
     dir.child = id;
     adds.push_back(dir);
@@ -547,7 +559,7 @@ void PprTree::Restructure(std::vector<Frame>* path,
   std::vector<size_t> kill_slots = {path->back().slot};
   path->pop_back();
   const PageId parent_id = path->back().node;
-  Node parent = GetNode(parent_id);
+  Node parent = Mutate(parent_id);
   if (sibling_slot.has_value()) kill_slots.push_back(*sibling_slot);
   std::sort(kill_slots.rbegin(), kill_slots.rend());
   for (size_t slot : kill_slots) KillEntry(parent, parent_id, slot, now);
@@ -558,7 +570,8 @@ void PprTree::Restructure(std::vector<Frame>* path,
 void PprTree::AddEntries(std::vector<Frame>* path, std::vector<Entry> adds,
                          Time now) {
   const PageId id = path->back().node;
-  Node node = GetNode(id);
+  // The node lost the entries Restructure killed: it is dirty already.
+  Node node = Mutate(id);
   STINDEX_CHECK(!node.IsLeaf());
 
   if (!adds.empty() &&
@@ -587,15 +600,15 @@ void PprTree::FinalizeRoot(PageId root, Time now) {
   // child would be a non-root node with no sibling to merge with, and the
   // weak-version invariant could not be maintained.
   while (root != kInvalidPage) {
-    Node node = GetNode(root);
     const uint64_t alive = alive_slots_[root];
     if (alive == 0) {
-      node.header().closed = now;
+      Mutate(root).header().closed = now;
       root = kInvalidPage;
       break;
     }
-    if (node.IsLeaf() || !std::has_single_bit(alive)) break;
+    if (View(root).IsLeaf() || !std::has_single_bit(alive)) break;
     // Promote the only alive child.
+    Node node = Mutate(root);
     const auto slot = static_cast<size_t>(std::countr_zero(alive));
     const PageId child = node.entries()[slot].child;
     KillEntry(node, root, slot, now);
@@ -984,7 +997,7 @@ void PprTree::CheckReplayBookkeeping() const {
   STINDEX_CHECK_MSG(pending_parents_.empty(),
                     "parent link to a node that was never installed");
   for (PageId id = 0; id < NodeCount(); ++id) {
-    STINDEX_CHECK_MSG(alive_slots_[id] == AliveSlots(GetNode(id).entries()),
+    STINDEX_CHECK_MSG(alive_slots_[id] == AliveSlots(View(id).entries()),
                       "alive-slot bitmap disagrees with its node page");
   }
   // The alive entries form the current ephemeral tree: walk it from the
@@ -998,7 +1011,7 @@ void PprTree::CheckReplayBookkeeping() const {
     while (!stack.empty()) {
       const PageId id = stack.back();
       stack.pop_back();
-      const NodeView node = GetNode(id);
+      const NodeView node = View(id);
       for (const Entry& entry : node.entries()) {
         if (!entry.IsAlive()) continue;
         if (node.IsLeaf()) {
@@ -1036,6 +1049,12 @@ Status PprTree::DecodeCheckpointMeta(ByteSource* in) {
   if (!in->Read(&size) || !in->Read(&current_time_) || !in->Read(&root_count)) {
     return Status::InvalidArgument("checkpoint: truncated PPR-tree meta");
   }
+  if (root_count > in->remaining() / (sizeof(Time) + sizeof(PageId))) {
+    return Status::InvalidArgument(
+        "checkpoint: PPR-tree root journal of " + std::to_string(root_count) +
+        " eras overruns the " + std::to_string(in->remaining()) +
+        " metadata bytes left");
+  }
   size_ = static_cast<size_t>(size);
   roots_.reserve(static_cast<size_t>(root_count));
   for (uint64_t i = 0; i < root_count; ++i) {
@@ -1048,9 +1067,47 @@ Status PprTree::DecodeCheckpointMeta(ByteSource* in) {
   return Status::OK();
 }
 
+std::vector<PageId> PprTree::DirtyNodes() const {
+  std::vector<PageId> dirty = dirtied_;
+  std::sort(dirty.begin(), dirty.end());
+  for (PageId id = clean_below_; id < NodeCount(); ++id) dirty.push_back(id);
+  return dirty;
+}
+
+void PprTree::MarkCheckpointed() {
+  for (const PageId id : dirtied_) dirty_[id] = false;
+  dirtied_.clear();
+  clean_below_ = static_cast<PageId>(NodeCount());
+  dirty_.resize(clean_below_, false);
+}
+
 Status PprTree::PersistNodesForCheckpoint(
-    PageBackend* backend, const std::vector<PageId>& slots) const {
-  return pages_.PersistPages(backend, slots);
+    PageBackend* backend, const std::vector<PageId>& ids,
+    const std::vector<PageId>& slots) const {
+  return pages_.PersistPages(backend, ids, slots);
+}
+
+Status PprTree::CheckCleanNodes(const PageBackend& backend,
+                                const std::vector<PageId>& slots) const {
+  Page copy;
+  Page sealed;
+  for (PageId id = 0; id < clean_below_; ++id) {
+    if (dirty_[id]) continue;
+    if (id >= slots.size()) {
+      return Status::InvalidArgument("clean node " + std::to_string(id) +
+                                     " has no checkpoint copy");
+    }
+    Status status = backend.Read(slots[id], copy.bytes);
+    if (!status.ok()) return status;
+    status = pages_.SealedCopy(id, sealed.bytes);
+    if (!status.ok()) return status;
+    if (std::memcmp(copy.bytes, sealed.bytes, kPageSize) != 0) {
+      return Status::InvalidArgument(
+          "clean node " + std::to_string(id) + " differs from its copy in slot " +
+          std::to_string(slots[id]));
+    }
+  }
+  return Status::OK();
 }
 
 Status PprTree::InstallCheckpointNode(PageId id, const uint8_t* page) {

@@ -188,9 +188,13 @@ class PprTree {
   // A tree round-trips through checkpoint metadata plus one sealed
   // kPprNode page per node: node ids are contiguous 0..NodeCount()-1 (the
   // tree never frees a node), node pages are position-independent, and
-  // the meta carries the root journal and counters.
+  // the meta carries the root journal and counters. Checkpoints are
+  // incremental: a node is dirty from its creation, or from its first
+  // change after MarkCheckpointed(), until the next MarkCheckpointed(),
+  // and a checkpoint rewrites only dirty nodes. Partial persistence keeps
+  // that set small: a dead node never changes again.
 
-  // Nodes a checkpoint must persist: ids 0..NodeCount()-1.
+  // Nodes of the tree: ids 0..NodeCount()-1.
   size_t NodeCount() const { return pages_.source().SlotCount(); }
 
   // Serializes the non-node state (size, clock, root journal).
@@ -198,19 +202,33 @@ class PprTree {
   // Restores it into a freshly constructed tree of the same config.
   Status DecodeCheckpointMeta(ByteSource* in);
 
-  // Writes a sealed copy of node i to backend slot `slots[i]`
-  // (slots.size() must be NodeCount()), in ascending node id. A tree
-  // frozen by PackSnapshot copies its snapshot pages, which are sealed
-  // already. The first failed write is returned, naming the slot. Does
-  // not sync.
+  // The dirty nodes, ascending: every node until the first
+  // MarkCheckpointed(), and again after PackSnapshot, which renumbers
+  // them.
+  std::vector<PageId> DirtyNodes() const;
+  // Marks every node clean: the checkpoint being written holds a copy of
+  // each.
+  void MarkCheckpointed();
+
+  // Writes a sealed copy of node ids[i] to backend slot slots[i], in
+  // order. A tree frozen by PackSnapshot copies its snapshot pages, which
+  // are sealed already. The first failed write is returned, naming the
+  // slot. Does not sync.
   Status PersistNodesForCheckpoint(PageBackend* backend,
+                                   const std::vector<PageId>& ids,
                                    const std::vector<PageId>& slots) const;
+
+  // Test hook: every clean node i seals to exactly the page in `backend`
+  // slot slots[i], its checkpoint copy. A mutation that did not mark its
+  // node dirty fails here, naming the node and the slot.
+  Status CheckCleanNodes(const PageBackend& backend,
+                         const std::vector<PageId>& slots) const;
 
   // Checks a sealed kPprNode page image and copies it into the arena as
   // node `id`; ids must arrive 0, 1, 2, ... on a tree holding exactly
   // `id` nodes. Rebuilds the replay bookkeeping the page implies: its
   // alive-slot bitmap, its alive records' locations and its alive
-  // children's parent links.
+  // children's parent links. The node is dirty until MarkCheckpointed().
   Status InstallCheckpointNode(PageId id, const uint8_t* page);
 
  private:
@@ -266,8 +284,10 @@ class PprTree {
     size_t size_ = 0;
   };
 
-  // Mutable view of arena node `id`; the tree must not be frozen.
-  Node GetNode(PageId id) const;
+  // Views of arena node `id`; the tree must not be frozen. Mutate marks
+  // the node dirty, and every change to a node page goes through it.
+  NodeView View(PageId id) const;
+  Node Mutate(PageId id);
 
   size_t WeakMin() const;    // D
   size_t StrongMax() const;  // p_svo * B
@@ -293,8 +313,7 @@ class PprTree {
   void PathToAliveLeaf(PageId leaf);
 
   // Grows ancestor directory-entry rects so the path covers `rect`.
-  void ExpandPathRects(const std::vector<Frame>& path,
-                       const Rect2D& rect) const;
+  void ExpandPathRects(const std::vector<Frame>& path, const Rect2D& rect);
 
   // Version split of path->back() at time `now`, folding `pending`
   // entries (same level as the node) into the copy. Handles key split,
@@ -362,6 +381,15 @@ class PprTree {
   // installed (child -> parent); InstallCheckpointNode moves each into
   // parent_of_ when the child arrives.
   std::unordered_map<PageId, Place> pending_parents_;
+
+  // Dirty tracking for incremental checkpoints: nodes from clean_below_
+  // on were created since the last MarkCheckpointed(); below it, a node
+  // is dirty iff its dirty_ bit is set, and dirtied_ lists those nodes.
+  // A tree that is never checkpointed keeps clean_below_ at 0 and marks
+  // nothing.
+  PageId clean_below_ = 0;
+  std::vector<bool> dirty_;
+  std::vector<PageId> dirtied_;
 
   // The update path of the current Insert/Delete and PathToAliveLeaf's
   // leaf-to-root chain, kept so updates reuse their capacity.

@@ -41,6 +41,7 @@ enum class PageKind : uint16_t {
   kCheckpointPage = 7,    // live-tier checkpoint metadata chain page
   kSnapshotSuperblock = 8,  // read-only snapshot superblock (storage/snapshot_file.h)
   kSnapshotManifest = 9,    // snapshot per-page checksum manifest page
+  kSegmentPage = 10,        // live-tier checkpoint segment chain page
 };
 
 // Every on-disk page carries an 8-byte envelope:

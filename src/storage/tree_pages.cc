@@ -144,23 +144,26 @@ Result<std::vector<PageId>> TreePages::Pack(
   return remap;
 }
 
-Status TreePages::PersistPages(PageBackend* backend,
-                               const std::vector<PageId>& slots) const {
-  STINDEX_CHECK(slots.size() == source().SlotCount());
+Status TreePages::SealedCopy(PageId id, uint8_t* page) const {
   STINDEX_CHECK(check_.has_value());
+  if (arena_ == nullptr) return snapshot_->Read(id, page);
+  std::memcpy(page, arena_->BorrowPage(id), kPageSize);
+  SealPage(page, check_->kind());
+  return Status::OK();
+}
+
+Status TreePages::PersistPages(PageBackend* backend,
+                               const std::vector<PageId>& ids,
+                               const std::vector<PageId>& slots) const {
+  STINDEX_CHECK(ids.size() == slots.size());
   Page page;
-  for (PageId id = 0; id < slots.size(); ++id) {
-    if (arena_ != nullptr) {
-      std::memcpy(page.bytes, arena_->BorrowPage(id), kPageSize);
-      SealPage(page.bytes, check_->kind());
-    } else {
-      Status status = snapshot_->Read(id, page.bytes);
-      if (!status.ok()) return status;
-    }
-    Status status = backend->Write(slots[id], page.bytes);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    Status status = SealedCopy(ids[i], page.bytes);
+    if (!status.ok()) return status;
+    status = backend->Write(slots[i], page.bytes);
     if (!status.ok()) {
       return Status(status.code(),
-                    "write of page " + std::to_string(slots[id]) +
+                    "write of page " + std::to_string(slots[i]) +
                         " failed: " + status.message());
     }
   }

@@ -104,11 +104,14 @@ class TreePages {
                                    const SnapshotFile::Options& options,
                                    RemapChildren remap_children);
 
-  // Writes a sealed copy of page i to `backend` slot `slots[i]`, in
-  // ascending i, for a tree whose ids are dense (slots.size() must be
-  // source().SlotCount()). The first failed write is returned, naming the
-  // slot. Does not sync.
-  Status PersistPages(PageBackend* backend,
+  // Fills `page` with a sealed copy of page `id`: the arena page sealed
+  // with the check's kind, or the snapshot page, sealed already.
+  Status SealedCopy(PageId id, uint8_t* page) const;
+
+  // Writes a sealed copy of page ids[i] to `backend` slot slots[i], in
+  // order. The first failed write is returned, naming the slot. Does not
+  // sync.
+  Status PersistPages(PageBackend* backend, const std::vector<PageId>& ids,
                       const std::vector<PageId>& slots) const;
 
   // Checks the sealed page image `page` and copies it into the arena as

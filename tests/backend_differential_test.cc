@@ -225,13 +225,16 @@ TEST(BackendDifferentialTest, PersistNodesNamesTheFailedWrite) {
     ASSERT_GT(TotalMisses(before), 0u);
     ASSERT_GT(tree->NodeCount(), 3u);
 
+    std::vector<PageId> ids(tree->NodeCount());
+    std::iota(ids.begin(), ids.end(), PageId{0});
     std::vector<PageId> slots(tree->NodeCount());
     std::iota(slots.begin(), slots.end(), PageId{100});
     FaultInjectingBackend::Faults faults;
     faults.fail_write_at = 3;
     FaultInjectingBackend backend(std::make_unique<MemoryPageBackend>(),
                                   faults);
-    const Status status = tree->PersistNodesForCheckpoint(&backend, slots);
+    const Status status =
+        tree->PersistNodesForCheckpoint(&backend, ids, slots);
     EXPECT_EQ(status.code(), StatusCode::kIoError);
     EXPECT_NE(status.message().find("write of page 102 failed"),
               std::string::npos)

@@ -36,6 +36,12 @@ namespace {
 constexpr Time kTimeDomain = 150;
 constexpr size_t kCommitEvery = 16;
 
+// The sizes of the two sweeps: the mutating backend calls of their
+// reference runs. A change to what the tier writes moves them, and the
+// sweeps say so instead of silently covering a different space.
+constexpr uint64_t kWriteSites = 86;
+constexpr uint64_t kCheckpointedWriteSites = 148;
+
 std::vector<Trajectory> MakeObjects() {
   RandomDatasetConfig config;
   config.num_objects = 40;
@@ -146,6 +152,8 @@ TEST(CrashRecoveryTest, EveryWriteSiteRecoversToTheReferenceRun) {
   const RunResult reference =
       ReferenceRun(TierOptions(), ref_path, stream, queries, &mutations);
   ASSERT_GT(mutations, 50u) << "sweep space suspiciously small";
+  RecordProperty("mutation_sites", static_cast<int>(mutations));
+  EXPECT_EQ(mutations, kWriteSites);
   ASSERT_FALSE(reference.segments.empty());
 
   const std::string path = ::testing::TempDir() + "/crash_sweep.stpages";
@@ -210,6 +218,8 @@ TEST(CrashRecoveryTest, EveryWriteSiteRecoversToTheReferenceRun) {
         LiveTier::Open(TierOptions(), std::move(reopened).value());
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     recovered.value()->historical().CheckInvariants();
+    const Status copies = recovered.value()->VerifyCheckpointCopies();
+    ASSERT_TRUE(copies.ok()) << copies.ToString();
 
     // Re-ingest the unacknowledged tail; absorbed records are skipped.
     for (size_t i = acked; i < stream.size(); ++i) {
@@ -334,6 +344,8 @@ TEST(CrashRecoveryTest, CheckpointedCrashSweepRecoversAtEveryMutationSite) {
                                            &mutations, &checkpoints);
   ASSERT_GE(checkpoints, 2u) << "sweep never cycles a checkpoint";
   ASSERT_GT(mutations, 100u) << "sweep space suspiciously small";
+  RecordProperty("mutation_sites", static_cast<int>(mutations));
+  EXPECT_EQ(mutations, kCheckpointedWriteSites);
   ASSERT_FALSE(reference.segments.empty());
 
   const std::string path = ::testing::TempDir() + "/ckpt_sweep.stpages";
@@ -385,6 +397,8 @@ TEST(CrashRecoveryTest, CheckpointedCrashSweepRecoversAtEveryMutationSite) {
         LiveTier::Open(options, std::move(reopened).value());
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     recovered.value()->historical().CheckInvariants();
+    const Status copies = recovered.value()->VerifyCheckpointCopies();
+    ASSERT_TRUE(copies.ok()) << copies.ToString();
 
     for (size_t i = acked; i < stream.size(); ++i) {
       ASSERT_TRUE(recovered.value()->Apply(stream[i]).ok());

@@ -201,6 +201,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferentialTest,
 //      answers.
 //   3. The active tree's structural invariants hold after every recovery
 //      and at the end of every schedule.
+//   4. So do the checkpoint's copies (LiveTier::VerifyCheckpointCopies)
+//      after every commit as well: every node clean since the last
+//      checkpoint still seals to the bytes in its slot, and the segment
+//      chain decodes to the migrated segments. Two thirds of the
+//      schedules checkpoint automatically, every 1 to 4 journal pages,
+//      so checkpoints land before and after the pack and among the crash
+//      points. Half of all schedules use a small node fanout, for deeper
+//      trees whose nodes see more kinds of change between checkpoints.
 // ---------------------------------------------------------------------------
 
 std::vector<STQuery> RandomLiveQueries(Rng& rng, Time domain, int count) {
@@ -267,6 +275,11 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
           ? 0
           : static_cast<size_t>(
                 rng.UniformInt(1, static_cast<int64_t>(stream.size())));
+  options.checkpoint_every_pages =
+      rng.Bernoulli(0.33) ? 0 : static_cast<size_t>(rng.UniformInt(1, 4));
+  if (rng.Bernoulli(0.5)) {
+    options.ppr.max_entries = static_cast<size_t>(rng.UniformInt(6, 16));
+  }
 
   // The never-crashed reference for this schedule (WAL on memory: the
   // journal's backend must not change the answers either).
@@ -279,10 +292,14 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
       ASSERT_TRUE(tier.value()->Apply(stream[i]).ok()) << "seed=" << seed;
       if ((i + 1) % commit_every == 0) {
         ASSERT_TRUE(tier.value()->Commit().ok()) << "seed=" << seed;
+        const Status copies = tier.value()->VerifyCheckpointCopies();
+        ASSERT_TRUE(copies.ok()) << "seed=" << seed << " " << copies.ToString();
       }
     }
     ASSERT_TRUE(tier.value()->Finish().ok()) << "seed=" << seed;
     tier.value()->historical().CheckInvariants();
+    const Status copies = tier.value()->VerifyCheckpointCopies();
+    ASSERT_TRUE(copies.ok()) << "seed=" << seed << " " << copies.ToString();
     reference = FinalAnswers(*tier.value(), queries);
   }
 
@@ -333,6 +350,7 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
                                   std::to_string(querier_threads) + ".stsnap";
     size_t acked = 0;
     bool crashed = false;
+    Status copies;  // the first failed check of the checkpoint's copies
     for (size_t i = 0; i < stream.size() && !crashed; ++i) {
       if (!tier.value()->Apply(stream[i]).ok()) {
         crashed = true;
@@ -344,6 +362,7 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
           break;
         }
         acked = i + 1;
+        if (copies.ok()) copies = tier.value()->VerifyCheckpointCopies();
       }
       if (pack_at != 0 && i + 1 == pack_at) {
         // The snapshot file is outside the fault-injected WAL, so the
@@ -351,6 +370,7 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
         // while the historical tree freezes into a zero-copy layer.
         ASSERT_TRUE(tier.value()->PackHistorical(snap_path).ok())
             << "seed=" << seed;
+        if (copies.ok()) copies = tier.value()->VerifyCheckpointCopies();
       }
     }
     if (!crashed) {
@@ -359,6 +379,8 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
     }
     done.store(true, std::memory_order_release);
     for (std::thread& thread : queriers) thread.join();
+    EXPECT_TRUE(copies.ok()) << "seed=" << seed << " threads="
+                             << querier_threads << " " << copies.ToString();
 
     if (crashed) {
       raw_file->Abandon();
@@ -370,6 +392,8 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
       ASSERT_TRUE(tier.ok())
           << "seed=" << seed << " " << tier.status().ToString();
       tier.value()->historical().CheckInvariants();
+      copies = tier.value()->VerifyCheckpointCopies();
+      ASSERT_TRUE(copies.ok()) << "seed=" << seed << " " << copies.ToString();
       for (size_t i = acked; i < stream.size(); ++i) {
         ASSERT_TRUE(tier.value()->Apply(stream[i]).ok()) << "seed=" << seed;
       }
@@ -377,6 +401,9 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
     }
 
     tier.value()->historical().CheckInvariants();
+    copies = tier.value()->VerifyCheckpointCopies();
+    EXPECT_TRUE(copies.ok()) << "seed=" << seed << " threads="
+                             << querier_threads << " " << copies.ToString();
 
     // Invariant 2: the finished (possibly recovered) run answers exactly
     // like the never-crashed reference.

@@ -355,6 +355,44 @@ int64_t ValueAfter(const std::string& body, const std::string& key) {
   return std::strtoll(body.c_str() + at + key.size(), nullptr, 10);
 }
 
+// The live tier's checkpoint page counters reach /metrics: a second
+// checkpoint with nothing changed writes only its metadata and inherits
+// every node and segment page of the first.
+TEST(HttpExpositionTest, CheckpointPageCountersAreExported) {
+  MetricRegistry::Global().ResetForTest();
+  Result<std::unique_ptr<LiveTier>> opened =
+      LiveTier::Open(LiveTierOptions(), std::make_unique<MemoryPageBackend>());
+  ASSERT_TRUE(opened.ok());
+  LiveTier* tier = opened.value().get();
+  // Ten short lives, then one more object whose buffer holds the
+  // watermark at t=3, so the ten migrate into the tree.
+  for (Time t = 0; t < 3; ++t) {
+    for (ObjectId object = 0; object < 10; ++object) {
+      ASSERT_TRUE(tier->Observe(object, t, UnitRect(0.1, 0.2)).ok());
+    }
+  }
+  for (ObjectId object = 0; object < 10; ++object) {
+    ASSERT_TRUE(tier->End(object, 3).ok());
+  }
+  for (Time t = 3; t < 6; ++t) {
+    ASSERT_TRUE(tier->Observe(10, t, UnitRect(0.3, 0.4)).ok());
+  }
+  ASSERT_GT(tier->historical().NodeCount(), 0u);
+  ASSERT_TRUE(tier->Checkpoint().ok());
+  ASSERT_TRUE(tier->Checkpoint().ok());
+
+  HttpExpositionServer server;
+  ASSERT_TRUE(server.Start().ok());
+  const std::string metrics = BodyOf(HttpGet(server.port(), "/metrics"));
+  EXPECT_GT(ValueAfter(metrics, "\nstindex_live_wal_checkpoint_pages_written "),
+            0)
+      << metrics;
+  EXPECT_GT(
+      ValueAfter(metrics, "\nstindex_live_wal_checkpoint_pages_inherited "), 0)
+      << metrics;
+  server.Stop();
+}
+
 TEST(HttpExpositionTest, ProcessMemoryGaugesAreRefreshedPerRender) {
   MetricRegistry::Global().ResetForTest();
   HttpExpositionServer server;

@@ -22,6 +22,7 @@
 
 #include "datagen/query_gen.h"
 #include "datagen/random_dataset.h"
+#include "live/checkpoint.h"
 #include "live/live_index.h"
 #include "live/live_tier.h"
 #include "live/migration.h"
@@ -30,6 +31,7 @@
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace stindex {
@@ -723,11 +725,10 @@ TEST(LiveIndexTest, DecodeStateRejectsBufferNotEndingAtLastInstant) {
 // 1: delete-pending, 2: frozen deletes) names twice.
 TEST(MigrationPipelineTest, DecodeStateRejectsIdListedTwice) {
   for (int list = 0; list < 3; ++list) {
+    SegmentRecord segment;
+    segment.object = 4;
+    segment.box = STBox(UnitRect(0.1, 0.2), TimeInterval(0, 3));
     ByteSink sink;
-    sink.Write(uint64_t{1});
-    sink.Write(ObjectId{4});
-    sink.Write(UnitRect(0.1, 0.2));
-    sink.Write(TimeInterval(0, 3));
     for (int l = 0; l < 3; ++l) {
       const uint64_t copies = l == list ? 2 : 0;
       sink.Write(copies);
@@ -737,7 +738,7 @@ TEST(MigrationPipelineTest, DecodeStateRejectsIdListedTwice) {
     PprTree tree;
     MigrationPipeline pipeline(&tree);
     ByteSource source(sink.bytes().data(), sink.bytes().size());
-    const Status status = pipeline.DecodeState(&source);
+    const Status status = pipeline.DecodeState({segment}, &source);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "list " << list;
     EXPECT_TRUE(Mentions(status, "id 0 listed twice")) << status.ToString();
   }
@@ -1060,6 +1061,364 @@ TEST(LiveTierTest, CheckpointTruncatesJournalAndReopensFromIt) {
     EXPECT_EQ(got, want);
   }
   std::remove(path.c_str());
+}
+
+// A second checkpoint writes what changed since the first — dirty nodes,
+// the new segments, the metadata — and inherits every other page; a
+// reopen from it answers like the uninterrupted run.
+TEST(LiveTierTest, CheckpointWritesOnlyWhatChangedAndInheritsTheRest) {
+  const std::vector<Trajectory> objects = SmallDataset(31);
+  const std::vector<LiveObservation> stream = MakeObservationStream(objects);
+  const std::vector<STQuery> queries = SmallQueries(37);
+  const std::string path = ::testing::TempDir() + "/live_ckpt_delta.stpages";
+  Counter* written =
+      MetricRegistry::Global().GetCounter("live.wal.checkpoint_pages_written");
+  Counter* inherited = MetricRegistry::Global().GetCounter(
+      "live.wal.checkpoint_pages_inherited");
+
+  Result<std::unique_ptr<LiveTier>> reference = LiveTier::Open(
+      SmallTierOptions(), std::make_unique<MemoryPageBackend>());
+  ASSERT_TRUE(reference.ok());
+  for (const LiveObservation& update : stream) {
+    ASSERT_TRUE(reference.value()->Apply(update).ok());
+  }
+  ASSERT_TRUE(reference.value()->Finish().ok());
+
+  const size_t first = stream.size() * 3 / 4;
+  const size_t second = first + 8;
+  uint64_t first_written = 0;
+  {
+    Result<std::unique_ptr<FilePageBackend>> wal =
+        FilePageBackend::Create(path);
+    ASSERT_TRUE(wal.ok());
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(SmallTierOptions(), std::move(wal).value());
+    ASSERT_TRUE(tier.ok());
+    for (size_t i = 0; i < first; ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+    }
+    uint64_t before = written->Value();
+    const uint64_t inherited_before = inherited->Value();
+    ASSERT_TRUE(tier.value()->Checkpoint().ok());
+    first_written = written->Value() - before;
+    // The first checkpoint has nothing to inherit.
+    EXPECT_EQ(inherited->Value(), inherited_before);
+    EXPECT_TRUE(tier.value()->VerifyCheckpointCopies().ok());
+
+    for (size_t i = first; i < second; ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+    }
+    before = written->Value();
+    ASSERT_TRUE(tier.value()->Checkpoint().ok());
+    const uint64_t second_written = written->Value() - before;
+    EXPECT_GT(inherited->Value(), inherited_before);
+    EXPECT_LT(2 * second_written, first_written)
+        << "eight updates rewrote " << second_written << " of "
+        << first_written << " pages";
+    const Status copies = tier.value()->VerifyCheckpointCopies();
+    EXPECT_TRUE(copies.ok()) << copies.ToString();
+  }
+
+  Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(path);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  Result<std::unique_ptr<LiveTier>> tier =
+      LiveTier::Open(SmallTierOptions(), std::move(wal).value());
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+  EXPECT_EQ(tier.value()->checkpoint_seq(), 2u);
+  EXPECT_EQ(tier.value()->recovered().records, 0u);
+  const Status copies = tier.value()->VerifyCheckpointCopies();
+  EXPECT_TRUE(copies.ok()) << copies.ToString();
+  for (const LiveObservation& update : stream) {
+    ASSERT_TRUE(tier.value()->Apply(update).ok());
+  }
+  ASSERT_TRUE(tier.value()->Finish().ok());
+  for (const STQuery& query : queries) {
+    std::vector<ObjectId> got;
+    std::vector<ObjectId> want;
+    tier.value()->IntervalQuery(query.area, query.range, &got);
+    reference.value()->IntervalQuery(query.area, query.range, &want);
+    EXPECT_EQ(got, want);
+  }
+  std::remove(path.c_str());
+}
+
+// The tier's checkpoint copies stay exact when a checkpoint follows every
+// update: each check sees the changes of one update since a checkpoint
+// that left every node clean, so a change that did not mark its node
+// fails it at once. A deep tree (fanout 6), a pack halfway and a reopen
+// at the end cover the slot bookkeeping across packs and recovery.
+TEST(LiveTierTest, CopiesStayExactWithACheckpointAfterEveryUpdate) {
+  const std::vector<Trajectory> objects = SmallDataset(43);
+  const std::vector<LiveObservation> stream = MakeObservationStream(objects);
+  const std::vector<STQuery> queries = SmallQueries(47);
+  LiveTierOptions options = SmallTierOptions();
+  options.ppr.max_entries = 6;
+  const std::string path = ::testing::TempDir() + "/live_ckpt_every.stpages";
+  const std::string snap_path =
+      ::testing::TempDir() + "/live_ckpt_every.stsnap";
+
+  Result<std::unique_ptr<LiveTier>> reference =
+      LiveTier::Open(options, std::make_unique<MemoryPageBackend>());
+  ASSERT_TRUE(reference.ok());
+  for (const LiveObservation& update : stream) {
+    ASSERT_TRUE(reference.value()->Apply(update).ok());
+  }
+  ASSERT_TRUE(reference.value()->Finish().ok());
+
+  const size_t cut = stream.size() * 3 / 4;
+  {
+    Result<std::unique_ptr<FilePageBackend>> wal =
+        FilePageBackend::Create(path);
+    ASSERT_TRUE(wal.ok());
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(options, std::move(wal).value());
+    ASSERT_TRUE(tier.ok());
+    for (size_t i = 0; i < cut; ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+      const Status copies = tier.value()->VerifyCheckpointCopies();
+      ASSERT_TRUE(copies.ok()) << "update " << i << ": " << copies.ToString();
+      if (i == stream.size() / 2) {
+        ASSERT_TRUE(tier.value()->PackHistorical(snap_path).ok());
+      }
+      ASSERT_TRUE(tier.value()->Checkpoint().ok());
+    }
+  }
+
+  Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(path);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  Result<std::unique_ptr<LiveTier>> tier =
+      LiveTier::Open(options, std::move(wal).value());
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+  for (size_t i = cut; i < stream.size(); ++i) {
+    ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+    const Status copies = tier.value()->VerifyCheckpointCopies();
+    ASSERT_TRUE(copies.ok()) << "update " << i << ": " << copies.ToString();
+    ASSERT_TRUE(tier.value()->Checkpoint().ok());
+  }
+  ASSERT_TRUE(tier.value()->Finish().ok());
+  tier.value()->historical().CheckInvariants();
+  for (const STQuery& query : queries) {
+    std::vector<ObjectId> got;
+    std::vector<ObjectId> want;
+    tier.value()->IntervalQuery(query.area, query.range, &got);
+    reference.value()->IntervalQuery(query.area, query.range, &want);
+    EXPECT_EQ(got, want);
+  }
+  std::remove(path.c_str());
+  std::remove(snap_path.c_str());
+}
+
+// A checkpointed journal whose pages a test rewrites — resealed, so every
+// checksum passes — to plant a count that no page could back. Recovery
+// must refuse it with InvalidArgument naming where it broke, before
+// sizing any memory from it.
+class CheckpointCountTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "/ckpt_counts.stpages";
+    const std::vector<LiveObservation> stream =
+        MakeObservationStream(SmallDataset(41));
+    Result<std::unique_ptr<FilePageBackend>> wal =
+        FilePageBackend::Create(path_);
+    ASSERT_TRUE(wal.ok());
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(SmallTierOptions(), std::move(wal).value());
+    ASSERT_TRUE(tier.ok());
+    const size_t half = stream.size() / 2;
+    for (size_t i = 0; i < half; ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+    }
+    ASSERT_TRUE(tier.value()->Checkpoint().ok());
+    // A journal tail past the checkpoint.
+    for (size_t i = half; i < half + 50; ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+    }
+    ASSERT_TRUE(tier.value()->Commit().ok());
+  }
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  std::unique_ptr<FilePageBackend> Backend() {
+    Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(path_);
+    EXPECT_TRUE(wal.ok()) << wal.status().ToString();
+    return std::move(wal).value();
+  }
+
+  // Overwrites `size` bytes at page byte `offset` of `slot` and reseals
+  // the page as `kind`.
+  void Poke(PageId slot, PageKind kind, size_t offset, const void* bytes,
+            size_t size) {
+    std::unique_ptr<FilePageBackend> wal = Backend();
+    uint8_t page[kPageSize];
+    ASSERT_TRUE(wal->Read(slot, page).ok());
+    std::memcpy(page + offset, bytes, size);
+    SealPage(page, kind);
+    ASSERT_TRUE(wal->Write(slot, page).ok());
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+
+  CheckpointHeader Header() {
+    const Result<CheckpointHeader> header =
+        ReadLatestCheckpointHeader(*Backend());
+    EXPECT_TRUE(header.ok()) << header.status().ToString();
+    return header.value();
+  }
+
+  // Overwrites the u64 at byte `offset` of the checkpoint's metadata
+  // stream, whose pages hold 4068 stream bytes after a 20-byte link.
+  void PokeMeta(uint64_t offset, uint64_t value) {
+    constexpr size_t kLinkBytes = 20;
+    constexpr size_t kStreamBytes = kPagePayloadBytes - kLinkBytes;
+    std::vector<PageId> slots;
+    ASSERT_TRUE(ReadCheckpointMeta(*Backend(), Header(), &slots).ok());
+    uint8_t bytes[sizeof(value)];
+    std::memcpy(bytes, &value, sizeof(value));
+    for (size_t i = 0; i < sizeof(value); ++i) {
+      const uint64_t at = offset + i;
+      Poke(slots[at / kStreamBytes], PageKind::kCheckpointPage,
+           kPageEnvelopeBytes + kLinkBytes + at % kStreamBytes, &bytes[i], 1);
+    }
+  }
+
+  // Stream offsets of the counts RestoreFromCheckpoint decodes, found by
+  // walking the stream's layout (one tree layer: no pack).
+  struct MetaCounts {
+    uint64_t root_count = 0;
+    uint64_t node_count = 0;
+    uint64_t insert_pending = 0;
+    uint64_t live_buffers = 0;
+    uint64_t last_instants = 0;
+  };
+  MetaCounts FindCounts() {
+    std::vector<PageId> slots;
+    const Result<std::vector<uint8_t>> meta =
+        ReadCheckpointMeta(*Backend(), Header(), &slots);
+    EXPECT_TRUE(meta.ok());
+    const std::vector<uint8_t>& bytes = meta.value();
+    const auto u64 = [&bytes](uint64_t at) {
+      uint64_t value = 0;
+      std::memcpy(&value, bytes.data() + at, sizeof(value));
+      return value;
+    };
+    MetaCounts counts;
+    EXPECT_EQ(u64(0), 1u) << "one tree layer";
+    counts.root_count = 8 + 2 * sizeof(uint64_t);  // after size, clock
+    counts.node_count =
+        counts.root_count + 8 +
+        u64(counts.root_count) * (sizeof(Time) + sizeof(PageId));
+    counts.insert_pending =
+        counts.node_count + 8 + u64(counts.node_count) * sizeof(PageId);
+    uint64_t at = counts.insert_pending;
+    for (int set = 0; set < 3; ++set) at += 8 + u64(at) * sizeof(PprDataId);
+    counts.live_buffers = at + 8;  // after the applied-event count
+    at = counts.live_buffers + 8;
+    for (uint64_t b = 0; b < u64(counts.live_buffers); ++b) {
+      at += sizeof(ObjectId) + sizeof(Time);
+      at += 8 + u64(at) * sizeof(Rect2D);
+    }
+    counts.last_instants = at;
+    return counts;
+  }
+
+  Status OpenStatus() {
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(SmallTierOptions(), Backend());
+    return tier.ok() ? Status::OK() : tier.status();
+  }
+
+  // Recovery refuses the journal with InvalidArgument mentioning every
+  // one of `texts`.
+  void ExpectRefused(std::initializer_list<const char*> texts) {
+    const Status status = OpenStatus();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+    for (const char* text : texts) {
+      EXPECT_TRUE(Mentions(status, text)) << status.ToString();
+    }
+  }
+
+  static constexpr uint64_t kHuge = uint64_t{1} << 50;
+  std::string path_;
+};
+
+TEST_F(CheckpointCountTest, IntactJournalRecovers) {
+  const Status status = OpenStatus();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST_F(CheckpointCountTest, HeaderMetadataBytes) {
+  // Header payload: seq, wal_start_seq, meta_head, meta_pages, meta_bytes.
+  Poke(1, PageKind::kCheckpointHeader, kPageEnvelopeBytes + 24, &kHuge,
+       sizeof(kHuge));
+  ExpectRefused({"checkpoint 1 (header slot 1)", "metadata bytes cannot fit"});
+}
+
+TEST_F(CheckpointCountTest, HeaderSegmentCount) {
+  // ... then layout, segment_tail, segment_pages, segment_count.
+  Poke(1, PageKind::kCheckpointHeader, kPageEnvelopeBytes + 44, &kHuge,
+       sizeof(kHuge));
+  ExpectRefused({"checkpoint 1 (header slot 1)", "segment chain of"});
+}
+
+TEST_F(CheckpointCountTest, SegmentPageCount) {
+  // Segment page payload: page_index, prev_slot, count.
+  const CheckpointHeader header = Header();
+  ASSERT_GT(header.segment_pages, 0u);
+  const uint32_t count = std::numeric_limits<uint32_t>::max();
+  Poke(header.segment_tail, PageKind::kSegmentPage, kPageEnvelopeBytes + 8,
+       &count, sizeof(count));
+  ExpectRefused({("segment page " + std::to_string(header.segment_pages - 1) +
+                  " in slot " + std::to_string(header.segment_tail) +
+                  " is corrupt")
+                     .c_str()});
+}
+
+TEST_F(CheckpointCountTest, JournalOfAnOlderLayoutIsRefused) {
+  const uint32_t old_layout = 0;  // layout 1 wrote no layout field
+  Poke(1, PageKind::kCheckpointHeader, kPageEnvelopeBytes + 32, &old_layout,
+       sizeof(old_layout));
+  ExpectRefused({"checkpoint 1 (header slot 1) has layout 0",
+                 "predates the append-only segment chain"});
+}
+
+TEST_F(CheckpointCountTest, TreeRootJournal) {
+  PokeMeta(FindCounts().root_count, kHuge);
+  ExpectRefused({"root journal of", "(page 0, slot "});
+}
+
+TEST_F(CheckpointCountTest, NodeSlotMap) {
+  PokeMeta(FindCounts().node_count, kHuge);
+  ExpectRefused({"node slot map of", "(page 0, slot "});
+}
+
+TEST_F(CheckpointCountTest, PipelinePendingSet) {
+  PokeMeta(FindCounts().insert_pending, kHuge);
+  ExpectRefused({"pending set of", ", slot "});
+}
+
+TEST_F(CheckpointCountTest, LiveIndexLists) {
+  const MetaCounts counts = FindCounts();
+  PokeMeta(counts.live_buffers, kHuge);
+  ExpectRefused({"live-buffer list of", ", slot "});
+  SetUp();
+  PokeMeta(counts.last_instants, kHuge);
+  ExpectRefused({"last-instant list of", ", slot "});
+}
+
+TEST_F(CheckpointCountTest, WalPageRecordCount) {
+  std::unique_ptr<FilePageBackend> wal = Backend();
+  PageId tail = kInvalidPage;
+  uint8_t page[kPageSize];
+  for (PageId slot = kWalFirstDataSlot; slot < wal->SlotCount(); ++slot) {
+    if (!wal->IsAllocated(slot) || !wal->Read(slot, page).ok()) continue;
+    if (OpenPagePayload(page, PageKind::kWalPage, slot).ok()) tail = slot;
+  }
+  wal.reset();
+  ASSERT_NE(tail, kInvalidPage) << "no journal page past the checkpoint";
+  // Journal page payload: u64 seq, then the u32 record count.
+  const uint32_t count = std::numeric_limits<uint32_t>::max();
+  Poke(tail, PageKind::kWalPage, kPageEnvelopeBytes + 8, &count, sizeof(count));
+  ExpectRefused({("wal: page in slot " + std::to_string(tail)).c_str(),
+                 "records, more than its payload holds"});
 }
 
 TEST(LiveTierTest, GroupCommitCoalescesConcurrentCommitters) {

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "pprtree/ppr_tree.h"
@@ -187,7 +188,7 @@ std::vector<PageEntry> NodeEntries(const PprTree& tree, PageId id) {
   MemoryPageBackend copies;
   std::vector<PageId> slots(tree.NodeCount());
   std::iota(slots.begin(), slots.end(), PageId{0});
-  EXPECT_TRUE(tree.PersistNodesForCheckpoint(&copies, slots).ok());
+  EXPECT_TRUE(tree.PersistNodesForCheckpoint(&copies, slots, slots).ok());
   const uint8_t* page = copies.BorrowPage(id);
   uint32_t count = 0;
   std::memcpy(&count, page + kPageEnvelopeBytes + 4, sizeof(count));
@@ -400,6 +401,61 @@ TEST(PprTreeTest, ReplayIsTheSameOverAWideTimeSpan) {
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, want) << "t=" << t;
     EXPECT_EQ(got, ScanSnapshot(wide, area, widen(t))) << "t=" << t;
+  }
+}
+
+// Incremental checkpoints rewrite only dirty nodes, so every change to a
+// node page must mark its node. Here the tree is copied into a
+// checkpoint after every update, so every node is clean before the next
+// one, and CheckCleanNodes finds any node an update changed without
+// marking it. Fanout 6 gives deep trees that restructure often, fanout
+// 50 wide ones where most deletes leave their leaf otherwise alone.
+TEST(PprTreeTest, EveryUpdateMarksTheNodesItChanges) {
+  const std::vector<SegmentRecord> records = RandomRecords(17, 250);
+  // Replay order: by time, deletes first, then by record.
+  struct Event {
+    Time time;
+    bool insert;
+    PprDataId id;
+  };
+  std::vector<Event> events;
+  for (PprDataId id = 0; id < records.size(); ++id) {
+    events.push_back({records[id].box.interval.start, true, id});
+    events.push_back({records[id].box.interval.end, false, id});
+  }
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.insert != b.insert) return !a.insert;
+    return a.id < b.id;
+  });
+  for (const size_t fanout : {size_t{6}, size_t{50}}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    PprConfig config;
+    config.max_entries = fanout;
+    PprTree tree(config);
+    MemoryPageBackend copies;
+    std::vector<PageId> slots;  // node -> its copy's slot
+    for (const Event& event : events) {
+      if (event.insert) {
+        tree.Insert(records[event.id].box.rect, event.time, event.id);
+      } else {
+        tree.Delete(event.id, event.time);
+      }
+      const Status clean = tree.CheckCleanNodes(copies, slots);
+      ASSERT_TRUE(clean.ok()) << clean.ToString() << " after the "
+                              << (event.insert ? "insert" : "delete")
+                              << " of record " << event.id;
+      const std::vector<PageId> dirty = tree.DirtyNodes();
+      slots.resize(tree.NodeCount(), kInvalidPage);
+      std::vector<PageId> fresh;
+      for (const PageId id : dirty) {
+        if (slots[id] != kInvalidPage) ASSERT_TRUE(copies.Free(slots[id]).ok());
+        fresh.push_back(slots[id] = copies.Allocate());
+      }
+      ASSERT_TRUE(tree.PersistNodesForCheckpoint(&copies, dirty, fresh).ok());
+      tree.MarkCheckpointed();
+    }
+    EXPECT_TRUE(tree.DirtyNodes().empty());
   }
 }
 
