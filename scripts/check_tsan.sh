@@ -28,7 +28,10 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 status=0
 for test in "${TESTS[@]}"; do
   echo "== TSan: $test =="
-  if ! "$BUILD_DIR/tests/$test"; then
+  # Its own temp directory, as ctest gives it (tests/CMakeLists.txt).
+  tmp="$BUILD_DIR/tests/tmp/$test"
+  mkdir -p "$tmp"
+  if ! TEST_TMPDIR="$tmp" "$BUILD_DIR/tests/$test"; then
     status=1
   fi
 done

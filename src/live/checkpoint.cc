@@ -64,12 +64,16 @@ Result<CheckpointHeader> ReadLatestCheckpointHeader(
     if (header.checkpoint_seq > best.checkpoint_seq) best = header;
   }
   if (best.checkpoint_seq > 0 && best.layout != kCheckpointLayout) {
+    const char* why = "";
+    if (best.layout < 2) {
+      why = ": the journal predates the append-only segment chain";
+    } else if (best.layout < kCheckpointLayout) {
+      why = ": the journal predates named frozen layers";
+    }
     return Status::InvalidArgument(
         Named(best) + " has layout " + std::to_string(best.layout) +
         ", but this build reads layout " + std::to_string(kCheckpointLayout) +
-        (best.layout < kCheckpointLayout
-             ? ": the journal predates the append-only segment chain"
-             : ""));
+        why);
   }
   return best;
 }
@@ -203,9 +207,9 @@ Status AppendSegmentChain(PageBackend* backend, WalSlotAllocator* allocator,
   STINDEX_CHECK(chain->segments <= segments.size());
   *written = 0;
   // The first page holding a new segment: the partial last page, or the
-  // page after the last full one.
+  // page after the last full one. With no new segment, none.
   size_t first = static_cast<size_t>(chain->segments);
-  first -= first % kSegmentsPerPage;
+  if (first < segments.size()) first -= first % kSegmentsPerPage;
   uint8_t page[kPageSize];
   for (; first < segments.size(); first += kSegmentsPerPage) {
     const size_t index = first / kSegmentsPerPage;

@@ -17,18 +17,31 @@ namespace stindex {
 // header write can never destroy the previous checkpoint — the other
 // slot still holds it, CRC-valid). A checkpoint consists of:
 //
-//   * one sealed kPprNode page per historical-tree node. A checkpoint
+//   * one sealed kPprNode page per node of the active tree. A checkpoint
 //     writes only the nodes created or changed since the previous one
 //     (PprTree::DirtyNodes), each into a freshly acquired slot. Every
 //     other node keeps — the checkpoint inherits — the slot an earlier
-//     checkpoint wrote it to: every dead node, a frozen layer once a
-//     checkpoint has copied it, a restored node not changed since;
+//     checkpoint wrote it to: every dead node, a restored node not
+//     changed since;
 //   * the segment chain, the migrated-segment table, append-only
 //     (below);
-//   * a chain of kCheckpointPage pages carrying the serialized metadata
-//     (tree meta + the slot of every node, migration pipeline, live
-//     index), rewritten by every checkpoint;
+//   * a chain of kCheckpointPage pages carrying the serialized metadata,
+//     rewritten by every checkpoint:
+//       u64 frozen layer count
+//       per frozen layer, oldest first: tree meta (size, clock, root
+//         journal), u32 superblock checksum and u64 length + bytes of the
+//         path of its snapshot file, as given to LiveTier::PackHistorical
+//       the active tree: tree meta, u64 node count, u32 slot per node
+//       the migration pipeline (insert-pending ids, applied events)
+//       the live index (open buffers, last instants);
 //   * this header, whose durable write *is* the commit point.
+//
+// A frozen layer's pages are not in the journal at all: a packed layer
+// never changes, so the checkpoint names its snapshot file, and recovery
+// maps that file again (MmapSnapshotBackend::Open verifies every page)
+// and refuses it unless its superblock checksum is the one named. The
+// snapshot files a committed checkpoint names must outlive it; the tier
+// never deletes one.
 //
 // A checkpoint never writes a slot the previous one owns, and syncs all
 // its pages before the header is written, so a valid header always
@@ -36,7 +49,7 @@ namespace stindex {
 // leaves the previous checkpoint intact. Once the header commits, the
 // previous checkpoint's slots that the new one did not inherit are
 // freed: its metadata chain, the old copies of rewritten nodes, a
-// re-sealed segment tail page and the pages of a tree packed since.
+// re-sealed segment tail page and the node copies of a tree packed since.
 // Everything a failed checkpoint left behind is unreferenced debris that
 // recovery frees.
 //
@@ -54,16 +67,18 @@ namespace stindex {
 // backward links reach page 0.
 //
 // Recovery reads the header with the highest sequence, the metadata
-// chain, every node page from its slot, and the segment chain from its
-// last page back, decoding each page straight into its place in the
-// segment table. The checkpoint owns every slot it references, inherited
-// or fresh; every other allocated slot is journal tail or debris.
+// chain, every frozen layer's snapshot file, every active-tree node page
+// from its slot, and the segment chain from its last page back, decoding
+// each page straight into its place in the segment table. The checkpoint
+// owns every slot it references, inherited or fresh; every other
+// allocated slot is journal tail or debris.
 
 // The checkpoint layout this build writes and reads. Layout 1, which
 // carried the segment table in the metadata stream, had no layout field
-// (it reads as 0); a journal whose newest checkpoint has another layout
-// is refused.
-inline constexpr uint32_t kCheckpointLayout = 2;
+// (it reads as 0); layout 2 copied every frozen layer's pages into the
+// journal and kept two more pipeline id sets. A journal whose newest
+// checkpoint has another layout is refused.
+inline constexpr uint32_t kCheckpointLayout = 3;
 
 struct CheckpointHeader {
   uint64_t checkpoint_seq = 0;  // 0 = no committed checkpoint

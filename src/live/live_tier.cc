@@ -38,6 +38,35 @@ const TierMetrics& Metrics() {
   return m;
 }
 
+// Maps again the snapshot file `path` that checkpoint `checkpoint_seq`
+// names for frozen layer `layer`, whose tree meta `tree` already holds,
+// and hands it to the tree. The file must be the one the layer was packed
+// into: `checksum` is its superblock's. Errors name the checkpoint, the
+// layer and the path.
+Status AdoptFrozenLayer(uint64_t checkpoint_seq, size_t layer,
+                        const std::string& path, uint32_t checksum,
+                        PprTree* tree) {
+  const auto layer_error = [&](const Status& error) {
+    return Status(error.code(), "checkpoint " + std::to_string(checkpoint_seq) +
+                                    ": frozen layer " + std::to_string(layer) +
+                                    " snapshot " + path + ": " +
+                                    error.message());
+  };
+  Result<std::unique_ptr<MmapSnapshotBackend>> snapshot =
+      MmapSnapshotBackend::Open(path);
+  if (!snapshot.ok()) return layer_error(snapshot.status());
+  const uint32_t found = snapshot.value()->file().superblock_checksum();
+  if (found != checksum) {
+    return layer_error(Status::InvalidArgument(
+        "superblock checksum " + std::to_string(found) +
+        ", the checkpoint names " + std::to_string(checksum) +
+        ": the file was replaced"));
+  }
+  Status status = tree->AdoptSnapshot(std::move(snapshot).value());
+  if (!status.ok()) return layer_error(status);
+  return Status::OK();
+}
+
 }  // namespace
 
 LiveTier::LiveTier(LiveTierOptions options,
@@ -119,76 +148,87 @@ Status LiveTier::RestoreFromCheckpoint(const CheckpointHeader& header,
                       ": " + error.message());
   };
 
-  // The layered tree state: frozen packed layers (oldest first), then
-  // the active tree. Restored layers serve from their arenas — a pack's
-  // mmap serving is an optimization the snapshot file carries,
-  // not checkpoint state; answers are identical either way.
-  uint64_t layer_count = 0;
-  // A layer takes at least its tree meta's three counters and its node
-  // count.
-  if (!in.Read(&layer_count) || layer_count == 0 ||
-      layer_count > in.remaining() / (4 * sizeof(uint64_t))) {
+  // The frozen layers, oldest first: each its tree meta, then the
+  // superblock checksum and path of the snapshot file it serves, mapped
+  // again.
+  uint64_t frozen_count = 0;
+  // A layer takes at least its tree meta's three counters and its path
+  // length.
+  if (!in.Read(&frozen_count) ||
+      frozen_count > in.remaining() / (4 * sizeof(uint64_t))) {
     return meta_error(
-        Status::InvalidArgument("checkpoint: bad tree layer count"));
+        Status::InvalidArgument("checkpoint: bad frozen layer count"));
   }
-  std::vector<FrozenLayer> layers(static_cast<size_t>(layer_count));
-  for (FrozenLayer& layer : layers) {
-    layer.tree = std::make_unique<PprTree>(options_.ppr);
-    status = layer.tree->DecodeCheckpointMeta(&in);
+  std::vector<FrozenLayer> frozen(static_cast<size_t>(frozen_count));
+  for (size_t l = 0; l < frozen.size(); ++l) {
+    frozen[l].tree = std::make_unique<PprTree>(options_.ppr);
+    status = frozen[l].tree->DecodeCheckpointMeta(&in);
     if (!status.ok()) return meta_error(status);
-    uint64_t node_count = 0;
-    if (!in.Read(&node_count)) {
-      return meta_error(
-          Status::InvalidArgument("checkpoint: truncated node slot map"));
-    }
-    if (node_count > in.remaining() / sizeof(PageId)) {
+    uint32_t checksum = 0;
+    uint64_t path_bytes = 0;
+    if (!in.Read(&checksum) || !in.Read(&path_bytes) ||
+        path_bytes > in.remaining()) {
       return meta_error(Status::InvalidArgument(
-          "checkpoint: node slot map of " + std::to_string(node_count) +
-          " nodes overruns the " + std::to_string(in.remaining()) +
-          " metadata bytes left"));
+          "checkpoint: frozen layer " + std::to_string(l) + " path of " +
+          std::to_string(path_bytes) + " bytes overruns the " +
+          std::to_string(in.remaining()) + " metadata bytes left"));
     }
-    layer.node_slots.resize(static_cast<size_t>(node_count));
-    for (PageId& slot : layer.node_slots) {
-      STINDEX_CHECK(in.Read(&slot));  // the count fits the bytes left
-    }
+    std::string path(static_cast<size_t>(path_bytes), '\0');
+    STINDEX_CHECK(in.ReadBytes(path.data(), path.size()));
+    status = AdoptFrozenLayer(header.checkpoint_seq, l, path, checksum,
+                              frozen[l].tree.get());
+    if (!status.ok()) return status;
+    frozen[l].pool =
+        frozen[l].tree->NewSharedQueryPool(options_.query_pool_pages);
   }
 
-  // Every node from the slot it was read from, where it stays clean.
-  uint8_t page[kPageSize];
-  for (size_t l = 0; l < layers.size(); ++l) {
-    PprTree& tree = *layers[l].tree;
-    const std::vector<PageId>& node_slots = layers[l].node_slots;
-    for (size_t i = 0; i < node_slots.size(); ++i) {
-      const PageId slot = node_slots[i];
-      const auto node_error = [&](const Status& error) {
-        return Status(error.code(),
-                      "checkpoint " + std::to_string(header.checkpoint_seq) +
-                          ": tree layer " + std::to_string(l) + " node " +
-                          std::to_string(i) + " in slot " +
-                          std::to_string(slot) + ": " + error.message());
-      };
-      if (static_cast<size_t>(slot) >= wal_backend_->SlotCount() ||
-          !wal_backend_->IsAllocated(slot)) {
-        return node_error(Status::InvalidArgument("slot is not allocated"));
-      }
-      status = wal_backend_->Read(slot, page);
-      if (!status.ok()) return status;
-      status = tree.InstallCheckpointNode(static_cast<PageId>(i), page);
-      if (!status.ok()) return node_error(status);
-    }
-    tree.MarkCheckpointed();
+  // The active tree: its meta, then every node from the slot it was read
+  // from, where it stays clean.
+  auto active = std::make_unique<PprTree>(options_.ppr);
+  status = active->DecodeCheckpointMeta(&in);
+  if (!status.ok()) return meta_error(status);
+  uint64_t node_count = 0;
+  if (!in.Read(&node_count)) {
+    return meta_error(
+        Status::InvalidArgument("checkpoint: truncated node slot map"));
   }
+  if (node_count > in.remaining() / sizeof(PageId)) {
+    return meta_error(Status::InvalidArgument(
+        "checkpoint: node slot map of " + std::to_string(node_count) +
+        " nodes overruns the " + std::to_string(in.remaining()) +
+        " metadata bytes left"));
+  }
+  std::vector<PageId> node_slots(static_cast<size_t>(node_count));
+  for (PageId& slot : node_slots) {
+    STINDEX_CHECK(in.Read(&slot));  // the count fits the bytes left
+  }
+  uint8_t page[kPageSize];
+  for (size_t i = 0; i < node_slots.size(); ++i) {
+    const PageId slot = node_slots[i];
+    const auto node_error = [&](const Status& error) {
+      return Status(error.code(),
+                    "checkpoint " + std::to_string(header.checkpoint_seq) +
+                        ": active tree node " + std::to_string(i) +
+                        " in slot " + std::to_string(slot) + ": " +
+                        error.message());
+    };
+    if (static_cast<size_t>(slot) >= wal_backend_->SlotCount() ||
+        !wal_backend_->IsAllocated(slot)) {
+      return node_error(Status::InvalidArgument("slot is not allocated"));
+    }
+    status = wal_backend_->Read(slot, page);
+    if (!status.ok()) return status;
+    status = active->InstallCheckpointNode(static_cast<PageId>(i), page);
+    if (!status.ok()) return node_error(status);
+  }
+  active->MarkCheckpointed();
 
   // Install the restored layering before the pipeline decodes: it must
   // aim at the active tree.
   pool_.reset();
-  tree_ = std::move(layers.back().tree);
-  node_slots_ = std::move(layers.back().node_slots);
-  layers.pop_back();
-  for (FrozenLayer& layer : layers) {
-    layer.pool = layer.tree->NewSharedQueryPool(options_.query_pool_pages);
-  }
-  frozen_ = std::move(layers);
+  tree_ = std::move(active);
+  node_slots_ = std::move(node_slots);
+  frozen_ = std::move(frozen);
   pipeline_.SetTree(tree_.get());
   pool_ = tree_->NewSharedQueryPool(options_.query_pool_pages);
 
@@ -201,10 +241,6 @@ Status LiveTier::RestoreFromCheckpoint(const CheckpointHeader& header,
         Status::InvalidArgument("checkpoint: trailing metadata bytes"));
   }
 
-  for (const FrozenLayer& layer : frozen_) {
-    owned_slots->insert(owned_slots->end(), layer.node_slots.begin(),
-                        layer.node_slots.end());
-  }
   owned_slots->insert(owned_slots->end(), node_slots_.begin(),
                       node_slots_.end());
   owned_slots->insert(owned_slots->end(), segment_chain_.pages.begin(),
@@ -425,40 +461,20 @@ Status LiveTier::Checkpoint() {
 }
 
 void LiveTier::EncodeCheckpointState(ByteSink* out) const {
-  out->Write(static_cast<uint64_t>(frozen_.size() + 1));
-  const auto encode_layer = [out](const PprTree& tree,
-                                  const std::vector<PageId>& node_slots) {
-    STINDEX_CHECK(node_slots.size() == tree.NodeCount());
-    tree.EncodeCheckpointMeta(out);
-    out->Write(static_cast<uint64_t>(node_slots.size()));
-    for (PageId slot : node_slots) out->Write(slot);
-  };
+  out->Write(static_cast<uint64_t>(frozen_.size()));
   for (const FrozenLayer& layer : frozen_) {
-    encode_layer(*layer.tree, layer.node_slots);
+    layer.tree->EncodeCheckpointMeta(out);
+    const SnapshotFile& file = layer.tree->backend()->file();
+    out->Write(file.superblock_checksum());
+    out->Write(static_cast<uint64_t>(file.path().size()));
+    out->WriteBytes(file.path().data(), file.path().size());
   }
-  encode_layer(*tree_, node_slots_);
+  STINDEX_CHECK(node_slots_.size() == tree_->NodeCount());
+  tree_->EncodeCheckpointMeta(out);
+  out->Write(static_cast<uint64_t>(node_slots_.size()));
+  for (PageId slot : node_slots_) out->Write(slot);
   pipeline_.EncodeState(out);
   index_.EncodeState(out);
-}
-
-Status LiveTier::WriteDirtyNodes(PprTree* tree,
-                                 std::vector<PageId>* node_slots,
-                                 uint64_t* written, uint64_t* inherited) {
-  const std::vector<PageId> dirty = tree->DirtyNodes();
-  node_slots->resize(tree->NodeCount(), kInvalidPage);
-  std::vector<PageId> fresh(dirty.size());
-  for (size_t i = 0; i < dirty.size(); ++i) {
-    PageId& slot = (*node_slots)[dirty[i]];
-    if (slot != kInvalidPage) superseded_slots_.push_back(slot);
-    slot = fresh[i] = slots_.Acquire();
-  }
-  Status status =
-      tree->PersistNodesForCheckpoint(wal_backend_.get(), dirty, fresh);
-  if (!status.ok()) return status;
-  tree->MarkCheckpointed();
-  *written += dirty.size();
-  *inherited += node_slots->size() - dirty.size();
-  return Status::OK();
 }
 
 Status LiveTier::CheckpointLocked() {
@@ -476,22 +492,25 @@ Status LiveTier::CheckpointLocked() {
   if (!status.ok()) return Latch(status);
   const uint64_t wal_start_seq = writer_->next_seq();
 
-  // 2. Shadow-write the nodes created or changed since the previous
-  //    checkpoint — of every layer, oldest frozen first then the active
-  //    tree — into fresh slots, one sealed page write per node; every
-  //    other node keeps its slot. The previous checkpoint's pages stay
-  //    untouched — a crash anywhere before step 6 leaves it intact. A
-  //    frozen packed layer is copied whole once, from its snapshot pages,
-  //    which are sealed already.
-  uint64_t written = 0;
-  uint64_t inherited = 0;
-  for (FrozenLayer& layer : frozen_) {
-    status = WriteDirtyNodes(layer.tree.get(), &layer.node_slots, &written,
-                             &inherited);
-    if (!status.ok()) return Latch(status);
+  // 2. Shadow-write the active tree's nodes created or changed since the
+  //    previous checkpoint into fresh slots, one sealed page write per
+  //    node; every other node keeps its slot. The previous checkpoint's
+  //    pages stay untouched — a crash anywhere before step 6 leaves it
+  //    intact. A frozen layer writes no page: the metadata names its
+  //    snapshot file.
+  const std::vector<PageId> dirty = tree_->DirtyNodes();
+  node_slots_.resize(tree_->NodeCount(), kInvalidPage);
+  std::vector<PageId> fresh(dirty.size());
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    PageId& slot = node_slots_[dirty[i]];
+    if (slot != kInvalidPage) superseded_slots_.push_back(slot);
+    slot = fresh[i] = slots_.Acquire();
   }
-  status = WriteDirtyNodes(tree_.get(), &node_slots_, &written, &inherited);
+  status = tree_->PersistNodesForCheckpoint(wal_backend_.get(), dirty, fresh);
   if (!status.ok()) return Latch(status);
+  tree_->MarkCheckpointed();
+  uint64_t written = dirty.size();
+  uint64_t inherited = node_slots_.size() - dirty.size();
 
   // 3. Append the segments migrated since the previous checkpoint to the
   //    segment chain.
@@ -567,6 +586,14 @@ Status LiveTier::PackHistorical(const std::string& path,
     return Status::FailedPrecondition(
         "live tier hit a WAL I/O failure — reopen the journal to recover");
   }
+  // Rewriting the file a frozen layer maps would swap that layer's pages
+  // under it.
+  for (const FrozenLayer& layer : frozen_) {
+    if (layer.tree->backend()->file().IsFile(path)) {
+      return Status::InvalidArgument("cannot pack into " + path +
+                                     ": a frozen layer serves that file");
+    }
+  }
   TraceSpan span("live", "pack_historical");
   span.Arg("pages", static_cast<int64_t>(tree_->NodeCount()));
   // The shared pool borrows the arena a successful pack releases; drop
@@ -582,9 +609,8 @@ Status LiveTier::PackHistorical(const std::string& path,
   layer.tree = std::move(tree_);
   layer.pool = layer.tree->NewSharedQueryPool(options_.query_pool_pages);
   frozen_.push_back(std::move(layer));
-  // The pack renumbered the tree's nodes: the next checkpoint copies the
-  // new layer whole, and the committed copies of the tree go once it
-  // commits.
+  // The next checkpoint names the snapshot instead of the committed
+  // copies of the tree's nodes, which go once it commits.
   superseded_slots_.insert(superseded_slots_.end(), node_slots_.begin(),
                            node_slots_.end());
   node_slots_.clear();
@@ -738,11 +764,6 @@ Status LiveTier::VerifyCheckpointCopies() const {
   if (failed_) {
     return Status::FailedPrecondition(
         "live tier hit a WAL I/O failure — its checkpoint state is unknown");
-  }
-  for (const FrozenLayer& layer : frozen_) {
-    Status status =
-        layer.tree->CheckCleanNodes(*wal_backend_, layer.node_slots);
-    if (!status.ok()) return status;
   }
   Status status = tree_->CheckCleanNodes(*wal_backend_, node_slots_);
   if (!status.ok()) return status;

@@ -72,14 +72,15 @@ static_assert(sizeof(LiveObservation) == 48);
 // recovery from the durable prefix.
 //
 // Checkpoints bound the journal: Checkpoint() (or the automatic
-// checkpoint_every_pages trigger) writes sealed copies of the historical
-// trees' nodes changed since the previous checkpoint, the segments
-// migrated since, and the pipeline/index state into the journal backend,
-// syncs, commits a checkpoint header, and then frees every journal page
-// before the checkpoint and every page of the previous checkpoint it did
-// not inherit — so a checkpoint costs what changed, and the file's page
-// count stays bounded across arbitrarily long streams (see
-// live/checkpoint.h).
+// checkpoint_every_pages trigger) writes sealed copies of the active
+// tree's nodes changed since the previous checkpoint, the segments
+// migrated since, and the layering/pipeline/index state — naming each
+// frozen layer's snapshot file rather than copying it — into the journal
+// backend, syncs, commits a checkpoint header, and then frees every
+// journal page before the checkpoint and every page of the previous
+// checkpoint it did not inherit — so a checkpoint costs what changed,
+// and the file's page count stays bounded across arbitrarily long
+// streams (see live/checkpoint.h).
 //
 // Thread safety: one readers-writer lock. Queries take it shared, so any
 // number of them run together (historical reads go through a sharded
@@ -122,9 +123,14 @@ class LiveTier {
   // MigrationPipeline::RetargetAfterPack). Queries consult every frozen
   // layer plus the active tree, so answers are unchanged. The pack is
   // not WAL-journaled: a crash before the next checkpoint recovers to
-  // the pre-pack single-tree layering with identical answers; the next
-  // checkpoint persists the layering. Allowed after Finish() (the tier
-  // stays finished); refused once the tier is latched.
+  // the pre-pack layering with identical answers; the next checkpoint
+  // persists the layering by naming the file — `path` as given, so a
+  // relative path resolves against the working directory at recovery —
+  // and its superblock checksum, and recovery maps the file again. The
+  // tier never deletes a snapshot: the file must outlive every
+  // checkpoint that names it. InvalidArgument, naming `path`, when it
+  // names the file a frozen layer serves. Allowed after Finish() (the
+  // tier stays finished); refused once the tier is latched.
   Status PackHistorical(const std::string& path,
                         const SnapshotFile::Options& options = {});
 
@@ -146,8 +152,10 @@ class LiveTier {
   // stable while no update runs concurrently; the differential tests
   // compare it against a batch-built tree after Finish().
   const PprTree& historical() const { return *tree_; }
-  // Frozen packed layers currently serving queries.
+  // Frozen packed layers currently serving queries, and the tree of layer
+  // `i` (oldest first; stable while no pack runs concurrently).
   size_t frozen_layers() const;
+  const PprTree& frozen_layer(size_t i) const { return *frozen_.at(i).tree; }
   // Segments migrated so far, in migration order (PprDataId = index).
   const std::vector<SegmentRecord>& migrated_segments() const {
     return pipeline_.segments();
@@ -229,16 +237,11 @@ class LiveTier {
   Status SealRipe();
   Status SealAndJournal(ObjectId object);
 
-  // Serializes the layered tree state (per layer, oldest frozen first
-  // then the active tree: meta + node slot map) + pipeline + index into
-  // one byte stream (the checkpoint metadata chain's content).
+  // Serializes the layered tree state (the frozen layers oldest first,
+  // each its meta and snapshot file; then the active tree's meta and node
+  // slot map) + pipeline + index into one byte stream (the checkpoint
+  // metadata chain's content).
   void EncodeCheckpointState(ByteSink* out) const;
-  // Shadow-writes the nodes of `tree` changed since the last checkpoint
-  // into fresh slots and points `node_slots` (node id -> slot) at them;
-  // the slots they leave join superseded_slots_. Adds the pages written
-  // and the pages kept to the counts.
-  Status WriteDirtyNodes(PprTree* tree, std::vector<PageId>* node_slots,
-                         uint64_t* written, uint64_t* inherited);
   // The checkpoint procedure; caller holds the exclusive lock.
   Status CheckpointLocked();
   // Runs CheckpointLocked when the automatic trigger is armed and due.
@@ -247,16 +250,13 @@ class LiveTier {
   Status CheckAlive() const;
   Status Latch(Status status);  // records a WAL failure; returns it
 
-  // One packed historical layer: a frozen tree serving from its snapshot
-  // backend (or, after a recovery, from its arena — the pack
-  // optimization is lost on recovery, the answers are not), plus the
-  // shared pool queries read it through. Pool declared after the tree so
-  // it dies first. `node_slots` holds the journal slot of each node's
-  // checkpoint copy; it is empty until a checkpoint copies the layer.
+  // One packed historical layer: a frozen tree serving from its
+  // snapshot's mapping — in every process, since recovery maps the file
+  // a checkpoint names again — plus the shared pool queries read it
+  // through. Pool declared after the tree so it dies first.
   struct FrozenLayer {
     std::unique_ptr<PprTree> tree;
     std::unique_ptr<SharedBufferPool> pool;
-    std::vector<PageId> node_slots;
   };
 
   LiveTierOptions options_;
@@ -270,12 +270,11 @@ class LiveTier {
   std::unique_ptr<SharedBufferPool> pool_;
   WalReplayStats recovered_;
   // The committed checkpoint: its sequence (0 = none yet), the slot of
-  // each active-tree node's copy (frozen layers keep theirs), its segment
-  // chain, and the slots it owns that the next checkpoint does not
-  // inherit, freed once that one commits: its metadata chain and the
-  // copies of a tree packed since, joined while the next checkpoint
-  // writes by the old copies of the nodes it rewrites and a re-sealed
-  // last segment page.
+  // each active-tree node's copy, its segment chain, and the slots it
+  // owns that the next checkpoint does not inherit, freed once that one
+  // commits: its metadata chain and the copies of a tree packed since,
+  // joined while the next checkpoint writes by the old copies of the
+  // nodes it rewrites and a re-sealed last segment page.
   uint64_t checkpoint_seq_ = 0;
   std::vector<PageId> node_slots_;
   SegmentChain segment_chain_;

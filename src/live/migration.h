@@ -29,7 +29,9 @@ namespace stindex {
 //
 // Events still queued are invisible to (delete-pending: overstated by)
 // the tree; CollectPending and ClipToInterval give queries exact answers
-// over the in-flight records.
+// over the in-flight records. The pipeline keeps one id set, the
+// insert-pending ids: every other in-flight fact follows from the
+// segment table and the active tree (see DecodeState).
 class MigrationPipeline {
  public:
   explicit MigrationPipeline(PprTree* tree);
@@ -50,12 +52,12 @@ class MigrationPipeline {
 
   // Rewires the pipeline after its tree was packed into a frozen layer:
   // ids whose insert was already applied can never see their delete
-  // applied (the layer is read-only), so those deletes move to the
-  // frozen set — ClipToInterval keeps clipping them against the true
-  // segment interval forever. The event queue is rebuilt to hold exactly
-  // the events of the still-fully-pending ids, which now target `tree`
-  // (the fresh active tree, empty at time 0; events pop in globally
-  // non-decreasing time order, so the new tree's clock is respected).
+  // applied (the layer is read-only), so their delete events are dropped
+  // — ClipToInterval clips their hits against the true segment interval
+  // forever. The event queue is rebuilt to hold exactly the events of
+  // the insert-pending ids, which now target `tree` (the fresh active
+  // tree, empty at time 0; events pop in globally non-decreasing time
+  // order, so the new tree's clock is respected).
   void RetargetAfterPack(PprTree* tree);
 
   // Recovery hook: points the pipeline at `tree` without touching state
@@ -70,16 +72,19 @@ class MigrationPipeline {
 
   // --- checkpoint state -------------------------------------------------
 
-  // Serializes the pending sets (sorted — deterministic bytes). The
-  // segments are not serialized: the checkpoint keeps them in its
-  // append-only segment chain. Nor is the event queue: it is exactly
-  // {insert event for every insert-pending id} ∪ {delete event for every
-  // delete-pending id} — Enqueue pushes an event and its pending id
-  // together, Apply pops them together — so DecodeState rebuilds it from
-  // the sets.
+  // Serializes the insert-pending ids (sorted — deterministic bytes) and
+  // the applied-event count. The segments are not serialized: the
+  // checkpoint keeps them in its append-only segment chain. Nor is the
+  // event queue: it is exactly {insert and delete event of every
+  // insert-pending id} ∪ {delete event of every record alive in the
+  // active tree} — a record's delete is applied to the tree its insert
+  // was, unless a pack froze that tree — so DecodeState rebuilds it.
   void EncodeState(ByteSink* out) const;
-  // Restores into a fresh pipeline whose tree was already restored,
-  // taking `segments` (read from the segment chain) as its table.
+  // Restores into a fresh pipeline whose active tree was already
+  // restored, taking `segments` (read from the segment chain) as its
+  // table and the tree's AliveRecords() as the delete-pending ids beyond
+  // the insert-pending ones. InvalidArgument when an id is listed twice,
+  // lies beyond the table, or is both alive and insert-pending.
   Status DecodeState(std::vector<SegmentRecord> segments, ByteSource* in);
 
   // --- query support over in-flight records ----------------------------
@@ -89,10 +94,14 @@ class MigrationPipeline {
   void CollectPending(const Rect2D& area, const TimeInterval& range,
                       std::vector<ObjectId>* out) const;
 
-  // The tree reports `id` for `range`; true if the segment really does
-  // intersect `range` in time. (An insert-applied, delete-pending record
-  // looks alive-to-infinity inside the tree.)
-  bool ClipToInterval(PprDataId id, const TimeInterval& range) const;
+  // A tree reports `id` for `range`; true if the segment really does
+  // intersect `range` in time. An insert-applied, delete-pending record —
+  // in a frozen layer, forever — looks alive-to-infinity inside its tree;
+  // once a delete is applied, the record's tree lifetime is exactly its
+  // segment interval, so the clip keeps every hit.
+  bool ClipToInterval(PprDataId id, const TimeInterval& range) const {
+    return segments_[static_cast<size_t>(id)].box.interval.Intersects(range);
+  }
 
   ObjectId ObjectOf(PprDataId id) const {
     return segments_[static_cast<size_t>(id)].object;
@@ -114,16 +123,14 @@ class MigrationPipeline {
     }
   };
 
+  // Queues id's insert (at its segment's start) or delete (at its end).
+  void Queue(PprDataId id, bool is_insert);
   void Apply(const Event& event);
 
   PprTree* tree_;
   std::vector<SegmentRecord> segments_;
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
   std::unordered_set<PprDataId> insert_pending_;
-  std::unordered_set<PprDataId> delete_pending_;
-  // Ids whose insert lives in a frozen packed layer and whose delete can
-  // therefore never be applied; their tree hits are clipped forever.
-  std::unordered_set<PprDataId> frozen_deletes_;
   size_t applied_events_ = 0;
 };
 

@@ -224,22 +224,39 @@ Status PprTree::PackSnapshot(const std::string& path,
       });
   if (!packed.ok()) return packed.status();
 
-  // Committed: the in-memory references follow the remap.
+  // Committed: the root journal follows the remap.
   const std::vector<PageId>& remap = packed.value();
   for (RootEra& era : roots_) {
     if (era.root != kInvalidPage) era.root = remap[era.root];
   }
-  alive_location_.ForEachPlace(
-      [&remap](Place& place) { place.node = remap[place.node]; });
-  // The replay bookkeeping serves updates, which a frozen tree refuses.
+  DropReplayBookkeeping();
+  return Status::OK();
+}
+
+Status PprTree::AdoptSnapshot(std::unique_ptr<MmapSnapshotBackend> snapshot) {
+  STINDEX_CHECK_MSG(NodeCount() == 0, "adopting a snapshot into a built tree");
+  for (size_t e = 0; e < roots_.size(); ++e) {
+    if (roots_[e].root != kInvalidPage &&
+        roots_[e].root >= snapshot->SlotCount()) {
+      return Status::InvalidArgument(
+          "root of era " + std::to_string(e) + " is node " +
+          std::to_string(roots_[e].root) + ", but the snapshot holds " +
+          std::to_string(snapshot->SlotCount()) + " nodes");
+    }
+  }
+  pages_.Adopt(std::move(snapshot));
+  DropReplayBookkeeping();
+  return Status::OK();
+}
+
+void PprTree::DropReplayBookkeeping() {
+  alive_location_ = LocationTable();
   alive_slots_ = {};
   parent_of_ = {};
   pending_parents_ = {};
-  // Every node has a new id: the next checkpoint copies them all.
   clean_below_ = 0;
   dirty_ = {};
   dirtied_ = {};
-  return Status::OK();
 }
 
 size_t PprTree::NumRoots() const { return roots_.size(); }
@@ -1067,6 +1084,15 @@ Status PprTree::DecodeCheckpointMeta(ByteSource* in) {
   return Status::OK();
 }
 
+std::vector<PprDataId> PprTree::AliveRecords() const {
+  std::vector<PprDataId> alive;
+  alive.reserve(alive_location_.size());
+  alive_location_.ForEachData(
+      [&alive](PprDataId data) { alive.push_back(data); });
+  std::sort(alive.begin(), alive.end());
+  return alive;
+}
+
 std::vector<PageId> PprTree::DirtyNodes() const {
   std::vector<PageId> dirty = dirtied_;
   std::sort(dirty.begin(), dirty.end());
@@ -1099,8 +1125,7 @@ Status PprTree::CheckCleanNodes(const PageBackend& backend,
     }
     Status status = backend.Read(slots[id], copy.bytes);
     if (!status.ok()) return status;
-    status = pages_.SealedCopy(id, sealed.bytes);
-    if (!status.ok()) return status;
+    pages_.SealedCopy(id, sealed.bytes);
     if (std::memcmp(copy.bytes, sealed.bytes, kPageSize) != 0) {
       return Status::InvalidArgument(
           "clean node " + std::to_string(id) + " differs from its copy in slot " +

@@ -121,13 +121,21 @@ class PprTree {
   // contiguous extent. The remap is a bijection of the page-id access
   // sequence, so per-query LRU miss counts are byte-identical to the
   // unpacked tree's. The tree is frozen afterwards — Insert/Delete
-  // become checked errors — and releases its arena; pools from
+  // become checked errors — and releases its arena and the bookkeeping
+  // that serves updates (record locations, dirty marks); pools from
   // NewSharedQueryPool must be destroyed first. On failure it keeps
   // serving from its arena, unchanged.
   Status PackSnapshot(const std::string& path,
                       const SnapshotFile::Options& options = {});
 
-  // Nullptr until PackSnapshot succeeds.
+  // Recovery hook: serves `snapshot`, reopened from the file an earlier
+  // PackSnapshot of this tree wrote, as a tree whose meta
+  // DecodeCheckpointMeta restored and that holds no node. The tree is
+  // then frozen, exactly as PackSnapshot left it. InvalidArgument when
+  // the meta names a root the snapshot does not hold.
+  Status AdoptSnapshot(std::unique_ptr<MmapSnapshotBackend> snapshot);
+
+  // Nullptr until PackSnapshot or AdoptSnapshot succeeds.
   const MmapSnapshotBackend* backend() const { return pages_.snapshot(); }
 
   // Node page layout (docs/storage.md): a 24-byte header {int32 level,
@@ -151,8 +159,11 @@ class PprTree {
   // Number of logical records ever inserted.
   size_t Size() const { return size_; }
 
-  // Number of records currently alive.
+  // Number of records currently alive, and their ids, ascending: records
+  // inserted and not yet deleted. A frozen tree takes no more deletes and
+  // keeps no record locations, so it reports none.
   size_t AliveCount() const { return alive_location_.size(); }
+  std::vector<PprDataId> AliveRecords() const;
 
   // Disk footprint in pages.
   size_t PageCount() const { return pages_.source().LivePageCount(); }
@@ -185,14 +196,16 @@ class PprTree {
   std::vector<AliveNodeSummary> CollectAliveSummaries(Time t) const;
 
   // --- live-tier checkpoint hooks ---------------------------------------
-  // A tree round-trips through checkpoint metadata plus one sealed
-  // kPprNode page per node: node ids are contiguous 0..NodeCount()-1 (the
-  // tree never frees a node), node pages are position-independent, and
-  // the meta carries the root journal and counters. Checkpoints are
-  // incremental: a node is dirty from its creation, or from its first
-  // change after MarkCheckpointed(), until the next MarkCheckpointed(),
-  // and a checkpoint rewrites only dirty nodes. Partial persistence keeps
-  // that set small: a dead node never changes again.
+  // A tree round-trips through checkpoint metadata — the root journal and
+  // counters — plus its nodes: an arena tree's as one sealed kPprNode
+  // page per node, a frozen tree's as the snapshot file it serves, which
+  // AdoptSnapshot maps again. Node ids are contiguous 0..NodeCount()-1
+  // (the tree never frees a node) and node pages are
+  // position-independent. An arena tree's checkpoints are incremental: a
+  // node is dirty from its creation, or from its first change after
+  // MarkCheckpointed(), until the next MarkCheckpointed(), and a
+  // checkpoint rewrites only dirty nodes. Partial persistence keeps that
+  // set small: a dead node never changes again.
 
   // Nodes of the tree: ids 0..NodeCount()-1.
   size_t NodeCount() const { return pages_.source().SlotCount(); }
@@ -202,18 +215,16 @@ class PprTree {
   // Restores it into a freshly constructed tree of the same config.
   Status DecodeCheckpointMeta(ByteSource* in);
 
-  // The dirty nodes, ascending: every node until the first
-  // MarkCheckpointed(), and again after PackSnapshot, which renumbers
-  // them.
+  // The dirty nodes of an arena tree, ascending: every node until the
+  // first MarkCheckpointed().
   std::vector<PageId> DirtyNodes() const;
   // Marks every node clean: the checkpoint being written holds a copy of
   // each.
   void MarkCheckpointed();
 
-  // Writes a sealed copy of node ids[i] to backend slot slots[i], in
-  // order. A tree frozen by PackSnapshot copies its snapshot pages, which
-  // are sealed already. The first failed write is returned, naming the
-  // slot. Does not sync.
+  // Writes a sealed copy of arena node ids[i] to backend slot slots[i],
+  // in order. The first failed write is returned, naming the slot. Does
+  // not sync.
   Status PersistNodesForCheckpoint(PageBackend* backend,
                                    const std::vector<PageId>& ids,
                                    const std::vector<PageId>& slots) const;
@@ -261,11 +272,11 @@ class PprTree {
     void Set(PprDataId data, Place place);
     // Removes `data` and stores its place in `*place`; false if absent.
     bool Take(PprDataId data, Place* place);
-    // Calls fn(Place&) on every entry.
+    // Calls fn(data) on every entry.
     template <typename Fn>
-    void ForEachPlace(Fn fn) {
-      for (Slot& slot : slots_) {
-        if (slot.place.node != kInvalidPage) fn(slot.place);
+    void ForEachData(Fn fn) const {
+      for (const Slot& slot : slots_) {
+        if (slot.place.node != kInvalidPage) fn(slot.data);
       }
     }
 
@@ -338,6 +349,11 @@ class PprTree {
 
   // Grows the per-node bookkeeping to cover the new node `id`.
   void TrackNode(PageId id);
+  // Frees the bookkeeping that serves updates and node-by-node
+  // checkpoints, neither of which a frozen tree takes: record locations,
+  // the replay's per-node state, and the dirty marks (back to those of a
+  // tree never checkpointed).
+  void DropReplayBookkeeping();
 
   // The alive slot of node `id` whose entry satisfies `match`: `hint`
   // when it does (the common case reads one entry), else the first alive
@@ -365,7 +381,7 @@ class PprTree {
   Time current_time_ = 0;
 
   // data id -> the leaf holding its alive entry (and that entry's slot,
-  // as a hint).
+  // as a hint); arena only.
   LocationTable alive_location_;
 
   // The replay's per-node bookkeeping, indexed by node id and kept for

@@ -126,6 +126,21 @@ uint32_t ManifestDigest(const std::vector<uint32_t>& checksums) {
                checksums.size() * sizeof(uint32_t));
 }
 
+// Fsyncs the directory holding `path`, which makes the file's directory
+// entry durable.
+Status SyncDirectoryOf(const std::string& path) {
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return Status::IoError(Errno("open(" + dir + ")"));
+  Status status;
+  if (::fsync(fd) != 0) status = Status::IoError(Errno("fsync(" + dir + ")"));
+  ::close(fd);
+  return status;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -241,6 +256,8 @@ Status SnapshotWriter::Finish() {
   if (::fsync(fd_) != 0) return Status::IoError(Errno("fsync(" + path_ + ")"));
   ::close(fd_);
   fd_ = -1;
+  status = SyncDirectoryOf(path_);
+  if (!status.ok()) return status;
   finished_ = true;
   Metrics().packed_pages->Add(checksums_.size());
   return Status::OK();
@@ -366,6 +383,7 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
 
   file->node_count_ = static_cast<size_t>(node_count);
   file->extents_ = std::move(extents);
+  file->superblock_checksum_ = SealedPageCrc32(header);
 
   // Verify through pread, in mapped and pread opens alike, so open
   // leaves the mapping untouched: it becomes resident only as pools
@@ -444,6 +462,13 @@ Status SnapshotFile::Read(PageId id, uint8_t* out) const {
   span.Arg("page", static_cast<int64_t>(id));
   return PReadFull(fd_, out, kPageSize, SlotOffset(id),
                    "read page " + std::to_string(id) + " of " + path_);
+}
+
+bool SnapshotFile::IsFile(const std::string& path) const {
+  struct stat named;
+  struct stat open;
+  return ::stat(path.c_str(), &named) == 0 && ::fstat(fd_, &open) == 0 &&
+         named.st_dev == open.st_dev && named.st_ino == open.st_ino;
 }
 
 const uint8_t* SnapshotFile::Borrow(PageId id) const {

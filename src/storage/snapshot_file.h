@@ -75,7 +75,9 @@ class SnapshotWriter {
   // Number of pages appended so far — the slot id the next Append gets.
   size_t appended() const { return checksums_.size(); }
 
-  // Writes the manifest and superblock, fsyncs and closes. No further
+  // Writes the manifest and superblock, fsyncs and closes the file, then
+  // fsyncs its directory, so the file's name is as durable as its pages
+  // (a live-tier checkpoint may name the file right after). No further
   // appends; the file is now immutable.
   Status Finish();
 
@@ -130,6 +132,14 @@ class SnapshotFile {
   const std::vector<SnapshotLevelExtent>& extents() const { return extents_; }
   bool mapped() const { return map_ != nullptr; }
   const std::string& path() const { return path_; }
+  // The CRC-32 of the superblock page. The superblock holds the manifest
+  // digest, which covers every data page, so two files with the same
+  // superblock checksum hold the same snapshot.
+  uint32_t superblock_checksum() const { return superblock_checksum_; }
+
+  // True if `path` names this open file (the same device and inode),
+  // however it is spelled; false if it names no file.
+  bool IsFile(const std::string& path) const;
 
  private:
   SnapshotFile(std::string path, int fd);
@@ -139,6 +149,7 @@ class SnapshotFile {
   const uint8_t* map_ = nullptr;  // nullptr in pread-fallback mode
   size_t map_bytes_ = 0;
   size_t node_count_ = 0;
+  uint32_t superblock_checksum_ = 0;
   std::vector<SnapshotLevelExtent> extents_;
 };
 

@@ -136,20 +136,24 @@ Result<std::vector<PageId>> TreePages::Pack(
   if (!snapshot.ok()) return snapshot.status();
 
   // Committed: the snapshot becomes the only page source.
-  session_.reset();
-  pool_.reset();
-  arena_.reset();
-  snapshot_ = std::move(snapshot).value();
-  OpenQueryPool();
+  Adopt(std::move(snapshot).value());
   return remap;
 }
 
-Status TreePages::SealedCopy(PageId id, uint8_t* page) const {
+void TreePages::Adopt(std::unique_ptr<MmapSnapshotBackend> snapshot) {
+  STINDEX_CHECK_MSG(!frozen(), "tree already packed");
+  STINDEX_CHECK(check_.has_value() && snapshot != nullptr);
+  session_.reset();
+  pool_.reset();
+  arena_.reset();
+  snapshot_ = std::move(snapshot);
+  OpenQueryPool();
+}
+
+void TreePages::SealedCopy(PageId id, uint8_t* page) const {
   STINDEX_CHECK(check_.has_value());
-  if (arena_ == nullptr) return snapshot_->Read(id, page);
-  std::memcpy(page, arena_->BorrowPage(id), kPageSize);
+  std::memcpy(page, arena().BorrowPage(id), kPageSize);
   SealPage(page, check_->kind());
-  return Status::OK();
 }
 
 Status TreePages::PersistPages(PageBackend* backend,
@@ -158,9 +162,8 @@ Status TreePages::PersistPages(PageBackend* backend,
   STINDEX_CHECK(ids.size() == slots.size());
   Page page;
   for (size_t i = 0; i < ids.size(); ++i) {
-    Status status = SealedCopy(ids[i], page.bytes);
-    if (!status.ok()) return status;
-    status = backend->Write(slots[i], page.bytes);
+    SealedCopy(ids[i], page.bytes);
+    Status status = backend->Write(slots[i], page.bytes);
     if (!status.ok()) {
       return Status(status.code(),
                     "write of page " + std::to_string(slots[i]) +

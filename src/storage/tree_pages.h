@@ -41,12 +41,13 @@ class NodePageCheck final : public PageCodec {
 // The pages of one tree and their lifecycle, shared by the PPR-, R*- and
 // HR-tree. A tree is built in its arena — a MemoryPageBackend of
 // unsealed node pages it mutates in place — and may be frozen once, by
-// Pack, into a read-only snapshot it serves until it dies: exactly one of
-// the two exists. Pools over the arena borrow its pages unchecked; pools
-// over the snapshot check every page they load. TreePages also owns the
-// tree's own query pool and the protocol session behind the query
-// overloads that take no PageCache. Pools borrow the pages and the check,
-// so they must die before a Pack succeeds and before the TreePages.
+// Pack (or, for a recovered tree, Adopt), into a read-only snapshot it
+// serves until it dies: exactly one of the two exists. Pools over the
+// arena borrow its pages unchecked; pools over the snapshot check every
+// page they load. TreePages also owns the tree's own query pool and the
+// protocol session behind the query overloads that take no PageCache.
+// Pools borrow the pages and the check, so they must die before a Pack
+// succeeds and before the TreePages.
 class TreePages {
  public:
   // `scope` (a string literal: "ppr", "rstar", "hr") names the tree in the
@@ -69,7 +70,7 @@ class TreePages {
   // Where the pages live: the arena, or the snapshot once packed.
   const PageBackend& source() const;
 
-  // Nullptr until Pack succeeds.
+  // Nullptr until Pack or Adopt succeeds.
   const MmapSnapshotBackend* snapshot() const { return snapshot_.get(); }
 
   // A pool of `pages` frames (0: buffer_pages) over source(), publishing
@@ -104,13 +105,18 @@ class TreePages {
                                    const SnapshotFile::Options& options,
                                    RemapChildren remap_children);
 
-  // Fills `page` with a sealed copy of page `id`: the arena page sealed
-  // with the check's kind, or the snapshot page, sealed already.
-  Status SealedCopy(PageId id, uint8_t* page) const;
+  // Drops the arena and serves `snapshot` instead, as Pack does once its
+  // file is written: how a recovered tree, which holds no page, serves
+  // again the file an earlier Pack of it wrote.
+  void Adopt(std::unique_ptr<MmapSnapshotBackend> snapshot);
 
-  // Writes a sealed copy of page ids[i] to `backend` slot slots[i], in
-  // order. The first failed write is returned, naming the slot. Does not
-  // sync.
+  // Fills `page` with a copy of arena page `id` sealed with the check's
+  // kind.
+  void SealedCopy(PageId id, uint8_t* page) const;
+
+  // Writes a sealed copy of arena page ids[i] to `backend` slot slots[i],
+  // in order. The first failed write is returned, naming the slot. Does
+  // not sync.
   Status PersistPages(PageBackend* backend, const std::vector<PageId>& ids,
                       const std::vector<PageId>& slots) const;
 

@@ -211,39 +211,32 @@ TEST(BackendDifferentialTest, RStarTreeIdenticalAcrossBackendsAndThreads) {
 }
 
 // A checkpoint's node copy (PprTree::PersistNodesForCheckpoint) returns
-// the first failed write, naming the slot and the cause, whether it
-// seals arena pages or copies a packed tree's snapshot pages; the tree
-// keeps answering unchanged.
+// the first failed write, naming the slot and the cause; the tree keeps
+// answering unchanged. Only an arena tree is copied: a checkpoint names a
+// packed tree's snapshot file instead.
 TEST(BackendDifferentialTest, PersistNodesNamesTheFailedWrite) {
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
-  for (const bool packed : {false, true}) {
-    SCOPED_TRACE(packed ? "packed" : "arena");
-    const std::unique_ptr<PprTree> tree = BuildPprTree(records);
-    if (packed) PackForPread(tree.get(), "diff_persist_fault");
-    const std::vector<QueryOutcome> before = RunPpr(*tree, queries, 1);
-    ASSERT_GT(TotalMisses(before), 0u);
-    ASSERT_GT(tree->NodeCount(), 3u);
+  const std::unique_ptr<PprTree> tree = BuildPprTree(records);
+  const std::vector<QueryOutcome> before = RunPpr(*tree, queries, 1);
+  ASSERT_GT(TotalMisses(before), 0u);
+  ASSERT_GT(tree->NodeCount(), 3u);
 
-    std::vector<PageId> ids(tree->NodeCount());
-    std::iota(ids.begin(), ids.end(), PageId{0});
-    std::vector<PageId> slots(tree->NodeCount());
-    std::iota(slots.begin(), slots.end(), PageId{100});
-    FaultInjectingBackend::Faults faults;
-    faults.fail_write_at = 3;
-    FaultInjectingBackend backend(std::make_unique<MemoryPageBackend>(),
-                                  faults);
-    const Status status =
-        tree->PersistNodesForCheckpoint(&backend, ids, slots);
-    EXPECT_EQ(status.code(), StatusCode::kIoError);
-    EXPECT_NE(status.message().find("write of page 102 failed"),
-              std::string::npos)
-        << status.ToString();
-    EXPECT_NE(status.message().find("injected write failure"),
-              std::string::npos)
-        << status.ToString();
-    EXPECT_EQ(RunPpr(*tree, queries, 1), before);
-  }
+  std::vector<PageId> ids(tree->NodeCount());
+  std::iota(ids.begin(), ids.end(), PageId{0});
+  std::vector<PageId> slots(tree->NodeCount());
+  std::iota(slots.begin(), slots.end(), PageId{100});
+  FaultInjectingBackend::Faults faults;
+  faults.fail_write_at = 3;
+  FaultInjectingBackend backend(std::make_unique<MemoryPageBackend>(), faults);
+  const Status status = tree->PersistNodesForCheckpoint(&backend, ids, slots);
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("write of page 102 failed"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("injected write failure"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(RunPpr(*tree, queries, 1), before);
 }
 
 TEST(BackendDifferentialTest, RStarProtocolMissesIndependentOfPoolSize) {

@@ -22,6 +22,7 @@
 #include "pprtree/ppr_tree.h"
 #include "storage/fault_backend.h"
 #include "storage/file_backend.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace stindex {
@@ -392,6 +393,26 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
       ASSERT_TRUE(tier.ok())
           << "seed=" << seed << " " << tier.status().ToString();
       tier.value()->historical().CheckInvariants();
+      // Every frozen layer the checkpoint named serves from its snapshot's
+      // mapping again: a query over all of space and time borrows pages.
+      bool frozen_nodes = false;
+      for (size_t l = 0; l < tier.value()->frozen_layers(); ++l) {
+        const MmapSnapshotBackend* mapped =
+            tier.value()->frozen_layer(l).backend();
+        ASSERT_NE(mapped, nullptr) << "seed=" << seed << " layer=" << l;
+        tier.value()->frozen_layer(l).CheckInvariants();
+        frozen_nodes = frozen_nodes || mapped->SlotCount() > 0;
+      }
+      Counter* borrows =
+          MetricRegistry::Global().GetCounter("backend.mmap.borrows");
+      const uint64_t borrows_before = borrows->Value();
+      std::vector<ObjectId> everything;
+      tier.value()->IntervalQuery(
+          Rect2D(-1.0, -1.0, 2.0, 2.0),
+          TimeInterval(0, dataset_config.time_domain + 1), &everything);
+      if (frozen_nodes) {
+        EXPECT_GT(borrows->Value(), borrows_before) << "seed=" << seed;
+      }
       copies = tier.value()->VerifyCheckpointCopies();
       ASSERT_TRUE(copies.ok()) << "seed=" << seed << " " << copies.ToString();
       for (size_t i = acked; i < stream.size(); ++i) {

@@ -11,6 +11,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -721,27 +723,49 @@ TEST(LiveIndexTest, DecodeStateRejectsBufferNotEndingAtLastInstant) {
   }
 }
 
-// A pipeline state with one segment whose id `list` (0: insert-pending,
-// 1: delete-pending, 2: frozen deletes) names twice.
+// Decodes a pipeline state listing `pending` as its insert-pending ids
+// over one segment [0, 3) (id 0), against `tree` as the active tree.
+Status DecodePipeline(const std::vector<PprDataId>& pending, PprTree* tree) {
+  SegmentRecord segment;
+  segment.object = 4;
+  segment.box = STBox(UnitRect(0.1, 0.2), TimeInterval(0, 3));
+  ByteSink sink;
+  sink.Write(static_cast<uint64_t>(pending.size()));
+  for (PprDataId id : pending) sink.Write(id);
+  sink.Write(uint64_t{0});  // applied events
+  MigrationPipeline pipeline(tree);
+  ByteSource source(sink.bytes().data(), sink.bytes().size());
+  return pipeline.DecodeState({segment}, &source);
+}
+
 TEST(MigrationPipelineTest, DecodeStateRejectsIdListedTwice) {
-  for (int list = 0; list < 3; ++list) {
-    SegmentRecord segment;
-    segment.object = 4;
-    segment.box = STBox(UnitRect(0.1, 0.2), TimeInterval(0, 3));
-    ByteSink sink;
-    for (int l = 0; l < 3; ++l) {
-      const uint64_t copies = l == list ? 2 : 0;
-      sink.Write(copies);
-      for (uint64_t i = 0; i < copies; ++i) sink.Write(PprDataId{0});
-    }
-    sink.Write(uint64_t{0});  // applied events
-    PprTree tree;
-    MigrationPipeline pipeline(&tree);
-    ByteSource source(sink.bytes().data(), sink.bytes().size());
-    const Status status = pipeline.DecodeState({segment}, &source);
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "list " << list;
-    EXPECT_TRUE(Mentions(status, "id 0 listed twice")) << status.ToString();
-  }
+  PprTree tree;
+  const Status status = DecodePipeline({0, 0}, &tree);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Mentions(status, "id 0 listed twice")) << status.ToString();
+}
+
+// The delete-pending ids are the active tree's alive records: each must
+// name a segment, and none may still await its insert.
+TEST(MigrationPipelineTest, DecodeStateRejectsInconsistentAliveRecords) {
+  PprTree beyond;
+  beyond.Insert(UnitRect(0.1, 0.2), 0, 5);
+  Status status = DecodePipeline({}, &beyond);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Mentions(status, "alive record 5 beyond the segment list"))
+      << status.ToString();
+
+  PprTree pending;
+  pending.Insert(UnitRect(0.1, 0.2), 0, 0);
+  status = DecodePipeline({0}, &pending);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Mentions(status, "alive record 0 is also insert-pending"))
+      << status.ToString();
+
+  PprTree consistent;
+  consistent.Insert(UnitRect(0.1, 0.2), 0, 0);
+  status = DecodePipeline({}, &consistent);
+  EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
 // Exact linear-scan reference: an object matches iff at some instant of
@@ -1208,14 +1232,132 @@ TEST(LiveTierTest, CopiesStayExactWithACheckpointAfterEveryUpdate) {
   std::remove(snap_path.c_str());
 }
 
+// Journal pages holding a sealed PPR-tree node.
+size_t NodePages(const PageBackend& wal) {
+  size_t pages = 0;
+  uint8_t page[kPageSize];
+  for (PageId slot = 0; slot < wal.SlotCount(); ++slot) {
+    if (!wal.IsAllocated(slot) || !wal.Read(slot, page).ok()) continue;
+    if (OpenPagePayload(page, PageKind::kPprNode, slot).ok()) ++pages;
+  }
+  return pages;
+}
+
+// A checkpoint names a packed layer's snapshot file instead of copying
+// it: the checkpoint right after a pack writes no node page, only its
+// metadata, and once it commits the journal holds no node page at all —
+// the packed tree's pages live in its snapshot alone.
+TEST(LiveTierTest, CheckpointAfterAPackWritesNoNodePage) {
+  const std::vector<LiveObservation> stream =
+      MakeObservationStream(SmallDataset(53));
+  const std::string snap_path = ::testing::TempDir() + "/live_named.stsnap";
+  Counter* written =
+      MetricRegistry::Global().GetCounter("live.wal.checkpoint_pages_written");
+  auto memory = std::make_unique<MemoryPageBackend>();
+  const MemoryPageBackend* wal = memory.get();
+  Result<std::unique_ptr<LiveTier>> tier =
+      LiveTier::Open(SmallTierOptions(), std::move(memory));
+  ASSERT_TRUE(tier.ok());
+  for (size_t i = 0; i < stream.size() / 2; ++i) {
+    ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+  }
+  ASSERT_TRUE(tier.value()->Checkpoint().ok());
+  ASSERT_GT(NodePages(*wal), 0u);
+
+  ASSERT_TRUE(tier.value()->PackHistorical(snap_path).ok());
+  const uint64_t before = written->Value();
+  ASSERT_TRUE(tier.value()->Checkpoint().ok());
+  const Result<CheckpointHeader> header = ReadLatestCheckpointHeader(*wal);
+  ASSERT_TRUE(header.ok());
+  EXPECT_EQ(written->Value() - before, header.value().meta_pages);
+  EXPECT_EQ(NodePages(*wal), 0u);
+  const Status copies = tier.value()->VerifyCheckpointCopies();
+  EXPECT_TRUE(copies.ok()) << copies.ToString();
+  std::remove(snap_path.c_str());
+}
+
+// Recovery maps the snapshot a checkpoint names again, and refuses — with
+// a Status naming the checkpoint, the layer and the path — a snapshot
+// that was deleted, truncated, or re-packed with other content.
+TEST(LiveTierTest, RecoveryRefusesASnapshotThatIsNotTheOneNamed) {
+  const std::vector<LiveObservation> stream =
+      MakeObservationStream(SmallDataset(59));
+  const std::string path = ::testing::TempDir() + "/live_named.stpages";
+  const std::string snap_path = ::testing::TempDir() + "/live_named.stsnap";
+  const std::string saved = snap_path + ".saved";
+  {
+    Result<std::unique_ptr<FilePageBackend>> wal =
+        FilePageBackend::Create(path);
+    ASSERT_TRUE(wal.ok());
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(SmallTierOptions(), std::move(wal).value());
+    ASSERT_TRUE(tier.ok());
+    for (size_t i = 0; i < stream.size() / 2; ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+    }
+    ASSERT_TRUE(tier.value()->PackHistorical(snap_path).ok());
+    ASSERT_TRUE(tier.value()->Checkpoint().ok());
+  }
+  std::filesystem::copy_file(snap_path, saved,
+                             std::filesystem::copy_options::overwrite_existing);
+  const auto recover = [&path]() -> Result<std::unique_ptr<LiveTier>> {
+    Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(path);
+    if (!wal.ok()) return wal.status();
+    return LiveTier::Open(SmallTierOptions(), std::move(wal).value());
+  };
+  {
+    const Result<std::unique_ptr<LiveTier>> tier = recover();
+    ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+    ASSERT_EQ(tier.value()->frozen_layers(), 1u);
+    EXPECT_NE(tier.value()->frozen_layer(0).backend(), nullptr);
+  }
+
+  const std::vector<std::pair<const char*, std::function<void()>>> damages = {
+      {"deleted", [&] { std::remove(snap_path.c_str()); }},
+      {"truncated",
+       [&] {
+         std::filesystem::resize_file(
+             snap_path, std::filesystem::file_size(snap_path) - kPageSize);
+       }},
+      {"re-packed",
+       [&] {
+         SegmentRecord other;
+         other.object = 1;
+         other.box = STBox(UnitRect(0.3, 0.4), TimeInterval(0, 9));
+         ASSERT_TRUE(BuildPprTree({other})->PackSnapshot(snap_path).ok());
+       }},
+  };
+  for (const auto& [name, damage] : damages) {
+    SCOPED_TRACE(name);
+    std::filesystem::copy_file(
+        saved, snap_path, std::filesystem::copy_options::overwrite_existing);
+    damage();
+    const Result<std::unique_ptr<LiveTier>> tier = recover();
+    ASSERT_FALSE(tier.ok());
+    for (const std::string& text :
+         {std::string("checkpoint 1: frozen layer 0"), snap_path}) {
+      EXPECT_TRUE(Mentions(tier.status(), text)) << tier.status().ToString();
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(snap_path.c_str());
+  std::remove(saved.c_str());
+}
+
 // A checkpointed journal whose pages a test rewrites — resealed, so every
 // checksum passes — to plant a count that no page could back. Recovery
 // must refuse it with InvalidArgument naming where it broke, before
 // sizing any memory from it.
 class CheckpointCountTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Build(/*pack=*/false); }
+
+  // Checkpoints half the stream into a fresh journal — after packing the
+  // active tree into a frozen layer when `pack` — and commits a journal
+  // tail past the checkpoint.
+  void Build(bool pack) {
     path_ = ::testing::TempDir() + "/ckpt_counts.stpages";
+    snap_path_ = ::testing::TempDir() + "/ckpt_counts.stsnap";
     const std::vector<LiveObservation> stream =
         MakeObservationStream(SmallDataset(41));
     Result<std::unique_ptr<FilePageBackend>> wal =
@@ -1228,6 +1370,9 @@ class CheckpointCountTest : public ::testing::Test {
     for (size_t i = 0; i < half; ++i) {
       ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
     }
+    if (pack) {
+      ASSERT_TRUE(tier.value()->PackHistorical(snap_path_).ok());
+    }
     ASSERT_TRUE(tier.value()->Checkpoint().ok());
     // A journal tail past the checkpoint.
     for (size_t i = half; i < half + 50; ++i) {
@@ -1236,7 +1381,10 @@ class CheckpointCountTest : public ::testing::Test {
     ASSERT_TRUE(tier.value()->Commit().ok());
   }
 
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override {
+    std::remove(path_.c_str());
+    std::remove(snap_path_.c_str());
+  }
 
   std::unique_ptr<FilePageBackend> Backend() {
     Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(path_);
@@ -1301,7 +1449,7 @@ class CheckpointCountTest : public ::testing::Test {
       return value;
     };
     MetaCounts counts;
-    EXPECT_EQ(u64(0), 1u) << "one tree layer";
+    EXPECT_EQ(u64(0), 0u) << "no frozen layer";
     counts.root_count = 8 + 2 * sizeof(uint64_t);  // after size, clock
     counts.node_count =
         counts.root_count + 8 +
@@ -1309,7 +1457,7 @@ class CheckpointCountTest : public ::testing::Test {
     counts.insert_pending =
         counts.node_count + 8 + u64(counts.node_count) * sizeof(PageId);
     uint64_t at = counts.insert_pending;
-    for (int set = 0; set < 3; ++set) at += 8 + u64(at) * sizeof(PprDataId);
+    at += 8 + u64(at) * sizeof(PprDataId);
     counts.live_buffers = at + 8;  // after the applied-event count
     at = counts.live_buffers + 8;
     for (uint64_t b = 0; b < u64(counts.live_buffers); ++b) {
@@ -1338,6 +1486,7 @@ class CheckpointCountTest : public ::testing::Test {
 
   static constexpr uint64_t kHuge = uint64_t{1} << 50;
   std::string path_;
+  std::string snap_path_;
 };
 
 TEST_F(CheckpointCountTest, IntactJournalRecovers) {
@@ -1378,6 +1527,35 @@ TEST_F(CheckpointCountTest, JournalOfAnOlderLayoutIsRefused) {
        sizeof(old_layout));
   ExpectRefused({"checkpoint 1 (header slot 1) has layout 0",
                  "predates the append-only segment chain"});
+}
+
+TEST_F(CheckpointCountTest, JournalThatCopiesFrozenLayersIsRefused) {
+  const uint32_t old_layout = 2;
+  Poke(1, PageKind::kCheckpointHeader, kPageEnvelopeBytes + 32, &old_layout,
+       sizeof(old_layout));
+  ExpectRefused({"checkpoint 1 (header slot 1) has layout 2",
+                 "predates named frozen layers"});
+}
+
+TEST_F(CheckpointCountTest, FrozenLayerPathLength) {
+  Build(/*pack=*/true);
+  // The stream opens with the frozen layer count, then layer 0's tree
+  // meta — size, clock, root journal — snapshot checksum and path length.
+  std::vector<PageId> slots;
+  const Result<std::vector<uint8_t>> meta =
+      ReadCheckpointMeta(*Backend(), Header(), &slots);
+  ASSERT_TRUE(meta.ok());
+  uint64_t frozen = 0;
+  uint64_t roots = 0;
+  std::memcpy(&frozen, meta.value().data(), sizeof(frozen));
+  std::memcpy(&roots, meta.value().data() + 24, sizeof(roots));
+  ASSERT_EQ(frozen, 1u);
+  const Status intact = OpenStatus();
+  ASSERT_TRUE(intact.ok()) << intact.ToString();
+  PokeMeta(32 + roots * (sizeof(Time) + sizeof(PageId)) + sizeof(uint32_t),
+           kHuge);
+  ExpectRefused({"frozen layer 0 path of", "bytes overruns the",
+                 "(page 0, slot "});
 }
 
 TEST_F(CheckpointCountTest, TreeRootJournal) {

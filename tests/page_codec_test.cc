@@ -13,6 +13,7 @@
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
+#include "storage/snapshot_file.h"
 
 namespace stindex {
 namespace {
@@ -413,16 +414,26 @@ TEST(PinnedBytesTest, CheckpointNodePagesKeepTheirBytes) {
   ASSERT_TRUE(tier.value()->Checkpoint().ok());
   EXPECT_EQ(FileCrc(snap_path), 0xa1fedf4bu);
 
-  // The checkpoint's node pages — the frozen layer's and the active
-  // tree's — in slot order.
+  // The checkpoint's node pages: the frozen layer's, which the
+  // checkpoint names in its snapshot file, in node order, then the active
+  // tree's, in journal slot order.
   std::vector<uint8_t> node_pages;
   uint8_t page[kPageSize];
+  Result<std::unique_ptr<SnapshotFile>> snapshot =
+      SnapshotFile::Open(snap_path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const size_t frozen_pages = snapshot.value()->node_count();
+  for (PageId id = 0; id < frozen_pages; ++id) {
+    ASSERT_TRUE(snapshot.value()->Read(id, page).ok());
+    node_pages.insert(node_pages.end(), page, page + kPageSize);
+  }
   for (PageId slot = 0; slot < wal->SlotCount(); ++slot) {
     if (!wal->IsAllocated(slot)) continue;
     ASSERT_TRUE(wal->Read(slot, page).ok());
     if (!OpenPagePayload(page, PageKind::kPprNode, slot).ok()) continue;
     node_pages.insert(node_pages.end(), page, page + kPageSize);
   }
+  EXPECT_EQ(frozen_pages, 18u);
   EXPECT_EQ(node_pages.size() / kPageSize, 57u);
   EXPECT_EQ(Crc32(node_pages.data(), node_pages.size()), 0x2eb2b8dbu);
   std::remove(snap_path.c_str());

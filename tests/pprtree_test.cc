@@ -102,6 +102,16 @@ TEST(PprTreeTest, RecordAliveUntilDeleted) {
   EXPECT_EQ(tree.AliveCount(), 1u);
 }
 
+TEST(PprTreeTest, AliveRecordsListsTheUndeletedAscending) {
+  PprTree tree;
+  for (const PprDataId data : {7u, 3u, 5u}) {
+    tree.Insert(Rect2D(0.1, 0.1, 0.2, 0.2), 1, data);
+  }
+  tree.Delete(5, 4);
+  EXPECT_EQ(tree.AliveRecords(), (std::vector<PprDataId>{3, 7}));
+  EXPECT_EQ(tree.AliveCount(), 2u);
+}
+
 TEST(PprTreeTest, OutOfOrderUpdatesRejected) {
   PprTree tree;
   tree.Insert(Rect2D(0, 0, 0.1, 0.1), 10, 0);

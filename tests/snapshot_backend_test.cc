@@ -285,6 +285,50 @@ TEST(SnapshotBackendTest, FailedPackKeepsServingTheArena) {
                                "rollback_rstar");
 }
 
+// A tree restored from its checkpoint meta adopts the snapshot its pack
+// wrote and answers — results and misses — like the packed tree; a meta
+// whose root journal names a node the snapshot does not hold is refused.
+TEST(SnapshotBackendTest, AdoptedSnapshotServesLikeThePackedTree) {
+  const std::vector<SegmentRecord> records = MakeRecords();
+  const std::vector<STQuery> queries = MakeQueries();
+  const std::unique_ptr<PprTree> packed = BuildPprTree(records);
+  ASSERT_TRUE(packed->PackSnapshot(SnapPath("adopted")).ok());
+  ByteSink meta;
+  packed->EncodeCheckpointMeta(&meta);
+  const auto restore = [&meta](const std::string& path,
+                               PprTree* tree) -> Status {
+    ByteSource in(meta.bytes().data(), meta.bytes().size());
+    Status status = tree->DecodeCheckpointMeta(&in);
+    if (!status.ok()) return status;
+    Result<std::unique_ptr<MmapSnapshotBackend>> snapshot =
+        MmapSnapshotBackend::Open(path);
+    if (!snapshot.ok()) return snapshot.status();
+    return tree->AdoptSnapshot(std::move(snapshot).value());
+  };
+
+  PprTree adopted;
+  const Status status = restore(SnapPath("adopted"), &adopted);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_NE(adopted.backend(), nullptr);
+  EXPECT_EQ(adopted.NodeCount(), packed->NodeCount());
+  EXPECT_EQ(RunPpr(adopted, queries, 1), RunPpr(*packed, queries, 1));
+  adopted.CheckInvariants();
+
+  SegmentRecord lone;
+  lone.object = 1;
+  lone.box = STBox(Rect2D(0.1, 0.1, 0.2, 0.2), TimeInterval(0, 5));
+  ASSERT_TRUE(
+      BuildPprTree({lone})->PackSnapshot(SnapPath("adopted_small")).ok());
+  PprTree mismatched;
+  const Status refused = restore(SnapPath("adopted_small"), &mismatched);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.message().find("but the snapshot holds 1 nodes"),
+            std::string::npos)
+      << refused.ToString();
+  std::remove(SnapPath("adopted").c_str());
+  std::remove(SnapPath("adopted_small").c_str());
+}
+
 // The live tier's side of the contract: after a failed PackHistorical
 // the tier has no frozen layer, keeps taking updates, commits and
 // checkpoints, and a later pack answers like a never-packed run.
@@ -422,9 +466,9 @@ TEST(SnapshotBackendTest, LiveTierPackedMidStreamMatchesReference) {
 }
 
 // A mid-stream pack survives a checkpoint + recovery cycle: the layered
-// checkpoint restores every frozen layer (as an in-memory tree — the
-// answers, not the mmap, are what recovery preserves) and the frozen
-// deletes keep clipping.
+// checkpoint names the frozen layer's snapshot file, recovery maps it
+// again — the layer serves zero-copy from the mapping — and its hits keep
+// being clipped to their segments' intervals.
 TEST(SnapshotBackendTest, LiveTierPackSurvivesCheckpointRecovery) {
   RandomDatasetConfig config;
   config.num_objects = 120;
@@ -473,7 +517,13 @@ TEST(SnapshotBackendTest, LiveTierPackSurvivesCheckpointRecovery) {
   ASSERT_TRUE(reopened.ok());
   tier = LiveTier::Open(options, std::move(reopened).value());
   ASSERT_TRUE(tier.ok()) << tier.status().ToString();
-  EXPECT_EQ(tier.value()->frozen_layers(), 1u);
+  ASSERT_EQ(tier.value()->frozen_layers(), 1u);
+  const MmapSnapshotBackend* mapped = tier.value()->frozen_layer(0).backend();
+  ASSERT_NE(mapped, nullptr);
+  EXPECT_TRUE(mapped->file().mapped());
+  Counter* borrows =
+      MetricRegistry::Global().GetCounter("backend.mmap.borrows");
+  const uint64_t borrows_before = borrows->Value();
   // Replay is idempotent; finish the recovered stream and compare.
   for (const LiveObservation& update : stream) {
     ASSERT_TRUE(tier.value()->Apply(update).ok());
@@ -484,7 +534,70 @@ TEST(SnapshotBackendTest, LiveTierPackSurvivesCheckpointRecovery) {
     tier.value()->IntervalQuery(queries[q].area, queries[q].range, &got);
     EXPECT_EQ(got, want[q]) << "query " << q;
   }
+  EXPECT_GT(borrows->Value(), borrows_before);
   std::remove(wal_path.c_str());
+  std::remove(SnapPath("snap_live_ckpt").c_str());
+}
+
+// A pack into the file a frozen layer maps — by the same name or another
+// spelling of it — would rewrite that layer's pages under it, so it is
+// refused, naming the path; a pack to a new file still works, and the
+// answers stay those of a never-packed run.
+TEST(SnapshotBackendTest, LiveTierRefusesToPackOverAServedSnapshot) {
+  RandomDatasetConfig config;
+  config.num_objects = 300;
+  config.seed = 42;
+  config.time_domain = kTimeDomain;
+  const std::vector<LiveObservation> stream =
+      MakeObservationStream(GenerateRandomDataset(config));
+  const std::vector<STQuery> queries = MakeQueries();
+  LiveTierOptions options;
+  options.index.capacity = 24;
+  options.index.buffer = 4000;
+  const auto open = [&options] {
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(options, std::make_unique<MemoryPageBackend>());
+    EXPECT_TRUE(tier.ok()) << tier.status().ToString();
+    return std::move(tier).value();
+  };
+
+  const std::unique_ptr<LiveTier> reference = open();
+  const std::unique_ptr<LiveTier> tier = open();
+  const std::string path = SnapPath("served");
+  const std::string respelled = ::testing::TempDir() + "/./served.stsnap";
+  for (size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(reference->Apply(stream[i]).ok());
+    ASSERT_TRUE(tier->Apply(stream[i]).ok());
+    if (i + 1 == stream.size() / 3) {
+      ASSERT_TRUE(tier->PackHistorical(path).ok());
+    }
+    if (i + 1 == stream.size() * 2 / 3) {
+      for (const std::string& again : {path, respelled}) {
+        const Status refused = tier->PackHistorical(again);
+        EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << again;
+        EXPECT_NE(refused.message().find(again), std::string::npos)
+            << refused.ToString();
+      }
+      EXPECT_EQ(tier->frozen_layers(), 1u);
+      ASSERT_TRUE(tier->PackHistorical(SnapPath("served_second")).ok());
+    }
+  }
+  ASSERT_TRUE(reference->Finish().ok());
+  ASSERT_TRUE(tier->Finish().ok());
+  EXPECT_EQ(tier->frozen_layers(), 2u);
+
+  for (size_t q = 0; q < queries.size(); ++q) {
+    std::vector<ObjectId> want;
+    reference->IntervalQuery(queries[q].area, queries[q].range, &want);
+    std::vector<ObjectId> got;
+    tier->IntervalQuery(queries[q].area, queries[q].range, &got);
+    EXPECT_EQ(got, want) << "interval query " << q;
+    reference->SnapshotQuery(queries[q].area, queries[q].range.start, &want);
+    tier->SnapshotQuery(queries[q].area, queries[q].range.start, &got);
+    EXPECT_EQ(got, want) << "snapshot query " << q;
+  }
+  std::remove(path.c_str());
+  std::remove(SnapPath("served_second").c_str());
 }
 
 // Open verifies a snapshot through pread, so packing leaves the fresh
