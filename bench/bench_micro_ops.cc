@@ -15,6 +15,7 @@
 #include "core/dp_split.h"
 #include "core/merge_split.h"
 #include "live/live_tier.h"
+#include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
 #include "storage/shared_buffer_pool.h"
@@ -342,6 +343,81 @@ BENCHMARK(BM_LiveTierCheckpoint)
     ->Arg(0)
     ->Arg(1)
     ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+// Recovery cost: BM_LiveTierCheckpoint's stream and checkpoints (Arg(1):
+// with the pack halfway) go to a file journal once, committed to the
+// end but not finished, as a crash would leave it; each iteration then
+// reopens a fresh copy of that journal. The counters are the reopen's
+// milliseconds (the median over the iterations), the journal pages it
+// replayed past the last checkpoint and the nodes of the active tree it
+// rebuilt.
+void BM_LiveTierRecover(benchmark::State& state) {
+  RandomDatasetConfig config;
+  config.num_objects = 20000;
+  const std::vector<LiveObservation> stream =
+      MakeObservationStream(GenerateRandomDataset(config));
+  const bool pack = state.range(0) != 0;
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::string snapshot = dir / "bench_micro_ops_recover.stsnap";
+  const std::string written = dir / "bench_micro_ops_recover.stpages";
+  const std::string journal = dir / "bench_micro_ops_recover_open.stpages";
+  LiveTierOptions options;
+  options.index.capacity = 32;
+  {
+    Result<std::unique_ptr<FilePageBackend>> wal =
+        FilePageBackend::Create(written);
+    STINDEX_CHECK(wal.ok());
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(options, std::move(wal).value());
+    STINDEX_CHECK(tier.ok());
+    const size_t tenth = stream.size() / 10;
+    for (size_t i = 0; i < stream.size(); ++i) {
+      STINDEX_CHECK(tier.value()->Apply(stream[i]).ok());
+      if ((i + 1) % 1024 == 0) STINDEX_CHECK(tier.value()->Commit().ok());
+      if (pack && i + 1 == stream.size() / 2) {
+        STINDEX_CHECK(tier.value()->PackHistorical(snapshot).ok());
+      }
+      if ((i + 1) % tenth == 0) STINDEX_CHECK(tier.value()->Checkpoint().ok());
+    }
+    STINDEX_CHECK(tier.value()->Commit().ok());
+  }
+  std::vector<double> ms;
+  uint64_t replayed = 0;
+  size_t nodes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::copy_file(
+        written, journal, std::filesystem::copy_options::overwrite_existing);
+    state.ResumeTiming();
+    const auto start = std::chrono::steady_clock::now();
+    Result<std::unique_ptr<FilePageBackend>> wal =
+        FilePageBackend::Open(journal);
+    STINDEX_CHECK(wal.ok());
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(options, std::move(wal).value());
+    STINDEX_CHECK(tier.ok());
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+    replayed = tier.value()->recovered().pages;
+    nodes = tier.value()->historical().NodeCount();
+    state.PauseTiming();
+    tier.value().reset();
+    state.ResumeTiming();
+  }
+  std::remove(journal.c_str());
+  std::remove(written.c_str());
+  std::remove(snapshot.c_str());
+  std::sort(ms.begin(), ms.end());
+  state.counters["reopen_ms"] = ms[ms.size() / 2];
+  state.counters["replayed_pages"] = static_cast<double>(replayed);
+  state.counters["active_nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_LiveTierRecover)
+    ->Arg(0)
+    ->Arg(1)
+    ->Iterations(5)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

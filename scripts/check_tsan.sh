@@ -25,6 +25,9 @@ cmake --build "$BUILD_DIR" --target "${TESTS[@]}" stindex_server -j"$JOBS"
 
 # halt_on_error: make the first race fail the binary, not just warn.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
+# Death tests re-execute the binary instead of forking a threaded one, as
+# under ctest (tests/CMakeLists.txt).
+export GTEST_DEATH_TEST_STYLE=threadsafe
 status=0
 for test in "${TESTS[@]}"; do
   echo "== TSan: $test =="

@@ -11,14 +11,9 @@ Mv3rIndex::Mv3rIndex(const std::vector<SegmentRecord>& records,
   STINDEX_CHECK(time_domain > 0);
   ppr_ = BuildPprTree(records, config_.ppr);
   const std::vector<Box3D> boxes = SegmentsToBoxes(records, 0, time_domain);
-  if (config_.pack_auxiliary) {
-    auxiliary_ =
-        RStarTree::BulkLoad(boxes, PackingMethod::kStr, config_.rstar);
-  } else {
-    auxiliary_ = std::make_unique<RStarTree>(config_.rstar);
-    for (size_t i = 0; i < boxes.size(); ++i) {
-      auxiliary_->Insert(boxes[i], static_cast<DataId>(i));
-    }
+  auxiliary_ = std::make_unique<RStarTree>(config_.rstar);
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    auxiliary_->Insert(boxes[i], static_cast<DataId>(i));
   }
 }
 

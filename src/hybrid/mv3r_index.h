@@ -19,11 +19,10 @@ struct Mv3rConfig {
   // datasets the crossover sits around several dozen instants.
   Time long_query_threshold = 64;
   PprConfig ppr;
+  // The auxiliary tree is built by insertion: on moving-object segments
+  // packing it (STR) hurts query I/O (see bench_ablation_packing and the
+  // paper's Section V remark).
   RStarConfig rstar;
-  // Build the auxiliary tree packed (STR) instead of by insertion. Off by
-  // default: on moving-object segments packing hurts query I/O (see
-  // bench_ablation_packing and the paper's Section V remark).
-  bool pack_auxiliary = false;
 };
 
 // An MV3R-style hybrid (Tao & Papadias, VLDB 2001 — the paper's reference

@@ -67,8 +67,10 @@ Result<CheckpointHeader> ReadLatestCheckpointHeader(
     const char* why = "";
     if (best.layout < 2) {
       why = ": the journal predates the append-only segment chain";
-    } else if (best.layout < kCheckpointLayout) {
+    } else if (best.layout < 3) {
       why = ": the journal predates named frozen layers";
+    } else if (best.layout < kCheckpointLayout) {
+      why = ": the journal predates derived active trees";
     }
     return Status::InvalidArgument(
         Named(best) + " has layout " + std::to_string(best.layout) +
@@ -263,7 +265,7 @@ Status ReadSegmentChain(const PageBackend& backend,
   uint8_t page[kPageSize];
   PageId slot = header.segment_tail;
   for (size_t index = static_cast<size_t>(pages); index-- > 0;) {
-    const auto page_error = [&](const char* what) {
+    const auto page_error = [&](const std::string& what) {
       return Status::InvalidArgument(
           Named(header) + ": segment page " + std::to_string(index) +
           " in slot " + std::to_string(slot) + " is " + what);
@@ -291,6 +293,14 @@ Status ReadSegmentChain(const PageBackend& backend,
       if (!reader.Read(&record.object) || !reader.Read(&record.box.rect) ||
           !reader.Read(&record.box.interval)) {
         return page_error("truncated");
+      }
+      // Recovery replays these into a tree, which takes only a valid
+      // rect alive over a non-empty interval from time 0 on.
+      const TimeInterval& life = record.box.interval;
+      if (!record.box.rect.IsValid() || life.start < 0 ||
+          life.start >= life.end) {
+        return page_error("corrupt: segment " + std::to_string(i) +
+                          " cannot be replayed");
       }
     }
     chain->pages[index] = slot;

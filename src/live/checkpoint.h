@@ -17,12 +17,6 @@ namespace stindex {
 // header write can never destroy the previous checkpoint — the other
 // slot still holds it, CRC-valid). A checkpoint consists of:
 //
-//   * one sealed kPprNode page per node of the active tree. A checkpoint
-//     writes only the nodes created or changed since the previous one
-//     (PprTree::DirtyNodes), each into a freshly acquired slot. Every
-//     other node keeps — the checkpoint inherits — the slot an earlier
-//     checkpoint wrote it to: every dead node, a restored node not
-//     changed since;
 //   * the segment chain, the migrated-segment table, append-only
 //     (below);
 //   * a chain of kCheckpointPage pages carrying the serialized metadata,
@@ -31,25 +25,32 @@ namespace stindex {
 //       per frozen layer, oldest first: tree meta (size, clock, root
 //         journal), u32 superblock checksum and u64 length + bytes of the
 //         path of its snapshot file, as given to LiveTier::PackHistorical
-//       the active tree: tree meta, u64 node count, u32 slot per node
-//       the migration pipeline (insert-pending ids, applied events)
+//       the migration pipeline: i64 W, the watermark of its last
+//         Advance, and i64 W_pack, the watermark at the last pack
 //       the live index (open buffers, last instants);
 //   * this header, whose durable write *is* the commit point.
 //
-// A frozen layer's pages are not in the journal at all: a packed layer
+// The active tree writes no page: it is derived state. A PPR-tree is a
+// function of its records replayed in (time, deletes-first, id) order,
+// and the active tree holds exactly the events before W of the segments
+// that start at or after W_pack, so recovery replays those
+// (ReplayPprEvents) into a tree byte-identical to the one checkpointed
+// and queues the rest (MigrationPipeline::DecodeState).
+//
+// A frozen layer's pages are not in the journal either: a packed layer
 // never changes, so the checkpoint names its snapshot file, and recovery
 // maps that file again (MmapSnapshotBackend::Open verifies every page)
 // and refuses it unless its superblock checksum is the one named. The
 // snapshot files a committed checkpoint names must outlive it; the tier
-// never deletes one.
+// never deletes one, and refuses to checkpoint while a layer's path no
+// longer names the file it maps.
 //
 // A checkpoint never writes a slot the previous one owns, and syncs all
 // its pages before the header is written, so a valid header always
 // points at complete, durable state, and a crash before the header
 // leaves the previous checkpoint intact. Once the header commits, the
 // previous checkpoint's slots that the new one did not inherit are
-// freed: its metadata chain, the old copies of rewritten nodes, a
-// re-sealed segment tail page and the node copies of a tree packed since.
+// freed: its metadata chain and a re-sealed segment tail page.
 // Everything a failed checkpoint left behind is unreferenced debris that
 // recovery frees.
 //
@@ -67,18 +68,19 @@ namespace stindex {
 // backward links reach page 0.
 //
 // Recovery reads the header with the highest sequence, the metadata
-// chain, every frozen layer's snapshot file, every active-tree node page
-// from its slot, and the segment chain from its last page back, decoding
-// each page straight into its place in the segment table. The checkpoint
-// owns every slot it references, inherited or fresh; every other
-// allocated slot is journal tail or debris.
+// chain, every frozen layer's snapshot file, and the segment chain from
+// its last page back, decoding each page straight into its place in the
+// segment table; then it replays the active tree. The checkpoint owns
+// every slot it references, inherited or fresh; every other allocated
+// slot is journal tail or debris.
 
 // The checkpoint layout this build writes and reads. Layout 1, which
 // carried the segment table in the metadata stream, had no layout field
 // (it reads as 0); layout 2 copied every frozen layer's pages into the
-// journal and kept two more pipeline id sets. A journal whose newest
-// checkpoint has another layout is refused.
-inline constexpr uint32_t kCheckpointLayout = 3;
+// journal and kept two more pipeline id sets; layout 3 copied the active
+// tree's nodes into the journal. A journal whose newest checkpoint has
+// another layout is refused.
+inline constexpr uint32_t kCheckpointLayout = 4;
 
 struct CheckpointHeader {
   uint64_t checkpoint_seq = 0;  // 0 = no committed checkpoint

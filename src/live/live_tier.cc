@@ -181,68 +181,30 @@ Status LiveTier::RestoreFromCheckpoint(const CheckpointHeader& header,
     frozen[l].pool =
         frozen[l].tree->NewSharedQueryPool(options_.query_pool_pages);
   }
-
-  // The active tree: its meta, then every node from the slot it was read
-  // from, where it stays clean.
-  auto active = std::make_unique<PprTree>(options_.ppr);
-  status = active->DecodeCheckpointMeta(&in);
-  if (!status.ok()) return meta_error(status);
-  uint64_t node_count = 0;
-  if (!in.Read(&node_count)) {
-    return meta_error(
-        Status::InvalidArgument("checkpoint: truncated node slot map"));
-  }
-  if (node_count > in.remaining() / sizeof(PageId)) {
-    return meta_error(Status::InvalidArgument(
-        "checkpoint: node slot map of " + std::to_string(node_count) +
-        " nodes overruns the " + std::to_string(in.remaining()) +
-        " metadata bytes left"));
-  }
-  std::vector<PageId> node_slots(static_cast<size_t>(node_count));
-  for (PageId& slot : node_slots) {
-    STINDEX_CHECK(in.Read(&slot));  // the count fits the bytes left
-  }
-  uint8_t page[kPageSize];
-  for (size_t i = 0; i < node_slots.size(); ++i) {
-    const PageId slot = node_slots[i];
-    const auto node_error = [&](const Status& error) {
-      return Status(error.code(),
-                    "checkpoint " + std::to_string(header.checkpoint_seq) +
-                        ": active tree node " + std::to_string(i) +
-                        " in slot " + std::to_string(slot) + ": " +
-                        error.message());
-    };
-    if (static_cast<size_t>(slot) >= wal_backend_->SlotCount() ||
-        !wal_backend_->IsAllocated(slot)) {
-      return node_error(Status::InvalidArgument("slot is not allocated"));
-    }
-    status = wal_backend_->Read(slot, page);
-    if (!status.ok()) return status;
-    status = active->InstallCheckpointNode(static_cast<PageId>(i), page);
-    if (!status.ok()) return node_error(status);
-  }
-  active->MarkCheckpointed();
-
-  // Install the restored layering before the pipeline decodes: it must
-  // aim at the active tree.
-  pool_.reset();
-  tree_ = std::move(active);
-  node_slots_ = std::move(node_slots);
   frozen_ = std::move(frozen);
-  pipeline_.SetTree(tree_.get());
-  pool_ = tree_->NewSharedQueryPool(options_.query_pool_pages);
 
+  // The pipeline rebuilds the active tree from the segments and its
+  // watermarks — the tier's tree is still the fresh one it was built with
+  // — and queues what is pending.
   status = pipeline_.DecodeState(std::move(segments), &in);
   if (!status.ok()) return meta_error(status);
   status = index_.DecodeState(&in);
   if (!status.ok()) return meta_error(status);
+  // Every future segment starts at or after the index's watermark, so
+  // the pipeline's cannot be past it: a later event would precede the
+  // rebuilt tree's clock.
+  if (pipeline_.watermark() > index_.Watermark()) {
+    return meta_error(Status::InvalidArgument(
+        "checkpoint: pipeline watermark " +
+        std::to_string(pipeline_.watermark()) +
+        " is past the live index's watermark " +
+        std::to_string(index_.Watermark())));
+  }
   if (in.remaining() != 0) {
     return meta_error(
         Status::InvalidArgument("checkpoint: trailing metadata bytes"));
   }
 
-  owned_slots->insert(owned_slots->end(), node_slots_.begin(),
-                      node_slots_.end());
   owned_slots->insert(owned_slots->end(), segment_chain_.pages.begin(),
                       segment_chain_.pages.end());
   owned_slots->insert(owned_slots->end(), meta_slots.begin(),
@@ -469,10 +431,6 @@ void LiveTier::EncodeCheckpointState(ByteSink* out) const {
     out->Write(static_cast<uint64_t>(file.path().size()));
     out->WriteBytes(file.path().data(), file.path().size());
   }
-  STINDEX_CHECK(node_slots_.size() == tree_->NodeCount());
-  tree_->EncodeCheckpointMeta(out);
-  out->Write(static_cast<uint64_t>(node_slots_.size()));
-  for (PageId slot : node_slots_) out->Write(slot);
   pipeline_.EncodeState(out);
   index_.EncodeState(out);
 }
@@ -481,6 +439,20 @@ Status LiveTier::CheckpointLocked() {
   TraceSpan span("live", "checkpoint");
   const uint64_t seq = checkpoint_seq_ + 1;
   span.Arg("checkpoint_seq", static_cast<int64_t>(seq));
+
+  // 0. The metadata names each frozen layer's snapshot file by path, and
+  //    recovery maps that path again: refuse, before writing anything,
+  //    while a path no longer names the file its layer maps. The tier
+  //    stays intact — nothing it holds is wrong — so this does not latch.
+  for (size_t l = 0; l < frozen_.size(); ++l) {
+    const SnapshotFile& file = frozen_[l].tree->backend()->file();
+    if (!file.IsFile(file.path())) {
+      return Status::FailedPrecondition(
+          "checkpoint " + std::to_string(seq) + ": frozen layer " +
+          std::to_string(l) + " snapshot " + file.path() +
+          " no longer names the file the layer maps");
+    }
+  }
 
   // 1. Mark the cut in the log and flush, so the state captured below
   //    corresponds exactly to the log prefix before `wal_start_seq`.
@@ -492,28 +464,12 @@ Status LiveTier::CheckpointLocked() {
   if (!status.ok()) return Latch(status);
   const uint64_t wal_start_seq = writer_->next_seq();
 
-  // 2. Shadow-write the active tree's nodes created or changed since the
-  //    previous checkpoint into fresh slots, one sealed page write per
-  //    node; every other node keeps its slot. The previous checkpoint's
-  //    pages stay untouched — a crash anywhere before step 6 leaves it
-  //    intact. A frozen layer writes no page: the metadata names its
-  //    snapshot file.
-  const std::vector<PageId> dirty = tree_->DirtyNodes();
-  node_slots_.resize(tree_->NodeCount(), kInvalidPage);
-  std::vector<PageId> fresh(dirty.size());
-  for (size_t i = 0; i < dirty.size(); ++i) {
-    PageId& slot = node_slots_[dirty[i]];
-    if (slot != kInvalidPage) superseded_slots_.push_back(slot);
-    slot = fresh[i] = slots_.Acquire();
-  }
-  status = tree_->PersistNodesForCheckpoint(wal_backend_.get(), dirty, fresh);
-  if (!status.ok()) return Latch(status);
-  tree_->MarkCheckpointed();
-  uint64_t written = dirty.size();
-  uint64_t inherited = node_slots_.size() - dirty.size();
-
-  // 3. Append the segments migrated since the previous checkpoint to the
-  //    segment chain.
+  // 2. Append the segments migrated since the previous checkpoint to the
+  //    segment chain, into fresh slots. The previous checkpoint's pages
+  //    stay untouched — a crash anywhere before step 5 leaves it intact.
+  //    The active tree writes no page: recovery replays it from the
+  //    segments (MigrationPipeline::EncodeState), and a frozen layer is
+  //    named by its snapshot file.
   CheckpointHeader header;
   header.checkpoint_seq = seq;
   header.wal_start_seq = wal_start_seq;
@@ -522,10 +478,10 @@ Status LiveTier::CheckpointLocked() {
                               &segment_chain_, &header, &superseded_slots_,
                               &segment_pages);
   if (!status.ok()) return Latch(status);
-  written += segment_pages;
-  inherited += segment_chain_.pages.size() - segment_pages;
+  uint64_t written = segment_pages;
+  const uint64_t inherited = segment_chain_.pages.size() - segment_pages;
 
-  // 4. Serialize the layered tree state + pipeline + live index into the
+  // 3. Serialize the frozen layers + pipeline + live index into the
   //    metadata chain.
   ByteSink meta;
   EncodeCheckpointState(&meta);
@@ -535,19 +491,19 @@ Status LiveTier::CheckpointLocked() {
   if (!status.ok()) return Latch(status);
   written += meta_slots.size();
 
-  // 5. Everything the header will reference must be durable *before* the
-  //    header commits: tree pages flushed + synced first.
+  // 4. Everything the header will reference must be durable *before* the
+  //    header commits.
   status = wal_backend_->Sync();
   if (!status.ok()) return Latch(status);
 
-  // 6. The commit point: a durable header makes this checkpoint the one
+  // 5. The commit point: a durable header makes this checkpoint the one
   //    recovery loads.
   status = WriteCheckpointHeader(wal_backend_.get(), header);
   if (!status.ok()) return Latch(status);
   status = wal_backend_->Sync();
   if (!status.ok()) return Latch(status);
 
-  // 7. Truncate: the journal prefix the checkpoint absorbed, and the
+  // 6. Truncate: the journal prefix the checkpoint absorbed, and the
   //    previous checkpoint's slots this one did not inherit. A crash
   //    mid-truncation is safe — recovery frees whatever this loop did
   //    not.
@@ -566,7 +522,7 @@ Status LiveTier::CheckpointLocked() {
 
   checkpoint_seq_ = seq;
   last_checkpoint_at_ = std::chrono::steady_clock::now();
-  // The sync at step 5/6 covered every appended record.
+  // The sync at step 4/5 covered every appended record.
   durable_records_ = writer_->appended_records();
   Metrics().checkpoints->Add(1);
   Metrics().checkpoint_pages_written->Add(written);
@@ -609,11 +565,6 @@ Status LiveTier::PackHistorical(const std::string& path,
   layer.tree = std::move(tree_);
   layer.pool = layer.tree->NewSharedQueryPool(options_.query_pool_pages);
   frozen_.push_back(std::move(layer));
-  // The next checkpoint names the snapshot instead of the committed
-  // copies of the tree's nodes, which go once it commits.
-  superseded_slots_.insert(superseded_slots_.end(), node_slots_.begin(),
-                           node_slots_.end());
-  node_slots_.clear();
   tree_ = std::make_unique<PprTree>(options_.ppr);
   pipeline_.RetargetAfterPack(tree_.get());
   pool_ = tree_->NewSharedQueryPool(options_.query_pool_pages);
@@ -765,9 +716,6 @@ Status LiveTier::VerifyCheckpointCopies() const {
     return Status::FailedPrecondition(
         "live tier hit a WAL I/O failure — its checkpoint state is unknown");
   }
-  Status status = tree_->CheckCleanNodes(*wal_backend_, node_slots_);
-  if (!status.ok()) return status;
-
   const Result<CheckpointHeader> header =
       ReadLatestCheckpointHeader(*wal_backend_);
   if (!header.ok()) return header.status();
@@ -780,7 +728,8 @@ Status LiveTier::VerifyCheckpointCopies() const {
   if (checkpoint_seq_ == 0) return Status::OK();
   std::vector<SegmentRecord> copies;
   SegmentChain chain;
-  status = ReadSegmentChain(*wal_backend_, header.value(), &copies, &chain);
+  const Status status =
+      ReadSegmentChain(*wal_backend_, header.value(), &copies, &chain);
   if (!status.ok()) return status;
   const std::vector<SegmentRecord>& segments = pipeline_.segments();
   if (chain.pages != segment_chain_.pages || copies.size() > segments.size()) {

@@ -72,12 +72,12 @@ static_assert(sizeof(LiveObservation) == 48);
 // recovery from the durable prefix.
 //
 // Checkpoints bound the journal: Checkpoint() (or the automatic
-// checkpoint_every_pages trigger) writes sealed copies of the active
-// tree's nodes changed since the previous checkpoint, the segments
-// migrated since, and the layering/pipeline/index state — naming each
-// frozen layer's snapshot file rather than copying it — into the journal
-// backend, syncs, commits a checkpoint header, and then frees every
-// journal page before the checkpoint and every page of the previous
+// checkpoint_every_pages trigger) writes the segments migrated since the
+// previous checkpoint and the layering/pipeline/index state — naming
+// each frozen layer's snapshot file rather than copying it, and the
+// active tree by the two pipeline watermarks it is replayed from — into
+// the journal backend, syncs, commits a checkpoint header, and then frees
+// every journal page before the checkpoint and every page of the previous
 // checkpoint it did not inherit — so a checkpoint costs what changed,
 // and the file's page count stays bounded across arbitrarily long
 // streams (see live/checkpoint.h).
@@ -108,7 +108,11 @@ class LiveTier {
   // Persists the tier state into the journal backend — what changed since
   // the previous checkpoint, inheriting the rest — and truncates every
   // journal page it covers. Holds the tier lock exclusively: queries and
-  // updates wait until it returns.
+  // updates wait until it returns. FailedPrecondition, naming the layer
+  // and the path, when a frozen layer's snapshot path no longer names the
+  // file the layer maps (deleted or replaced): the checkpoint writes
+  // nothing and the tier stays usable, and so does a Commit whose
+  // automatic trigger it was, though that Commit returns the refusal.
   Status Checkpoint();
 
   // End of stream: seals every remaining buffer, drains the migration
@@ -204,11 +208,9 @@ class LiveTier {
   };
   Telemetry GetTelemetry() const;
 
-  // Test hook: the committed checkpoint's copies still match the tier.
-  // Every node clean since the checkpoint seals to exactly the bytes in
-  // its slot, and the segment chain the header names decodes to the
-  // migrated segments it covers. A mutation that does not mark its node
-  // dirty fails here. FailedPrecondition on a latched tier.
+  // Test hook: the committed checkpoint's copies still match the tier —
+  // the segment chain the header names decodes to the migrated segments
+  // it covers. FailedPrecondition on a latched tier.
   Status VerifyCheckpointCopies() const;
 
   // Publishes the tier's deterministic state gauges (live.objects,
@@ -237,10 +239,9 @@ class LiveTier {
   Status SealRipe();
   Status SealAndJournal(ObjectId object);
 
-  // Serializes the layered tree state (the frozen layers oldest first,
-  // each its meta and snapshot file; then the active tree's meta and node
-  // slot map) + pipeline + index into one byte stream (the checkpoint
-  // metadata chain's content).
+  // Serializes the frozen layers (oldest first, each its meta and
+  // snapshot file) + pipeline + index into one byte stream (the
+  // checkpoint metadata chain's content).
   void EncodeCheckpointState(ByteSink* out) const;
   // The checkpoint procedure; caller holds the exclusive lock.
   Status CheckpointLocked();
@@ -269,14 +270,11 @@ class LiveTier {
   MigrationPipeline pipeline_;
   std::unique_ptr<SharedBufferPool> pool_;
   WalReplayStats recovered_;
-  // The committed checkpoint: its sequence (0 = none yet), the slot of
-  // each active-tree node's copy, its segment chain, and the slots it
-  // owns that the next checkpoint does not inherit, freed once that one
-  // commits: its metadata chain and the copies of a tree packed since,
-  // joined while the next checkpoint writes by the old copies of the
-  // nodes it rewrites and a re-sealed last segment page.
+  // The committed checkpoint: its sequence (0 = none yet), its segment
+  // chain, and the slots it owns that the next checkpoint does not
+  // inherit, freed once that one commits: its metadata chain, joined
+  // while the next checkpoint writes by a re-sealed last segment page.
   uint64_t checkpoint_seq_ = 0;
-  std::vector<PageId> node_slots_;
   SegmentChain segment_chain_;
   std::vector<PageId> superseded_slots_;
   // Group commit: records covered by the last successful fsync, and

@@ -1,6 +1,6 @@
 #include "live/migration.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 #include "util/metrics.h"
@@ -59,11 +59,12 @@ void MigrationPipeline::Apply(const Event& event) {
   } else {
     tree_->Delete(event.id, event.time);
   }
-  ++applied_events_;
   Metrics().applied->Add(1);
 }
 
 void MigrationPipeline::Advance(Time watermark) {
+  STINDEX_DCHECK(watermark >= watermark_);
+  watermark_ = watermark;
   while (!events_.empty() && events_.top().time < watermark) {
     const Event event = events_.top();
     events_.pop();
@@ -72,6 +73,7 @@ void MigrationPipeline::Advance(Time watermark) {
 }
 
 void MigrationPipeline::Drain() {
+  watermark_ = kTimeInfinity;
   while (!events_.empty()) {
     const Event event = events_.top();
     events_.pop();
@@ -88,68 +90,47 @@ void MigrationPipeline::RetargetAfterPack(PprTree* tree) {
     Queue(id, /*is_insert=*/false);
   }
   tree_ = tree;
+  pack_watermark_ = watermark_;
 }
 
 void MigrationPipeline::EncodeState(ByteSink* out) const {
-  std::vector<PprDataId> ids(insert_pending_.begin(), insert_pending_.end());
-  std::sort(ids.begin(), ids.end());
-  out->Write(static_cast<uint64_t>(ids.size()));
-  for (PprDataId id : ids) out->Write(id);
-  out->Write(static_cast<uint64_t>(applied_events_));
+  out->Write(watermark_);
+  out->Write(pack_watermark_);
 }
 
 Status MigrationPipeline::DecodeState(std::vector<SegmentRecord> segments,
                                       ByteSource* in) {
-  STINDEX_CHECK_MSG(segments_.empty() && events_.empty(),
+  STINDEX_CHECK_MSG(segments_.empty() && events_.empty() && tree_->Size() == 0,
                     "checkpoint restore into a non-empty pipeline");
-  segments_ = std::move(segments);
-  uint64_t count = 0;
-  if (!in->Read(&count)) {
-    return Status::InvalidArgument("checkpoint: truncated pending set");
+  if (!in->Read(&watermark_) || !in->Read(&pack_watermark_)) {
+    return Status::InvalidArgument("checkpoint: truncated pipeline watermarks");
   }
-  // Each listed id takes sizeof(PprDataId) bytes of what is left.
-  if (count > in->remaining() / sizeof(PprDataId)) {
+  if (watermark_ < pack_watermark_) {
     return Status::InvalidArgument(
-        "checkpoint: pending set of " + std::to_string(count) +
-        " ids overruns the " + std::to_string(in->remaining()) +
-        " metadata bytes left");
+        "checkpoint: pipeline watermark " + std::to_string(watermark_) +
+        " precedes the pack watermark " + std::to_string(pack_watermark_));
   }
-  for (uint64_t i = 0; i < count; ++i) {
-    PprDataId id = 0;
-    STINDEX_CHECK(in->Read(&id));  // the count fits the bytes left
-    if (static_cast<size_t>(id) >= segments_.size()) {
-      return Status::InvalidArgument("checkpoint: pending id " +
-                                     std::to_string(id) +
-                                     " beyond the segment list");
-    }
-    // A duplicate would queue its events twice, and the second apply
-    // would hit a record the tree already holds.
-    if (!insert_pending_.insert(id).second) {
-      return Status::InvalidArgument("checkpoint: pending id " +
-                                     std::to_string(id) + " listed twice");
-    }
-    Queue(id, /*is_insert=*/true);
-    Queue(id, /*is_insert=*/false);
+  segments_ = std::move(segments);
+  {
+    TraceSpan span("live", "replay_active_tree");
+    ReplayPprEvents(segments_, pack_watermark_, watermark_, tree_);
+    span.Arg("records", static_cast<int64_t>(tree_->Size()));
   }
-  // A record alive in the active tree awaits its delete.
-  for (PprDataId id : tree_->AliveRecords()) {
-    if (static_cast<size_t>(id) >= segments_.size()) {
-      return Status::InvalidArgument("checkpoint: alive record " +
-                                     std::to_string(id) +
-                                     " beyond the segment list");
+  // Pending: both events of a segment from W on, and the delete of a
+  // replayed segment still alive at W. After Drain (W = kTimeInfinity)
+  // nothing is.
+  if (watermark_ == kTimeInfinity) return Status::OK();
+  for (size_t i = 0; i < segments_.size(); ++i) {
+    const TimeInterval& life = segments_[i].box.interval;
+    const PprDataId id = static_cast<PprDataId>(i);
+    if (life.start >= watermark_) {
+      insert_pending_.insert(id);
+      Queue(id, /*is_insert=*/true);
+      Queue(id, /*is_insert=*/false);
+    } else if (life.start >= pack_watermark_ && life.end >= watermark_) {
+      Queue(id, /*is_insert=*/false);
     }
-    if (insert_pending_.count(id) != 0) {
-      return Status::InvalidArgument("checkpoint: alive record " +
-                                     std::to_string(id) +
-                                     " is also insert-pending");
-    }
-    Queue(id, /*is_insert=*/false);
   }
-  uint64_t applied = 0;
-  if (!in->Read(&applied)) {
-    return Status::InvalidArgument("checkpoint: truncated pipeline state");
-  }
-  applied_events_ = static_cast<size_t>(applied);
   return Status::OK();
 }
 

@@ -2,6 +2,7 @@
 #define STINDEX_LIVE_MIGRATION_H_
 
 #include <cstdint>
+#include <limits>
 #include <queue>
 #include <unordered_set>
 #include <vector>
@@ -30,8 +31,9 @@ namespace stindex {
 // Events still queued are invisible to (delete-pending: overstated by)
 // the tree; CollectPending and ClipToInterval give queries exact answers
 // over the in-flight records. The pipeline keeps one id set, the
-// insert-pending ids: every other in-flight fact follows from the
-// segment table and the active tree (see DecodeState).
+// insert-pending ids. Everything else in flight — and the active tree
+// itself — follows from the segment table and two watermarks (see
+// EncodeState).
 class MigrationPipeline {
  public:
   explicit MigrationPipeline(PprTree* tree);
@@ -44,47 +46,52 @@ class MigrationPipeline {
   // Watermarks must be non-decreasing across calls.
   void Advance(Time watermark);
 
-  // Applies everything. Only valid at end of stream: a later Enqueue
-  // could produce events before ones already applied.
+  // Applies everything, and sets the watermark to kTimeInfinity. Only
+  // valid at end of stream: a later Enqueue could produce events before
+  // ones already applied.
   void Drain();
 
   // --- packing the historical tree --------------------------------------
 
-  // Rewires the pipeline after its tree was packed into a frozen layer:
-  // ids whose insert was already applied can never see their delete
-  // applied (the layer is read-only), so their delete events are dropped
-  // — ClipToInterval clips their hits against the true segment interval
-  // forever. The event queue is rebuilt to hold exactly the events of
-  // the insert-pending ids, which now target `tree` (the fresh active
-  // tree, empty at time 0; events pop in globally non-decreasing time
-  // order, so the new tree's clock is respected).
+  // Rewires the pipeline after its tree was packed into a frozen layer,
+  // at the watermark of the last Advance, which becomes the pack
+  // watermark: ids whose insert was already applied — the segments that
+  // start before it — can never see their delete applied (the layer is
+  // read-only), so their delete events are dropped — ClipToInterval
+  // clips their hits against the true segment interval forever. The
+  // event queue is rebuilt to hold exactly the events of the
+  // insert-pending ids, which now target `tree` (the fresh active tree,
+  // empty at time 0; events pop in globally non-decreasing time order, so
+  // the new tree's clock is respected).
   void RetargetAfterPack(PprTree* tree);
-
-  // Recovery hook: points the pipeline at `tree` without touching state
-  // (the restored layering re-creates trees before DecodeState runs).
-  void SetTree(PprTree* tree) { tree_ = tree; }
 
   // Every migrated segment, in migration order: segment i has PprDataId i.
   const std::vector<SegmentRecord>& segments() const { return segments_; }
 
-  size_t applied_events() const { return applied_events_; }
   size_t pending_events() const { return events_.size(); }
+  // W: the watermark of the last Advance (EncodeState).
+  Time watermark() const { return watermark_; }
 
   // --- checkpoint state -------------------------------------------------
 
-  // Serializes the insert-pending ids (sorted — deterministic bytes) and
-  // the applied-event count. The segments are not serialized: the
-  // checkpoint keeps them in its append-only segment chain. Nor is the
-  // event queue: it is exactly {insert and delete event of every
-  // insert-pending id} ∪ {delete event of every record alive in the
-  // active tree} — a record's delete is applied to the tree its insert
-  // was, unless a pack froze that tree — so DecodeState rebuilds it.
+  // Serializes the two watermarks that, with the segment table, determine
+  // the pipeline and its active tree: W, that of the last Advance (every
+  // event before it is applied, and no later chunk can produce one), and
+  // W_pack, that of the last pack (the minimum Time before any). The
+  // active tree holds exactly the events before W of the segments that
+  // start at or after W_pack — a pack froze those that start before it —
+  // applied in BuildPprTree's order; the queue holds both events of each
+  // segment that starts at or after W, and the delete of each segment of
+  // the active tree still alive at W. The segments themselves are not
+  // serialized: the checkpoint keeps them in its append-only segment
+  // chain.
   void EncodeState(ByteSink* out) const;
-  // Restores into a fresh pipeline whose active tree was already
-  // restored, taking `segments` (read from the segment chain) as its
-  // table and the tree's AliveRecords() as the delete-pending ids beyond
-  // the insert-pending ones. InvalidArgument when an id is listed twice,
-  // lies beyond the table, or is both alive and insert-pending.
+  // Restores into a fresh pipeline over a fresh tree, taking `segments`
+  // (read from the segment chain) as its table: reads the watermarks,
+  // replays the active tree (ReplayPprEvents) and queues what is
+  // pending. The rebuilt tree saw the same Insert and Delete calls in the
+  // same order as the one checkpointed, so it is byte-identical to it.
+  // InvalidArgument when the watermarks are truncated or W < W_pack.
   Status DecodeState(std::vector<SegmentRecord> segments, ByteSource* in);
 
   // --- query support over in-flight records ----------------------------
@@ -131,7 +138,9 @@ class MigrationPipeline {
   std::vector<SegmentRecord> segments_;
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
   std::unordered_set<PprDataId> insert_pending_;
-  size_t applied_events_ = 0;
+  // W and W_pack (EncodeState).
+  Time watermark_ = std::numeric_limits<Time>::min();
+  Time pack_watermark_ = std::numeric_limits<Time>::min();
 };
 
 }  // namespace stindex

@@ -78,7 +78,7 @@ struct WalRecord {
 
 // The journal backend's slot map: slots 0 and 1 are the two alternating
 // checkpoint header slots (see live/checkpoint.h); everything from
-// kWalFirstDataSlot up is WAL pages, checkpointed tree nodes and
+// kWalFirstDataSlot up is WAL pages, checkpoint segment chain pages and
 // checkpoint metadata, allocated and recycled through WalSlotAllocator.
 inline constexpr PageId kWalFirstDataSlot = 2;
 
@@ -178,7 +178,7 @@ struct WalReplayOptions {
   // Sequence of the first page to replay: 1 for a full replay, the
   // committed checkpoint's wal_start_seq to replay only the tail.
   uint64_t start_seq = 1;
-  // Slots owned by the committed checkpoint (tree nodes + metadata
+  // Slots owned by the committed checkpoint (segment chain + metadata
   // chain); they are allocated but are not journal pages.
   std::unordered_set<PageId> owned;
 };
@@ -194,8 +194,8 @@ struct WalReplayStats {
   // The replayed pages, ascending seq — the continuing writer's tail.
   std::vector<WalPageRef> tail;
   // Allocated slots that are not part of the log: torn pages, pages a
-  // crashed truncation failed to free, nodes/metadata of an uncommitted
-  // checkpoint. The caller frees them before building the allocator.
+  // crashed truncation failed to free, segment/metadata pages of an
+  // uncommitted checkpoint. The caller frees them before building the allocator.
   std::vector<PageId> garbage;
 };
 

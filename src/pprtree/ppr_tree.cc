@@ -207,10 +207,6 @@ PprTree::NodeView PprTree::View(PageId id) const {
 }
 
 PprTree::Node PprTree::Mutate(PageId id) {
-  if (id < clean_below_ && !dirty_[id]) {
-    dirty_[id] = true;
-    dirtied_.push_back(id);
-  }
   return Node(&pages_.arena().MutablePage(id));
 }
 
@@ -253,10 +249,6 @@ void PprTree::DropReplayBookkeeping() {
   alive_location_ = LocationTable();
   alive_slots_ = {};
   parent_of_ = {};
-  pending_parents_ = {};
-  clean_below_ = 0;
-  dirty_ = {};
-  dirtied_ = {};
 }
 
 size_t PprTree::NumRoots() const { return roots_.size(); }
@@ -1005,14 +997,11 @@ void PprTree::CheckInvariants() const {
 
 void PprTree::CheckReplayBookkeeping() const {
   if (pages_.frozen()) {
-    STINDEX_CHECK(alive_slots_.empty() && parent_of_.empty() &&
-                  pending_parents_.empty());
+    STINDEX_CHECK(alive_slots_.empty() && parent_of_.empty());
     return;
   }
   STINDEX_CHECK(alive_slots_.size() == NodeCount() &&
                 parent_of_.size() == NodeCount());
-  STINDEX_CHECK_MSG(pending_parents_.empty(),
-                    "parent link to a node that was never installed");
   for (PageId id = 0; id < NodeCount(); ++id) {
     STINDEX_CHECK_MSG(alive_slots_[id] == AliveSlots(View(id).entries()),
                       "alive-slot bitmap disagrees with its node page");
@@ -1084,111 +1073,47 @@ Status PprTree::DecodeCheckpointMeta(ByteSource* in) {
   return Status::OK();
 }
 
-std::vector<PprDataId> PprTree::AliveRecords() const {
-  std::vector<PprDataId> alive;
-  alive.reserve(alive_location_.size());
-  alive_location_.ForEachData(
-      [&alive](PprDataId data) { alive.push_back(data); });
-  std::sort(alive.begin(), alive.end());
-  return alive;
-}
-
-std::vector<PageId> PprTree::DirtyNodes() const {
-  std::vector<PageId> dirty = dirtied_;
-  std::sort(dirty.begin(), dirty.end());
-  for (PageId id = clean_below_; id < NodeCount(); ++id) dirty.push_back(id);
-  return dirty;
-}
-
-void PprTree::MarkCheckpointed() {
-  for (const PageId id : dirtied_) dirty_[id] = false;
-  dirtied_.clear();
-  clean_below_ = static_cast<PageId>(NodeCount());
-  dirty_.resize(clean_below_, false);
-}
-
-Status PprTree::PersistNodesForCheckpoint(
-    PageBackend* backend, const std::vector<PageId>& ids,
-    const std::vector<PageId>& slots) const {
-  return pages_.PersistPages(backend, ids, slots);
-}
-
-Status PprTree::CheckCleanNodes(const PageBackend& backend,
-                                const std::vector<PageId>& slots) const {
-  Page copy;
-  Page sealed;
-  for (PageId id = 0; id < clean_below_; ++id) {
-    if (dirty_[id]) continue;
-    if (id >= slots.size()) {
-      return Status::InvalidArgument("clean node " + std::to_string(id) +
-                                     " has no checkpoint copy");
-    }
-    Status status = backend.Read(slots[id], copy.bytes);
-    if (!status.ok()) return status;
-    pages_.SealedCopy(id, sealed.bytes);
-    if (std::memcmp(copy.bytes, sealed.bytes, kPageSize) != 0) {
-      return Status::InvalidArgument(
-          "clean node " + std::to_string(id) + " differs from its copy in slot " +
-          std::to_string(slots[id]));
-    }
-  }
-  return Status::OK();
-}
-
-Status PprTree::InstallCheckpointNode(PageId id, const uint8_t* page) {
-  Result<const Page*> installed = pages_.InstallPage(id, page);
-  if (!installed.ok()) return installed.status();
-  const NodeView node(installed.value());
-  TrackNode(id);
-  alive_slots_[id] = AliveSlots(node.entries());
-  // A child may come after its parent in id order: its link waits in
-  // pending_parents_ until the child is installed.
-  if (const auto pending = pending_parents_.find(id);
-      pending != pending_parents_.end()) {
-    parent_of_[id] = pending->second;
-    pending_parents_.erase(pending);
-  }
-  const std::span<const Entry> entries = node.entries();
-  for (uint32_t slot = 0; slot < entries.size(); ++slot) {
-    const Entry& entry = entries[slot];
-    if (!entry.IsAlive()) continue;
-    if (node.IsLeaf()) {
-      alive_location_.Set(entry.data, Place{id, slot});
-    } else if (entry.child < parent_of_.size()) {
-      parent_of_[entry.child] = Place{id, slot};
-    } else {
-      pending_parents_[entry.child] = Place{id, slot};
-    }
-  }
-  return Status::OK();
-}
-
 namespace {
 
-// The replay order of `records`' 2N events, each encoded as 2 * record +
-// (1 for the insert at interval.start, 0 for the delete at interval.end)
-// in 32 bits, which halves the order and its radix scratch against 64:
-// by time, deletes before inserts at equal times (a record with lifetime
-// [a, b) is gone at instant b), then by record. The events start out
-// ordered by (kind, record), and stable LSD radix passes over the time
-// offset from the earliest instant, at most 16 bits per pass, then order
-// them by time: the exact order a comparison sort on (time, kind, record)
-// gives, in linear time however wide the time span.
-std::vector<uint32_t> ReplayOrder(const std::vector<SegmentRecord>& records) {
+// Whether an event at `t` comes before the bound `below`; kTimeInfinity
+// bounds nothing.
+bool Before(Time t, Time below) { return below == kTimeInfinity || t < below; }
+
+// The replay order of the events of `records` that ReplayPprEvents feeds,
+// each encoded as 2 * record + (1 for the insert at interval.start, 0 for
+// the delete at interval.end) in 32 bits, which halves the order and its
+// radix scratch against 64: by time, deletes before inserts at equal
+// times (a record with lifetime [a, b) is gone at instant b), then by
+// record. The events start out ordered by (kind, record), and stable LSD
+// radix passes over the time offset from the earliest instant, at most 16
+// bits per pass, then order them by time: the exact order a comparison
+// sort on (time, kind, record) gives, in linear time however wide the
+// time span.
+std::vector<uint32_t> ReplayOrder(const std::vector<SegmentRecord>& records,
+                                  Time from, Time below) {
   const size_t n = records.size();
   STINDEX_CHECK_MSG(n < (size_t{1} << 31),
                     "too many records for 32-bit replay events");
-  std::vector<uint32_t> order(2 * n);
-  if (n == 0) return order;
-  Time first = records[0].box.interval.start;
-  Time last = first;
-  for (size_t i = 0; i < n; ++i) {
-    order[i] = static_cast<uint32_t>(2 * i);          // deletes, by record
-    order[n + i] = static_cast<uint32_t>(2 * i + 1);  // then inserts
+  std::vector<uint32_t> order;
+  order.reserve(2 * n);
+  Time first = std::numeric_limits<Time>::max();
+  Time last = std::numeric_limits<Time>::min();
+  const auto add = [&](size_t record, bool insert, Time t) {
+    order.push_back(static_cast<uint32_t>(2 * record + (insert ? 1 : 0)));
+    first = std::min(first, t);
+    last = std::max(last, t);
+  };
+  for (size_t i = 0; i < n; ++i) {  // deletes, by record
     const TimeInterval& life = records[i].box.interval;
-    first = std::min({first, life.start, life.end});
-    last = std::max({last, life.start, life.end});
+    if (life.start >= from && Before(life.end, below)) add(i, false, life.end);
   }
+  for (size_t i = 0; i < n; ++i) {  // then inserts
+    const TimeInterval& life = records[i].box.interval;
+    if (life.start >= from && Before(life.start, below)) {
+      add(i, true, life.start);
+    }
+  }
+  if (order.empty()) return order;
   auto offset = [&records, first](uint32_t event) {
     const TimeInterval& life = records[event >> 1].box.interval;
     return static_cast<uint64_t>((event & 1) != 0 ? life.start : life.end) -
@@ -1217,16 +1142,12 @@ std::vector<uint32_t> ReplayOrder(const std::vector<SegmentRecord>& records) {
 
 }  // namespace
 
-std::unique_ptr<PprTree> BuildPprTree(
-    const std::vector<SegmentRecord>& records, PprConfig config) {
-  auto tree = std::make_unique<PprTree>(config);
-  TraceSpan span("ppr", "build");
-  span.Arg("records", static_cast<int64_t>(records.size()));
-  // Replay the evolution: one insert and one delete event per record.
+void ReplayPprEvents(const std::vector<SegmentRecord>& records, Time from,
+                     Time below, PprTree* tree) {
   // Time order visits the records out of memory order, so each event's
   // record is prefetched a few events ahead.
   constexpr size_t kPrefetchAhead = 8;
-  const std::vector<uint32_t> order = ReplayOrder(records);
+  const std::vector<uint32_t> order = ReplayOrder(records, from, below);
   for (size_t i = 0; i < order.size(); ++i) {
     if (i + kPrefetchAhead < order.size()) {
       __builtin_prefetch(&records[order[i + kPrefetchAhead] >> 1].box);
@@ -1240,6 +1161,16 @@ std::unique_ptr<PprTree> BuildPprTree(
       tree->Delete(index, record.box.interval.end);
     }
   }
+}
+
+std::unique_ptr<PprTree> BuildPprTree(
+    const std::vector<SegmentRecord>& records, PprConfig config) {
+  auto tree = std::make_unique<PprTree>(config);
+  TraceSpan span("ppr", "build");
+  span.Arg("records", static_cast<int64_t>(records.size()));
+  // Replay the evolution: one insert and one delete event per record.
+  ReplayPprEvents(records, std::numeric_limits<Time>::min(), kTimeInfinity,
+                  tree.get());
   return tree;
 }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/segment.h"
@@ -122,9 +121,9 @@ class PprTree {
   // sequence, so per-query LRU miss counts are byte-identical to the
   // unpacked tree's. The tree is frozen afterwards — Insert/Delete
   // become checked errors — and releases its arena and the bookkeeping
-  // that serves updates (record locations, dirty marks); pools from
-  // NewSharedQueryPool must be destroyed first. On failure it keeps
-  // serving from its arena, unchanged.
+  // that serves updates (record locations, the replay's per-node state);
+  // pools from NewSharedQueryPool must be destroyed first. On failure it
+  // keeps serving from its arena, unchanged.
   Status PackSnapshot(const std::string& path,
                       const SnapshotFile::Options& options = {});
 
@@ -159,11 +158,10 @@ class PprTree {
   // Number of logical records ever inserted.
   size_t Size() const { return size_; }
 
-  // Number of records currently alive, and their ids, ascending: records
-  // inserted and not yet deleted. A frozen tree takes no more deletes and
-  // keeps no record locations, so it reports none.
+  // Number of records currently alive: inserted and not yet deleted. A
+  // frozen tree takes no more deletes and keeps no record locations, so
+  // it reports none.
   size_t AliveCount() const { return alive_location_.size(); }
-  std::vector<PprDataId> AliveRecords() const;
 
   // Disk footprint in pages.
   size_t PageCount() const { return pages_.source().LivePageCount(); }
@@ -196,51 +194,19 @@ class PprTree {
   std::vector<AliveNodeSummary> CollectAliveSummaries(Time t) const;
 
   // --- live-tier checkpoint hooks ---------------------------------------
-  // A tree round-trips through checkpoint metadata — the root journal and
-  // counters — plus its nodes: an arena tree's as one sealed kPprNode
-  // page per node, a frozen tree's as the snapshot file it serves, which
-  // AdoptSnapshot maps again. Node ids are contiguous 0..NodeCount()-1
-  // (the tree never frees a node) and node pages are
-  // position-independent. An arena tree's checkpoints are incremental: a
-  // node is dirty from its creation, or from its first change after
-  // MarkCheckpointed(), until the next MarkCheckpointed(), and a
-  // checkpoint rewrites only dirty nodes. Partial persistence keeps that
-  // set small: a dead node never changes again.
+  // A frozen tree round-trips through checkpoint metadata — the root
+  // journal and counters — plus the snapshot file it serves, which
+  // AdoptSnapshot maps again. An arena tree is not persisted at all: it is
+  // a function of its records, so the live tier's checkpoint keeps those
+  // and recovery replays them (ReplayPprEvents).
 
-  // Nodes of the tree: ids 0..NodeCount()-1.
+  // Nodes of the tree: ids 0..NodeCount()-1 (the tree never frees a node).
   size_t NodeCount() const { return pages_.source().SlotCount(); }
 
   // Serializes the non-node state (size, clock, root journal).
   void EncodeCheckpointMeta(ByteSink* out) const;
   // Restores it into a freshly constructed tree of the same config.
   Status DecodeCheckpointMeta(ByteSource* in);
-
-  // The dirty nodes of an arena tree, ascending: every node until the
-  // first MarkCheckpointed().
-  std::vector<PageId> DirtyNodes() const;
-  // Marks every node clean: the checkpoint being written holds a copy of
-  // each.
-  void MarkCheckpointed();
-
-  // Writes a sealed copy of arena node ids[i] to backend slot slots[i],
-  // in order. The first failed write is returned, naming the slot. Does
-  // not sync.
-  Status PersistNodesForCheckpoint(PageBackend* backend,
-                                   const std::vector<PageId>& ids,
-                                   const std::vector<PageId>& slots) const;
-
-  // Test hook: every clean node i seals to exactly the page in `backend`
-  // slot slots[i], its checkpoint copy. A mutation that did not mark its
-  // node dirty fails here, naming the node and the slot.
-  Status CheckCleanNodes(const PageBackend& backend,
-                         const std::vector<PageId>& slots) const;
-
-  // Checks a sealed kPprNode page image and copies it into the arena as
-  // node `id`; ids must arrive 0, 1, 2, ... on a tree holding exactly
-  // `id` nodes. Rebuilds the replay bookkeeping the page implies: its
-  // alive-slot bitmap, its alive records' locations and its alive
-  // children's parent links. The node is dirty until MarkCheckpointed().
-  Status InstallCheckpointNode(PageId id, const uint8_t* page);
 
  private:
   struct Entry;
@@ -272,13 +238,6 @@ class PprTree {
     void Set(PprDataId data, Place place);
     // Removes `data` and stores its place in `*place`; false if absent.
     bool Take(PprDataId data, Place* place);
-    // Calls fn(data) on every entry.
-    template <typename Fn>
-    void ForEachData(Fn fn) const {
-      for (const Slot& slot : slots_) {
-        if (slot.place.node != kInvalidPage) fn(slot.data);
-      }
-    }
 
    private:
     struct Slot {
@@ -295,8 +254,8 @@ class PprTree {
     size_t size_ = 0;
   };
 
-  // Views of arena node `id`; the tree must not be frozen. Mutate marks
-  // the node dirty, and every change to a node page goes through it.
+  // Views of arena node `id`; the tree must not be frozen. Every change
+  // to a node page goes through Mutate.
   NodeView View(PageId id) const;
   Node Mutate(PageId id);
 
@@ -349,10 +308,8 @@ class PprTree {
 
   // Grows the per-node bookkeeping to cover the new node `id`.
   void TrackNode(PageId id);
-  // Frees the bookkeeping that serves updates and node-by-node
-  // checkpoints, neither of which a frozen tree takes: record locations,
-  // the replay's per-node state, and the dirty marks (back to those of a
-  // tree never checkpointed).
+  // Frees the bookkeeping that serves updates, which a frozen tree does
+  // not take: record locations and the replay's per-node state.
   void DropReplayBookkeeping();
 
   // The alive slot of node `id` whose entry satisfies `match`: `hint`
@@ -393,19 +350,6 @@ class PprTree {
   //     entry's slot, as a hint; stale for nodes that have died.
   std::vector<uint64_t> alive_slots_;
   std::vector<Place> parent_of_;
-  // Parent links a checkpoint restore met before their child was
-  // installed (child -> parent); InstallCheckpointNode moves each into
-  // parent_of_ when the child arrives.
-  std::unordered_map<PageId, Place> pending_parents_;
-
-  // Dirty tracking for incremental checkpoints: nodes from clean_below_
-  // on were created since the last MarkCheckpointed(); below it, a node
-  // is dirty iff its dirty_ bit is set, and dirtied_ lists those nodes.
-  // A tree that is never checkpointed keeps clean_below_ at 0 and marks
-  // nothing.
-  PageId clean_below_ = 0;
-  std::vector<bool> dirty_;
-  std::vector<PageId> dirtied_;
 
   // The update path of the current Insert/Delete and PathToAliveLeaf's
   // leaf-to-root chain, kept so updates reuse their capacity.
@@ -417,6 +361,16 @@ class PprTree {
 // interval.end) into a fresh PPR-tree. Record i gets PprDataId i.
 std::unique_ptr<PprTree> BuildPprTree(const std::vector<SegmentRecord>& records,
                                       PprConfig config = PprConfig());
+
+// BuildPprTree's replay, bounded: feeds `tree` the events of the records
+// that start at or after `from`, those before `below` (kTimeInfinity
+// bounds nothing), in the same (time, deletes-first, record) order —
+// each such record's insert at interval.start, and its delete at
+// interval.end when that is before `below` too. Record i gets PprDataId
+// i. `tree` must not have been fed an event later than the first
+// replayed. BuildPprTree is the unbounded case on a fresh tree.
+void ReplayPprEvents(const std::vector<SegmentRecord>& records, Time from,
+                     Time below, PprTree* tree);
 
 }  // namespace stindex
 

@@ -150,40 +150,4 @@ void TreePages::Adopt(std::unique_ptr<MmapSnapshotBackend> snapshot) {
   OpenQueryPool();
 }
 
-void TreePages::SealedCopy(PageId id, uint8_t* page) const {
-  STINDEX_CHECK(check_.has_value());
-  std::memcpy(page, arena().BorrowPage(id), kPageSize);
-  SealPage(page, check_->kind());
-}
-
-Status TreePages::PersistPages(PageBackend* backend,
-                               const std::vector<PageId>& ids,
-                               const std::vector<PageId>& slots) const {
-  STINDEX_CHECK(ids.size() == slots.size());
-  Page page;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    SealedCopy(ids[i], page.bytes);
-    Status status = backend->Write(slots[i], page.bytes);
-    if (!status.ok()) {
-      return Status(status.code(),
-                    "write of page " + std::to_string(slots[i]) +
-                        " failed: " + status.message());
-    }
-  }
-  return Status::OK();
-}
-
-Result<const Page*> TreePages::InstallPage(PageId id, const uint8_t* page) {
-  MemoryPageBackend& pages = arena();
-  STINDEX_CHECK(pages.SlotCount() == id);
-  STINDEX_CHECK(check_.has_value());
-  Status status = check_->Check(page, id);
-  if (!status.ok()) return status;
-  const PageId allocated = pages.Allocate();
-  STINDEX_CHECK(allocated == id);
-  Page& copy = pages.MutablePage(id);
-  std::memcpy(copy.bytes, page, kPageSize);
-  return &copy;
-}
-
 }  // namespace stindex

@@ -18,11 +18,10 @@
 namespace stindex {
 
 // The check every sealed node page passes before it is read in place —
-// each page a pool loads from a packed snapshot and each page a
-// checkpoint restore installs: the envelope (checksum, `kind`, version),
-// then a plausible {int32 level, uint32 count} header prefix
-// (NodePageView): a non-negative level and at most `max_count` entries.
-// Errors name the page and the tree (`name`, a string literal).
+// each page a pool loads from a packed snapshot: the envelope (checksum,
+// `kind`, version), then a plausible {int32 level, uint32 count} header
+// prefix (NodePageView): a non-negative level and at most `max_count`
+// entries. Errors name the page and the tree (`name`, a string literal).
 class NodePageCheck final : public PageCodec {
  public:
   NodePageCheck(PageKind kind, const char* name, size_t max_count)
@@ -109,20 +108,6 @@ class TreePages {
   // file is written: how a recovered tree, which holds no page, serves
   // again the file an earlier Pack of it wrote.
   void Adopt(std::unique_ptr<MmapSnapshotBackend> snapshot);
-
-  // Fills `page` with a copy of arena page `id` sealed with the check's
-  // kind.
-  void SealedCopy(PageId id, uint8_t* page) const;
-
-  // Writes a sealed copy of arena page ids[i] to `backend` slot slots[i],
-  // in order. The first failed write is returned, naming the slot. Does
-  // not sync.
-  Status PersistPages(PageBackend* backend, const std::vector<PageId>& ids,
-                      const std::vector<PageId>& slots) const;
-
-  // Checks the sealed page image `page` and copies it into the arena as
-  // page `id`; ids must arrive 0, 1, 2, ... Returns the installed page.
-  Result<const Page*> InstallPage(PageId id, const uint8_t* page);
 
  private:
   // A pool over source(), checking pages only from the sealed snapshot.

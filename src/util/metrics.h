@@ -119,8 +119,6 @@ class Histogram {
   // result is EXACT at p=0 (the minimum), at p=100 (the maximum), and
   // for single-sample histograms. Returns 0 for an empty histogram.
   double ValueAtPercentile(double p) const;
-  // Deprecated spelling of ValueAtPercentile.
-  double Percentile(double p) const { return ValueAtPercentile(p); }
 
   HistogramSnapshot Snapshot() const;
 

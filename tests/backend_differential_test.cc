@@ -12,7 +12,6 @@
 
 #include <cstring>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -24,11 +23,11 @@
 #include "lru_oracle.h"
 #include "pprtree/ppr_tree.h"
 #include "rstar/rstar_tree.h"
-#include "storage/fault_backend.h"
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
+#include "temp_path.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -65,13 +64,14 @@ std::vector<STQuery> MakeQueries() {
 }
 
 // Packs `tree` into a snapshot served through pread: every pool miss is
-// one real read of the file.
+// one real read of the file. The tree keeps the file open, so its name
+// goes at once.
 template <typename Tree>
 void PackForPread(Tree* tree, const std::string& name) {
   SnapshotFile::Options options;
   options.force_pread = true;
-  const Status status = tree->PackSnapshot(
-      ::testing::TempDir() + "/" + name + ".stsnap", options);
+  const TempPath path(name + ".stsnap");
+  const Status status = tree->PackSnapshot(path, options);
   ASSERT_TRUE(status.ok()) << status.ToString();
   ASSERT_FALSE(tree->backend()->file().mapped());
 }
@@ -210,35 +210,6 @@ TEST(BackendDifferentialTest, RStarTreeIdenticalAcrossBackendsAndThreads) {
   }
 }
 
-// A checkpoint's node copy (PprTree::PersistNodesForCheckpoint) returns
-// the first failed write, naming the slot and the cause; the tree keeps
-// answering unchanged. Only an arena tree is copied: a checkpoint names a
-// packed tree's snapshot file instead.
-TEST(BackendDifferentialTest, PersistNodesNamesTheFailedWrite) {
-  const std::vector<SegmentRecord> records = MakeRecords();
-  const std::vector<STQuery> queries = MakeQueries();
-  const std::unique_ptr<PprTree> tree = BuildPprTree(records);
-  const std::vector<QueryOutcome> before = RunPpr(*tree, queries, 1);
-  ASSERT_GT(TotalMisses(before), 0u);
-  ASSERT_GT(tree->NodeCount(), 3u);
-
-  std::vector<PageId> ids(tree->NodeCount());
-  std::iota(ids.begin(), ids.end(), PageId{0});
-  std::vector<PageId> slots(tree->NodeCount());
-  std::iota(slots.begin(), slots.end(), PageId{100});
-  FaultInjectingBackend::Faults faults;
-  faults.fail_write_at = 3;
-  FaultInjectingBackend backend(std::make_unique<MemoryPageBackend>(), faults);
-  const Status status = tree->PersistNodesForCheckpoint(&backend, ids, slots);
-  EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_NE(status.message().find("write of page 102 failed"),
-            std::string::npos)
-      << status.ToString();
-  EXPECT_NE(status.message().find("injected write failure"), std::string::npos)
-      << status.ToString();
-  EXPECT_EQ(RunPpr(*tree, queries, 1), before);
-}
-
 TEST(BackendDifferentialTest, RStarProtocolMissesIndependentOfPoolSize) {
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
@@ -287,12 +258,12 @@ TEST(BackendDifferentialTest, FileBackendSurvivesReopen) {
   for (size_t i = 0; i < boxes.size(); ++i) {
     tree.Insert(boxes[i], static_cast<DataId>(i));
   }
-  ASSERT_TRUE(
-      tree.PackSnapshot(::testing::TempDir() + "/diff_reopen.stsnap").ok());
+  const TempPath snap_path("diff_reopen.stsnap");
+  ASSERT_TRUE(tree.PackSnapshot(snap_path).ok());
   const size_t slots = tree.backend()->SlotCount();
   ASSERT_GT(slots, 2u);
 
-  const std::string path = ::testing::TempDir() + "/diff_reopen.stpages";
+  const TempPath path("diff_reopen.stpages");
   Result<std::unique_ptr<FilePageBackend>> created =
       FilePageBackend::Create(path);
   ASSERT_TRUE(created.ok()) << created.status().ToString();

@@ -20,6 +20,7 @@
 #include "io/csv.h"
 #include "live/live_tier.h"
 #include "storage/file_backend.h"
+#include "temp_path.h"
 
 namespace stindex {
 namespace {
@@ -64,8 +65,8 @@ std::string IngestSummary(const std::string& out) {
 
 TEST(CliPackTest, PackLeavesAnInterruptedJournalUntouched) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::path(::testing::TempDir()) / "cli_pack";
-  fs::remove_all(dir);
+  const TempPath root("cli_pack");
+  const fs::path dir = root.path();
   fs::create_directories(dir / "packed");
   fs::create_directories(dir / "unpacked");
 

@@ -8,13 +8,10 @@
 #include "datagen/query_gen.h"
 #include "datagen/random_dataset.h"
 #include "io/csv.h"
+#include "temp_path.h"
 
 namespace stindex {
 namespace {
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
 
 TEST(CsvTest, TrajectoriesRoundTrip) {
   RandomDatasetConfig config;
@@ -22,7 +19,7 @@ TEST(CsvTest, TrajectoriesRoundTrip) {
   config.changing_extents = true;
   const std::vector<Trajectory> objects = GenerateRandomDataset(config);
 
-  const std::string path = TempPath("objects.csv");
+  const TempPath path("objects.csv");
   ASSERT_TRUE(WriteTrajectoriesCsv(path, objects).ok());
   Result<std::vector<Trajectory>> read = ReadTrajectoriesCsv(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
@@ -51,7 +48,7 @@ TEST(CsvTest, SegmentsRoundTrip) {
     record.box = object.FullBox();
     records.push_back(record);
   }
-  const std::string path = TempPath("segments.csv");
+  const TempPath path("segments.csv");
   ASSERT_TRUE(WriteSegmentsCsv(path, records).ok());
   Result<std::vector<SegmentRecord>> read = ReadSegmentsCsv(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
@@ -64,7 +61,7 @@ TEST(CsvTest, SegmentsRoundTrip) {
 
 TEST(CsvTest, QueriesRoundTrip) {
   const std::vector<STQuery> queries = GenerateQuerySet(SmallRangeSet());
-  const std::string path = TempPath("queries.csv");
+  const TempPath path("queries.csv");
   ASSERT_TRUE(WriteQueriesCsv(path, queries).ok());
   Result<std::vector<STQuery>> read = ReadQueriesCsv(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
@@ -83,7 +80,7 @@ TEST(CsvTest, MissingFileIsNotFound) {
 }
 
 TEST(CsvTest, MalformedLineReportsLineNumber) {
-  const std::string path = TempPath("bad.csv");
+  const TempPath path("bad.csv");
   {
     std::ofstream out(path);
     out << "# header\n";
@@ -97,7 +94,7 @@ TEST(CsvTest, MalformedLineReportsLineNumber) {
 }
 
 TEST(CsvTest, WrongFieldCountRejected) {
-  const std::string path = TempPath("short.csv");
+  const TempPath path("short.csv");
   {
     std::ofstream out(path);
     out << "0,0,10,0.5\n";
@@ -107,7 +104,7 @@ TEST(CsvTest, WrongFieldCountRejected) {
 }
 
 TEST(CsvTest, NonContiguousTuplesRejected) {
-  const std::string path = TempPath("gap.csv");
+  const TempPath path("gap.csv");
   {
     std::ofstream out(path);
     out << "0,0,10,0.5,0.5,0.01,0.01\n";
@@ -190,7 +187,7 @@ TEST(CsvTest, DenormalExtentsRoundTripThroughSegmentsCsv) {
   record.box.interval = TimeInterval(0, 5);
   record.box.rect = Rect2D(std::numeric_limits<double>::denorm_min(), 0.25,
                            0.5, std::numeric_limits<double>::max());
-  const std::string path = TempPath("denormal.csv");
+  const TempPath path("denormal.csv");
   ASSERT_TRUE(WriteSegmentsCsv(path, {record}).ok());
   Result<std::vector<SegmentRecord>> read = ReadSegmentsCsv(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
@@ -201,7 +198,7 @@ TEST(CsvTest, DenormalExtentsRoundTripThroughSegmentsCsv) {
 TEST(CsvTest, TrailingDelimiterRejected) {
   // A trailing comma produces an empty final field, which must be a
   // parse error rather than a silently dropped or zeroed column.
-  const std::string path = TempPath("trailing.csv");
+  const TempPath path("trailing.csv");
   {
     std::ofstream out(path);
     out << "0,0,10,0.1,0.2,0.3,0.4,\n";
@@ -212,7 +209,7 @@ TEST(CsvTest, TrailingDelimiterRejected) {
 }
 
 TEST(CsvTest, CommentsAndBlankLinesIgnored) {
-  const std::string path = TempPath("comments.csv");
+  const TempPath path("comments.csv");
   {
     std::ofstream out(path);
     out << "# a comment\n\n";
@@ -227,14 +224,11 @@ TEST(CsvTest, CommentsAndBlankLinesIgnored) {
 }
 
 
-// Writes `lines` (no trailing newline needed) to a fresh file in the test
-// temp dir and returns its path.
-std::string WriteLines(const char* name,
-                       std::initializer_list<const char*> lines) {
-  const std::string path = TempPath(name);
-  std::ofstream out(path);
+// Writes `lines` (no trailing newline needed) to `path`.
+void WriteLines(const TempPath& path,
+                std::initializer_list<const char*> lines) {
+  std::ofstream out(path.path());
   for (const char* line : lines) out << line << '\n';
-  return path;
 }
 
 // Expects `status` to fail with `code` and a message that contains each
@@ -250,18 +244,18 @@ void ExpectError(const Status& status, StatusCode code,
 }
 
 TEST(CsvTest, NonFiniteNumbersRejected) {
-  const std::string objects = WriteLines(
-      "nan_coefficient.csv", {"0,0,5,nan,0.5,0.01,0.01"});
+  const TempPath objects("nan_coefficient.csv");
+  WriteLines(objects, {"0,0,5,nan,0.5,0.01,0.01"});
   ExpectError(ReadTrajectoriesCsv(objects).status(),
-              StatusCode::kInvalidArgument, {objects + ":1:", "nan"});
-  const std::string segments = WriteLines(
-      "inf_segment.csv", {"0,0,5,0.1,0.1,0.2,0.2", "1,0,5,0.1,0.1,inf,0.2"});
+              StatusCode::kInvalidArgument, {objects.path() + ":1:", "nan"});
+  const TempPath segments("inf_segment.csv");
+  WriteLines(segments, {"0,0,5,0.1,0.1,0.2,0.2", "1,0,5,0.1,0.1,inf,0.2"});
   ExpectError(ReadSegmentsCsv(segments).status(),
-              StatusCode::kInvalidArgument, {segments + ":2:", "inf"});
-  const std::string queries =
-      WriteLines("inf_query.csv", {"0,5,-inf,0.1,0.2,0.2"});
+              StatusCode::kInvalidArgument, {segments.path() + ":2:", "inf"});
+  const TempPath queries("inf_query.csv");
+  WriteLines(queries, {"0,5,-inf,0.1,0.2,0.2"});
   ExpectError(ReadQueriesCsv(queries).status(), StatusCode::kInvalidArgument,
-              {queries + ":1:", "inf"});
+              {queries.path() + ":1:", "inf"});
 }
 
 TEST(CsvTest, ObjectIdsOutsideTheirRangeRejected) {
@@ -277,15 +271,16 @@ TEST(CsvTest, ObjectIdsOutsideTheirRangeRejected) {
   for (const auto& c : cases) {
     SCOPED_TRACE(std::string("id '") + c.id + "'");
     const std::string line = std::string(c.id) + ",0,5,0.1,0.1,0.2,0.2";
-    const std::string path = WriteLines("bad_id.csv", {line.c_str()});
+    const TempPath path("bad_id.csv");
+    WriteLines(path, {line.c_str()});
     ExpectError(ReadTrajectoriesCsv(path).status(), c.code,
-                {path + ":1:", "object id"});
+                {path.path() + ":1:", "object id"});
     ExpectError(ReadSegmentsCsv(path).status(), c.code,
-                {path + ":1:", "object id"});
+                {path.path() + ":1:", "object id"});
   }
   // The largest id still loads, in both kinds of file.
-  const std::string path =
-      WriteLines("max_id.csv", {"4294967295,0,5,0.1,0.1,0.2,0.2"});
+  const TempPath path("max_id.csv");
+  WriteLines(path, {"4294967295,0,5,0.1,0.1,0.2,0.2"});
   Result<std::vector<Trajectory>> objects = ReadTrajectoriesCsv(path);
   ASSERT_TRUE(objects.ok()) << objects.status().ToString();
   EXPECT_EQ(objects.value()[0].id(), 4294967295u);
@@ -295,44 +290,48 @@ TEST(CsvTest, ObjectIdsOutsideTheirRangeRejected) {
 }
 
 TEST(CsvTest, ObjectWhoseTuplesAreNotContiguousRejected) {
-  const std::string path = WriteLines(
-      "reappearing.csv", {"0,0,5,0.1,0.1,0.01,0.01", "1,0,5,0.2,0.2,0.01,0.01",
-                          "0,5,9,0.1,0.1,0.01,0.01"});
+  const TempPath path("reappearing.csv");
+  WriteLines(path,
+             {"0,0,5,0.1,0.1,0.01,0.01", "1,0,5,0.2,0.2,0.01,0.01",
+              "0,5,9,0.1,0.1,0.01,0.01"});
   ExpectError(ReadTrajectoriesCsv(path).status(),
-              StatusCode::kInvalidArgument, {path + ":3:", "object 0"});
+              StatusCode::kInvalidArgument, {path.path() + ":3:", "object 0"});
 }
 
 TEST(CsvTest, TimeGapIsReportedAtItsOwnLine) {
   // The gap is on line 3, followed by another object.
-  const std::string middle = WriteLines(
-      "gap_middle.csv",
-      {"# header", "0,0,10,0.5,0.5,0.01,0.01", "0,12,20,0.5,0.5,0.01,0.01",
-       "1,0,5,0.5,0.5,0.01,0.01"});
+  const TempPath middle("gap_middle.csv");
+  WriteLines(middle,
+             {"# header", "0,0,10,0.5,0.5,0.01,0.01",
+              "0,12,20,0.5,0.5,0.01,0.01", "1,0,5,0.5,0.5,0.01,0.01"});
   ExpectError(ReadTrajectoriesCsv(middle).status(),
-              StatusCode::kInvalidArgument, {middle + ":3:", "contiguous"});
+              StatusCode::kInvalidArgument,
+              {middle.path() + ":3:", "contiguous"});
   // The gap is in the file's last object.
-  const std::string last = WriteLines(
-      "gap_last.csv", {"0,0,10,0.5,0.5,0.01,0.01", "1,0,10,0.5,0.5,0.01,0.01",
-                       "1,10,20,0.5,0.5,0.01,0.01", "1,21,30,0.5,0.5,0.01,0.01"});
+  const TempPath last("gap_last.csv");
+  WriteLines(last,
+             {"0,0,10,0.5,0.5,0.01,0.01", "1,0,10,0.5,0.5,0.01,0.01",
+              "1,10,20,0.5,0.5,0.01,0.01", "1,21,30,0.5,0.5,0.01,0.01"});
   ExpectError(ReadTrajectoriesCsv(last).status(),
-              StatusCode::kInvalidArgument, {last + ":4:", "contiguous"});
+              StatusCode::kInvalidArgument,
+              {last.path() + ":4:", "contiguous"});
   // So is an empty interval.
-  const std::string empty = WriteLines(
-      "empty_interval.csv",
-      {"0,0,10,0.5,0.5,0.01,0.01", "0,10,10,0.5,0.5,0.01,0.01"});
+  const TempPath empty("empty_interval.csv");
+  WriteLines(empty, {"0,0,10,0.5,0.5,0.01,0.01", "0,10,10,0.5,0.5,0.01,0.01"});
   ExpectError(ReadTrajectoriesCsv(empty).status(),
-              StatusCode::kInvalidArgument, {empty + ":2:", "empty"});
+              StatusCode::kInvalidArgument, {empty.path() + ":2:", "empty"});
 }
 
 TEST(CsvTest, PolynomialDegreeAboveTwoRejected) {
-  const std::string path = WriteLines(
-      "cubic.csv", {"0,0,10,0.5:0.01,0.5,0.01,0.01",
-                    "0,10,20,0.5,0.5:0:0:1e-9,0.01,0.01"});
+  const TempPath path("cubic.csv");
+  WriteLines(path,
+             {"0,0,10,0.5:0.01,0.5,0.01,0.01",
+              "0,10,20,0.5,0.5:0:0:1e-9,0.01,0.01"});
   ExpectError(ReadTrajectoriesCsv(path).status(),
-              StatusCode::kInvalidArgument, {path + ":2:", "cy", "t^3"});
+              StatusCode::kInvalidArgument, {path.path() + ":2:", "cy", "t^3"});
   // Zeros past t^2 are trimmed like any trailing zero.
-  const std::string zeros =
-      WriteLines("trailing_zeros.csv", {"3,0,10,0.5:0.01:0:0,0.5,0.01,0.01"});
+  const TempPath zeros("trailing_zeros.csv");
+  WriteLines(zeros, {"3,0,10,0.5:0.01:0:0,0.5,0.01,0.01"});
   Result<std::vector<Trajectory>> read = ReadTrajectoriesCsv(zeros);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   const Polynomial& cx = read.value()[0].tuples()[0].center_x;

@@ -22,6 +22,7 @@
 #include "pprtree/ppr_tree.h"
 #include "storage/fault_backend.h"
 #include "storage/file_backend.h"
+#include "temp_path.h"
 #include "util/metrics.h"
 #include "util/random.h"
 
@@ -202,14 +203,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferentialTest,
 //      answers.
 //   3. The active tree's structural invariants hold after every recovery
 //      and at the end of every schedule.
-//   4. So do the checkpoint's copies (LiveTier::VerifyCheckpointCopies)
-//      after every commit as well: every node clean since the last
-//      checkpoint still seals to the bytes in its slot, and the segment
-//      chain decodes to the migrated segments. Two thirds of the
-//      schedules checkpoint automatically, every 1 to 4 journal pages,
-//      so checkpoints land before and after the pack and among the crash
-//      points. Half of all schedules use a small node fanout, for deeper
-//      trees whose nodes see more kinds of change between checkpoints.
+//   4. So does the checkpoint's copy (LiveTier::VerifyCheckpointCopies)
+//      after every commit as well: the segment chain decodes to the
+//      migrated segments, from which a recovery replays the active tree.
+//      Two thirds of the schedules checkpoint automatically, every 1 to 4
+//      journal pages, so checkpoints land before and after the pack and
+//      among the crash points. Half of all schedules use a small node
+//      fanout, for deeper trees that restructure more often.
 // ---------------------------------------------------------------------------
 
 std::vector<STQuery> RandomLiveQueries(Rng& rng, Time domain, int count) {
@@ -305,9 +305,8 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
   }
 
   for (const int querier_threads : {1, 2, 7}) {
-    const std::string path = ::testing::TempDir() + "/fuzz_live_" +
-                             std::to_string(seed) + "_" +
-                             std::to_string(querier_threads) + ".stpages";
+    const TempPath path("fuzz_live_" + std::to_string(seed) + "_" +
+                        std::to_string(querier_threads) + ".stpages");
 
     Result<std::unique_ptr<FilePageBackend>> file =
         FilePageBackend::Create(path);
@@ -346,9 +345,8 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
       });
     }
 
-    const std::string snap_path = ::testing::TempDir() + "/fuzz_snap_" +
-                                  std::to_string(seed) + "_" +
-                                  std::to_string(querier_threads) + ".stsnap";
+    const TempPath snap_path("fuzz_snap_" + std::to_string(seed) + "_" +
+                             std::to_string(querier_threads) + ".stsnap");
     size_t acked = 0;
     bool crashed = false;
     Status copies;  // the first failed check of the checkpoint's copies
@@ -446,8 +444,6 @@ TEST_P(LiveTierFuzzTest, InterleavedUpdatesQueriesAndCrashes) {
       }
     }
 
-    std::remove(path.c_str());
-    std::remove(snap_path.c_str());
   }
 }
 

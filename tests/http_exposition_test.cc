@@ -20,6 +20,7 @@
 #include "live/live_tier.h"
 #include "storage/fault_backend.h"
 #include "storage/page_backend.h"
+#include "temp_path.h"
 #include "util/metrics.h"
 
 namespace stindex {
@@ -561,7 +562,7 @@ TEST(SlowQueryLogTest, RingDropsOldest) {
 }
 
 TEST(SlowQueryLogTest, JsonlSinkWritesOneValidLinePerCapture) {
-  const std::string path = ::testing::TempDir() + "/slow_queries.jsonl";
+  const TempPath path("slow_queries.jsonl");
   {
     SlowQueryLog log(0.0, 4);
     ASSERT_TRUE(log.OpenJsonlSink(path));
@@ -570,7 +571,7 @@ TEST(SlowQueryLogTest, JsonlSinkWritesOneValidLinePerCapture) {
     log.MaybeRecord(9.0, false, UnitRect(0.0, 1.0), TimeInterval(0, 100), 0,
                     MakeProfile(1));
   }
-  std::FILE* file = std::fopen(path.c_str(), "r");
+  std::FILE* file = std::fopen(path.path().c_str(), "r");
   ASSERT_NE(file, nullptr);
   std::vector<std::string> lines;
   char buffer[4096];

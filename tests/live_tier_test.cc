@@ -20,6 +20,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "datagen/query_gen.h"
@@ -33,6 +34,8 @@
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
+#include "storage/shared_buffer_pool.h"
+#include "temp_path.h"
 #include "util/metrics.h"
 #include "util/random.h"
 
@@ -723,49 +726,71 @@ TEST(LiveIndexTest, DecodeStateRejectsBufferNotEndingAtLastInstant) {
   }
 }
 
-// Decodes a pipeline state listing `pending` as its insert-pending ids
-// over one segment [0, 3) (id 0), against `tree` as the active tree.
-Status DecodePipeline(const std::vector<PprDataId>& pending, PprTree* tree) {
-  SegmentRecord segment;
-  segment.object = 4;
-  segment.box = STBox(UnitRect(0.1, 0.2), TimeInterval(0, 3));
+// Four segments: ids 0..3 over [0, 3), [2, 6), [5, 9), [1, 4).
+std::vector<SegmentRecord> PipelineSegments() {
+  std::vector<SegmentRecord> segments;
+  for (const auto& [start, end] : std::vector<std::pair<Time, Time>>{
+           {0, 3}, {2, 6}, {5, 9}, {1, 4}}) {
+    SegmentRecord segment;
+    segment.object = 4 + segments.size();
+    segment.box = STBox(UnitRect(0.1, 0.2), TimeInterval(start, end));
+    segments.push_back(segment);
+  }
+  return segments;
+}
+
+// Decodes the first `bytes` bytes of a pipeline state holding the
+// watermarks W and W_pack into `pipeline`, over PipelineSegments().
+Status DecodeWatermarks(Time watermark, Time pack_watermark, size_t bytes,
+                        MigrationPipeline* pipeline) {
   ByteSink sink;
-  sink.Write(static_cast<uint64_t>(pending.size()));
-  for (PprDataId id : pending) sink.Write(id);
-  sink.Write(uint64_t{0});  // applied events
-  MigrationPipeline pipeline(tree);
-  ByteSource source(sink.bytes().data(), sink.bytes().size());
-  return pipeline.DecodeState({segment}, &source);
+  sink.Write(watermark);
+  sink.Write(pack_watermark);
+  ByteSource source(sink.bytes().data(), bytes);
+  return pipeline->DecodeState(PipelineSegments(), &source);
 }
 
-TEST(MigrationPipelineTest, DecodeStateRejectsIdListedTwice) {
+// The active tree is replayed from the segments that start at or after
+// W_pack, up to W; what is left is queued.
+TEST(MigrationPipelineTest, DecodeStateReplaysTheActiveTreeFromItsWatermarks) {
   PprTree tree;
-  const Status status = DecodePipeline({0, 0}, &tree);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(Mentions(status, "id 0 listed twice")) << status.ToString();
+  MigrationPipeline pipeline(&tree);
+  const Status status = DecodeWatermarks(5, 1, 16, &pipeline);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  // Segment 0 starts before W_pack: a pack froze it. Segments 1 and 3
+  // were inserted, and 3 deleted at 4; segment 2 starts at W.
+  EXPECT_EQ(tree.Size(), 2u);
+  EXPECT_EQ(tree.AliveCount(), 1u);
+  tree.CheckInvariants();
+  // Pending: segment 2's insert and delete, segment 1's delete.
+  EXPECT_EQ(pipeline.pending_events(), 3u);
+  EXPECT_EQ(pipeline.watermark(), 5);
+  std::vector<ObjectId> pending;
+  pipeline.CollectPending(UnitRect(0.0, 1.0), TimeInterval(0, 10), &pending);
+  EXPECT_EQ(pending, std::vector<ObjectId>{6});
+  // Applying the rest gives the tree an uninterrupted pipeline would.
+  pipeline.Drain();
+  EXPECT_EQ(tree.Size(), 3u);
+  EXPECT_EQ(tree.AliveCount(), 0u);
+  tree.CheckInvariants();
 }
 
-// The delete-pending ids are the active tree's alive records: each must
-// name a segment, and none may still await its insert.
-TEST(MigrationPipelineTest, DecodeStateRejectsInconsistentAliveRecords) {
-  PprTree beyond;
-  beyond.Insert(UnitRect(0.1, 0.2), 0, 5);
-  Status status = DecodePipeline({}, &beyond);
+TEST(MigrationPipelineTest, DecodeStateRejectsBadWatermarks) {
+  for (const size_t bytes : {size_t{0}, size_t{8}, size_t{12}}) {
+    PprTree tree;
+    MigrationPipeline pipeline(&tree);
+    const Status status = DecodeWatermarks(5, 1, bytes, &pipeline);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(Mentions(status, "truncated pipeline watermarks"))
+        << status.ToString();
+  }
+  PprTree tree;
+  MigrationPipeline pipeline(&tree);
+  const Status status = DecodeWatermarks(3, 4, 16, &pipeline);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(Mentions(status, "alive record 5 beyond the segment list"))
+  EXPECT_TRUE(Mentions(status, "watermark 3 precedes the pack watermark 4"))
       << status.ToString();
-
-  PprTree pending;
-  pending.Insert(UnitRect(0.1, 0.2), 0, 0);
-  status = DecodePipeline({0}, &pending);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(Mentions(status, "alive record 0 is also insert-pending"))
-      << status.ToString();
-
-  PprTree consistent;
-  consistent.Insert(UnitRect(0.1, 0.2), 0, 0);
-  status = DecodePipeline({}, &consistent);
-  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(tree.Size(), 0u);
 }
 
 // Exact linear-scan reference: an object matches iff at some instant of
@@ -929,7 +954,7 @@ TEST(LiveTierTest, CleanReopenContinuesAndReingestIsIdempotent) {
   const std::vector<Trajectory> objects = SmallDataset(13);
   const std::vector<LiveObservation> stream = MakeObservationStream(objects);
   const std::vector<STQuery> queries = SmallQueries(17);
-  const std::string path = ::testing::TempDir() + "/live_reopen.stpages";
+  const TempPath path("live_reopen.stpages");
 
   const size_t half = stream.size() / 2;
   {
@@ -1031,7 +1056,7 @@ TEST(LiveTierTest, CheckpointTruncatesJournalAndReopensFromIt) {
   const std::vector<Trajectory> objects = SmallDataset(23);
   const std::vector<LiveObservation> stream = MakeObservationStream(objects);
   const std::vector<STQuery> queries = SmallQueries(29);
-  const std::string path = ::testing::TempDir() + "/live_ckpt.stpages";
+  const TempPath path("live_ckpt.stpages");
 
   // Reference: the same stream through an in-memory tier, no checkpoints.
   Result<std::unique_ptr<LiveTier>> reference = LiveTier::Open(
@@ -1084,17 +1109,17 @@ TEST(LiveTierTest, CheckpointTruncatesJournalAndReopensFromIt) {
     reference.value()->IntervalQuery(query.area, query.range, &want);
     EXPECT_EQ(got, want);
   }
-  std::remove(path.c_str());
 }
 
-// A second checkpoint writes what changed since the first — dirty nodes,
-// the new segments, the metadata — and inherits every other page; a
-// reopen from it answers like the uninterrupted run.
+// A second checkpoint writes what changed since the first — the new
+// segments, from the partial last page of the chain on, and the metadata
+// — and inherits every full segment page; a reopen from it answers like
+// the uninterrupted run.
 TEST(LiveTierTest, CheckpointWritesOnlyWhatChangedAndInheritsTheRest) {
   const std::vector<Trajectory> objects = SmallDataset(31);
   const std::vector<LiveObservation> stream = MakeObservationStream(objects);
   const std::vector<STQuery> queries = SmallQueries(37);
-  const std::string path = ::testing::TempDir() + "/live_ckpt_delta.stpages";
+  const TempPath path("live_ckpt_delta.stpages");
   Counter* written =
       MetricRegistry::Global().GetCounter("live.wal.checkpoint_pages_written");
   Counter* inherited = MetricRegistry::Global().GetCounter(
@@ -1109,36 +1134,47 @@ TEST(LiveTierTest, CheckpointWritesOnlyWhatChangedAndInheritsTheRest) {
   ASSERT_TRUE(reference.value()->Finish().ok());
 
   const size_t first = stream.size() * 3 / 4;
-  const size_t second = first + 8;
-  uint64_t first_written = 0;
+  const size_t second = stream.size() - 8;
   {
     Result<std::unique_ptr<FilePageBackend>> wal =
         FilePageBackend::Create(path);
     ASSERT_TRUE(wal.ok());
+    const FilePageBackend* journal = wal.value().get();
+    const auto header_of = [journal]() {
+      const Result<CheckpointHeader> header =
+          ReadLatestCheckpointHeader(*journal);
+      EXPECT_TRUE(header.ok()) << header.status().ToString();
+      return header.value();
+    };
     Result<std::unique_ptr<LiveTier>> tier =
         LiveTier::Open(SmallTierOptions(), std::move(wal).value());
     ASSERT_TRUE(tier.ok());
     for (size_t i = 0; i < first; ++i) {
       ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
     }
-    uint64_t before = written->Value();
-    const uint64_t inherited_before = inherited->Value();
+    uint64_t written_before = written->Value();
+    uint64_t inherited_before = inherited->Value();
     ASSERT_TRUE(tier.value()->Checkpoint().ok());
-    first_written = written->Value() - before;
+    const CheckpointHeader one = header_of();
     // The first checkpoint has nothing to inherit.
+    EXPECT_EQ(written->Value() - written_before,
+              one.segment_pages + one.meta_pages);
     EXPECT_EQ(inherited->Value(), inherited_before);
     EXPECT_TRUE(tier.value()->VerifyCheckpointCopies().ok());
 
     for (size_t i = first; i < second; ++i) {
       ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
     }
-    before = written->Value();
+    written_before = written->Value();
+    inherited_before = inherited->Value();
     ASSERT_TRUE(tier.value()->Checkpoint().ok());
-    const uint64_t second_written = written->Value() - before;
-    EXPECT_GT(inherited->Value(), inherited_before);
-    EXPECT_LT(2 * second_written, first_written)
-        << "eight updates rewrote " << second_written << " of "
-        << first_written << " pages";
+    const CheckpointHeader two = header_of();
+    ASSERT_GT(two.segment_count, one.segment_count) << "no new segment";
+    const uint64_t full_pages = one.segment_count / kSegmentsPerPage;
+    ASSERT_GT(full_pages, 0u);
+    EXPECT_EQ(inherited->Value() - inherited_before, full_pages);
+    EXPECT_EQ(written->Value() - written_before,
+              two.segment_pages - full_pages + two.meta_pages);
     const Status copies = tier.value()->VerifyCheckpointCopies();
     EXPECT_TRUE(copies.ok()) << copies.ToString();
   }
@@ -1163,23 +1199,20 @@ TEST(LiveTierTest, CheckpointWritesOnlyWhatChangedAndInheritsTheRest) {
     reference.value()->IntervalQuery(query.area, query.range, &want);
     EXPECT_EQ(got, want);
   }
-  std::remove(path.c_str());
 }
 
-// The tier's checkpoint copies stay exact when a checkpoint follows every
-// update: each check sees the changes of one update since a checkpoint
-// that left every node clean, so a change that did not mark its node
-// fails it at once. A deep tree (fanout 6), a pack halfway and a reopen
-// at the end cover the slot bookkeeping across packs and recovery.
+// The tier's segment chain stays exact when a checkpoint follows every
+// update, each appending at most a few segments to a partial last page.
+// A deep tree (fanout 6), a pack halfway and a reopen at the end cover
+// the chain and the replayed active tree across packs and recovery.
 TEST(LiveTierTest, CopiesStayExactWithACheckpointAfterEveryUpdate) {
   const std::vector<Trajectory> objects = SmallDataset(43);
   const std::vector<LiveObservation> stream = MakeObservationStream(objects);
   const std::vector<STQuery> queries = SmallQueries(47);
   LiveTierOptions options = SmallTierOptions();
   options.ppr.max_entries = 6;
-  const std::string path = ::testing::TempDir() + "/live_ckpt_every.stpages";
-  const std::string snap_path =
-      ::testing::TempDir() + "/live_ckpt_every.stsnap";
+  const TempPath path("live_ckpt_every.stpages");
+  const TempPath snap_path("live_ckpt_every.stsnap");
 
   Result<std::unique_ptr<LiveTier>> reference =
       LiveTier::Open(options, std::make_unique<MemoryPageBackend>());
@@ -1228,8 +1261,6 @@ TEST(LiveTierTest, CopiesStayExactWithACheckpointAfterEveryUpdate) {
     reference.value()->IntervalQuery(query.area, query.range, &want);
     EXPECT_EQ(got, want);
   }
-  std::remove(path.c_str());
-  std::remove(snap_path.c_str());
 }
 
 // Journal pages holding a sealed PPR-tree node.
@@ -1243,37 +1274,291 @@ size_t NodePages(const PageBackend& wal) {
   return pages;
 }
 
-// A checkpoint names a packed layer's snapshot file instead of copying
-// it: the checkpoint right after a pack writes no node page, only its
-// metadata, and once it commits the journal holds no node page at all —
-// the packed tree's pages live in its snapshot alone.
-TEST(LiveTierTest, CheckpointAfterAPackWritesNoNodePage) {
+// An in-memory journal that records the kind of every page written to it.
+class KindRecordingBackend final : public PageBackend {
+ public:
+  size_t page_size() const override { return pages_.page_size(); }
+  Status Read(PageId id, uint8_t* out) const override {
+    return pages_.Read(id, out);
+  }
+  Status Write(PageId id, const uint8_t* data) override {
+    uint16_t kind = 0;  // envelope bytes [4, 6)
+    std::memcpy(&kind, data + 4, sizeof(kind));
+    written_.insert(static_cast<PageKind>(kind));
+    return pages_.Write(id, data);
+  }
+  Status Free(PageId id) override { return pages_.Free(id); }
+  bool IsAllocated(PageId id) const override {
+    return pages_.IsAllocated(id);
+  }
+  size_t SlotCount() const override { return pages_.SlotCount(); }
+  size_t LivePageCount() const override { return pages_.LivePageCount(); }
+  Status Sync() override { return pages_.Sync(); }
+  std::string Name() const override { return "kind-recording"; }
+
+  // The kinds written since the last call.
+  std::set<PageKind> TakeWrittenKinds() { return std::exchange(written_, {}); }
+
+ private:
+  MemoryPageBackend pages_;
+  std::set<PageKind> written_;
+};
+
+// The active tree is derived state, and a frozen layer is named by its
+// snapshot file: a checkpoint writes segment, metadata and header pages
+// — besides the journal page that carries its marker — and no node page,
+// before a pack and after one, so the journal never holds a node page.
+TEST(LiveTierTest, CheckpointsWriteNoNodePage) {
   const std::vector<LiveObservation> stream =
       MakeObservationStream(SmallDataset(53));
-  const std::string snap_path = ::testing::TempDir() + "/live_named.stsnap";
-  Counter* written =
-      MetricRegistry::Global().GetCounter("live.wal.checkpoint_pages_written");
-  auto memory = std::make_unique<MemoryPageBackend>();
-  const MemoryPageBackend* wal = memory.get();
+  const TempPath snap_path("live_no_nodes.stsnap");
+  auto memory = std::make_unique<KindRecordingBackend>();
+  KindRecordingBackend* wal = memory.get();
   Result<std::unique_ptr<LiveTier>> tier =
       LiveTier::Open(SmallTierOptions(), std::move(memory));
   ASSERT_TRUE(tier.ok());
-  for (size_t i = 0; i < stream.size() / 2; ++i) {
-    ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+  const std::set<PageKind> checkpoint_kinds = {
+      PageKind::kWalPage, PageKind::kSegmentPage, PageKind::kCheckpointPage,
+      PageKind::kCheckpointHeader};
+  const size_t half = stream.size() / 2;
+  for (const bool pack : {false, true}) {
+    SCOPED_TRACE(pack ? "after a pack" : "no pack");
+    if (pack) {
+      ASSERT_TRUE(tier.value()->PackHistorical(snap_path).ok());
+    }
+    for (size_t i = pack ? half : 0; i < (pack ? stream.size() : half); ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+    }
+    ASSERT_GT(tier.value()->historical().NodeCount(), 0u);
+    wal->TakeWrittenKinds();
+    ASSERT_TRUE(tier.value()->Checkpoint().ok());
+    const std::set<PageKind> written = wal->TakeWrittenKinds();
+    EXPECT_EQ(written, checkpoint_kinds);
+    EXPECT_EQ(NodePages(*wal), 0u);
+    const Status copies = tier.value()->VerifyCheckpointCopies();
+    EXPECT_TRUE(copies.ok()) << copies.ToString();
   }
-  ASSERT_TRUE(tier.value()->Checkpoint().ok());
-  ASSERT_GT(NodePages(*wal), 0u);
+}
 
-  ASSERT_TRUE(tier.value()->PackHistorical(snap_path).ok());
-  const uint64_t before = written->Value();
-  ASSERT_TRUE(tier.value()->Checkpoint().ok());
-  const Result<CheckpointHeader> header = ReadLatestCheckpointHeader(*wal);
-  ASSERT_TRUE(header.ok());
-  EXPECT_EQ(written->Value() - before, header.value().meta_pages);
-  EXPECT_EQ(NodePages(*wal), 0u);
-  const Status copies = tier.value()->VerifyCheckpointCopies();
-  EXPECT_TRUE(copies.ok()) << copies.ToString();
-  std::remove(snap_path.c_str());
+// Every node page of an arena tree, in node order.
+std::vector<std::vector<uint8_t>> NodePagesOf(const PprTree& tree) {
+  std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool(1);
+  std::vector<std::vector<uint8_t>> pages;
+  for (PageId id = 0; id < tree.NodeCount(); ++id) {
+    bool missed = false;
+    const Result<const Page*> page = pool->Pin(id, &missed);
+    EXPECT_TRUE(page.ok()) << page.status().ToString();
+    pages.emplace_back(page.value()->bytes, page.value()->bytes + kPageSize);
+    pool->Unpin(id);
+  }
+  return pages;
+}
+
+// The first node at which two trees' pages differ; SIZE_MAX when none do.
+size_t FirstDifferentNode(const std::vector<std::vector<uint8_t>>& a,
+                          const std::vector<std::vector<uint8_t>>& b) {
+  for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+    if (i >= a.size() || i >= b.size() || a[i] != b[i]) return i;
+  }
+  return SIZE_MAX;
+}
+
+// Recovery replays the active tree from the segments and the pipeline's
+// two watermarks. Checkpointed mid-stream — with no pack before, after
+// one and after two — the reopened tier's active tree equals, page for
+// page, the tree of the tier it was checkpointed from at that update, and
+// the reopened tier goes on to the never-crashed reference's answers.
+TEST(LiveTierTest, RecoveryReplaysTheActiveTreePageForPage) {
+  const std::vector<Trajectory> objects = SmallDataset(61);
+  const std::vector<LiveObservation> stream = MakeObservationStream(objects);
+  const std::vector<STQuery> queries = SmallQueries(67);
+  LiveTierOptions options = SmallTierOptions();
+  options.ppr.max_entries = 8;  // deep trees that restructure often
+
+  Result<std::unique_ptr<LiveTier>> reference =
+      LiveTier::Open(options, std::make_unique<MemoryPageBackend>());
+  ASSERT_TRUE(reference.ok());
+  for (const LiveObservation& update : stream) {
+    ASSERT_TRUE(reference.value()->Apply(update).ok());
+  }
+  ASSERT_TRUE(reference.value()->Finish().ok());
+
+  const size_t cut = stream.size() * 2 / 3;
+  for (const size_t packs : {size_t{0}, size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(std::to_string(packs) + " packs");
+    const TempPath path("live_replay.stpages");
+    const TempPath snap_paths[] = {TempPath("live_replay_0.stsnap"),
+                                   TempPath("live_replay_1.stsnap")};
+    std::vector<std::vector<uint8_t>> pages;
+    size_t size = 0;
+    size_t alive = 0;
+    size_t roots = 0;
+    size_t pending = 0;
+    {
+      Result<std::unique_ptr<FilePageBackend>> wal =
+          FilePageBackend::Create(path);
+      ASSERT_TRUE(wal.ok());
+      Result<std::unique_ptr<LiveTier>> tier =
+          LiveTier::Open(options, std::move(wal).value());
+      ASSERT_TRUE(tier.ok());
+      for (size_t i = 0; i < cut; ++i) {
+        ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+        for (size_t p = 0; p < packs; ++p) {
+          if (i + 1 == (p + 1) * cut / 3) {
+            ASSERT_TRUE(tier.value()->PackHistorical(snap_paths[p]).ok());
+          }
+        }
+      }
+      ASSERT_TRUE(tier.value()->Checkpoint().ok());
+      const PprTree& active = tier.value()->historical();
+      active.CheckInvariants();
+      pages = NodePagesOf(active);
+      size = active.Size();
+      alive = active.AliveCount();
+      roots = active.NumRoots();
+      pending = tier.value()->pending_events();
+      ASSERT_GT(pages.size(), 10u) << "a shallow active tree";
+      ASSERT_GT(alive, 0u);
+      ASSERT_GT(pending, 0u);
+    }
+
+    Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(path);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(options, std::move(wal).value());
+    ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+    EXPECT_EQ(tier.value()->recovered().records, 0u);
+    EXPECT_EQ(tier.value()->frozen_layers(), packs);
+    const PprTree& active = tier.value()->historical();
+    active.CheckInvariants();
+    const std::vector<std::vector<uint8_t>> recovered = NodePagesOf(active);
+    EXPECT_EQ(recovered.size(), pages.size());
+    EXPECT_EQ(FirstDifferentNode(recovered, pages), SIZE_MAX);
+    EXPECT_EQ(active.Size(), size);
+    EXPECT_EQ(active.AliveCount(), alive);
+    EXPECT_EQ(active.NumRoots(), roots);
+    EXPECT_EQ(tier.value()->pending_events(), pending);
+
+    for (const LiveObservation& update : stream) {
+      ASSERT_TRUE(tier.value()->Apply(update).ok());
+    }
+    ASSERT_TRUE(tier.value()->Finish().ok());
+    tier.value()->historical().CheckInvariants();
+    for (const STQuery& query : queries) {
+      std::vector<ObjectId> got;
+      std::vector<ObjectId> want;
+      tier.value()->IntervalQuery(query.area, query.range, &got);
+      reference.value()->IntervalQuery(query.area, query.range, &want);
+      EXPECT_EQ(got, want);
+    }
+  }
+}
+
+// A checkpoint names each frozen layer's snapshot by its path, so it is
+// refused — FailedPrecondition naming the layer and the path, nothing
+// written, the tier not latched — while the path no longer names the
+// file the layer maps: deleted, or replaced by another file. So is a
+// Commit whose automatic trigger it is. A reopen then recovers the
+// pre-pack layering from the checkpoint before the pack and finishes
+// with the never-crashed reference's answers.
+TEST(LiveTierTest, CheckpointRefusesASnapshotPathThatNamesAnotherFile) {
+  const std::vector<Trajectory> objects = SmallDataset(71);
+  const std::vector<LiveObservation> stream = MakeObservationStream(objects);
+  const std::vector<STQuery> queries = SmallQueries(73);
+  LiveTierOptions options = SmallTierOptions();
+  options.checkpoint_every_pages = 1;
+
+  Result<std::unique_ptr<LiveTier>> reference =
+      LiveTier::Open(options, std::make_unique<MemoryPageBackend>());
+  ASSERT_TRUE(reference.ok());
+  for (const LiveObservation& update : stream) {
+    ASSERT_TRUE(reference.value()->Apply(update).ok());
+  }
+  ASSERT_TRUE(reference.value()->Finish().ok());
+
+  const TempPath path("live_gone.stpages");
+  const TempPath snap_path("live_gone.stsnap");
+  const TempPath other_path("live_gone_other.stsnap");
+  const std::vector<std::pair<const char*, std::function<void()>>> damages = {
+      {"deleted", [&] { std::filesystem::remove(snap_path.path()); }},
+      {"replaced",
+       [&] {
+         SegmentRecord other;
+         other.object = 1;
+         other.box = STBox(UnitRect(0.3, 0.4), TimeInterval(0, 9));
+         ASSERT_TRUE(BuildPprTree({other})->PackSnapshot(other_path).ok());
+         std::filesystem::rename(other_path.path(), snap_path.path());
+       }},
+  };
+  const size_t half = stream.size() / 2;
+  for (const auto& [name, damage] : damages) {
+    SCOPED_TRACE(name);
+    size_t acked = 0;
+    {
+      Result<std::unique_ptr<FilePageBackend>> wal =
+          FilePageBackend::Create(path);
+      ASSERT_TRUE(wal.ok());
+      const FilePageBackend* journal = wal.value().get();
+      Result<std::unique_ptr<LiveTier>> tier =
+          LiveTier::Open(options, std::move(wal).value());
+      ASSERT_TRUE(tier.ok());
+      for (size_t i = 0; i < half; ++i) {
+        ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+        if ((i + 1) % 16 == 0) {
+          ASSERT_TRUE(tier.value()->Commit().ok());
+        }
+      }
+      ASSERT_TRUE(tier.value()->Checkpoint().ok());
+      const uint64_t seq = tier.value()->checkpoint_seq();
+      ASSERT_TRUE(tier.value()->PackHistorical(snap_path).ok());
+      damage();
+
+      const auto expect_refused = [&](const Status& status) {
+        EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+            << status.ToString();
+        for (const std::string& text :
+             {"frozen layer 0 snapshot " + snap_path.path(),
+              std::string("no longer names the file")}) {
+          EXPECT_TRUE(Mentions(status, text)) << status.ToString();
+        }
+      };
+      const uint64_t pages = journal->LivePageCount();
+      const uint64_t wal_pages = tier.value()->wal_pages();
+      expect_refused(tier.value()->Checkpoint());
+      EXPECT_EQ(journal->LivePageCount(), pages);
+      EXPECT_EQ(tier.value()->wal_pages(), wal_pages);
+      // The automatic trigger of a Commit past the threshold.
+      for (size_t i = half; i < half + 40; ++i) {
+        ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+      }
+      expect_refused(tier.value()->Commit());
+      acked = half + 40;
+      EXPECT_FALSE(tier.value()->latched());
+      EXPECT_EQ(tier.value()->checkpoint_seq(), seq);
+      const Result<CheckpointHeader> header =
+          ReadLatestCheckpointHeader(*journal);
+      ASSERT_TRUE(header.ok());
+      EXPECT_EQ(header.value().checkpoint_seq, seq);
+    }
+
+    Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(path);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(options, std::move(wal).value());
+    ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+    EXPECT_EQ(tier.value()->frozen_layers(), 0u);
+    for (size_t i = acked; i < stream.size(); ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+    }
+    ASSERT_TRUE(tier.value()->Finish().ok());
+    for (const STQuery& query : queries) {
+      std::vector<ObjectId> got;
+      std::vector<ObjectId> want;
+      tier.value()->IntervalQuery(query.area, query.range, &got);
+      reference.value()->IntervalQuery(query.area, query.range, &want);
+      EXPECT_EQ(got, want);
+    }
+  }
 }
 
 // Recovery maps the snapshot a checkpoint names again, and refuses — with
@@ -1282,9 +1567,9 @@ TEST(LiveTierTest, CheckpointAfterAPackWritesNoNodePage) {
 TEST(LiveTierTest, RecoveryRefusesASnapshotThatIsNotTheOneNamed) {
   const std::vector<LiveObservation> stream =
       MakeObservationStream(SmallDataset(59));
-  const std::string path = ::testing::TempDir() + "/live_named.stpages";
-  const std::string snap_path = ::testing::TempDir() + "/live_named.stsnap";
-  const std::string saved = snap_path + ".saved";
+  const TempPath path("live_named.stpages");
+  const TempPath snap_path("live_named.stsnap");
+  const TempPath saved("live_named.stsnap.saved");
   {
     Result<std::unique_ptr<FilePageBackend>> wal =
         FilePageBackend::Create(path);
@@ -1298,7 +1583,7 @@ TEST(LiveTierTest, RecoveryRefusesASnapshotThatIsNotTheOneNamed) {
     ASSERT_TRUE(tier.value()->PackHistorical(snap_path).ok());
     ASSERT_TRUE(tier.value()->Checkpoint().ok());
   }
-  std::filesystem::copy_file(snap_path, saved,
+  std::filesystem::copy_file(snap_path.path(), saved.path(),
                              std::filesystem::copy_options::overwrite_existing);
   const auto recover = [&path]() -> Result<std::unique_ptr<LiveTier>> {
     Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(path);
@@ -1313,11 +1598,12 @@ TEST(LiveTierTest, RecoveryRefusesASnapshotThatIsNotTheOneNamed) {
   }
 
   const std::vector<std::pair<const char*, std::function<void()>>> damages = {
-      {"deleted", [&] { std::remove(snap_path.c_str()); }},
+      {"deleted", [&] { std::filesystem::remove(snap_path.path()); }},
       {"truncated",
        [&] {
          std::filesystem::resize_file(
-             snap_path, std::filesystem::file_size(snap_path) - kPageSize);
+             snap_path.path(),
+             std::filesystem::file_size(snap_path.path()) - kPageSize);
        }},
       {"re-packed",
        [&] {
@@ -1330,18 +1616,16 @@ TEST(LiveTierTest, RecoveryRefusesASnapshotThatIsNotTheOneNamed) {
   for (const auto& [name, damage] : damages) {
     SCOPED_TRACE(name);
     std::filesystem::copy_file(
-        saved, snap_path, std::filesystem::copy_options::overwrite_existing);
+        saved.path(), snap_path.path(),
+        std::filesystem::copy_options::overwrite_existing);
     damage();
     const Result<std::unique_ptr<LiveTier>> tier = recover();
     ASSERT_FALSE(tier.ok());
     for (const std::string& text :
-         {std::string("checkpoint 1: frozen layer 0"), snap_path}) {
+         {std::string("checkpoint 1: frozen layer 0"), snap_path.path()}) {
       EXPECT_TRUE(Mentions(tier.status(), text)) << tier.status().ToString();
     }
   }
-  std::remove(path.c_str());
-  std::remove(snap_path.c_str());
-  std::remove(saved.c_str());
 }
 
 // A checkpointed journal whose pages a test rewrites — resealed, so every
@@ -1428,12 +1712,11 @@ class CheckpointCountTest : public ::testing::Test {
     }
   }
 
-  // Stream offsets of the counts RestoreFromCheckpoint decodes, found by
-  // walking the stream's layout (one tree layer: no pack).
+  // Stream offsets of the fields RestoreFromCheckpoint decodes, found by
+  // walking the stream's layout (no frozen layer: no pack).
   struct MetaCounts {
-    uint64_t root_count = 0;
-    uint64_t node_count = 0;
-    uint64_t insert_pending = 0;
+    uint64_t watermark = 0;
+    uint64_t pack_watermark = 0;
     uint64_t live_buffers = 0;
     uint64_t last_instants = 0;
   };
@@ -1450,16 +1733,10 @@ class CheckpointCountTest : public ::testing::Test {
     };
     MetaCounts counts;
     EXPECT_EQ(u64(0), 0u) << "no frozen layer";
-    counts.root_count = 8 + 2 * sizeof(uint64_t);  // after size, clock
-    counts.node_count =
-        counts.root_count + 8 +
-        u64(counts.root_count) * (sizeof(Time) + sizeof(PageId));
-    counts.insert_pending =
-        counts.node_count + 8 + u64(counts.node_count) * sizeof(PageId);
-    uint64_t at = counts.insert_pending;
-    at += 8 + u64(at) * sizeof(PprDataId);
-    counts.live_buffers = at + 8;  // after the applied-event count
-    at = counts.live_buffers + 8;
+    counts.watermark = 8;
+    counts.pack_watermark = counts.watermark + sizeof(Time);
+    counts.live_buffers = counts.pack_watermark + sizeof(Time);
+    uint64_t at = counts.live_buffers + 8;
     for (uint64_t b = 0; b < u64(counts.live_buffers); ++b) {
       at += sizeof(ObjectId) + sizeof(Time);
       at += 8 + u64(at) * sizeof(Rect2D);
@@ -1558,19 +1835,72 @@ TEST_F(CheckpointCountTest, FrozenLayerPathLength) {
                  "(page 0, slot "});
 }
 
+TEST_F(CheckpointCountTest, JournalThatCopiesTheActiveTreeIsRefused) {
+  const uint32_t old_layout = 3;
+  Poke(1, PageKind::kCheckpointHeader, kPageEnvelopeBytes + 32, &old_layout,
+       sizeof(old_layout));
+  ExpectRefused({"checkpoint 1 (header slot 1) has layout 3",
+                 "predates derived active trees"});
+}
+
 TEST_F(CheckpointCountTest, TreeRootJournal) {
-  PokeMeta(FindCounts().root_count, kHuge);
-  ExpectRefused({"root journal of", "(page 0, slot "});
+  Build(/*pack=*/true);
+  // The stream opens with the frozen layer count, then layer 0's tree
+  // meta: size, clock, root journal.
+  PokeMeta(24, kHuge);
+  ExpectRefused({"root journal of", "overruns the", "(page 0, slot "});
 }
 
-TEST_F(CheckpointCountTest, NodeSlotMap) {
-  PokeMeta(FindCounts().node_count, kHuge);
-  ExpectRefused({"node slot map of", "(page 0, slot "});
+// W, the pipeline's watermark, cannot precede W_pack, the one at the
+// last pack.
+TEST_F(CheckpointCountTest, PipelineWatermarksOutOfOrder) {
+  const MetaCounts counts = FindCounts();
+  std::vector<PageId> slots;
+  const Result<std::vector<uint8_t>> meta =
+      ReadCheckpointMeta(*Backend(), Header(), &slots);
+  ASSERT_TRUE(meta.ok());
+  Time watermark = 0;
+  std::memcpy(&watermark, meta.value().data() + counts.watermark,
+              sizeof(watermark));
+  PokeMeta(counts.pack_watermark, static_cast<uint64_t>(watermark + 1));
+  ExpectRefused({("metadata byte " + std::to_string(counts.live_buffers) +
+                  " (page 0, slot ")
+                     .c_str(),
+                 "precedes the pack watermark"});
 }
 
-TEST_F(CheckpointCountTest, PipelinePendingSet) {
-  PokeMeta(FindCounts().insert_pending, kHuge);
-  ExpectRefused({"pending set of", ", slot "});
+// No later segment can start before the live index's watermark, so the
+// pipeline's cannot be past it.
+TEST_F(CheckpointCountTest, PipelineWatermarkPastTheLiveIndex) {
+  const MetaCounts counts = FindCounts();
+  PokeMeta(counts.watermark, uint64_t{1} << 40);
+  ExpectRefused(
+      {"metadata byte", ", slot ", "is past the live index's watermark"});
+}
+
+// A metadata stream that ends inside the watermarks: the header and the
+// last metadata page agree on its length.
+TEST_F(CheckpointCountTest, PipelineWatermarksTruncated) {
+  const MetaCounts counts = FindCounts();
+  const uint64_t length = counts.pack_watermark + 4;
+  // Header payload: seq, wal_start_seq, meta_head, meta_pages, meta_bytes.
+  Poke(1, PageKind::kCheckpointHeader, kPageEnvelopeBytes + 24, &length,
+       sizeof(length));
+  // Metadata page payload: u64 seq, u32 page_index, u32 next, u32 count.
+  const PageId head = Header().meta_head;
+  const uint32_t count = static_cast<uint32_t>(length);
+  const uint32_t no_next = kInvalidPage;
+  Poke(head, PageKind::kCheckpointPage, kPageEnvelopeBytes + 12, &no_next,
+       sizeof(no_next));
+  Poke(head, PageKind::kCheckpointPage, kPageEnvelopeBytes + 16, &count,
+       sizeof(count));
+  const uint32_t one_page = 1;
+  Poke(1, PageKind::kCheckpointHeader, kPageEnvelopeBytes + 20, &one_page,
+       sizeof(one_page));
+  ExpectRefused({("metadata byte " + std::to_string(counts.pack_watermark) +
+                  " (page 0, slot " + std::to_string(head) + ")")
+                     .c_str(),
+                 "truncated pipeline watermarks"});
 }
 
 TEST_F(CheckpointCountTest, LiveIndexLists) {

@@ -126,14 +126,6 @@ TEST(HistogramTest, ValueAtPercentileEdgeCases) {
   }
 }
 
-TEST(HistogramTest, PercentileSpellingMatchesValueAtPercentile) {
-  Histogram histogram;
-  for (int i = 1; i <= 64; ++i) histogram.Record(static_cast<double>(i));
-  for (const double p : {0.0, 42.0, 95.0, 100.0}) {
-    EXPECT_EQ(histogram.Percentile(p), histogram.ValueAtPercentile(p));
-  }
-}
-
 TEST(HistogramTest, MergeEqualsSerialRecording) {
   // The determinism contract: merging per-chunk shards in chunk order
   // must reproduce the serial histogram exactly (bit-equal sum).

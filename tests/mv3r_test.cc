@@ -111,18 +111,5 @@ TEST(Mv3rTest, AuxiliaryHelpsLongIntervals) {
   EXPECT_LT(hybrid_io, ppr_io);
 }
 
-TEST(Mv3rTest, UnpackedAuxiliaryAlsoCorrect) {
-  const std::vector<SegmentRecord> records = MakeRecords(300);
-  Mv3rConfig config;
-  config.pack_auxiliary = false;
-  Mv3rIndex index(records, 1000, config);
-  STQuery query;
-  query.area = Rect2D(0.0, 0.0, 1.0, 1.0);
-  query.range = TimeInterval(0, 1000);
-  std::vector<uint64_t> results;
-  index.Query(query, &results);
-  EXPECT_EQ(results.size(), records.size());
-}
-
 }  // namespace
 }  // namespace stindex

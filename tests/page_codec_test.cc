@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,7 +14,10 @@
 #include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
+#include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
+#include "storage/tree_pages.h"
+#include "temp_path.h"
 
 namespace stindex {
 namespace {
@@ -182,14 +186,15 @@ TEST(PageEnvelopeTest, VersionOnePprNodeRejected) {
   SealPage(page.data(), PageKind::kPprNode);
   StampVersion(page.data(), 1);
 
-  PprTree tree;
-  const Status status = tree.InstallCheckpointNode(0, page.data());
+  // The check a pool runs on every snapshot page it loads.
+  const NodePageCheck check(PageKind::kPprNode, "PPR-tree",
+                            PprConfig().max_entries + 1);
+  const Status status = check.Check(page.data(), 0);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(Contains(status.message(), "page 0")) << status.ToString();
   EXPECT_TRUE(Contains(status.message(), "unsupported codec version 1"))
       << status.ToString();
-  EXPECT_EQ(tree.NodeCount(), 0u);
 }
 
 // Byte-at-a-time CRC-32 (the textbook table loop), the reference the
@@ -333,7 +338,7 @@ uint32_t FileCrc(const std::string& path) {
 
 TEST(PinnedBytesTest, PackedSnapshotsKeepTheirBytes) {
   const std::vector<SegmentRecord> records = GridRecords();
-  const std::string ppr_path = ::testing::TempDir() + "/pinned_ppr.stsnap";
+  const TempPath ppr_path("pinned_ppr.stsnap");
   const std::unique_ptr<PprTree> ppr = BuildPprTree(records);
   ASSERT_TRUE(ppr->PackSnapshot(ppr_path).ok());
   EXPECT_EQ(FileCrc(ppr_path), 0x626779deu);
@@ -354,15 +359,13 @@ TEST(PinnedBytesTest, PackedSnapshotsKeepTheirBytes) {
   for (size_t i = 0; i < boxes.size(); i += 5) {
     ASSERT_TRUE(rstar.Delete(boxes[i], static_cast<DataId>(i)));
   }
-  const std::string rstar_path = ::testing::TempDir() + "/pinned_rstar.stsnap";
+  const TempPath rstar_path("pinned_rstar.stsnap");
   ASSERT_TRUE(rstar.PackSnapshot(rstar_path).ok());
   EXPECT_EQ(FileCrc(rstar_path), 0x8937857cu);
 
-  std::remove(ppr_path.c_str());
-  std::remove(rstar_path.c_str());
 }
 
-TEST(PinnedBytesTest, CheckpointNodePagesKeepTheirBytes) {
+TEST(PinnedBytesTest, LiveTierNodePagesKeepTheirBytes) {
   // 48 objects on an integer grid, each alive for 12..23 ticks, fed in
   // tick order (ends before observes, then by object id).
   std::vector<LiveObservation> stream;
@@ -395,12 +398,10 @@ TEST(PinnedBytesTest, CheckpointNodePagesKeepTheirBytes) {
   LiveTierOptions options;
   options.index.capacity = 6;
   options.ppr.max_entries = 8;
-  auto memory = std::make_unique<MemoryPageBackend>();
-  const MemoryPageBackend* wal = memory.get();
   Result<std::unique_ptr<LiveTier>> tier =
-      LiveTier::Open(options, std::move(memory));
+      LiveTier::Open(options, std::make_unique<MemoryPageBackend>());
   ASSERT_TRUE(tier.ok()) << tier.status().ToString();
-  const std::string snap_path = ::testing::TempDir() + "/pinned_live.stsnap";
+  const TempPath snap_path("pinned_live.stsnap");
   for (size_t i = 0; i < stream.size(); ++i) {
     ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
     if ((i + 1) % 16 == 0) {
@@ -414,29 +415,35 @@ TEST(PinnedBytesTest, CheckpointNodePagesKeepTheirBytes) {
   ASSERT_TRUE(tier.value()->Checkpoint().ok());
   EXPECT_EQ(FileCrc(snap_path), 0xa1fedf4bu);
 
-  // The checkpoint's node pages: the frozen layer's, which the
-  // checkpoint names in its snapshot file, in node order, then the active
-  // tree's, in journal slot order.
+  // The tier's node pages, each sealed as a snapshot seals it: the frozen
+  // layer's, from its snapshot file, in node order, then the active
+  // tree's, in node order. A checkpoint writes none of them — it keeps the
+  // active tree's records, and recovery replays them — so these are the
+  // node pages a recovery from it serves.
   std::vector<uint8_t> node_pages;
-  uint8_t page[kPageSize];
   Result<std::unique_ptr<SnapshotFile>> snapshot =
       SnapshotFile::Open(snap_path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   const size_t frozen_pages = snapshot.value()->node_count();
+  uint8_t page[kPageSize];
   for (PageId id = 0; id < frozen_pages; ++id) {
     ASSERT_TRUE(snapshot.value()->Read(id, page).ok());
     node_pages.insert(node_pages.end(), page, page + kPageSize);
   }
-  for (PageId slot = 0; slot < wal->SlotCount(); ++slot) {
-    if (!wal->IsAllocated(slot)) continue;
-    ASSERT_TRUE(wal->Read(slot, page).ok());
-    if (!OpenPagePayload(page, PageKind::kPprNode, slot).ok()) continue;
+  const PprTree& active = tier.value()->historical();
+  std::unique_ptr<SharedBufferPool> pool = active.NewSharedQueryPool(1);
+  for (PageId id = 0; id < active.NodeCount(); ++id) {
+    bool missed = false;
+    const Result<const Page*> arena_page = pool->Pin(id, &missed);
+    ASSERT_TRUE(arena_page.ok()) << arena_page.status().ToString();
+    std::memcpy(page, arena_page.value()->bytes, kPageSize);
+    pool->Unpin(id);
+    SealPage(page, PageKind::kPprNode);
     node_pages.insert(node_pages.end(), page, page + kPageSize);
   }
   EXPECT_EQ(frozen_pages, 18u);
   EXPECT_EQ(node_pages.size() / kPageSize, 57u);
   EXPECT_EQ(Crc32(node_pages.data(), node_pages.size()), 0x2eb2b8dbu);
-  std::remove(snap_path.c_str());
 }
 
 // --- FilePageBackend open-time validation ---
@@ -445,7 +452,6 @@ class FileBackendValidationTest : public ::testing::Test {
  protected:
   // A valid two-page file to corrupt, created fresh per test.
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/codec_validation.stpages";
     Result<std::unique_ptr<FilePageBackend>> backend =
         FilePageBackend::Create(path_);
     ASSERT_TRUE(backend.ok()) << backend.status().ToString();
@@ -471,7 +477,8 @@ class FileBackendValidationTest : public ::testing::Test {
     return backend.ok() ? Status::OK() : backend.status();
   }
 
-  std::string path_;
+  const TempPath temp_{"codec_validation.stpages"};
+  const std::string& path_ = temp_.path();
 };
 
 TEST_F(FileBackendValidationTest, RoundTripReopens) {

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
-#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pprtree/ppr_tree.h"
-#include "storage/page_backend.h"
+#include "storage/shared_buffer_pool.h"
 #include "storage/page_codec.h"
 #include "util/random.h"
 
@@ -102,13 +103,12 @@ TEST(PprTreeTest, RecordAliveUntilDeleted) {
   EXPECT_EQ(tree.AliveCount(), 1u);
 }
 
-TEST(PprTreeTest, AliveRecordsListsTheUndeletedAscending) {
+TEST(PprTreeTest, AliveCountCountsTheUndeleted) {
   PprTree tree;
   for (const PprDataId data : {7u, 3u, 5u}) {
     tree.Insert(Rect2D(0.1, 0.1, 0.2, 0.2), 1, data);
   }
   tree.Delete(5, 4);
-  EXPECT_EQ(tree.AliveRecords(), (std::vector<PprDataId>{3, 7}));
   EXPECT_EQ(tree.AliveCount(), 2u);
 }
 
@@ -185,9 +185,9 @@ TEST(PprTreeTest, WeakVersionUnderflowTriggersConsolidation) {
   }
 }
 
-// One entry of a node page, read from a sealed copy of it (the layout of
-// docs/storage.md: 64-byte entries from byte 32, the lifetime at entry
-// byte 32, the child id at entry byte 48).
+// One entry of a node page, read from the arena through a pool (the
+// layout of docs/storage.md: 64-byte entries from byte 32, the lifetime at
+// entry byte 32, the child id at entry byte 48).
 struct PageEntry {
   Time start = 0;
   Time end = 0;
@@ -195,11 +195,11 @@ struct PageEntry {
 };
 
 std::vector<PageEntry> NodeEntries(const PprTree& tree, PageId id) {
-  MemoryPageBackend copies;
-  std::vector<PageId> slots(tree.NodeCount());
-  std::iota(slots.begin(), slots.end(), PageId{0});
-  EXPECT_TRUE(tree.PersistNodesForCheckpoint(&copies, slots, slots).ok());
-  const uint8_t* page = copies.BorrowPage(id);
+  std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool(1);
+  bool missed = false;
+  const Result<const Page*> pinned = pool->Pin(id, &missed);
+  EXPECT_TRUE(pinned.ok()) << pinned.status().ToString();
+  const uint8_t* page = pinned.value()->bytes;
   uint32_t count = 0;
   std::memcpy(&count, page + kPageEnvelopeBytes + 4, sizeof(count));
   std::vector<PageEntry> entries(count);
@@ -210,6 +210,7 @@ std::vector<PageEntry> NodeEntries(const PprTree& tree, PageId id) {
     std::memcpy(&entries[i].end, entry + 40, sizeof(Time));
     std::memcpy(&entries[i].child, entry + 48, sizeof(PageId));
   }
+  pool->Unpin(id);
   return entries;
 }
 
@@ -414,58 +415,75 @@ TEST(PprTreeTest, ReplayIsTheSameOverAWideTimeSpan) {
   }
 }
 
-// Incremental checkpoints rewrite only dirty nodes, so every change to a
-// node page must mark its node. Here the tree is copied into a
-// checkpoint after every update, so every node is clean before the next
-// one, and CheckCleanNodes finds any node an update changed without
-// marking it. Fanout 6 gives deep trees that restructure often, fanout
-// 50 wide ones where most deletes leave their leaf otherwise alone.
-TEST(PprTreeTest, EveryUpdateMarksTheNodesItChanges) {
-  const std::vector<SegmentRecord> records = RandomRecords(17, 250);
-  // Replay order: by time, deletes first, then by record.
+// Every node page of an arena tree, in node order.
+std::vector<std::vector<uint8_t>> NodePagesOf(const PprTree& tree) {
+  std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool(1);
+  std::vector<std::vector<uint8_t>> pages;
+  for (PageId id = 0; id < tree.NodeCount(); ++id) {
+    bool missed = false;
+    const Result<const Page*> page = pool->Pin(id, &missed);
+    EXPECT_TRUE(page.ok()) << page.status().ToString();
+    pages.emplace_back(page.value()->bytes, page.value()->bytes + kPageSize);
+    pool->Unpin(id);
+  }
+  return pages;
+}
+
+// A bounded replay feeds exactly the events BuildPprTree would, among the
+// records that start at or after `from`, up to `below`: continued with the
+// rest of those records' events, in the same order, it leaves the tree a
+// single replay from `from` builds, page for page — the live tier's
+// recovery of its active tree. Unbounded, it is BuildPprTree.
+TEST(PprTreeTest, BoundedReplayContinuesIntoTheFullReplay) {
+  const std::vector<SegmentRecord> records = RandomRecords(19, 400);
   struct Event {
     Time time;
     bool insert;
     PprDataId id;
   };
-  std::vector<Event> events;
-  for (PprDataId id = 0; id < records.size(); ++id) {
-    events.push_back({records[id].box.interval.start, true, id});
-    events.push_back({records[id].box.interval.end, false, id});
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.insert != b.insert) return !a.insert;
-    return a.id < b.id;
-  });
   for (const size_t fanout : {size_t{6}, size_t{50}}) {
     SCOPED_TRACE("fanout " + std::to_string(fanout));
     PprConfig config;
     config.max_entries = fanout;
-    PprTree tree(config);
-    MemoryPageBackend copies;
-    std::vector<PageId> slots;  // node -> its copy's slot
-    for (const Event& event : events) {
-      if (event.insert) {
-        tree.Insert(records[event.id].box.rect, event.time, event.id);
-      } else {
-        tree.Delete(event.id, event.time);
+    const std::unique_ptr<PprTree> built = BuildPprTree(records, config);
+    PprTree unbounded(config);
+    ReplayPprEvents(records, std::numeric_limits<Time>::min(), kTimeInfinity,
+                    &unbounded);
+    EXPECT_TRUE(NodePagesOf(unbounded) == NodePagesOf(*built));
+
+    for (const auto& [from, below] : std::vector<std::pair<Time, Time>>{
+             {0, 1}, {0, 90}, {40, 90}, {40, 41}, {120, 500}}) {
+      SCOPED_TRACE("from " + std::to_string(from) + " below " +
+                   std::to_string(below));
+      PprTree whole(config);
+      ReplayPprEvents(records, from, kTimeInfinity, &whole);
+      PprTree bounded(config);
+      ReplayPprEvents(records, from, below, &bounded);
+      bounded.CheckInvariants();
+      // The events the bounded replay left, in replay order.
+      std::vector<Event> rest;
+      for (PprDataId id = 0; id < records.size(); ++id) {
+        const TimeInterval& life = records[id].box.interval;
+        if (life.start < from) continue;
+        if (life.start >= below) rest.push_back({life.start, true, id});
+        if (life.end >= below) rest.push_back({life.end, false, id});
       }
-      const Status clean = tree.CheckCleanNodes(copies, slots);
-      ASSERT_TRUE(clean.ok()) << clean.ToString() << " after the "
-                              << (event.insert ? "insert" : "delete")
-                              << " of record " << event.id;
-      const std::vector<PageId> dirty = tree.DirtyNodes();
-      slots.resize(tree.NodeCount(), kInvalidPage);
-      std::vector<PageId> fresh;
-      for (const PageId id : dirty) {
-        if (slots[id] != kInvalidPage) ASSERT_TRUE(copies.Free(slots[id]).ok());
-        fresh.push_back(slots[id] = copies.Allocate());
+      std::sort(rest.begin(), rest.end(), [](const Event& a, const Event& b) {
+        if (a.time != b.time) return a.time < b.time;
+        if (a.insert != b.insert) return !a.insert;
+        return a.id < b.id;
+      });
+      for (const Event& event : rest) {
+        if (event.insert) {
+          bounded.Insert(records[event.id].box.rect, event.time, event.id);
+        } else {
+          bounded.Delete(event.id, event.time);
+        }
       }
-      ASSERT_TRUE(tree.PersistNodesForCheckpoint(&copies, dirty, fresh).ok());
-      tree.MarkCheckpointed();
+      EXPECT_EQ(bounded.Size(), whole.Size());
+      EXPECT_EQ(bounded.NumRoots(), whole.NumRoots());
+      EXPECT_TRUE(NodePagesOf(bounded) == NodePagesOf(whole));
     }
-    EXPECT_TRUE(tree.DirtyNodes().empty());
   }
 }
 

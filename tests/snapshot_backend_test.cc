@@ -37,6 +37,8 @@
 #include "storage/page_codec.h"
 #include "storage/shared_buffer_pool.h"
 #include "storage/snapshot_file.h"
+#include "storage/tree_pages.h"
+#include "temp_path.h"
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -71,10 +73,6 @@ std::vector<STQuery> MakeQueries() {
     queries.push_back(query);
   }
   return queries;
-}
-
-std::string SnapPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name + ".stsnap";
 }
 
 // Runs the query set through one fresh shared pool of `tree`; adds the
@@ -115,12 +113,14 @@ uint64_t Metric(const char* name) {
 }
 
 TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
+  const TempPath snap_ppr("snap_ppr.stsnap");
+  const TempPath snap_ppr_pread("snap_ppr_pread.stsnap");
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
 
   const std::unique_ptr<PprTree> arena_tree = BuildPprTree(records);
   const std::unique_ptr<PprTree> packed = BuildPprTree(records);
-  ASSERT_TRUE(packed->PackSnapshot(SnapPath("snap_ppr")).ok());
+  ASSERT_TRUE(packed->PackSnapshot(snap_ppr).ok());
   ASSERT_NE(packed->backend(), nullptr);
   EXPECT_EQ(packed->backend()->Name(), "mmap");
   const std::unique_ptr<PprTree> pread_tree = BuildPprTree(records);
@@ -128,7 +128,7 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
   pread_options.force_pread = true;
   const uint64_t fallbacks_before = Metric("backend.mmap.fallback_opens");
   ASSERT_TRUE(
-      pread_tree->PackSnapshot(SnapPath("snap_ppr_pread"), pread_options)
+      pread_tree->PackSnapshot(snap_ppr_pread, pread_options)
           .ok());
   EXPECT_EQ(Metric("backend.mmap.fallback_opens"), fallbacks_before + 1);
   EXPECT_FALSE(pread_tree->backend()->file().mapped());
@@ -159,6 +159,8 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
 }
 
 TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
+  const TempPath snap_rstar("snap_rstar.stsnap");
+  const TempPath snap_rstar_pread("snap_rstar_pread.stsnap");
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
   const std::vector<Box3D> boxes = SegmentsToBoxes(records, 0, kTimeDomain);
@@ -177,12 +179,12 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
   };
   const std::unique_ptr<RStarTree> arena_tree = build();
   const std::unique_ptr<RStarTree> packed = build();
-  ASSERT_TRUE(packed->PackSnapshot(SnapPath("snap_rstar")).ok());
+  ASSERT_TRUE(packed->PackSnapshot(snap_rstar).ok());
   const std::unique_ptr<RStarTree> pread_tree = build();
   SnapshotFile::Options pread_options;
   pread_options.force_pread = true;
   ASSERT_TRUE(
-      pread_tree->PackSnapshot(SnapPath("snap_rstar_pread"), pread_options)
+      pread_tree->PackSnapshot(snap_rstar_pread, pread_options)
           .ok());
 
   const std::vector<QueryOutcome> baseline =
@@ -202,26 +204,29 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
 }
 
 TEST(SnapshotBackendTest, PackedTreeRefusesMutation) {
+  const TempPath snap_frozen("snap_frozen.stsnap");
+  const TempPath snap_frozen2("snap_frozen2.stsnap");
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::unique_ptr<RStarTree> tree = std::make_unique<RStarTree>();
   const std::vector<Box3D> boxes = SegmentsToBoxes(records, 0, kTimeDomain);
   for (size_t i = 0; i < 50; ++i) {
     tree->Insert(boxes[i], static_cast<DataId>(i));
   }
-  ASSERT_TRUE(tree->PackSnapshot(SnapPath("snap_frozen")).ok());
+  ASSERT_TRUE(tree->PackSnapshot(snap_frozen).ok());
   EXPECT_DEATH(tree->Insert(boxes[0], 999), "frozen");
   // A second pack is a programming error too: the tree serves its
   // snapshot already.
   EXPECT_DEATH(
-      static_cast<void>(tree->PackSnapshot(SnapPath("snap_frozen2"))),
+      static_cast<void>(tree->PackSnapshot(snap_frozen2)),
       "tree already packed");
 }
 
 TEST(SnapshotBackendTest, EmptySnapshotRoundTrips) {
+  const TempPath snap_empty("snap_empty.stsnap");
   PprTree tree;
-  ASSERT_TRUE(tree.PackSnapshot(SnapPath("snap_empty")).ok());
+  ASSERT_TRUE(tree.PackSnapshot(snap_empty).ok());
   Result<std::unique_ptr<MmapSnapshotBackend>> backend =
-      MmapSnapshotBackend::Open(SnapPath("snap_empty"));
+      MmapSnapshotBackend::Open(snap_empty);
   ASSERT_TRUE(backend.ok()) << backend.status().ToString();
   EXPECT_EQ(backend.value()->SlotCount(), 0u);
   std::vector<PprDataId> results;
@@ -260,7 +265,8 @@ void ExpectFailedPackKeepsServing(Tree* tree,
     EXPECT_EQ(tree->backend(), nullptr) << path;
     EXPECT_EQ(run(), before) << "after a failed pack to " << path;
   }
-  const Status packed = tree->PackSnapshot(SnapPath(name));
+  const TempPath snap_path(name + ".stsnap");
+  const Status packed = tree->PackSnapshot(snap_path);
   ASSERT_TRUE(packed.ok()) << packed.ToString();
   ASSERT_NE(tree->backend(), nullptr);
   EXPECT_EQ(run(), before) << "after the good pack";
@@ -289,10 +295,12 @@ TEST(SnapshotBackendTest, FailedPackKeepsServingTheArena) {
 // wrote and answers — results and misses — like the packed tree; a meta
 // whose root journal names a node the snapshot does not hold is refused.
 TEST(SnapshotBackendTest, AdoptedSnapshotServesLikeThePackedTree) {
+  const TempPath snap_adopted("adopted.stsnap");
+  const TempPath snap_adopted_small("adopted_small.stsnap");
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
   const std::unique_ptr<PprTree> packed = BuildPprTree(records);
-  ASSERT_TRUE(packed->PackSnapshot(SnapPath("adopted")).ok());
+  ASSERT_TRUE(packed->PackSnapshot(snap_adopted).ok());
   ByteSink meta;
   packed->EncodeCheckpointMeta(&meta);
   const auto restore = [&meta](const std::string& path,
@@ -307,7 +315,7 @@ TEST(SnapshotBackendTest, AdoptedSnapshotServesLikeThePackedTree) {
   };
 
   PprTree adopted;
-  const Status status = restore(SnapPath("adopted"), &adopted);
+  const Status status = restore(snap_adopted, &adopted);
   ASSERT_TRUE(status.ok()) << status.ToString();
   ASSERT_NE(adopted.backend(), nullptr);
   EXPECT_EQ(adopted.NodeCount(), packed->NodeCount());
@@ -318,21 +326,20 @@ TEST(SnapshotBackendTest, AdoptedSnapshotServesLikeThePackedTree) {
   lone.object = 1;
   lone.box = STBox(Rect2D(0.1, 0.1, 0.2, 0.2), TimeInterval(0, 5));
   ASSERT_TRUE(
-      BuildPprTree({lone})->PackSnapshot(SnapPath("adopted_small")).ok());
+      BuildPprTree({lone})->PackSnapshot(snap_adopted_small).ok());
   PprTree mismatched;
-  const Status refused = restore(SnapPath("adopted_small"), &mismatched);
+  const Status refused = restore(snap_adopted_small, &mismatched);
   EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(refused.message().find("but the snapshot holds 1 nodes"),
             std::string::npos)
       << refused.ToString();
-  std::remove(SnapPath("adopted").c_str());
-  std::remove(SnapPath("adopted_small").c_str());
 }
 
 // The live tier's side of the contract: after a failed PackHistorical
 // the tier has no frozen layer, keeps taking updates, commits and
 // checkpoints, and a later pack answers like a never-packed run.
 TEST(SnapshotBackendTest, LiveTierFailedPackKeepsServing) {
+  const TempPath snap_rollback_live("rollback_live.stsnap");
   RandomDatasetConfig config;
   config.num_objects = 300;
   config.seed = 42;
@@ -377,7 +384,7 @@ TEST(SnapshotBackendTest, LiveTierFailedPackKeepsServing) {
   feed(tier.get(), half, three_quarters);
   ASSERT_TRUE(tier->Commit().ok());
   ASSERT_TRUE(tier->Checkpoint().ok());
-  ASSERT_TRUE(tier->PackHistorical(SnapPath("rollback_live")).ok());
+  ASSERT_TRUE(tier->PackHistorical(snap_rollback_live).ok());
   EXPECT_EQ(tier->frozen_layers(), 1u);
   feed(tier.get(), three_quarters, stream.size());
   ASSERT_TRUE(tier->Finish().ok());
@@ -415,30 +422,28 @@ TEST(SnapshotBackendTest, LiveTierPackedMidStreamMatchesReference) {
   options.index.capacity = 24;
   options.index.buffer = 4000;
 
+  const TempPath snap_paths[] = {TempPath("snap_live_0.stsnap"),
+                                 TempPath("snap_live_1.stsnap")};
+  size_t pack_counter = 0;
   const auto run = [&](size_t pack_at,
                        bool pack_after_finish) -> std::unique_ptr<LiveTier> {
     Result<std::unique_ptr<LiveTier>> tier =
         LiveTier::Open(options, std::make_unique<MemoryPageBackend>());
     EXPECT_TRUE(tier.ok()) << tier.status().ToString();
-    static int pack_counter = 0;
     for (size_t i = 0; i < stream.size(); ++i) {
       EXPECT_TRUE(tier.value()->Apply(stream[i]).ok());
       if ((i + 1) % 64 == 0) {
         EXPECT_TRUE(tier.value()->Commit().ok());
       }
       if (pack_at != 0 && i + 1 == pack_at) {
-        EXPECT_TRUE(tier.value()
-                        ->PackHistorical(SnapPath(
-                            "snap_live_" + std::to_string(pack_counter++)))
-                        .ok());
+        EXPECT_TRUE(
+            tier.value()->PackHistorical(snap_paths[pack_counter++]).ok());
       }
     }
     EXPECT_TRUE(tier.value()->Finish().ok());
     if (pack_after_finish) {
-      EXPECT_TRUE(tier.value()
-                      ->PackHistorical(SnapPath(
-                          "snap_live_" + std::to_string(pack_counter++)))
-                      .ok());
+      EXPECT_TRUE(
+          tier.value()->PackHistorical(snap_paths[pack_counter++]).ok());
     }
     return std::move(tier).value();
   };
@@ -470,6 +475,7 @@ TEST(SnapshotBackendTest, LiveTierPackedMidStreamMatchesReference) {
 // again — the layer serves zero-copy from the mapping — and its hits keep
 // being clipped to their segments' intervals.
 TEST(SnapshotBackendTest, LiveTierPackSurvivesCheckpointRecovery) {
+  const TempPath snap_live_ckpt("snap_live_ckpt.stsnap");
   RandomDatasetConfig config;
   config.num_objects = 120;
   config.seed = 7;
@@ -480,8 +486,7 @@ TEST(SnapshotBackendTest, LiveTierPackSurvivesCheckpointRecovery) {
   LiveTierOptions options;
   options.index.capacity = 16;
 
-  const std::string wal_path = ::testing::TempDir() + "/snap_live_wal.stpages";
-  std::remove(wal_path.c_str());
+  const TempPath wal_path("snap_live_wal.stpages");
   Result<std::unique_ptr<FilePageBackend>> wal =
       FilePageBackend::Create(wal_path);
   ASSERT_TRUE(wal.ok());
@@ -497,7 +502,7 @@ TEST(SnapshotBackendTest, LiveTierPackSurvivesCheckpointRecovery) {
     }
   }
   ASSERT_TRUE(
-      tier.value()->PackHistorical(SnapPath("snap_live_ckpt")).ok());
+      tier.value()->PackHistorical(snap_live_ckpt).ok());
   ASSERT_EQ(tier.value()->frozen_layers(), 1u);
   // The checkpoint persists the layering; recovery must restore it.
   ASSERT_TRUE(tier.value()->Checkpoint().ok());
@@ -535,8 +540,6 @@ TEST(SnapshotBackendTest, LiveTierPackSurvivesCheckpointRecovery) {
     EXPECT_EQ(got, want[q]) << "query " << q;
   }
   EXPECT_GT(borrows->Value(), borrows_before);
-  std::remove(wal_path.c_str());
-  std::remove(SnapPath("snap_live_ckpt").c_str());
 }
 
 // A pack into the file a frozen layer maps — by the same name or another
@@ -544,6 +547,8 @@ TEST(SnapshotBackendTest, LiveTierPackSurvivesCheckpointRecovery) {
 // refused, naming the path; a pack to a new file still works, and the
 // answers stay those of a never-packed run.
 TEST(SnapshotBackendTest, LiveTierRefusesToPackOverAServedSnapshot) {
+  const TempPath snap_served("served.stsnap");
+  const TempPath snap_served_second("served_second.stsnap");
   RandomDatasetConfig config;
   config.num_objects = 300;
   config.seed = 42;
@@ -563,7 +568,7 @@ TEST(SnapshotBackendTest, LiveTierRefusesToPackOverAServedSnapshot) {
 
   const std::unique_ptr<LiveTier> reference = open();
   const std::unique_ptr<LiveTier> tier = open();
-  const std::string path = SnapPath("served");
+  const std::string path = snap_served;
   const std::string respelled = ::testing::TempDir() + "/./served.stsnap";
   for (size_t i = 0; i < stream.size(); ++i) {
     ASSERT_TRUE(reference->Apply(stream[i]).ok());
@@ -579,7 +584,7 @@ TEST(SnapshotBackendTest, LiveTierRefusesToPackOverAServedSnapshot) {
             << refused.ToString();
       }
       EXPECT_EQ(tier->frozen_layers(), 1u);
-      ASSERT_TRUE(tier->PackHistorical(SnapPath("served_second")).ok());
+      ASSERT_TRUE(tier->PackHistorical(snap_served_second).ok());
     }
   }
   ASSERT_TRUE(reference->Finish().ok());
@@ -596,13 +601,13 @@ TEST(SnapshotBackendTest, LiveTierRefusesToPackOverAServedSnapshot) {
     tier->SnapshotQuery(queries[q].area, queries[q].range.start, &got);
     EXPECT_EQ(got, want) << "snapshot query " << q;
   }
-  std::remove(path.c_str());
-  std::remove(SnapPath("served_second").c_str());
 }
 
 // Open verifies a snapshot through pread, so packing leaves the fresh
 // mapping non-resident: its pages fault in only as a pool borrows them.
 TEST(SnapshotResidencyTest, MappingBecomesResidentOnlyAsPoolsBorrowIt) {
+  const TempPath snap_residency_warmup("residency_warmup.stsnap");
+  const TempPath snap_residency("residency.stsnap");
   // Short random boxes over a long time span: a tree of over 4,096 pages.
   Rng rng(5);
   std::vector<SegmentRecord> records(96000);
@@ -617,12 +622,12 @@ TEST(SnapshotResidencyTest, MappingBecomesResidentOnlyAsPoolsBorrowIt) {
   // Pack a small tree first, so the pack and open code faults in here
   // rather than inside the measurement.
   ASSERT_TRUE(BuildPprTree(MakeRecords())
-                  ->PackSnapshot(SnapPath("residency_warmup"))
+                  ->PackSnapshot(snap_residency_warmup)
                   .ok());
 
   const std::unique_ptr<PprTree> tree = BuildPprTree(records);
   const int64_t before = MappedFileRssBytes();
-  ASSERT_TRUE(tree->PackSnapshot(SnapPath("residency")).ok());
+  ASSERT_TRUE(tree->PackSnapshot(snap_residency).ok());
   const int64_t opened = MappedFileRssBytes();
   ASSERT_TRUE(tree->backend()->file().mapped());
   const size_t pages = tree->backend()->SlotCount();
@@ -651,7 +656,8 @@ class SnapshotCorruptionTest : public ::testing::Test {
  protected:
   // Packs a small PPR-tree and releases it, leaving just the file.
   std::string PackFixture(const std::string& name) {
-    const std::string path = SnapPath(name);
+    fixture_ = std::make_unique<TempPath>(name + ".stsnap");
+    const std::string path = fixture_->path();
     const std::vector<SegmentRecord> records = MakeRecords();
     const std::unique_ptr<PprTree> tree = BuildPprTree(records);
     EXPECT_TRUE(tree->PackSnapshot(path).ok());
@@ -695,6 +701,7 @@ class SnapshotCorruptionTest : public ::testing::Test {
     return statuses[0];
   }
 
+  std::unique_ptr<TempPath> fixture_;
   size_t node_count_ = 0;
 };
 
@@ -878,7 +885,8 @@ off_t SlotOffset(PageId slot) {
 // must still fail the envelope check, naming the page, whether pinned
 // directly or fetched through a query Session.
 TEST_F(SnapshotCorruptionTest, WriteAfterOpenDiesOnNextMiss) {
-  const std::string path = SnapPath("corrupt_after_open");
+  const TempPath snap_corrupt_after_open("corrupt_after_open.stsnap");
+  const std::string path = snap_corrupt_after_open;
   const std::unique_ptr<PprTree> tree = BuildPprTree(MakeRecords());
   ASSERT_TRUE(tree->PackSnapshot(path).ok());
   ASSERT_TRUE(tree->backend()->file().mapped());
@@ -906,9 +914,10 @@ TEST_F(SnapshotCorruptionTest, WriteAfterOpenDiesOnNextMiss) {
 
 // A page with a valid checksum but an implausible header (entry count
 // past the fanout bound, or a negative level) is rejected on the pool's
-// miss path exactly as checkpoint restore rejects it.
+// miss path exactly as the node page check rejects it.
 TEST_F(SnapshotCorruptionTest, ImplausibleHeaderRejectedByViewAsByDecode) {
-  const std::string path = SnapPath("corrupt_implausible");
+  const TempPath snap_corrupt_implausible("corrupt_implausible.stsnap");
+  const std::string path = snap_corrupt_implausible;
   const std::unique_ptr<PprTree> tree = BuildPprTree(MakeRecords());
   ASSERT_TRUE(tree->PackSnapshot(path).ok());
   ASSERT_GT(tree->backend()->SlotCount(), 3u);
@@ -933,9 +942,10 @@ TEST_F(SnapshotCorruptionTest, ImplausibleHeaderRejectedByViewAsByDecode) {
     SealPage(page, PageKind::kPprNode);
     PwriteFile(path, SlotOffset(corruption.slot), page, kPageSize);
 
-    // The checkpoint-restore path on a fresh tree, as page 0.
-    PprTree fresh;
-    const Status decoded = fresh.InstallCheckpointNode(0, page);
+    // The check itself, as page 0.
+    const NodePageCheck check(PageKind::kPprNode, "PPR-tree",
+                              PprConfig().max_entries + 1);
+    const Status decoded = check.Check(page, 0);
     ASSERT_FALSE(decoded.ok());
     EXPECT_NE(decoded.message().find("page 0: implausible PPR-tree node"),
               std::string::npos)
