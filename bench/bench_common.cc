@@ -231,8 +231,6 @@ void AttachBenchBackendImpl(TreeT* tree, const BenchArgs& args,
                  status.ToString().c_str());
     std::exit(1);
   }
-  Report().SetParam("mmap_fallback",
-                    tree->backend()->file().mapped() ? "no" : "pread");
 }
 
 }  // namespace

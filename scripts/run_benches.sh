@@ -73,8 +73,8 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 # Server-driver smoke: replay a short mixed stream from 4 client threads
 # against one shared sharded pool over the tree packed into an mmap
-# snapshot; the report must validate and prove the pages were served by
-# the snapshot (borrowed or read) and never by a page file.
+# snapshot; the report must validate and prove the pages were borrowed
+# from the snapshot's mapping and never read from a page file.
 SERVER="$BUILD_DIR/bench/stindex_server"
 if [ -x "$SERVER" ]; then
   echo "== stindex_server shared-pool smoke =="
@@ -89,9 +89,8 @@ import json, sys
 with open(sys.argv[1], "r", encoding="utf-8") as f:
     report = json.load(f)
 counters = report["metrics"]["counters"]
-served = counters.get("backend.mmap.borrows", 0) + \
-    counters.get("backend.mmap.reads", 0)
-assert served > 0, f"expected snapshot pages served, got {counters}"
+borrows = counters.get("backend.mmap.borrows", 0)
+assert borrows > 0, f"expected snapshot pages borrowed, got {counters}"
 file_reads = counters.get("backend.file.reads", 0)
 assert file_reads == 0, f"expected zero file reads under mmap, got {counters}"
 series = {s["name"] for s in report["series"]}
@@ -99,7 +98,7 @@ for required in ("qps", "latency_p50_ms", "latency_p95_ms",
                  "latency_p99_ms"):
     assert required in series, f"report missing series '{required}'"
 assert report["params"]["effective_buffer_pages"] == 32, report["params"]
-print(f"stindex_server smoke OK: {served} snapshot pages served, "
+print(f"stindex_server smoke OK: {borrows} snapshot pages borrowed, "
       f"{report['latency_ms']['count']} latencies")
 EOF
 else
@@ -256,14 +255,12 @@ with open(sys.argv[1], "r", encoding="utf-8") as f:
     counters = json.load(f)["counters"]
 file_reads = counters.get("backend.file.reads", 0)
 borrows = counters.get("backend.mmap.borrows", 0)
-fallback_reads = counters.get("backend.mmap.reads", 0)
 packed = counters.get("backend.mmap.packed_pages", 0)
 assert file_reads == 0, f"expected zero file reads under mmap, got {counters}"
 assert packed > 0, f"expected packed snapshot pages, got {counters}"
-assert borrows + fallback_reads > 0, \
-    f"expected snapshot pages served, got {counters}"
+assert borrows > 0, f"expected snapshot pages borrowed, got {counters}"
 print(f"mmap backend smoke OK: {packed} packed pages, {borrows} borrows, "
-      f"{fallback_reads} fallback reads, 0 file reads")
+      f"0 file reads")
 EOF
 else
   echo "warning: $CLI not built, skipping mmap smoke" >&2
@@ -285,11 +282,10 @@ assert report["params"]["backend"] == "mmap", report["params"]
 counters = report["metrics"]["counters"]
 file_reads = counters.get("backend.file.reads", 0)
 assert file_reads == 0, f"expected zero file reads under mmap, got {counters}"
-served = counters.get("backend.mmap.borrows", 0) + \
-    counters.get("backend.mmap.reads", 0)
-assert served > 0, f"expected snapshot pages served, got {counters}"
-print(f"fig17 mmap smoke OK: report valid, {served} snapshot pages served, "
-      f"0 file reads")
+borrows = counters.get("backend.mmap.borrows", 0)
+assert borrows > 0, f"expected snapshot pages borrowed, got {counters}"
+print(f"fig17 mmap smoke OK: report valid, {borrows} snapshot pages "
+      f"borrowed, 0 file reads")
 EOF
 else
   echo "warning: $FIG17 not built, skipping fig17 mmap smoke" >&2

@@ -47,7 +47,14 @@ Result<CheckpointHeader> ReadLatestCheckpointHeader(
   uint8_t page[kPageSize];
   for (PageId slot = 0; slot < kWalFirstDataSlot; ++slot) {
     if (!HoldsPage(backend, slot)) continue;
-    if (!backend.Read(slot, page).ok()) continue;
+    // A slot that cannot be read may hold the newer header: refuse
+    // rather than recover from the other one.
+    const Status read = backend.Read(slot, page);
+    if (!read.ok()) {
+      return Status(read.code(), "checkpoint header slot " +
+                                     std::to_string(slot) +
+                                     " unreadable: " + read.message());
+    }
     Result<PageReader> payload =
         OpenPagePayload(page, PageKind::kCheckpointHeader, slot);
     if (!payload.ok()) continue;  // torn or foreign: the other slot decides

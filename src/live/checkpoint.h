@@ -100,9 +100,12 @@ struct CheckpointHeader {
 
 // Reads slots 0 and 1 and returns the valid header with the highest
 // checkpoint_seq; a header with checkpoint_seq == 0 when neither slot
-// holds one (fresh journal, or no checkpoint ever committed). Unreadable
-// or torn slots are skipped, never an error; a newest header of another
-// layout is refused with InvalidArgument naming its checkpoint and slot.
+// holds one (fresh journal, or no checkpoint ever committed). A torn or
+// foreign slot — one that reads but fails its envelope — is skipped; a
+// slot whose read fails is that read's error (IoError) naming the slot,
+// since without it the newer header cannot be told; a newest header of
+// another layout is refused with InvalidArgument naming its checkpoint
+// and slot.
 Result<CheckpointHeader> ReadLatestCheckpointHeader(const PageBackend& backend);
 
 // Writes `header` into its slot (checkpoint_seq % 2). Does not sync —

@@ -149,7 +149,7 @@ void LiveIndex::EncodeState(ByteSink* out) const {
   out->Write(last_global_);
 }
 
-Status LiveIndex::DecodeState(ByteSource* in) {
+Status LiveIndex::DecodeState(PageReader* in) {
   STINDEX_CHECK_MSG(buffers_.empty() && last_instant_.empty(),
                     "checkpoint restore into a non-empty index");
   // A count of items that take at least `bytes` each must fit the bytes

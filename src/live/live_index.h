@@ -12,6 +12,7 @@
 #include "core/online_split.h"
 #include "geometry/interval.h"
 #include "geometry/rect.h"
+#include "storage/page_codec.h"
 #include "trajectory/trajectory.h"
 #include "util/bytes.h"
 #include "util/status.h"
@@ -99,7 +100,7 @@ class LiveIndex {
   // with no rects, or one that does not end at its object's last
   // instant is rejected with InvalidArgument naming the object.
   void EncodeState(ByteSink* out) const;
-  Status DecodeState(ByteSource* in);
+  Status DecodeState(PageReader* in);
 
   // --- sealing policy inputs -------------------------------------------
   //

@@ -139,12 +139,11 @@ Status LiveTier::RestoreFromCheckpoint(const CheckpointHeader& header,
   Status status =
       ReadSegmentChain(*wal_backend_, header, &segments, &segment_chain_);
   if (!status.ok()) return status;
-  ByteSource in(meta.value().data(), meta.value().size());
+  PageReader in(meta.value().data(), meta.value().size());
   // A metadata error names where in the stream decoding stopped.
   const auto meta_error = [&](const Status& error) {
     return Status(error.code(),
-                  MetaLocation(header, meta_slots,
-                               meta.value().size() - in.remaining()) +
+                  MetaLocation(header, meta_slots, in.used()) +
                       ": " + error.message());
   };
 
@@ -533,8 +532,7 @@ Status LiveTier::CheckpointLocked() {
   return Status::OK();
 }
 
-Status LiveTier::PackHistorical(const std::string& path,
-                                const SnapshotFile::Options& options) {
+Status LiveTier::PackHistorical(const std::string& path) {
   std::unique_lock lock(mu_);
   // A latched tier must not mutate; a finished one may pack (read path
   // optimization only).
@@ -555,7 +553,7 @@ Status LiveTier::PackHistorical(const std::string& path,
   // The shared pool borrows the arena a successful pack releases; drop
   // it first and rebuild it below.
   pool_.reset();
-  Status status = tree_->PackSnapshot(path, options);
+  Status status = tree_->PackSnapshot(path);
   if (!status.ok()) {
     // A failed pack leaves the tree untouched; keep serving its arena.
     pool_ = tree_->NewSharedQueryPool(options_.query_pool_pages);

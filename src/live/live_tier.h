@@ -135,8 +135,7 @@ class LiveTier {
   // checkpoint that names it. InvalidArgument, naming `path`, when it
   // names the file a frozen layer serves. Allowed after Finish() (the
   // tier stays finished); refused once the tier is latched.
-  Status PackHistorical(const std::string& path,
-                        const SnapshotFile::Options& options = {});
+  Status PackHistorical(const std::string& path);
 
   // --- queries (exact over acknowledged and in-flight updates) ---------
 

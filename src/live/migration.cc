@@ -1,5 +1,6 @@
 #include "live/migration.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
@@ -37,7 +38,6 @@ size_t MigrationPipeline::Enqueue(const LiveIndex::SealedChunk& chunk) {
   for (const SegmentRecord& record : records) {
     const PprDataId id = static_cast<PprDataId>(segments_.size());
     segments_.push_back(record);
-    insert_pending_.insert(id);
     Queue(id, /*is_insert=*/true);
     Queue(id, /*is_insert=*/false);
   }
@@ -48,14 +48,26 @@ size_t MigrationPipeline::Enqueue(const LiveIndex::SealedChunk& chunk) {
 
 void MigrationPipeline::Queue(PprDataId id, bool is_insert) {
   const TimeInterval& life = segments_[static_cast<size_t>(id)].box.interval;
-  events_.push(Event{is_insert ? life.start : life.end, is_insert, id});
+  std::vector<Event>& heap = is_insert ? inserts_ : deletes_;
+  heap.push_back(Event{is_insert ? life.start : life.end, id});
+  std::push_heap(heap.begin(), heap.end(), EventAfter());
 }
 
-void MigrationPipeline::Apply(const Event& event) {
-  if (event.is_insert) {
+std::vector<MigrationPipeline::Event>* MigrationPipeline::NextHeap() {
+  if (deletes_.empty()) return inserts_.empty() ? nullptr : &inserts_;
+  if (inserts_.empty() || deletes_.front().time <= inserts_.front().time) {
+    return &deletes_;
+  }
+  return &inserts_;
+}
+
+void MigrationPipeline::ApplyTop(std::vector<Event>* heap) {
+  std::pop_heap(heap->begin(), heap->end(), EventAfter());
+  const Event event = heap->back();
+  heap->pop_back();
+  if (heap == &inserts_) {
     const SegmentRecord& record = segments_[static_cast<size_t>(event.id)];
     tree_->Insert(record.box.rect, event.time, event.id);
-    insert_pending_.erase(event.id);
   } else {
     tree_->Delete(event.id, event.time);
   }
@@ -65,30 +77,31 @@ void MigrationPipeline::Apply(const Event& event) {
 void MigrationPipeline::Advance(Time watermark) {
   STINDEX_DCHECK(watermark >= watermark_);
   watermark_ = watermark;
-  while (!events_.empty() && events_.top().time < watermark) {
-    const Event event = events_.top();
-    events_.pop();
-    Apply(event);
+  for (std::vector<Event>* heap = NextHeap();
+       heap != nullptr && heap->front().time < watermark; heap = NextHeap()) {
+    ApplyTop(heap);
   }
 }
 
 void MigrationPipeline::Drain() {
   watermark_ = kTimeInfinity;
-  while (!events_.empty()) {
-    const Event event = events_.top();
-    events_.pop();
-    Apply(event);
+  for (std::vector<Event>* heap = NextHeap(); heap != nullptr;
+       heap = NextHeap()) {
+    ApplyTop(heap);
   }
 }
 
 void MigrationPipeline::RetargetAfterPack(PprTree* tree) {
-  // The queue keeps the insert-pending ids' events; the deletes of ids
-  // whose insert went into the now-frozen layer are dropped.
-  events_ = std::priority_queue<Event, std::vector<Event>, EventAfter>();
-  for (PprDataId id : insert_pending_) {
-    Queue(id, /*is_insert=*/true);
-    Queue(id, /*is_insert=*/false);
-  }
+  // The queue keeps the insert-pending ids' events: those of the
+  // segments that start at or after W (every Enqueue since the last
+  // Advance starts at or after the live index's watermark, which is at
+  // least W), so every queued insert stays. The deletes of ids whose
+  // insert went into the now-frozen layer are dropped.
+  std::erase_if(deletes_, [this](const Event& event) {
+    return segments_[static_cast<size_t>(event.id)].box.interval.start <
+           watermark_;
+  });
+  std::make_heap(deletes_.begin(), deletes_.end(), EventAfter());
   tree_ = tree;
   pack_watermark_ = watermark_;
 }
@@ -99,9 +112,10 @@ void MigrationPipeline::EncodeState(ByteSink* out) const {
 }
 
 Status MigrationPipeline::DecodeState(std::vector<SegmentRecord> segments,
-                                      ByteSource* in) {
-  STINDEX_CHECK_MSG(segments_.empty() && events_.empty() && tree_->Size() == 0,
-                    "checkpoint restore into a non-empty pipeline");
+                                      PageReader* in) {
+  STINDEX_CHECK_MSG(
+      segments_.empty() && pending_events() == 0 && tree_->Size() == 0,
+      "checkpoint restore into a non-empty pipeline");
   if (!in->Read(&watermark_) || !in->Read(&pack_watermark_)) {
     return Status::InvalidArgument("checkpoint: truncated pipeline watermarks");
   }
@@ -124,7 +138,6 @@ Status MigrationPipeline::DecodeState(std::vector<SegmentRecord> segments,
     const TimeInterval& life = segments_[i].box.interval;
     const PprDataId id = static_cast<PprDataId>(i);
     if (life.start >= watermark_) {
-      insert_pending_.insert(id);
       Queue(id, /*is_insert=*/true);
       Queue(id, /*is_insert=*/false);
     } else if (life.start >= pack_watermark_ && life.end >= watermark_) {
@@ -138,9 +151,9 @@ void MigrationPipeline::CollectPending(const Rect2D& area,
                                        const TimeInterval& range,
                                        std::vector<ObjectId>* out) const {
   const STBox query(area, range);
-  for (const PprDataId id : insert_pending_) {
-    if (segments_[static_cast<size_t>(id)].box.Intersects(query)) {
-      out->push_back(ObjectOf(id));
+  for (const Event& event : inserts_) {
+    if (segments_[static_cast<size_t>(event.id)].box.Intersects(query)) {
+      out->push_back(ObjectOf(event.id));
     }
   }
 }

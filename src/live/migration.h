@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "core/segment.h"
@@ -21,8 +19,8 @@ namespace stindex {
 // chunks seal out of time order (whichever buffer ripens first). The
 // pipeline therefore splits each chunk into segment records immediately —
 // data ids are assigned in migration order, exactly as BuildPprTree
-// numbers its input — and holds the resulting insert/delete events in a
-// priority queue keyed (time, deletes-first, data id), the same order
+// numbers its input — and queues the resulting insert/delete events,
+// applied in the order (time, deletes-first, data id) in which
 // BuildPprTree replays a batch. Advance(watermark) applies every event
 // strictly below the watermark (no later chunk can produce an earlier
 // event, see LiveIndex::Watermark), so feeding the same chunks in the
@@ -30,10 +28,11 @@ namespace stindex {
 //
 // Events still queued are invisible to (delete-pending: overstated by)
 // the tree; CollectPending and ClipToInterval give queries exact answers
-// over the in-flight records. The pipeline keeps one id set, the
-// insert-pending ids. Everything else in flight — and the active tree
-// itself — follows from the segment table and two watermarks (see
-// EncodeState).
+// over the in-flight records. The pipeline keeps no id set: the queued
+// insert events are the insert-pending segments — exactly those that
+// start at or after the watermark W of the last Advance — and everything
+// else in flight, and the active tree itself, follows from the segment
+// table and two watermarks (see EncodeState).
 class MigrationPipeline {
  public:
   explicit MigrationPipeline(PprTree* tree);
@@ -59,16 +58,16 @@ class MigrationPipeline {
   // start before it — can never see their delete applied (the layer is
   // read-only), so their delete events are dropped — ClipToInterval
   // clips their hits against the true segment interval forever. The
-  // event queue is rebuilt to hold exactly the events of the
-  // insert-pending ids, which now target `tree` (the fresh active tree,
-  // empty at time 0; events pop in globally non-decreasing time order, so
-  // the new tree's clock is respected).
+  // event queue keeps exactly the events of the insert-pending ids, which
+  // now target `tree` (the fresh active tree, empty at time 0; events pop
+  // in globally non-decreasing time order, so the new tree's clock is
+  // respected).
   void RetargetAfterPack(PprTree* tree);
 
   // Every migrated segment, in migration order: segment i has PprDataId i.
   const std::vector<SegmentRecord>& segments() const { return segments_; }
 
-  size_t pending_events() const { return events_.size(); }
+  size_t pending_events() const { return inserts_.size() + deletes_.size(); }
   // W: the watermark of the last Advance (EncodeState).
   Time watermark() const { return watermark_; }
 
@@ -92,12 +91,13 @@ class MigrationPipeline {
   // pending. The rebuilt tree saw the same Insert and Delete calls in the
   // same order as the one checkpointed, so it is byte-identical to it.
   // InvalidArgument when the watermarks are truncated or W < W_pack.
-  Status DecodeState(std::vector<SegmentRecord> segments, ByteSource* in);
+  Status DecodeState(std::vector<SegmentRecord> segments, PageReader* in);
 
   // --- query support over in-flight records ----------------------------
 
   // Segments whose insert has not been applied (the tree cannot see
-  // them): appends the objects of those intersecting the query to `out`.
+  // them; the queued inserts): appends the objects of those intersecting
+  // the query to `out`, in no particular order.
   void CollectPending(const Rect2D& area, const TimeInterval& range,
                       std::vector<ObjectId>* out) const;
 
@@ -117,27 +117,34 @@ class MigrationPipeline {
  private:
   struct Event {
     Time time = 0;
-    bool is_insert = false;
     PprDataId id = 0;
   };
-  // Orders the min-heap by (time, deletes-first, data id) — BuildPprTree's
-  // replay order.
+  // Orders a min-heap by (time, data id). Each id has one event per heap,
+  // so the order is strict and total and the pop order does not depend
+  // on the heap's layout.
   struct EventAfter {
     bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.is_insert != b.is_insert) return a.is_insert && !b.is_insert;
-      return a.id > b.id;
+      return a.time != b.time ? a.time > b.time : a.id > b.id;
     }
   };
 
   // Queues id's insert (at its segment's start) or delete (at its end).
   void Queue(PprDataId id, bool is_insert);
-  void Apply(const Event& event);
+  // The heap whose top is the next event in BuildPprTree's order — the
+  // earlier time, deletes first at equal times — or nullptr when nothing
+  // is queued.
+  std::vector<Event>* NextHeap();
+  // Pops and applies the top event of `heap`.
+  void ApplyTop(std::vector<Event>* heap);
 
   PprTree* tree_;
   std::vector<SegmentRecord> segments_;
-  std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
-  std::unordered_set<PprDataId> insert_pending_;
+  // The queued inserts and deletes, two binary min-heaps under EventAfter
+  // (std::push_heap / std::pop_heap). Kept apart so that CollectPending
+  // walks only the inserts: the deletes also hold one event for every
+  // segment the active tree holds alive.
+  std::vector<Event> inserts_;
+  std::vector<Event> deletes_;
   // W and W_pack (EncodeState).
   Time watermark_ = std::numeric_limits<Time>::min();
   Time pack_watermark_ = std::numeric_limits<Time>::min();

@@ -210,10 +210,9 @@ PprTree::Node PprTree::Mutate(PageId id) {
   return Node(&pages_.arena().MutablePage(id));
 }
 
-Status PprTree::PackSnapshot(const std::string& path,
-                             const SnapshotFile::Options& options) {
+Status PprTree::PackSnapshot(const std::string& path) {
   Result<std::vector<PageId>> packed = pages_.Pack(
-      path, options, [](Page* page, const std::vector<PageId>& remap) {
+      path, [](Page* page, const std::vector<PageId>& remap) {
         for (Entry& entry : Node(page).entries()) {
           if (entry.child != kInvalidPage) entry.child = remap[entry.child];
         }
@@ -1047,7 +1046,7 @@ void PprTree::EncodeCheckpointMeta(ByteSink* out) const {
   }
 }
 
-Status PprTree::DecodeCheckpointMeta(ByteSource* in) {
+Status PprTree::DecodeCheckpointMeta(PageReader* in) {
   STINDEX_CHECK_MSG(roots_.empty() && NodeCount() == 0,
                     "checkpoint restore into a non-empty tree");
   uint64_t size = 0;

@@ -106,26 +106,24 @@ class PprTree {
   // Workers query through per-worker SharedBufferPool::Sessions; a
   // protocol-mode Session (protocol_pages = the paper's buffer size)
   // reports the paper's per-query misses. Before PackSnapshot the pool
-  // borrows the arena's pages; after, it borrows (or, through pread,
-  // reads) and checks the snapshot's pages.
+  // borrows the arena's pages; after, it borrows and checks the
+  // snapshot's mapped pages.
   std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const {
     return pages_.NewSharedQueryPool(pages);
   }
 
   // Packs the structure into a read-only snapshot file at `path` and
-  // serves all subsequent queries from its mmap'd pages (zero-copy;
-  // pread fallback per `options`) — the only way the tree leaves its
-  // arena (TreePages::Pack). Node ids are remapped to a dense bottom-up
-  // layout — all leaves first, then each directory level in one
-  // contiguous extent. The remap is a bijection of the page-id access
+  // serves all subsequent queries from its mmap'd pages (zero-copy) —
+  // the only way the tree leaves its arena (TreePages::Pack). Node ids
+  // are remapped to a dense bottom-up layout — all leaves first, then
+  // each directory level in one contiguous extent. The remap is a bijection of the page-id access
   // sequence, so per-query LRU miss counts are byte-identical to the
   // unpacked tree's. The tree is frozen afterwards — Insert/Delete
   // become checked errors — and releases its arena and the bookkeeping
   // that serves updates (record locations, the replay's per-node state);
   // pools from NewSharedQueryPool must be destroyed first. On failure it
   // keeps serving from its arena, unchanged.
-  Status PackSnapshot(const std::string& path,
-                      const SnapshotFile::Options& options = {});
+  Status PackSnapshot(const std::string& path);
 
   // Recovery hook: serves `snapshot`, reopened from the file an earlier
   // PackSnapshot of this tree wrote, as a tree whose meta
@@ -206,7 +204,7 @@ class PprTree {
   // Serializes the non-node state (size, clock, root journal).
   void EncodeCheckpointMeta(ByteSink* out) const;
   // Restores it into a freshly constructed tree of the same config.
-  Status DecodeCheckpointMeta(ByteSource* in);
+  Status DecodeCheckpointMeta(PageReader* in);
 
  private:
   struct Entry;

@@ -96,10 +96,9 @@ void RStarTree::FreeNode(PageId id) {
   STINDEX_CHECK(pages_.arena().Free(id).ok());
 }
 
-Status RStarTree::PackSnapshot(const std::string& path,
-                               const SnapshotFile::Options& options) {
+Status RStarTree::PackSnapshot(const std::string& path) {
   Result<std::vector<PageId>> packed = pages_.Pack(
-      path, options, [](Page* page, const std::vector<PageId>& remap) {
+      path, [](Page* page, const std::vector<PageId>& remap) {
         for (Entry& entry : Node(page).entries()) {
           entry.child = remap[entry.child];
         }

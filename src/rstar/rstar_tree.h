@@ -117,24 +117,22 @@ class RStarTree {
   // Workers query through per-worker SharedBufferPool::Sessions; a
   // protocol-mode Session reports the paper's per-query misses. Before
   // PackSnapshot the pool borrows the arena's pages; after, it borrows
-  // (or, through pread, reads) and checks the snapshot's pages.
+  // and checks the snapshot's mapped pages.
   std::unique_ptr<SharedBufferPool> NewSharedQueryPool(size_t pages = 0) const {
     return pages_.NewSharedQueryPool(pages);
   }
 
   // Packs the live nodes into a read-only snapshot file at `path` and
-  // serves all subsequent queries from its mmap'd pages (zero-copy;
-  // pread fallback per `options`) — the only way the tree leaves its
-  // arena (TreePages::Pack). Live ids (sparse after deletes) are
-  // remapped to a dense bottom-up layout — leaves first, then each
-  // directory level in one contiguous extent. The remap is a bijection
+  // serves all subsequent queries from its mmap'd pages (zero-copy) —
+  // the only way the tree leaves its arena (TreePages::Pack). Live ids
+  // (sparse after deletes) are remapped to a dense bottom-up layout —
+  // leaves first, then each directory level in one contiguous extent. The remap is a bijection
   // of the page-id access sequence, so per-query LRU miss counts are
   // byte-identical to the unpacked tree's. The tree is frozen
   // afterwards — Insert/Delete become checked errors — and releases its
   // arena; pools from NewSharedQueryPool must be destroyed first. On
   // failure it keeps serving from its arena, unchanged.
-  Status PackSnapshot(const std::string& path,
-                      const SnapshotFile::Options& options = {});
+  Status PackSnapshot(const std::string& path);
 
   // Nullptr until PackSnapshot succeeds.
   const MmapSnapshotBackend* backend() const { return pages_.snapshot(); }

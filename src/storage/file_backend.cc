@@ -43,20 +43,12 @@ FilePageBackend::FilePageBackend(std::string path, int fd, size_t bitmap_pages)
 
 Result<std::unique_ptr<FilePageBackend>> FilePageBackend::Create(
     const std::string& path) {
-  return Create(path, Options());
-}
-
-Result<std::unique_ptr<FilePageBackend>> FilePageBackend::Create(
-    const std::string& path, const Options& options) {
-  if (options.bitmap_pages == 0) {
-    return Status::InvalidArgument("bitmap_pages must be > 0");
-  }
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     return Status::IoError(Errno("open(" + path + ")"));
   }
   std::unique_ptr<FilePageBackend> backend(
-      new FilePageBackend(path, fd, options.bitmap_pages));
+      new FilePageBackend(path, fd, kFileBitmapPages));
   backend->meta_dirty_ = true;
   Status status = backend->WriteMetadata();
   if (!status.ok()) return status;
@@ -197,8 +189,7 @@ Status FilePageBackend::Write(PageId id, const uint8_t* data) {
   if (id == kInvalidPage || id >= MaxSlots()) {
     return Status::IoError("page " + std::to_string(id) +
                            ": beyond bitmap capacity of " +
-                           std::to_string(MaxSlots()) +
-                           " slots (recreate with more bitmap_pages)");
+                           std::to_string(MaxSlots()) + " slots");
   }
   TraceSpan span("storage", "pwrite");
   span.Arg("page", static_cast<int64_t>(id));

@@ -16,6 +16,9 @@ namespace stindex {
 // Magic bytes at the start of the header page payload.
 inline constexpr uint64_t kFilePageMagic = 0x53544e4458504701ull;  // "STNDXPG"+1
 inline constexpr uint32_t kFileFormatVersion = 1;
+// Bitmap pages of a created page file: kFileBitmapPages * kPageSize * 8
+// slots.
+inline constexpr size_t kFileBitmapPages = 4;
 
 // PageBackend storing fixed-size pages in one file via pread/pwrite.
 //
@@ -27,10 +30,9 @@ inline constexpr uint32_t kFileFormatVersion = 1;
 //   pages 1 .. bitmap_pages         free-slot bitmap, bit i = slot i in use
 //   pages 1+bitmap_pages + id       data page for slot `id`
 //
-// The bitmap region is sized at Create time (default 4 pages ≈ 130k slots)
-// and fixed for the file's lifetime; Create fails loudly if asked for
-// fewer slots than a workload later needs (Write past the bitmap is
-// IoError, not silent truncation).
+// Create reserves kFileBitmapPages bitmap pages (131,072 slots), fixed
+// for the file's lifetime; Open takes the count the header records. A
+// Write past the bitmap is IoError, not silent truncation.
 //
 // Metadata (header + bitmap) is written lazily: Sync() persists it, the
 // destructor syncs as a backstop. Data pages hit the file on every Write.
@@ -38,16 +40,8 @@ inline constexpr uint32_t kFileFormatVersion = 1;
 // external exclusion, matching the PageBackend contract.
 class FilePageBackend : public PageBackend {
  public:
-  struct Options {
-    // Pages reserved for the free-slot bitmap; capacity is
-    // bitmap_pages * kPageSize * 8 slots.
-    size_t bitmap_pages = 4;
-  };
-
   // Creates a new page file at `path` (truncating any existing file) and
-  // writes a fresh header + empty bitmap.
-  static Result<std::unique_ptr<FilePageBackend>> Create(
-      const std::string& path, const Options& options);
+  // writes a fresh header + empty bitmap of kFileBitmapPages pages.
   static Result<std::unique_ptr<FilePageBackend>> Create(
       const std::string& path);
 

@@ -16,14 +16,14 @@ namespace stindex {
 // nothing about node layouts — they move kPageSize byte blobs. A tree's
 // pages live in a MemoryPageBackend arena or, once packed, in a read-only
 // MmapSnapshotBackend (storage/tree_pages.h); the live tier journals to a
-// memory or file backend. A read-only SharedBufferPool sits in front for
-// queries, checking sealed pages through a PageCodec and turning cache
-// misses into backend reads.
+// memory or file backend. A read-only SharedBufferPool sits in front of a
+// tree's pages for queries, borrowing a page on each cache miss and
+// checking sealed pages through a PageCodec.
 //
-// Concurrency: concurrent Read calls are safe (the parallel query drivers
-// share one SharedBufferPool, whose shards read the backend in parallel);
-// Write/Free/Sync require external exclusion — the same exclusion that
-// keeps a tree's updates away from its queries.
+// Concurrency: concurrent Read and BorrowPage calls are safe (the
+// parallel query drivers share one SharedBufferPool, whose shards borrow
+// pages in parallel); Write/Free/Sync require external exclusion — the
+// same exclusion that keeps a tree's updates away from its queries.
 class PageBackend {
  public:
   virtual ~PageBackend() = default;
@@ -61,12 +61,14 @@ class PageBackend {
 
   // Zero-copy read: a pointer to page `id`'s page_size() bytes, stable
   // for the backend's lifetime, or nullptr if this backend cannot lend
-  // its storage (the default). Pool frames read lent pages in place, so
-  // they must die before the backend. The bytes may change underneath: a
-  // tree mutates its arena pages in place, and the mmap snapshot maps its
-  // file MAP_SHARED, so a later write to the file shows through even
-  // though every page was verified at open. Pools over a sealed backend
-  // therefore re-check the page on every miss.
+  // its storage (the default). A SharedBufferPool fronts only backends
+  // that lend every allocated page (a tree's arena, the mmap snapshot);
+  // its frames read lent pages in place, so they must die before the
+  // backend. The bytes may change underneath: a tree mutates its arena
+  // pages in place, and the mmap snapshot maps its file MAP_SHARED, so a
+  // later write to the file shows through even though every page was
+  // verified at open. Pools over a sealed backend therefore re-check the
+  // page on every miss.
   virtual const uint8_t* BorrowPage(PageId id) const {
     (void)id;
     return nullptr;

@@ -208,8 +208,10 @@ class PageWriter {
   size_t used_ = 0;
 };
 
-// Bounds-checked sequential reader. Reading past the end returns false
-// (corrupt or truncated input is a runtime condition, not a bug).
+// Bounds-checked sequential reader over a borrowed byte range — a page
+// payload or a multi-page stream such as the live tier's checkpoint
+// metadata. Reading past the end returns false (corrupt or truncated
+// input is a runtime condition, not a bug).
 class PageReader {
  public:
   // Empty reader (every read fails); lets Result<PageReader> default-
@@ -227,7 +229,7 @@ class PageReader {
   }
 
   bool ReadBytes(void* out, size_t size) {
-    if (used_ + size > capacity_) return false;
+    if (size > capacity_ - used_) return false;
     std::memcpy(out, buffer_ + used_, size);
     used_ += size;
     return true;

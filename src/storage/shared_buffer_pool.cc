@@ -71,30 +71,21 @@ void SharedBufferPool::EvictDownTo(Shard& shard, size_t limit) {
   }
 }
 
-SharedBufferPool::Frame SharedBufferPool::LoadFrame(PageId id) const {
-  // Zero-copy path: a backend that lends its pages (a tree's arena, the
-  // mmap snapshot) is read in place. The check still runs on every miss:
-  // a MAP_SHARED mapping shows later writes to the file.
-  Frame frame;
+const Page* SharedBufferPool::LoadPage(PageId id) const {
+  // Every page is read in place. The check still runs on every miss: a
+  // MAP_SHARED mapping shows later writes to the file.
   const uint8_t* borrowed = backend_->BorrowPage(id);
-  if (borrowed != nullptr) {
-    STINDEX_CHECK_MSG(
-        reinterpret_cast<uintptr_t>(borrowed) % alignof(Page) == 0,
-        "SharedBufferPool: backend lent a misaligned page");
-    frame.page = reinterpret_cast<const Page*>(borrowed);
-  } else {
-    frame.owned = std::make_unique_for_overwrite<Page>();
-    Status status = backend_->Read(id, frame.owned->bytes);
-    if (!status.ok()) {
-      const std::string msg = "SharedBufferPool: read of page " +
-                              std::to_string(id) +
-                              " failed: " + status.ToString();
-      STINDEX_CHECK_MSG(false, msg.c_str());
-    }
-    frame.page = frame.owned.get();
+  if (borrowed == nullptr) {
+    const std::string msg = "SharedBufferPool: backend " + backend_->Name() +
+                            " does not lend page " + std::to_string(id);
+    STINDEX_CHECK_MSG(false, msg.c_str());
   }
+  STINDEX_CHECK_MSG(
+      reinterpret_cast<uintptr_t>(borrowed) % alignof(Page) == 0,
+      "SharedBufferPool: backend lent a misaligned page");
+  const Page* page = reinterpret_cast<const Page*>(borrowed);
   if (codec_ != nullptr) {
-    Status status = codec_->Check(frame.page->bytes, id);
+    Status status = codec_->Check(page->bytes, id);
     if (!status.ok()) {
       const std::string msg = "SharedBufferPool: decode of page " +
                               std::to_string(id) +
@@ -102,7 +93,7 @@ SharedBufferPool::Frame SharedBufferPool::LoadFrame(PageId id) const {
       STINDEX_CHECK_MSG(false, msg.c_str());
     }
   }
-  return frame;
+  return page;
 }
 
 Result<const Page*> SharedBufferPool::Pin(PageId id, bool* missed) {
@@ -130,10 +121,11 @@ Result<const Page*> SharedBufferPool::Pin(PageId id, bool* missed) {
   TraceSpan span("storage", "fetch_miss");
   span.Arg("page", static_cast<int64_t>(id));
   EvictDownTo(shard, shard.capacity);
-  Frame frame = LoadFrame(id);
+  Frame frame;
+  frame.page = LoadPage(id);
   frame.pins = 1;
   ++shard.pinned;
-  auto [inserted, ok] = shard.frames.emplace(id, std::move(frame));
+  auto [inserted, ok] = shard.frames.emplace(id, frame);
   STINDEX_CHECK(ok);
   shard.lru.push_front(id);
   inserted->second.lru = shard.lru.begin();

@@ -51,12 +51,11 @@ class SharedBufferPool {
  public:
   class Session;
 
-  // Fronts `backend`. A frame points at the backend's page when the
-  // backend lends it (BorrowPage: a tree's arena, the mmap snapshot), and
-  // otherwise at a copy the frame owns, filled by a real backend read.
-  // `codec` checks every page a miss loads and is null only over a
-  // tree's own arena, whose pages are not sealed. `backend` and `codec`
-  // are borrowed and must outlive the pool.
+  // Fronts `backend`, which must lend every allocated page (BorrowPage: a
+  // tree's arena, the mmap snapshot): a frame points at the lent page and
+  // owns no copy. `codec` checks every page a miss loads and is null only
+  // over a tree's own arena, whose pages are not sealed. `backend` and
+  // `codec` are borrowed and must outlive the pool.
   SharedBufferPool(const PageBackend* backend, const PageCodec* codec,
                    const SharedBufferPoolOptions& options);
 
@@ -66,11 +65,11 @@ class SharedBufferPool {
   SharedBufferPool(const SharedBufferPool&) = delete;
   SharedBufferPool& operator=(const SharedBufferPool&) = delete;
 
-  // Pins `id`, loading it on a miss; `*missed` reports whether this call
-  // loaded the page. The returned page stays resident until the matching
-  // Unpin. Pinning a freed, out-of-range, unreadable or corrupt page is a
-  // checked error naming the page — an index handing out such an id is
-  // structurally corrupt. Prefer a Session over calling this directly.
+  // Pins `id`, borrowing it on a miss; `*missed` reports whether this
+  // call loaded the page. The returned page stays resident until the
+  // matching Unpin. Pinning a freed, out-of-range, unlent or corrupt page
+  // is a checked error naming the page — an index handing out such an id
+  // is structurally corrupt. Prefer a Session over calling this directly.
   Result<const Page*> Pin(PageId id, bool* missed);
 
   // Drops one pin taken by Pin. Unpinning a page that is not resident or
@@ -107,8 +106,7 @@ class SharedBufferPool {
 
  private:
   struct Frame {
-    const Page* page = nullptr;   // a lent page, or `owned`
-    std::unique_ptr<Page> owned;  // a copy, when the backend cannot lend
+    const Page* page = nullptr;  // the backend's lent page
     uint32_t pins = 0;
     std::list<PageId>::iterator lru;
   };
@@ -129,9 +127,9 @@ class SharedBufferPool {
   // fewer than `limit` frames or no unpinned victim remains. Caller holds
   // the shard mutex.
   void EvictDownTo(Shard& shard, size_t limit);
-  // Loads the page on a miss: the lent page or a backend read into an
-  // owned copy, then the codec's check.
-  Frame LoadFrame(PageId id) const;
+  // The page a miss loads: the backend's lent page, after the codec's
+  // check.
+  const Page* LoadPage(PageId id) const;
 
   const PageBackend* backend_;
   const PageCodec* codec_;

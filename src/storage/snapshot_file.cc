@@ -19,20 +19,14 @@ namespace stindex {
 namespace {
 
 struct MmapMetrics {
-  Counter* reads;
-  Counter* bytes_read;
   Counter* borrows;
-  Counter* fallback_opens;
   Counter* packed_pages;
 };
 
 const MmapMetrics& Metrics() {
   static const MmapMetrics m = [] {
     MetricRegistry& r = MetricRegistry::Global();
-    return MmapMetrics{r.GetCounter("backend.mmap.reads"),
-                       r.GetCounter("backend.mmap.bytes_read"),
-                       r.GetCounter("backend.mmap.borrows"),
-                       r.GetCounter("backend.mmap.fallback_opens"),
+    return MmapMetrics{r.GetCounter("backend.mmap.borrows"),
                        r.GetCounter("backend.mmap.packed_pages")};
   }();
   return m;
@@ -237,11 +231,6 @@ SnapshotFile::~SnapshotFile() {
 
 Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
     const std::string& path) {
-  return Open(path, Options());
-}
-
-Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
-    const std::string& path, const Options& options) {
   TraceSpan span("storage", "snapshot_open");
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
@@ -344,10 +333,10 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
   file->extents_ = std::move(extents);
   file->superblock_checksum_ = SealedPageCrc32(header);
 
-  // Verify through pread, in mapped and pread opens alike, so open
-  // leaves the mapping untouched: it becomes resident only as pools
-  // borrow pages. First the manifest against the superblock's digest,
-  // then every data page against its manifest entry.
+  // Verify through pread, so open leaves the mapping untouched: it
+  // becomes resident only as pools borrow pages. First the manifest
+  // against the superblock's digest, then every data page against its
+  // manifest entry.
   const std::unique_ptr<Page[]> batch =
       std::make_unique_for_overwrite<Page[]>(kBatchPages);
   std::vector<uint32_t> checksums;
@@ -394,33 +383,23 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
                       });
   if (!status.ok()) return status;
 
-  if (!options.force_pread) {
-    void* map = ::mmap(nullptr, static_cast<size_t>(expected), PROT_READ,
-                       MAP_SHARED, fd, 0);
-    if (map != MAP_FAILED) {
-      file->map_ = static_cast<const uint8_t*>(map);
-      file->map_bytes_ = static_cast<size_t>(expected);
-    }
-  }
-  if (file->map_ == nullptr) Metrics().fallback_opens->Add(1);
+  void* map = ::mmap(nullptr, static_cast<size_t>(expected), PROT_READ,
+                     MAP_SHARED, fd, 0);
+  if (map == MAP_FAILED) return Status::IoError(Errno("mmap(" + path + ")"));
+  file->map_ = static_cast<const uint8_t*>(map);
+  file->map_bytes_ = static_cast<size_t>(expected);
   span.Arg("pages", static_cast<int64_t>(file->node_count_));
   return file;
 }
 
 Status SnapshotFile::Read(PageId id, uint8_t* out) const {
-  if (static_cast<size_t>(id) >= node_count_) {
+  const uint8_t* page = Borrow(id);
+  if (page == nullptr) {
     return Status::InvalidArgument("page " + std::to_string(id) +
                                    ": read of unallocated snapshot page");
   }
-  if (map_ != nullptr) {
-    std::memcpy(out, map_ + (1 + static_cast<size_t>(id)) * kPageSize,
-                kPageSize);
-    return Status::OK();
-  }
-  TraceSpan span("storage", "pread");
-  span.Arg("page", static_cast<int64_t>(id));
-  return PReadFull(fd_, out, kPageSize, SlotOffset(id),
-                   "read page " + std::to_string(id) + " of " + path_);
+  std::memcpy(out, page, kPageSize);
+  return Status::OK();
 }
 
 bool SnapshotFile::IsFile(const std::string& path) const {
@@ -431,10 +410,8 @@ bool SnapshotFile::IsFile(const std::string& path) const {
 }
 
 const uint8_t* SnapshotFile::Borrow(PageId id) const {
-  if (map_ == nullptr || static_cast<size_t>(id) >= node_count_) {
-    return nullptr;
-  }
-  return map_ + (1 + static_cast<size_t>(id)) * kPageSize;
+  if (static_cast<size_t>(id) >= node_count_) return nullptr;
+  return map_ + SlotOffset(id);
 }
 
 // ---------------------------------------------------------------------------
@@ -447,23 +424,13 @@ MmapSnapshotBackend::MmapSnapshotBackend(std::unique_ptr<SnapshotFile> file)
 
 Result<std::unique_ptr<MmapSnapshotBackend>> MmapSnapshotBackend::Open(
     const std::string& path) {
-  return Open(path, SnapshotFile::Options());
-}
-
-Result<std::unique_ptr<MmapSnapshotBackend>> MmapSnapshotBackend::Open(
-    const std::string& path, const SnapshotFile::Options& options) {
-  Result<std::unique_ptr<SnapshotFile>> file = SnapshotFile::Open(path, options);
+  Result<std::unique_ptr<SnapshotFile>> file = SnapshotFile::Open(path);
   if (!file.ok()) return file.status();
   return std::make_unique<MmapSnapshotBackend>(std::move(file).value());
 }
 
 Status MmapSnapshotBackend::Read(PageId id, uint8_t* out) const {
-  Status status = file_->Read(id, out);
-  if (status.ok()) {
-    Metrics().reads->Add(1);
-    Metrics().bytes_read->Add(kPageSize);
-  }
-  return status;
+  return file_->Read(id, out);
 }
 
 const uint8_t* MmapSnapshotBackend::BorrowPage(PageId id) const {

@@ -97,23 +97,15 @@ class SnapshotWriter {
   bool finished_ = false;
 };
 
-// An open snapshot: the whole file mapped PROT_READ (or a pread fallback
-// when mapping is unavailable — forced by `Options::force_pread`,
-// automatic if mmap fails). Open() validates the superblock, the
+// An open snapshot: the whole file mapped PROT_READ and MAP_SHARED, the
+// only way a packed tree is read. Open() validates the superblock, the
 // manifest digest and every data page's checksum, so corruption fails at
-// open time with a Status naming the offending page id. It reads the
-// pages to verify through pread in either mode, so a fresh mapping is
-// not resident: pages fault in as they are borrowed.
+// open time with a Status naming the offending page id. It verifies
+// through batched pread, so a fresh mapping is not resident: pages fault
+// in as pools borrow them. A file that verifies but cannot be mapped is
+// an IoError naming the path and errno; there is no unmapped mode.
 class SnapshotFile {
  public:
-  struct Options {
-    // Skip mmap and serve every read through pread (for testing the
-    // fallback and for platforms without usable mappings).
-    bool force_pread = false;
-  };
-
-  static Result<std::unique_ptr<SnapshotFile>> Open(const std::string& path,
-                                                    const Options& options);
   static Result<std::unique_ptr<SnapshotFile>> Open(const std::string& path);
 
   ~SnapshotFile();
@@ -121,16 +113,15 @@ class SnapshotFile {
   SnapshotFile(const SnapshotFile&) = delete;
   SnapshotFile& operator=(const SnapshotFile&) = delete;
 
-  // Copies node slot `id` into `out` (kPageSize bytes).
+  // Copies node slot `id` into `out` (kPageSize bytes) from the mapping.
   Status Read(PageId id, uint8_t* out) const;
 
-  // Borrowed span of node slot `id`, stable for the file's lifetime, or
-  // nullptr in pread-fallback mode (callers then copy via Read).
+  // The mapped span of node slot `id`, stable for the file's lifetime;
+  // nullptr only for an id past node_count().
   const uint8_t* Borrow(PageId id) const;
 
   size_t node_count() const { return node_count_; }
   const std::vector<SnapshotLevelExtent>& extents() const { return extents_; }
-  bool mapped() const { return map_ != nullptr; }
   const std::string& path() const { return path_; }
   // The CRC-32 of the superblock page. The superblock holds the manifest
   // digest, which covers every data page, so two files with the same
@@ -146,7 +137,7 @@ class SnapshotFile {
 
   std::string path_;
   int fd_;
-  const uint8_t* map_ = nullptr;  // nullptr in pread-fallback mode
+  const uint8_t* map_ = nullptr;
   size_t map_bytes_ = 0;
   size_t node_count_ = 0;
   uint32_t superblock_checksum_ = 0;
@@ -154,14 +145,11 @@ class SnapshotFile {
 };
 
 // PageBackend over a SnapshotFile: node slot `id` is page `id`. Read-only
-// — Write/Free are FailedPrecondition. BorrowPage hands out the mapped
-// span (nullptr in fallback mode), which the buffer pools read in place
-// instead of bouncing through a copy.
+// — Write/Free are FailedPrecondition. BorrowPage lends the mapped span
+// of every page, which the buffer pools read in place; Read copies it.
 class MmapSnapshotBackend : public PageBackend {
  public:
   // Opens the snapshot at `path`.
-  static Result<std::unique_ptr<MmapSnapshotBackend>> Open(
-      const std::string& path, const SnapshotFile::Options& options);
   static Result<std::unique_ptr<MmapSnapshotBackend>> Open(
       const std::string& path);
 

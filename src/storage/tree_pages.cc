@@ -90,9 +90,8 @@ void TreePages::ResetQueryState() const {
   session_->ResetStats();
 }
 
-Result<std::vector<PageId>> TreePages::Pack(
-    const std::string& path, const SnapshotFile::Options& options,
-    RemapChildren remap_children) {
+Result<std::vector<PageId>> TreePages::Pack(const std::string& path,
+                                            RemapChildren remap_children) {
   STINDEX_CHECK_MSG(!frozen(), "tree already packed");
   STINDEX_CHECK_MSG(check_.has_value(), "this tree has no sealed node pages");
   TraceSpan span(scope_, "pack_snapshot");
@@ -132,7 +131,7 @@ Result<std::vector<PageId>> TreePages::Pack(
   Status status = writer.value()->Finish();
   if (!status.ok()) return status;
   Result<std::unique_ptr<MmapSnapshotBackend>> snapshot =
-      MmapSnapshotBackend::Open(path, options);
+      MmapSnapshotBackend::Open(path);
   if (!snapshot.ok()) return snapshot.status();
 
   // Committed: the snapshot becomes the only page source.

@@ -94,14 +94,13 @@ class TreePages {
   // copied straight into the SnapshotWriter's batch, its children
   // remapped there, and sealed with the check's kind: one checksum pass
   // per page, the manifest entry following from the seal's checksum by
-  // CRC combination. The snapshot is then opened (mmap,
-  // or pread per `options`), the arena released and the query pool
-  // reopened. The remap is a bijection of the page-id access sequence,
-  // so per-query LRU misses stay identical; it is returned (arena id ->
-  // slot, kInvalidPage for free ids) for the tree's own references. On
-  // failure nothing changes. Packing twice is a checked error.
+  // CRC combination. The snapshot is then opened (verified, then
+  // mapped), the arena released and the query pool reopened. The remap
+  // is a bijection of the page-id access sequence, so per-query LRU
+  // misses stay identical; it is returned (arena id -> slot,
+  // kInvalidPage for free ids) for the tree's own references. On failure
+  // nothing changes. Packing twice is a checked error.
   Result<std::vector<PageId>> Pack(const std::string& path,
-                                   const SnapshotFile::Options& options,
                                    RemapChildren remap_children);
 
   // Drops the arena and serves `snapshot` instead, as Pack does once its

@@ -6,15 +6,13 @@
 #include <type_traits>
 #include <vector>
 
-#include "util/status.h"
-
 namespace stindex {
 
 // A growable little-endian byte stream for variable-length state
-// serialization (the live tier's checkpoint metadata). PageWriter /
-// PageReader cover the fixed-size single-page case; ByteSink / ByteSource
-// cover state whose size is unknown up front and which is later chunked
-// across pages by the caller.
+// serialization (the live tier's checkpoint metadata), whose size is
+// unknown up front and which the caller later chunks across pages.
+// PageWriter covers the fixed-size single-page case; PageReader
+// (storage/page_codec.h) reads either back.
 class ByteSink {
  public:
   template <typename T>
@@ -35,34 +33,6 @@ class ByteSink {
 
  private:
   std::vector<uint8_t> bytes_;
-};
-
-// Reader over a borrowed byte range; every Read reports truncation
-// instead of walking off the end.
-class ByteSource {
- public:
-  ByteSource(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  bool Read(T* out) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "ByteSource::Read requires a trivially copyable type");
-    return ReadBytes(out, sizeof(T));
-  }
-
-  bool ReadBytes(void* out, size_t size) {
-    if (size_ - offset_ < size) return false;
-    std::memcpy(out, data_ + offset_, size);
-    offset_ += size;
-    return true;
-  }
-
-  size_t remaining() const { return size_ - offset_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t offset_ = 0;
 };
 
 }  // namespace stindex

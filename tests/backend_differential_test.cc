@@ -1,13 +1,12 @@
 // Differential tests for the storage backends: the same seeded dataset
 // indexed two ways — the tree's own arena of node pages, and a snapshot
-// file packed from it and served through pread, so every pool miss is a
-// real read of the file — must answer every query byte-identically and
-// with identical per-query buffer-miss counts (the paper's "disk
-// accesses" metric), at every thread count and pool size. The baseline is
-// scored by an LRU oracle from the recorded page-access sequence, not by
-// any pool. This pins the property that moving the experiments onto real
-// files changes nothing about the reported numbers. (snapshot_backend_
-// test.cc compares the mapped snapshot too.)
+// file packed from it and mapped, so every pool miss borrows one page of
+// the file — must answer every query byte-identically and with identical
+// per-query buffer-miss counts (the paper's "disk accesses" metric), at
+// every thread count and pool size. The baseline is scored by an LRU
+// oracle from the recorded page-access sequence, not by any pool. This
+// pins the property that moving the experiments onto real files changes
+// nothing about the reported numbers.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -63,34 +62,40 @@ std::vector<STQuery> MakeQueries() {
   return queries;
 }
 
-// Packs `tree` into a snapshot served through pread: every pool miss is
-// one real read of the file. The tree keeps the file open, so its name
-// goes at once.
+// Packs `tree` into a mapped snapshot: every pool miss borrows one page
+// of the file. The tree keeps the file mapped, so its name goes at once.
 template <typename Tree>
-void PackForPread(Tree* tree, const std::string& name) {
-  SnapshotFile::Options options;
-  options.force_pread = true;
+void Pack(Tree* tree, const std::string& name) {
   const TempPath path(name + ".stsnap");
-  const Status status = tree->PackSnapshot(path, options);
+  const Status status = tree->PackSnapshot(path);
   ASSERT_TRUE(status.ok()) << status.ToString();
-  ASSERT_FALSE(tree->backend()->file().mapped());
 }
 
+// Runs the query set through one fresh shared pool of `pool_pages`
+// frames (0: the tree's default); stores the pool's real misses in
+// `*pool_misses` when given.
 std::vector<QueryOutcome> RunPpr(const PprTree& tree,
                                  const std::vector<STQuery>& queries,
-                                 int num_threads, size_t pool_pages = 0) {
+                                 int num_threads, size_t pool_pages = 0,
+                                 uint64_t* pool_misses = nullptr) {
   const std::unique_ptr<SharedBufferPool> pool =
       tree.NewSharedQueryPool(pool_pages);
-  return RunSessions(pool.get(), queries, num_threads, PprQuery(tree));
+  std::vector<QueryOutcome> outcomes =
+      RunSessions(pool.get(), queries, num_threads, PprQuery(tree));
+  if (pool_misses != nullptr) *pool_misses = pool->AggregateStats().misses;
+  return outcomes;
 }
 
 std::vector<QueryOutcome> RunRStar(const RStarTree& tree,
                                    const std::vector<STQuery>& queries,
-                                   int num_threads, size_t pool_pages = 0) {
+                                   int num_threads, size_t pool_pages = 0,
+                                   uint64_t* pool_misses = nullptr) {
   const std::unique_ptr<SharedBufferPool> pool =
       tree.NewSharedQueryPool(pool_pages);
-  return RunSessions(pool.get(), queries, num_threads,
-                     RStarQuery(tree, kTimeDomain));
+  std::vector<QueryOutcome> outcomes = RunSessions(
+      pool.get(), queries, num_threads, RStarQuery(tree, kTimeDomain));
+  if (pool_misses != nullptr) *pool_misses = pool->AggregateStats().misses;
+  return outcomes;
 }
 
 std::vector<QueryOutcome> PprBaseline(const PprTree& tree,
@@ -105,25 +110,27 @@ std::vector<QueryOutcome> RStarBaseline(const RStarTree& tree,
   return OracleBaseline(pool.get(), queries, RStarQuery(tree, kTimeDomain));
 }
 
-uint64_t SnapshotReads() {
-  return MetricRegistry::Global().GetCounter("backend.mmap.reads")->Value();
+uint64_t SnapshotBorrows() {
+  return MetricRegistry::Global().GetCounter("backend.mmap.borrows")->Value();
 }
 
 // Runs `tree`'s queries through one fresh default-size pool and checks
-// that every real pool miss was one read of the pread snapshot, and that
-// shared residency kept the reads at or below the protocol misses.
+// that every real pool miss borrowed exactly one page of the snapshot,
+// and that shared residency kept the borrows at or below the protocol
+// misses.
 template <typename Tree>
-std::vector<QueryOutcome> RunCountingSnapshotReads(
+std::vector<QueryOutcome> RunCountingBorrows(
     const Tree& tree, const std::vector<STQuery>& queries, int num_threads,
     const QueryFn& run_query) {
   const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
-  const uint64_t reads_before = SnapshotReads();
+  const uint64_t borrows_before = SnapshotBorrows();
   std::vector<QueryOutcome> outcomes =
       RunSessions(pool.get(), queries, num_threads, run_query);
-  const uint64_t reads = SnapshotReads() - reads_before;
-  EXPECT_GT(reads, 0u) << "threads=" << num_threads;
-  EXPECT_EQ(reads, pool->AggregateStats().misses) << "threads=" << num_threads;
-  EXPECT_LE(reads, TotalMisses(outcomes)) << "threads=" << num_threads;
+  const uint64_t borrows = SnapshotBorrows() - borrows_before;
+  EXPECT_GT(borrows, 0u) << "threads=" << num_threads;
+  EXPECT_EQ(borrows, pool->AggregateStats().misses)
+      << "threads=" << num_threads;
+  EXPECT_LE(borrows, TotalMisses(outcomes)) << "threads=" << num_threads;
   return outcomes;
 }
 
@@ -133,7 +140,7 @@ TEST(BackendDifferentialTest, PprTreeIdenticalAcrossBackendsAndThreads) {
 
   const std::unique_ptr<PprTree> arena_tree = BuildPprTree(records);
   const std::unique_ptr<PprTree> packed = BuildPprTree(records);
-  PackForPread(packed.get(), "diff_ppr");
+  Pack(packed.get(), "diff_ppr");
 
   const std::vector<QueryOutcome> baseline = PprBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
@@ -141,10 +148,10 @@ TEST(BackendDifferentialTest, PprTreeIdenticalAcrossBackendsAndThreads) {
   for (const int threads : {1, 2, 7, 16}) {
     EXPECT_EQ(RunPpr(*arena_tree, queries, threads), baseline)
         << "arena, threads=" << threads;
-    EXPECT_EQ(RunCountingSnapshotReads(*packed, queries, threads,
-                                       PprQuery(*packed)),
+    EXPECT_EQ(RunCountingBorrows(*packed, queries, threads,
+                                 PprQuery(*packed)),
               baseline)
-        << "pread snapshot, threads=" << threads;
+        << "snapshot, threads=" << threads;
   }
 }
 
@@ -152,13 +159,13 @@ TEST(BackendDifferentialTest, PprProtocolMissesIndependentOfPoolSize) {
   // Protocol accounting simulates the paper's private LRU per session, so
   // answers AND per-query misses cannot depend on how many real frames
   // the shared pool has — from one frame (all pins overflow) to the
-  // whole tree — while the real reads underneath only deduplicate.
+  // whole tree — while the real borrows underneath only deduplicate.
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
 
   const std::unique_ptr<PprTree> arena_tree = BuildPprTree(records);
   const std::unique_ptr<PprTree> packed = BuildPprTree(records);
-  PackForPread(packed.get(), "diff_ppr_sizes");
+  Pack(packed.get(), "diff_ppr_sizes");
 
   const std::vector<QueryOutcome> baseline = PprBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
@@ -168,13 +175,19 @@ TEST(BackendDifferentialTest, PprProtocolMissesIndependentOfPoolSize) {
       EXPECT_EQ(RunPpr(*arena_tree, queries, threads, pool_pages), baseline)
           << "arena, pool_pages=" << pool_pages
           << ", threads=" << threads;
-      const uint64_t reads_before = SnapshotReads();
-      EXPECT_EQ(RunPpr(*packed, queries, threads, pool_pages), baseline)
-          << "pread snapshot, pool_pages=" << pool_pages
+      const uint64_t borrows_before = SnapshotBorrows();
+      uint64_t pool_misses = 0;
+      EXPECT_EQ(RunPpr(*packed, queries, threads, pool_pages, &pool_misses),
+                baseline)
+          << "snapshot, pool_pages=" << pool_pages
           << ", threads=" << threads;
+      const uint64_t borrows = SnapshotBorrows() - borrows_before;
+      EXPECT_EQ(borrows, pool_misses)
+          << "pool_pages=" << pool_pages << ", threads=" << threads;
       if (pool_pages == 4096) {
-        // The pool holds the whole tree: each page is read at most once.
-        EXPECT_LE(SnapshotReads() - reads_before, packed->PageCount());
+        // The pool holds the whole tree: each page is borrowed at most
+        // once.
+        EXPECT_LE(borrows, packed->PageCount());
       }
     }
   }
@@ -194,7 +207,7 @@ TEST(BackendDifferentialTest, RStarTreeIdenticalAcrossBackendsAndThreads) {
   };
   const std::unique_ptr<RStarTree> arena_tree = build();
   const std::unique_ptr<RStarTree> packed = build();
-  PackForPread(packed.get(), "diff_rstar");
+  Pack(packed.get(), "diff_rstar");
 
   const std::vector<QueryOutcome> baseline =
       RStarBaseline(*arena_tree, queries);
@@ -203,10 +216,10 @@ TEST(BackendDifferentialTest, RStarTreeIdenticalAcrossBackendsAndThreads) {
   for (const int threads : {1, 2, 7, 16}) {
     EXPECT_EQ(RunRStar(*arena_tree, queries, threads), baseline)
         << "arena, threads=" << threads;
-    EXPECT_EQ(RunCountingSnapshotReads(*packed, queries, threads,
-                                       RStarQuery(*packed, kTimeDomain)),
+    EXPECT_EQ(RunCountingBorrows(*packed, queries, threads,
+                                 RStarQuery(*packed, kTimeDomain)),
               baseline)
-        << "pread snapshot, threads=" << threads;
+        << "snapshot, threads=" << threads;
   }
 }
 
@@ -224,7 +237,7 @@ TEST(BackendDifferentialTest, RStarProtocolMissesIndependentOfPoolSize) {
   };
   const std::unique_ptr<RStarTree> arena_tree = build();
   const std::unique_ptr<RStarTree> packed = build();
-  PackForPread(packed.get(), "diff_rstar_sizes");
+  Pack(packed.get(), "diff_rstar_sizes");
 
   const std::vector<QueryOutcome> baseline =
       RStarBaseline(*arena_tree, queries);
@@ -235,12 +248,18 @@ TEST(BackendDifferentialTest, RStarProtocolMissesIndependentOfPoolSize) {
       EXPECT_EQ(RunRStar(*arena_tree, queries, threads, pool_pages), baseline)
           << "arena, pool_pages=" << pool_pages
           << ", threads=" << threads;
-      const uint64_t reads_before = SnapshotReads();
-      EXPECT_EQ(RunRStar(*packed, queries, threads, pool_pages), baseline)
-          << "pread snapshot, pool_pages=" << pool_pages
+      const uint64_t borrows_before = SnapshotBorrows();
+      uint64_t pool_misses = 0;
+      EXPECT_EQ(
+          RunRStar(*packed, queries, threads, pool_pages, &pool_misses),
+          baseline)
+          << "snapshot, pool_pages=" << pool_pages
           << ", threads=" << threads;
+      const uint64_t borrows = SnapshotBorrows() - borrows_before;
+      EXPECT_EQ(borrows, pool_misses)
+          << "pool_pages=" << pool_pages << ", threads=" << threads;
       if (pool_pages == 4096) {
-        EXPECT_LE(SnapshotReads() - reads_before, packed->PageCount());
+        EXPECT_LE(borrows, packed->PageCount());
       }
     }
   }

@@ -417,6 +417,83 @@ TEST(CrashRecoveryTest, CheckpointedCrashSweepRecoversAtEveryMutationSite) {
 
 }
 
+// A checkpoint header slot whose read fails is an I/O error naming the
+// slot, not a torn header: the slot may hold the newer checkpoint, and
+// recovering from the other slot — or from none — would replay a journal
+// that checkpoint already truncated. With one checkpoint the only header
+// is in slot 1; with two, slot 0 holds the newer one and is read first.
+// A later reopen without the fault recovers to the reference answers.
+TEST(CrashRecoveryTest, UnreadableCheckpointHeaderSlotIsAnIoError) {
+  const std::vector<LiveObservation> stream =
+      MakeObservationStream(MakeObjects());
+  const std::vector<STQuery> queries = MakeQueries();
+  const TempPath ref_path("header_ref.stpages");
+  const RunResult reference =
+      ReferenceRun(TierOptions(), ref_path, stream, queries, nullptr);
+
+  const TempPath path("header_fault.stpages");
+  const size_t half = stream.size() / 2;
+  for (const uint64_t checkpoints : {uint64_t{1}, uint64_t{2}}) {
+    SCOPED_TRACE("checkpoints=" + std::to_string(checkpoints));
+    {
+      Result<std::unique_ptr<FilePageBackend>> file =
+          FilePageBackend::Create(path);
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      Result<std::unique_ptr<LiveTier>> tier =
+          LiveTier::Open(TierOptions(), std::move(file).value());
+      ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+      for (size_t i = 0; i < half; ++i) {
+        ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+        if ((i + 1) % kCommitEvery == 0) {
+          ASSERT_TRUE(tier.value()->Commit().ok());
+        }
+        if (checkpoints == 2 && i + 1 == half / 2) {
+          ASSERT_TRUE(tier.value()->Checkpoint().ok());
+        }
+      }
+      ASSERT_TRUE(tier.value()->Commit().ok());
+      ASSERT_TRUE(tier.value()->Checkpoint().ok());
+      ASSERT_EQ(tier.value()->checkpoint_seq(), checkpoints);
+    }
+
+    const std::string slot =
+        "checkpoint header slot " + std::to_string(checkpoints % 2);
+    for (const bool short_read : {false, true}) {
+      SCOPED_TRACE(short_read ? "short read" : "failed read");
+      FaultInjectingBackend::Faults faults;
+      (short_read ? faults.short_read_at : faults.fail_read_at) = 1;
+      Result<std::unique_ptr<FilePageBackend>> file =
+          FilePageBackend::Open(path);
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      const Result<std::unique_ptr<LiveTier>> refused = LiveTier::Open(
+          TierOptions(), std::make_unique<FaultInjectingBackend>(
+                             std::move(file).value(), faults));
+      ASSERT_FALSE(refused.ok());
+      EXPECT_EQ(refused.status().code(), StatusCode::kIoError)
+          << refused.status().ToString();
+      EXPECT_NE(refused.status().message().find(slot), std::string::npos)
+          << refused.status().ToString();
+    }
+
+    Result<std::unique_ptr<FilePageBackend>> file = FilePageBackend::Open(path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(TierOptions(), std::move(file).value());
+    ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+    EXPECT_EQ(tier.value()->checkpoint_seq(), checkpoints);
+    for (size_t i = half; i < stream.size(); ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+      if ((i + 1) % kCommitEvery == 0) {
+        ASSERT_TRUE(tier.value()->Commit().ok());
+      }
+    }
+    ASSERT_TRUE(tier.value()->Finish().ok());
+    const RunResult after = Snapshot(*tier.value(), queries);
+    EXPECT_EQ(after.answers, reference.answers);
+    EXPECT_TRUE(SameSegments(after.segments, reference.segments));
+  }
+}
+
 // Checkpoints must bound the journal: across generations of
 // reopen-ingest-close cycles, recovery replays only the tail past the
 // last committed checkpoint — O(checkpoint interval), never O(history) —

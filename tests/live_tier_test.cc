@@ -581,7 +581,7 @@ TEST(LiveIndexTest, PolicyMatchesBruteForce) {
           ByteSink sink;
           index->EncodeState(&sink);
           index = std::make_unique<LiveIndex>(options);
-          ByteSource source(sink.bytes().data(), sink.bytes().size());
+          PageReader source(sink.bytes().data(), sink.bytes().size());
           const Status decoded = index->DecodeState(&source);
           ASSERT_TRUE(decoded.ok()) << where << ": " << decoded.ToString();
           ASSERT_EQ(source.remaining(), 0u) << where;
@@ -676,7 +676,7 @@ Status DecodeIndexState(const std::vector<BufferState>& buffers,
   sink.Write(uint64_t{0});  // retired
   sink.Write(Time{9});      // last global time
   LiveIndex index(LiveIndexOptions{});
-  ByteSource source(sink.bytes().data(), sink.bytes().size());
+  PageReader source(sink.bytes().data(), sink.bytes().size());
   return index.DecodeState(&source);
 }
 
@@ -709,7 +709,7 @@ TEST(LiveIndexTest, DecodeStateRejectsRectCountBeyondTheBytes) {
   sink.Write(uint64_t{1} << 40);  // rects the state cannot hold
   sink.Write(UnitRect(0.1, 0.2));
   LiveIndex index(LiveIndexOptions{});
-  ByteSource source(sink.bytes().data(), sink.bytes().size());
+  PageReader source(sink.bytes().data(), sink.bytes().size());
   const Status status = index.DecodeState(&source);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(Mentions(status, "truncated live buffer")) << status.ToString();
@@ -746,7 +746,7 @@ Status DecodeWatermarks(Time watermark, Time pack_watermark, size_t bytes,
   ByteSink sink;
   sink.Write(watermark);
   sink.Write(pack_watermark);
-  ByteSource source(sink.bytes().data(), bytes);
+  PageReader source(sink.bytes().data(), bytes);
   return pipeline->DecodeState(PipelineSegments(), &source);
 }
 

@@ -1,23 +1,25 @@
 // Differential tests for the zero-copy mmap snapshot backend: a tree
 // packed into a read-only snapshot must answer every query byte-
 // identically and with identical per-query protocol-mode miss counts to
-// the tree's own arena, mapped and through the pread fallback, at every
-// thread count — packing remaps page ids through a bijection, and LRU
-// behaviour depends only on the equality structure of the access
-// sequence. The suite also covers a pack that fails (the tree, or the
-// live tier, keeps serving its arena unchanged), a LiveTier whose
-// historical tree was packed mid-stream, a mapping that open leaves
-// non-resident, and open-time corruption detection (truncation, bad
-// magic, version skew, bit flips, manifest and extent mismatches, each
-// mapped and through pread), extending the storage_fault_test.cc
+// the tree's own arena at every thread count, each real pool miss
+// borrowing one mapped page — packing remaps page ids through a
+// bijection, and LRU behaviour depends only on the equality structure of
+// the access sequence. The suite also covers a pack that fails (the
+// tree, or the live tier, keeps serving its arena unchanged), a LiveTier
+// whose historical tree was packed mid-stream, a mapping that open
+// leaves non-resident, a file that cannot be mapped, and open-time
+// corruption detection (truncation, bad magic, version skew, bit flips,
+// manifest and extent mismatches), extending the storage_fault_test.cc
 // patterns to the snapshot path.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -90,10 +92,13 @@ std::vector<QueryOutcome> RunPpr(const PprTree& tree,
 
 std::vector<QueryOutcome> RunRStar(const RStarTree& tree,
                                    const std::vector<STQuery>& queries,
-                                   int num_threads) {
+                                   int num_threads,
+                                   uint64_t* pool_misses = nullptr) {
   const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
-  return RunSessions(pool.get(), queries, num_threads,
-                     RStarQuery(tree, kTimeDomain));
+  std::vector<QueryOutcome> outcomes = RunSessions(
+      pool.get(), queries, num_threads, RStarQuery(tree, kTimeDomain));
+  if (pool_misses != nullptr) *pool_misses += pool->AggregateStats().misses;
+  return outcomes;
 }
 
 std::vector<QueryOutcome> PprBaseline(const PprTree& tree,
@@ -114,7 +119,6 @@ uint64_t Metric(const char* name) {
 
 TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
   const TempPath snap_ppr("snap_ppr.stsnap");
-  const TempPath snap_ppr_pread("snap_ppr_pread.stsnap");
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
 
@@ -123,44 +127,29 @@ TEST(SnapshotBackendTest, PprSnapshotIdenticalAcrossBackendsAndThreads) {
   ASSERT_TRUE(packed->PackSnapshot(snap_ppr).ok());
   ASSERT_NE(packed->backend(), nullptr);
   EXPECT_EQ(packed->backend()->Name(), "mmap");
-  const std::unique_ptr<PprTree> pread_tree = BuildPprTree(records);
-  SnapshotFile::Options pread_options;
-  pread_options.force_pread = true;
-  const uint64_t fallbacks_before = Metric("backend.mmap.fallback_opens");
-  ASSERT_TRUE(
-      pread_tree->PackSnapshot(snap_ppr_pread, pread_options)
-          .ok());
-  EXPECT_EQ(Metric("backend.mmap.fallback_opens"), fallbacks_before + 1);
-  EXPECT_FALSE(pread_tree->backend()->file().mapped());
 
   const std::vector<QueryOutcome> baseline = PprBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
   const uint64_t file_reads_before = Metric("backend.file.reads");
-  const uint64_t mmap_reads_before = Metric("backend.mmap.reads");
   const uint64_t borrows_before = Metric("backend.mmap.borrows");
-  uint64_t pread_misses = 0;
+  uint64_t snapshot_misses = 0;
   for (const int threads : {1, 2, 7, 16}) {
     EXPECT_EQ(RunPpr(*arena_tree, queries, threads), baseline)
         << "arena, threads=" << threads;
-    EXPECT_EQ(RunPpr(*packed, queries, threads), baseline)
+    EXPECT_EQ(RunPpr(*packed, queries, threads, &snapshot_misses), baseline)
         << "mmap backend, threads=" << threads;
-    EXPECT_EQ(RunPpr(*pread_tree, queries, threads, &pread_misses), baseline)
-        << "pread fallback, threads=" << threads;
   }
-  // The mapped runs were zero-copy: every miss was served by borrowing
-  // the mapped span, never a read into a frame — and never a file-backend
-  // read (the warm-path acceptance gate for --backend=mmap). Only the
-  // pread fallback's pool misses read.
+  // The snapshot runs were zero-copy: every real pool miss borrowed one
+  // mapped page, and none read a file backend (the warm-path acceptance
+  // gate for --backend=mmap).
   EXPECT_EQ(Metric("backend.file.reads"), file_reads_before);
-  EXPECT_GT(pread_misses, 0u);
-  EXPECT_EQ(Metric("backend.mmap.reads"), mmap_reads_before + pread_misses);
-  EXPECT_GT(Metric("backend.mmap.borrows"), borrows_before);
+  EXPECT_GT(snapshot_misses, 0u);
+  EXPECT_EQ(Metric("backend.mmap.borrows"), borrows_before + snapshot_misses);
 }
 
 TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
   const TempPath snap_rstar("snap_rstar.stsnap");
-  const TempPath snap_rstar_pread("snap_rstar_pread.stsnap");
   const std::vector<SegmentRecord> records = MakeRecords();
   const std::vector<STQuery> queries = MakeQueries();
   const std::vector<Box3D> boxes = SegmentsToBoxes(records, 0, kTimeDomain);
@@ -180,27 +169,23 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
   const std::unique_ptr<RStarTree> arena_tree = build();
   const std::unique_ptr<RStarTree> packed = build();
   ASSERT_TRUE(packed->PackSnapshot(snap_rstar).ok());
-  const std::unique_ptr<RStarTree> pread_tree = build();
-  SnapshotFile::Options pread_options;
-  pread_options.force_pread = true;
-  ASSERT_TRUE(
-      pread_tree->PackSnapshot(snap_rstar_pread, pread_options)
-          .ok());
 
   const std::vector<QueryOutcome> baseline =
       RStarBaseline(*arena_tree, queries);
   ASSERT_GT(TotalMisses(baseline), 0u);
 
   const uint64_t file_reads_before = Metric("backend.file.reads");
+  const uint64_t borrows_before = Metric("backend.mmap.borrows");
+  uint64_t snapshot_misses = 0;
   for (const int threads : {1, 2, 7, 16}) {
     EXPECT_EQ(RunRStar(*arena_tree, queries, threads), baseline)
         << "arena, threads=" << threads;
-    EXPECT_EQ(RunRStar(*packed, queries, threads), baseline)
+    EXPECT_EQ(RunRStar(*packed, queries, threads, &snapshot_misses), baseline)
         << "mmap backend, threads=" << threads;
-    EXPECT_EQ(RunRStar(*pread_tree, queries, threads), baseline)
-        << "pread fallback, threads=" << threads;
   }
   EXPECT_EQ(Metric("backend.file.reads"), file_reads_before);
+  EXPECT_GT(snapshot_misses, 0u);
+  EXPECT_EQ(Metric("backend.mmap.borrows"), borrows_before + snapshot_misses);
 }
 
 TEST(SnapshotBackendTest, PackedTreeRefusesMutation) {
@@ -305,7 +290,7 @@ TEST(SnapshotBackendTest, AdoptedSnapshotServesLikeThePackedTree) {
   packed->EncodeCheckpointMeta(&meta);
   const auto restore = [&meta](const std::string& path,
                                PprTree* tree) -> Status {
-    ByteSource in(meta.bytes().data(), meta.bytes().size());
+    PageReader in(meta.bytes().data(), meta.bytes().size());
     Status status = tree->DecodeCheckpointMeta(&in);
     if (!status.ok()) return status;
     Result<std::unique_ptr<MmapSnapshotBackend>> snapshot =
@@ -523,9 +508,7 @@ TEST(SnapshotBackendTest, LiveTierPackSurvivesCheckpointRecovery) {
   tier = LiveTier::Open(options, std::move(reopened).value());
   ASSERT_TRUE(tier.ok()) << tier.status().ToString();
   ASSERT_EQ(tier.value()->frozen_layers(), 1u);
-  const MmapSnapshotBackend* mapped = tier.value()->frozen_layer(0).backend();
-  ASSERT_NE(mapped, nullptr);
-  EXPECT_TRUE(mapped->file().mapped());
+  ASSERT_NE(tier.value()->frozen_layer(0).backend(), nullptr);
   Counter* borrows =
       MetricRegistry::Global().GetCounter("backend.mmap.borrows");
   const uint64_t borrows_before = borrows->Value();
@@ -629,7 +612,6 @@ TEST(SnapshotResidencyTest, MappingBecomesResidentOnlyAsPoolsBorrowIt) {
   const int64_t before = MappedFileRssBytes();
   ASSERT_TRUE(tree->PackSnapshot(snap_residency).ok());
   const int64_t opened = MappedFileRssBytes();
-  ASSERT_TRUE(tree->backend()->file().mapped());
   const size_t pages = tree->backend()->SlotCount();
   ASSERT_GE(pages, 4096u);
   const int64_t data_bytes = static_cast<int64_t>(pages * kPageSize);
@@ -648,6 +630,46 @@ TEST(SnapshotResidencyTest, MappingBecomesResidentOnlyAsPoolsBorrowIt) {
   EXPECT_GE(pinned - before, data_bytes * 9 / 10)
       << "pinning every page made " << pinned - before << " of "
       << data_bytes << " mapped bytes resident";
+}
+
+// A snapshot that verifies but cannot be mapped is an IoError naming the
+// path and errno: there is no unmapped serving mode to fall back to. The
+// death test's child lowers its own address-space limit below what the
+// mapping needs, so every check passes and only the mmap fails.
+TEST(SnapshotMapDeathTest, UnmappableSnapshotIsAnIoErrorNamingThePath) {
+  const TempPath snap("unmappable.stsnap");
+  constexpr size_t kPages = 2048;  // an 8 MiB mapping
+  {
+    Result<std::unique_ptr<SnapshotWriter>> writer =
+        SnapshotWriter::Create(snap);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (size_t i = 0; i < kPages; ++i) {
+      Page* page = writer.value()->NextPage();
+      PageWriter payload = PayloadWriter(page->bytes);
+      payload.Write(static_cast<uint64_t>(i));
+      SealPage(page->bytes, PageKind::kTest);
+      ASSERT_TRUE(writer.value()->Append(0).ok());
+    }
+    ASSERT_TRUE(writer.value()->Finish().ok());
+  }
+  ASSERT_TRUE(SnapshotFile::Open(snap).ok());
+  const std::string path = snap;
+  EXPECT_EXIT(
+      {
+        // Room for Open's buffers, but not for a quarter of the mapping.
+        rlimit limit;
+        getrlimit(RLIMIT_AS, &limit);
+        limit.rlim_cur = static_cast<rlim_t>(ProcStatusBytes("VmSize")) +
+                         kPages * kPageSize / 4;
+        setrlimit(RLIMIT_AS, &limit);
+        const Result<std::unique_ptr<SnapshotFile>> file =
+            SnapshotFile::Open(path);
+        std::fprintf(stderr, "%s\n",
+                     file.ok() ? "mapped" : file.status().ToString().c_str());
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(0),
+      "IoError: mmap\\(.*/unmappable\\.stsnap\\): Cannot allocate memory");
 }
 
 // --- corruption / fault coverage ------------------------------------------
@@ -686,19 +708,10 @@ class SnapshotCorruptionTest : public ::testing::Test {
     std::fclose(f);
   }
 
-  // Opens `path` mapped and with force_pread; the two opens must agree.
   static Status OpenStatus(const std::string& path) {
-    std::vector<Status> statuses;
-    for (const bool force_pread : {false, true}) {
-      SnapshotFile::Options options;
-      options.force_pread = force_pread;
-      Result<std::unique_ptr<MmapSnapshotBackend>> backend =
-          MmapSnapshotBackend::Open(path, options);
-      statuses.push_back(backend.ok() ? Status::OK() : backend.status());
-    }
-    EXPECT_EQ(statuses[0].ToString(), statuses[1].ToString())
-        << "mapped and pread opens disagree";
-    return statuses[0];
+    Result<std::unique_ptr<MmapSnapshotBackend>> backend =
+        MmapSnapshotBackend::Open(path);
+    return backend.ok() ? Status::OK() : backend.status();
   }
 
   std::unique_ptr<TempPath> fixture_;
@@ -850,21 +863,6 @@ TEST_F(SnapshotCorruptionTest, CorruptSuperblockEnvelopeFailsOpen) {
       << status.ToString();
 }
 
-TEST_F(SnapshotCorruptionTest, CorruptionDetectedOnPreadFallbackToo) {
-  const std::string path = PackFixture("corrupt_pread");
-  std::vector<uint8_t> bytes = ReadFile(path);
-  bytes[1 * kPageSize + kPageEnvelopeBytes + 3] ^= 0x10;  // node slot 0
-  WriteFile(path, bytes);
-  SnapshotFile::Options options;
-  options.force_pread = true;
-  Result<std::unique_ptr<MmapSnapshotBackend>> backend =
-      MmapSnapshotBackend::Open(path, options);
-  ASSERT_FALSE(backend.ok());
-  EXPECT_NE(backend.status().ToString().find("checksum mismatch on page 0"),
-            std::string::npos)
-      << backend.status().ToString();
-}
-
 // Writes `bytes` at `offset` of the file through its own descriptor, as
 // another process would, while a snapshot may hold the file mapped.
 void PwriteFile(const std::string& path, off_t offset, const void* bytes,
@@ -889,7 +887,6 @@ TEST_F(SnapshotCorruptionTest, WriteAfterOpenDiesOnNextMiss) {
   const std::string path = snap_corrupt_after_open;
   const std::unique_ptr<PprTree> tree = BuildPprTree(MakeRecords());
   ASSERT_TRUE(tree->PackSnapshot(path).ok());
-  ASSERT_TRUE(tree->backend()->file().mapped());
   ASSERT_GT(tree->backend()->SlotCount(), 2u);
   const std::unique_ptr<SharedBufferPool> pool = tree->NewSharedQueryPool(1);
   bool missed = false;

@@ -2,7 +2,10 @@
 // must surface as a Status or a CHECK naming the offending page id —
 // never as silent corruption. FaultInjectingBackend wraps a
 // MemoryPageBackend, so the faults are deterministic and the tests run
-// without touching the filesystem.
+// without touching the filesystem. Pools borrow pages and never read
+// through a backend; the read faults' production reader is the live
+// tier's recovery (crash_recovery_test.cc: an unreadable checkpoint
+// header slot).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -112,7 +115,7 @@ TEST(FaultBackendTest, FailedWriteSurfacesStatusWithPageId) {
 
 TEST(FaultBackendTest, BitFlipIsSilentAtBackendLevel) {
   // The corrupting fault reports success — only the checksum layer can
-  // catch it, which the pool death test below proves it does.
+  // catch it.
   FaultInjectingBackend::Faults faults;
   faults.corrupt_read_at = 1;
   faults.corrupt_bit = (kPageEnvelopeBytes + 3) * 8 + 5;  // payload byte
@@ -132,40 +135,17 @@ SharedBufferPoolOptions PoolOptions() {
   return options;
 }
 
-TEST(FaultPoolDeathTest, PinDiesOnInjectedReadFailureNamingPage) {
-  FaultInjectingBackend::Faults faults;
-  faults.fail_read_at = 1;
-  std::unique_ptr<FaultInjectingBackend> backend = MakeFaulty(faults);
+TEST(FaultPoolDeathTest, PinDiesOnBackendThatDoesNotLendNamingPage) {
+  // A pool only borrows pages; a backend that cannot lend an allocated
+  // page is a checked error naming it, never a silent read into a copy.
+  std::unique_ptr<FaultInjectingBackend> backend =
+      MakeFaulty(FaultInjectingBackend::Faults{});
   TestCodec codec;
   SharedBufferPool pool(backend.get(), &codec, PoolOptions());
   bool missed = false;
   EXPECT_DEATH(static_cast<void>(pool.Pin(2, &missed)),
-               "read of page 2 failed.*injected read failure");
-}
-
-TEST(FaultPoolDeathTest, PinDiesOnShortReadNamingPage) {
-  FaultInjectingBackend::Faults faults;
-  faults.short_read_at = 1;
-  std::unique_ptr<FaultInjectingBackend> backend = MakeFaulty(faults);
-  TestCodec codec;
-  SharedBufferPool pool(backend.get(), &codec, PoolOptions());
-  bool missed = false;
-  EXPECT_DEATH(static_cast<void>(pool.Pin(1, &missed)),
-               "read of page 1 failed.*short read");
-}
-
-TEST(FaultPoolDeathTest, SessionFetchDiesOnBitFlipViaChecksum) {
-  // The backend reports success for the corrupted page; the codec's
-  // envelope checksum must reject it before a garbage node is served.
-  FaultInjectingBackend::Faults faults;
-  faults.corrupt_read_at = 1;
-  faults.corrupt_bit = (kPageEnvelopeBytes + 1) * 8;
-  std::unique_ptr<FaultInjectingBackend> backend = MakeFaulty(faults);
-  TestCodec codec;
-  SharedBufferPool pool(backend.get(), &codec, PoolOptions());
-  SharedBufferPool::Session session(&pool, 10);
-  EXPECT_DEATH(static_cast<void>(session.FetchPinned(0)),
-               "decode of page 0 failed.*checksum mismatch");
+               "backend fault\\(memory\\) does not lend page 2");
+  EXPECT_EQ(backend->reads(), 0u);
 }
 
 TEST(FaultBackendTest, CrashTriggerFiresAtNthMutationAndLatches) {
@@ -265,14 +245,11 @@ TEST(FaultBackendTest, WriteFaultDoesNotCorruptOtherPages) {
   }
   SealTestPage(101, buffer);
   ASSERT_TRUE(backend->Write(1, buffer).ok());  // retry after disarm
-  TestCodec reader;
-  SharedBufferPool pool(backend.get(), &reader, PoolOptions());
   for (PageId id = 0; id < 4; ++id) {
-    bool missed = false;
-    Result<const Page*> page = pool.Pin(id, &missed);
-    ASSERT_TRUE(page.ok());
-    EXPECT_EQ(ValueOf(page.value()->bytes), 100u + id);
-    pool.Unpin(id);
+    ASSERT_TRUE(backend->Read(id, buffer).ok());
+    const Status checked = TestCodec().Check(buffer, id);
+    ASSERT_TRUE(checked.ok()) << checked.ToString();
+    EXPECT_EQ(ValueOf(buffer), 100u + id);
   }
 }
 
