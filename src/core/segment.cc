@@ -24,6 +24,24 @@ std::vector<std::pair<int, int>> SegmentRanges(size_t n,
 
 }  // namespace
 
+static_assert(SegmentTable::kBlockBytes < 128 * 1024,
+              "a block must stay below glibc's default mmap threshold");
+
+void SegmentTable::push_back(const SegmentRecord& record) {
+  if (size_ == blocks_.size() * kBlockRecords) {
+    blocks_.push_back(std::make_unique<SegmentRecord[]>(kBlockRecords));
+  }
+  (*this)[size_++] = record;
+}
+
+void SegmentTable::resize(size_t n) {
+  STINDEX_CHECK(n >= size_);
+  while (blocks_.size() * kBlockRecords < n) {
+    blocks_.push_back(std::make_unique<SegmentRecord[]>(kBlockRecords));
+  }
+  size_ = n;
+}
+
 std::vector<SegmentRecord> ApplySplits(ObjectId object,
                                        const std::vector<Rect2D>& rects,
                                        Time t0,

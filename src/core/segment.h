@@ -1,6 +1,9 @@
 #ifndef STINDEX_CORE_SEGMENT_H_
 #define STINDEX_CORE_SEGMENT_H_
 
+#include <cstddef>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "geometry/box.h"
@@ -28,6 +31,49 @@ struct SplitResult {
 struct SegmentRecord {
   ObjectId object = 0;
   STBox box;
+};
+
+// A table of segment records that grows without reallocating: records
+// live in blocks of kBlockRecords, found through a small vector of block
+// pointers, so a record never moves once stored and growth copies none.
+// A block (56 KiB) is below glibc's default 128 KiB mmap threshold, so a
+// freed table's blocks return to the heap for the next table's. Holds
+// the live tier's migrated segments, which grow with the whole history.
+class SegmentTable {
+ public:
+  static constexpr size_t kBlockRecords = 1024;
+  static constexpr size_t kBlockBytes = kBlockRecords * sizeof(SegmentRecord);
+
+  SegmentTable() = default;
+  // A moved-from table is empty.
+  SegmentTable(SegmentTable&& other) noexcept
+      : blocks_(std::exchange(other.blocks_, {})),
+        size_(std::exchange(other.size_, 0)) {}
+  SegmentTable& operator=(SegmentTable&& other) noexcept {
+    blocks_ = std::exchange(other.blocks_, {});
+    size_ = std::exchange(other.size_, 0);
+    return *this;
+  }
+
+  size_t size() const { return size_; }
+  // Blocks held, each kBlockBytes.
+  size_t blocks() const { return blocks_.size(); }
+
+  SegmentRecord& operator[](size_t i) {
+    return blocks_[i / kBlockRecords][i % kBlockRecords];
+  }
+  const SegmentRecord& operator[](size_t i) const {
+    return blocks_[i / kBlockRecords][i % kBlockRecords];
+  }
+
+  void push_back(const SegmentRecord& record);
+  // Grows the table to `n` >= size() records, the new ones default, so
+  // a reader can fill them in any order.
+  void resize(size_t n);
+
+ private:
+  std::vector<std::unique_ptr<SegmentRecord[]>> blocks_;
+  size_t size_ = 0;
 };
 
 // Materializes the segment boxes of an object split at `cuts`.

@@ -1,6 +1,7 @@
 #include "live/checkpoint.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "storage/page_codec.h"
@@ -18,7 +19,7 @@ namespace {
 //   bytes...
 constexpr size_t kMetaPageHeaderBytes =
     sizeof(uint64_t) + 3 * sizeof(uint32_t);
-constexpr size_t kMetaBytesPerPage = kPagePayloadBytes - kMetaPageHeaderBytes;
+static_assert(kMetaBytesPerPage == kPagePayloadBytes - kMetaPageHeaderBytes);
 
 // kSegmentPage: {u32 page_index, u32 prev_slot, u32 count} + records.
 constexpr size_t kSegmentPageHeaderBytes = 3 * sizeof(uint32_t);
@@ -106,38 +107,52 @@ Status WriteCheckpointHeader(PageBackend* backend,
   return backend->Write(slot, page);
 }
 
-Status WriteCheckpointMeta(PageBackend* backend, WalSlotAllocator* allocator,
-                           uint64_t checkpoint_seq,
-                           const std::vector<uint8_t>& bytes,
-                           CheckpointHeader* header,
-                           std::vector<PageId>* slots) {
-  const size_t pages =
-      bytes.empty() ? 1 : (bytes.size() + kMetaBytesPerPage - 1) /
-                              kMetaBytesPerPage;
-  std::vector<PageId> chain(pages);
-  for (size_t i = 0; i < pages; ++i) chain[i] = allocator->Acquire();
+CheckpointMetaWriter::CheckpointMetaWriter(PageBackend* backend,
+                                           WalSlotAllocator* allocator,
+                                           uint64_t checkpoint_seq)
+    : backend_(backend),
+      allocator_(allocator),
+      checkpoint_seq_(checkpoint_seq),
+      chain_{allocator->Acquire()} {}
 
-  uint8_t page[kPageSize];
-  size_t offset = 0;
-  for (size_t i = 0; i < pages; ++i) {
-    const size_t count = std::min(kMetaBytesPerPage, bytes.size() - offset);
-    PageWriter writer = PayloadWriter(page);
-    writer.Write(checkpoint_seq);
-    writer.Write(static_cast<uint32_t>(i));
-    writer.Write(i + 1 < pages ? chain[i + 1] : kInvalidPage);
-    writer.Write(static_cast<uint32_t>(count));
-    writer.WriteBytes(bytes.data() + offset, count);
-    SealPage(page, PageKind::kCheckpointPage);
-    Status status = backend->Write(chain[i], page);
-    if (!status.ok()) return status;
-    offset += count;
+void CheckpointMetaWriter::WriteBytes(const void* data, size_t size) {
+  const uint8_t* in = static_cast<const uint8_t*>(data);
+  while (size > 0) {
+    if (used_ == kMetaBytesPerPage) {
+      // A byte for the next page: the full page can link to it.
+      const PageId next = allocator_->Acquire();
+      WritePage(next);
+      chain_.push_back(next);
+      used_ = 0;
+    }
+    const size_t count = std::min(size, kMetaBytesPerPage - used_);
+    std::memcpy(slice_ + used_, in, count);
+    used_ += count;
+    in += count;
+    size -= count;
   }
-  STINDEX_CHECK(offset == bytes.size());
+}
 
-  header->meta_head = chain[0];
-  header->meta_pages = static_cast<uint32_t>(pages);
-  header->meta_bytes = bytes.size();
-  slots->insert(slots->end(), chain.begin(), chain.end());
+void CheckpointMetaWriter::WritePage(PageId next) {
+  uint8_t page[kPageSize];
+  PageWriter writer = PayloadWriter(page);
+  writer.Write(checkpoint_seq_);
+  writer.Write(static_cast<uint32_t>(chain_.size() - 1));
+  writer.Write(next);
+  writer.Write(static_cast<uint32_t>(used_));
+  writer.WriteBytes(slice_, used_);
+  SealPage(page, PageKind::kCheckpointPage);
+  if (status_.ok()) status_ = backend_->Write(chain_.back(), page);
+}
+
+Status CheckpointMetaWriter::Finish(CheckpointHeader* header,
+                                    std::vector<PageId>* slots) {
+  WritePage(kInvalidPage);
+  if (!status_.ok()) return status_;
+  header->meta_head = chain_.front();
+  header->meta_pages = static_cast<uint32_t>(chain_.size());
+  header->meta_bytes = (chain_.size() - 1) * kMetaBytesPerPage + used_;
+  slots->insert(slots->end(), chain_.begin(), chain_.end());
   return Status::OK();
 }
 
@@ -180,7 +195,8 @@ Result<std::vector<uint8_t>> ReadCheckpointMeta(const PageBackend& backend,
     }
     const size_t offset = bytes.size();
     bytes.resize(offset + count);
-    if (!reader.ReadBytes(bytes.data() + offset, count)) {
+    // An empty stream's one page holds no byte, and its buffer is null.
+    if (count > 0 && !reader.ReadBytes(bytes.data() + offset, count)) {
       return Status::InvalidArgument(
           "checkpoint " + std::to_string(header.checkpoint_seq) +
           ": truncated metadata page " + std::to_string(slot));
@@ -210,7 +226,7 @@ std::string MetaLocation(const CheckpointHeader& header,
 }
 
 Status AppendSegmentChain(PageBackend* backend, WalSlotAllocator* allocator,
-                          const std::vector<SegmentRecord>& segments,
+                          const SegmentTable& segments,
                           SegmentChain* chain, CheckpointHeader* header,
                           std::vector<PageId>* superseded, size_t* written) {
   STINDEX_CHECK(chain->segments <= segments.size());
@@ -254,8 +270,7 @@ Status AppendSegmentChain(PageBackend* backend, WalSlotAllocator* allocator,
 }
 
 Status ReadSegmentChain(const PageBackend& backend,
-                        const CheckpointHeader& header,
-                        std::vector<SegmentRecord>* segments,
+                        const CheckpointHeader& header, SegmentTable* segments,
                         SegmentChain* chain) {
   const uint64_t pages = header.segment_pages;
   if (pages > backend.SlotCount() ||

@@ -8,6 +8,7 @@
 #include "core/segment.h"
 #include "live/wal.h"
 #include "storage/page_backend.h"
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace stindex {
@@ -20,7 +21,8 @@ namespace stindex {
 //   * the segment chain, the migrated-segment table, append-only
 //     (below);
 //   * a chain of kCheckpointPage pages carrying the serialized metadata,
-//     rewritten by every checkpoint:
+//     rewritten by every checkpoint, which streams it into the chain a
+//     page at a time (CheckpointMetaWriter):
 //       u64 frozen layer count
 //       per frozen layer, oldest first: tree meta (size, clock, root
 //         journal), u32 superblock checksum and u64 length + bytes of the
@@ -113,14 +115,46 @@ Result<CheckpointHeader> ReadLatestCheckpointHeader(const PageBackend& backend);
 Status WriteCheckpointHeader(PageBackend* backend,
                              const CheckpointHeader& header);
 
-// Writes `bytes` as a chain of kCheckpointPage pages in freshly acquired
-// slots, fills header->meta_* and appends the chain's slots to `slots`.
-// Does not sync.
-Status WriteCheckpointMeta(PageBackend* backend, WalSlotAllocator* allocator,
-                           uint64_t checkpoint_seq,
-                           const std::vector<uint8_t>& bytes,
-                           CheckpointHeader* header,
-                           std::vector<PageId>* slots);
+// Metadata bytes per kCheckpointPage: its payload after the page's chain
+// link (u64 checkpoint_seq, u32 page_index, u32 next_slot, u32
+// byte_count).
+inline constexpr size_t kMetaBytesPerPage = 4068;
+
+// Streams a checkpoint's metadata into a chain of kCheckpointPage pages
+// in freshly acquired slots, holding one page's slice of the stream, so
+// the stream is never whole in memory. The first page's slot is
+// acquired on construction. When a byte arrives for the next page, the
+// sink acquires that page's slot, writes the full page with the link to
+// it, and carries on; Finish writes the last page. A stream that ends on
+// a page boundary adds no empty page, and an empty stream is one empty
+// page. Does not sync.
+class CheckpointMetaWriter final : public ByteSink {
+ public:
+  CheckpointMetaWriter(PageBackend* backend, WalSlotAllocator* allocator,
+                       uint64_t checkpoint_seq);
+
+  void WriteBytes(const void* data, size_t size) override;
+
+  // Writes the last page, fills header->meta_* and appends the chain's
+  // slots to `slots`. The first failed page write is the result; no page
+  // is written after it.
+  Status Finish(CheckpointHeader* header, std::vector<PageId>* slots);
+
+ private:
+  // Writes the page being filled, the last of `chain_`, linking it to
+  // `next`.
+  void WritePage(PageId next);
+
+  PageBackend* backend_;
+  WalSlotAllocator* allocator_;
+  uint64_t checkpoint_seq_;
+  std::vector<PageId> chain_;
+  // The stream bytes of the page being filled, the last of `chain_`;
+  // every page before it is full.
+  uint8_t slice_[kMetaBytesPerPage] = {};
+  size_t used_ = 0;
+  Status status_;
+};
 
 // Reads the metadata chain `header` points at; `slots` receives the
 // chain's slots (so recovery can mark them checkpoint-owned).
@@ -151,7 +185,7 @@ struct SegmentChain {
 // Fills header->segment_*; `*written` counts the pages written. Does not
 // sync.
 Status AppendSegmentChain(PageBackend* backend, WalSlotAllocator* allocator,
-                          const std::vector<SegmentRecord>& segments,
+                          const SegmentTable& segments,
                           SegmentChain* chain, CheckpointHeader* header,
                           std::vector<PageId>* superseded, size_t* written);
 
@@ -159,8 +193,7 @@ Status AppendSegmentChain(PageBackend* backend, WalSlotAllocator* allocator,
 // header.segment_count, page by page from the last; `chain` receives its
 // slots.
 Status ReadSegmentChain(const PageBackend& backend,
-                        const CheckpointHeader& header,
-                        std::vector<SegmentRecord>* segments,
+                        const CheckpointHeader& header, SegmentTable* segments,
                         SegmentChain* chain);
 
 }  // namespace stindex

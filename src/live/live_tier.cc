@@ -135,7 +135,7 @@ Status LiveTier::RestoreFromCheckpoint(const CheckpointHeader& header,
   Result<std::vector<uint8_t>> meta =
       ReadCheckpointMeta(*wal_backend_, header, &meta_slots);
   if (!meta.ok()) return meta.status();
-  std::vector<SegmentRecord> segments;
+  SegmentTable segments;
   Status status =
       ReadSegmentChain(*wal_backend_, header, &segments, &segment_chain_);
   if (!status.ok()) return status;
@@ -480,13 +480,12 @@ Status LiveTier::CheckpointLocked() {
   uint64_t written = segment_pages;
   const uint64_t inherited = segment_chain_.pages.size() - segment_pages;
 
-  // 3. Serialize the frozen layers + pipeline + live index into the
-  //    metadata chain.
-  ByteSink meta;
+  // 3. Stream the frozen layers + pipeline + live index into the
+  //    metadata chain, a page at a time.
+  CheckpointMetaWriter meta(wal_backend_.get(), &slots_, seq);
   EncodeCheckpointState(&meta);
   std::vector<PageId> meta_slots;
-  status = WriteCheckpointMeta(wal_backend_.get(), &slots_, seq, meta.bytes(),
-                               &header, &meta_slots);
+  status = meta.Finish(&header, &meta_slots);
   if (!status.ok()) return Latch(status);
   written += meta_slots.size();
 
@@ -724,12 +723,12 @@ Status LiveTier::VerifyCheckpointCopies() const {
         std::to_string(checkpoint_seq_));
   }
   if (checkpoint_seq_ == 0) return Status::OK();
-  std::vector<SegmentRecord> copies;
+  SegmentTable copies;
   SegmentChain chain;
   const Status status =
       ReadSegmentChain(*wal_backend_, header.value(), &copies, &chain);
   if (!status.ok()) return status;
-  const std::vector<SegmentRecord>& segments = pipeline_.segments();
+  const SegmentTable& segments = pipeline_.segments();
   if (chain.pages != segment_chain_.pages || copies.size() > segments.size()) {
     return Status::InvalidArgument(
         "the segment chain on disk is not the one the tier holds");
@@ -755,6 +754,12 @@ void LiveTier::PublishGauges() const {
       ->Set(static_cast<int64_t>(pipeline_.pending_events()));
   registry.GetGauge("live.frozen_layers")
       ->Set(static_cast<int64_t>(frozen_.size()));
+  const SegmentTable& segments = pipeline_.segments();
+  registry.GetGauge("live.segments")
+      ->Set(static_cast<int64_t>(segments.size()));
+  registry.GetGauge("live.segment_table_bytes")
+      ->Set(static_cast<int64_t>(segments.blocks() *
+                                 SegmentTable::kBlockBytes));
   registry.GetGauge("live.wal.records")
       ->Set(static_cast<int64_t>(writer_->appended_records()));
   registry.GetGauge("live.wal.pages")

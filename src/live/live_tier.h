@@ -160,7 +160,7 @@ class LiveTier {
   size_t frozen_layers() const;
   const PprTree& frozen_layer(size_t i) const { return *frozen_.at(i).tree; }
   // Segments migrated so far, in migration order (PprDataId = index).
-  const std::vector<SegmentRecord>& migrated_segments() const {
+  const SegmentTable& migrated_segments() const {
     return pipeline_.segments();
   }
 
@@ -213,7 +213,8 @@ class LiveTier {
   Status VerifyCheckpointCopies() const;
 
   // Publishes the tier's deterministic state gauges (live.objects,
-  // live.pending_events, live.frozen_layers, live.wal.*, watermark lag)
+  // live.pending_events, live.frozen_layers, live.segments and the
+  // segment table's bytes, live.wal.*, watermark lag)
   // to the global registry and flushes the shared pools' counter deltas.
   // Deterministic inputs only — no wall-clock or occupancy readings — so
   // bench reports that dump the registry stay byte-identical.
@@ -240,7 +241,7 @@ class LiveTier {
 
   // Serializes the frozen layers (oldest first, each its meta and
   // snapshot file) + pipeline + index into one byte stream (the
-  // checkpoint metadata chain's content).
+  // checkpoint metadata chain's content, streamed into it).
   void EncodeCheckpointState(ByteSink* out) const;
   // The checkpoint procedure; caller holds the exclusive lock.
   Status CheckpointLocked();

@@ -111,10 +111,10 @@ void MigrationPipeline::EncodeState(ByteSink* out) const {
   out->Write(pack_watermark_);
 }
 
-Status MigrationPipeline::DecodeState(std::vector<SegmentRecord> segments,
+Status MigrationPipeline::DecodeState(SegmentTable segments,
                                       PageReader* in) {
   STINDEX_CHECK_MSG(
-      segments_.empty() && pending_events() == 0 && tree_->Size() == 0,
+      segments_.size() == 0 && pending_events() == 0 && tree_->Size() == 0,
       "checkpoint restore into a non-empty pipeline");
   if (!in->Read(&watermark_) || !in->Read(&pack_watermark_)) {
     return Status::InvalidArgument("checkpoint: truncated pipeline watermarks");

@@ -65,7 +65,7 @@ class MigrationPipeline {
   void RetargetAfterPack(PprTree* tree);
 
   // Every migrated segment, in migration order: segment i has PprDataId i.
-  const std::vector<SegmentRecord>& segments() const { return segments_; }
+  const SegmentTable& segments() const { return segments_; }
 
   size_t pending_events() const { return inserts_.size() + deletes_.size(); }
   // W: the watermark of the last Advance (EncodeState).
@@ -91,7 +91,7 @@ class MigrationPipeline {
   // pending. The rebuilt tree saw the same Insert and Delete calls in the
   // same order as the one checkpointed, so it is byte-identical to it.
   // InvalidArgument when the watermarks are truncated or W < W_pack.
-  Status DecodeState(std::vector<SegmentRecord> segments, PageReader* in);
+  Status DecodeState(SegmentTable segments, PageReader* in);
 
   // --- query support over in-flight records ----------------------------
 
@@ -138,7 +138,7 @@ class MigrationPipeline {
   void ApplyTop(std::vector<Event>* heap);
 
   PprTree* tree_;
-  std::vector<SegmentRecord> segments_;
+  SegmentTable segments_;
   // The queued inserts and deletes, two binary min-heaps under EventAfter
   // (std::push_heap / std::pop_heap). Kept apart so that CollectPending
   // walks only the inserts: the deletes also hold one event for every

@@ -1088,8 +1088,9 @@ bool Before(Time t, Time below) { return below == kTimeInfinity || t < below; }
 // bits per pass, then order them by time: the exact order a comparison
 // sort on (time, kind, record) gives, in linear time however wide the
 // time span.
-std::vector<uint32_t> ReplayOrder(const std::vector<SegmentRecord>& records,
-                                  Time from, Time below) {
+template <typename Records>
+std::vector<uint32_t> ReplayOrder(const Records& records, Time from,
+                                  Time below) {
   const size_t n = records.size();
   STINDEX_CHECK_MSG(n < (size_t{1} << 31),
                     "too many records for 32-bit replay events");
@@ -1139,10 +1140,10 @@ std::vector<uint32_t> ReplayOrder(const std::vector<SegmentRecord>& records,
   return order;
 }
 
-}  // namespace
-
-void ReplayPprEvents(const std::vector<SegmentRecord>& records, Time from,
-                     Time below, PprTree* tree) {
+// ReplayPprEvents over either record container.
+template <typename Records>
+void ReplayEvents(const Records& records, Time from, Time below,
+                  PprTree* tree) {
   // Time order visits the records out of memory order, so each event's
   // record is prefetched a few events ahead.
   constexpr size_t kPrefetchAhead = 8;
@@ -1160,6 +1161,18 @@ void ReplayPprEvents(const std::vector<SegmentRecord>& records, Time from,
       tree->Delete(index, record.box.interval.end);
     }
   }
+}
+
+}  // namespace
+
+void ReplayPprEvents(const std::vector<SegmentRecord>& records, Time from,
+                     Time below, PprTree* tree) {
+  ReplayEvents(records, from, below, tree);
+}
+
+void ReplayPprEvents(const SegmentTable& records, Time from, Time below,
+                     PprTree* tree) {
+  ReplayEvents(records, from, below, tree);
 }
 
 std::unique_ptr<PprTree> BuildPprTree(

@@ -366,9 +366,12 @@ std::unique_ptr<PprTree> BuildPprTree(const std::vector<SegmentRecord>& records,
 // each such record's insert at interval.start, and its delete at
 // interval.end when that is before `below` too. Record i gets PprDataId
 // i. `tree` must not have been fed an event later than the first
-// replayed. BuildPprTree is the unbounded case on a fresh tree.
+// replayed. BuildPprTree is the unbounded case on a fresh tree; the
+// live tier's recovery replays its segment table.
 void ReplayPprEvents(const std::vector<SegmentRecord>& records, Time from,
                      Time below, PprTree* tree);
+void ReplayPprEvents(const SegmentTable& records, Time from, Time below,
+                     PprTree* tree);
 
 }  // namespace stindex
 

@@ -8,11 +8,12 @@
 
 namespace stindex {
 
-// A growable little-endian byte stream for variable-length state
-// serialization (the live tier's checkpoint metadata), whose size is
-// unknown up front and which the caller later chunks across pages.
-// PageWriter covers the fixed-size single-page case; PageReader
-// (storage/page_codec.h) reads either back.
+// A little-endian byte stream for variable-length state serialization
+// (the live tier's checkpoint metadata), whose size is unknown up front.
+// Where the bytes go is the sink's: the checkpoint streams them into its
+// metadata chain page by page (CheckpointMetaWriter), MemorySink keeps
+// them in memory. PageWriter covers the fixed-size single-page case;
+// PageReader (storage/page_codec.h) reads either back.
 class ByteSink {
  public:
   template <typename T>
@@ -22,14 +23,22 @@ class ByteSink {
     WriteBytes(&value, sizeof(T));
   }
 
-  void WriteBytes(const void* data, size_t size) {
+  virtual void WriteBytes(const void* data, size_t size) = 0;
+
+ protected:
+  ~ByteSink() = default;
+};
+
+// The whole stream in one growable buffer.
+class MemorySink final : public ByteSink {
+ public:
+  void WriteBytes(const void* data, size_t size) override {
     const size_t offset = bytes_.size();
     bytes_.resize(offset + size);
     std::memcpy(bytes_.data() + offset, data, size);
   }
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
-  size_t size() const { return bytes_.size(); }
 
  private:
   std::vector<uint8_t> bytes_;

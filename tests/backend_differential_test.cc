@@ -347,8 +347,9 @@ TEST(BackendDifferentialTest, LiveIngestedPprMatchesBatchBuild) {
   }
   ASSERT_TRUE(tier.value()->Finish().ok());
 
-  const std::vector<SegmentRecord>& segments =
-      tier.value()->migrated_segments();
+  const SegmentTable& table = tier.value()->migrated_segments();
+  std::vector<SegmentRecord> segments;
+  for (size_t i = 0; i < table.size(); ++i) segments.push_back(table[i]);
   ASSERT_GT(segments.size(), objects.size());
   const std::unique_ptr<PprTree> batch = BuildPprTree(segments);
 

@@ -111,7 +111,10 @@ RunResult Snapshot(const LiveTier& tier, const std::vector<STQuery>& queries) {
     tier.IntervalQuery(query.area, query.range, &answer);
     result.answers.push_back(std::move(answer));
   }
-  result.segments = tier.migrated_segments();
+  const SegmentTable& segments = tier.migrated_segments();
+  for (size_t i = 0; i < segments.size(); ++i) {
+    result.segments.push_back(segments[i]);
+  }
   result.tree_pages = tier.historical().PageCount();
   result.tree_roots = tier.historical().NumRoots();
   return result;

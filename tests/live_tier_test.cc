@@ -578,7 +578,7 @@ TEST(LiveIndexTest, PolicyMatchesBruteForce) {
         }
 
         if (i == round_trip_at) {
-          ByteSink sink;
+          MemorySink sink;
           index->EncodeState(&sink);
           index = std::make_unique<LiveIndex>(options);
           PageReader source(sink.bytes().data(), sink.bytes().size());
@@ -660,7 +660,7 @@ struct BufferState {
 };
 Status DecodeIndexState(const std::vector<BufferState>& buffers,
                         const std::vector<std::pair<ObjectId, Time>>& lasts) {
-  ByteSink sink;
+  MemorySink sink;
   sink.Write(static_cast<uint64_t>(buffers.size()));
   for (const BufferState& buffer : buffers) {
     sink.Write(buffer.object);
@@ -702,7 +702,7 @@ TEST(LiveIndexTest, DecodeStateRejectsEmptyBuffer) {
 }
 
 TEST(LiveIndexTest, DecodeStateRejectsRectCountBeyondTheBytes) {
-  ByteSink sink;
+  MemorySink sink;
   sink.Write(uint64_t{1});
   sink.Write(ObjectId{7});
   sink.Write(Time{0});
@@ -727,8 +727,8 @@ TEST(LiveIndexTest, DecodeStateRejectsBufferNotEndingAtLastInstant) {
 }
 
 // Four segments: ids 0..3 over [0, 3), [2, 6), [5, 9), [1, 4).
-std::vector<SegmentRecord> PipelineSegments() {
-  std::vector<SegmentRecord> segments;
+SegmentTable PipelineSegments() {
+  SegmentTable segments;
   for (const auto& [start, end] : std::vector<std::pair<Time, Time>>{
            {0, 3}, {2, 6}, {5, 9}, {1, 4}}) {
     SegmentRecord segment;
@@ -743,7 +743,7 @@ std::vector<SegmentRecord> PipelineSegments() {
 // watermarks W and W_pack into `pipeline`, over PipelineSegments().
 Status DecodeWatermarks(Time watermark, Time pack_watermark, size_t bytes,
                         MigrationPipeline* pipeline) {
-  ByteSink sink;
+  MemorySink sink;
   sink.Write(watermark);
   sink.Write(pack_watermark);
   PageReader source(sink.bytes().data(), bytes);
@@ -819,12 +819,12 @@ std::vector<ObjectId> ScanObjects(const std::vector<Trajectory>& objects,
 // Candidate-level reference: objects with a segment box intersecting the
 // query. After Finish every observation lives in exactly one migrated
 // segment, so the tiered query must equal this scan byte-for-byte.
-std::vector<ObjectId> ScanSegments(const std::vector<SegmentRecord>& segments,
+std::vector<ObjectId> ScanSegments(const SegmentTable& segments,
                                    const STQuery& query) {
   const STBox box(query.area, query.range);
   std::vector<ObjectId> hits;
-  for (const SegmentRecord& segment : segments) {
-    if (segment.box.Intersects(box)) hits.push_back(segment.object);
+  for (size_t i = 0; i < segments.size(); ++i) {
+    if (segments[i].box.Intersects(box)) hits.push_back(segments[i].object);
   }
   std::sort(hits.begin(), hits.end());
   hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
@@ -1771,6 +1771,31 @@ TEST_F(CheckpointCountTest, IntactJournalRecovers) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
+// The tier's checkpoint streams its metadata into a chain of
+// max(1, ceil(bytes / kMetaBytesPerPage)) pages in ascending slots.
+TEST_F(CheckpointCountTest, MetadataChainIsCompactAndAscending) {
+  for (const bool pack : {false, true}) {
+    SCOPED_TRACE(pack ? "with a frozen layer" : "no frozen layer");
+    if (pack) {
+      TearDown();
+      Build(/*pack=*/true);
+    }
+    const CheckpointHeader header = Header();
+    std::vector<PageId> slots;
+    const Result<std::vector<uint8_t>> meta =
+        ReadCheckpointMeta(*Backend(), header, &slots);
+    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+    EXPECT_EQ(meta.value().size(), header.meta_bytes);
+    EXPECT_GT(header.meta_bytes, 0u);
+    const uint64_t pages =
+        (header.meta_bytes + kMetaBytesPerPage - 1) / kMetaBytesPerPage;
+    EXPECT_EQ(header.meta_pages, std::max<uint64_t>(1, pages));
+    EXPECT_TRUE(std::adjacent_find(slots.begin(), slots.end(),
+                                   std::greater_equal<PageId>()) ==
+                slots.end());
+  }
+}
+
 TEST_F(CheckpointCountTest, HeaderMetadataBytes) {
   // Header payload: seq, wal_start_seq, meta_head, meta_pages, meta_bytes.
   Poke(1, PageKind::kCheckpointHeader, kPageEnvelopeBytes + 24, &kHuge,
@@ -1927,6 +1952,119 @@ TEST_F(CheckpointCountTest, WalPageRecordCount) {
   Poke(tail, PageKind::kWalPage, kPageEnvelopeBytes + 8, &count, sizeof(count));
   ExpectRefused({("wal: page in slot " + std::to_string(tail)).c_str(),
                  "records, more than its payload holds"});
+}
+
+// A state of `bytes` metadata bytes, encoded as the tier's encoders do —
+// typed writes of mixed widths, so values straddle page boundaries —
+// ending in single bytes.
+void EncodeStateOfSize(uint64_t bytes, ByteSink* out) {
+  uint64_t written = 0;
+  for (uint32_t i = 0; written < bytes; ++i) {
+    if (bytes - written >= sizeof(Rect2D) && i % 4 == 3) {
+      out->Write(UnitRect(0.001 * i, 0.25));
+      written += sizeof(Rect2D);
+    } else if (bytes - written >= sizeof(uint64_t) && i % 4 == 1) {
+      out->Write(uint64_t{0x0101010101010101} * (i % 255));
+      written += sizeof(uint64_t);
+    } else if (bytes - written >= sizeof(uint32_t) && i % 4 == 2) {
+      out->Write(i);
+      written += sizeof(uint32_t);
+    } else {
+      out->Write(static_cast<uint8_t>(i));
+      written += 1;
+    }
+  }
+}
+
+// The metadata chain streamed a page at a time reads back as the bytes of
+// an in-memory encode of the same state, whether the stream ends below
+// one page, exactly on a page boundary or after many pages; it takes
+// max(1, ceil(bytes / kMetaBytesPerPage)) pages, in ascending slots.
+TEST(CheckpointMetaWriterTest, StreamedChainIsTheEncodedStream) {
+  for (const uint64_t bytes :
+       {uint64_t{0}, uint64_t{1}, uint64_t{100}, kMetaBytesPerPage - 1,
+        kMetaBytesPerPage, kMetaBytesPerPage + 1, 3 * kMetaBytesPerPage,
+        40 * kMetaBytesPerPage + 1234}) {
+    SCOPED_TRACE(bytes);
+    MemoryPageBackend backend;
+    WalSlotAllocator allocator(backend);
+    CheckpointHeader header;
+    header.checkpoint_seq = 3;
+    CheckpointMetaWriter writer(&backend, &allocator, header.checkpoint_seq);
+    EncodeStateOfSize(bytes, &writer);
+    std::vector<PageId> slots;
+    ASSERT_TRUE(writer.Finish(&header, &slots).ok());
+
+    const uint64_t pages = std::max<uint64_t>(
+        1, (bytes + kMetaBytesPerPage - 1) / kMetaBytesPerPage);
+    EXPECT_EQ(header.meta_pages, pages);
+    EXPECT_EQ(header.meta_bytes, bytes);
+    ASSERT_EQ(slots.size(), pages);
+    EXPECT_EQ(header.meta_head, slots.front());
+    EXPECT_TRUE(std::adjacent_find(slots.begin(), slots.end(),
+                                   std::greater_equal<PageId>()) ==
+                slots.end());
+    EXPECT_EQ(backend.LivePageCount(), pages);
+
+    MemorySink encoded;
+    EncodeStateOfSize(bytes, &encoded);
+    ASSERT_EQ(encoded.bytes().size(), bytes);
+    std::vector<PageId> read_slots;
+    const Result<std::vector<uint8_t>> meta =
+        ReadCheckpointMeta(backend, header, &read_slots);
+    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+    EXPECT_EQ(meta.value(), encoded.bytes());
+    EXPECT_EQ(read_slots, slots);
+  }
+}
+
+// A failed page write is Finish's result, and no page is written after
+// it.
+TEST(CheckpointMetaWriterTest, FailedPageWriteIsTheResult) {
+  FaultInjectingBackend::Faults faults;
+  faults.fail_write_at = 2;  // the chain's second page
+  FaultInjectingBackend backend(std::make_unique<MemoryPageBackend>(),
+                                faults);
+  WalSlotAllocator allocator(backend);
+  CheckpointHeader header;
+  header.checkpoint_seq = 1;
+  CheckpointMetaWriter writer(&backend, &allocator, header.checkpoint_seq);
+  EncodeStateOfSize(5 * kMetaBytesPerPage, &writer);
+  std::vector<PageId> slots;
+  const Status status = writer.Finish(&header, &slots);
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+  EXPECT_TRUE(slots.empty());
+  EXPECT_EQ(header.meta_pages, 0u);
+  EXPECT_EQ(backend.mutations(), 2u);
+  EXPECT_EQ(backend.LivePageCount(), 1u);
+}
+
+// PublishGauges reports the segment table: the records it holds and the
+// bytes of its blocks, both deterministic.
+TEST(LiveTierTest, PublishGaugesReportsTheSegmentTable) {
+  Result<std::unique_ptr<LiveTier>> tier = LiveTier::Open(
+      SmallTierOptions(), std::make_unique<MemoryPageBackend>());
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+  MetricRegistry& registry = MetricRegistry::Global();
+  tier.value()->PublishGauges();
+  EXPECT_EQ(registry.GetGauge("live.segments")->Value(), 0);
+  EXPECT_EQ(registry.GetGauge("live.segment_table_bytes")->Value(), 0);
+
+  for (const LiveObservation& update :
+       MakeObservationStream(SmallDataset(5))) {
+    ASSERT_TRUE(tier.value()->Apply(update).ok());
+  }
+  ASSERT_TRUE(tier.value()->Finish().ok());
+  tier.value()->PublishGauges();
+  const size_t segments = tier.value()->migrated_segments().size();
+  ASSERT_GT(segments, 0u);
+  EXPECT_EQ(registry.GetGauge("live.segments")->Value(),
+            static_cast<int64_t>(segments));
+  const int64_t blocks = static_cast<int64_t>(
+      (segments + SegmentTable::kBlockRecords - 1) /
+      SegmentTable::kBlockRecords);
+  EXPECT_EQ(registry.GetGauge("live.segment_table_bytes")->Value(),
+            blocks * 57344);
 }
 
 TEST(LiveTierTest, GroupCommitCoalescesConcurrentCommitters) {

@@ -286,7 +286,7 @@ TEST(SnapshotBackendTest, AdoptedSnapshotServesLikeThePackedTree) {
   const std::vector<STQuery> queries = MakeQueries();
   const std::unique_ptr<PprTree> packed = BuildPprTree(records);
   ASSERT_TRUE(packed->PackSnapshot(snap_adopted).ok());
-  ByteSink meta;
+  MemorySink meta;
   packed->EncodeCheckpointMeta(&meta);
   const auto restore = [&meta](const std::string& path,
                                PprTree* tree) -> Status {

@@ -101,6 +101,127 @@ TEST(SplitVolumeTest, MatchesRecordVolumes) {
   EXPECT_NEAR(SplitVolume(rects, cuts), total, 1e-12);
 }
 
+// Record i of a table under test: object i, alive over
+// [i % 200, i % 200 + 1 + i % 13).
+SegmentRecord NumberedRecord(size_t i) {
+  const double x = static_cast<double>(i % 50) * 0.02;
+  const Time start = static_cast<Time>(i % 200);
+  const Time end = start + 1 + static_cast<Time>(i % 13);
+  SegmentRecord record;
+  record.object = static_cast<ObjectId>(i);
+  record.box = STBox(Rect2D(x, 0.5 * x, x + 0.03, 0.5 * x + 0.03),
+                     TimeInterval(start, end));
+  return record;
+}
+
+bool IsNumbered(const SegmentRecord& record, size_t i) {
+  const SegmentRecord want = NumberedRecord(i);
+  return record.object == want.object && record.box == want.box;
+}
+
+TEST(SegmentTableTest, IndicesAcrossABlockBoundary) {
+  SegmentTable table;
+  for (size_t i = 0; i < 1026; ++i) table.push_back(NumberedRecord(i));
+  EXPECT_EQ(table.size(), 1026u);
+  EXPECT_EQ(table.blocks(), 2u);
+  for (const size_t i : {size_t{1023}, size_t{1024}, size_t{1025}}) {
+    EXPECT_TRUE(IsNumbered(table[i], i)) << i;
+  }
+  table[1024].object = 9;
+  EXPECT_EQ(table[1024].object, 9u);
+  EXPECT_TRUE(IsNumbered(table[1023], 1023));
+  EXPECT_TRUE(IsNumbered(table[1025], 1025));
+}
+
+// ReadSegmentChain sizes the table, then fills it from the last page down.
+TEST(SegmentTableTest, ResizeThenFillFromTheLastIndexDown) {
+  SegmentTable table;
+  table.resize(2500);
+  EXPECT_EQ(table.size(), 2500u);
+  EXPECT_EQ(table.blocks(), 3u);
+  for (const size_t i : {size_t{0}, size_t{1024}, size_t{2499}}) {
+    EXPECT_EQ(table[i].object, 0u) << i;
+    EXPECT_EQ(table[i].box, STBox()) << i;
+  }
+  for (size_t i = table.size(); i-- > 0;) table[i] = NumberedRecord(i);
+  for (size_t i = 0; i < table.size(); ++i) {
+    ASSERT_TRUE(IsNumbered(table[i], i)) << i;
+  }
+  // Growing keeps what the table holds; the new records are default.
+  table.resize(3100);
+  EXPECT_EQ(table.blocks(), 4u);
+  EXPECT_TRUE(IsNumbered(table[2499], 2499));
+  for (const size_t i : {size_t{2500}, size_t{3071}, size_t{3072},
+                         size_t{3099}}) {
+    EXPECT_EQ(table[i].object, 0u) << i;
+    EXPECT_EQ(table[i].box, STBox()) << i;
+  }
+}
+
+TEST(SegmentTableTest, RecordsNeverMove) {
+  SegmentTable table;
+  table.push_back(NumberedRecord(0));
+  const SegmentRecord* first = &table[0];
+  for (size_t i = 1; i <= 100000; ++i) table.push_back(NumberedRecord(i));
+  EXPECT_EQ(&table[0], first);
+  EXPECT_TRUE(IsNumbered(*first, 0));
+  EXPECT_EQ(table.size(), 100001u);
+  EXPECT_EQ(table.blocks(), 98u);  // ceil(100001 / 1024)
+  EXPECT_TRUE(IsNumbered(table[100000], 100000));
+}
+
+TEST(SegmentTableTest, MovedFromTableIsEmpty) {
+  SegmentTable table;
+  for (size_t i = 0; i < 1500; ++i) table.push_back(NumberedRecord(i));
+  SegmentTable moved(std::move(table));
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.blocks(), 0u);
+  EXPECT_EQ(moved.size(), 1500u);
+  EXPECT_TRUE(IsNumbered(moved[1499], 1499));
+
+  SegmentTable assigned;
+  assigned.push_back(NumberedRecord(7));
+  assigned = std::move(moved);
+  EXPECT_EQ(moved.size(), 0u);
+  EXPECT_EQ(moved.blocks(), 0u);
+  EXPECT_EQ(assigned.size(), 1500u);
+  EXPECT_TRUE(IsNumbered(assigned[0], 0));
+
+  // A moved-from table takes records again.
+  table.push_back(NumberedRecord(5));
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_TRUE(IsNumbered(table[0], 5));
+}
+
+// ReplayPprEvents builds the same tree from a table as from a vector.
+TEST(SegmentTableTest, ReplaysLikeTheVector) {
+  std::vector<SegmentRecord> records;
+  SegmentTable table;
+  for (size_t i = 0; i < 3000; ++i) {
+    records.push_back(NumberedRecord(i));
+    table.push_back(NumberedRecord(i));
+  }
+  for (const Time from : {std::numeric_limits<Time>::min(), Time{40}}) {
+    PprTree from_vector;
+    PprTree from_table;
+    ReplayPprEvents(records, from, Time{150}, &from_vector);
+    ReplayPprEvents(table, from, Time{150}, &from_table);
+    EXPECT_EQ(from_table.Size(), from_vector.Size());
+    EXPECT_EQ(from_table.AliveCount(), from_vector.AliveCount());
+    EXPECT_EQ(from_table.PageCount(), from_vector.PageCount());
+    EXPECT_EQ(from_table.NumRoots(), from_vector.NumRoots());
+    for (const Time t : {Time{0}, Time{45}, Time{100}, Time{149}}) {
+      std::vector<PprDataId> want;
+      std::vector<PprDataId> got;
+      from_vector.IntervalQuery(Rect2D(0.2, 0.1, 0.6, 0.4),
+                                TimeInterval(t, t + 5), &want);
+      from_table.IntervalQuery(Rect2D(0.2, 0.1, 0.6, 0.4),
+                               TimeInterval(t, t + 5), &got);
+      EXPECT_EQ(got, want) << "from " << from << " at " << t;
+    }
+  }
+}
+
 TEST(DpSplitTest, ZeroSplitsIsFullMbr) {
   const std::vector<Rect2D> rects = RandomRects(4, 15);
   const SplitResult result = DpSplit(rects, 0);
