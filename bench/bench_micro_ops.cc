@@ -21,6 +21,7 @@
 #include "storage/shared_buffer_pool.h"
 #include "util/check.h"
 #include "util/metrics.h"
+#include "util/random.h"
 
 namespace stindex {
 namespace bench {
@@ -419,6 +420,85 @@ BENCHMARK(BM_LiveTierRecover)
     ->Arg(1)
     ->Iterations(5)
     ->Unit(benchmark::kMillisecond);
+
+// A live tier in the state of benchmark/'s live-mixed workload at seed
+// 42: 10,000 random-dataset objects; the updates before tick 200 applied
+// with a commit every 1024 and packed into a frozen layer; then 50,000
+// more with a commit every 32 (capacity 32, a checkpoint every 1024
+// journal pages, a 1024-page query pool, on a memory WAL). Built once.
+struct LiveQueryTier {
+  std::unique_ptr<LiveTier> tier;
+  Time head = 0;  // the time of the last update applied
+};
+
+const LiveQueryTier& SharedLiveQueryTier() {
+  static const LiveQueryTier* shared = [] {
+    RandomDatasetConfig config;
+    config.num_objects = 10000;
+    config.seed = Rng::DeriveSeed(42, 1);
+    const std::vector<LiveObservation> stream =
+        MakeObservationStream(GenerateRandomDataset(config));
+    LiveTierOptions options;
+    options.index.capacity = 32;
+    options.query_pool_pages = 1024;
+    options.checkpoint_every_pages = 1024;
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(options, std::make_unique<MemoryPageBackend>());
+    STINDEX_CHECK(tier.ok());
+    size_t i = 0;
+    for (; stream[i].time < 200; ++i) {
+      STINDEX_CHECK(tier.value()->Apply(stream[i]).ok());
+      if ((i + 1) % 1024 == 0) STINDEX_CHECK(tier.value()->Commit().ok());
+    }
+    STINDEX_CHECK(tier.value()->Commit().ok());
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              "bench_micro_ops_query.stsnap")
+                                 .string();
+    STINDEX_CHECK(tier.value()->PackHistorical(path).ok());
+    for (size_t n = 1; n <= 50000; ++n, ++i) {
+      STINDEX_CHECK(tier.value()->Apply(stream[i]).ok());
+      if (n % 32 == 0) STINDEX_CHECK(tier.value()->Commit().ok());
+    }
+    // The frozen layer keeps its mapping; nothing commits again.
+    std::remove(path.c_str());
+    return new LiveQueryTier{std::move(tier).value(), stream[i - 1].time};
+  }();
+  return *shared;
+}
+
+// Live-tier snapshot query cost over SharedLiveQueryTier, one query of
+// MixedSnapshotSet per iteration: Arg(0) at its historical time (before
+// tick 200, the packed layer's), Arg(1) at a fresh time (within 5 ticks
+// of the feed head, as live-mixed asks). The counters are the migration
+// queue's events and the insert-pending segments one more query tests.
+void BM_LiveTierQuery(benchmark::State& state) {
+  const LiveQueryTier& live = SharedLiveQueryTier();
+  QuerySetConfig config = MixedSnapshotSet();
+  config.count = 2000;
+  config.time_domain = 200;
+  config.seed = Rng::DeriveSeed(42, 2);
+  const std::vector<STQuery> queries = GenerateQuerySet(config);
+  const bool fresh = state.range(0) != 0;
+  const auto time_of = [&](size_t n) {
+    return fresh ? live.head - static_cast<Time>(n % 5)
+                 : queries[n % queries.size()].range.start;
+  };
+  std::vector<ObjectId> out;
+  size_t n = 0;
+  for (auto _ : state) {
+    live.tier->SnapshotQuery(queries[n % queries.size()].area, time_of(n),
+                             &out);
+    benchmark::DoNotOptimize(out.data());
+    ++n;
+  }
+  QueryProfile profile;
+  live.tier->SnapshotQuery(queries[0].area, time_of(0), &out, &profile);
+  state.counters["queued_events"] =
+      static_cast<double>(live.tier->pending_events());
+  state.counters["pending_scanned"] =
+      static_cast<double>(profile.pending_scanned);
+}
+BENCHMARK(BM_LiveTierQuery)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace bench

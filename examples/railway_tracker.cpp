@@ -66,17 +66,17 @@ int main() {
       train_ids.size(),
       static_cast<unsigned long long>(index->stats().misses));
 
-  // Dashboard question 3: hourly occupancy of downtown NYC over a day
-  // slice — 12 snapshot queries.
+  // Dashboard question 3: occupancy of downtown NYC over a day slice,
+  // one snapshot query every 10 instants.
   const Point2D nyc = map.cities[16].position;
   const Rect2D downtown(nyc.x - radius, nyc.y - radius, nyc.x + radius,
                         nyc.y + radius);
   std::printf("\nNYC area occupancy, instants 480..590 (segment counts "
-              "via the aggregation API):\n");
-  const std::vector<size_t> occupancy =
-      index->OccupancyHistogram(downtown, TimeInterval(480, 590));
-  for (size_t i = 0; i < occupancy.size(); i += 10) {
-    std::printf("  t=%3zu: %zu trains\n", 480 + i, occupancy[i]);
+              "of snapshot queries):\n");
+  for (Time t = 480; t < 590; t += 10) {
+    index->SnapshotQuery(downtown, t, &hits);
+    std::printf("  t=%3lld: %zu trains\n", static_cast<long long>(t),
+                hits.size());
   }
   return 0;
 }

@@ -20,6 +20,7 @@ void QueryProfile::Merge(const QueryProfile& other) {
   leaf_entries_scanned += other.leaf_entries_scanned;
   candidates += other.candidates;
   false_hits += other.false_hits;
+  pending_scanned += other.pending_scanned;
 }
 
 std::string QueryProfile::ToTable() const {
@@ -53,6 +54,9 @@ std::string QueryProfile::ToTable() const {
       candidates == 0 ? 0.0
                       : 100.0 * static_cast<double>(false_hits) /
                             static_cast<double>(candidates));
+  out += line;
+  std::snprintf(line, sizeof(line), "  pending scanned      %llu\n",
+                static_cast<unsigned long long>(pending_scanned));
   out += line;
   return out;
 }

@@ -41,6 +41,10 @@ struct QueryProfile {
   // Candidates the exact per-instant refinement rejected (see
   // FalseHitRefiner); 0 when no refiner ran.
   uint64_t false_hits = 0;
+  // Live tier only: insert-pending segments tested against the query
+  // (MigrationPipeline::CollectPending); 0 for a range that ends at or
+  // before the migration watermark.
+  uint64_t pending_scanned = 0;
 
   void CountNode(int level) {
     if (nodes_per_level.size() <= static_cast<size_t>(level)) {

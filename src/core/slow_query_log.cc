@@ -111,6 +111,8 @@ void SlowQueryLog::AppendJsonlLocked(const SlowQueryEntry& entry) {
   AppendUint(line, entry.profile.candidates);
   line += ",\"false_hits\":";
   AppendUint(line, entry.profile.false_hits);
+  line += ",\"pending_scanned\":";
+  AppendUint(line, entry.profile.pending_scanned);
   line += ",\"nodes_per_level\":[";
   for (size_t i = 0; i < entry.profile.nodes_per_level.size(); ++i) {
     if (i > 0) line += ",";
@@ -150,6 +152,7 @@ void SlowQueryLog::RenderStatusz(JsonWriter* json) const {
     json->Key("leaf_entries_scanned").Uint(entry.profile.leaf_entries_scanned);
     json->Key("candidates").Uint(entry.profile.candidates);
     json->Key("false_hits").Uint(entry.profile.false_hits);
+    json->Key("pending_scanned").Uint(entry.profile.pending_scanned);
     json->EndObject();
   }
   json->EndArray();

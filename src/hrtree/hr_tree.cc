@@ -369,21 +369,12 @@ void HrTree::SnapshotQuery(const Rect2D& area, Time t, PageCache* buffer,
   results->clear();
   const PageId root = RootAt(t);
   if (root == kInvalidPage) return;
-  std::vector<PageId> stack = {root};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    const PageRef ref = buffer->FetchPinned(id);
-    const NodeView node(ref.get());
-    for (const Entry& entry : node.entries()) {
-      if (!entry.rect.Intersects(area)) continue;
-      if (node.IsLeaf()) {
-        results->push_back(entry.data);
-      } else {
-        stack.push_back(entry.child);
-      }
-    }
-  }
+  WalkNodes<NodeView>(
+      buffer, root, nullptr,
+      [&](const NodeView&, const Entry& entry) {
+        return entry.rect.Intersects(area);
+      },
+      [&](const Entry& entry) { results->push_back(entry.data); });
 }
 
 void HrTree::IntervalQuery(const Rect2D& area, const TimeInterval& range,
@@ -400,30 +391,14 @@ void HrTree::IntervalQuery(const Rect2D& area, const TimeInterval& range,
         v + 1 < roots_.size() ? roots_[v + 1].start : kTimeInfinity;
     if (start >= range.end || start >= end) continue;
     if (roots_[v].root == kInvalidPage) continue;
-    SnapshotQueryNoClear(roots_[v].root, area, buffer, &seen, results);
-  }
-}
-
-// Helper outside the public header: search one version root, appending
-// unseen hits.
-void HrTree::SnapshotQueryNoClear(PageId root, const Rect2D& area,
-                                  PageCache* buffer,
-                                  std::unordered_set<HrDataId>* seen,
-                                  std::vector<HrDataId>* results) const {
-  std::vector<PageId> stack = {root};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    const PageRef ref = buffer->FetchPinned(id);
-    const NodeView node(ref.get());
-    for (const Entry& entry : node.entries()) {
-      if (!entry.rect.Intersects(area)) continue;
-      if (node.IsLeaf()) {
-        if (seen->insert(entry.data).second) results->push_back(entry.data);
-      } else {
-        stack.push_back(entry.child);
-      }
-    }
+    WalkNodes<NodeView>(
+        buffer, roots_[v].root, nullptr,
+        [&](const NodeView&, const Entry& entry) {
+          return entry.rect.Intersects(area);
+        },
+        [&](const Entry& entry) {
+          if (seen.insert(entry.data).second) results->push_back(entry.data);
+        });
   }
 }
 

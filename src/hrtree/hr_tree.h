@@ -5,7 +5,6 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/segment.h"
@@ -134,12 +133,6 @@ class HrTree {
 
   // Removes `data` from the version tree; returns the new root.
   PageId DeleteFromVersion(PageId root, HrDataId data, Time t);
-
-  // Searches one version root, appending hits not in `seen`.
-  void SnapshotQueryNoClear(PageId root, const Rect2D& area,
-                            PageCache* buffer,
-                            std::unordered_set<HrDataId>* seen,
-                            std::vector<HrDataId>* results) const;
 
   // Ensures the version list ends with a root for time t and returns a
   // writable alias of the previous root (or invalid when empty).

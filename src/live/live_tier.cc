@@ -613,7 +613,7 @@ void LiveTier::IntervalQuery(const Rect2D& area, const TimeInterval& range,
       out->push_back(pipeline_.ObjectOf(id));
     }
   }
-  pipeline_.CollectPending(area, range, out);
+  pipeline_.CollectPending(area, range, out, profile);
   // No open buffer starts before the watermark.
   if (range.end > index_.Watermark()) index_.CollectLive(area, range, out);
   std::sort(out->begin(), out->end());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/query_profile.h"
 #include "util/check.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -48,6 +49,8 @@ size_t MigrationPipeline::Enqueue(const LiveIndex::SealedChunk& chunk) {
 
 void MigrationPipeline::Queue(PprDataId id, bool is_insert) {
   const TimeInterval& life = segments_[static_cast<size_t>(id)].box.interval;
+  // CollectPending relies on it: every queued insert starts at or after W.
+  STINDEX_DCHECK(!is_insert || life.start >= watermark_);
   std::vector<Event>& heap = is_insert ? inserts_ : deletes_;
   heap.push_back(Event{is_insert ? life.start : life.end, id});
   std::push_heap(heap.begin(), heap.end(), EventAfter());
@@ -149,7 +152,11 @@ Status MigrationPipeline::DecodeState(SegmentTable segments,
 
 void MigrationPipeline::CollectPending(const Rect2D& area,
                                        const TimeInterval& range,
-                                       std::vector<ObjectId>* out) const {
+                                       std::vector<ObjectId>* out,
+                                       QueryProfile* profile) const {
+  // Every queued insert starts at or after W.
+  if (range.end <= watermark_) return;
+  if (profile != nullptr) profile->pending_scanned += inserts_.size();
   const STBox query(area, range);
   for (const Event& event : inserts_) {
     if (segments_[static_cast<size_t>(event.id)].box.Intersects(query)) {

@@ -13,6 +13,8 @@
 
 namespace stindex {
 
+struct QueryProfile;
+
 // Moves sealed live-tier chunks into the persistent PPR-tree.
 //
 // The PPR-tree demands updates in globally non-decreasing time order, but
@@ -97,9 +99,12 @@ class MigrationPipeline {
 
   // Segments whose insert has not been applied (the tree cannot see
   // them; the queued inserts): appends the objects of those intersecting
-  // the query to `out`, in no particular order.
+  // the query to `out`, in no particular order. They all start at or
+  // after W, so a range that ends at or before W tests none. A non-null
+  // `profile` counts the segments tested as pending_scanned.
   void CollectPending(const Rect2D& area, const TimeInterval& range,
-                      std::vector<ObjectId>* out) const;
+                      std::vector<ObjectId>* out,
+                      QueryProfile* profile = nullptr) const;
 
   // A tree reports `id` for `range`; true if the segment really does
   // intersect `range` in time. An insert-applied, delete-pending record —

@@ -12,7 +12,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/query_profile.h"
 #include "storage/page_codec.h"
 #include "storage/shared_buffer_pool.h"
 
@@ -254,6 +253,15 @@ size_t PprTree::NumRoots() const { return roots_.size(); }
 
 PageId PprTree::CurrentRoot() const {
   return roots_.empty() ? kInvalidPage : roots_.back().root;
+}
+
+PageId PprTree::RootAt(Time t) const {
+  // The last era starting at or before t.
+  auto it = std::upper_bound(roots_.begin(), roots_.end(), t,
+                             [](Time value, const RootEra& era) {
+                               return value < era.start;
+                             });
+  return it == roots_.begin() ? kInvalidPage : (it - 1)->root;
 }
 
 void PprTree::StartNewEra(PageId root, Time t) {
@@ -724,48 +732,17 @@ void PprTree::SnapshotQuery(const Rect2D& area, Time t, PageCache* buffer,
                             std::vector<PprDataId>* results,
                             QueryProfile* profile) const {
   results->clear();
-  // Find the era owning instant t: the last era starting at or before t.
-  auto it = std::upper_bound(roots_.begin(), roots_.end(), t,
-                             [](Time value, const RootEra& era) {
-                               return value < era.start;
-                             });
-  if (it == roots_.begin()) return;  // before the first insertion
-  --it;
-  if (it->root == kInvalidPage) return;
-
+  const PageId root = RootAt(t);
+  if (root == kInvalidPage) return;
   TraceSpan span("ppr", "snapshot_query");
   const IoStats before = buffer->stats();
-  std::vector<PageId> stack = {it->root};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    // Pinned for the loop body: the page must survive any evictions a
-    // deeper Fetch could cause.
-    const PageRef ref = buffer->FetchPinned(id);
-    const NodeView node(ref.get());
-    if (profile != nullptr) {
-      profile->CountNode(node.level());
-      if (node.IsLeaf()) {
-        profile->leaf_entries_scanned += node.entries().size();
-      }
-    }
-    for (const Entry& entry : node.entries()) {
-      if (!entry.lifetime.Contains(t)) continue;
-      if (!entry.rect.Intersects(area)) continue;
-      if (node.IsLeaf()) {
-        results->push_back(entry.data);
-      } else {
-        stack.push_back(entry.child);
-      }
-    }
-  }
-  if (profile != nullptr) {
-    profile->candidates += results->size();
-    const IoStats after = buffer->stats();
-    profile->pages_missed += after.misses - before.misses;
-    profile->pages_hit +=
-        (after.accesses - before.accesses) - (after.misses - before.misses);
-  }
+  WalkNodes<NodeView>(
+      buffer, root, profile,
+      [&](const NodeView&, const Entry& entry) {
+        return entry.lifetime.Contains(t) && entry.rect.Intersects(area);
+      },
+      [&](const Entry& entry) { results->push_back(entry.data); });
+  ProfileQuery(profile, before, *buffer, results->size());
   span.Arg("results", static_cast<int64_t>(results->size()));
 }
 
@@ -784,115 +761,46 @@ void PprTree::IntervalQuery(const Rect2D& area, const TimeInterval& range,
                                                 : kTimeInfinity);
     if (!era.Intersects(range)) continue;
     if (roots_[e].root == kInvalidPage) continue;
-    std::vector<PageId> stack = {roots_[e].root};
-    while (!stack.empty()) {
-      const PageId id = stack.back();
-      stack.pop_back();
-      const PageRef ref = buffer->FetchPinned(id);
-      const NodeView node(ref.get());
-      if (profile != nullptr) {
-        profile->CountNode(node.level());
-        if (node.IsLeaf()) {
-          profile->leaf_entries_scanned += node.entries().size();
-        }
-      }
-      for (const Entry& entry : node.entries()) {
-        if (!entry.lifetime.Intersects(range)) continue;
-        if (!entry.rect.Intersects(area)) continue;
-        if (node.IsLeaf()) {
-          // The same logical record may have physical copies in several
-          // nodes (version splits) and eras; report it once.
+    WalkNodes<NodeView>(
+        buffer, roots_[e].root, profile,
+        [&](const NodeView&, const Entry& entry) {
+          return entry.lifetime.Intersects(range) &&
+                 entry.rect.Intersects(area);
+        },
+        // The same logical record may have physical copies in several
+        // nodes (version splits) and eras; report it once.
+        [&](const Entry& entry) {
           if (seen.insert(entry.data).second) results->push_back(entry.data);
-        } else {
-          stack.push_back(entry.child);
-        }
-      }
-    }
+        });
   }
-  if (profile != nullptr) {
-    profile->candidates += results->size();
-    const IoStats after = buffer->stats();
-    profile->pages_missed += after.misses - before.misses;
-    profile->pages_hit +=
-        (after.accesses - before.accesses) - (after.misses - before.misses);
-  }
+  ProfileQuery(profile, before, *buffer, results->size());
   span.Arg("results", static_cast<int64_t>(results->size()));
 }
 
 std::vector<PprTree::AliveNodeSummary> PprTree::CollectAliveSummaries(
     Time t) const {
   std::vector<AliveNodeSummary> summaries;
-  auto it = std::upper_bound(roots_.begin(), roots_.end(), t,
-                             [](Time value, const RootEra& era) {
-                               return value < era.start;
-                             });
-  if (it == roots_.begin()) return summaries;
-  --it;
-  if (it->root == kInvalidPage) return summaries;
+  const PageId root = RootAt(t);
+  if (root == kInvalidPage) return summaries;
   const std::unique_ptr<SharedBufferPool> pool = pages_.NewUnpublishedPool();
   SharedBufferPool::Session nodes(pool.get());
-  std::vector<PageId> stack = {it->root};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    const PageRef ref = nodes.FetchPinned(id);
-    const NodeView node(ref.get());
-    AliveNodeSummary summary;
-    summary.level = node.level();
-    summary.rect = Rect2D::Empty();
-    for (const Entry& entry : node.entries()) {
-      if (!entry.lifetime.Contains(t)) continue;
-      ++summary.alive;
-      summary.rect.ExpandToInclude(entry.rect);
-      if (!node.IsLeaf()) stack.push_back(entry.child);
-    }
-    if (summary.alive > 0) summaries.push_back(summary);
-  }
+  // A node's entries are tested in slot order: its first opens its
+  // summary, and every entry alive at t counts and leads on.
+  WalkNodes<NodeView>(
+      &nodes, root, nullptr,
+      [&](const NodeView& node, const Entry& entry) {
+        if (&entry == node.entries().data()) {
+          summaries.push_back({node.level(), Rect2D::Empty(), 0});
+        }
+        if (!entry.lifetime.Contains(t)) return false;
+        ++summaries.back().alive;
+        summaries.back().rect.ExpandToInclude(entry.rect);
+        return true;
+      },
+      [](const Entry&) {});
+  std::erase_if(summaries,
+                [](const AliveNodeSummary& s) { return s.alive == 0; });
   return summaries;
-}
-
-size_t PprTree::SnapshotCount(const Rect2D& area, Time t) const {
-  return SnapshotCount(area, t, pages_.session());
-}
-
-size_t PprTree::SnapshotCount(const Rect2D& area, Time t,
-                              PageCache* buffer) const {
-  auto it = std::upper_bound(roots_.begin(), roots_.end(), t,
-                             [](Time value, const RootEra& era) {
-                               return value < era.start;
-                             });
-  if (it == roots_.begin()) return 0;
-  --it;
-  if (it->root == kInvalidPage) return 0;
-  size_t count = 0;
-  std::vector<PageId> stack = {it->root};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    const PageRef ref = buffer->FetchPinned(id);
-    const NodeView node(ref.get());
-    for (const Entry& entry : node.entries()) {
-      if (!entry.lifetime.Contains(t)) continue;
-      if (!entry.rect.Intersects(area)) continue;
-      if (node.IsLeaf()) {
-        ++count;
-      } else {
-        stack.push_back(entry.child);
-      }
-    }
-  }
-  return count;
-}
-
-std::vector<size_t> PprTree::OccupancyHistogram(
-    const Rect2D& area, const TimeInterval& range) const {
-  STINDEX_CHECK(range.IsValid());
-  std::vector<size_t> histogram;
-  histogram.reserve(static_cast<size_t>(range.Duration()));
-  for (Time t = range.start; t < range.end; ++t) {
-    histogram.push_back(SnapshotCount(area, t));
-  }
-  return histogram;
 }
 
 void PprTree::CollectSubtree(PageId root, PageCache* nodes,

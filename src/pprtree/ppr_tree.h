@@ -143,16 +143,6 @@ class PprTree {
   static constexpr size_t kNodePageCapacity =
       NodePageCapacity(kNodeEntryOffset);
 
-  // COUNT(*) of a snapshot query, without materializing ids — the
-  // aggregation a monitoring dashboard runs per tick.
-  size_t SnapshotCount(const Rect2D& area, Time t) const;
-  size_t SnapshotCount(const Rect2D& area, Time t, PageCache* buffer) const;
-
-  // Per-instant occupancy of `area` over [range.start, range.end):
-  // element i is the count at instant range.start + i.
-  std::vector<size_t> OccupancyHistogram(const Rect2D& area,
-                                         const TimeInterval& range) const;
-
   // Number of logical records ever inserted.
   size_t Size() const { return size_; }
 
@@ -262,6 +252,9 @@ class PprTree {
   size_t StrongMin() const;  // p_svu * B
 
   PageId CurrentRoot() const;
+  // The root of the era owning instant t (kInvalidPage before the first
+  // insertion or in an empty era).
+  PageId RootAt(Time t) const;
   void StartNewEra(PageId root, Time t);
 
   // Fills path_ (root..leaf) for inserting `rect` at `now`, choosing

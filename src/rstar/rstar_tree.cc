@@ -5,11 +5,9 @@
 #include <cstddef>
 #include <cstring>
 #include <limits>
-#include <queue>
 #include <span>
 #include <type_traits>
 
-#include "core/query_profile.h"
 #include "storage/shared_buffer_pool.h"
 #include "util/check.h"
 #include "util/hilbert.h"
@@ -721,25 +719,6 @@ void RStarTree::SplitNode(std::vector<PageId>& path_nodes,
   }
 }
 
-namespace {
-
-// Minimum distance from a point to a box (0 inside).
-double MinDistance2(const double point[3], const Box3D& box) {
-  double sum = 0.0;
-  for (int d = 0; d < 3; ++d) {
-    double delta = 0.0;
-    if (point[d] < box.lo[d]) {
-      delta = box.lo[d] - point[d];
-    } else if (point[d] > box.hi[d]) {
-      delta = point[d] - box.hi[d];
-    }
-    sum += delta * delta;
-  }
-  return sum;
-}
-
-}  // namespace
-
 bool RStarTree::Delete(const Box3D& box, DataId data) {
   STINDEX_CHECK_MSG(!pages_.frozen(),
                     "RStarTree is frozen: it serves a packed snapshot");
@@ -870,45 +849,6 @@ bool RStarTree::Delete(const Box3D& box, DataId data) {
   return true;
 }
 
-void RStarTree::NearestNeighbors(const double point[3], size_t k,
-                                 std::vector<DataId>* results) const {
-  results->clear();
-  if (root_ == kInvalidPage || k == 0) return;
-
-  struct Candidate {
-    double distance;
-    bool is_data;
-    PageId node;
-    DataId data;
-
-    bool operator>(const Candidate& other) const {
-      return distance > other.distance;
-    }
-  };
-  std::priority_queue<Candidate, std::vector<Candidate>,
-                      std::greater<Candidate>>
-      queue;
-  queue.push(Candidate{0.0, false, root_, 0});
-  while (!queue.empty() && results->size() < k) {
-    const Candidate top = queue.top();
-    queue.pop();
-    if (top.is_data) {
-      results->push_back(top.data);
-      continue;
-    }
-    const PageRef ref = pages_.session()->FetchPinned(top.node);
-    const NodeView node(ref.get());
-    for (const Entry& entry : node.entries()) {
-      const double distance = MinDistance2(point, entry.box);
-      if (node.IsLeaf()) {
-        queue.push(Candidate{distance, true, kInvalidPage, entry.data});
-      } else {
-        queue.push(Candidate{distance, false, entry.child, 0});
-      }
-    }
-  }
-}
-
 void RStarTree::Search(const Box3D& query,
                        std::vector<DataId>* results) const {
   Search(query, pages_.session(), results);
@@ -921,36 +861,13 @@ void RStarTree::Search(const Box3D& query, PageCache* buffer,
   if (root_ == kInvalidPage) return;
   TraceSpan span("rstar", "search");
   const IoStats before = buffer->stats();
-  std::vector<PageId> stack = {root_};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    // Pinned for the loop body: the page must survive any evictions a
-    // deeper Fetch could cause.
-    const PageRef ref = buffer->FetchPinned(id);
-    const NodeView node(ref.get());
-    if (profile != nullptr) {
-      profile->CountNode(node.level());
-      if (node.IsLeaf()) {
-        profile->leaf_entries_scanned += node.entries().size();
-      }
-    }
-    for (const Entry& entry : node.entries()) {
-      if (!entry.box.Intersects(query)) continue;
-      if (node.IsLeaf()) {
-        results->push_back(entry.data);
-      } else {
-        stack.push_back(entry.child);
-      }
-    }
-  }
-  if (profile != nullptr) {
-    profile->candidates += results->size();
-    const IoStats after = buffer->stats();
-    profile->pages_missed += after.misses - before.misses;
-    profile->pages_hit +=
-        (after.accesses - before.accesses) - (after.misses - before.misses);
-  }
+  WalkNodes<NodeView>(
+      buffer, root_, profile,
+      [&](const NodeView&, const Entry& entry) {
+        return entry.box.Intersects(query);
+      },
+      [&](const Entry& entry) { results->push_back(entry.data); });
+  ProfileQuery(profile, before, *buffer, results->size());
   span.Arg("results", static_cast<int64_t>(results->size()));
 }
 
@@ -972,22 +889,19 @@ std::vector<RStarTree::NodeSummary> RStarTree::CollectNodeSummaries() const {
   if (root_ == kInvalidPage) return summaries;
   const std::unique_ptr<SharedBufferPool> pool = pages_.NewUnpublishedPool();
   SharedBufferPool::Session nodes(pool.get());
-  std::vector<PageId> stack = {root_};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    const PageRef ref = nodes.FetchPinned(id);
-    const NodeView node(ref.get());
-    NodeSummary summary;
-    summary.level = node.level();
-    summary.box = Mbr(node.entries());
-    summary.entries = node.entries().size();
-    summaries.push_back(summary);
-    if (node.IsLeaf()) continue;
-    for (const Entry& entry : node.entries()) {
-      stack.push_back(entry.child);
-    }
-  }
+  // A node's entries are tested in slot order: its first opens its
+  // summary (a node of a non-empty tree holds at least one), and every
+  // entry leads on.
+  WalkNodes<NodeView>(
+      &nodes, root_, nullptr,
+      [&](const NodeView& node, const Entry& entry) {
+        if (&entry == node.entries().data()) {
+          summaries.push_back(
+              {node.level(), Mbr(node.entries()), node.entries().size()});
+        }
+        return true;
+      },
+      [](const Entry&) {});
   return summaries;
 }
 

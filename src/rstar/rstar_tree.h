@@ -90,13 +90,6 @@ class RStarTree {
   // re-inserted). Returns false when no such entry exists.
   bool Delete(const Box3D& box, DataId data);
 
-  // Best-first k-nearest-neighbor search by box center distance
-  // (Hjaltason & Samet): the k data entries whose boxes are nearest to
-  // `point` (min distance between the point and the box), through the
-  // tree's own buffer. Library extension beyond the paper.
-  void NearestNeighbors(const double point[3], size_t k,
-                        std::vector<DataId>* results) const;
-
   // Collects the payloads of all leaf entries whose box intersects
   // `query`, reading nodes through the LRU buffer (misses count as disk
   // accesses in stats()).

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <utility>
 
+#include "core/query_profile.h"
 #include "util/check.h"
 #include "util/trace.h"
 
@@ -147,6 +148,21 @@ void TreePages::Adopt(std::unique_ptr<MmapSnapshotBackend> snapshot) {
   arena_.reset();
   snapshot_ = std::move(snapshot);
   OpenQueryPool();
+}
+
+void ProfileNode(QueryProfile* profile, int level, size_t leaf_entries) {
+  profile->CountNode(level);
+  profile->leaf_entries_scanned += leaf_entries;
+}
+
+void ProfileQuery(QueryProfile* profile, const IoStats& before,
+                  const PageCache& cache, size_t candidates) {
+  if (profile == nullptr) return;
+  const IoStats& after = cache.stats();
+  profile->candidates += candidates;
+  profile->pages_missed += after.misses - before.misses;
+  profile->pages_hit +=
+      (after.accesses - before.accesses) - (after.misses - before.misses);
 }
 
 }  // namespace stindex

@@ -127,6 +127,51 @@ class TreePages {
   std::unique_ptr<SharedBufferPool::Session> session_;
 };
 
+struct QueryProfile;
+
+// Counts a node WalkNodes visits into `profile`: one node at `level`,
+// and `leaf_entries` leaf entries scanned.
+void ProfileNode(QueryProfile* profile, int level, size_t leaf_entries);
+
+// Adds a query's `candidates` and the hits and misses `cache` counted
+// since `before` to `profile`; nullptr skips it.
+void ProfileQuery(QueryProfile* profile, const IoStats& before,
+                  const PageCache& cache, size_t candidates);
+
+// The depth-first walk of every tree query over node pages, and so the
+// page-visit order behind each query's misses under an LRU. Pops a page
+// id off a LIFO stack seeded with `root` and fetches it through `cache`,
+// pinned while the node is read (a deeper fetch may evict); tests its
+// entries in slot order with `keep(node, entry)`, pushing each kept
+// directory entry's child and handing each kept leaf entry to
+// `visit(entry)`. A non-null `profile` counts every node at its level
+// and every leaf's entries as scanned. `NodeView` is the tree's
+// NodePageView; `keep` and `visit` are inlined, with no indirect call
+// per entry.
+template <typename NodeView, typename Keep, typename Visit>
+void WalkNodes(PageCache* cache, PageId root, QueryProfile* profile,
+               Keep&& keep, Visit&& visit) {
+  std::vector<PageId> stack = {root};
+  while (!stack.empty()) {
+    const PageId id = stack.back();
+    stack.pop_back();
+    const PageRef ref = cache->FetchPinned(id);
+    const NodeView node(ref.get());
+    if (profile != nullptr) {
+      ProfileNode(profile, node.level(),
+                  node.IsLeaf() ? node.entries().size() : 0);
+    }
+    for (const auto& entry : node.entries()) {
+      if (!keep(node, entry)) continue;
+      if (node.IsLeaf()) {
+        visit(entry);
+      } else {
+        stack.push_back(entry.child);
+      }
+    }
+  }
+}
+
 }  // namespace stindex
 
 #endif  // STINDEX_STORAGE_TREE_PAGES_H_

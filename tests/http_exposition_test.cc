@@ -528,6 +528,7 @@ QueryProfile MakeProfile(uint64_t nodes) {
   QueryProfile profile;
   for (uint64_t i = 0; i < nodes; ++i) profile.CountNode(0);
   profile.leaf_entries_scanned = nodes * 10;
+  profile.pending_scanned = nodes * 3;
   return profile;
 }
 
@@ -589,6 +590,7 @@ TEST(SlowQueryLogTest, JsonlSinkWritesOneValidLinePerCapture) {
   EXPECT_NE(lines[0].find("\"seq\":1"), std::string::npos);
   EXPECT_NE(lines[0].find("\"kind\":\"snapshot\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"results\":3"), std::string::npos);
+  EXPECT_NE(lines[0].find("\"pending_scanned\":6"), std::string::npos);
   EXPECT_NE(lines[1].find("\"kind\":\"interval\""), std::string::npos);
 }
 
@@ -601,6 +603,7 @@ TEST(SlowQueryLogTest, RenderStatuszIsValidJson) {
   EXPECT_TRUE(JsonValidator(json.str()).Valid()) << json.str();
   EXPECT_NE(json.str().find("\"threshold_ms\""), std::string::npos);
   EXPECT_NE(json.str().find("\"nodes_visited\": 4"), std::string::npos);
+  EXPECT_NE(json.str().find("\"pending_scanned\": 12"), std::string::npos);
 }
 
 }  // namespace

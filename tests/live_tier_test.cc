@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/query_profile.h"
 #include "datagen/query_gen.h"
 #include "datagen/random_dataset.h"
 #include "live/checkpoint.h"
@@ -775,6 +776,24 @@ TEST(MigrationPipelineTest, DecodeStateReplaysTheActiveTreeFromItsWatermarks) {
   tree.CheckInvariants();
 }
 
+// The queued inserts all start at or after W, so a range that ends at W
+// tests none of them, and one that ends at W + 1 tests them all.
+TEST(MigrationPipelineTest, CollectPendingSkipsRangesEndingByTheWatermark) {
+  PprTree tree;
+  MigrationPipeline pipeline(&tree);
+  ASSERT_TRUE(DecodeWatermarks(5, 1, 16, &pipeline).ok());
+  std::vector<ObjectId> pending;
+  QueryProfile profile;
+  pipeline.CollectPending(UnitRect(0.0, 1.0), TimeInterval(0, 5), &pending,
+                          &profile);
+  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(profile.pending_scanned, 0u);
+  pipeline.CollectPending(UnitRect(0.0, 1.0), TimeInterval(0, 6), &pending,
+                          &profile);
+  EXPECT_EQ(pending, std::vector<ObjectId>{6});
+  EXPECT_EQ(profile.pending_scanned, 1u);
+}
+
 TEST(MigrationPipelineTest, DecodeStateRejectsBadWatermarks) {
   for (const size_t bytes : {size_t{0}, size_t{8}, size_t{12}}) {
     PprTree tree;
@@ -948,6 +967,43 @@ TEST(LiveTierTest, DeletePendingRecordsDoNotLeakIntoLaterRanges) {
   EXPECT_EQ(got, std::vector<ObjectId>{1});
   tier.value()->IntervalQuery(UnitRect(0.0, 1.0), TimeInterval(5, 9), &got);
   EXPECT_TRUE(got.empty());
+}
+
+// EXPLAIN shows the pending scan: a query that ends at or before the
+// watermark tests no insert-pending segment, any later one tests every
+// queued insert (the segments that start at or after the watermark).
+TEST(LiveTierTest, ProfileCountsThePendingScan) {
+  const std::vector<LiveObservation> stream =
+      MakeObservationStream(SmallDataset(17));
+  Result<std::unique_ptr<LiveTier>> tier = LiveTier::Open(
+      SmallTierOptions(), std::make_unique<MemoryPageBackend>());
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+  for (size_t i = 0; i < stream.size() / 2; ++i) {
+    ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+  }
+  const Time watermark = tier.value()->GetTelemetry().watermark;
+  const SegmentTable& segments = tier.value()->migrated_segments();
+  uint64_t queued = 0;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    if (segments[i].box.interval.start >= watermark) ++queued;
+  }
+  ASSERT_GT(queued, 0u);
+
+  std::vector<ObjectId> got;
+  QueryProfile historical;
+  tier.value()->IntervalQuery(UnitRect(0.0, 1.0), TimeInterval(0, watermark),
+                              &got, &historical);
+  EXPECT_EQ(historical.pending_scanned, 0u);
+  QueryProfile fresh;
+  tier.value()->SnapshotQuery(UnitRect(0.0, 1.0), watermark, &got, &fresh);
+  EXPECT_EQ(fresh.pending_scanned, queued);
+
+  historical.Merge(fresh);
+  EXPECT_EQ(historical.pending_scanned, queued);
+  EXPECT_NE(historical.ToTable().find("pending scanned      " +
+                                      std::to_string(queued) + "\n"),
+            std::string::npos)
+      << historical.ToTable();
 }
 
 TEST(LiveTierTest, CleanReopenContinuesAndReingestIsIdempotent) {

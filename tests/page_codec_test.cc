@@ -6,8 +6,11 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/query_profile.h"
+#include "hrtree/hr_tree.h"
 #include "live/live_tier.h"
 #include "pprtree/ppr_tree.h"
 #include "rstar/rstar_tree.h"
@@ -444,6 +447,180 @@ TEST(PinnedBytesTest, LiveTierNodePagesKeepTheirBytes) {
   EXPECT_EQ(frozen_pages, 18u);
   EXPECT_EQ(node_pages.size() / kPageSize, 57u);
   EXPECT_EQ(Crc32(node_pages.data(), node_pages.size()), 0x2eb2b8dbu);
+}
+
+// --- Pinned walk order ---
+//
+// The order in which a query fetches node pages decides its misses under
+// the paper's 10-page LRU. Fixed query sets run on small-page trees built
+// from GridRecords, through a cache that records every page id fetched;
+// an FNV-1a 64 hash over those ids, the results in order and the profile
+// counts must equal a recorded constant per tree and query kind.
+
+// A PageCache that records every page id it is asked for and serves it
+// from `base`, whose PageRefs unpin themselves there.
+class RecordingCache final : public PageCache {
+ public:
+  explicit RecordingCache(PageCache* base) : base_(base) {}
+
+  PageRef FetchPinned(PageId id) override {
+    fetched_.push_back(id);
+    return base_->FetchPinned(id);
+  }
+  const IoStats& stats() const override { return base_->stats(); }
+
+  // The ids fetched since the last call, which clears them.
+  std::vector<PageId> TakeFetched() { return std::exchange(fetched_, {}); }
+
+ protected:
+  // Never called: every PageRef handed out belongs to `base`.
+  void Unpin(PageId) override { ADD_FAILURE() << "unexpected Unpin"; }
+
+ private:
+  PageCache* base_;
+  std::vector<PageId> fetched_;
+};
+
+class Fnv1a64 {
+ public:
+  void Add(uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (value >> (8 * byte)) & 0xff;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  template <typename T>
+  void AddAll(const std::vector<T>& values) {
+    Add(values.size());
+    for (const T& value : values) Add(static_cast<uint64_t>(value));
+  }
+  void AddProfile(const QueryProfile& profile) {
+    AddAll(profile.nodes_per_level);
+    for (uint64_t count : {profile.nodes_visited, profile.pages_hit,
+                           profile.pages_missed, profile.leaf_entries_scanned,
+                           profile.candidates}) {
+      Add(count);
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+struct WalkQuery {
+  Rect2D area;
+  TimeInterval range;  // a snapshot query asks about range.start
+};
+
+std::vector<WalkQuery> WalkQueries() {
+  std::vector<WalkQuery> queries;
+  for (uint64_t i = 0; i < 40; ++i) {
+    const double x = static_cast<double>((i * 17) % 60);
+    const double y = static_cast<double>((i * 29) % 60);
+    const Time start = static_cast<Time>((i * 7) % 125);
+    queries.push_back(WalkQuery{
+        Rect2D(x, y, x + 4 + static_cast<double>(i % 9),
+               y + 3 + static_cast<double>(i % 7)),
+        TimeInterval(start, start + 1 + static_cast<Time>(i % 15))});
+  }
+  return queries;
+}
+
+// Runs `query(q, cache, results, profile)` for every WalkQueries() query
+// through a 10-page protocol session of `pool`, hashing the pages
+// fetched, the results and the profile.
+template <typename Query>
+uint64_t WalkHash(SharedBufferPool* pool, Query query) {
+  SharedBufferPool::Session session(pool, /*protocol_pages=*/10);
+  RecordingCache cache(&session);
+  Fnv1a64 hash;
+  std::vector<uint64_t> results;
+  for (const WalkQuery& q : WalkQueries()) {
+    session.ResetCache();
+    QueryProfile profile;
+    query(q, &cache, &results, &profile);
+    hash.AddAll(cache.TakeFetched());
+    hash.AddAll(results);
+    hash.AddProfile(profile);
+  }
+  return hash.value();
+}
+
+uint64_t PprWalkHash(const PprTree& tree, bool snapshot) {
+  const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
+  return WalkHash(pool.get(), [&](const WalkQuery& q, PageCache* cache,
+                                  std::vector<uint64_t>* results,
+                                  QueryProfile* profile) {
+    if (snapshot) {
+      tree.SnapshotQuery(q.area, q.range.start, cache, results, profile);
+    } else {
+      tree.IntervalQuery(q.area, q.range, cache, results, profile);
+    }
+  });
+}
+
+uint64_t RStarWalkHash(const RStarTree& tree) {
+  const std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool();
+  return WalkHash(pool.get(), [&](const WalkQuery& q, PageCache* cache,
+                                  std::vector<uint64_t>* results,
+                                  QueryProfile* profile) {
+    const Box3D box(q.area.xlo, q.area.ylo, static_cast<double>(q.range.start),
+                    q.area.xhi, q.area.yhi, static_cast<double>(q.range.end));
+    tree.Search(box, cache, results, profile);
+  });
+}
+
+TEST(PinnedWalkOrderTest, QueriesFetchTheSamePagesInTheSameOrder) {
+  const std::vector<SegmentRecord> records = GridRecords();
+
+  PprConfig ppr_config;
+  ppr_config.max_entries = 8;
+  const std::unique_ptr<PprTree> ppr = BuildPprTree(records, ppr_config);
+  EXPECT_EQ(PprWalkHash(*ppr, /*snapshot=*/true), 0xe97312f9c327091dull);
+  EXPECT_EQ(PprWalkHash(*ppr, /*snapshot=*/false), 0xbd225b7666d6f473ull);
+  const TempPath ppr_path("walk_ppr.stsnap");
+  ASSERT_TRUE(ppr->PackSnapshot(ppr_path).ok());
+  EXPECT_EQ(PprWalkHash(*ppr, /*snapshot=*/true), 0xa7d4d0fae7c0a10aull);
+  EXPECT_EQ(PprWalkHash(*ppr, /*snapshot=*/false), 0x8650354af1b1b9b1ull);
+
+  RStarConfig rstar_config;
+  rstar_config.max_entries = 8;
+  rstar_config.min_entries = 3;
+  rstar_config.reinsert_count = 2;
+  RStarTree rstar(rstar_config);
+  for (size_t i = 0; i < records.size(); ++i) {
+    const Rect2D& r = records[i].box.rect;
+    rstar.Insert(Box3D(r.xlo, r.ylo,
+                       static_cast<double>(records[i].box.interval.start),
+                       r.xhi, r.yhi,
+                       static_cast<double>(records[i].box.interval.end)),
+                 static_cast<DataId>(i));
+  }
+  EXPECT_EQ(RStarWalkHash(rstar), 0xdae48a0279908e85ull);
+  const TempPath rstar_path("walk_rstar.stsnap");
+  ASSERT_TRUE(rstar.PackSnapshot(rstar_path).ok());
+  EXPECT_EQ(RStarWalkHash(rstar), 0x4bd29835cfc86a53ull);
+
+  // The HR-tree's queries take no profile; theirs hashes as empty.
+  HrConfig hr_config;
+  hr_config.max_entries = 8;
+  hr_config.min_entries = 3;
+  const std::unique_ptr<HrTree> hr = BuildHrTree(records, hr_config);
+  const std::unique_ptr<SharedBufferPool> hr_pool = hr->NewSharedQueryPool();
+  EXPECT_EQ(WalkHash(hr_pool.get(),
+                     [&](const WalkQuery& q, PageCache* cache,
+                         std::vector<uint64_t>* results, QueryProfile*) {
+                       hr->SnapshotQuery(q.area, q.range.start, cache,
+                                         results);
+                     }),
+            0xcdcbf65b0b6eee42ull);
+  EXPECT_EQ(WalkHash(hr_pool.get(),
+                     [&](const WalkQuery& q, PageCache* cache,
+                         std::vector<uint64_t>* results, QueryProfile*) {
+                       hr->IntervalQuery(q.area, q.range, cache, results);
+                     }),
+            0x4c9f1b1777c8d9a5ull);
 }
 
 // --- FilePageBackend open-time validation ---

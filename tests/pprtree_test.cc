@@ -487,36 +487,6 @@ TEST(PprTreeTest, BoundedReplayContinuesIntoTheFullReplay) {
   }
 }
 
-TEST(PprTreeTest, SnapshotCountMatchesQuerySize) {
-  const std::vector<SegmentRecord> records = RandomRecords(15, 500);
-  std::unique_ptr<PprTree> tree = BuildPprTree(records);
-  Rng rng(16);
-  for (int q = 0; q < 30; ++q) {
-    const double x = rng.UniformDouble(0, 0.8);
-    const double y = rng.UniformDouble(0, 0.8);
-    const Rect2D area(x, y, x + 0.2, y + 0.2);
-    const Time t = rng.UniformInt(0, 199);
-    std::vector<PprDataId> hits;
-    tree->SnapshotQuery(area, t, &hits);
-    EXPECT_EQ(tree->SnapshotCount(area, t), hits.size());
-  }
-}
-
-TEST(PprTreeTest, OccupancyHistogramMatchesPerInstantCounts) {
-  const std::vector<SegmentRecord> records = RandomRecords(17, 300);
-  std::unique_ptr<PprTree> tree = BuildPprTree(records);
-  const Rect2D area(0.1, 0.1, 0.6, 0.6);
-  const TimeInterval range(40, 70);
-  const std::vector<size_t> histogram =
-      tree->OccupancyHistogram(area, range);
-  ASSERT_EQ(histogram.size(), 30u);
-  for (Time t = range.start; t < range.end; ++t) {
-    EXPECT_EQ(histogram[static_cast<size_t>(t - range.start)],
-              ScanSnapshot(records, area, t).size())
-        << "t=" << t;
-  }
-}
-
 TEST(PprTreeTest, QueryIoProportionalToAliveSetNotHistory) {
   // The PPR promise: snapshot cost tracks |alive(t)|, not total history.
   // Build a long evolution with a small alive set at every instant.

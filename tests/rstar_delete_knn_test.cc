@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "rstar/rstar_tree.h"
@@ -109,74 +108,6 @@ TEST(RStarDeleteTest, PagesReclaimedOnMassDeletion) {
   std::vector<DataId> results;
   tree.Search(Box3D(-1, -1, -1, 2, 2, 2), &results);
   EXPECT_EQ(results.size(), 100u);
-}
-
-double CenterDistance2(const double point[3], const Box3D& box) {
-  double sum = 0.0;
-  for (int d = 0; d < 3; ++d) {
-    double delta = 0.0;
-    if (point[d] < box.lo[d]) {
-      delta = box.lo[d] - point[d];
-    } else if (point[d] > box.hi[d]) {
-      delta = point[d] - box.hi[d];
-    }
-    sum += delta * delta;
-  }
-  return sum;
-}
-
-class KnnTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(KnnTest, MatchesBruteForceDistances) {
-  Rng rng(GetParam());
-  RStarTree tree;
-  std::vector<Box3D> boxes;
-  for (DataId i = 0; i < 700; ++i) {
-    boxes.push_back(RandomBox(rng, 0.02));
-    tree.Insert(boxes.back(), i);
-  }
-  for (int q = 0; q < 15; ++q) {
-    const double point[3] = {rng.UniformDouble(0, 1),
-                             rng.UniformDouble(0, 1),
-                             rng.UniformDouble(0, 1)};
-    const size_t k = static_cast<size_t>(rng.UniformInt(1, 20));
-    std::vector<DataId> results;
-    tree.NearestNeighbors(point, k, &results);
-    ASSERT_EQ(results.size(), k);
-
-    // Compare the distance multiset against brute force (ties make id
-    // comparison fragile).
-    std::vector<double> brute;
-    for (const Box3D& box : boxes) brute.push_back(CenterDistance2(point, box));
-    std::sort(brute.begin(), brute.end());
-    std::vector<double> got;
-    for (DataId id : results) {
-      got.push_back(CenterDistance2(point, boxes[id]));
-    }
-    std::sort(got.begin(), got.end());
-    for (size_t i = 0; i < k; ++i) {
-      EXPECT_NEAR(got[i], brute[i], 1e-12) << "q=" << q << " i=" << i;
-    }
-    // Results come out in non-decreasing distance order.
-    for (size_t i = 1; i < k; ++i) {
-      EXPECT_LE(CenterDistance2(point, boxes[results[i - 1]]),
-                CenterDistance2(point, boxes[results[i]]) + 1e-12);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, KnnTest, ::testing::Values(331, 332, 333));
-
-TEST(KnnTest, KLargerThanTreeReturnsEverything) {
-  RStarTree tree;
-  Rng rng(341);
-  for (DataId i = 0; i < 30; ++i) tree.Insert(RandomBox(rng), i);
-  const double point[3] = {0.5, 0.5, 0.5};
-  std::vector<DataId> results;
-  tree.NearestNeighbors(point, 100, &results);
-  EXPECT_EQ(results.size(), 30u);
-  tree.NearestNeighbors(point, 0, &results);
-  EXPECT_TRUE(results.empty());
 }
 
 }  // namespace
