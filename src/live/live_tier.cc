@@ -109,6 +109,16 @@ Status LiveTier::Recover() {
       *wal_backend_, replay,
       [this](const WalRecord& record) { return ApplyReplayRecord(record); });
   if (!stats.ok()) return stats.status();
+  // Pages without a checkpoint header or a journal page among them are
+  // not a journal (a zeroed or foreign file, say): refuse them before
+  // the frees below and the writes after, which would start it over.
+  if (header.value().checkpoint_seq == 0 && stats.value().pages == 0 &&
+      wal_backend_->LivePageCount() > 0) {
+    return Status::InvalidArgument(
+        "not a live-tier journal: " +
+        std::to_string(wal_backend_->LivePageCount()) +
+        " pages hold neither a checkpoint header nor a journal page");
+  }
   recovered_ = std::move(stats).value();
   // Free the debris replay classified: torn tail pages, journal pages an
   // interrupted truncation left behind, shadow pages of a checkpoint that

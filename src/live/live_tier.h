@@ -79,8 +79,9 @@ static_assert(sizeof(LiveObservation) == 48);
 // the journal backend, syncs, commits a checkpoint header, and then frees
 // every journal page before the checkpoint and every page of the previous
 // checkpoint it did not inherit — so a checkpoint costs what changed,
-// and the file's page count stays bounded across arbitrarily long
-// streams (see live/checkpoint.h).
+// and the journal's log and metadata pages stay bounded across
+// arbitrarily long streams; the segment chain grows by a page per 78
+// migrated segments (see live/checkpoint.h).
 //
 // Thread safety: one readers-writer lock. Queries take it shared, so any
 // number of them run together (historical reads go through a sharded
@@ -91,7 +92,10 @@ static_assert(sizeof(LiveObservation) == 48);
 class LiveTier {
  public:
   // `wal_backend` holds the journal: freshly Create()d for a new tier, or
-  // re-Open()ed after a crash — Open replays it before returning.
+  // re-Open()ed after a crash — Open replays it before returning. A
+  // backend whose pages hold neither a checkpoint header nor a journal
+  // page is not a journal: Open refuses it (InvalidArgument) and leaves
+  // it as it found it.
   static Result<std::unique_ptr<LiveTier>> Open(
       LiveTierOptions options, std::unique_ptr<PageBackend> wal_backend);
 

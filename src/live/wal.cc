@@ -102,6 +102,13 @@ bool DeserializeRecord(PageReader* reader, WalRecord* out) {
   }
 }
 
+// True when `page`'s envelope checksum holds, whatever its kind.
+bool ChecksumHolds(const uint8_t* page) {
+  uint32_t stored = 0;
+  std::memcpy(&stored, page, sizeof(stored));
+  return stored == Crc32(page + sizeof(stored), kPageSize - sizeof(stored));
+}
+
 }  // namespace
 
 bool WalRecord::operator==(const WalRecord& o) const {
@@ -247,8 +254,8 @@ Result<WalReplayStats> ReplayWal(
 
   // Pass 1: classify every allocated data slot. A slot holds either a
   // valid journal page (keyed by its sequence) or debris — a torn tail,
-  // a page an interrupted truncation failed to free, or the shadow pages
-  // of a checkpoint that never committed.
+  // a page an interrupted truncation failed to free, the pages of a
+  // checkpoint that never committed or of one since superseded.
   struct Candidate {
     uint64_t seq = 0;
     PageId slot = 0;
@@ -265,7 +272,10 @@ Result<WalReplayStats> ReplayWal(
     Result<PageReader> payload =
         OpenPagePayload(page, PageKind::kWalPage, slot);
     if (!payload.ok()) {
-      stats.torn_tail = true;
+      // A sealed page of another kind is a slot the journal freed, such
+      // as a superseded checkpoint's metadata page, whose bytes a page
+      // file keeps; only a page that fails its checksum is torn.
+      if (!ChecksumHolds(page)) stats.torn_tail = true;
       stats.garbage.push_back(slot);
       continue;
     }

@@ -92,8 +92,8 @@ struct WalPageRef {
 
 // Hands out backend slots for the journal's data pages, lowest free slot
 // first, so truncation keeps the file's high-water mark bounded: freed
-// slots are recycled before the file grows. Rebuilt by a bitmap scan at
-// open (after recovery has freed all debris).
+// slots are recycled before the file grows. Rebuilt from the backend's
+// allocated slots at open (after recovery has freed all debris).
 class WalSlotAllocator {
  public:
   WalSlotAllocator() = default;
@@ -186,16 +186,20 @@ struct WalReplayOptions {
 struct WalReplayStats {
   uint64_t pages = 0;    // pages replayed cleanly
   uint64_t records = 0;  // records delivered to the callback
-  // True when an allocated slot held a page that failed its checksum or
-  // decoded short — the torn tail of a crashed append (or debris of an
-  // uncommitted checkpoint), treated as clean end of log.
+  // True when an allocated slot held a page that failed its checksum, or
+  // the last journal page decoded short — the torn tail of a crashed
+  // append, treated as clean end of log. A sealed page of another kind
+  // (a checkpoint's page, or a freed slot a page file keeps) is garbage
+  // but not a torn tail.
   bool torn_tail = false;
   uint64_t next_seq = 1;  // sequence for the continuing writer's next page
   // The replayed pages, ascending seq — the continuing writer's tail.
   std::vector<WalPageRef> tail;
   // Allocated slots that are not part of the log: torn pages, pages a
   // crashed truncation failed to free, segment/metadata pages of an
-  // uncommitted checkpoint. The caller frees them before building the allocator.
+  // uncommitted or superseded checkpoint, and journal pages the committed
+  // checkpoint covers. The caller frees them before building the
+  // allocator.
   std::vector<PageId> garbage;
 };
 
@@ -207,9 +211,9 @@ struct WalReplayStats {
 // log lost a committed page and replay fails with InvalidArgument
 // (never a silent truncation). Pages that fail their checksum or decode
 // short are debris (torn tail, crashed truncation or checkpoint) and
-// are reported in `garbage`; pages with seq < start_seq are already
-// covered by the checkpoint and join `garbage` too. A non-OK status
-// from `apply` aborts replay with that status.
+// are reported in `garbage`, as are sealed pages of other kinds and
+// pages with seq < start_seq, which the checkpoint already covers. A
+// non-OK status from `apply` aborts replay with that status.
 Result<WalReplayStats> ReplayWal(
     const PageBackend& backend, const WalReplayOptions& options,
     const std::function<Status(const WalRecord&)>& apply);

@@ -69,9 +69,7 @@ class FaultInjectingBackend : public PageBackend {
   // True once the crash trigger fired; everything fails from then on.
   bool crashed() const { return crashed_; }
 
-  // The wrapped backend, e.g. to Abandon() a FilePageBackend after a
-  // simulated crash so its destructor does not quietly sync the file the
-  // "dead process" never wrote.
+  // The wrapped backend, to inspect what a simulated crash left in it.
   PageBackend* wrapped() { return wrapped_.get(); }
 
  private:

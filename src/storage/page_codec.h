@@ -32,7 +32,8 @@ struct alignas(16) Page {
 // What a sealed page holds. Stored in the page envelope so a decoder can
 // reject a page of the wrong kind before looking at the payload.
 enum class PageKind : uint16_t {
-  kFileHeader = 1,  // FilePageBackend metadata page
+  kFileHeader = 1,  // reserved: page 0 of the previous page-file layout,
+                    // which FilePageBackend::Open refuses
   kRStarNode = 2,   // serialized RStarTree::Node
   kPprNode = 3,     // serialized PprTree::Node
   kTest = 4,        // reserved for unit tests

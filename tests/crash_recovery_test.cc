@@ -6,10 +6,11 @@
 // mutating backend call (page write / sync) along the way. The sweep then
 // repeats the run once per mutation site with FaultInjectingBackend's
 // crash trigger armed at that site: the call fails, every later call
-// fails too, and the file is Abandon()ed so the on-disk bytes are exactly
-// what a killed process leaves behind. Recovery reopens the file, replays
-// the WAL, re-ingests the unacknowledged tail (everything after the last
-// successful Commit), and finishes the stream.
+// fails too, and the file is closed, which syncs nothing, so the on-disk
+// bytes are exactly what a killed process leaves behind: every page
+// written before the crash, synced or not. Recovery reopens the file,
+// replays the WAL, re-ingests the unacknowledged tail (everything after
+// the last successful Commit), and finishes the stream.
 //
 // After every single crash point the recovered tier must be
 // indistinguishable from the never-crashed reference: byte-identical
@@ -174,7 +175,6 @@ TEST(CrashRecoveryTest, EveryWriteSiteRecoversToTheReferenceRun) {
     Result<std::unique_ptr<FilePageBackend>> file =
         FilePageBackend::Create(path);
     ASSERT_TRUE(file.ok()) << file.status().ToString();
-    FilePageBackend* raw_file = file.value().get();
     FaultInjectingBackend::Faults faults;
     faults.crash_at_write = crash_at;
     auto fault = std::make_unique<FaultInjectingBackend>(
@@ -212,9 +212,8 @@ TEST(CrashRecoveryTest, EveryWriteSiteRecoversToTheReferenceRun) {
       ++crashes_mid_stream;
     }
     ASSERT_TRUE(raw_fault->crashed());
-    // Close the fd without the destructor's sync backstop: the disk now
-    // holds exactly what the dead process managed to persist.
-    raw_file->Abandon();
+    // Closing the file syncs nothing: the disk now holds exactly what the
+    // dead process wrote.
     doomed.value().reset();
 
     // --- recovery -------------------------------------------------------
@@ -284,7 +283,6 @@ TEST(CrashRecoveryTest, RecoveredJournalSurvivesAnotherGeneration) {
   {
     Result<std::unique_ptr<FilePageBackend>> file = FilePageBackend::Open(path);
     ASSERT_TRUE(file.ok());
-    FilePageBackend* raw_file = file.value().get();
     FaultInjectingBackend::Faults faults;
     faults.crash_at_write = 7;
     auto fault = std::make_unique<FaultInjectingBackend>(
@@ -299,7 +297,6 @@ TEST(CrashRecoveryTest, RecoveredJournalSurvivesAnotherGeneration) {
         acked = i + 1;
       }
     }
-    raw_file->Abandon();
   }
   // Generation 3: recover again and run to the end.
   {
@@ -358,7 +355,6 @@ TEST(CrashRecoveryTest, CheckpointedCrashSweepRecoversAtEveryMutationSite) {
     Result<std::unique_ptr<FilePageBackend>> file =
         FilePageBackend::Create(path);
     ASSERT_TRUE(file.ok()) << file.status().ToString();
-    FilePageBackend* raw_file = file.value().get();
     FaultInjectingBackend::Faults faults;
     faults.crash_at_write = crash_at;
     auto fault = std::make_unique<FaultInjectingBackend>(
@@ -390,7 +386,6 @@ TEST(CrashRecoveryTest, CheckpointedCrashSweepRecoversAtEveryMutationSite) {
           << " never fired";
     }
     ASSERT_TRUE(raw_fault->crashed());
-    raw_file->Abandon();
     doomed.value().reset();
 
     Result<std::unique_ptr<FilePageBackend>> reopened =
@@ -423,9 +418,11 @@ TEST(CrashRecoveryTest, CheckpointedCrashSweepRecoversAtEveryMutationSite) {
 // A checkpoint header slot whose read fails is an I/O error naming the
 // slot, not a torn header: the slot may hold the newer checkpoint, and
 // recovering from the other slot — or from none — would replay a journal
-// that checkpoint already truncated. With one checkpoint the only header
-// is in slot 1; with two, slot 0 holds the newer one and is read first.
-// A later reopen without the fault recovers to the reference answers.
+// that checkpoint already truncated. Recovery reads slot 0, then slot 1;
+// the fault hits the newest header's read: with one checkpoint the only
+// header is in slot 1 (slot 0 was never written and reads as zeros), with
+// two, slot 0 holds the newer one. A later reopen without the fault
+// recovers to the reference answers.
 TEST(CrashRecoveryTest, UnreadableCheckpointHeaderSlotIsAnIoError) {
   const std::vector<LiveObservation> stream =
       MakeObservationStream(MakeObjects());
@@ -459,12 +456,12 @@ TEST(CrashRecoveryTest, UnreadableCheckpointHeaderSlotIsAnIoError) {
       ASSERT_EQ(tier.value()->checkpoint_seq(), checkpoints);
     }
 
-    const std::string slot =
-        "checkpoint header slot " + std::to_string(checkpoints % 2);
+    const uint64_t newest = checkpoints % 2;
+    const std::string slot = "checkpoint header slot " + std::to_string(newest);
     for (const bool short_read : {false, true}) {
       SCOPED_TRACE(short_read ? "short read" : "failed read");
       FaultInjectingBackend::Faults faults;
-      (short_read ? faults.short_read_at : faults.fail_read_at) = 1;
+      (short_read ? faults.short_read_at : faults.fail_read_at) = newest + 1;
       Result<std::unique_ptr<FilePageBackend>> file =
           FilePageBackend::Open(path);
       ASSERT_TRUE(file.ok()) << file.status().ToString();

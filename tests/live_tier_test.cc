@@ -1167,6 +1167,83 @@ TEST(LiveTierTest, CheckpointTruncatesJournalAndReopensFromIt) {
   }
 }
 
+// A page file keeps the bytes of the slots the journal freed: a reopen
+// after two checkpoints finds the first one's metadata pages and the
+// journal pages the checkpoints covered still in the file. Recovery frees
+// them as garbage, but they are sealed pages, not a torn tail.
+TEST(LiveTierTest, FreedSlotsOfAFileJournalAreGarbageNotATornTail) {
+  const std::vector<LiveObservation> stream =
+      MakeObservationStream(SmallDataset(37));
+  const TempPath path("live_freed.stpages");
+  {
+    Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Create(path);
+    ASSERT_TRUE(wal.ok());
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(SmallTierOptions(), std::move(wal).value());
+    ASSERT_TRUE(tier.ok());
+    for (size_t i = 0; i < stream.size(); ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+      if (i + 1 == stream.size() / 2 || i + 1 == stream.size()) {
+        ASSERT_TRUE(tier.value()->Commit().ok());
+        ASSERT_TRUE(tier.value()->Checkpoint().ok());
+      }
+    }
+    ASSERT_EQ(tier.value()->checkpoint_seq(), 2u);
+  }
+
+  Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(path);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  Result<std::unique_ptr<LiveTier>> tier =
+      LiveTier::Open(SmallTierOptions(), std::move(wal).value());
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+  EXPECT_EQ(tier.value()->checkpoint_seq(), 2u);
+  EXPECT_FALSE(tier.value()->recovered().torn_tail);
+  EXPECT_FALSE(tier.value()->recovered().garbage.empty());
+}
+
+std::string FileBytes(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char chunk[4096];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    bytes.append(chunk, n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+// A file of whole pages that holds neither a checkpoint header nor a
+// journal page is not a journal: Open refuses it, and leaves every byte
+// as it was instead of freeing its pages and starting a journal over
+// them.
+TEST(LiveTierTest, OpenRefusesAFileThatIsNotAJournal) {
+  Rng rng(53);
+  for (const bool random : {false, true}) {
+    SCOPED_TRACE(random ? "random bytes" : "zero-filled");
+    const TempPath path("not_a_journal.stpages");
+    std::string bytes(8 * kPageSize, '\0');
+    if (random) {
+      for (char& byte : bytes) byte = static_cast<char>(rng.Next());
+    }
+    std::FILE* f = std::fopen(path.path().c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    ASSERT_EQ(std::fclose(f), 0);
+
+    Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(path);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    const Result<std::unique_ptr<LiveTier>> refused =
+        LiveTier::Open(SmallTierOptions(), std::move(wal).value());
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(Mentions(refused.status(), "not a live-tier journal: 8 pages"))
+        << refused.status().ToString();
+    EXPECT_TRUE(FileBytes(path) == bytes) << "the file changed";
+  }
+}
+
 // A second checkpoint writes what changed since the first — the new
 // segments, from the partial last page of the chain on, and the metadata
 // — and inherits every full segment page; a reopen from it answers like

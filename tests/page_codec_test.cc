@@ -623,11 +623,11 @@ TEST(PinnedWalkOrderTest, QueriesFetchTheSamePagesInTheSameOrder) {
             0x4c9f1b1777c8d9a5ull);
 }
 
-// --- FilePageBackend open-time validation ---
+// --- FilePageBackend: a file of whole pages and nothing else ---
 
 class FileBackendValidationTest : public ::testing::Test {
  protected:
-  // A valid two-page file to corrupt, created fresh per test.
+  // A valid two-page file, created fresh per test.
   void SetUp() override {
     Result<std::unique_ptr<FilePageBackend>> backend =
         FilePageBackend::Create(path_);
@@ -663,76 +663,77 @@ TEST_F(FileBackendValidationTest, RoundTripReopens) {
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
-TEST_F(FileBackendValidationTest, WrongMagicRejected) {
-  const uint64_t garbage = 0x1122334455667788ull;
-  Poke(kPageEnvelopeBytes, &garbage, sizeof(garbage));
+TEST_F(FileBackendValidationTest, MissingFileIsNotFound) {
+  const TempPath missing("codec_validation_missing.stpages");
+  const Result<std::unique_ptr<FilePageBackend>> backend =
+      FilePageBackend::Open(missing);
+  ASSERT_FALSE(backend.ok());
+  EXPECT_EQ(backend.status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(Contains(backend.status().message(), missing.path()))
+      << backend.status().ToString();
+}
+
+// There is no slot cap: a page far past the 131,072 slots the previous
+// layout's allocation bitmap could address survives a close and reopen.
+// The file is sparse, so this costs two pages of disk.
+TEST_F(FileBackendValidationTest, PageFarPastTheOldSlotCapSurvivesReopen) {
+  constexpr PageId kFar = 200000;
+  const std::array<uint8_t, kPageSize> page = SealedTestPage(kFar);
+  {
+    Result<std::unique_ptr<FilePageBackend>> backend =
+        FilePageBackend::Open(path_);
+    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+    const Status written = backend.value()->Write(kFar, page.data());
+    ASSERT_TRUE(written.ok()) << written.ToString();
+    ASSERT_TRUE(backend.value()->Sync().ok());
+  }
+  Result<std::unique_ptr<FilePageBackend>> backend =
+      FilePageBackend::Open(path_);
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  EXPECT_EQ(backend.value()->SlotCount(), size_t{kFar} + 1);
+  std::array<uint8_t, kPageSize> read{};
+  ASSERT_TRUE(backend.value()->Read(kFar, read.data()).ok());
+  EXPECT_EQ(read, page);
+}
+
+TEST_F(FileBackendValidationTest, FileThatIsNotWholePagesRejected) {
+  ASSERT_EQ(::truncate(path_.c_str(), 100), 0);
   const Status status = OpenStatus();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(Contains(status.message(), "not a stindex page file"))
+  EXPECT_TRUE(Contains(status.message(), path_)) << status.ToString();
+  EXPECT_TRUE(Contains(status.message(),
+                       "100 bytes is not a whole number of 4096-byte pages"))
       << status.ToString();
 }
 
-TEST_F(FileBackendValidationTest, FlippedHeaderByteRejectedByChecksum) {
-  // Past the magic, inside the sealed header payload.
-  const uint8_t garbage = 0xa5;
-  Poke(kPageEnvelopeBytes + 16, &garbage, 1);
-  const Status status = OpenStatus();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(Contains(status.message(), "corrupt header"))
-      << status.ToString();
-}
-
-TEST_F(FileBackendValidationTest, VersionSkewRejected) {
-  // Rewrite the header with a bumped format version and a valid seal, so
-  // the version check itself must fire.
+TEST_F(FileBackendValidationTest, PreviousLayoutRejected) {
+  // Page 0 of the previous layout: a sealed header (magic, format
+  // version, page size, bitmap pages, slot and live counts) in front of
+  // an allocation bitmap.
   std::array<uint8_t, kPageSize> header{};
   PageWriter writer = PayloadWriter(header.data());
-  writer.Write(kFilePageMagic);
-  writer.Write<uint32_t>(kFileFormatVersion + 1);
+  writer.Write<uint64_t>(0x53544e4458504701ull);
+  writer.Write<uint32_t>(1);
   writer.Write<uint64_t>(kPageSize);
-  writer.Write<uint64_t>(4);  // bitmap_pages
-  writer.Write<uint64_t>(2);  // slot_count
-  writer.Write<uint64_t>(2);  // live_count
+  writer.Write<uint64_t>(4);
+  writer.Write<uint64_t>(2);
+  writer.Write<uint64_t>(2);
   SealPage(header.data(), PageKind::kFileHeader);
   Poke(0, header.data(), header.size());
   const Status status = OpenStatus();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(Contains(status.message(), "unsupported format version"))
-      << status.ToString();
-}
-
-TEST_F(FileBackendValidationTest, TruncatedFileRejected) {
-  std::FILE* f = std::fopen(path_.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
-  const long full = std::ftell(f);
-  ASSERT_EQ(std::fclose(f), 0);
-  // Chop off the last data page; the header still promises two slots.
-  ASSERT_EQ(::truncate(path_.c_str(), full - static_cast<long>(kPageSize)), 0);
-  const Status status = OpenStatus();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(Contains(status.message(), "truncated page file"))
-      << status.ToString();
-}
-
-TEST_F(FileBackendValidationTest, FileShorterThanHeaderRejected) {
-  ASSERT_EQ(::truncate(path_.c_str(), 100), 0);
-  const Status status = OpenStatus();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(Contains(status.message(), "truncated page file"))
+  EXPECT_TRUE(Contains(status.message(), path_)) << status.ToString();
+  EXPECT_TRUE(Contains(status.message(), "previous layout"))
       << status.ToString();
 }
 
 TEST_F(FileBackendValidationTest, CorruptDataPageRejectedAtRead) {
-  // Data-page corruption is not an Open error (Open only validates
-  // metadata); it must surface when the page is decoded.
+  // Page corruption is not an Open error (the file holds only pages); it
+  // must surface when the page is decoded.
   const uint8_t garbage = 0xff;
-  Poke(static_cast<long>((1 + 4 + 1) * kPageSize) + 200, &garbage, 1);
+  Poke(static_cast<long>(kPageSize) + 200, &garbage, 1);
   Result<std::unique_ptr<FilePageBackend>> backend =
       FilePageBackend::Open(path_);
   ASSERT_TRUE(backend.ok()) << backend.status().ToString();

@@ -8,14 +8,12 @@
 // header slot).
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "storage/fault_backend.h"
-#include "storage/file_backend.h"
 #include "storage/page_backend.h"
 #include "storage/page_codec.h"
 #include "storage/shared_buffer_pool.h"
@@ -191,45 +189,6 @@ TEST(FaultBackendTest, CrashOnFirstMutationKillsEverything) {
   EXPECT_TRUE(backend->crashed());
   uint8_t buffer[kPageSize];
   EXPECT_EQ(backend->Read(0, buffer).code(), StatusCode::kIoError);
-}
-
-TEST(FaultBackendTest, AbandonedFileKeepsOnlySyncedState) {
-  const std::string path =
-      ::testing::TempDir() + "/fault_abandon.stpages";
-  Result<std::unique_ptr<FilePageBackend>> created =
-      FilePageBackend::Create(path);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  std::unique_ptr<FilePageBackend> file = std::move(created).value();
-
-  uint8_t buffer[kPageSize];
-  SealTestPage(1, buffer);
-  ASSERT_TRUE(file->Write(0, buffer).ok());
-  ASSERT_TRUE(file->Sync().ok());  // page 0 and its bitmap are durable
-  SealTestPage(2, buffer);
-  ASSERT_TRUE(file->Write(1, buffer).ok());  // never synced
-
-  // Abandon closes the fd without the destructor's sync backstop — the
-  // file now holds exactly what a killed process left behind — and every
-  // later call must fail instead of quietly reviving the backend.
-  file->Abandon();
-  EXPECT_EQ(file->Write(2, buffer).code(), StatusCode::kIoError);
-  EXPECT_EQ(file->Sync().code(), StatusCode::kIoError);
-  EXPECT_EQ(file->Read(0, buffer).code(), StatusCode::kIoError);
-  file.reset();
-
-  // Reopen: the synced page is visible; the unsynced write is not
-  // allocated because its bitmap update died with the process.
-  Result<std::unique_ptr<FilePageBackend>> reopened =
-      FilePageBackend::Open(path);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_TRUE(reopened.value()->IsAllocated(0));
-  EXPECT_FALSE(reopened.value()->IsAllocated(1));
-  ASSERT_TRUE(reopened.value()->Read(0, buffer).ok());
-  const Status checked = TestCodec().Check(buffer, 0);
-  ASSERT_TRUE(checked.ok()) << checked.ToString();
-  EXPECT_EQ(ValueOf(buffer), 1u);
-
-  std::remove(path.c_str());
 }
 
 TEST(FaultBackendTest, WriteFaultDoesNotCorruptOtherPages) {

@@ -556,9 +556,11 @@ int CmdQuery(Flags& flags) {
 
 // Streams a trajectory dataset through the crash-safe live ingestion
 // tier, journaling onto a page file under --db. The WAL is opened if it
-// already exists (recovery) and created otherwise, and absorbed updates
-// are detected and skipped — so re-running the same ingest after a crash
-// or a completed run is idempotent and converges to the same index.
+// already exists (recovery) and created only if no file is there, and
+// absorbed updates are detected and skipped — so re-running the same
+// ingest after a crash or a completed run is idempotent and converges to
+// the same index. A file there that is not a journal is an error, and is
+// left as it is.
 // --capacity/--duration/--buffer mirror LIT's -c/-d/-b sealing knobs.
 int CmdIngest(Flags& flags) {
   const std::string in = flags.Require("in");
@@ -579,12 +581,17 @@ int CmdIngest(Flags& flags) {
   const std::string wal_path = db + "/live_wal.stpages";
   Result<std::unique_ptr<FilePageBackend>> wal = FilePageBackend::Open(wal_path);
   const bool resumed = wal.ok();
-  if (!resumed) wal = FilePageBackend::Create(wal_path);
+  if (wal.status().code() == StatusCode::kNotFound) {
+    wal = FilePageBackend::Create(wal_path);
+  }
   if (!wal.ok()) Die(wal.status());
 
   Result<std::unique_ptr<LiveTier>> tier =
       LiveTier::Open(options, std::move(wal).value());
-  if (!tier.ok()) Die(tier.status());
+  if (!tier.ok()) {
+    Die(Status(tier.status().code(),
+               wal_path + ": " + tier.status().message()));
+  }
   if (resumed) {
     std::printf("recovered %llu journal records (%llu pages) from %s\n",
                 static_cast<unsigned long long>(
