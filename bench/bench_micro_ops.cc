@@ -402,7 +402,7 @@ void BM_LiveTierRecover(benchmark::State& state) {
                      std::chrono::steady_clock::now() - start)
                      .count());
     replayed = tier.value()->recovered().pages;
-    nodes = tier.value()->historical().NodeCount();
+    nodes = tier.value()->historical().PageCount();
     state.PauseTiming();
     tier.value().reset();
     state.ResumeTiming();

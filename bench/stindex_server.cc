@@ -332,6 +332,8 @@ std::unique_ptr<HttpExpositionServer> StartExposition(
       json->Key("pages").Uint(t.wal_pages);
       json->Key("tail_pages").Uint(t.wal_tail_pages);
       json->Key("commits").Uint(t.wal_commits);
+      json->Key("slots").Uint(t.wal_slots);
+      json->Key("free_slots").Uint(t.wal_free_slots);
       json->Key("checkpoint_seq").Uint(t.checkpoint_seq);
       json->Key("seconds_since_checkpoint")
           .Double(t.seconds_since_checkpoint);

@@ -28,13 +28,6 @@ bool Box3D::Intersects(const Box3D& b) const {
   return true;
 }
 
-bool Box3D::Contains(const Box3D& b) const {
-  for (int d = 0; d < 3; ++d) {
-    if (b.lo[d] < lo[d] || b.hi[d] > hi[d]) return false;
-  }
-  return true;
-}
-
 double Box3D::OverlapVolume(const Box3D& b) const {
   double volume = 1.0;
   for (int d = 0; d < 3; ++d) {

@@ -42,7 +42,6 @@ struct Box3D {
   double Margin() const;
 
   bool Intersects(const Box3D& b) const;
-  bool Contains(const Box3D& b) const;
   double OverlapVolume(const Box3D& b) const;
 
   Box3D Union(const Box3D& b) const;

@@ -91,7 +91,7 @@ class HrTree {
 
   size_t Size() const { return size_; }
   size_t AliveCount() const { return alive_entry_.size(); }
-  size_t PageCount() const { return pages_.source().LivePageCount(); }
+  size_t PageCount() const { return pages_.source().SlotCount(); }
   size_t NumVersions() const;
 
   // I/O statistics of the tree's own query session (the query overloads

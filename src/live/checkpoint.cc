@@ -36,8 +36,7 @@ std::string Named(const CheckpointHeader& header) {
 
 bool HoldsPage(const PageBackend& backend, PageId slot) {
   return slot != kInvalidPage &&
-         static_cast<size_t>(slot) < backend.SlotCount() &&
-         backend.IsAllocated(slot);
+         static_cast<size_t>(slot) < backend.SlotCount();
 }
 
 }  // namespace
@@ -292,7 +291,7 @@ Status ReadSegmentChain(const PageBackend& backend,
           Named(header) + ": segment page " + std::to_string(index) +
           " in slot " + std::to_string(slot) + " is " + what);
     };
-    if (!HoldsPage(backend, slot)) return page_error("not allocated");
+    if (!HoldsPage(backend, slot)) return page_error("past the journal's end");
     Status status = backend.Read(slot, page);
     if (!status.ok()) return status;
     Result<PageReader> payload =

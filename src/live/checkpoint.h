@@ -52,9 +52,9 @@ namespace stindex {
 // points at complete, durable state, and a crash before the header
 // leaves the previous checkpoint intact. Once the header commits, the
 // previous checkpoint's slots that the new one did not inherit are
-// freed: its metadata chain and a re-sealed segment tail page.
-// Everything a failed checkpoint left behind is unreferenced debris that
-// recovery frees.
+// released to the slot allocator: its metadata chain and a re-sealed
+// segment tail page. Everything a failed checkpoint left behind is
+// unreferenced debris, whose slots recovery's allocator holds free.
 //
 // The segment chain. Page k, a kSegmentPage, holds segments
 // [k * kSegmentsPerPage, (k + 1) * kSegmentsPerPage), so every page but
@@ -73,8 +73,8 @@ namespace stindex {
 // chain, every frozen layer's snapshot file, and the segment chain from
 // its last page back, decoding each page straight into its place in the
 // segment table; then it replays the active tree. The checkpoint owns
-// every slot it references, inherited or fresh; every other allocated
-// slot is journal tail or debris.
+// every slot it references, inherited or fresh; every other data slot is
+// journal tail or debris.
 
 // The checkpoint layout this build writes and reads. Layout 1, which
 // carried the segment table in the metadata stream, had no layout field

@@ -97,13 +97,15 @@ Status LiveTier::Recover() {
       ReadLatestCheckpointHeader(*wal_backend_);
   if (!header.ok()) return header.status();
   WalReplayOptions replay;
+  // The data slots the journal still uses: the committed checkpoint's
+  // chains, then the replayed tail.
+  std::vector<PageId> used;
   if (header.value().checkpoint_seq > 0) {
-    std::vector<PageId> owned;
-    Status status = RestoreFromCheckpoint(header.value(), &owned);
+    Status status = RestoreFromCheckpoint(header.value(), &used);
     if (!status.ok()) return status;
     checkpoint_seq_ = header.value().checkpoint_seq;
     replay.start_seq = header.value().wal_start_seq;
-    replay.owned.insert(owned.begin(), owned.end());
+    replay.owned.insert(used.begin(), used.end());
   }
   Result<WalReplayStats> stats = ReplayWal(
       *wal_backend_, replay,
@@ -111,24 +113,20 @@ Status LiveTier::Recover() {
   if (!stats.ok()) return stats.status();
   // Pages without a checkpoint header or a journal page among them are
   // not a journal (a zeroed or foreign file, say): refuse them before
-  // the frees below and the writes after, which would start it over.
+  // the writes after, which would start it over.
   if (header.value().checkpoint_seq == 0 && stats.value().pages == 0 &&
-      wal_backend_->LivePageCount() > 0) {
+      wal_backend_->SlotCount() > 0) {
     return Status::InvalidArgument(
         "not a live-tier journal: " +
-        std::to_string(wal_backend_->LivePageCount()) +
+        std::to_string(wal_backend_->SlotCount()) +
         " pages hold neither a checkpoint header nor a journal page");
   }
   recovered_ = std::move(stats).value();
-  // Free the debris replay classified: torn tail pages, journal pages an
-  // interrupted truncation left behind, shadow pages of a checkpoint that
-  // never committed. They are unreferenced — reclaiming them here is what
-  // keeps crash loops from leaking slots.
-  for (PageId slot : recovered_.garbage) {
-    Status status = wal_backend_->Free(slot);
-    if (!status.ok()) return status;
-  }
-  slots_ = WalSlotAllocator(*wal_backend_);
+  // Every other data slot — the debris replay classified, the pages
+  // truncation released — is free, which is what keeps crash loops from
+  // leaking slots.
+  for (const WalPageRef& page : recovered_.tail) used.push_back(page.slot);
+  slots_ = WalSlotAllocator(wal_backend_->SlotCount(), used);
   writer_ = std::make_unique<WalWriter>(wal_backend_.get(), &slots_,
                                         recovered_.next_seq, recovered_.tail);
   // Seals directly follow their trigger in the log, so only the very tail
@@ -511,19 +509,13 @@ Status LiveTier::CheckpointLocked() {
   status = wal_backend_->Sync();
   if (!status.ok()) return Latch(status);
 
-  // 6. Truncate: the journal prefix the checkpoint absorbed, and the
-  //    previous checkpoint's slots this one did not inherit. A crash
-  //    mid-truncation is safe — recovery frees whatever this loop did
-  //    not.
-  size_t freed = 0;
-  status = writer_->TruncateBefore(wal_start_seq, &freed);
-  if (!status.ok()) return Latch(status);
-  for (PageId slot : superseded_slots_) {
-    status = wal_backend_->Free(slot);
-    if (!status.ok()) return Latch(status);
-    slots_.Release(slot);
-    ++freed;
-  }
+  // 6. Truncate: release the journal prefix the checkpoint absorbed, and
+  //    the previous checkpoint's slots this one did not inherit, to the
+  //    allocator. Nothing is written: recovery derives the same free
+  //    slots from the committed header.
+  size_t freed = writer_->TruncateBefore(wal_start_seq);
+  for (PageId slot : superseded_slots_) slots_.Release(slot);
+  freed += superseded_slots_.size();
   Metrics().truncated_pages->Add(superseded_slots_.size());
   // The next checkpoint rewrites the metadata.
   superseded_slots_ = std::move(meta_slots);
@@ -558,7 +550,7 @@ Status LiveTier::PackHistorical(const std::string& path) {
     }
   }
   TraceSpan span("live", "pack_historical");
-  span.Arg("pages", static_cast<int64_t>(tree_->NodeCount()));
+  span.Arg("pages", static_cast<int64_t>(tree_->PageCount()));
   // The shared pool borrows the arena a successful pack releases; drop
   // it first and rebuild it below.
   pool_.reset();
@@ -695,6 +687,8 @@ LiveTier::Telemetry LiveTier::GetTelemetry() const {
   telemetry.wal_pages = writer_->pages_written();
   telemetry.wal_tail_pages = writer_->tail_pages();
   telemetry.wal_commits = writer_->commits();
+  telemetry.wal_slots = wal_backend_->SlotCount();
+  telemetry.wal_free_slots = slots_.free_slots();
   telemetry.checkpoint_seq = checkpoint_seq_;
   telemetry.seconds_since_checkpoint =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -780,6 +774,10 @@ void LiveTier::PublishGauges() const {
       ->Set(static_cast<int64_t>(writer_->commits()));
   registry.GetGauge("live.wal.checkpoint_seq")
       ->Set(static_cast<int64_t>(checkpoint_seq_));
+  registry.GetGauge("live.wal.slots")
+      ->Set(static_cast<int64_t>(wal_backend_->SlotCount()));
+  registry.GetGauge("live.wal.free_slots")
+      ->Set(static_cast<int64_t>(slots_.free_slots()));
   // How far the migration watermark trails the newest observed instant —
   // stream ticks, not wall time, so the gauge is deterministic.
   registry.GetGauge("live.watermark_lag")

@@ -76,12 +76,15 @@ static_assert(sizeof(LiveObservation) == 48);
 // previous checkpoint and the layering/pipeline/index state — naming
 // each frozen layer's snapshot file rather than copying it, and the
 // active tree by the two pipeline watermarks it is replayed from — into
-// the journal backend, syncs, commits a checkpoint header, and then frees
-// every journal page before the checkpoint and every page of the previous
-// checkpoint it did not inherit — so a checkpoint costs what changed,
-// and the journal's log and metadata pages stay bounded across
-// arbitrarily long streams; the segment chain grows by a page per 78
-// migrated segments (see live/checkpoint.h).
+// the journal backend, syncs, commits a checkpoint header, and then
+// releases to its slot allocator every journal page before the
+// checkpoint and every page of the previous checkpoint it did not
+// inherit — so a checkpoint costs what changed, and the journal's log
+// and metadata pages stay bounded across arbitrarily long streams; the
+// segment chain grows by a page per 78 migrated segments (see
+// live/checkpoint.h). The backend frees nothing: the allocator is the
+// one record of free slots, and recovery rebuilds it from the committed
+// checkpoint's chains and the replayed tail.
 //
 // Thread safety: one readers-writer lock. Queries take it shared, so any
 // number of them run together (historical reads go through a sharded
@@ -195,6 +198,10 @@ class LiveTier {
     uint64_t wal_pages = 0;
     uint64_t wal_tail_pages = 0;
     uint64_t wal_commits = 0;
+    // The journal's size in slots (its high-water mark) and how many of
+    // them the slot allocator holds free.
+    uint64_t wal_slots = 0;
+    uint64_t wal_free_slots = 0;
     uint64_t checkpoint_seq = 0;
     double seconds_since_checkpoint = 0.0;  // since Open when none yet
     size_t live_objects = 0;
@@ -218,7 +225,8 @@ class LiveTier {
 
   // Publishes the tier's deterministic state gauges (live.objects,
   // live.pending_events, live.frozen_layers, live.segments and the
-  // segment table's bytes, live.wal.*, watermark lag)
+  // segment table's bytes, live.wal.* with the journal's slots and free
+  // slots, watermark lag)
   // to the global registry and flushes the shared pools' counter deltas.
   // Deterministic inputs only — no wall-clock or occupancy readings — so
   // bench reports that dump the registry stay byte-identical.
@@ -228,8 +236,9 @@ class LiveTier {
   LiveTier(LiveTierOptions options, std::unique_ptr<PageBackend> wal_backend);
 
   // Loads the latest committed checkpoint (if any), replays the journal
-  // tail past it, frees debris and seals anything whose seal record was
-  // lost with the log's tail.
+  // tail past it, rebuilds the slot allocator from the slots those two
+  // use and seals anything whose seal record was lost with the log's
+  // tail.
   Status Recover();
   Status RestoreFromCheckpoint(const CheckpointHeader& header,
                                std::vector<PageId>* owned_slots);
@@ -276,7 +285,7 @@ class LiveTier {
   WalReplayStats recovered_;
   // The committed checkpoint: its sequence (0 = none yet), its segment
   // chain, and the slots it owns that the next checkpoint does not
-  // inherit, freed once that one commits: its metadata chain, joined
+  // inherit, released once that one commits: its metadata chain, joined
   // while the next checkpoint writes by a re-sealed last segment page.
   uint64_t checkpoint_seq_ = 0;
   SegmentChain segment_chain_;

@@ -127,33 +127,29 @@ bool WalRecord::operator==(const WalRecord& o) const {
   return false;
 }
 
-WalSlotAllocator::WalSlotAllocator(const PageBackend& backend) {
-  for (PageId slot = kWalFirstDataSlot;
-       slot < static_cast<PageId>(backend.SlotCount()); ++slot) {
-    if (backend.IsAllocated(slot)) {
-      frontier_ = slot + 1;
-    }
-  }
-  // Holes below the frontier are free.
+WalSlotAllocator::WalSlotAllocator(size_t slot_count,
+                                   const std::vector<PageId>& taken) {
+  const std::set<PageId> used(taken.begin(), taken.end());
+  STINDEX_DCHECK(used.empty() || *used.rbegin() < slot_count);
+  frontier_ = static_cast<PageId>(
+      std::max<size_t>(kWalFirstDataSlot, slot_count));
   for (PageId slot = kWalFirstDataSlot; slot < frontier_; ++slot) {
-    if (!backend.IsAllocated(slot)) Release(slot);
+    if (used.count(slot) == 0) free_.insert(free_.end(), slot);
   }
 }
 
 PageId WalSlotAllocator::Acquire() {
-  if (!free_.empty()) {
-    std::pop_heap(free_.begin(), free_.end(), std::greater<PageId>());
-    const PageId slot = free_.back();
-    free_.pop_back();
-    return slot;
-  }
-  return frontier_++;
+  if (free_.empty()) return frontier_++;
+  const PageId slot = *free_.begin();
+  free_.erase(free_.begin());
+  return slot;
 }
 
 void WalSlotAllocator::Release(PageId slot) {
-  STINDEX_CHECK(slot >= kWalFirstDataSlot && slot < frontier_);
-  free_.push_back(slot);
-  std::push_heap(free_.begin(), free_.end(), std::greater<PageId>());
+  STINDEX_CHECK_MSG(slot >= kWalFirstDataSlot && slot < frontier_,
+                    "release of a journal slot never handed out");
+  STINDEX_CHECK_MSG(free_.insert(slot).second,
+                    "double release of a journal slot");
 }
 
 WalWriter::WalWriter(PageBackend* backend, WalSlotAllocator* slots,
@@ -224,25 +220,15 @@ Status WalWriter::Commit() {
   return Status::OK();
 }
 
-Status WalWriter::TruncateBefore(uint64_t seq, size_t* freed) {
-  *freed = 0;
-  // tail_ is ascending by seq, so the pages to free are a prefix. Freeing
-  // before erasing keeps a crash mid-loop recoverable: replay treats an
-  // already-freed prefix page as covered by the checkpoint, and a
-  // not-yet-freed one as stale garbage it frees itself.
+size_t WalWriter::TruncateBefore(uint64_t seq) {
+  // tail_ is ascending by seq, so the pages to release are a prefix.
   size_t cut = 0;
   for (; cut < tail_.size() && tail_[cut].seq < seq; ++cut) {
-    Status status = backend_->Free(tail_[cut].slot);
-    if (!status.ok()) {
-      tail_.erase(tail_.begin(), tail_.begin() + static_cast<long>(cut));
-      return status;
-    }
     slots_->Release(tail_[cut].slot);
-    ++*freed;
   }
   tail_.erase(tail_.begin(), tail_.begin() + static_cast<long>(cut));
-  Metrics().truncated_pages->Add(*freed);
-  return Status::OK();
+  Metrics().truncated_pages->Add(cut);
+  return cut;
 }
 
 Result<WalReplayStats> ReplayWal(
@@ -252,10 +238,11 @@ Result<WalReplayStats> ReplayWal(
   WalReplayStats stats;
   stats.next_seq = options.start_seq;
 
-  // Pass 1: classify every allocated data slot. A slot holds either a
-  // valid journal page (keyed by its sequence) or debris — a torn tail,
-  // a page an interrupted truncation failed to free, the pages of a
-  // checkpoint that never committed or of one since superseded.
+  // Pass 1: classify every data slot the checkpoint does not own. A slot
+  // holds either a valid journal page (keyed by its sequence) or debris —
+  // a torn tail, a never-written slot, a journal page a checkpoint
+  // covers, the pages of a checkpoint that never committed or of one
+  // since superseded.
   struct Candidate {
     uint64_t seq = 0;
     PageId slot = 0;
@@ -266,15 +253,16 @@ Result<WalReplayStats> ReplayWal(
   uint8_t page[kPageSize];
   for (PageId slot = kWalFirstDataSlot;
        slot < static_cast<PageId>(backend.SlotCount()); ++slot) {
-    if (!backend.IsAllocated(slot) || options.owned.count(slot) != 0) continue;
+    if (options.owned.count(slot) != 0) continue;
     Status status = backend.Read(slot, page);
     if (!status.ok()) return status;  // environment failure, not corruption
     Result<PageReader> payload =
         OpenPagePayload(page, PageKind::kWalPage, slot);
     if (!payload.ok()) {
-      // A sealed page of another kind is a slot the journal freed, such
-      // as a superseded checkpoint's metadata page, whose bytes a page
-      // file keeps; only a page that fails its checksum is torn.
+      // A sealed page of another kind is a slot the journal released,
+      // such as a superseded checkpoint's metadata page, whose bytes
+      // stay until the slot is reused; only a page that fails its
+      // checksum is torn.
       if (!ChecksumHolds(page)) stats.torn_tail = true;
       stats.garbage.push_back(slot);
       continue;
@@ -311,8 +299,7 @@ Result<WalReplayStats> ReplayWal(
     }
     candidate.malformed = !well_formed;
     if (candidate.seq < options.start_seq) {
-      // Covered by the committed checkpoint; an interrupted truncation
-      // left it behind.
+      // Covered by the committed checkpoint, which released its slot.
       stats.garbage.push_back(slot);
       continue;
     }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -83,29 +84,38 @@ struct WalRecord {
 inline constexpr PageId kWalFirstDataSlot = 2;
 
 // A flushed journal page: its position in the logical log (`seq`) and
-// the backend slot holding it. Truncation frees slots, so consecutive
+// the backend slot holding it. Truncation releases slots, so consecutive
 // sequence numbers need not sit in consecutive slots.
 struct WalPageRef {
   uint64_t seq = 0;
   PageId slot = 0;
 };
 
-// Hands out backend slots for the journal's data pages, lowest free slot
-// first, so truncation keeps the file's high-water mark bounded: freed
-// slots are recycled before the file grows. Rebuilt from the backend's
-// allocated slots at open (after recovery has freed all debris).
+// The one record of which journal data slots are free: the backend only
+// stores pages, and a released slot keeps its bytes until a later write
+// reuses it. Hands out the lowest free slot first, so truncation keeps
+// the file's high-water mark bounded — released slots are recycled
+// before the file grows — and a given sequence of acquires and releases
+// always writes the same slots. Rebuilt at open from the slots the
+// journal still needs (LiveTier::Recover).
 class WalSlotAllocator {
  public:
   WalSlotAllocator() = default;
-  // Every allocated slot >= kWalFirstDataSlot is considered taken.
-  explicit WalSlotAllocator(const PageBackend& backend);
+  // The allocator of a journal of `slot_count` slots: every slot in
+  // `taken` (each below `slot_count`) is in use, every other data slot
+  // below `slot_count` is free.
+  WalSlotAllocator(size_t slot_count, const std::vector<PageId>& taken);
 
   PageId Acquire();
+  // Returns `slot` to the free slots. Releasing a slot that was never
+  // handed out, or one already free, is a checked error.
   void Release(PageId slot);
 
+  // Data slots below the journal's high-water mark held free.
+  size_t free_slots() const { return free_.size(); }
+
  private:
-  // Min-heap of released slots below frontier_.
-  std::vector<PageId> free_;
+  std::set<PageId> free_;  // released slots below frontier_
   PageId frontier_ = kWalFirstDataSlot;
 };
 
@@ -115,7 +125,7 @@ class WalSlotAllocator {
 // number of its position in the logical log; slots come from the
 // allocator. Committed pages are never rewritten, so the durable log is
 // always a record-sequence prefix of the logical log — the invariant
-// recovery builds on. TruncateBefore frees the prefix a committed
+// recovery builds on. TruncateBefore releases the prefix a committed
 // checkpoint has made redundant.
 //
 // Durability contract: a record is durable iff a Commit() issued after
@@ -126,7 +136,7 @@ class WalWriter {
   // `next_seq` is the sequence of the next page to flush — 1 for a fresh
   // log, or WalReplayStats::next_seq to continue a replayed one. `tail`
   // is the replayed log's live pages (WalReplayStats::tail), which
-  // TruncateBefore frees when a later checkpoint covers them.
+  // TruncateBefore releases when a later checkpoint covers them.
   WalWriter(PageBackend* backend, WalSlotAllocator* slots, uint64_t next_seq,
             std::vector<WalPageRef> tail = {});
 
@@ -146,10 +156,11 @@ class WalWriter {
   // last Commit.
   Status Commit();
 
-  // Frees every flushed page with sequence < `seq` and returns the slots
-  // to the allocator; `*freed` counts them. Only meaningful after the
-  // checkpoint covering those pages has committed.
-  Status TruncateBefore(uint64_t seq, size_t* freed);
+  // Releases the slots of every flushed page with sequence < `seq` to the
+  // allocator and returns how many. Only meaningful after the checkpoint
+  // covering those pages has committed: the pages stay in their slots
+  // until later writes reuse them, and replay then finds them covered.
+  size_t TruncateBefore(uint64_t seq);
 
   // Sequence the next flushed page will carry.
   uint64_t next_seq() const { return next_seq_; }
@@ -179,41 +190,40 @@ struct WalReplayOptions {
   // committed checkpoint's wal_start_seq to replay only the tail.
   uint64_t start_seq = 1;
   // Slots owned by the committed checkpoint (segment chain + metadata
-  // chain); they are allocated but are not journal pages.
+  // chain); they hold no journal page.
   std::unordered_set<PageId> owned;
 };
 
 struct WalReplayStats {
   uint64_t pages = 0;    // pages replayed cleanly
   uint64_t records = 0;  // records delivered to the callback
-  // True when an allocated slot held a page that failed its checksum, or
-  // the last journal page decoded short — the torn tail of a crashed
-  // append, treated as clean end of log. A sealed page of another kind
-  // (a checkpoint's page, or a freed slot a page file keeps) is garbage
-  // but not a torn tail.
+  // True when a slot held a page that failed its checksum, or the last
+  // journal page decoded short — the torn tail of a crashed append,
+  // treated as clean end of log. A sealed page of another kind (a
+  // checkpoint's page, or one a released slot still holds) is garbage but
+  // not a torn tail.
   bool torn_tail = false;
   uint64_t next_seq = 1;  // sequence for the continuing writer's next page
   // The replayed pages, ascending seq — the continuing writer's tail.
   std::vector<WalPageRef> tail;
-  // Allocated slots that are not part of the log: torn pages, pages a
-  // crashed truncation failed to free, segment/metadata pages of an
-  // uncommitted or superseded checkpoint, and journal pages the committed
-  // checkpoint covers. The caller frees them before building the
-  // allocator.
+  // Scanned slots that are not part of the log: torn pages, never-written
+  // slots, segment/metadata pages of an uncommitted or superseded
+  // checkpoint, and journal pages the committed checkpoint covers. The
+  // allocator the caller builds holds them free.
   std::vector<PageId> garbage;
 };
 
-// Redo-only, checkpoint-aware replay: scans every allocated data slot
-// (skipping `options.owned`), orders the valid journal pages by sequence
-// and delivers every record of pages with seq >= options.start_seq, in
-// order, to `apply`. The surviving sequences must be exactly
-// start_seq, start_seq + 1, ... — a missing interior sequence means the
-// log lost a committed page and replay fails with InvalidArgument
-// (never a silent truncation). Pages that fail their checksum or decode
-// short are debris (torn tail, crashed truncation or checkpoint) and
-// are reported in `garbage`, as are sealed pages of other kinds and
-// pages with seq < start_seq, which the checkpoint already covers. A
-// non-OK status from `apply` aborts replay with that status.
+// Redo-only, checkpoint-aware replay: scans every data slot below the
+// backend's SlotCount() except `options.owned`, orders the valid journal
+// pages by sequence and delivers every record of pages with seq >=
+// options.start_seq, in order, to `apply`. The surviving sequences must
+// be exactly start_seq, start_seq + 1, ... — a missing interior sequence
+// means the log lost a committed page and replay fails with
+// InvalidArgument (never a silent truncation). Pages that fail their
+// checksum or decode short are debris (a torn tail, a never-written
+// slot) and are reported in `garbage`, as are sealed pages of other
+// kinds and pages with seq < start_seq, which the checkpoint already
+// covers. A non-OK status from `apply` aborts replay with that status.
 Result<WalReplayStats> ReplayWal(
     const PageBackend& backend, const WalReplayOptions& options,
     const std::function<Status(const WalRecord&)>& apply);

@@ -228,7 +228,7 @@ Status PprTree::PackSnapshot(const std::string& path) {
 }
 
 Status PprTree::AdoptSnapshot(std::unique_ptr<MmapSnapshotBackend> snapshot) {
-  STINDEX_CHECK_MSG(NodeCount() == 0, "adopting a snapshot into a built tree");
+  STINDEX_CHECK_MSG(PageCount() == 0, "adopting a snapshot into a built tree");
   for (size_t e = 0; e < roots_.size(); ++e) {
     if (roots_[e].root != kInvalidPage &&
         roots_[e].root >= snapshot->SlotCount()) {
@@ -907,9 +907,9 @@ void PprTree::CheckReplayBookkeeping() const {
     STINDEX_CHECK(alive_slots_.empty() && parent_of_.empty());
     return;
   }
-  STINDEX_CHECK(alive_slots_.size() == NodeCount() &&
-                parent_of_.size() == NodeCount());
-  for (PageId id = 0; id < NodeCount(); ++id) {
+  STINDEX_CHECK(alive_slots_.size() == PageCount() &&
+                parent_of_.size() == PageCount());
+  for (PageId id = 0; id < PageCount(); ++id) {
     STINDEX_CHECK_MSG(alive_slots_[id] == AliveSlots(View(id).entries()),
                       "alive-slot bitmap disagrees with its node page");
   }
@@ -955,7 +955,7 @@ void PprTree::EncodeCheckpointMeta(ByteSink* out) const {
 }
 
 Status PprTree::DecodeCheckpointMeta(PageReader* in) {
-  STINDEX_CHECK_MSG(roots_.empty() && NodeCount() == 0,
+  STINDEX_CHECK_MSG(roots_.empty() && PageCount() == 0,
                     "checkpoint restore into a non-empty tree");
   uint64_t size = 0;
   uint64_t root_count = 0;

@@ -151,8 +151,9 @@ class PprTree {
   // it reports none.
   size_t AliveCount() const { return alive_location_.size(); }
 
-  // Disk footprint in pages.
-  size_t PageCount() const { return pages_.source().LivePageCount(); }
+  // Disk footprint in pages: nodes 0..PageCount()-1 (the tree never
+  // frees a node).
+  size_t PageCount() const { return pages_.source().SlotCount(); }
 
   // Number of eras in the root journal.
   size_t NumRoots() const;
@@ -187,9 +188,6 @@ class PprTree {
   // AdoptSnapshot maps again. An arena tree is not persisted at all: it is
   // a function of its records, so the live tier's checkpoint keeps those
   // and recovery replays them (ReplayPprEvents).
-
-  // Nodes of the tree: ids 0..NodeCount()-1 (the tree never frees a node).
-  size_t NodeCount() const { return pages_.source().SlotCount(); }
 
   // Serializes the non-node state (size, clock, root journal).
   void EncodeCheckpointMeta(ByteSink* out) const;

@@ -90,10 +90,6 @@ PageId RStarTree::NewNode(int level) {
   return id;
 }
 
-void RStarTree::FreeNode(PageId id) {
-  STINDEX_CHECK(pages_.arena().Free(id).ok());
-}
-
 Status RStarTree::PackSnapshot(const std::string& path) {
   Result<std::vector<PageId>> packed = pages_.Pack(
       path, [](Page* page, const std::vector<PageId>& remap) {
@@ -717,136 +713,6 @@ void RStarTree::SplitNode(std::vector<PageId>& path_nodes,
   if (parent.entries().size() > config_.max_entries) {
     HandleOverflow(path_nodes, path_slots, /*allow_reinsert=*/true);
   }
-}
-
-bool RStarTree::Delete(const Box3D& box, DataId data) {
-  STINDEX_CHECK_MSG(!pages_.frozen(),
-                    "RStarTree is frozen: it serves a packed snapshot");
-  if (root_ == kInvalidPage) return false;
-
-  // DFS for the leaf holding (box, data); directory MBRs are exact, so
-  // containment prunes correctly.
-  std::vector<PageId> path_nodes = {root_};
-  std::vector<size_t> path_slots;
-  bool found = false;
-  {
-    struct Frame {
-      std::vector<PageId> nodes;
-      std::vector<size_t> slots;
-    };
-    std::vector<Frame> stack = {{path_nodes, path_slots}};
-    while (!stack.empty() && !found) {
-      Frame frame = std::move(stack.back());
-      stack.pop_back();
-      const NodeView node = GetNode(frame.nodes.back());
-      if (node.IsLeaf()) {
-        for (const Entry& entry : node.entries()) {
-          if (entry.data == data && entry.box == box) {
-            path_nodes = frame.nodes;
-            path_slots = frame.slots;
-            found = true;
-            break;
-          }
-        }
-        continue;
-      }
-      const std::span<const Entry> entries = node.entries();
-      for (size_t i = 0; i < entries.size(); ++i) {
-        if (!entries[i].box.Contains(box)) continue;
-        Frame next = frame;
-        next.nodes.push_back(entries[i].child);
-        next.slots.push_back(i);
-        stack.push_back(std::move(next));
-      }
-    }
-  }
-  if (!found) return false;
-
-  // Remove the entry from the (found) leaf.
-  {
-    Node leaf = GetNode(path_nodes.back());
-    const std::span<const Entry> entries = leaf.entries();
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].data == data && entries[i].box == box) {
-        leaf.Erase(i);
-        break;
-      }
-    }
-  }
-  --size_;
-
-  // CondenseTree: dissolve under-filled nodes bottom-up, collecting
-  // orphaned entries (with their level) for re-insertion.
-  struct Orphan {
-    Entry entry;
-    int level;  // level the entry belongs at (0 = data)
-  };
-  std::vector<Orphan> orphans;
-  for (size_t depth = path_nodes.size(); depth-- > 1;) {
-    const NodeView node = GetNode(path_nodes[depth]);
-    Node parent = GetNode(path_nodes[depth - 1]);
-    if (node.entries().size() < config_.min_entries) {
-      for (const Entry& entry : node.entries()) {
-        orphans.push_back(Orphan{entry, node.level()});
-      }
-      parent.Erase(path_slots[depth - 1]);
-      FreeNode(path_nodes[depth]);
-    } else {
-      parent.entries()[path_slots[depth - 1]].box = Mbr(node.entries());
-    }
-  }
-
-  // Shrink the root.
-  while (root_ != kInvalidPage) {
-    const NodeView root = GetNode(root_);
-    if (root.entries().empty()) {
-      FreeNode(root_);
-      root_ = kInvalidPage;
-      reinserted_on_level_.clear();
-      break;
-    }
-    if (!root.IsLeaf() && root.entries().size() == 1) {
-      const PageId child = root.entries()[0].child;
-      FreeNode(root_);
-      root_ = child;
-      reinserted_on_level_.pop_back();
-      continue;
-    }
-    break;
-  }
-
-  // Re-insert orphans, deepest (highest level) first. If the tree shrank
-  // below an orphan subtree's level, dissolve that subtree into its own
-  // entries instead.
-  std::sort(orphans.begin(), orphans.end(),
-            [](const Orphan& a, const Orphan& b) { return a.level > b.level; });
-  while (!orphans.empty()) {
-    const Orphan orphan = orphans.front();
-    orphans.erase(orphans.begin());
-    const int root_level =
-        root_ == kInvalidPage ? -1 : GetNode(root_).level();
-    if (orphan.level > 0 && orphan.level >= root_level) {
-      const NodeView node = GetNode(orphan.entry.child);
-      // An entry stored in a node at level L is itself "at" level L: the
-      // dissolved child sits at orphan.level - 1, so its entries re-enter
-      // at that level.
-      for (const Entry& entry : node.entries()) {
-        orphans.push_back(Orphan{entry, node.level()});
-      }
-      FreeNode(orphan.entry.child);
-      continue;
-    }
-    if (root_ == kInvalidPage) {
-      STINDEX_CHECK(orphan.level == 0);
-      root_ = NewNode(0);
-      reinserted_on_level_.assign(1, false);
-    }
-    std::fill(reinserted_on_level_.begin(), reinserted_on_level_.end(),
-              false);
-    InsertEntry(orphan.entry.box, orphan.entry.child, orphan.entry.data,
-                orphan.level, /*allow_reinsert=*/true);
-  }
-  return true;
 }
 
 void RStarTree::Search(const Box3D& query,

@@ -85,11 +85,6 @@ class RStarTree {
   // Inserts a box with its payload.
   void Insert(const Box3D& box, DataId data);
 
-  // Removes the entry with this exact box and payload (Guttman's delete
-  // with CondenseTree: under-filled nodes are dissolved and their entries
-  // re-inserted). Returns false when no such entry exists.
-  bool Delete(const Box3D& box, DataId data);
-
   // Collects the payloads of all leaf entries whose box intersects
   // `query`, reading nodes through the LRU buffer (misses count as disk
   // accesses in stats()).
@@ -115,14 +110,14 @@ class RStarTree {
     return pages_.NewSharedQueryPool(pages);
   }
 
-  // Packs the live nodes into a read-only snapshot file at `path` and
-  // serves all subsequent queries from its mmap'd pages (zero-copy) —
-  // the only way the tree leaves its arena (TreePages::Pack). Live ids
-  // (sparse after deletes) are remapped to a dense bottom-up layout —
-  // leaves first, then each directory level in one contiguous extent. The remap is a bijection
-  // of the page-id access sequence, so per-query LRU miss counts are
+  // Packs the nodes into a read-only snapshot file at `path` and serves
+  // all subsequent queries from its mmap'd pages (zero-copy) — the only
+  // way the tree leaves its arena (TreePages::Pack). Node ids are
+  // remapped to a bottom-up layout — leaves first, then each directory
+  // level in one contiguous extent. The remap is a bijection of the
+  // page-id access sequence, so per-query LRU miss counts are
   // byte-identical to the unpacked tree's. The tree is frozen
-  // afterwards — Insert/Delete become checked errors — and releases its
+  // afterwards — Insert becomes a checked error — and releases its
   // arena; pools from NewSharedQueryPool must be destroyed first. On
   // failure it keeps serving from its arena, unchanged.
   Status PackSnapshot(const std::string& path);
@@ -141,7 +136,7 @@ class RStarTree {
   size_t Size() const { return size_; }
 
   // Disk footprint in pages (nodes).
-  size_t PageCount() const { return pages_.source().LivePageCount(); }
+  size_t PageCount() const { return pages_.source().SlotCount(); }
 
   // Tree height (1 = root is a leaf); 0 when empty.
   size_t Height() const;
@@ -177,7 +172,6 @@ class RStarTree {
   Node GetNode(PageId id) const;
   // Allocates an empty arena node at `level`.
   PageId NewNode(int level);
-  void FreeNode(PageId id);
 
   // Descends from the root to a node at `target_level`, recording the
   // path (page ids and the entry index taken in each parent).

@@ -71,12 +71,6 @@ Status FaultInjectingBackend::Write(PageId id, const uint8_t* data) {
   return wrapped_->Write(id, data);
 }
 
-Status FaultInjectingBackend::Free(PageId id) {
-  Status alive = CheckMutation("free", id);
-  if (!alive.ok()) return alive;
-  return wrapped_->Free(id);
-}
-
 Status FaultInjectingBackend::Sync() {
   Status alive = CheckMutation("sync", kInvalidPage);
   if (!alive.ok()) return alive;

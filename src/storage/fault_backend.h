@@ -27,7 +27,7 @@ class FaultInjectingBackend : public PageBackend {
     uint64_t fail_read_at = 0;
     // Fail the Nth Write with IoError.
     uint64_t fail_write_at = 0;
-    // Crash at the Nth *mutating* call — Write, Sync and Free share one
+    // Crash at the Nth *mutating* call — Write and Sync share one
     // 1-based counter (see mutations()). That call fails with IoError
     // and, unlike the one-shot faults above, the backend stays dead:
     // every subsequent call (reads included) also fails, simulating
@@ -50,12 +50,7 @@ class FaultInjectingBackend : public PageBackend {
   size_t page_size() const override { return wrapped_->page_size(); }
   Status Read(PageId id, uint8_t* out) const override;
   Status Write(PageId id, const uint8_t* data) override;
-  Status Free(PageId id) override;
-  bool IsAllocated(PageId id) const override {
-    return wrapped_->IsAllocated(id);
-  }
   size_t SlotCount() const override { return wrapped_->SlotCount(); }
-  size_t LivePageCount() const override { return wrapped_->LivePageCount(); }
   Status Sync() override;
   std::string Name() const override {
     return "fault(" + wrapped_->Name() + ")";
@@ -63,7 +58,7 @@ class FaultInjectingBackend : public PageBackend {
 
   uint64_t reads() const { return reads_; }
   uint64_t writes() const { return writes_; }
-  // Mutating calls observed so far (Write + Sync + Free) — the counter
+  // Mutating calls observed so far (Write + Sync) — the counter
   // `crash_at_write` indexes into.
   uint64_t mutations() const { return mutations_; }
   // True once the crash trigger fired; everything fails from then on.

@@ -84,17 +84,18 @@ Result<std::unique_ptr<FilePageBackend>> FilePageBackend::Open(
                  "does not read");
     }
   }
-  backend->allocated_.assign(static_cast<size_t>(pages), true);
-  backend->live_count_ = static_cast<size_t>(pages);
+  backend->slot_count_ = static_cast<size_t>(pages);
   return backend;
 }
 
 FilePageBackend::~FilePageBackend() { ::close(fd_); }
 
 Status FilePageBackend::Read(PageId id, uint8_t* out) const {
-  if (!IsAllocated(id)) {
+  if (id >= slot_count_) {
     return Status::InvalidArgument("page " + std::to_string(id) +
-                                   ": read of unallocated page");
+                                   ": read past the last of " +
+                                   std::to_string(slot_count_) + " pages of " +
+                                   path_);
   }
   TraceSpan span("storage", "pread");
   span.Arg("page", static_cast<int64_t>(id));
@@ -117,24 +118,10 @@ Status FilePageBackend::Write(PageId id, const uint8_t* data) {
                              "write page " + std::to_string(id) + " of " +
                                  path_);
   if (!status.ok()) return status;
-  if (id >= allocated_.size()) allocated_.resize(id + 1, false);
-  if (!allocated_[id]) {
-    allocated_[id] = true;
-    ++live_count_;
-  }
+  if (id >= slot_count_) slot_count_ = static_cast<size_t>(id) + 1;
   const FileMetrics& m = Metrics();
   m.writes->Add(1);
   m.bytes_written->Add(kPageSize);
-  return Status::OK();
-}
-
-Status FilePageBackend::Free(PageId id) {
-  if (!IsAllocated(id)) {
-    return Status::InvalidArgument("page " + std::to_string(id) +
-                                   ": free of unallocated page");
-  }
-  allocated_[id] = false;
-  --live_count_;
   return Status::OK();
 }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "storage/page_backend.h"
 #include "util/status.h"
@@ -13,13 +12,10 @@ namespace stindex {
 
 // PageBackend over one file of whole pages and nothing else: slot `id` is
 // the kPageSize bytes at offset id * kPageSize, and a slot never written
-// reads as zeros.
-//
-// Which slots are allocated is state of the open backend, not of the
-// file: Open takes every whole page as allocated, Write allocates a slot
-// and Free releases it in memory only — its bytes stay in the file until
-// a later Write reuses the slot. The live tier's recovery derives the live
-// slots from the journal itself and frees the rest (live/live_tier.h).
+// reads as zeros. The file only grows: SlotCount() is its page count at
+// Open, raised by every Write past the end. Which slots are in use is
+// not the file's business — the live tier's recovery derives that from
+// the journal itself (live/live_tier.h).
 //
 // A written page is in the file at once; Sync is an fsync that makes it
 // durable. Closing the backend syncs nothing, so it leaves exactly what a
@@ -32,7 +28,7 @@ class FilePageBackend : public PageBackend {
   static Result<std::unique_ptr<FilePageBackend>> Create(
       const std::string& path);
 
-  // Opens the page file at `path`, every whole page allocated. NotFound
+  // Opens the page file at `path`, its pages the backend's slots. NotFound
   // when no file exists at `path`. InvalidArgument naming the path when
   // the file is not a whole number of pages, or when it is in the
   // previous layout, whose page 0 is a sealed PageKind::kFileHeader page
@@ -48,12 +44,7 @@ class FilePageBackend : public PageBackend {
   size_t page_size() const override { return kPageSize; }
   Status Read(PageId id, uint8_t* out) const override;
   Status Write(PageId id, const uint8_t* data) override;
-  Status Free(PageId id) override;
-  bool IsAllocated(PageId id) const override {
-    return id < allocated_.size() && allocated_[id];
-  }
-  size_t SlotCount() const override { return allocated_.size(); }
-  size_t LivePageCount() const override { return live_count_; }
+  size_t SlotCount() const override { return slot_count_; }
   Status Sync() override;
   std::string Name() const override { return "file"; }
 
@@ -64,8 +55,7 @@ class FilePageBackend : public PageBackend {
 
   std::string path_;
   int fd_;
-  std::vector<bool> allocated_;  // one per slot
-  size_t live_count_ = 0;
+  size_t slot_count_ = 0;
 };
 
 }  // namespace stindex

@@ -97,9 +97,9 @@ const Page* SharedBufferPool::LoadPage(PageId id) const {
 }
 
 Result<const Page*> SharedBufferPool::Pin(PageId id, bool* missed) {
-  if (!backend_->IsAllocated(id)) {
+  if (id >= backend_->SlotCount()) {
     const std::string msg =
-        "SharedBufferPool::Pin of a freed or out-of-range PageId (page " +
+        "SharedBufferPool::Pin of an out-of-range PageId (page " +
         std::to_string(id) + ")";
     STINDEX_CHECK_MSG(false, msg.c_str());
   }
@@ -108,8 +108,8 @@ Result<const Page*> SharedBufferPool::Pin(PageId id, bool* missed) {
   ++shard.stats.accesses;
   auto it = shard.frames.find(id);
   if (it != shard.frames.end()) {
-    // Hit: move to MRU. A lent arena page is never stale: a slot freed
-    // and reused keeps its address, so the frame shows the new contents.
+    // Hit: move to MRU. The frame reads the lent page in place, so it
+    // shows the page's current bytes.
     Frame& frame = it->second;
     shard.lru.splice(shard.lru.begin(), shard.lru, frame.lru);
     frame.lru = shard.lru.begin();

@@ -51,7 +51,7 @@ class SharedBufferPool {
  public:
   class Session;
 
-  // Fronts `backend`, which must lend every allocated page (BorrowPage: a
+  // Fronts `backend`, which must lend every slot (BorrowPage: a
   // tree's arena, the mmap snapshot): a frame points at the lent page and
   // owns no copy. `codec` checks every page a miss loads and is null only
   // over a tree's own arena, whose pages are not sealed. `backend` and
@@ -67,7 +67,7 @@ class SharedBufferPool {
 
   // Pins `id`, borrowing it on a miss; `*missed` reports whether this
   // call loaded the page. The returned page stays resident until the
-  // matching Unpin. Pinning a freed, out-of-range, unlent or corrupt page
+  // matching Unpin. Pinning an out-of-range, unlent or corrupt page
   // is a checked error naming the page — an index handing out such an id
   // is structurally corrupt. Prefer a Session over calling this directly.
   Result<const Page*> Pin(PageId id, bool* missed);

@@ -396,7 +396,7 @@ Status SnapshotFile::Read(PageId id, uint8_t* out) const {
   const uint8_t* page = Borrow(id);
   if (page == nullptr) {
     return Status::InvalidArgument("page " + std::to_string(id) +
-                                   ": read of unallocated snapshot page");
+                                   ": read past the snapshot's last page");
   }
   std::memcpy(out, page, kPageSize);
   return Status::OK();
@@ -442,11 +442,6 @@ const uint8_t* MmapSnapshotBackend::BorrowPage(PageId id) const {
 Status MmapSnapshotBackend::Write(PageId id, const uint8_t* data) {
   (void)data;
   return Status::FailedPrecondition("snapshot backend is read-only (write of page " +
-                                    std::to_string(id) + ")");
-}
-
-Status MmapSnapshotBackend::Free(PageId id) {
-  return Status::FailedPrecondition("snapshot backend is read-only (free of page " +
                                     std::to_string(id) + ")");
 }
 

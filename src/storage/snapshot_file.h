@@ -145,7 +145,7 @@ class SnapshotFile {
 };
 
 // PageBackend over a SnapshotFile: node slot `id` is page `id`. Read-only
-// — Write/Free are FailedPrecondition. BorrowPage lends the mapped span
+// — Write is FailedPrecondition. BorrowPage lends the mapped span
 // of every page, which the buffer pools read in place; Read copies it.
 class MmapSnapshotBackend : public PageBackend {
  public:
@@ -158,12 +158,7 @@ class MmapSnapshotBackend : public PageBackend {
   size_t page_size() const override { return kPageSize; }
   Status Read(PageId id, uint8_t* out) const override;
   Status Write(PageId id, const uint8_t* data) override;
-  Status Free(PageId id) override;
-  bool IsAllocated(PageId id) const override {
-    return static_cast<size_t>(id) < file_->node_count();
-  }
   size_t SlotCount() const override { return file_->node_count(); }
-  size_t LivePageCount() const override { return file_->node_count(); }
   Status Sync() override { return Status::OK(); }
   std::string Name() const override { return "mmap"; }
   const uint8_t* BorrowPage(PageId id) const override;

@@ -96,19 +96,18 @@ Result<std::vector<PageId>> TreePages::Pack(const std::string& path,
   STINDEX_CHECK_MSG(!frozen(), "tree already packed");
   STINDEX_CHECK_MSG(check_.has_value(), "this tree has no sealed node pages");
   TraceSpan span(scope_, "pack_snapshot");
-  span.Arg("pages", static_cast<int64_t>(arena_->LivePageCount()));
-  // Bottom-up order: the allocated ids of each level in ascending order,
-  // leaves first, so every level occupies one contiguous extent of the
-  // snapshot. Freed ids (R*-tree deletes) get no slot.
+  span.Arg("pages", static_cast<int64_t>(arena_->SlotCount()));
+  // Bottom-up order: the ids of each level in ascending order, leaves
+  // first, so every level occupies one contiguous extent of the snapshot.
+  // The arena only grows, so every id is a node and gets a slot.
   std::vector<std::vector<PageId>> levels;
   for (PageId id = 0; id < arena_->SlotCount(); ++id) {
-    if (!arena_->IsAllocated(id)) continue;
     const auto level =
         static_cast<size_t>(ReadHeader(arena_->BorrowPage(id)).level);
     if (level >= levels.size()) levels.resize(level + 1);
     levels[level].push_back(id);
   }
-  std::vector<PageId> remap(arena_->SlotCount(), kInvalidPage);
+  std::vector<PageId> remap(arena_->SlotCount());
   PageId next_slot = 0;
   for (const std::vector<PageId>& ids : levels) {
     for (const PageId id : ids) remap[id] = next_slot++;

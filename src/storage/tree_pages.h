@@ -88,7 +88,7 @@ class TreePages {
   // through `remap` (arena id -> snapshot slot).
   using RemapChildren = void (*)(Page* page, const std::vector<PageId>& remap);
 
-  // Packs the allocated arena pages into a read-only snapshot file at
+  // Packs the arena's pages into a read-only snapshot file at
   // `path` and makes it the only page source. Pages go bottom-up (level,
   // then arena id), so every level is one contiguous extent; each is
   // copied straight into the SnapshotWriter's batch, its children
@@ -97,9 +97,9 @@ class TreePages {
   // CRC combination. The snapshot is then opened (verified, then
   // mapped), the arena released and the query pool reopened. The remap
   // is a bijection of the page-id access sequence, so per-query LRU
-  // misses stay identical; it is returned (arena id -> slot,
-  // kInvalidPage for free ids) for the tree's own references. On failure
-  // nothing changes. Packing twice is a checked error.
+  // misses stay identical; it is returned (arena id -> slot) for the
+  // tree's own references. On failure nothing changes. Packing twice is a
+  // checked error.
   Result<std::vector<PageId>> Pack(const std::string& path,
                                    RemapChildren remap_children);
 

@@ -3,7 +3,8 @@
 //
 // A reference run streams a dataset through a LiveTier journaling onto a
 // real FilePageBackend, committing every few updates, and records every
-// mutating backend call (page write / sync) along the way. The sweep then
+// mutating backend call (page write / sync) along the way, in order and
+// with its slot. The sweep then
 // repeats the run once per mutation site with FaultInjectingBackend's
 // crash trigger armed at that site: the call fails, every later call
 // fails too, and the file is closed, which syncs nothing, so the on-disk
@@ -18,9 +19,11 @@
 // boxes — so the same PprDataIds), and the identical tree shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datagen/query_gen.h"
@@ -39,13 +42,66 @@ constexpr Time kTimeDomain = 150;
 constexpr size_t kCommitEvery = 16;
 
 // The sizes of the two sweeps: the mutating backend calls of their
-// reference runs. A change to what the tier writes moves them, and the
-// sweeps say so instead of silently covering a different space. The
-// checkpointed run's eleven checkpoints once also wrote 10 node pages
-// and freed the 8 earlier copies they replaced (148 sites); a checkpoint
-// that keeps the active tree as its segments makes neither.
+// reference runs, and an FNV-1a 64 hash of those calls in order — each
+// call's op and slot (RecordingBackend). A change to what the tier
+// writes, or where, moves them, and the sweeps say so instead of
+// silently covering a different space. The plain run makes 43 writes
+// and 43 syncs; the checkpointed run 55 writes and 34 syncs. Its eleven
+// checkpoints once also wrote 10 node pages and freed the 8 earlier
+// copies they replaced (148 sites), and truncation once freed 41 slots
+// in the backend (130 sites), each a site where a crash left the file
+// as a crash one site earlier did. The counts and hashes were taken by
+// a probe of the reference runs while the backend still freed slots:
+// the writes and syncs, and their slots, are the same.
 constexpr uint64_t kWriteSites = 86;
-constexpr uint64_t kCheckpointedWriteSites = 130;
+constexpr uint64_t kWriteSitesHash = 0xceee99c9889fd068ull;
+constexpr uint64_t kCheckpointedWriteSites = 89;
+constexpr uint64_t kCheckpointedWriteSitesHash = 0x3b102caa0e6fb9e5ull;
+
+// Forwards to `inner` and records every Write and Sync it receives: the
+// calls, and an FNV-1a 64 hash over each call's op ('W' or 'S') and slot
+// (kInvalidPage for a sync), each as eight little-endian bytes.
+class RecordingBackend final : public PageBackend {
+ public:
+  explicit RecordingBackend(std::unique_ptr<PageBackend> inner)
+      : inner_(std::move(inner)) {}
+
+  size_t page_size() const override { return inner_->page_size(); }
+  Status Read(PageId id, uint8_t* out) const override {
+    return inner_->Read(id, out);
+  }
+  Status Write(PageId id, const uint8_t* data) override {
+    Record('W', id);
+    return inner_->Write(id, data);
+  }
+  size_t SlotCount() const override { return inner_->SlotCount(); }
+  Status Sync() override {
+    Record('S', kInvalidPage);
+    return inner_->Sync();
+  }
+  std::string Name() const override {
+    return "recording(" + inner_->Name() + ")";
+  }
+
+  uint64_t calls() const { return calls_; }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  void Record(char op, PageId slot) {
+    ++calls_;
+    for (const uint64_t value :
+         {static_cast<uint64_t>(op), static_cast<uint64_t>(slot)}) {
+      for (int byte = 0; byte < 8; ++byte) {
+        hash_ ^= (value >> (8 * byte)) & 0xff;
+        hash_ *= 0x100000001b3ull;
+      }
+    }
+  }
+
+  std::unique_ptr<PageBackend> inner_;
+  uint64_t calls_ = 0;
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
 
 std::vector<Trajectory> MakeObjects() {
   RandomDatasetConfig config;
@@ -122,21 +178,21 @@ RunResult Snapshot(const LiveTier& tier, const std::vector<STQuery>& queries) {
 }
 
 // The never-crashed run; `mutations` (when non-null) receives the number
-// of mutating backend calls the whole run performs — the sweep space.
-// `checkpoints` (when non-null) receives the run's final checkpoint
-// sequence, to prove a checkpointed sweep actually cycled.
+// of mutating backend calls the whole run performs — the sweep space —
+// and `hash` (when non-null) their RecordingBackend hash. `checkpoints`
+// (when non-null) receives the run's final checkpoint sequence, to prove
+// a checkpointed sweep actually cycled.
 RunResult ReferenceRun(const LiveTierOptions& options, const std::string& path,
                        const std::vector<LiveObservation>& stream,
                        const std::vector<STQuery>& queries, uint64_t* mutations,
+                       uint64_t* hash = nullptr,
                        uint64_t* checkpoints = nullptr) {
-  RunResult result;
   Result<std::unique_ptr<FilePageBackend>> file = FilePageBackend::Create(path);
   EXPECT_TRUE(file.ok()) << file.status().ToString();
-  auto fault = std::make_unique<FaultInjectingBackend>(
-      std::move(file).value(), FaultInjectingBackend::Faults{});
-  FaultInjectingBackend* counter = fault.get();
+  auto recording = std::make_unique<RecordingBackend>(std::move(file).value());
+  RecordingBackend* recorder = recording.get();
   Result<std::unique_ptr<LiveTier>> tier =
-      LiveTier::Open(options, std::move(fault));
+      LiveTier::Open(options, std::move(recording));
   EXPECT_TRUE(tier.ok()) << tier.status().ToString();
   for (size_t i = 0; i < stream.size(); ++i) {
     EXPECT_TRUE(tier.value()->Apply(stream[i]).ok());
@@ -146,7 +202,8 @@ RunResult ReferenceRun(const LiveTierOptions& options, const std::string& path,
   }
   if (checkpoints != nullptr) *checkpoints = tier.value()->checkpoint_seq();
   EXPECT_TRUE(tier.value()->Finish().ok());
-  if (mutations != nullptr) *mutations = counter->mutations();
+  if (mutations != nullptr) *mutations = recorder->calls();
+  if (hash != nullptr) *hash = recorder->hash();
   return Snapshot(*tier.value(), queries);
 }
 
@@ -157,11 +214,13 @@ TEST(CrashRecoveryTest, EveryWriteSiteRecoversToTheReferenceRun) {
 
   const TempPath ref_path("crash_ref.stpages");
   uint64_t mutations = 0;
-  const RunResult reference =
-      ReferenceRun(TierOptions(), ref_path, stream, queries, &mutations);
+  uint64_t hash = 0;
+  const RunResult reference = ReferenceRun(TierOptions(), ref_path, stream,
+                                           queries, &mutations, &hash);
   ASSERT_GT(mutations, 50u) << "sweep space suspiciously small";
   RecordProperty("mutation_sites", static_cast<int>(mutations));
   EXPECT_EQ(mutations, kWriteSites);
+  EXPECT_EQ(hash, kWriteSitesHash);
   ASSERT_FALSE(reference.segments.empty());
 
   const TempPath path("crash_sweep.stpages");
@@ -319,9 +378,9 @@ TEST(CrashRecoveryTest, RecoveredJournalSurvivesAnotherGeneration) {
 // The checkpointed sweep: with automatic checkpointing armed, the
 // mutation space now includes every write of the checkpoint
 // procedure — segment pages, the metadata chain, both syncs around the
-// header, the header itself, and every Free of truncation. A crash
-// at ANY of those sites (mid-checkpoint, between tree flush and header
-// commit, mid-truncation) must recover to the uninterrupted reference.
+// header, and the header itself. A crash at ANY of those sites
+// (mid-checkpoint, between the chains' sync and the header commit, right
+// after it) must recover to the uninterrupted reference.
 TEST(CrashRecoveryTest, CheckpointedCrashSweepRecoversAtEveryMutationSite) {
   RandomDatasetConfig data;
   data.num_objects = 12;  // small on purpose: the sweep is O(mutations^2)
@@ -339,13 +398,15 @@ TEST(CrashRecoveryTest, CheckpointedCrashSweepRecoversAtEveryMutationSite) {
 
   const TempPath ref_path("ckpt_ref.stpages");
   uint64_t mutations = 0;
+  uint64_t hash = 0;
   uint64_t checkpoints = 0;
   const RunResult reference = ReferenceRun(options, ref_path, stream, queries,
-                                           &mutations, &checkpoints);
+                                           &mutations, &hash, &checkpoints);
   ASSERT_GE(checkpoints, 2u) << "sweep never cycles a checkpoint";
-  ASSERT_GT(mutations, 100u) << "sweep space suspiciously small";
+  ASSERT_GT(mutations, 50u) << "sweep space suspiciously small";
   RecordProperty("mutation_sites", static_cast<int>(mutations));
   EXPECT_EQ(mutations, kCheckpointedWriteSites);
+  EXPECT_EQ(hash, kCheckpointedWriteSitesHash);
   ASSERT_FALSE(reference.segments.empty());
 
   const TempPath path("ckpt_sweep.stpages");
@@ -497,8 +558,9 @@ TEST(CrashRecoveryTest, UnreadableCheckpointHeaderSlotIsAnIoError) {
 // Checkpoints must bound the journal: across generations of
 // reopen-ingest-close cycles, recovery replays only the tail past the
 // last committed checkpoint — O(checkpoint interval), never O(history) —
-// and truncation actually frees pages. Answers stay byte-identical to an
-// uninterrupted run throughout.
+// and truncation releases slots the journal reuses, which the live.wal
+// slot gauges show; a reopen rebuilds the free slots the closed tier
+// held. Answers stay byte-identical to an uninterrupted run throughout.
 TEST(CrashRecoveryTest, JournalStaysBoundedAcrossCheckpointCycles) {
   const std::vector<Trajectory> objects = MakeObjects();
   const std::vector<LiveObservation> stream = MakeObservationStream(objects);
@@ -522,6 +584,10 @@ TEST(CrashRecoveryTest, JournalStaysBoundedAcrossCheckpointCycles) {
   constexpr size_t kGenerations = 4;
   uint64_t last_checkpoint_seq = 0;
   uint64_t pages_flushed_total = 0;
+  // The journal's slot gauges when the last generation closed, and the
+  // most slots it ever held.
+  LiveTier::Telemetry closed;
+  uint64_t max_slots = 0;
 
   for (size_t gen = 0; gen < kGenerations; ++gen) {
     SCOPED_TRACE("generation=" + std::to_string(gen));
@@ -535,6 +601,10 @@ TEST(CrashRecoveryTest, JournalStaysBoundedAcrossCheckpointCycles) {
     // Bounded recovery: the replayed tail never grows with history.
     EXPECT_LE(tier.value()->recovered().pages, tail_bound);
     EXPECT_GE(tier.value()->checkpoint_seq(), last_checkpoint_seq);
+    // Recovery rebuilds the free slots the closed tier held.
+    const LiveTier::Telemetry opened = tier.value()->GetTelemetry();
+    EXPECT_EQ(opened.wal_slots, closed.wal_slots);
+    EXPECT_EQ(opened.wal_free_slots, closed.wal_free_slots);
 
     const size_t begin = gen * stream.size() / kGenerations;
     const size_t end = (gen + 1) * stream.size() / kGenerations;
@@ -546,6 +616,8 @@ TEST(CrashRecoveryTest, JournalStaysBoundedAcrossCheckpointCycles) {
     }
     if (gen + 1 < kGenerations) {
       ASSERT_TRUE(tier.value()->Commit().ok());
+      closed = tier.value()->GetTelemetry();
+      max_slots = std::max(max_slots, closed.wal_slots);
       pages_flushed_total += tier.value()->wal_pages();
       last_checkpoint_seq = tier.value()->checkpoint_seq();
       EXPECT_GT(last_checkpoint_seq, 0u);
@@ -563,9 +635,13 @@ TEST(CrashRecoveryTest, JournalStaysBoundedAcrossCheckpointCycles) {
   }
 
   // The bound is non-trivial: the run flushed far more journal pages than
-  // any reopen ever replayed, and truncation reclaimed pages.
+  // any reopen ever replayed, and truncation reclaimed pages: the journal
+  // never grew to hold what it flushed, since its allocator handed the
+  // released slots out again.
   EXPECT_GT(pages_flushed_total, tail_bound * kGenerations);
   EXPECT_GT(truncated->Value(), truncated_before);
+  EXPECT_GT(closed.wal_free_slots, 0u);
+  EXPECT_LT(max_slots, pages_flushed_total);
 
 }
 

@@ -378,7 +378,7 @@ TEST(HttpExpositionTest, CheckpointPageCountersAreExported) {
   for (Time t = 3; t < 6; ++t) {
     ASSERT_TRUE(tier->Observe(10, t, UnitRect(0.3, 0.4)).ok());
   }
-  ASSERT_GT(tier->historical().NodeCount(), 0u);
+  ASSERT_GT(tier->historical().PageCount(), 0u);
   ASSERT_TRUE(tier->Checkpoint().ok());
   ASSERT_TRUE(tier->Checkpoint().ok());
 

@@ -138,12 +138,11 @@ TEST(WalTest, TornTailIsCleanEndOfLog) {
   EXPECT_EQ(stats.next_seq, writer.next_seq());
   EXPECT_EQ(stats.garbage, std::vector<PageId>{torn_slot});
 
-  // Recovery frees the debris; a continuing writer reuses the slot and
-  // the log is whole again.
-  for (PageId slot : stats.garbage) {
-    ASSERT_TRUE(backend.Free(slot).ok());
-  }
-  WalSlotAllocator rebuilt(backend);
+  // Recovery's allocator takes only the tail, so it holds the debris
+  // free; a continuing writer reuses the slot and the log is whole again.
+  std::vector<PageId> taken;
+  for (const WalPageRef& page : stats.tail) taken.push_back(page.slot);
+  WalSlotAllocator rebuilt(backend.SlotCount(), taken);
   WalWriter resumed(&backend, &rebuilt, stats.next_seq, stats.tail);
   ASSERT_TRUE(resumed.Append(WalRecord::End(99, 500)).ok());
   ASSERT_TRUE(resumed.Commit().ok());
@@ -188,9 +187,12 @@ TEST(WalTest, ReplayRejectsInteriorGap) {
   ASSERT_TRUE(writer.Commit().ok());
   ASSERT_GE(writer.pages_written(), 3u);
 
-  // A freed interior page (e.g. a botched truncation of the wrong range)
-  // must be a loud error, not a silently shortened log.
-  ASSERT_TRUE(backend.Free(kWalFirstDataSlot + 1).ok());
+  // An interior page whose slot was released and reused by another kind
+  // of page (e.g. a botched truncation of the wrong range) must be a loud
+  // error, not a silently shortened log.
+  uint8_t reused[kPageSize] = {};
+  SealPage(reused, PageKind::kCheckpointPage);
+  ASSERT_TRUE(backend.Write(kWalFirstDataSlot + 1, reused).ok());
   WalReplayStats stats;
   Result<std::vector<WalRecord>> replayed = Replay(backend, &stats);
   ASSERT_FALSE(replayed.ok());
@@ -200,7 +202,7 @@ TEST(WalTest, ReplayRejectsInteriorGap) {
       << replayed.status().ToString();
 }
 
-TEST(WalTest, TruncateBeforeFreesAbsorbedPrefixAndRecyclesSlots) {
+TEST(WalTest, TruncateBeforeReleasesAbsorbedPrefixAndRecyclesSlots) {
   MemoryPageBackend backend;
   WalSlotAllocator slots;
   WalWriter writer(&backend, &slots, 1);
@@ -215,11 +217,12 @@ TEST(WalTest, TruncateBeforeFreesAbsorbedPrefixAndRecyclesSlots) {
   // Truncate everything but the last flushed page, as a checkpoint whose
   // wal_start_seq falls there would.
   const uint64_t cut = writer.next_seq() - 1;
-  size_t freed = 0;
-  ASSERT_TRUE(writer.TruncateBefore(cut, &freed).ok());
+  const size_t freed = writer.TruncateBefore(cut);
   EXPECT_GT(freed, 0u);
   EXPECT_EQ(writer.tail_pages(), 1u);
-  EXPECT_EQ(backend.LivePageCount(), 1u);
+  // Every data slot but the surviving page's is free.
+  EXPECT_EQ(slots.free_slots(), freed);
+  EXPECT_EQ(slots.free_slots(), high_water - kWalFirstDataSlot - 1);
 
   // Replay from the cut sees exactly the surviving page's records.
   WalReplayStats stats;
@@ -238,6 +241,33 @@ TEST(WalTest, TruncateBeforeFreesAbsorbedPrefixAndRecyclesSlots) {
   }
   ASSERT_TRUE(writer.Commit().ok());
   EXPECT_LE(backend.SlotCount(), high_water);
+}
+
+// Rebuilt from the slots a journal of `slot_count` slots still uses, the
+// allocator holds every other data slot free and hands out the lowest
+// first, then grows the journal.
+TEST(WalSlotAllocatorTest, RebuiltAllocatorHandsOutTheLowestFreeSlot) {
+  WalSlotAllocator slots(7, {kWalFirstDataSlot + 1, kWalFirstDataSlot + 3});
+  EXPECT_EQ(slots.free_slots(), 3u);
+  EXPECT_EQ(slots.Acquire(), kWalFirstDataSlot);
+  slots.Release(kWalFirstDataSlot + 1);
+  for (const PageId expected :
+       {kWalFirstDataSlot + 1, kWalFirstDataSlot + 2, kWalFirstDataSlot + 4,
+        kWalFirstDataSlot + 5}) {
+    EXPECT_EQ(slots.Acquire(), expected);
+  }
+  EXPECT_EQ(slots.free_slots(), 0u);
+}
+
+// The allocator is the one record of free journal slots, so a slot
+// released twice, or one it never handed out, is a checked error.
+TEST(WalSlotAllocatorDeathTest, DoubleReleaseAborts) {
+  WalSlotAllocator slots;
+  const PageId slot = slots.Acquire();
+  slots.Release(slot);
+  EXPECT_DEATH(slots.Release(slot), "double release of a journal slot");
+  EXPECT_DEATH(slots.Release(slot + 1), "never handed out");
+  EXPECT_DEATH(slots.Release(0), "never handed out");
 }
 
 TEST(LiveIndexTest, EnforcesStreamInvariants) {
@@ -1401,7 +1431,7 @@ size_t NodePages(const PageBackend& wal) {
   size_t pages = 0;
   uint8_t page[kPageSize];
   for (PageId slot = 0; slot < wal.SlotCount(); ++slot) {
-    if (!wal.IsAllocated(slot) || !wal.Read(slot, page).ok()) continue;
+    if (!wal.Read(slot, page).ok()) continue;
     if (OpenPagePayload(page, PageKind::kPprNode, slot).ok()) ++pages;
   }
   return pages;
@@ -1420,12 +1450,7 @@ class KindRecordingBackend final : public PageBackend {
     written_.insert(static_cast<PageKind>(kind));
     return pages_.Write(id, data);
   }
-  Status Free(PageId id) override { return pages_.Free(id); }
-  bool IsAllocated(PageId id) const override {
-    return pages_.IsAllocated(id);
-  }
   size_t SlotCount() const override { return pages_.SlotCount(); }
-  size_t LivePageCount() const override { return pages_.LivePageCount(); }
   Status Sync() override { return pages_.Sync(); }
   std::string Name() const override { return "kind-recording"; }
 
@@ -1462,7 +1487,7 @@ TEST(LiveTierTest, CheckpointsWriteNoNodePage) {
     for (size_t i = pack ? half : 0; i < (pack ? stream.size() : half); ++i) {
       ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
     }
-    ASSERT_GT(tier.value()->historical().NodeCount(), 0u);
+    ASSERT_GT(tier.value()->historical().PageCount(), 0u);
     wal->TakeWrittenKinds();
     ASSERT_TRUE(tier.value()->Checkpoint().ok());
     const std::set<PageKind> written = wal->TakeWrittenKinds();
@@ -1477,7 +1502,7 @@ TEST(LiveTierTest, CheckpointsWriteNoNodePage) {
 std::vector<std::vector<uint8_t>> NodePagesOf(const PprTree& tree) {
   std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool(1);
   std::vector<std::vector<uint8_t>> pages;
-  for (PageId id = 0; id < tree.NodeCount(); ++id) {
+  for (PageId id = 0; id < tree.PageCount(); ++id) {
     bool missed = false;
     const Result<const Page*> page = pool->Pin(id, &missed);
     EXPECT_TRUE(page.ok()) << page.status().ToString();
@@ -1655,11 +1680,13 @@ TEST(LiveTierTest, CheckpointRefusesASnapshotPathThatNamesAnotherFile) {
           EXPECT_TRUE(Mentions(status, text)) << status.ToString();
         }
       };
-      const uint64_t pages = journal->LivePageCount();
-      const uint64_t wal_pages = tier.value()->wal_pages();
+      const LiveTier::Telemetry before = tier.value()->GetTelemetry();
       expect_refused(tier.value()->Checkpoint());
-      EXPECT_EQ(journal->LivePageCount(), pages);
-      EXPECT_EQ(tier.value()->wal_pages(), wal_pages);
+      // The refused checkpoint took no journal slot.
+      const LiveTier::Telemetry after = tier.value()->GetTelemetry();
+      EXPECT_EQ(after.wal_slots, before.wal_slots);
+      EXPECT_EQ(after.wal_free_slots, before.wal_free_slots);
+      EXPECT_EQ(after.wal_pages, before.wal_pages);
       // The automatic trigger of a Commit past the threshold.
       for (size_t i = half; i < half + 40; ++i) {
         ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
@@ -2075,7 +2102,7 @@ TEST_F(CheckpointCountTest, WalPageRecordCount) {
   PageId tail = kInvalidPage;
   uint8_t page[kPageSize];
   for (PageId slot = kWalFirstDataSlot; slot < wal->SlotCount(); ++slot) {
-    if (!wal->IsAllocated(slot) || !wal->Read(slot, page).ok()) continue;
+    if (!wal->Read(slot, page).ok()) continue;
     if (OpenPagePayload(page, PageKind::kWalPage, slot).ok()) tail = slot;
   }
   wal.reset();
@@ -2120,7 +2147,7 @@ TEST(CheckpointMetaWriterTest, StreamedChainIsTheEncodedStream) {
         40 * kMetaBytesPerPage + 1234}) {
     SCOPED_TRACE(bytes);
     MemoryPageBackend backend;
-    WalSlotAllocator allocator(backend);
+    WalSlotAllocator allocator;
     CheckpointHeader header;
     header.checkpoint_seq = 3;
     CheckpointMetaWriter writer(&backend, &allocator, header.checkpoint_seq);
@@ -2137,7 +2164,7 @@ TEST(CheckpointMetaWriterTest, StreamedChainIsTheEncodedStream) {
     EXPECT_TRUE(std::adjacent_find(slots.begin(), slots.end(),
                                    std::greater_equal<PageId>()) ==
                 slots.end());
-    EXPECT_EQ(backend.LivePageCount(), pages);
+    EXPECT_EQ(backend.SlotCount(), kWalFirstDataSlot + pages);
 
     MemorySink encoded;
     EncodeStateOfSize(bytes, &encoded);
@@ -2158,7 +2185,7 @@ TEST(CheckpointMetaWriterTest, FailedPageWriteIsTheResult) {
   faults.fail_write_at = 2;  // the chain's second page
   FaultInjectingBackend backend(std::make_unique<MemoryPageBackend>(),
                                 faults);
-  WalSlotAllocator allocator(backend);
+  WalSlotAllocator allocator;
   CheckpointHeader header;
   header.checkpoint_seq = 1;
   CheckpointMetaWriter writer(&backend, &allocator, header.checkpoint_seq);
@@ -2169,11 +2196,11 @@ TEST(CheckpointMetaWriterTest, FailedPageWriteIsTheResult) {
   EXPECT_TRUE(slots.empty());
   EXPECT_EQ(header.meta_pages, 0u);
   EXPECT_EQ(backend.mutations(), 2u);
-  EXPECT_EQ(backend.LivePageCount(), 1u);
+  EXPECT_EQ(backend.SlotCount(), kWalFirstDataSlot + 1);
 }
 
-// PublishGauges reports the segment table: the records it holds and the
-// bytes of its blocks, both deterministic.
+// PublishGauges reports the segment table — the records it holds and the
+// bytes of its blocks — and the journal's slots, all deterministic.
 TEST(LiveTierTest, PublishGaugesReportsTheSegmentTable) {
   Result<std::unique_ptr<LiveTier>> tier = LiveTier::Open(
       SmallTierOptions(), std::make_unique<MemoryPageBackend>());
@@ -2198,6 +2225,14 @@ TEST(LiveTierTest, PublishGaugesReportsTheSegmentTable) {
       SegmentTable::kBlockRecords);
   EXPECT_EQ(registry.GetGauge("live.segment_table_bytes")->Value(),
             blocks * 57344);
+  // The journal's size and the slots its allocator holds free, as
+  // /statusz reads them.
+  const LiveTier::Telemetry telemetry = tier.value()->GetTelemetry();
+  EXPECT_GT(telemetry.wal_slots, kWalFirstDataSlot);
+  EXPECT_EQ(registry.GetGauge("live.wal.slots")->Value(),
+            static_cast<int64_t>(telemetry.wal_slots));
+  EXPECT_EQ(registry.GetGauge("live.wal.free_slots")->Value(),
+            static_cast<int64_t>(telemetry.wal_free_slots));
 }
 
 TEST(LiveTierTest, GroupCommitCoalescesConcurrentCommitters) {

