@@ -350,9 +350,10 @@ BENCHMARK(BM_LiveTierCheckpoint)
 // with the pack halfway) go to a file journal once, committed to the
 // end but not finished, as a crash would leave it; each iteration then
 // reopens a fresh copy of that journal. The counters are the reopen's
-// milliseconds (the median over the iterations), the journal pages it
-// replayed past the last checkpoint and the nodes of the active tree it
-// rebuilt.
+// milliseconds (the median over the iterations), the segments it read
+// back from the checkpoint's segment chain (those from the table's base
+// on: a pack retires the ones it froze), the journal pages it replayed
+// past the last checkpoint and the nodes of the active tree it rebuilt.
 void BM_LiveTierRecover(benchmark::State& state) {
   RandomDatasetConfig config;
   config.num_objects = 20000;
@@ -383,6 +384,16 @@ void BM_LiveTierRecover(benchmark::State& state) {
     }
     STINDEX_CHECK(tier.value()->Commit().ok());
   }
+  uint64_t chain_segments = 0;
+  {
+    Result<std::unique_ptr<FilePageBackend>> wal =
+        FilePageBackend::Open(written);
+    STINDEX_CHECK(wal.ok());
+    const Result<CheckpointHeader> header =
+        ReadLatestCheckpointHeader(*wal.value());
+    STINDEX_CHECK(header.ok());
+    chain_segments = header.value().segment_count - header.value().segment_base;
+  }
   std::vector<double> ms;
   uint64_t replayed = 0;
   size_t nodes = 0;
@@ -412,6 +423,7 @@ void BM_LiveTierRecover(benchmark::State& state) {
   std::remove(snapshot.c_str());
   std::sort(ms.begin(), ms.end());
   state.counters["reopen_ms"] = ms[ms.size() / 2];
+  state.counters["chain_segments"] = static_cast<double>(chain_segments);
   state.counters["replayed_pages"] = static_cast<double>(replayed);
   state.counters["active_nodes"] = static_cast<double>(nodes);
 }

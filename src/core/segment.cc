@@ -1,5 +1,11 @@
 #include "core/segment.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+
 #include "trajectory/prefix_mbr.h"
 #include "util/check.h"
 
@@ -24,22 +30,40 @@ std::vector<std::pair<int, int>> SegmentRanges(size_t n,
 
 }  // namespace
 
-static_assert(SegmentTable::kBlockBytes < 128 * 1024,
-              "a block must stay below glibc's default mmap threshold");
+void SegmentTable::BlockReleaser::operator()(SegmentRecord* block) const {
+  // The pages wholly inside the block: the heap's own bookkeeping lies
+  // outside them.
+  static const uintptr_t page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const uintptr_t start = reinterpret_cast<uintptr_t>(block);
+  const uintptr_t begin = (start + page - 1) & ~(page - 1);
+  const uintptr_t end = (start + kBlockBytes) & ~(page - 1);
+  if (end > begin) {
+    ::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_DONTNEED);
+  }
+  delete[] block;
+}
 
 void SegmentTable::push_back(const SegmentRecord& record) {
-  if (size_ == blocks_.size() * kBlockRecords) {
-    blocks_.push_back(std::make_unique<SegmentRecord[]>(kBlockRecords));
-  }
-  (*this)[size_++] = record;
+  resize(size_ + 1);
+  (*this)[size_ - 1] = record;
 }
 
 void SegmentTable::resize(size_t n) {
   STINDEX_CHECK(n >= size_);
-  while (blocks_.size() * kBlockRecords < n) {
-    blocks_.push_back(std::make_unique<SegmentRecord[]>(kBlockRecords));
+  while ((first_block_ + blocks_.size()) * kBlockRecords < n) {
+    blocks_.emplace_back(new SegmentRecord[kBlockRecords]());
   }
   size_ = n;
+}
+
+void SegmentTable::DropBelow(size_t id) {
+  STINDEX_CHECK(id >= base_ && id <= size_);
+  base_ = id;
+  const size_t drop =
+      std::min(id / kBlockRecords - first_block_, blocks_.size());
+  blocks_.erase(blocks_.begin(),
+                blocks_.begin() + static_cast<std::ptrdiff_t>(drop));
+  first_block_ += drop;
 }
 
 std::vector<SegmentRecord> ApplySplits(ObjectId object,

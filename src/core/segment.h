@@ -10,6 +10,7 @@
 #include "geometry/interval.h"
 #include "geometry/rect.h"
 #include "trajectory/trajectory.h"
+#include "util/check.h"
 
 namespace stindex {
 
@@ -36,43 +37,72 @@ struct SegmentRecord {
 // A table of segment records that grows without reallocating: records
 // live in blocks of kBlockRecords, found through a small vector of block
 // pointers, so a record never moves once stored and growth copies none.
-// A block (56 KiB) is below glibc's default 128 KiB mmap threshold, so a
-// freed table's blocks return to the heap for the next table's. Holds
-// the live tier's migrated segments, which grow with the whole history.
+// Holds the live tier's migrated segments, numbered in the order they
+// were stored. A prefix no reader needs any more can be dropped: the
+// table then holds ids [base(), size()) and frees every block wholly
+// below base(), so ids stay stable while memory follows what is held.
+// A block (56 KiB) comes from the heap, and gives its whole pages back
+// to the OS as it is freed: glibc keeps a freed chunk resident, and one
+// freed by a thread that allocates nothing after — a set-up thread
+// whose table a feed thread then grows — would stay so for good.
 class SegmentTable {
  public:
   static constexpr size_t kBlockRecords = 1024;
   static constexpr size_t kBlockBytes = kBlockRecords * sizeof(SegmentRecord);
 
-  SegmentTable() = default;
+  // An empty table whose first id is `base`: it holds no record below.
+  explicit SegmentTable(size_t base = 0)
+      : first_block_(base / kBlockRecords), base_(base), size_(base) {}
   // A moved-from table is empty.
   SegmentTable(SegmentTable&& other) noexcept
       : blocks_(std::exchange(other.blocks_, {})),
+        first_block_(std::exchange(other.first_block_, 0)),
+        base_(std::exchange(other.base_, 0)),
         size_(std::exchange(other.size_, 0)) {}
   SegmentTable& operator=(SegmentTable&& other) noexcept {
     blocks_ = std::exchange(other.blocks_, {});
+    first_block_ = std::exchange(other.first_block_, 0);
+    base_ = std::exchange(other.base_, 0);
     size_ = std::exchange(other.size_, 0);
     return *this;
   }
 
+  // One past the last id stored: every record ever stored, held or not.
   size_t size() const { return size_; }
+  // The first id held.
+  size_t base() const { return base_; }
   // Blocks held, each kBlockBytes.
   size_t blocks() const { return blocks_.size(); }
 
+  // Record `i`, for base() <= i < size().
   SegmentRecord& operator[](size_t i) {
-    return blocks_[i / kBlockRecords][i % kBlockRecords];
+    STINDEX_DCHECK(i >= base_ && i < size_);
+    return blocks_[i / kBlockRecords - first_block_][i % kBlockRecords];
   }
   const SegmentRecord& operator[](size_t i) const {
-    return blocks_[i / kBlockRecords][i % kBlockRecords];
+    STINDEX_DCHECK(i >= base_ && i < size_);
+    return blocks_[i / kBlockRecords - first_block_][i % kBlockRecords];
   }
 
   void push_back(const SegmentRecord& record);
   // Grows the table to `n` >= size() records, the new ones default, so
   // a reader can fill them in any order.
   void resize(size_t n);
+  // Drops the records below `id`, base() <= id <= size(): base() becomes
+  // `id`, and every block wholly below it is freed.
+  void DropBelow(size_t id);
 
  private:
-  std::vector<std::unique_ptr<SegmentRecord[]>> blocks_;
+  struct BlockReleaser {
+    void operator()(SegmentRecord* block) const;
+  };
+  using Block = std::unique_ptr<SegmentRecord[], BlockReleaser>;
+
+  // Blocks first_block_, first_block_ + 1, ...: block b holds ids
+  // [b * kBlockRecords, (b + 1) * kBlockRecords).
+  std::vector<Block> blocks_;
+  size_t first_block_ = 0;
+  size_t base_ = 0;
   size_t size_ = 0;
 };
 

@@ -65,7 +65,8 @@ Result<CheckpointHeader> ReadLatestCheckpointHeader(
         !reader.Read(&header.meta_pages) || !reader.Read(&header.meta_bytes) ||
         !reader.Read(&header.layout) || !reader.Read(&header.segment_tail) ||
         !reader.Read(&header.segment_pages) ||
-        !reader.Read(&header.segment_count)) {
+        !reader.Read(&header.segment_count) ||
+        !reader.Read(&header.segment_base)) {
       continue;
     }
     if (header.checkpoint_seq > best.checkpoint_seq) best = header;
@@ -76,8 +77,10 @@ Result<CheckpointHeader> ReadLatestCheckpointHeader(
       why = ": the journal predates the append-only segment chain";
     } else if (best.layout < 3) {
       why = ": the journal predates named frozen layers";
-    } else if (best.layout < kCheckpointLayout) {
+    } else if (best.layout < 4) {
       why = ": the journal predates derived active trees";
+    } else if (best.layout < kCheckpointLayout) {
+      why = ": the journal predates frozen layers that hold their records";
     }
     return Status::InvalidArgument(
         Named(best) + " has layout " + std::to_string(best.layout) +
@@ -102,6 +105,7 @@ Status WriteCheckpointHeader(PageBackend* backend,
   writer.Write(header.segment_tail);
   writer.Write(header.segment_pages);
   writer.Write(header.segment_count);
+  writer.Write(header.segment_base);
   SealPage(page, PageKind::kCheckpointHeader);
   return backend->Write(slot, page);
 }
@@ -228,28 +232,46 @@ Status AppendSegmentChain(PageBackend* backend, WalSlotAllocator* allocator,
                           const SegmentTable& segments,
                           SegmentChain* chain, CheckpointHeader* header,
                           std::vector<PageId>* superseded, size_t* written) {
-  STINDEX_CHECK(chain->segments <= segments.size());
+  STINDEX_CHECK(chain->base <= segments.base() &&
+                chain->segments <= segments.size());
   *written = 0;
+  const size_t base = segments.base();
+  // A page whose segments all lie below the table's base holds frozen
+  // ones only: release it. The pages kept are not rewritten.
+  size_t first_page = static_cast<size_t>(chain->base) / kSegmentsPerPage;
+  size_t released = 0;
+  while (released < chain->pages.size() &&
+         std::min<uint64_t>((first_page + released + 1) * kSegmentsPerPage,
+                            chain->segments) <= base) {
+    ++released;
+  }
+  const auto kept = chain->pages.begin() + static_cast<ptrdiff_t>(released);
+  superseded->insert(superseded->end(), chain->pages.begin(), kept);
+  chain->pages.erase(chain->pages.begin(), kept);
+  first_page += released;
+  chain->base = base;
   // The first page holding a new segment: the partial last page, or the
   // page after the last full one. With no new segment, none.
-  size_t first = static_cast<size_t>(chain->segments);
+  size_t first = std::max<size_t>(static_cast<size_t>(chain->segments), base);
   if (first < segments.size()) first -= first % kSegmentsPerPage;
+  if (chain->pages.empty()) first_page = first / kSegmentsPerPage;
   uint8_t page[kPageSize];
   for (; first < segments.size(); first += kSegmentsPerPage) {
     const size_t index = first / kSegmentsPerPage;
-    const size_t count = std::min(kSegmentsPerPage, segments.size() - first);
-    if (index < chain->pages.size()) {
+    const size_t begin = std::max(first, base);
+    const size_t end = std::min(first + kSegmentsPerPage, segments.size());
+    if (index < first_page + chain->pages.size()) {
       // Only the last page can be partial.
-      STINDEX_CHECK(index + 1 == chain->pages.size());
+      STINDEX_CHECK(index + 1 == first_page + chain->pages.size());
       superseded->push_back(chain->pages.back());
       chain->pages.pop_back();
     }
     const PageId slot = allocator->Acquire();
     PageWriter writer = PayloadWriter(page);
     writer.Write(static_cast<uint32_t>(index));
-    writer.Write(index == 0 ? kInvalidPage : chain->pages.back());
-    writer.Write(static_cast<uint32_t>(count));
-    for (size_t i = first; i < first + count; ++i) {
+    writer.Write(chain->pages.empty() ? kInvalidPage : chain->pages.back());
+    writer.Write(static_cast<uint32_t>(end - begin));
+    for (size_t i = begin; i < end; ++i) {
       writer.Write(segments[i].object);
       writer.Write(segments[i].box.rect);
       writer.Write(segments[i].box.interval);
@@ -265,27 +287,36 @@ Status AppendSegmentChain(PageBackend* backend, WalSlotAllocator* allocator,
       chain->pages.empty() ? kInvalidPage : chain->pages.back();
   header->segment_pages = static_cast<uint32_t>(chain->pages.size());
   header->segment_count = chain->segments;
+  header->segment_base = chain->base;
   return Status::OK();
 }
 
 Status ReadSegmentChain(const PageBackend& backend,
                         const CheckpointHeader& header, SegmentTable* segments,
                         SegmentChain* chain) {
+  const uint64_t count = header.segment_count;
+  const uint64_t base = header.segment_base;
   const uint64_t pages = header.segment_pages;
-  if (pages > backend.SlotCount() ||
-      header.segment_count > pages * kSegmentsPerPage ||
-      header.segment_count + kSegmentsPerPage <= pages * kSegmentsPerPage) {
+  // The pages from the one holding `base` to the last hold [base, count).
+  const uint64_t first_page = base / kSegmentsPerPage;
+  if (base > count || pages > backend.SlotCount() ||
+      pages != (count > base ? count / kSegmentsPerPage +
+                                   (count % kSegmentsPerPage != 0) - first_page
+                             : 0)) {
     return Status::InvalidArgument(
-        Named(header) + ": a segment chain of " +
-        std::to_string(header.segment_count) + " segments cannot fill its " +
+        Named(header) + ": a segment chain of " + std::to_string(count) +
+        " segments from id " + std::to_string(base) + " cannot fill its " +
         std::to_string(pages) + " pages");
   }
-  segments->resize(static_cast<size_t>(header.segment_count));
+  *segments = SegmentTable(static_cast<size_t>(base));
+  segments->resize(static_cast<size_t>(count));
   chain->pages.assign(static_cast<size_t>(pages), kInvalidPage);
-  chain->segments = header.segment_count;
+  chain->base = base;
+  chain->segments = count;
   uint8_t page[kPageSize];
   PageId slot = header.segment_tail;
-  for (size_t index = static_cast<size_t>(pages); index-- > 0;) {
+  for (size_t j = static_cast<size_t>(pages); j-- > 0;) {
+    const size_t index = static_cast<size_t>(first_page) + j;
     const auto page_error = [&](const std::string& what) {
       return Status::InvalidArgument(
           Named(header) + ": segment page " + std::to_string(index) +
@@ -298,19 +329,24 @@ Status ReadSegmentChain(const PageBackend& backend,
         OpenPagePayload(page, PageKind::kSegmentPage, slot);
     if (!payload.ok()) return payload.status();
     PageReader reader = payload.value();
-    const size_t first = index * kSegmentsPerPage;
-    const size_t expected =
-        std::min(kSegmentsPerPage, segments->size() - first);
+    // The page holds the last `held` segments of its range, from
+    // `lowest` on at least: all of them, or on the chain's first page
+    // those from `base` (it may also hold frozen ones before).
+    const size_t end =
+        std::min((index + 1) * kSegmentsPerPage, static_cast<size_t>(count));
+    const size_t lowest =
+        j == 0 ? static_cast<size_t>(base) : index * kSegmentsPerPage;
     uint32_t page_index = 0;
     PageId prev = kInvalidPage;
-    uint32_t count = 0;
+    uint32_t held = 0;
     if (!reader.Read(&page_index) || !reader.Read(&prev) ||
-        !reader.Read(&count) || page_index != index || count != expected ||
-        (index == 0) != (prev == kInvalidPage)) {
+        !reader.Read(&held) || page_index != index ||
+        held > end - index * kSegmentsPerPage || held < end - lowest ||
+        (j > 0 && prev == kInvalidPage)) {
       return page_error("corrupt");
     }
-    for (size_t i = first; i < first + count; ++i) {
-      SegmentRecord& record = (*segments)[i];
+    for (size_t i = end - held; i < end; ++i) {
+      SegmentRecord record;
       if (!reader.Read(&record.object) || !reader.Read(&record.box.rect) ||
           !reader.Read(&record.box.interval)) {
         return page_error("truncated");
@@ -323,8 +359,9 @@ Status ReadSegmentChain(const PageBackend& backend,
         return page_error("corrupt: segment " + std::to_string(i) +
                           " cannot be replayed");
       }
+      if (i >= base) (*segments)[i] = record;
     }
-    chain->pages[index] = slot;
+    chain->pages[j] = slot;
     slot = prev;
   }
   return Status::OK();

@@ -18,8 +18,7 @@ namespace stindex {
 // header write can never destroy the previous checkpoint — the other
 // slot still holds it, CRC-valid). A checkpoint consists of:
 //
-//   * the segment chain, the migrated-segment table, append-only
-//     (below);
+//   * the segment chain, the migrated segments no pack froze (below);
 //   * a chain of kCheckpointPage pages carrying the serialized metadata,
 //     rewritten by every checkpoint, which streams it into the chain a
 //     page at a time (CheckpointMetaWriter):
@@ -39,50 +38,66 @@ namespace stindex {
 // (ReplayPprEvents) into a tree byte-identical to the one checkpointed
 // and queues the rest (MigrationPipeline::DecodeState).
 //
-// A frozen layer's pages are not in the journal either: a packed layer
-// never changes, so the checkpoint names its snapshot file, and recovery
-// maps that file again (MmapSnapshotBackend::Open verifies every page)
-// and refuses it unless its superblock checksum is the one named. The
-// snapshot files a committed checkpoint names must outlive it; the tier
-// never deletes one, and refuses to checkpoint while a layer's path no
-// longer names the file it maps.
+// A frozen layer is not in the journal either: a packed layer never
+// changes, so the checkpoint names its snapshot file, and recovery maps
+// that file again (MmapSnapshotBackend::Open verifies every page) and
+// refuses it unless its superblock checksum is the one named. The file
+// holds the layer's records too — the object of each of its ids and the
+// true end of each record alive at the pack (FrozenRecords, the
+// snapshot's attachment, which the checksums cover) — so the segment
+// chain keeps only the segments no pack froze. The snapshot files a
+// committed checkpoint names must outlive it; the tier never deletes
+// one, and refuses to checkpoint while a layer's path no longer names
+// the file it maps.
 //
 // A checkpoint never writes a slot the previous one owns, and syncs all
 // its pages before the header is written, so a valid header always
 // points at complete, durable state, and a crash before the header
 // leaves the previous checkpoint intact. Once the header commits, the
 // previous checkpoint's slots that the new one did not inherit are
-// released to the slot allocator: its metadata chain and a re-sealed
-// segment tail page. Everything a failed checkpoint left behind is
-// unreferenced debris, whose slots recovery's allocator holds free.
+// released to the slot allocator: its metadata chain, a re-sealed
+// segment tail page and the segment pages a pack retired. Everything a
+// failed checkpoint left behind is unreferenced debris, whose slots
+// recovery's allocator holds free.
 //
-// The segment chain. Page k, a kSegmentPage, holds segments
-// [k * kSegmentsPerPage, (k + 1) * kSegmentsPerPage), so every page but
-// the last is full. Its payload:
+// The segment chain holds the migrated segments from the header's
+// segment_base — the segment table's base, the lowest id no pack froze —
+// to segment_count, one past the last migrated. Page k, a kSegmentPage,
+// covers ids [k * kSegmentsPerPage, (k + 1) * kSegmentsPerPage), and the
+// chain keeps the pages from the one covering segment_base to the last.
+// Each holds the ids of its range from some first one to the range's end
+// (the last page: to segment_count): every page but the chain's first
+// holds its whole range, and the first holds at least the ids from
+// segment_base. Its payload:
 //   u32 page_index  (k)
-//   u32 prev_slot   (page k - 1's slot; kInvalidPage on page 0)
-//   u32 count
+//   u32 prev_slot   (page k - 1's slot when the page was written;
+//                    kInvalidPage when it was the chain's first. On the
+//                    chain's first page it may name a retired page, and
+//                    recovery does not follow it.)
+//   u32 count       (the ids it holds: the last `count` of its range)
 //   count x {u32 object, f64 xlo, ylo, xhi, yhi, i64 start, end}
 // A checkpoint writes only the segments migrated since the previous one:
 // it re-seals the previous last page, if partial, with new segments
-// appended into a fresh slot, and writes further pages after it. Full
-// pages are never rewritten. The header names the last page, whose
-// backward links reach page 0.
+// appended into a fresh slot, and writes further pages after it. After a
+// pack it first releases every page whose segments all lie below the new
+// base. No page it keeps is rewritten. The header names the last page,
+// whose backward links reach the first.
 //
 // Recovery reads the header with the highest sequence, the metadata
 // chain, every frozen layer's snapshot file, and the segment chain from
 // its last page back, decoding each page straight into its place in the
-// segment table; then it replays the active tree. The checkpoint owns
-// every slot it references, inherited or fresh; every other data slot is
-// journal tail or debris.
+// segment table, which starts at segment_base; then it replays the
+// active tree. The checkpoint owns every slot it references, inherited
+// or fresh; every other data slot is journal tail or debris.
 
 // The checkpoint layout this build writes and reads. Layout 1, which
 // carried the segment table in the metadata stream, had no layout field
 // (it reads as 0); layout 2 copied every frozen layer's pages into the
 // journal and kept two more pipeline id sets; layout 3 copied the active
-// tree's nodes into the journal. A journal whose newest checkpoint has
-// another layout is refused.
-inline constexpr uint32_t kCheckpointLayout = 4;
+// tree's nodes into the journal; layout 4 kept every migrated segment in
+// the segment chain, frozen ones too, and had no segment_base. A journal
+// whose newest checkpoint has another layout is refused, naming it.
+inline constexpr uint32_t kCheckpointLayout = 5;
 
 struct CheckpointHeader {
   uint64_t checkpoint_seq = 0;  // 0 = no committed checkpoint
@@ -93,11 +108,12 @@ struct CheckpointHeader {
   uint32_t meta_pages = 0;
   uint64_t meta_bytes = 0;
   uint32_t layout = kCheckpointLayout;
-  // The segment chain: its last page, its length and the segments it
-  // holds.
+  // The segment chain: its last page, its length, one past the last
+  // segment id and the first id it holds.
   PageId segment_tail = kInvalidPage;
   uint32_t segment_pages = 0;
   uint64_t segment_count = 0;
+  uint64_t segment_base = 0;
 };
 
 // Reads slots 0 and 1 and returns the valid header with the highest
@@ -171,27 +187,30 @@ std::string MetaLocation(const CheckpointHeader& header,
 // Segments per segment-chain page: 52 bytes each after a 12-byte header.
 inline constexpr size_t kSegmentsPerPage = 78;
 
-// The segment chain a checkpoint holds: the slot of every page, page 0
-// first, and the number of segments in them.
+// The segment chain a checkpoint holds: the slot of every page it keeps,
+// the one covering id `base` first; the first id it holds, and one past
+// the last.
 struct SegmentChain {
   std::vector<PageId> pages;
+  uint64_t base = 0;
   uint64_t segments = 0;
 };
 
-// Extends `chain` to hold all of `segments`, writing only
-// segments[chain->segments, segments.size()): a partial last page is
-// re-sealed with new segments appended into a fresh slot (its old slot
-// is appended to `superseded`), and further pages go to fresh slots.
-// Fills header->segment_*; `*written` counts the pages written. Does not
-// sync.
+// Makes `chain` hold `segments` from their base on: releases the pages
+// whose segments all lie below segments.base(), then writes only the
+// segments from max(chain->segments, segments.base()) on — a partial last
+// page is re-sealed with new segments appended into a fresh slot, and
+// further pages go to fresh slots. The old slots of released and
+// re-sealed pages are appended to `superseded`. Fills header->segment_*;
+// `*written` counts the pages written. Does not sync.
 Status AppendSegmentChain(PageBackend* backend, WalSlotAllocator* allocator,
                           const SegmentTable& segments,
                           SegmentChain* chain, CheckpointHeader* header,
                           std::vector<PageId>* superseded, size_t* written);
 
-// Reads the segment chain `header` names into `segments`, resized to
-// header.segment_count, page by page from the last; `chain` receives its
-// slots.
+// Reads the segment chain `header` names into `segments`, a table from
+// header.segment_base to header.segment_count, page by page from the
+// last; `chain` receives its slots.
 Status ReadSegmentChain(const PageBackend& backend,
                         const CheckpointHeader& header, SegmentTable* segments,
                         SegmentChain* chain);

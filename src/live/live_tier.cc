@@ -40,12 +40,12 @@ const TierMetrics& Metrics() {
 
 // Maps again the snapshot file `path` that checkpoint `checkpoint_seq`
 // names for frozen layer `layer`, whose tree meta `tree` already holds,
-// and hands it to the tree. The file must be the one the layer was packed
-// into: `checksum` is its superblock's. Errors name the checkpoint, the
-// layer and the path.
+// hands it to the tree and reads the layer's records from it. The file
+// must be the one the layer was packed into: `checksum` is its
+// superblock's. Errors name the checkpoint, the layer and the path.
 Status AdoptFrozenLayer(uint64_t checkpoint_seq, size_t layer,
                         const std::string& path, uint32_t checksum,
-                        PprTree* tree) {
+                        PprTree* tree, FrozenRecords* records) {
   const auto layer_error = [&](const Status& error) {
     return Status(error.code(), "checkpoint " + std::to_string(checkpoint_seq) +
                                     ": frozen layer " + std::to_string(layer) +
@@ -64,6 +64,10 @@ Status AdoptFrozenLayer(uint64_t checkpoint_seq, size_t layer,
   }
   Status status = tree->AdoptSnapshot(std::move(snapshot).value());
   if (!status.ok()) return layer_error(status);
+  Result<FrozenRecords> parsed =
+      FrozenRecords::Parse(tree->backend()->file().attachment());
+  if (!parsed.ok()) return layer_error(parsed.status());
+  *records = parsed.value();
   return Status::OK();
 }
 
@@ -183,10 +187,29 @@ Status LiveTier::RestoreFromCheckpoint(const CheckpointHeader& header,
     std::string path(static_cast<size_t>(path_bytes), '\0');
     STINDEX_CHECK(in.ReadBytes(path.data(), path.size()));
     status = AdoptFrozenLayer(header.checkpoint_seq, l, path, checksum,
-                              frozen[l].tree.get());
+                              frozen[l].tree.get(), &frozen[l].records);
     if (!status.ok()) return status;
     frozen[l].pool =
         frozen[l].tree->NewSharedQueryPool(options_.query_pool_pages);
+    // Each pack froze ids from the table's base then, the lowest id the
+    // packs before it left unfrozen: the layers' ids leave no gap.
+    const PprDataId covered = l == 0 ? 0 : frozen[l - 1].records.end_id();
+    if (frozen[l].records.first_id() > covered) {
+      return meta_error(Status::InvalidArgument(
+          "checkpoint: frozen layer " + std::to_string(l) +
+          " holds ids from " + std::to_string(frozen[l].records.first_id()) +
+          ", past id " + std::to_string(covered) +
+          " where the layers before it end"));
+    }
+  }
+  // Ids below the chain's base are frozen: some layer must hold them.
+  const PprDataId frozen_end =
+      frozen.empty() ? 0 : frozen.back().records.end_id();
+  if (header.segment_base > frozen_end) {
+    return meta_error(Status::InvalidArgument(
+        "checkpoint: the segment chain starts at id " +
+        std::to_string(header.segment_base) + ", past id " +
+        std::to_string(frozen_end) + " where the frozen layers end"));
   }
   frozen_ = std::move(frozen);
 
@@ -552,9 +575,12 @@ Status LiveTier::PackHistorical(const std::string& path) {
   TraceSpan span("live", "pack_historical");
   span.Arg("pages", static_cast<int64_t>(tree_->PageCount()));
   // The shared pool borrows the arena a successful pack releases; drop
-  // it first and rebuild it below.
+  // it first and rebuild it below. The layer's records go into its
+  // snapshot beside the pages, so its hits no longer need the segment
+  // table.
   pool_.reset();
-  Status status = tree_->PackSnapshot(path);
+  Status status = tree_->PackSnapshot(
+      path, [this](ByteSink* out) { pipeline_.EncodeFrozenRecords(out); });
   if (!status.ok()) {
     // A failed pack leaves the tree untouched; keep serving its arena.
     pool_ = tree_->NewSharedQueryPool(options_.query_pool_pages);
@@ -563,6 +589,11 @@ Status LiveTier::PackHistorical(const std::string& path) {
   FrozenLayer layer;
   layer.tree = std::move(tree_);
   layer.pool = layer.tree->NewSharedQueryPool(options_.query_pool_pages);
+  // The snapshot verified as it opened, and holds what was just encoded.
+  Result<FrozenRecords> parsed =
+      FrozenRecords::Parse(layer.tree->backend()->file().attachment());
+  STINDEX_CHECK(parsed.ok());
+  layer.records = parsed.value();
   frozen_.push_back(std::move(layer));
   tree_ = std::make_unique<PprTree>(options_.ppr);
   pipeline_.RetargetAfterPack(tree_.get());
@@ -593,24 +624,24 @@ void LiveTier::IntervalQuery(const Rect2D& area, const TimeInterval& range,
   std::shared_lock lock(mu_);
   Metrics().queries->Add(1);
   out->clear();
-  std::vector<PprDataId> raw;
   // Every layer holds a disjoint slice of the migrated records: frozen
-  // packed layers (served zero-copy from their snapshots) plus the
-  // active tree. PprTree::IntervalQuery clears its output vector, so
-  // each layer answers into a scratch that is appended to the union.
-  std::vector<PprDataId> layer_hits;
+  // packed layers (served zero-copy from their snapshots, each resolving
+  // its hits through its own records) plus the active tree. A record
+  // alive at its layer's pack, or whose delete is still queued, looks
+  // alive-to-infinity inside its tree; each clip re-checks its true end.
+  std::vector<PprDataId> hits;
   for (const FrozenLayer& layer : frozen_) {
     SharedBufferPool::Session frozen_session(layer.pool.get());
-    layer.tree->IntervalQuery(area, range, &frozen_session, &layer_hits,
-                              profile);
-    raw.insert(raw.end(), layer_hits.begin(), layer_hits.end());
+    layer.tree->IntervalQuery(area, range, &frozen_session, &hits, profile);
+    for (PprDataId id : hits) {
+      if (layer.records.ClipToInterval(id, range)) {
+        out->push_back(layer.records.ObjectOf(id));
+      }
+    }
   }
   SharedBufferPool::Session session(pool_.get());
-  tree_->IntervalQuery(area, range, &session, &layer_hits, profile);
-  raw.insert(raw.end(), layer_hits.begin(), layer_hits.end());
-  for (PprDataId id : raw) {
-    // A record whose delete is still queued looks alive-to-infinity
-    // inside the tree; re-check against the true segment interval.
+  tree_->IntervalQuery(area, range, &session, &hits, profile);
+  for (PprDataId id : hits) {
     if (pipeline_.ClipToInterval(id, range)) {
       out->push_back(pipeline_.ObjectOf(id));
     }
@@ -711,12 +742,81 @@ LiveTier::Telemetry LiveTier::GetTelemetry() const {
   return telemetry;
 }
 
+Status LiveTier::FrozenSegmentsLocked(
+    std::vector<std::pair<PprDataId, SegmentRecord>>* out) const {
+  out->clear();
+  for (size_t l = 0; l < frozen_.size(); ++l) {
+    const FrozenRecords& records = frozen_[l].records;
+    const auto layer_error = [l](const std::string& what) {
+      return Status::InvalidArgument("frozen layer " + std::to_string(l) +
+                                     ": " + what);
+    };
+    size_t alive = 0;
+    for (const auto& [id, box] : frozen_[l].tree->Records()) {
+      if (id < records.first_id() || id >= records.end_id()) {
+        return layer_error("holds id " + std::to_string(id) +
+                           " outside its records' ids [" +
+                           std::to_string(records.first_id()) + ", " +
+                           std::to_string(records.end_id()) + ")");
+      }
+      SegmentRecord record{records.ObjectOf(id), box};
+      if (box.interval.end == kTimeInfinity) {
+        // Alive at the pack: its records hold its true end.
+        record.box.interval.end = records.AliveEndOf(id);
+        if (record.box.interval.end == kTimeInfinity) {
+          return layer_error("id " + std::to_string(id) +
+                             " is alive in its tree, but its records hold "
+                             "no end for it");
+        }
+        ++alive;
+      }
+      out->emplace_back(id, record);
+    }
+    if (alive != records.alive_count()) {
+      return layer_error(std::to_string(records.alive_count()) +
+                         " ends for the " + std::to_string(alive) +
+                         " ids alive in its tree");
+    }
+  }
+  std::sort(out->begin(), out->end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return Status::OK();
+}
+
 Status LiveTier::VerifyCheckpointCopies() const {
   std::shared_lock lock(mu_);
   if (failed_) {
     return Status::FailedPrecondition(
         "live tier hit a WAL I/O failure — its checkpoint state is unknown");
   }
+  // The frozen layers the checkpoint names hold every segment below the
+  // table's base, each once, and the frozen ones above it as the table
+  // does.
+  std::vector<std::pair<PprDataId, SegmentRecord>> frozen;
+  Status status = FrozenSegmentsLocked(&frozen);
+  if (!status.ok()) return status;
+  const SegmentTable& segments = pipeline_.segments();
+  const size_t base = segments.base();
+  for (size_t i = 0; i < frozen.size(); ++i) {
+    const auto& [id, record] = frozen[i];
+    if (i > 0 && id == frozen[i - 1].first) {
+      return Status::InvalidArgument("two frozen layers hold segment " +
+                                     std::to_string(id));
+    }
+    if (id >= base && (id >= segments.size() ||
+                       record.object != segments[id].object ||
+                       record.box != segments[id].box)) {
+      return Status::InvalidArgument("frozen segment " + std::to_string(id) +
+                                     " differs from the table's");
+    }
+  }
+  // Sorted and distinct: ids 0 .. base - 1 lead the list.
+  if (base > 0 && (frozen.size() < base || frozen[base - 1].first != base - 1)) {
+    return Status::InvalidArgument(
+        "the frozen layers do not hold every segment below the table's "
+        "base " + std::to_string(base));
+  }
+
   const Result<CheckpointHeader> header =
       ReadLatestCheckpointHeader(*wal_backend_);
   if (!header.ok()) return header.status();
@@ -729,15 +829,17 @@ Status LiveTier::VerifyCheckpointCopies() const {
   if (checkpoint_seq_ == 0) return Status::OK();
   SegmentTable copies;
   SegmentChain chain;
-  const Status status =
-      ReadSegmentChain(*wal_backend_, header.value(), &copies, &chain);
+  status = ReadSegmentChain(*wal_backend_, header.value(), &copies, &chain);
   if (!status.ok()) return status;
-  const SegmentTable& segments = pipeline_.segments();
-  if (chain.pages != segment_chain_.pages || copies.size() > segments.size()) {
+  if (chain.pages != segment_chain_.pages ||
+      chain.base != segment_chain_.base ||
+      chain.segments != segment_chain_.segments) {
     return Status::InvalidArgument(
         "the segment chain on disk is not the one the tier holds");
   }
-  for (size_t i = 0; i < copies.size(); ++i) {
+  // A pack since the checkpoint retired the table's segments below its
+  // base; the frozen layers hold those.
+  for (size_t i = std::max(copies.base(), base); i < copies.size(); ++i) {
     if (copies[i].object != segments[i].object ||
         copies[i].box != segments[i].box) {
       return Status::InvalidArgument("segment " + std::to_string(i) +
@@ -745,6 +847,26 @@ Status LiveTier::VerifyCheckpointCopies() const {
     }
   }
   return Status::OK();
+}
+
+std::vector<SegmentRecord> LiveTier::AllMigratedSegments() const {
+  std::shared_lock lock(mu_);
+  std::vector<std::pair<PprDataId, SegmentRecord>> frozen;
+  const Status status = FrozenSegmentsLocked(&frozen);
+  STINDEX_CHECK_MSG(status.ok(), status.ToString().c_str());
+  const SegmentTable& segments = pipeline_.segments();
+  std::vector<SegmentRecord> all;
+  all.reserve(segments.size());
+  for (const auto& [id, record] : frozen) {
+    if (id >= segments.base()) break;
+    STINDEX_CHECK(id == all.size());
+    all.push_back(record);
+  }
+  STINDEX_CHECK(all.size() == segments.base());
+  for (size_t i = segments.base(); i < segments.size(); ++i) {
+    all.push_back(segments[i]);
+  }
+  return all;
 }
 
 void LiveTier::PublishGauges() const {
@@ -764,14 +886,8 @@ void LiveTier::PublishGauges() const {
   registry.GetGauge("live.segment_table_bytes")
       ->Set(static_cast<int64_t>(segments.blocks() *
                                  SegmentTable::kBlockBytes));
-  registry.GetGauge("live.wal.records")
-      ->Set(static_cast<int64_t>(writer_->appended_records()));
-  registry.GetGauge("live.wal.pages")
-      ->Set(static_cast<int64_t>(writer_->pages_written()));
   registry.GetGauge("live.wal.tail_pages")
       ->Set(static_cast<int64_t>(writer_->tail_pages()));
-  registry.GetGauge("live.wal.commits")
-      ->Set(static_cast<int64_t>(writer_->commits()));
   registry.GetGauge("live.wal.checkpoint_seq")
       ->Set(static_cast<int64_t>(checkpoint_seq_));
   registry.GetGauge("live.wal.slots")

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <memory>
 #include <shared_mutex>
+#include <utility>
 #include <vector>
 
 #include "live/checkpoint.h"
@@ -81,10 +82,17 @@ static_assert(sizeof(LiveObservation) == 48);
 // checkpoint and every page of the previous checkpoint it did not
 // inherit — so a checkpoint costs what changed, and the journal's log
 // and metadata pages stay bounded across arbitrarily long streams; the
-// segment chain grows by a page per 78 migrated segments (see
-// live/checkpoint.h). The backend frees nothing: the allocator is the
-// one record of free slots, and recovery rebuilds it from the committed
-// checkpoint's chains and the replayed tail.
+// segment chain grows by a page per 78 migrated segments until a pack
+// retires the ones it froze (see live/checkpoint.h). The backend frees
+// nothing: the allocator is the one record of free slots, and recovery
+// rebuilds it from the committed checkpoint's chains and the replayed
+// tail.
+//
+// A pack retires history: a frozen layer answers on its own, through the
+// record table its snapshot carries beside its pages (FrozenRecords: each
+// id's object, and the true end of each record alive at the pack), so
+// the segment table, the segment chain and recovery keep only the
+// segments no pack froze.
 //
 // Thread safety: one readers-writer lock. Queries take it shared, so any
 // number of them run together (historical reads go through a sharded
@@ -128,11 +136,14 @@ class LiveTier {
   Status Finish();
 
   // Packs the current historical tree into a read-only mmap snapshot at
-  // `path` and freezes it as a layer served zero-copy; a fresh active
-  // tree takes over migration (deletes of records already in the frozen
-  // layer are clipped at query time forever — see
-  // MigrationPipeline::RetargetAfterPack). Queries consult every frozen
-  // layer plus the active tree, so answers are unchanged. The pack is
+  // `path`, with the layer's record table (MigrationPipeline::
+  // EncodeFrozenRecords) beside its pages, and freezes it as a layer
+  // served zero-copy; a fresh active tree takes over migration. The
+  // layer's hits resolve through its record table, which clips the
+  // records alive at the pack at their true ends forever (their deletes
+  // can never apply — see MigrationPipeline::RetargetAfterPack), so the
+  // segment table drops the segments the pack froze. Queries consult
+  // every frozen layer plus the active tree, so answers are unchanged. The pack is
   // not WAL-journaled: a crash before the next checkpoint recovers to
   // the pre-pack layering with identical answers; the next checkpoint
   // persists the layering by naming the file — `path` as given, so a
@@ -166,7 +177,9 @@ class LiveTier {
   // `i` (oldest first; stable while no pack runs concurrently).
   size_t frozen_layers() const;
   const PprTree& frozen_layer(size_t i) const { return *frozen_.at(i).tree; }
-  // Segments migrated so far, in migration order (PprDataId = index).
+  // Segments migrated so far, in migration order (PprDataId = index):
+  // size() counts them all, and the table holds those from the lowest id
+  // no pack froze (base()) on — a frozen layer holds the ones it froze.
   const SegmentTable& migrated_segments() const {
     return pipeline_.segments();
   }
@@ -220,13 +233,23 @@ class LiveTier {
 
   // Test hook: the committed checkpoint's copies still match the tier —
   // the segment chain the header names decodes to the migrated segments
-  // it covers. FailedPrecondition on a latched tier.
+  // it covers — and the frozen layers hold every segment below the
+  // table's base, each once: each layer's leaves and records agree on
+  // its ids and on which were alive at its pack, and a frozen segment
+  // the table still holds is the table's. FailedPrecondition on a
+  // latched tier.
   Status VerifyCheckpointCopies() const;
+
+  // Test hook: every migrated segment, in migration order (PprDataId =
+  // index): below the table's base, as the frozen layers hold them — the
+  // box from the leaves, the object and an alive record's end from the
+  // layer's records. Walks every frozen leaf.
+  std::vector<SegmentRecord> AllMigratedSegments() const;
 
   // Publishes the tier's deterministic state gauges (live.objects,
   // live.pending_events, live.frozen_layers, live.segments and the
-  // segment table's bytes, live.wal.* with the journal's slots and free
-  // slots, watermark lag)
+  // segment table's bytes, the journal's tail pages, checkpoint sequence,
+  // slots and free slots, watermark lag)
   // to the global registry and flushes the shared pools' counter deltas.
   // Deterministic inputs only — no wall-clock or occupancy readings — so
   // bench reports that dump the registry stay byte-identical.
@@ -264,12 +287,20 @@ class LiveTier {
   Status CheckAlive() const;
   Status Latch(Status status);  // records a WAL failure; returns it
 
+  // Every segment the frozen layers hold, by id, as AllMigratedSegments
+  // reads it; InvalidArgument, naming the layer, where a layer's leaves
+  // and records disagree. Caller holds the lock.
+  Status FrozenSegmentsLocked(
+      std::vector<std::pair<PprDataId, SegmentRecord>>* out) const;
+
   // One packed historical layer: a frozen tree serving from its
   // snapshot's mapping — in every process, since recovery maps the file
-  // a checkpoint names again — plus the shared pool queries read it
-  // through. Pool declared after the tree so it dies first.
+  // a checkpoint names again — its records, read in place from the same
+  // mapping, and the shared pool queries read it through. Pool declared
+  // after the tree so it dies first.
   struct FrozenLayer {
     std::unique_ptr<PprTree> tree;
+    FrozenRecords records;
     std::unique_ptr<SharedBufferPool> pool;
   };
 

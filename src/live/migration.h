@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/segment.h"
@@ -14,6 +15,57 @@
 namespace stindex {
 
 struct QueryProfile;
+
+// What a frozen layer's hits need of the records it froze, stored beside
+// its node pages as its snapshot's attachment, so that the layer answers
+// on its own: the object of each id its tree may hold, and the true end
+// of each record still alive when it was packed, whose leaf entries stay
+// open forever. Encoded (little-endian) as
+//   u64 first_id, u64 id_count, u64 alive_count
+//   alive_count x {u64 id, i64 end}, ids ascending
+//   id_count x u32 object, that of id first_id + i
+// and read in place: a view of bytes that must outlive it.
+class FrozenRecords {
+ public:
+  struct AliveEnd {
+    PprDataId id = 0;
+    Time end = 0;
+  };
+
+  // InvalidArgument, saying what does not fit, when `bytes` are not a
+  // record table.
+  static Result<FrozenRecords> Parse(std::span<const uint8_t> bytes);
+
+  // The ids [first_id(), end_id()) the layer's tree may hold.
+  PprDataId first_id() const { return first_id_; }
+  PprDataId end_id() const { return first_id_ + id_count_; }
+
+  // The records alive at the pack, ascending by id: alive(0) ..
+  // alive(alive_count() - 1).
+  size_t alive_count() const { return alive_count_; }
+  AliveEnd alive(size_t i) const;
+  // The end of `id` when its record was alive at the pack, else
+  // kTimeInfinity.
+  Time AliveEndOf(PprDataId id) const;
+
+  ObjectId ObjectOf(PprDataId id) const;
+
+  // The layer's tree reports `id` for `range`: true if the record really
+  // intersects `range` in time. A record deleted before the pack has its
+  // true lifetime in the tree, so only one alive at the pack — which
+  // ends at or after the pack watermark — can be a false hit.
+  bool ClipToInterval(PprDataId id, const TimeInterval& range) const {
+    return range.start < min_end_ || AliveEndOf(id) > range.start;
+  }
+
+ private:
+  PprDataId first_id_ = 0;
+  size_t id_count_ = 0;
+  size_t alive_count_ = 0;
+  const uint8_t* alive_ = nullptr;    // alive_count_ x {u64 id, i64 end}
+  const uint8_t* objects_ = nullptr;  // id_count_ x u32 object
+  Time min_end_ = kTimeInfinity;      // the earliest alive end
+};
 
 // Moves sealed live-tier chunks into the persistent PPR-tree.
 //
@@ -35,6 +87,12 @@ struct QueryProfile;
 // start at or after the watermark W of the last Advance — and everything
 // else in flight, and the active tree itself, follows from the segment
 // table and two watermarks (see EncodeState).
+//
+// A pack retires history: the records it freezes are the frozen layer's,
+// whose hits resolve through the FrozenRecords stored with it
+// (EncodeFrozenRecords), so the segment table drops every one below the
+// lowest id not frozen (RetargetAfterPack), and ObjectOf and
+// ClipToInterval serve the active tree's hits alone.
 class MigrationPipeline {
  public:
   explicit MigrationPipeline(PprTree* tree);
@@ -54,19 +112,28 @@ class MigrationPipeline {
 
   // --- packing the historical tree --------------------------------------
 
+  // The record table (FrozenRecords) of the layer a pack at the watermark
+  // W of the last Advance freezes: the objects of ids [segments().base(),
+  // segments().size()), and the ends of the segments its tree holds alive
+  // — those that start in [W_pack, W) and end at or after W.
+  void EncodeFrozenRecords(ByteSink* out) const;
+
   // Rewires the pipeline after its tree was packed into a frozen layer,
   // at the watermark of the last Advance, which becomes the pack
   // watermark: ids whose insert was already applied — the segments that
   // start before it — can never see their delete applied (the layer is
-  // read-only), so their delete events are dropped — ClipToInterval
-  // clips their hits against the true segment interval forever. The
-  // event queue keeps exactly the events of the insert-pending ids, which
-  // now target `tree` (the fresh active tree, empty at time 0; events pop
-  // in globally non-decreasing time order, so the new tree's clock is
-  // respected).
+  // read-only), so their delete events are dropped; the layer's
+  // FrozenRecords clip their hits against the true segment end forever.
+  // The event queue keeps exactly the events of the insert-pending ids,
+  // which now target `tree` (the fresh active tree, empty at time 0;
+  // events pop in globally non-decreasing time order, so the new tree's
+  // clock is respected). The segment table then drops every segment
+  // below the lowest id not frozen.
   void RetargetAfterPack(PprTree* tree);
 
-  // Every migrated segment, in migration order: segment i has PprDataId i.
+  // The migrated segments, in migration order (segment i has PprDataId
+  // i): size() counts every one ever migrated, and the table holds those
+  // from the lowest id no pack froze (base()) on.
   const SegmentTable& segments() const { return segments_; }
 
   size_t pending_events() const { return inserts_.size() + deletes_.size(); }
@@ -88,11 +155,12 @@ class MigrationPipeline {
   // chain.
   void EncodeState(ByteSink* out) const;
   // Restores into a fresh pipeline over a fresh tree, taking `segments`
-  // (read from the segment chain) as its table: reads the watermarks,
-  // replays the active tree (ReplayPprEvents) and queues what is
-  // pending. The rebuilt tree saw the same Insert and Delete calls in the
-  // same order as the one checkpointed, so it is byte-identical to it.
-  // InvalidArgument when the watermarks are truncated or W < W_pack.
+  // (read from the segment chain, from the base the checkpoint kept) as
+  // its table: reads the watermarks, replays the active tree
+  // (ReplayPprEvents) and queues what is pending. The rebuilt tree saw
+  // the same Insert and Delete calls in the same order as the one
+  // checkpointed, so it is byte-identical to it. InvalidArgument when the
+  // watermarks are truncated or W < W_pack.
   Status DecodeState(SegmentTable segments, PageReader* in);
 
   // --- query support over in-flight records ----------------------------
@@ -106,11 +174,11 @@ class MigrationPipeline {
                       std::vector<ObjectId>* out,
                       QueryProfile* profile = nullptr) const;
 
-  // A tree reports `id` for `range`; true if the segment really does
-  // intersect `range` in time. An insert-applied, delete-pending record —
-  // in a frozen layer, forever — looks alive-to-infinity inside its tree;
-  // once a delete is applied, the record's tree lifetime is exactly its
-  // segment interval, so the clip keeps every hit.
+  // The active tree reports `id` for `range`; true if the segment really
+  // does intersect `range` in time. An insert-applied, delete-pending
+  // record looks alive-to-infinity inside the tree; once a delete is
+  // applied, the record's tree lifetime is exactly its segment interval,
+  // so the clip keeps every hit.
   bool ClipToInterval(PprDataId id, const TimeInterval& range) const {
     return segments_[static_cast<size_t>(id)].box.interval.Intersects(range);
   }

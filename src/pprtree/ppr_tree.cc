@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -209,13 +210,16 @@ PprTree::Node PprTree::Mutate(PageId id) {
   return Node(&pages_.arena().MutablePage(id));
 }
 
-Status PprTree::PackSnapshot(const std::string& path) {
+Status PprTree::PackSnapshot(const std::string& path,
+                             const std::function<void(ByteSink*)>& attach) {
   Result<std::vector<PageId>> packed = pages_.Pack(
-      path, [](Page* page, const std::vector<PageId>& remap) {
+      path,
+      [](Page* page, const std::vector<PageId>& remap) {
         for (Entry& entry : Node(page).entries()) {
           if (entry.child != kInvalidPage) entry.child = remap[entry.child];
         }
-      });
+      },
+      attach);
   if (!packed.ok()) return packed.status();
 
   // Committed: the root journal follows the remap.
@@ -803,6 +807,27 @@ std::vector<PprTree::AliveNodeSummary> PprTree::CollectAliveSummaries(
   return summaries;
 }
 
+std::vector<std::pair<PprDataId, STBox>> PprTree::Records() const {
+  const std::unique_ptr<SharedBufferPool> pool = pages_.NewUnpublishedPool();
+  SharedBufferPool::Session pages(pool.get());
+  std::map<PprDataId, STBox> records;
+  for (PageId id = 0; id < PageCount(); ++id) {
+    const PageRef ref = pages.FetchPinned(id);
+    const NodeView node(ref.get());
+    if (!node.IsLeaf()) continue;
+    for (const Entry& entry : node.entries()) {
+      const auto [it, added] =
+          records.try_emplace(entry.data, entry.rect, entry.lifetime);
+      TimeInterval& life = it->second.interval;
+      if (!added) {
+        life = TimeInterval(std::min(life.start, entry.lifetime.start),
+                            std::max(life.end, entry.lifetime.end));
+      }
+    }
+  }
+  return {records.begin(), records.end()};
+}
+
 void PprTree::CollectSubtree(PageId root, PageCache* nodes,
                              std::vector<PageId>* out) const {
   std::vector<PageId> stack = {root};
@@ -986,6 +1011,10 @@ namespace {
 // bounds nothing.
 bool Before(Time t, Time below) { return below == kTimeInfinity || t < below; }
 
+// The first record a container holds: a table may have dropped a prefix.
+size_t FirstRecord(const std::vector<SegmentRecord>&) { return 0; }
+size_t FirstRecord(const SegmentTable& records) { return records.base(); }
+
 // The replay order of the events of `records` that ReplayPprEvents feeds,
 // each encoded as 2 * record + (1 for the insert at interval.start, 0 for
 // the delete at interval.end) in 32 bits, which halves the order and its
@@ -1003,7 +1032,7 @@ std::vector<uint32_t> ReplayOrder(const Records& records, Time from,
   STINDEX_CHECK_MSG(n < (size_t{1} << 31),
                     "too many records for 32-bit replay events");
   std::vector<uint32_t> order;
-  order.reserve(2 * n);
+  order.reserve(2 * (n - FirstRecord(records)));
   Time first = std::numeric_limits<Time>::max();
   Time last = std::numeric_limits<Time>::min();
   const auto add = [&](size_t record, bool insert, Time t) {
@@ -1011,11 +1040,11 @@ std::vector<uint32_t> ReplayOrder(const Records& records, Time from,
     first = std::min(first, t);
     last = std::max(last, t);
   };
-  for (size_t i = 0; i < n; ++i) {  // deletes, by record
+  for (size_t i = FirstRecord(records); i < n; ++i) {  // deletes, by record
     const TimeInterval& life = records[i].box.interval;
     if (life.start >= from && Before(life.end, below)) add(i, false, life.end);
   }
-  for (size_t i = 0; i < n; ++i) {  // then inserts
+  for (size_t i = FirstRecord(records); i < n; ++i) {  // then inserts
     const TimeInterval& life = records[i].box.interval;
     if (life.start >= from && Before(life.start, below)) {
       add(i, true, life.start);

@@ -2,8 +2,10 @@
 #define STINDEX_PPRTREE_PPR_TREE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/segment.h"
@@ -121,9 +123,12 @@ class PprTree {
   // unpacked tree's. The tree is frozen afterwards — Insert/Delete
   // become checked errors — and releases its arena and the bookkeeping
   // that serves updates (record locations, the replay's per-node state);
-  // pools from NewSharedQueryPool must be destroyed first. On failure it
-  // keeps serving from its arena, unchanged.
-  Status PackSnapshot(const std::string& path);
+  // pools from NewSharedQueryPool must be destroyed first. `attach`,
+  // when set, streams an attachment into the file beside the nodes
+  // (SnapshotFile::attachment); without one the file holds the nodes
+  // alone. On failure it keeps serving from its arena, unchanged.
+  Status PackSnapshot(const std::string& path,
+                      const std::function<void(ByteSink*)>& attach = nullptr);
 
   // Recovery hook: serves `snapshot`, reopened from the file an earlier
   // PackSnapshot of this tree wrote, as a tree whose meta
@@ -134,6 +139,13 @@ class PprTree {
 
   // Nullptr until PackSnapshot or AdoptSnapshot succeeds.
   const MmapSnapshotBackend* backend() const { return pages_.snapshot(); }
+
+  // Every record the tree holds, in data-id order: its rect, and the
+  // lifetime its leaf entries cover together — a version split closes an
+  // entry and copies it, so a record may have several, whose lifetimes
+  // abut. A record never deleted lives to kTimeInfinity. Reads every
+  // leaf: a test and verification hook.
+  std::vector<std::pair<PprDataId, STBox>> Records() const;
 
   // Node page layout (docs/storage.md): a 24-byte header {int32 level,
   // uint32 count, Time created, Time closed} after the envelope, then
@@ -356,9 +368,10 @@ std::unique_ptr<PprTree> BuildPprTree(const std::vector<SegmentRecord>& records,
 // bounds nothing), in the same (time, deletes-first, record) order —
 // each such record's insert at interval.start, and its delete at
 // interval.end when that is before `below` too. Record i gets PprDataId
-// i. `tree` must not have been fed an event later than the first
-// replayed. BuildPprTree is the unbounded case on a fresh tree; the
-// live tier's recovery replays its segment table.
+// i; a table replays the records it holds, from its base. `tree` must
+// not have been fed an event later than the first replayed. BuildPprTree
+// is the unbounded case on a fresh tree; the live tier's recovery
+// replays its segment table.
 void ReplayPprEvents(const std::vector<SegmentRecord>& records, Time from,
                      Time below, PprTree* tree);
 void ReplayPprEvents(const SegmentTable& records, Time from, Time below,

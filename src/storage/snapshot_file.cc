@@ -65,9 +65,14 @@ Status CheckPages(int fd, const std::string& path, const char* what,
   return Status::OK();
 }
 
-size_t ManifestPagesFor(size_t node_count) {
-  return (node_count + kManifestEntriesPerPage - 1) / kManifestEntriesPerPage;
+size_t ManifestPagesFor(size_t data_pages) {
+  return (data_pages + kManifestEntriesPerPage - 1) / kManifestEntriesPerPage;
 }
+
+// The largest attachment a superblock may declare (1 TiB): far past any
+// real one, small enough that page counts derived from it cannot
+// overflow.
+constexpr uint64_t kMaxAttachment = uint64_t{1} << 40;
 
 off_t SlotOffset(size_t id) {
   return static_cast<off_t>((1 + id) * kPageSize);
@@ -156,7 +161,7 @@ Status SnapshotWriter::WriteBatch() {
   const size_t count = std::exchange(batched_, 0);
   Status status = PWriteFull(
       fd_, batch_[0].bytes, count * kPageSize, SlotOffset(first),
-      "write " + PageRange("node", first, count) + " of " + path_);
+      "write " + PageRange("data", first, count) + " of " + path_);
   if (!status.ok()) return status;
   // Start the batch's write-back now rather than at Finish's fsync. Only
   // a hint: durability still comes from that fsync, which reports any
@@ -167,11 +172,65 @@ Status SnapshotWriter::WriteBatch() {
   return Status::OK();
 }
 
-Status SnapshotWriter::Finish() {
+// The attachment's stream, filling the writer's batch a page at a time:
+// each full page is zero-padded and checksummed into the manifest, and
+// each full batch written. The first failed write is the result; the
+// stream is consumed to its end regardless.
+class SnapshotWriter::AttachmentSink final : public ByteSink {
+ public:
+  explicit AttachmentSink(SnapshotWriter* writer) : writer_(writer) {}
+
+  void WriteBytes(const void* data, size_t size) override {
+    const uint8_t* in = static_cast<const uint8_t*>(data);
+    while (size > 0) {
+      if (used_ == kPageSize) AppendPage();
+      const size_t count = std::min(size, kPageSize - used_);
+      std::memcpy(Filling() + used_, in, count);
+      used_ += count;
+      bytes_ += count;
+      in += count;
+      size -= count;
+    }
+  }
+
+  // Appends the last page and writes what is batched.
+  Status Finish() {
+    if (used_ > 0) AppendPage();
+    if (!status_.ok()) return status_;
+    return writer_->WriteBatch();
+  }
+
+  uint64_t bytes() const { return bytes_; }
+
+ private:
+  uint8_t* Filling() { return writer_->batch_[writer_->batched_].bytes; }
+
+  void AppendPage() {
+    std::memset(Filling() + used_, 0, kPageSize - used_);
+    writer_->checksums_.push_back(Crc32(Filling(), kPageSize));
+    used_ = 0;
+    if (++writer_->batched_ == kBatchPages) {
+      const Status status = writer_->WriteBatch();
+      if (status_.ok()) status_ = status;
+    }
+  }
+
+  SnapshotWriter* writer_;
+  size_t used_ = 0;  // bytes of the page being filled
+  uint64_t bytes_ = 0;
+  Status status_;
+};
+
+Status SnapshotWriter::Finish(const std::function<void(ByteSink*)>& attach) {
   STINDEX_CHECK_MSG(!finished_, "double Finish");
   TraceSpan span("storage", "snapshot_finish");
   span.Arg("pages", static_cast<int64_t>(checksums_.size()));
   Status status = WriteBatch();
+  if (!status.ok()) return status;
+  const size_t nodes = checksums_.size();
+  AttachmentSink attachment(this);
+  if (attach) attach(&attachment);
+  status = attachment.Finish();
   if (!status.ok()) return status;
   const size_t manifest_pages = ManifestPagesFor(checksums_.size());
   uint8_t page[kPageSize];
@@ -192,7 +251,7 @@ Status SnapshotWriter::Finish() {
   writer.Write(kSnapshotMagic);
   writer.Write(kSnapshotFormatVersion);
   writer.Write(static_cast<uint32_t>(kPageSize));
-  writer.Write(static_cast<uint64_t>(checksums_.size()));
+  writer.Write(static_cast<uint64_t>(nodes));
   writer.Write(static_cast<uint32_t>(extents_.size()));
   writer.Write(static_cast<uint32_t>(manifest_pages));
   writer.Write(ManifestDigest(checksums_));
@@ -200,6 +259,7 @@ Status SnapshotWriter::Finish() {
     writer.Write(extent.first_slot);
     writer.Write(extent.count);
   }
+  writer.Write(attachment.bytes());
   SealPage(page, PageKind::kSnapshotSuperblock);
   // Data + manifest must be durable before the superblock makes the file
   // openable; the superblock is the commit point.
@@ -212,7 +272,7 @@ Status SnapshotWriter::Finish() {
   status = SyncDirectoryOf(path_);
   if (!status.ok()) return status;
   finished_ = true;
-  Metrics().packed_pages->Add(checksums_.size());
+  Metrics().packed_pages->Add(nodes);
   return Status::OK();
 }
 
@@ -289,12 +349,6 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
         path + ": page size " + std::to_string(page_size) +
         " does not match compiled kPageSize " + std::to_string(kPageSize));
   }
-  if (manifest_pages != ManifestPagesFor(static_cast<size_t>(node_count))) {
-    return Status::InvalidArgument(path + ": corrupt superblock (" +
-                                   std::to_string(manifest_pages) +
-                                   " manifest pages for " +
-                                   std::to_string(node_count) + " nodes)");
-  }
   // The extents must tile [0, node_count) bottom-up with no gaps.
   std::vector<SnapshotLevelExtent> extents(level_count);
   uint64_t covered = 0;
@@ -316,13 +370,28 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
         std::to_string(covered) + " of " + std::to_string(node_count) +
         " nodes)");
   }
+  // Absent before attachments existed: those superblocks read 0 here.
+  uint64_t attachment_bytes = 0;
+  if (!reader.Read(&attachment_bytes) || attachment_bytes > kMaxAttachment) {
+    return Status::InvalidArgument(path +
+                                   ": corrupt superblock (attachment size)");
+  }
+  const uint64_t attachment_pages =
+      (attachment_bytes + kPageSize - 1) / kPageSize;
+  const uint64_t data_pages = node_count + attachment_pages;
+  if (manifest_pages != ManifestPagesFor(static_cast<size_t>(data_pages))) {
+    return Status::InvalidArgument(
+        path + ": corrupt superblock (" + std::to_string(manifest_pages) +
+        " manifest pages for " + std::to_string(node_count) + " nodes and " +
+        std::to_string(attachment_pages) + " attachment pages)");
+  }
 
   struct stat st;
   if (::fstat(fd, &st) != 0) {
     return Status::IoError(Errno("fstat(" + path + ")"));
   }
   const off_t expected =
-      static_cast<off_t>((1 + node_count + manifest_pages) * kPageSize);
+      static_cast<off_t>((1 + data_pages + manifest_pages) * kPageSize);
   if (st.st_size < expected) {
     return Status::InvalidArgument(
         path + ": truncated snapshot (" + std::to_string(st.st_size) +
@@ -330,6 +399,7 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
   }
 
   file->node_count_ = static_cast<size_t>(node_count);
+  file->attachment_bytes_ = static_cast<size_t>(attachment_bytes);
   file->extents_ = std::move(extents);
   file->superblock_checksum_ = SealedPageCrc32(header);
 
@@ -337,16 +407,16 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
   // becomes resident only as pools borrow pages. First the manifest
   // against the superblock's digest, then every data page against its
   // manifest entry.
+  const size_t data = static_cast<size_t>(data_pages);
   const std::unique_ptr<Page[]> batch =
       std::make_unique_for_overwrite<Page[]>(kBatchPages);
   std::vector<uint32_t> checksums;
-  checksums.reserve(file->node_count_);
+  checksums.reserve(data);
   status = CheckPages(
-      fd, path, "manifest", 1 + file->node_count_, manifest_pages,
-      batch.get(), [&](size_t m, const uint8_t* page) {
-        Result<PageReader> manifest =
-            OpenPagePayload(page, PageKind::kSnapshotManifest,
-                            static_cast<PageId>(1 + file->node_count_ + m));
+      fd, path, "manifest", 1 + data, manifest_pages, batch.get(),
+      [&](size_t m, const uint8_t* page) {
+        Result<PageReader> manifest = OpenPagePayload(
+            page, PageKind::kSnapshotManifest, static_cast<PageId>(1 + data + m));
         if (!manifest.ok()) {
           return Status::InvalidArgument(path + ": corrupt manifest page " +
                                          std::to_string(m) + " (" +
@@ -354,8 +424,7 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
         }
         PageReader entries = manifest.value();
         const size_t begin = m * kManifestEntriesPerPage;
-        const size_t end =
-            std::min(begin + kManifestEntriesPerPage, file->node_count_);
+        const size_t end = std::min(begin + kManifestEntriesPerPage, data);
         for (size_t i = begin; i < end; ++i) {
           uint32_t crc = 0;
           if (!entries.Read(&crc)) {
@@ -372,14 +441,19 @@ Result<std::unique_ptr<SnapshotFile>> SnapshotFile::Open(
     return Status::InvalidArgument(
         path + ": manifest digest mismatch (superblock and manifest disagree)");
   }
-  status = CheckPages(fd, path, "node", 1, file->node_count_, batch.get(),
+  // Node pages, then attachment pages, each named in its own numbering.
+  status = CheckPages(fd, path, "data", 1, data, batch.get(),
                       [&](size_t id, const uint8_t* page) {
-                        if (Crc32(page, kPageSize) != checksums[id]) {
-                          return Status::InvalidArgument(
-                              path + ": checksum mismatch on page " +
-                              std::to_string(id));
+                        if (Crc32(page, kPageSize) == checksums[id]) {
+                          return Status::OK();
                         }
-                        return Status::OK();
+                        return Status::InvalidArgument(
+                            path + ": checksum mismatch on " +
+                            (id < file->node_count_
+                                 ? "page " + std::to_string(id)
+                                 : "attachment page " +
+                                       std::to_string(id -
+                                                      file->node_count_)));
                       });
   if (!status.ok()) return status;
 

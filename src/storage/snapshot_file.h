@@ -2,11 +2,14 @@
 #define STINDEX_STORAGE_SNAPSHOT_FILE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "storage/page_backend.h"
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace stindex {
@@ -27,13 +30,19 @@ struct SnapshotLevelExtent {
 //   page 0                superblock (sealed, PageKind::kSnapshotSuperblock):
 //                           magic, format version, page size, node count,
 //                           level count, manifest page count, manifest
-//                           digest, per-level slot extents
+//                           digest, per-level slot extents, u64
+//                           attachment byte count
 //   pages 1 .. node_count data page for node slot `id` at file page 1+id —
 //                           sealed tree-node pages, written bottom-up
 //                           (all level-0 leaves first, then level 1, ...)
+//   attachment pages      the attachment: bytes the file's owner stores
+//                           beside the nodes, zero-padded to whole pages
+//                           and not sealed, so they read as one
+//                           contiguous span of the mapping
 //   trailing pages        checksum manifest (sealed, kSnapshotManifest):
 //                           one uint32 CRC-32 of the full kPageSize bytes
-//                           of each data page, in slot order
+//                           of each data page — node pages, then
+//                           attachment pages — in file order
 //
 // Node slots are dense by construction (the packer remaps ids), so the
 // byte offset of slot `id` is (1 + id) * kPageSize — independent of the
@@ -41,7 +50,10 @@ struct SnapshotLevelExtent {
 // knowing their count up front. The superblock's manifest digest (CRC-32
 // over the concatenated per-page checksums) ties the manifest to the
 // superblock; every data page is verified against its manifest entry at
-// open time, and pools re-check each page they load on a miss.
+// open time, and pools re-check each node page they load on a miss. A
+// snapshot without an attachment (a plain PprTree::PackSnapshot's) writes
+// an attachment count of 0 into superblock bytes that were zero before
+// the field existed, so its bytes are those of the layout without it.
 class SnapshotWriter {
  public:
   // Creates a new snapshot file at `path` (truncating any existing file).
@@ -75,14 +87,18 @@ class SnapshotWriter {
   // Number of pages appended so far — the slot id the next Append gets.
   size_t appended() const { return checksums_.size(); }
 
-  // Writes the manifest and superblock, fsyncs and closes the file, then
-  // fsyncs its directory, so the file's name is as durable as its pages
-  // (a live-tier checkpoint may name the file right after). No further
-  // appends; the file is now immutable.
-  Status Finish();
+  // Writes the attachment `attach` streams into the sink it is handed
+  // (none when null) after the node pages — a page at a time, so it is
+  // never whole in memory — then the manifest and superblock, fsyncs and
+  // closes the file, then fsyncs its directory, so the file's name is as
+  // durable as its pages (a live-tier checkpoint may name the file right
+  // after). No further appends; the file is now immutable.
+  Status Finish(const std::function<void(ByteSink*)>& attach = nullptr);
 
  private:
   SnapshotWriter(std::string path, int fd);
+
+  class AttachmentSink;
 
   // Writes the buffered pages, if any, with one pwrite, and starts their
   // write-back.
@@ -122,6 +138,12 @@ class SnapshotFile {
 
   size_t node_count() const { return node_count_; }
   const std::vector<SnapshotLevelExtent>& extents() const { return extents_; }
+  // The attachment the writer stored, in place in the mapping (empty when
+  // none), verified at open like every page. Its first byte is
+  // page-aligned.
+  std::span<const uint8_t> attachment() const {
+    return {map_ + (1 + node_count_) * kPageSize, attachment_bytes_};
+  }
   const std::string& path() const { return path_; }
   // The CRC-32 of the superblock page. The superblock holds the manifest
   // digest, which covers every data page, so two files with the same
@@ -140,6 +162,7 @@ class SnapshotFile {
   const uint8_t* map_ = nullptr;
   size_t map_bytes_ = 0;
   size_t node_count_ = 0;
+  size_t attachment_bytes_ = 0;
   uint32_t superblock_checksum_ = 0;
   std::vector<SnapshotLevelExtent> extents_;
 };

@@ -91,8 +91,9 @@ void TreePages::ResetQueryState() const {
   session_->ResetStats();
 }
 
-Result<std::vector<PageId>> TreePages::Pack(const std::string& path,
-                                            RemapChildren remap_children) {
+Result<std::vector<PageId>> TreePages::Pack(
+    const std::string& path, RemapChildren remap_children,
+    const std::function<void(ByteSink*)>& attach) {
   STINDEX_CHECK_MSG(!frozen(), "tree already packed");
   STINDEX_CHECK_MSG(check_.has_value(), "this tree has no sealed node pages");
   TraceSpan span(scope_, "pack_snapshot");
@@ -128,7 +129,7 @@ Result<std::vector<PageId>> TreePages::Pack(const std::string& path,
       if (!status.ok()) return status;
     }
   }
-  Status status = writer.value()->Finish();
+  Status status = writer.value()->Finish(attach);
   if (!status.ok()) return status;
   Result<std::unique_ptr<MmapSnapshotBackend>> snapshot =
       MmapSnapshotBackend::Open(path);

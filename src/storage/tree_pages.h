@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -98,10 +99,12 @@ class TreePages {
   // mapped), the arena released and the query pool reopened. The remap
   // is a bijection of the page-id access sequence, so per-query LRU
   // misses stay identical; it is returned (arena id -> slot) for the
-  // tree's own references. On failure nothing changes. Packing twice is a
-  // checked error.
-  Result<std::vector<PageId>> Pack(const std::string& path,
-                                   RemapChildren remap_children);
+  // tree's own references. `attach`, when set, streams an attachment
+  // into the file beside the nodes (SnapshotWriter::Finish). On failure
+  // nothing changes. Packing twice is a checked error.
+  Result<std::vector<PageId>> Pack(
+      const std::string& path, RemapChildren remap_children,
+      const std::function<void(ByteSink*)>& attach = nullptr);
 
   // Drops the arena and serves `snapshot` instead, as Pack does once its
   // file is written: how a recovered tree, which holds no page, serves

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -29,6 +30,7 @@
 #include "datagen/query_gen.h"
 #include "datagen/random_dataset.h"
 #include "live/live_tier.h"
+#include "pprtree/ppr_tree.h"
 #include "storage/fault_backend.h"
 #include "storage/file_backend.h"
 #include "temp_path.h"
@@ -41,7 +43,7 @@ namespace {
 constexpr Time kTimeDomain = 150;
 constexpr size_t kCommitEvery = 16;
 
-// The sizes of the two sweeps: the mutating backend calls of their
+// The sizes of the three sweeps: the mutating backend calls of their
 // reference runs, and an FNV-1a 64 hash of those calls in order — each
 // call's op and slot (RecordingBackend). A change to what the tier
 // writes, or where, moves them, and the sweeps say so instead of
@@ -57,6 +59,11 @@ constexpr uint64_t kWriteSites = 86;
 constexpr uint64_t kWriteSitesHash = 0xceee99c9889fd068ull;
 constexpr uint64_t kCheckpointedWriteSites = 89;
 constexpr uint64_t kCheckpointedWriteSitesHash = 0x3b102caa0e6fb9e5ull;
+// The packed sweep: a pack halfway through, whose checkpoint releases the
+// chain pages of the segments it froze; the plain run's 40 objects,
+// checkpointed every 2 journal pages.
+constexpr uint64_t kPackedWriteSites = 213;
+constexpr uint64_t kPackedWriteSitesHash = 0x92ab0f87ddaa6e29ull;
 
 // Forwards to `inner` and records every Write and Sync it receives: the
 // calls, and an FNV-1a 64 hash over each call's op ('W' or 'S') and slot
@@ -139,9 +146,12 @@ LiveTierOptions TierOptions() {
 
 struct RunResult {
   std::vector<std::vector<ObjectId>> answers;
+  // Every migrated segment, the frozen layers' as they hold them.
   std::vector<SegmentRecord> segments;
   size_t tree_pages = 0;
   size_t tree_roots = 0;
+  std::vector<size_t> frozen_pages;  // per frozen layer
+  size_t segment_base = 0;  // the first segment the table holds
 };
 
 bool SameSegments(const std::vector<SegmentRecord>& a,
@@ -168,12 +178,13 @@ RunResult Snapshot(const LiveTier& tier, const std::vector<STQuery>& queries) {
     tier.IntervalQuery(query.area, query.range, &answer);
     result.answers.push_back(std::move(answer));
   }
-  const SegmentTable& segments = tier.migrated_segments();
-  for (size_t i = 0; i < segments.size(); ++i) {
-    result.segments.push_back(segments[i]);
-  }
+  result.segments = tier.AllMigratedSegments();
   result.tree_pages = tier.historical().PageCount();
   result.tree_roots = tier.historical().NumRoots();
+  for (size_t l = 0; l < tier.frozen_layers(); ++l) {
+    result.frozen_pages.push_back(tier.frozen_layer(l).PageCount());
+  }
+  result.segment_base = tier.migrated_segments().base();
   return result;
 }
 
@@ -181,12 +192,15 @@ RunResult Snapshot(const LiveTier& tier, const std::vector<STQuery>& queries) {
 // of mutating backend calls the whole run performs — the sweep space —
 // and `hash` (when non-null) their RecordingBackend hash. `checkpoints`
 // (when non-null) receives the run's final checkpoint sequence, to prove
-// a checkpointed sweep actually cycled.
+// a checkpointed sweep actually cycled. With `pack_at` > 0 the run packs
+// its active tree into `snapshot` once it has applied (and, at a multiple
+// of kCommitEvery, committed) that many updates, then checkpoints.
 RunResult ReferenceRun(const LiveTierOptions& options, const std::string& path,
                        const std::vector<LiveObservation>& stream,
                        const std::vector<STQuery>& queries, uint64_t* mutations,
                        uint64_t* hash = nullptr,
-                       uint64_t* checkpoints = nullptr) {
+                       uint64_t* checkpoints = nullptr, size_t pack_at = 0,
+                       const std::string& snapshot = "") {
   Result<std::unique_ptr<FilePageBackend>> file = FilePageBackend::Create(path);
   EXPECT_TRUE(file.ok()) << file.status().ToString();
   auto recording = std::make_unique<RecordingBackend>(std::move(file).value());
@@ -198,6 +212,10 @@ RunResult ReferenceRun(const LiveTierOptions& options, const std::string& path,
     EXPECT_TRUE(tier.value()->Apply(stream[i]).ok());
     if ((i + 1) % kCommitEvery == 0) {
       EXPECT_TRUE(tier.value()->Commit().ok());
+    }
+    if (i + 1 == pack_at) {
+      EXPECT_TRUE(tier.value()->PackHistorical(snapshot).ok());
+      EXPECT_TRUE(tier.value()->Checkpoint().ok());
     }
   }
   if (checkpoints != nullptr) *checkpoints = tier.value()->checkpoint_seq();
@@ -476,6 +494,120 @@ TEST(CrashRecoveryTest, CheckpointedCrashSweepRecoversAtEveryMutationSite) {
 
 }
 
+// The packed sweep: the reference run packs its active tree halfway
+// through and checkpoints at once — the cycle that retires the frozen
+// segments from the segment table and releases their chain pages — then
+// checkpoints automatically on. A crash at ANY mutation site recovers to
+// the reference answers, the full record set and the same layering: a
+// recovery that lost the pack (its checkpoint never committed) packs
+// again where the reference did.
+TEST(CrashRecoveryTest, PackedCrashSweepRecoversAtEveryMutationSite) {
+  const std::vector<LiveObservation> stream =
+      MakeObservationStream(MakeObjects());
+  const std::vector<STQuery> queries = MakeQueries();
+  LiveTierOptions options = TierOptions();
+  options.checkpoint_every_pages = 2;
+  const size_t pack_at = stream.size() / 2 / kCommitEvery * kCommitEvery;
+
+  const TempPath ref_path("pack_ref.stpages");
+  const TempPath ref_snapshot("pack_ref.stsnap");
+  uint64_t mutations = 0;
+  uint64_t hash = 0;
+  uint64_t checkpoints = 0;
+  const RunResult reference =
+      ReferenceRun(options, ref_path, stream, queries, &mutations, &hash,
+                   &checkpoints, pack_at, ref_snapshot.path());
+  ASSERT_GE(checkpoints, 2u) << "sweep never cycles a checkpoint";
+  ASSERT_EQ(reference.frozen_pages.size(), 1u);
+  // The pack's checkpoint released at least one chain page.
+  ASSERT_GE(reference.segment_base, kSegmentsPerPage);
+  RecordProperty("mutation_sites", static_cast<int>(mutations));
+  EXPECT_EQ(mutations, kPackedWriteSites);
+  EXPECT_EQ(hash, kPackedWriteSitesHash);
+
+  const TempPath path("pack_sweep.stpages");
+  const TempPath snapshot("pack_sweep.stsnap");
+  // Packs `tier` where the reference did, unless a layer survived.
+  const auto pack = [&](LiveTier* tier) {
+    if (tier->frozen_layers() > 0) return true;
+    return tier->PackHistorical(snapshot.path()).ok() &&
+           tier->Checkpoint().ok();
+  };
+  size_t packs_recovered = 0;
+  for (uint64_t crash_at = 1; crash_at <= mutations; ++crash_at) {
+    SCOPED_TRACE("crash_at_write=" + std::to_string(crash_at));
+
+    Result<std::unique_ptr<FilePageBackend>> file =
+        FilePageBackend::Create(path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    FaultInjectingBackend::Faults faults;
+    faults.crash_at_write = crash_at;
+    auto fault = std::make_unique<FaultInjectingBackend>(
+        std::move(file).value(), faults);
+    FaultInjectingBackend* raw_fault = fault.get();
+    Result<std::unique_ptr<LiveTier>> doomed =
+        LiveTier::Open(options, std::move(fault));
+    ASSERT_TRUE(doomed.ok()) << doomed.status().ToString();
+
+    size_t acked = 0;
+    bool crashed = false;
+    for (size_t i = 0; i < stream.size() && !crashed; ++i) {
+      crashed = !doomed.value()->Apply(stream[i]).ok();
+      if (!crashed && (i + 1) % kCommitEvery == 0) {
+        crashed = !doomed.value()->Commit().ok();
+        if (!crashed) acked = i + 1;
+      }
+      // The snapshot is outside the journal: only the checkpoint fails.
+      if (!crashed && i + 1 == pack_at) crashed = !pack(doomed.value().get());
+    }
+    if (!crashed) {
+      ASSERT_FALSE(doomed.value()->Finish().ok())
+          << "crash point " << crash_at << " of " << mutations
+          << " never fired";
+    }
+    ASSERT_TRUE(raw_fault->crashed());
+    doomed.value().reset();
+
+    Result<std::unique_ptr<FilePageBackend>> reopened =
+        FilePageBackend::Open(path);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    Result<std::unique_ptr<LiveTier>> recovered =
+        LiveTier::Open(options, std::move(reopened).value());
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    recovered.value()->historical().CheckInvariants();
+    for (size_t l = 0; l < recovered.value()->frozen_layers(); ++l) {
+      recovered.value()->frozen_layer(l).CheckInvariants();
+    }
+    packs_recovered += recovered.value()->frozen_layers();
+    const Status copies = recovered.value()->VerifyCheckpointCopies();
+    ASSERT_TRUE(copies.ok()) << copies.ToString();
+
+    if (acked == pack_at) {
+      ASSERT_TRUE(pack(recovered.value().get()));
+    }
+    for (size_t i = acked; i < stream.size(); ++i) {
+      ASSERT_TRUE(recovered.value()->Apply(stream[i]).ok());
+      if ((i + 1) % kCommitEvery == 0) {
+        ASSERT_TRUE(recovered.value()->Commit().ok());
+      }
+      if (i + 1 == pack_at) {
+        ASSERT_TRUE(pack(recovered.value().get()));
+      }
+    }
+    ASSERT_TRUE(recovered.value()->Finish().ok());
+
+    const RunResult after = Snapshot(*recovered.value(), queries);
+    ASSERT_EQ(after.answers, reference.answers);
+    ASSERT_TRUE(SameSegments(after.segments, reference.segments));
+    ASSERT_EQ(after.tree_pages, reference.tree_pages);
+    ASSERT_EQ(after.tree_roots, reference.tree_roots);
+    ASSERT_EQ(after.frozen_pages, reference.frozen_pages);
+  }
+  // Crashes before the pack's checkpoint and after it were both swept.
+  EXPECT_GT(packs_recovered, 0u);
+  EXPECT_LT(packs_recovered, mutations);
+}
+
 // A checkpoint header slot whose read fails is an I/O error naming the
 // slot, not a torn header: the slot may hold the newer checkpoint, and
 // recovering from the other slot — or from none — would replay a journal
@@ -643,6 +775,139 @@ TEST(CrashRecoveryTest, JournalStaysBoundedAcrossCheckpointCycles) {
   EXPECT_GT(closed.wal_free_slots, 0u);
   EXPECT_LT(max_slots, pages_flushed_total);
 
+}
+
+// The segment chain of the committed checkpoint of the journal at `path`.
+CheckpointHeader HeaderOf(const std::string& path) {
+  Result<std::unique_ptr<FilePageBackend>> file = FilePageBackend::Open(path);
+  EXPECT_TRUE(file.ok()) << file.status().ToString();
+  const Result<CheckpointHeader> header =
+      ReadLatestCheckpointHeader(*file.value());
+  EXPECT_TRUE(header.ok()) << header.status().ToString();
+  return header.value();
+}
+
+// Packs retire history: across generations of reopen-ingest-close
+// cycles that pack the active tree every few dozen checkpoints, each
+// pack's checkpoint releases the chain pages of the segments it froze,
+// so the chain never holds more than a generation's segments and the
+// journal's slots stay a fraction of an unpacked journal's, which grow
+// with the whole chain; every pack shrinks the segment table; every
+// frozen layer passes its invariants after each reopen; and the answers
+// at the end equal an unpacked tier's and a batch build's.
+TEST(CrashRecoveryTest, JournalStaysBoundedAcrossPacks) {
+  RandomDatasetConfig data;
+  data.num_objects = 1500;
+  data.time_domain = 300;
+  data.max_lifetime = 40;
+  data.min_extent = 0.01;
+  data.max_extent = 0.05;
+  data.seed = 2468;
+  const std::vector<LiveObservation> stream =
+      MakeObservationStream(GenerateRandomDataset(data));
+  const std::vector<STQuery> queries = MakeQueries();
+  LiveTierOptions options = TierOptions();
+  options.index.capacity = 4;
+  options.checkpoint_every_pages = 4;
+  constexpr uint64_t kCheckpointsPerPack = 60;
+  constexpr size_t kGenerations = 5;
+  MetricRegistry& registry = MetricRegistry::Global();
+  const auto gauge = [&registry](LiveTier* tier, const char* name) {
+    tier->PublishGauges();
+    return registry.GetGauge(name)->Value();
+  };
+
+  // The unpacked reference, on a journal of the same schedule.
+  const TempPath ref_path("packs_ref.stpages");
+  int64_t unpacked_slots = 0;
+  RunResult reference;
+  {
+    Result<std::unique_ptr<FilePageBackend>> file =
+        FilePageBackend::Create(ref_path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(options, std::move(file).value());
+    ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+    for (size_t i = 0; i < stream.size(); ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+      if ((i + 1) % kCommitEvery == 0) {
+        ASSERT_TRUE(tier.value()->Commit().ok());
+      }
+    }
+    ASSERT_TRUE(tier.value()->Checkpoint().ok());
+    unpacked_slots = gauge(tier.value().get(), "live.wal.slots");
+    ASSERT_TRUE(tier.value()->Finish().ok());
+    reference = Snapshot(*tier.value(), queries);
+  }
+  const uint32_t unpacked_chain = HeaderOf(ref_path.path()).segment_pages;
+
+  const TempPath path("packs_gens.stpages");
+  std::deque<TempPath> snapshots;  // one per pack
+  uint64_t packed_at_seq = 0;
+  for (size_t gen = 0; gen < kGenerations; ++gen) {
+    SCOPED_TRACE("generation=" + std::to_string(gen));
+    Result<std::unique_ptr<FilePageBackend>> file =
+        gen == 0 ? FilePageBackend::Create(path) : FilePageBackend::Open(path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    Result<std::unique_ptr<LiveTier>> tier =
+        LiveTier::Open(options, std::move(file).value());
+    ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+    EXPECT_EQ(tier.value()->frozen_layers(), snapshots.size());
+    for (size_t l = 0; l < tier.value()->frozen_layers(); ++l) {
+      tier.value()->frozen_layer(l).CheckInvariants();
+    }
+    tier.value()->historical().CheckInvariants();
+    const Status copies = tier.value()->VerifyCheckpointCopies();
+    ASSERT_TRUE(copies.ok()) << copies.ToString();
+
+    const size_t begin = gen * stream.size() / kGenerations;
+    const size_t end = (gen + 1) * stream.size() / kGenerations;
+    for (size_t i = begin; i < end; ++i) {
+      ASSERT_TRUE(tier.value()->Apply(stream[i]).ok());
+      if ((i + 1) % kCommitEvery != 0) continue;
+      ASSERT_TRUE(tier.value()->Commit().ok());
+      if (tier.value()->checkpoint_seq() < packed_at_seq + kCheckpointsPerPack) {
+        continue;
+      }
+      const int64_t table_bytes =
+          gauge(tier.value().get(), "live.segment_table_bytes");
+      snapshots.emplace_back("packs_gens_" + std::to_string(snapshots.size()) +
+                             ".stsnap");
+      ASSERT_TRUE(tier.value()->PackHistorical(snapshots.back().path()).ok());
+      EXPECT_LT(gauge(tier.value().get(), "live.segment_table_bytes"),
+                table_bytes)
+          << "pack " << snapshots.size();
+      ASSERT_TRUE(tier.value()->Checkpoint().ok());
+      packed_at_seq = tier.value()->checkpoint_seq();
+    }
+    ASSERT_TRUE(tier.value()->Commit().ok());
+    ASSERT_TRUE(tier.value()->Checkpoint().ok());
+    EXPECT_LT(gauge(tier.value().get(), "live.wal.slots") * 4, unpacked_slots);
+    if (gen + 1 == kGenerations) {
+      ASSERT_TRUE(tier.value()->Finish().ok());
+      const RunResult after = Snapshot(*tier.value(), queries);
+      EXPECT_EQ(after.answers, reference.answers);
+      EXPECT_TRUE(SameSegments(after.segments, reference.segments));
+    }
+    tier.value().reset();  // clean close; the next generation reopens
+    EXPECT_LE(HeaderOf(path.path()).segment_pages * kGenerations,
+              unpacked_chain);
+  }
+  EXPECT_GE(snapshots.size(), kGenerations) << "too few packs";
+
+  // A batch build over every segment answers as both tiers did.
+  const std::unique_ptr<PprTree> batch = BuildPprTree(reference.segments);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    std::vector<PprDataId> ids;
+    batch->IntervalQuery(queries[q].area, queries[q].range, &ids);
+    std::vector<ObjectId> objects;
+    for (const PprDataId id : ids) {
+      objects.push_back(reference.segments[id].object);
+    }
+    std::sort(objects.begin(), objects.end());
+    objects.erase(std::unique(objects.begin(), objects.end()), objects.end());
+    EXPECT_EQ(reference.answers[q], objects) << "query " << q;
+  }
 }
 
 }  // namespace

@@ -18,6 +18,8 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -38,6 +40,7 @@
 #include "storage/shared_buffer_pool.h"
 #include "temp_path.h"
 #include "util/metrics.h"
+#include "util/prom_writer.h"
 #include "util/random.h"
 
 namespace stindex {
@@ -840,6 +843,103 @@ TEST(MigrationPipelineTest, DecodeStateRejectsBadWatermarks) {
   EXPECT_TRUE(Mentions(status, "watermark 3 precedes the pack watermark 4"))
       << status.ToString();
   EXPECT_EQ(tree.Size(), 0u);
+}
+
+// A record table as MigrationPipeline::EncodeFrozenRecords lays it out.
+std::vector<uint8_t> RecordTable(
+    uint64_t first_id, const std::vector<ObjectId>& objects,
+    const std::vector<FrozenRecords::AliveEnd>& alive) {
+  MemorySink sink;
+  sink.Write(first_id);
+  sink.Write(static_cast<uint64_t>(objects.size()));
+  sink.Write(static_cast<uint64_t>(alive.size()));
+  for (const FrozenRecords::AliveEnd& end : alive) {
+    sink.Write(end.id);
+    sink.Write(end.end);
+  }
+  for (const ObjectId object : objects) sink.Write(object);
+  return sink.bytes();
+}
+
+// A frozen layer resolves its hits on its own: each id's object, and for
+// a record alive at the pack, its true end; any other hit is exact.
+TEST(FrozenRecordsTest, ResolvesObjectsAndClipsRecordsAliveAtThePack) {
+  // Ids 10..14; 11 and 13 were alive at the pack, ending at 30 and 25.
+  const std::vector<uint8_t> table =
+      RecordTable(10, {7, 8, 9, 7, 6}, {{11, 30}, {13, 25}});
+  const Result<FrozenRecords> records = FrozenRecords::Parse(table);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  EXPECT_EQ(records.value().first_id(), 10u);
+  EXPECT_EQ(records.value().end_id(), 15u);
+  EXPECT_EQ(records.value().ObjectOf(10), 7u);
+  EXPECT_EQ(records.value().ObjectOf(14), 6u);
+  EXPECT_EQ(records.value().AliveEndOf(13), 25);
+  EXPECT_EQ(records.value().AliveEndOf(12), kTimeInfinity);
+  // Before the earliest alive end every hit stands.
+  for (PprDataId id = 10; id < 15; ++id) {
+    EXPECT_TRUE(records.value().ClipToInterval(id, TimeInterval(0, 25)));
+  }
+  EXPECT_FALSE(records.value().ClipToInterval(13, TimeInterval(25, 26)));
+  EXPECT_TRUE(records.value().ClipToInterval(11, TimeInterval(25, 26)));
+  EXPECT_FALSE(records.value().ClipToInterval(11, TimeInterval(30, 40)));
+  EXPECT_TRUE(records.value().ClipToInterval(12, TimeInterval(30, 40)));
+}
+
+TEST(FrozenRecordsTest, ParseRefusesATableThatDoesNotFit) {
+  const std::vector<uint8_t> table = RecordTable(10, {7, 8, 9}, {{11, 30}});
+  ASSERT_EQ(table.size(), 24u + 16 + 3 * 4);
+  ASSERT_TRUE(FrozenRecords::Parse(table).ok());
+  for (const size_t cut :
+       {size_t{0}, size_t{23}, table.size() - 1, table.size() - 4}) {
+    const Result<FrozenRecords> records =
+        FrozenRecords::Parse(std::span(table).first(cut));
+    EXPECT_EQ(records.status().code(), StatusCode::kInvalidArgument) << cut;
+  }
+  // An alive id outside the table's ids, or out of order.
+  for (const auto& alive :
+       {std::vector<FrozenRecords::AliveEnd>{{13, 30}},
+        std::vector<FrozenRecords::AliveEnd>{{9, 30}},
+        std::vector<FrozenRecords::AliveEnd>{{12, 30}, {11, 31}}}) {
+    const Result<FrozenRecords> records =
+        FrozenRecords::Parse(RecordTable(10, {7, 8, 9}, alive));
+    EXPECT_EQ(records.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(Mentions(records.status(), "is out of order or outside ids"))
+        << records.status().ToString();
+  }
+}
+
+// A pack retires the segments it froze from the table, keeping their ids:
+// the table holds ids from the lowest one not frozen, the pipeline's
+// record table for the layer names the objects of the ids from the old
+// base and the ends of the records the layer holds alive.
+TEST(MigrationPipelineTest, PackRetiresTheFrozenSegments) {
+  PprTree tree;
+  MigrationPipeline pipeline(&tree);
+  // Segments 0..3 over [0, 3), [2, 6), [5, 9), [1, 4); W = 5.
+  ASSERT_TRUE(DecodeWatermarks(5, std::numeric_limits<Time>::min(), 16,
+                               &pipeline)
+                  .ok());
+  MemorySink sink;
+  pipeline.EncodeFrozenRecords(&sink);
+  const Result<FrozenRecords> records = FrozenRecords::Parse(sink.bytes());
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  EXPECT_EQ(records.value().first_id(), 0u);
+  EXPECT_EQ(records.value().end_id(), 4u);
+  EXPECT_EQ(records.value().ObjectOf(2), 6u);
+  // Segment 1 was inserted and is still alive at W; 0 and 3 ended
+  // before it, and 2 starts at W.
+  ASSERT_EQ(records.value().alive_count(), 1u);
+  EXPECT_EQ(records.value().alive(0).id, 1u);
+  EXPECT_EQ(records.value().alive(0).end, 6);
+
+  PprTree fresh;
+  pipeline.RetargetAfterPack(&fresh);
+  // Segment 2 is the lowest not frozen.
+  EXPECT_EQ(pipeline.segments().size(), 4u);
+  EXPECT_EQ(pipeline.segments().base(), 2u);
+  EXPECT_EQ(pipeline.pending_events(), 2u);
+  pipeline.Drain();
+  EXPECT_EQ(fresh.Size(), 1u);
 }
 
 // Exact linear-scan reference: an object matches iff at some instant of
@@ -2028,6 +2128,31 @@ TEST_F(CheckpointCountTest, JournalThatCopiesTheActiveTreeIsRefused) {
                  "predates derived active trees"});
 }
 
+// Layout 4 kept every migrated segment in the chain, frozen ones too,
+// and had no chain base: refused, naming the layout.
+TEST_F(CheckpointCountTest, JournalThatChainsFrozenSegmentsIsRefused) {
+  const uint32_t old_layout = 4;
+  Poke(1, PageKind::kCheckpointHeader, kPageEnvelopeBytes + 32, &old_layout,
+       sizeof(old_layout));
+  ExpectRefused({"checkpoint 1 (header slot 1) has layout 4",
+                 "this build reads layout 5",
+                 "predates frozen layers that hold their records"});
+}
+
+// The chain holds the segments from the table's base, the lowest id the
+// pack left unfrozen: a base past the pages the header names is refused.
+TEST_F(CheckpointCountTest, HeaderSegmentBase) {
+  Build(/*pack=*/true);
+  const CheckpointHeader header = Header();
+  ASSERT_GT(header.segment_base, 0u) << "the pack froze no segment";
+  ASSERT_GT(header.segment_pages, 0u);
+  // Header payload: ..., segment_count, then segment_base.
+  const uint64_t base = header.segment_count;
+  Poke(1, PageKind::kCheckpointHeader, kPageEnvelopeBytes + 52, &base,
+       sizeof(base));
+  ExpectRefused({"checkpoint 1 (header slot 1)", "segment chain of"});
+}
+
 TEST_F(CheckpointCountTest, TreeRootJournal) {
   Build(/*pack=*/true);
   // The stream opens with the frozen layer count, then layer 0's tree
@@ -2199,8 +2324,9 @@ TEST(CheckpointMetaWriterTest, FailedPageWriteIsTheResult) {
   EXPECT_EQ(backend.SlotCount(), kWalFirstDataSlot + 1);
 }
 
-// PublishGauges reports the segment table — the records it holds and the
-// bytes of its blocks — and the journal's slots, all deterministic.
+// PublishGauges reports the segment table — the segments migrated and
+// the bytes of its blocks, which fall at a pack — and the journal's
+// slots, all deterministic.
 TEST(LiveTierTest, PublishGaugesReportsTheSegmentTable) {
   Result<std::unique_ptr<LiveTier>> tier = LiveTier::Open(
       SmallTierOptions(), std::make_unique<MemoryPageBackend>());
@@ -2233,6 +2359,79 @@ TEST(LiveTierTest, PublishGaugesReportsTheSegmentTable) {
             static_cast<int64_t>(telemetry.wal_slots));
   EXPECT_EQ(registry.GetGauge("live.wal.free_slots")->Value(),
             static_cast<int64_t>(telemetry.wal_free_slots));
+
+  // The table's bytes fall at a pack: it frees every block below the
+  // lowest id the pack left unfrozen, while live.segments still counts
+  // every segment migrated.
+  RandomDatasetConfig config;
+  config.num_objects = 600;
+  config.time_domain = 120;
+  config.max_lifetime = 40;
+  config.min_extent = 0.01;
+  config.max_extent = 0.05;
+  config.seed = 5;
+  const std::vector<LiveObservation> stream =
+      MakeObservationStream(GenerateRandomDataset(config));
+  LiveTierOptions options = SmallTierOptions();
+  options.index.capacity = 4;
+  Result<std::unique_ptr<LiveTier>> packed =
+      LiveTier::Open(options, std::make_unique<MemoryPageBackend>());
+  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
+  const TempPath snap_paths[] = {TempPath("live_gauges_0.stsnap"),
+                                 TempPath("live_gauges_1.stsnap")};
+  for (size_t p = 0; p < 2; ++p) {
+    SCOPED_TRACE("pack " + std::to_string(p));
+    for (size_t i = p * stream.size() / 3; i < (p + 1) * stream.size() / 3;
+         ++i) {
+      ASSERT_TRUE(packed.value()->Apply(stream[i]).ok());
+    }
+    packed.value()->PublishGauges();
+    const int64_t before =
+        registry.GetGauge("live.segment_table_bytes")->Value();
+    ASSERT_TRUE(packed.value()->PackHistorical(snap_paths[p].path()).ok());
+    packed.value()->PublishGauges();
+    const SegmentTable& table = packed.value()->migrated_segments();
+    EXPECT_GE(table.base(), (p + 1) * SegmentTable::kBlockRecords);
+    EXPECT_LT(registry.GetGauge("live.segment_table_bytes")->Value(), before);
+    EXPECT_EQ(registry.GetGauge("live.segment_table_bytes")->Value(),
+              static_cast<int64_t>(table.blocks() * 57344));
+    EXPECT_EQ(registry.GetGauge("live.segments")->Value(),
+              static_cast<int64_t>(table.size()));
+    const Status copies = packed.value()->VerifyCheckpointCopies();
+    EXPECT_TRUE(copies.ok()) << copies.ToString();
+  }
+}
+
+// Every metric name has one kind: the Prometheus rendering of the
+// registry, with the WAL's counters and the tier's gauges both in it,
+// carries one # TYPE line per name.
+TEST(LiveTierTest, PrometheusRenderingTypesEveryNameOnce) {
+  Result<std::unique_ptr<LiveTier>> tier = LiveTier::Open(
+      SmallTierOptions(), std::make_unique<MemoryPageBackend>());
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+  for (const LiveObservation& update :
+       MakeObservationStream(SmallDataset(3))) {
+    ASSERT_TRUE(tier.value()->Apply(update).ok());
+  }
+  ASSERT_TRUE(tier.value()->Commit().ok());
+  ASSERT_TRUE(tier.value()->Checkpoint().ok());
+  tier.value()->PublishGauges();
+  std::istringstream lines(
+      RenderPrometheus(MetricRegistry::Global().Snapshot()));
+  std::map<std::string, int> types;
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    std::istringstream fields(line.substr(7));
+    std::string name;
+    fields >> name;
+    ++types[name];
+  }
+  ASSERT_GT(types.count("stindex_live_wal_records"), 0u);
+  ASSERT_GT(types.count("stindex_live_wal_tail_pages"), 0u);
+  for (const auto& [name, count] : types) {
+    EXPECT_EQ(count, 1) << name << " has " << count << " # TYPE lines";
+  }
 }
 
 TEST(LiveTierTest, GroupCommitCoalescesConcurrentCommitters) {

@@ -413,7 +413,10 @@ TEST(PinnedBytesTest, LiveTierNodePagesKeepTheirBytes) {
   }
   ASSERT_TRUE(tier.value()->Commit().ok());
   ASSERT_TRUE(tier.value()->Checkpoint().ok());
-  EXPECT_EQ(FileCrc(snap_path), 0xa1fedf4bu);
+  // The file: the frozen layer's node pages, then its records (the
+  // snapshot's attachment: the objects of the ids it may hold and the
+  // ends of the records alive at the pack).
+  EXPECT_EQ(FileCrc(snap_path), 0x1a47539cu);
 
   // The tier's node pages, each sealed as a snapshot seals it: the frozen
   // layer's, from its snapshot file, in node order, then the active
@@ -425,6 +428,12 @@ TEST(PinnedBytesTest, LiveTierNodePagesKeepTheirBytes) {
       SnapshotFile::Open(snap_path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   const size_t frozen_pages = snapshot.value()->node_count();
+  const Result<FrozenRecords> records =
+      FrozenRecords::Parse(snapshot.value()->attachment());
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  EXPECT_EQ(records.value().first_id(), 0u);
+  EXPECT_EQ(records.value().end_id(), 64u);
+  EXPECT_EQ(records.value().alive_count(), 30u);
   uint8_t page[kPageSize];
   for (PageId id = 0; id < frozen_pages; ++id) {
     ASSERT_TRUE(snapshot.value()->Read(id, page).ok());

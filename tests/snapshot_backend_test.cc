@@ -22,7 +22,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/distribute.h"
@@ -778,6 +780,88 @@ TEST_F(SnapshotCorruptionTest, BitFlippedNodeNamesThePage) {
   EXPECT_NE(status.ToString().find("checksum mismatch on page 2"),
             std::string::npos)
       << status.ToString();
+}
+
+// A snapshot may carry an attachment after its nodes: whole raw pages,
+// zero-padded, read back in place from the mapping, page-aligned. The
+// node pages are those of a plain pack, which carries none.
+TEST_F(SnapshotCorruptionTest, AttachmentRoundTripsBesideTheSameNodes) {
+  const std::string plain = PackFixture("attached_plain");
+  const TempPath attached("attached.stsnap");
+  std::vector<uint8_t> attachment(kPageSize + 904);
+  for (size_t i = 0; i < attachment.size(); ++i) {
+    attachment[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  const std::unique_ptr<PprTree> tree = BuildPprTree(MakeRecords());
+  ASSERT_TRUE(tree->PackSnapshot(attached.path(), [&](ByteSink* out) {
+                    // In two writes, one across the page boundary.
+                    out->WriteBytes(attachment.data(), 100);
+                    out->WriteBytes(attachment.data() + 100,
+                                    attachment.size() - 100);
+                  })
+                  .ok());
+  const std::span<const uint8_t> read = tree->backend()->file().attachment();
+  ASSERT_EQ(read.size(), attachment.size());
+  EXPECT_TRUE(std::equal(read.begin(), read.end(), attachment.begin()));
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(read.data()) % kPageSize, 0u);
+
+  const Result<std::unique_ptr<SnapshotFile>> reopened =
+      SnapshotFile::Open(plain);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE(reopened.value()->attachment().empty());
+  const std::vector<uint8_t> plain_bytes = ReadFile(plain);
+  const std::vector<uint8_t> attached_bytes = ReadFile(attached.path());
+  const size_t node_end = (1 + node_count_) * kPageSize;
+  ASSERT_EQ(attached_bytes.size(), plain_bytes.size() + 2 * kPageSize);
+  EXPECT_TRUE(std::equal(plain_bytes.begin() + kPageSize,
+                         plain_bytes.begin() + node_end,
+                         attached_bytes.begin() + kPageSize));
+  // The attachment's last page is zero-padded.
+  EXPECT_EQ(attached_bytes[node_end + attachment.size()], 0);
+}
+
+TEST_F(SnapshotCorruptionTest, BitFlippedAttachmentNamesItsPage) {
+  const TempPath attached("corrupt_attachment.stsnap");
+  const std::vector<uint8_t> attachment(3 * kPageSize, 0x5a);
+  const std::unique_ptr<PprTree> tree = BuildPprTree(MakeRecords());
+  ASSERT_TRUE(tree->PackSnapshot(attached.path(), [&](ByteSink* out) {
+                    out->WriteBytes(attachment.data(), attachment.size());
+                  })
+                  .ok());
+  const size_t nodes = tree->backend()->SlotCount();
+  std::vector<uint8_t> bytes = ReadFile(attached.path());
+  bytes[(1 + nodes + 1) * kPageSize + 9] ^= 0x01;
+  WriteFile(attached.path(), bytes);
+  const Status status = OpenStatus(attached.path());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("checksum mismatch on attachment page 1"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(SnapshotCorruptionTest, AttachmentSizeBeyondTheFileFailsOpen) {
+  const std::string path = PackFixture("corrupt_attachment_size");
+  std::vector<uint8_t> bytes = ReadFile(path);
+  // Payload: magic u64, version u32, page_size u32, node_count u64,
+  // level_count u32, manifest_pages u32, manifest_digest u32, the
+  // extents, then the attachment's byte count.
+  uint32_t levels = 0;
+  std::memcpy(&levels, bytes.data() + kPageEnvelopeBytes + 24, sizeof(levels));
+  const size_t attachment_off =
+      kPageEnvelopeBytes + 8 + 4 + 4 + 8 + 4 + 4 + 4 + levels * 8;
+  const std::pair<uint64_t, const char*> cases[] = {
+      {uint64_t{1} << 41, "corrupt superblock (attachment size)"},
+      {1, "truncated snapshot"}};
+  for (const auto& [size, why] : cases) {
+    SCOPED_TRACE(size);
+    std::memcpy(bytes.data() + attachment_off, &size, sizeof(size));
+    SealPage(bytes.data(), PageKind::kSnapshotSuperblock);
+    WriteFile(path, bytes);
+    const Status status = OpenStatus(path);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.ToString().find(why), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST_F(SnapshotCorruptionTest, ManifestMismatchFailsOpen) {
